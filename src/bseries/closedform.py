@@ -369,10 +369,6 @@ def parse_closed_form(s: str) -> ClosedForm:
     return eval_ast(parse_expr(s), _CFCtx())
 
 
-def _coeff_prefix(c: Fraction) -> str:
-    return str(c)
-
-
 def render_closed_form(cf: ClosedForm) -> str:
     if not cf.terms:
         return "0"

@@ -4,14 +4,17 @@ Certified mode proves a geometric envelope for the term ratio first: with
 ``rho(k) = t_{k+1}/t_k`` (an exact rational function over the quadratic
 field) and a rational ``q < 1`` slightly above the limiting ratio
 ``L = |base| * growth^(+-1)``, the inequality ``|rho(k)| <= q`` for every
-real ``k >= k0`` is certified exactly — the polynomial
+integer ``k >= k0`` is certified exactly — the polynomial
 
     G(k) = q^2 * den(rho)^2 - num(rho)^2
 
-is positive beyond its last real root (isolated by a Sturm chain on the
-rational norm polynomial ``G * conj(G)``) and its sign is checked at every
-integer from ``k0`` down to the summation start.  The tail after ``t_K``
-is then at most ``|t_K| * q / (1 - q)``, added as an explicit ball radius.
+has no real root from the first integer ``K`` at which a lower bound on
+its leading coefficient times ``K^n`` exceeds the sum of upper bounds on
+its other (embedded) coefficients times ``K^i``, and is positive there;
+its exact sign is then checked at each integer from ``K`` down to the
+summation start, which gives ``k0``.  The tail after a term ``t_m`` with
+``m >= k0`` is then at most ``|t_m| * q / (1 - q)``, added as an explicit
+ball radius.
 
 Heuristic mode (for weights with harmonic atoms, or on request) stops after
 32 consecutive non-increasing terms below ``10^-(digits+6)`` and charges a
@@ -21,8 +24,8 @@ only the tail allowance is unproven.
 Verification at D digits: PASS iff the residual ball ``LHS - RHS`` contains
 zero and its magnitude upper bound is at most ``10^-D``; FAIL iff the ball
 excludes zero (a proof of discrepancy, up to the tail caveat in heuristic
-mode); otherwise the working precision is doubled, up to 4 attempts, and
-INCONCLUSIVE is reported.
+mode); otherwise the working precision is doubled, up to
+``precision.MAX_ATTEMPTS`` attempts, and INCONCLUSIVE is reported.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ import mpmath
 from mpmath import mp, mpf
 
 from .closedform import ClosedForm
-from .exactnum import Poly, QuadElem, RatFun, last_integer_beyond_roots
-from .precision import DIGITS_INF, ApproxReal, attempt_bits, working_bits
+from .exactnum import IntegerSurdPoly, QuadElem, RatFun
+from .precision import DIGITS_INF, MAX_ATTEMPTS, ApproxReal, attempt_bits, working_bits
 from .seriesmodel import HarmonicCache, NotHypergeometric, Position, SeriesDef
 
 __all__ = [
@@ -118,7 +121,7 @@ def certify_envelope(sdef: SeriesDef) -> Envelope:
             g = 1 / g
     def dyadic_up(x: Fraction, bits: int = 24) -> Fraction:
         # Round up to a small-denominator dyadic: keeps every downstream
-        # coefficient (and hence the Sturm chain) small.
+        # coefficient of G small.
         return Fraction(math.ceil(x * (1 << bits)), 1 << bits)
 
     l_hi = _rational_upper_abs(sdef.base_value) * g
@@ -129,39 +132,15 @@ def certify_envelope(sdef: SeriesDef) -> Envelope:
         raise NonConvergent("cannot select a geometric bound below 1")
 
     num, den = ratio.num, ratio.den
-    big_g = den * den * (q * q) - num * num  # want big_g(k) >= 0
-
-    # Norm polynomial with Fraction coefficients for root isolation.
-    def conj_poly(p: Poly) -> Poly:
-        return p.map_coeffs(lambda c: c.conjugate() if isinstance(c, QuadElem) else c)
-
-    def rationalize(p: Poly) -> Poly:
-        def down(c):
-            if isinstance(c, QuadElem):
-                return c.as_fraction()
-            return c
-
-        return p.map_coeffs(down)
-
-    if sdef.field_d == 1:
-        norm_poly = rationalize(big_g)
-    else:
-        norm_poly = rationalize(big_g * conj_poly(big_g))
+    big_g = IntegerSurdPoly(den * den * (q * q) - num * num)  # want G(k) >= 0
 
     k_min = sdef.k_start
-    k_star = last_integer_beyond_roots(norm_poly, start=k_min)
-
-    def nonneg_at(k: int) -> bool:
-        v = big_g(Fraction(k))
-        if isinstance(v, QuadElem):
-            return v.sign() >= 0
-        return v >= 0
-
-    if not nonneg_at(k_star):
-        raise NonConvergent("envelope is negative beyond its last root")
+    k_star = big_g.root_bound(start=k_min)
+    if big_g.sign_at(k_star) < 0:
+        raise NonConvergent("envelope is negative beyond its root bound")
     k0 = k_star
     k = k_star - 1
-    while k >= k_min and nonneg_at(k):
+    while k >= k_min and big_g.sign_at(k) >= 0:
         k0 = k
         k -= 1
     return Envelope(q=q, k0=k0, ratio=ratio)
@@ -340,7 +319,7 @@ def evaluate(
                 raise
             sum_mode = "heuristic"
     res: Optional[SumResult] = None
-    for attempt in range(4):
+    for attempt in range(MAX_ATTEMPTS):
         bits = attempt_bits(digits + 5, attempt)
         with working_bits(bits):
             res = sum_series(
@@ -414,7 +393,7 @@ def verify_identity(
                 )
             sum_mode = "heuristic"
 
-    for attempt in range(4):
+    for attempt in range(MAX_ATTEMPTS):
         bits = attempt_bits(digits + 8, attempt)
         try:
             with working_bits(bits):
@@ -488,6 +467,6 @@ def verify_identity(
         terms_used=res.terms_used if res else 0,
         tail_mode=res.tail_mode if res else mode,
         elapsed=time.monotonic() - t0,
-        attempts=4,
+        attempts=MAX_ATTEMPTS,
         note=note,
     )

@@ -13,18 +13,23 @@ polynomials stand in for bivariate ones).  :class:`RatFun` is a lazy
 (unreduced) quotient of two Polys with equality decided by
 cross-multiplication.
 
-Also here: monic polynomial gcd, Sturm chains and exact root counting for
-polynomials with Fraction coefficients (used to certify term-ratio
-envelopes behind the last real root).
+Also here: monic polynomial gcd, and :class:`IntegerSurdPoly`, which
+clears a polynomial's denominators once to give exact signs at integer
+points and a dominance bound on its real roots: the smallest integer K at
+which a lower bound on the leading coefficient times K^n exceeds the sum
+of upper bounds on the other coefficients times K^i.  Beyond K the
+polynomial has no root.  Term-ratio envelopes and telescoping horizons are
+certified with it.  The coefficient bounds embed sqrt(d) through an
+integer square root, so this stays free of floating point too.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 __all__ = [
-    "Rational",
     "QuadElem",
     "sqrt_surd",
     "squarefree_split",
@@ -32,12 +37,8 @@ __all__ = [
     "RatFun",
     "poly_divmod",
     "poly_gcd",
-    "sturm_chain",
-    "count_real_roots_above",
-    "last_integer_beyond_roots",
+    "IntegerSurdPoly",
 ]
-
-Rational = Fraction
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
@@ -205,20 +206,7 @@ class QuadElem:
 
     def sign(self) -> int:
         """Exact sign of the real embedding with sqrt(d) > 0."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Opposite signs: |a| vs |b|sqrt(d) decided by a^2 vs d b^2.
-        n = self.norm()
-        if a > 0:
-            return 1 if n > 0 else -1
-        return -1 if n > 0 else 1
+        return _surd_sign(self.a, self.b, self.d)
 
     def __abs__(self):
         return self if self.sign() >= 0 else -self
@@ -488,81 +476,107 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 
 # ----------------------------------------------------------------------
-# Sturm chains (Fraction coefficients)
+# exact signs and a positive-root bound at integer points
 
 
-def sturm_chain(f: Poly) -> list[Poly]:
-    """Sturm chain of the squarefree part of f."""
-    df = f.derivative()
-    g = poly_gcd(f, df)
-    if g.degree() > 0:
-        f, _ = poly_divmod(f, g)
-    chain = [f, f.derivative()]
-    while chain[-1]:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        chain.append(-r)
-    chain.pop()  # drop the zero remainder
-    return chain
+def _surd_sign(a, b, d: int) -> int:
+    """Exact sign of ``a + b*sqrt(d)`` for rational a, b (sqrt(d) irrational if b != 0)."""
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sa == 0:
+        return sb
+    if sb == 0 or sa == sb:
+        return sa
+    # Opposite signs: |a| vs |b|sqrt(d) decided by a^2 vs d b^2.
+    return sa if a * a > d * b * b else sb
 
 
-def _sign_at(p: Poly, x) -> int:
-    if x == "inf":
-        if not p:
-            return 0
-        c = p.leading()
-        return 1 if c > 0 else -1
-    if x == "-inf":
-        if not p:
-            return 0
-        c = p.leading()
-        s = 1 if c > 0 else -1
-        return s if p.degree() % 2 == 0 else -s
-    v = p(x)
-    return (v > 0) - (v < 0)
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
 
 
-def _variations(chain: Sequence[Poly], x) -> int:
-    signs = [s for s in (_sign_at(p, x) for p in chain) if s != 0]
-    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+class IntegerSurdPoly:
+    """A positive integer multiple ``A(x) + B(x)*sqrt(d)`` of a polynomial over Q(sqrt d).
 
-
-def count_real_roots_above(f: Poly, a: Fraction) -> int:
-    """Number of distinct real roots of f in the open interval (a, +inf)."""
-    chain = sturm_chain(f)
-    return _variations(chain, a) - _variations(chain, "inf")
-
-
-def last_integer_beyond_roots(f: Poly, start: int = 0) -> int:
-    """Smallest integer K >= start with no real roots of f in [K, +inf).
-
-    Uses a Cauchy bound to find a point beyond every root, then walks a
-    Sturm chain down by halving to tighten it.  f must be nonzero with
-    Fraction coefficients.
+    The denominators are cleared once, so exact signs at integer points and
+    the root bound below run on integer coefficient lists.  A positive scale
+    changes neither signs nor roots.
     """
-    if not f:
-        raise ValueError("zero polynomial")
-    if f.degree() == 0:
-        return start
-    lead = abs(f.leading())
-    bound = 1 + max(abs(c) for c in f.coeffs[:-1]) / lead if f.degree() > 0 else Fraction(0)
-    hi = max(start, int(bound) + 1)
-    chain = sturm_chain(f)
-    tail_vars = _variations(chain, "inf")
 
-    def clear_from(x: int) -> bool:
-        # No roots in (x-1, +inf) implies none in [x, +inf); monotone in x.
-        return _variations(chain, Fraction(x - 1)) - tail_vars == 0
+    __slots__ = ("a", "b", "d")
 
-    if clear_from(start):
-        return start
-    lo = start  # clear_from(lo) is False
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if clear_from(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    def __init__(self, p: Poly):
+        if not p:
+            raise ValueError("zero polynomial")
+        coeffs = [QuadElem.of(c) for c in p.coeffs]
+        radicands = {c.d for c in coeffs} - {1}
+        if len(radicands) > 1:
+            raise ValueError(f"incompatible radicands {sorted(radicands)}")
+        scale = math.lcm(*(x.denominator for c in coeffs for x in (c.a, c.b)))
+        self.a = [c.a.numerator * (scale // c.a.denominator) for c in coeffs]
+        self.b = [c.b.numerator * (scale // c.b.denominator) for c in coeffs]
+        self.d = radicands.pop() if radicands else 1
+
+    def sign_at(self, k: int) -> int:
+        """Exact sign of the polynomial at the integer k."""
+        b = _horner(self.b, k) if self.d > 1 else 0
+        return _surd_sign(_horner(self.a, k), b, self.d)
+
+    def _magnitudes(self) -> tuple[int, list[int]]:
+        """``lead_lo <= |lead|`` and ``U_i >= |c_i|`` (i < n), all scaled by 2**bits.
+
+        sqrt(d) is enclosed in ``[r, r + 1] / 2**bits`` with ``r`` from
+        ``isqrt``, so each embedded coefficient lies in an integer interval
+        of width ``|B_i|``.  The precision doubles until ``lead_lo`` exceeds
+        1024 times every width: a cancelling coefficient such as
+        ``x - y*sqrt(d)`` with huge x, y then gains at most |lead|/1024 in
+        its bound, where ``|x| + |y|*sqrt(d)`` would swamp the leading term.
+        """
+        width = max(abs(y) for y in self.b)
+        bits = 64
+        while True:
+            r = math.isqrt(self.d << (2 * bits))
+            bounds = []
+            for x, y in zip(self.a, self.b):
+                lo, hi = (x << bits) + y * r, (x << bits) + y * (r + 1)
+                bounds.append((min(lo, hi), max(lo, hi)))
+            lo, hi = bounds[-1]
+            lead_lo = lo if lo > 0 else -hi
+            if lead_lo > width << 10:
+                return lead_lo, [max(-u, v) for u, v in bounds[:-1]]
+            bits *= 2
+
+    def root_bound(self, start: int = 0) -> int:
+        """Smallest integer ``K >= max(1, start)`` with ``lead_lo*K^n > sum_i U_i*K^i``.
+
+        Then ``|p(x)| >= lead_lo*x^n - sum_{i<n} U_i*x^i > 0`` for every real
+        ``x >= K``, because the bound divided by ``x^n`` increases for x > 0:
+        the polynomial has no real root in ``[K, +inf)`` and there takes the
+        sign of its leading coefficient.  By the same monotonicity the test is
+        monotone in K, so doubling and then bisection find the smallest one.
+        """
+        lead_lo, upper = self._magnitudes()
+        n = len(upper)
+
+        def dominates(x: int) -> bool:
+            return lead_lo * x**n > _horner(upper, x)
+
+        lo = max(1, start)
+        if dominates(lo):
+            return lo
+        hi = 2 * lo
+        while not dominates(hi):
+            lo, hi = hi, 2 * hi
+        while lo + 1 < hi:  # dominates(hi) and not dominates(lo)
+            mid = (lo + hi) // 2
+            if dominates(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
 
 
 # ----------------------------------------------------------------------

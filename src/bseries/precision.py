@@ -86,7 +86,7 @@ def _abs_exact(x):
     return mpmath.fneg(x, exact=True) if x < 0 else x
 
 
-def _coerce(x, eps=None):
+def _coerce(x):
     if isinstance(x, ApproxReal):
         return x
     if isinstance(x, int):
@@ -101,14 +101,15 @@ class ApproxReal:
 
     __slots__ = ("mid", "rad")
 
-    def __init__(self, mid, rad=None):
-        self.mid = mpf(mid) if not isinstance(mid, mpf) else mid
-        if rad is None:
-            self.rad = mpf(0)
-        else:
-            self.rad = mpf(rad) if not isinstance(rad, mpf) else rad
-        if self.rad < 0:
+    def __init__(self, mid, rad):
+        # Only mpf values are exact as given; an int or Fraction would be
+        # rounded here with no radius to cover it.  Use from_int/from_fraction.
+        if not isinstance(mid, mpf) or not isinstance(rad, mpf):
+            raise TypeError("ApproxReal takes mpf mid and rad; use from_int or from_fraction")
+        if rad < 0:
             raise ValueError("negative radius")
+        self.mid = mid
+        self.rad = rad
 
     # ------------------------------------------------------------------
     # constructors

@@ -270,9 +270,6 @@ class _WeightCtx(EvalContext):
         return base ** ast_as_int(exp_ast)
 
 
-_ATOM_SORT = {None: (0, 0, 0, 0)}
-
-
 def _atom_key(atom: Optional[HarmonicAtom]):
     if atom is None:
         return (0, 0, 0, 0)

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .closedform import ClosedForm, parse_closed_form
-from .exactnum import Poly, QuadElem, RatFun, last_integer_beyond_roots
+from .exactnum import IntegerSurdPoly, Poly, QuadElem, RatFun
 from .exprparse import ExprError, ast_as_int, eval_ast, parse_expr
 from .kernels import KernelFamily, kernel_by_tag
 from .seriesmodel import (
@@ -118,9 +118,9 @@ class TelescopingCert:
             if v % u == 0 and -v // u >= 0:
                 raise ValueError(f"denominator factor {u}*k{v:+d} vanishes at an index >= 0")
         # Q(n) must be nonzero at every index the boundary is evaluated at.
-        horizon = last_integer_beyond_roots(self.bound_den, start=0)
-        for j in range(0, horizon):
-            if not self.bound_den(Fraction(j)):
+        bound_den = IntegerSurdPoly(self.bound_den)
+        for j in range(bound_den.root_bound()):
+            if not bound_den.sign_at(j):
                 raise ValueError(f"boundary denominator vanishes at n = {j}")
 
     @property

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bseries.catalog import load_catalog, resolve_catalog_path
 from bseries.closedform import ClosedForm, parse_closed_form
 from bseries.duality import (
     DualBranch,
@@ -228,6 +229,17 @@ class TestVerifiedPairs:
             conjugate_series(R1), parse_closed_form("-96/pi"), digits=30
         )
         assert rep.status is Status.PASS, rep.note
+
+    def test_conjugate_of_7pi_record(self):
+        # The fully conjugated companion of catalog record conj5.2-7pi.
+        sdef = load_catalog(resolve_catalog_path()).lookup("conj5.2-7pi").series
+        datum = RamanujanDatum(series=sdef, rhs_r=Fraction(29241), rhs_n=QuadElem(1))
+        assert classify_dual(datum).branch is DualBranch.CONJUGATE_RAMANUJAN
+        rep = verify_identity(
+            conjugate_series(sdef), parse_closed_form("29241/(2*pi)"), digits=30
+        )
+        assert rep.status is Status.PASS, rep.note
+        assert rep.tail_mode == "certified"
 
     def test_gr5_and_gr_minus5(self):
         rep1 = verify_identity(GR5, parse_closed_form("pi^2/30"), digits=30, mode="certified")

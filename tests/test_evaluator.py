@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bseries.catalog import load_catalog, resolve_catalog_path
 from bseries.closedform import parse_closed_form
 from bseries.evaluator import (
     BudgetExceeded,
@@ -126,6 +127,21 @@ def test_envelope_start_is_sharp():
     dk = QuadElem.of(den(Fraction(k)))
     gap = dk * dk * (env.q * env.q) - nk * nk
     assert gap.sign() < 0
+
+
+@pytest.mark.parametrize(
+    "rid, q, k0",
+    [
+        ("conj3.2-equiv", Fraction(65, 256), 97),
+        ("sec2-315", Fraction(65, 512), 32),
+        ("conj6.1-111", Fraction(16116889, 16777216), 1),
+        ("aldawoud-t31-r10", Fraction(1, 16777216), 0),
+    ],
+)
+def test_envelope_pinned_on_catalog_records(rid, q, k0):
+    # (q, k0) as the exact root isolation gave them; k0 is the sharp start.
+    env = certify_envelope(load_catalog(resolve_catalog_path()).lookup(rid).series)
+    assert (env.q, env.k0) == (q, k0)
 
 
 def test_envelope_rejects_unit_ratio():

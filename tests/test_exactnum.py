@@ -1,5 +1,6 @@
-"""Exact arithmetic: quadratic surds, polynomials, rational functions, Sturm chains."""
+"""Exact arithmetic: quadratic surds, polynomials, rational functions, integer-point signs."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bseries.exactnum import (
+    IntegerSurdPoly,
     Poly,
     QuadElem,
     RatFun,
-    count_real_roots_above,
-    last_integer_beyond_roots,
     poly_divmod,
     poly_gcd,
     sqrt_surd,
@@ -122,6 +122,23 @@ def test_sign_matches_float_embedding(data, d):
         assert x.sign() == (1 if approx > 0 else -1)
 
 
+@given(st.data(), radicands, st.integers(min_value=1, max_value=10**12))
+@settings(max_examples=100, deadline=None)
+def test_root_bound_magnitudes_are_sound(data, d, n):
+    # A leading coefficient isqrt(d n^2) - n*sqrt(d) in (-1, 0) cancels badly.
+    lead = data.draw(st.sampled_from([QuadElem(math.isqrt(d * n * n), -n, d), QuadElem(n)]))
+    rest = data.draw(st.lists(st.one_of(quad_elems(d=d), rationals), max_size=3))
+    f = Poly(rest + [lead], "k")
+    lead_lo, upper = IntegerSurdPoly(f)._magnitudes()
+    # Soundness needs U_i/lead_lo >= |c_i|/|lead|, whatever the common scale.
+    assert lead_lo > 0
+    for u, c in zip(upper, f.coeffs):
+        assert abs(QuadElem.of(c)) * lead_lo <= abs(lead) * u
+    g = IntegerSurdPoly(f)
+    big_k = g.root_bound()
+    assert {g.sign_at(k) for k in range(big_k, big_k + 20)} == {lead.sign()}
+
+
 # ----------------------------------------------------------------------
 
 
@@ -167,25 +184,56 @@ class TestPoly:
         assert q == g and not r
 
 
-class TestSturm:
-    def test_root_counting(self):
-        # (k-1)(k-3)(k-7)
-        f = P(1, 1) * 0  # placeholder to keep flake quiet
-        f = P(-1, 1) * P(-3, 1) * P(-7, 1)
-        assert count_real_roots_above(f, Fraction(0)) == 3
-        assert count_real_roots_above(f, Fraction(2)) == 2
-        assert count_real_roots_above(f, Fraction(7)) == 0
-        assert last_integer_beyond_roots(f) == 8
+class TestIntegerSurdPoly:
+    def test_cubic_with_three_roots(self):
+        f = IntegerSurdPoly(P(-1, 1) * P(-3, 1) * P(-7, 1))  # (k-1)(k-3)(k-7)
+        big_k = f.root_bound()
+        assert big_k >= 8
+        assert all(f.sign_at(k) > 0 for k in range(big_k, big_k + 51))
+        assert [f.sign_at(k) for k in (1, 2, 3, 5, 7)] == [0, 1, 0, -1, 0]
 
     def test_no_real_roots(self):
-        f = P(1, 0, 1)  # k^2 + 1
-        assert count_real_roots_above(f, Fraction(-100)) == 0
-        assert last_integer_beyond_roots(f, start=3) == 3
+        f = IntegerSurdPoly(P(1, 0, 1))  # k^2 + 1
+        assert f.root_bound(start=3) == 3
+        assert f.root_bound() == 2  # 1*K^2 > 1 needs K >= 2: the bound is not sharp
+        assert all(f.sign_at(k) > 0 for k in range(-50, 51))
 
     def test_repeated_roots(self):
         f = P(-1, 1) ** 3 * P(-5, 1)
-        assert count_real_roots_above(f, Fraction(0)) == 2
-        assert last_integer_beyond_roots(f) == 6
+        big_k = IntegerSurdPoly(f).root_bound()
+        assert big_k >= 6
+        assert all(f(Fraction(k)) > 0 for k in range(big_k, big_k + 51))
+
+    def test_negative_leading_coefficient(self):
+        f = IntegerSurdPoly(P(Fraction(7, 2), 0, Fraction(-1, 3)))  # 7/2 - k^2/3
+        big_k = f.root_bound()
+        assert big_k >= 4
+        assert all(f.sign_at(k) < 0 for k in range(big_k, big_k + 51))
+
+    def test_cancelling_quadratic_coefficients(self):
+        # c = 930249 - 416020*sqrt(5) is about 5.4e-7, while |a| + |b|*sqrt(5)
+        # is about 1.9e6: the bound must see c, not the size of its parts.
+        c = QuadElem(930249, -416020, 5)
+        assert 0 < c < Fraction(1, 10**6)
+        f = Poly((15 * c, -8 * c, c), "k")  # c*(k - 3)*(k - 5)
+        g = IntegerSurdPoly(f)
+        big_k = g.root_bound()
+        assert 6 <= big_k <= 10
+        assert all(g.sign_at(k) > 0 for k in range(big_k, big_k + 51))
+        assert [g.sign_at(k) for k in (2, 3, 4, 5, 6)] == [1, 0, -1, 0, 1]
+        assert IntegerSurdPoly(f * Poly((-1,), "k")).root_bound(start=4) == big_k
+
+    def test_sign_matches_exact_evaluation(self):
+        f = Poly((QuadElem(Fraction(-3, 2), 1, 2), QuadElem(0, Fraction(1, 7), 2), QuadElem(-1)), "k")
+        g = IntegerSurdPoly(f)
+        for k in range(-20, 21):
+            assert g.sign_at(k) == f(Fraction(k)).sign(), k
+
+    def test_mixed_radicands_and_zero_rejected(self):
+        with pytest.raises(ValueError):
+            IntegerSurdPoly(Poly((QuadElem(0, 1, 2), QuadElem(0, 1, 3)), "k"))
+        with pytest.raises(ValueError):
+            IntegerSurdPoly(Poly((), "k"))
 
 
 class TestRatFun:

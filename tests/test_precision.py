@@ -47,6 +47,20 @@ def test_to_digits_clamps_at_zero():
         assert wide.to_digits() == 0
 
 
+def test_rounded_int_never_gets_zero_radius():
+    # At 53 bits 10**30 + 1 rounds; a ball built from it must cover the error.
+    n = 10**30 + 1
+    with working_bits(53):
+        with pytest.raises(TypeError):
+            ApproxReal(n, mp.mpf(0))
+        with pytest.raises(TypeError):
+            ApproxReal(mp.mpf(1), Fraction(1, 2))
+        for x in (ApproxReal.from_int(n), ApproxReal.from_int(0) + n):
+            assert x.rad > 0
+            lo, hi = x.to_fraction_bounds()
+            assert lo <= n <= hi
+
+
 def test_zero_division_guard():
     with working_bits(53):
         around_zero = ApproxReal(mp.mpf(0), mp.mpf("1e-10"))
