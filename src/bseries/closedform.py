@@ -30,7 +30,7 @@ from . import constants
 from .exactnum import QuadElem, sqrt_surd, squarefree_split
 from .exprparse import EvalContext, ExprError, ast_as_int, eval_ast, parse_expr
 from .precision import ApproxReal, digits_to_bits, working_bits
-from .seriesmodel import parse_quad, render_quad
+from .seriesmodel import render_quad
 
 __all__ = ["ClosedForm", "CFAtom", "parse_closed_form", "render_closed_form"]
 
@@ -115,9 +115,6 @@ class ClosedForm:
     @staticmethod
     def zero() -> "ClosedForm":
         return ClosedForm([])
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_rational(self) -> bool:
         return all(not atoms for _, atoms in self.terms)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import gcd
 
 from mpmath import mp
 

@@ -21,6 +21,10 @@ Heuristic mode (for weights with harmonic atoms, or on request) stops after
 ``64 * |t_last|`` slack; the summed prefix is still exact-ball arithmetic,
 only the tail allowance is unproven.
 
+``select_envelope`` is the one place a ``mode`` ("auto", "certified" or
+"heuristic") is resolved, into an envelope or None; ``sum_series`` takes
+that envelope and nothing else decides the tail.
+
 Verification at D digits: PASS iff the residual ball ``LHS - RHS`` contains
 zero and its magnitude upper bound is at most ``10^-D``; FAIL iff the ball
 excludes zero (a proof of discrepancy, up to the tail caveat in heuristic
@@ -38,18 +42,19 @@ from fractions import Fraction
 from typing import Optional
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .closedform import ClosedForm
 from .exactnum import IntegerSurdPoly, QuadElem, RatFun
 from .precision import DIGITS_INF, MAX_ATTEMPTS, ApproxReal, attempt_bits, working_bits
-from .seriesmodel import HarmonicCache, NotHypergeometric, Position, SeriesDef
+from .seriesmodel import HarmonicCache, NotHypergeometric, Position, SeriesDef, den_value
 
 __all__ = [
     "NonConvergent",
     "BudgetExceeded",
     "Envelope",
     "certify_envelope",
+    "select_envelope",
     "SumResult",
     "sum_series",
     "evaluate",
@@ -89,16 +94,11 @@ class Envelope:
     ratio: RatFun
 
 
-def _ratio_limit_cmp_one(sdef: SeriesDef) -> int:
-    """Exact sign of L - 1 where L = |base| * growth^s."""
-    g = Fraction(1)
-    if sdef.kernel is not None:
-        g = sdef.kernel.growth()
-        if sdef.kernel_pos is Position.DENOMINATOR:
-            g = 1 / g
-    # L >= 1  <=>  base^2 * g^2 - 1 >= 0
-    val = sdef.base_value * sdef.base_value * (g * g) - 1
-    return val.sign()
+def _growth(sdef: SeriesDef) -> Fraction:
+    """Limiting ratio of the kernel factor kernel(k)^s; 1 without a kernel."""
+    if sdef.kernel is None:
+        return Fraction(1)
+    return sdef.kernel.growth() ** sdef.kernel_pos.exponent
 
 
 def _rational_upper_abs(x: QuadElem, bits: int = 192) -> Fraction:
@@ -111,14 +111,11 @@ def _rational_upper_abs(x: QuadElem, bits: int = 192) -> Fraction:
 def certify_envelope(sdef: SeriesDef) -> Envelope:
     """Prove |t_{k+1}/t_k| <= q < 1 for all k >= k0 (exact arithmetic only)."""
     ratio = sdef.term_ratio()  # raises NotHypergeometric for harmonic weights
-    if _ratio_limit_cmp_one(sdef) >= 0:
+    g = _growth(sdef)
+    # L = |base| * g >= 1  <=>  base^2 * g^2 - 1 >= 0
+    if (sdef.base_value * sdef.base_value * (g * g) - 1).sign() >= 0:
         raise NonConvergent("limiting term ratio is >= 1")
 
-    g = Fraction(1)
-    if sdef.kernel is not None:
-        g = sdef.kernel.growth()
-        if sdef.kernel_pos is Position.DENOMINATOR:
-            g = 1 / g
     def dyadic_up(x: Fraction, bits: int = 24) -> Fraction:
         # Round up to a small-denominator dyadic: keeps every downstream
         # coefficient of G small.
@@ -146,6 +143,25 @@ def certify_envelope(sdef: SeriesDef) -> Envelope:
     return Envelope(q=q, k0=k0, ratio=ratio)
 
 
+def select_envelope(sdef: SeriesDef, mode: str) -> Optional[Envelope]:
+    """The envelope a ``mode`` asks for; None means a heuristic tail.
+
+    "heuristic" never certifies; "auto" falls back to None when no envelope
+    exists (harmonic weights, or a limiting ratio >= 1); "certified"
+    re-raises NotHypergeometric or NonConvergent instead.
+    """
+    if mode == "heuristic":
+        return None
+    if mode not in ("auto", "certified"):
+        raise ValueError(f"unknown mode {mode!r}")
+    try:
+        return certify_envelope(sdef)
+    except (NotHypergeometric, NonConvergent):
+        if mode == "certified":
+            raise
+        return None
+
+
 # ----------------------------------------------------------------------
 # summation
 
@@ -167,14 +183,16 @@ class _TermStream:
     quadratic base whose conjugate is much larger than the value itself
     (huge integer coefficients, small magnitude), the exact power has
     catastrophic cancellation on embedding, while the incremental ball
-    only accrues a few ulp of relative radius per step.
+    only accrues a few ulp of relative radius per step.  The sqrt(d) ball
+    is computed once per stream, not once per term.
     """
 
-    def __init__(self, sdef: SeriesDef, embed: "_Embedder"):
+    def __init__(self, sdef: SeriesDef):
         self.sdef = sdef
-        self.embed = embed
         self.k = sdef.k_start
-        self.base_ball = embed(sdef.base_root) ** sdef.base_exp
+        d = sdef.field_d
+        self.root = ApproxReal.from_int(d).sqrt() if d > 1 else None
+        self.base_ball = self._embed(sdef.base_root) ** sdef.base_exp
         self.power = self.base_ball**sdef.k_start
         self.kernel_val = sdef.kernel.value(sdef.k_start) if sdef.kernel else 1
         if sdef.kernel:
@@ -182,6 +200,13 @@ class _TermStream:
             self.ratio_num = [int(c) for c in a.coeffs]
             self.ratio_den = [int(c) for c in b.coeffs]
         self.harm = HarmonicCache() if sdef.has_harmonic() else None
+
+    def _embed(self, x: QuadElem) -> ApproxReal:
+        # every surd of the series has the radicand field_d (SeriesDef checks)
+        out = ApproxReal.from_fraction(x.a)
+        if x.b:
+            out = out + ApproxReal.from_fraction(x.b) * self.root
+        return out
 
     def _poly_int(self, coeffs: list[int], k: int) -> int:
         out = 0
@@ -191,14 +216,13 @@ class _TermStream:
 
     def next_term(self) -> tuple[int, ApproxReal]:
         sdef, k = self.sdef, self.k
-        w = sdef.weight_value(k, self.harm)
-        t = self.embed(QuadElem.of(w)) * self.power
+        t = self._embed(QuadElem.of(sdef.weight_value(k, self.harm))) * self.power
         if sdef.kernel is not None:
             if sdef.kernel_pos is Position.NUMERATOR:
                 t = t * ApproxReal.from_int(self.kernel_val)
             else:
                 t = t * ApproxReal.from_fraction(Fraction(1, self.kernel_val))
-        d = sdef.den_value(k)
+        d = den_value(sdef.den_factors, k)
         if d != 1:
             t = t * ApproxReal.from_fraction(Fraction(1) / d)
         # advance the incremental state
@@ -211,95 +235,56 @@ class _TermStream:
         return k, t
 
 
-class _Embedder:
-    """Quadratic-surd -> ball embedding with the sqrt(d) ball cached."""
-
-    def __init__(self, d: int):
-        self.root = ApproxReal.from_int(d).sqrt() if d > 1 else None
-
-    def __call__(self, x: QuadElem) -> ApproxReal:
-        out = ApproxReal.from_fraction(x.a)
-        if x.b:
-            if self.root is None or x.d == 1:
-                raise ValueError("unexpected radicand")
-            out = out + ApproxReal.from_fraction(x.b) * self.root
-        return out
-
-
 def sum_series(
     sdef: SeriesDef,
     digits: int,
-    mode: str = "auto",
-    budget_terms: Optional[int] = None,
     envelope: Optional[Envelope] = None,
+    budget_terms: Optional[int] = None,
 ) -> SumResult:
     """Sum the series to ~`digits` absolute decimal digits at the ambient precision.
 
-    mode: "certified" (requires a provable envelope), "heuristic", or "auto"
-    (certified when possible, else heuristic).
+    With an ``envelope`` (from :func:`certify_envelope`) the tail is the
+    certified bound ``|t_k| * q/(1 - q)``, taken once k >= k0 and it is
+    below ``10^-(digits+3)``; ``envelope=None`` means a heuristic tail.
     """
     budget = budget_terms if budget_terms is not None else DEFAULT_BUDGET
-    if mode not in ("auto", "certified", "heuristic"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-    if mode in ("auto", "certified") and envelope is None:
-        try:
-            envelope = certify_envelope(sdef)
-        except NotHypergeometric:
-            if mode == "certified":
-                raise
-            envelope = None
-        except NonConvergent:
-            if mode == "certified":
-                raise
-            envelope = None
-    if mode == "heuristic":
-        envelope = None
-
-    stream = _TermStream(sdef, _Embedder(sdef.field_d))
-    acc = ApproxReal.from_int(0)
-
     if envelope is not None:
-        q = envelope.q
-        qf = q / (1 - q)  # exact; q < 1 guaranteed by certify_envelope
+        qf = envelope.q / (1 - envelope.q)  # exact; q < 1 guaranteed by certify_envelope
         q_over = mpmath.make_mpf(
             mpmath.libmp.from_rational(qf.numerator, qf.denominator, 64, "c")
         )
         eps = mpf(10) ** (-(digits + 3))
-        terms = 0
-        while True:
-            k, tb = stream.next_term()
-            acc = acc + tb
-            terms += 1
-            if k >= envelope.k0:
-                tail = mpmath.fmul(tb.upper_abs(), q_over, prec=64, rounding="c")
-                if tail <= eps:
-                    acc = acc + ApproxReal(mpf(0), tail)
-                    return SumResult(acc, terms, "certified", q=q, k_last=k)
-            if terms >= budget:
-                raise BudgetExceeded(terms, "term budget exhausted in certified mode")
+    else:
+        threshold = mpf(10) ** (-(digits + 6))
+        streak = 0
+        prev_abs = None
 
-    # heuristic tail detection
-    threshold = mpf(10) ** (-(digits + 6))
-    streak = 0
-    prev_abs = None
+    stream = _TermStream(sdef)
+    acc = ApproxReal.from_int(0)
     terms = 0
     while True:
         k, tb = stream.next_term()
         acc = acc + tb
         terms += 1
-        cur = tb.upper_abs()
-        if cur <= threshold and (prev_abs is None or cur <= prev_abs):
-            streak += 1
-        else:
-            streak = 0
-        prev_abs = cur
-        if streak >= 32:
-            slack = mpmath.fmul(cur, 64, prec=64, rounding="c")
-            acc = acc + ApproxReal(mpf(0), slack)
-            return SumResult(acc, terms, "heuristic", k_last=k)
+        if envelope is None:
+            cur = tb.upper_abs()
+            if cur <= threshold and (prev_abs is None or cur <= prev_abs):
+                streak += 1
+            else:
+                streak = 0
+            prev_abs = cur
+            if streak >= 32:
+                slack = mpmath.fmul(cur, 64, prec=64, rounding="c")
+                acc = acc + ApproxReal(mpf(0), slack)
+                return SumResult(acc, terms, "heuristic", k_last=k)
+        elif k >= envelope.k0:
+            tail = mpmath.fmul(tb.upper_abs(), q_over, prec=64, rounding="c")
+            if tail <= eps:
+                acc = acc + ApproxReal(mpf(0), tail)
+                return SumResult(acc, terms, "certified", q=envelope.q, k_last=k)
         if terms >= budget:
-            raise BudgetExceeded(terms, "term budget exhausted in heuristic mode")
+            tail_mode = "heuristic" if envelope is None else "certified"
+            raise BudgetExceeded(terms, f"term budget exhausted in {tail_mode} mode")
 
 
 def evaluate(
@@ -309,24 +294,13 @@ def evaluate(
     budget_terms: Optional[int] = None,
 ) -> SumResult:
     """Attempt loop around sum_series: doubles precision until the ball is tight."""
-    envelope: Optional[Envelope] = None
-    sum_mode = mode
-    if mode in ("auto", "certified"):
-        try:
-            envelope = certify_envelope(sdef)
-        except (NotHypergeometric, NonConvergent):
-            if mode == "certified":
-                raise
-            sum_mode = "heuristic"
+    envelope = select_envelope(sdef, mode)
     res: Optional[SumResult] = None
     for attempt in range(MAX_ATTEMPTS):
-        bits = attempt_bits(digits + 5, attempt)
-        with working_bits(bits):
-            res = sum_series(
-                sdef, digits, mode=sum_mode, budget_terms=budget_terms, envelope=envelope
-            )
+        with working_bits(attempt_bits(digits + 5, attempt)):
+            res = sum_series(sdef, digits, envelope=envelope, budget_terms=budget_terms)
         if res.ball.to_digits() >= digits:
-            return res
+            break
     return res
 
 
@@ -370,103 +344,51 @@ def verify_identity(
 ) -> VerificationReport:
     """Compare the series against its closed form at the requested digits."""
     t0 = time.monotonic()
-    note = ""
-    res: Optional[SumResult] = None
-    residual = None
 
-    envelope: Optional[Envelope] = None
-    sum_mode = mode
-    if mode in ("auto", "certified"):
-        try:
-            envelope = certify_envelope(sdef)
-        except (NotHypergeometric, NonConvergent) as e:
-            if mode == "certified":
-                return VerificationReport(
-                    status=Status.INCONCLUSIVE,
-                    digits_requested=digits,
-                    digits_matched=0,
-                    terms_used=0,
-                    tail_mode=mode,
-                    elapsed=time.monotonic() - t0,
-                    attempts=0,
-                    note=f"certified summation unavailable: {e}",
-                )
-            sum_mode = "heuristic"
+    def report(status, attempts, matched=0, res=None, terms=0, lhs=None, residual=None, note=""):
+        return VerificationReport(
+            status=status,
+            digits_requested=digits,
+            digits_matched=matched,
+            terms_used=res.terms_used if res else terms,
+            tail_mode=res.tail_mode if res else mode,
+            elapsed=time.monotonic() - t0,
+            attempts=attempts,
+            lhs_str="" if lhs is None else mpmath.nstr(lhs.mid, digits + 5),
+            residual_str="" if residual is None else mpmath.nstr(residual.mid, 8),
+            note=note,
+        )
+
+    try:
+        envelope = select_envelope(sdef, mode)
+    except (NotHypergeometric, NonConvergent) as e:
+        return report(Status.INCONCLUSIVE, 0, note=f"certified summation unavailable: {e}")
 
     for attempt in range(MAX_ATTEMPTS):
         bits = attempt_bits(digits + 8, attempt)
         try:
             with working_bits(bits):
-                res = sum_series(
-                    sdef,
-                    digits + 5,
-                    mode=sum_mode,
-                    budget_terms=budget_terms,
-                    envelope=envelope,
-                )
+                res = sum_series(sdef, digits + 5, envelope=envelope, budget_terms=budget_terms)
                 lhs = res.ball
                 if lhs_scale is not None:
                     lhs = lhs * lhs_scale.eval_ball(digits + 10)
                 rhs_ball = rhs.eval_ball(digits + 10)
                 residual = lhs - rhs_ball
         except BudgetExceeded as e:
-            return VerificationReport(
-                status=Status.INCONCLUSIVE,
-                digits_requested=digits,
-                digits_matched=0,
-                terms_used=e.terms_used,
-                tail_mode=mode,
-                elapsed=time.monotonic() - t0,
-                attempts=attempt + 1,
-                note=str(e),
-            )
-        except (NonConvergent, NotHypergeometric) as e:
-            return VerificationReport(
-                status=Status.INCONCLUSIVE,
-                digits_requested=digits,
-                digits_matched=0,
-                terms_used=0,
-                tail_mode=mode,
-                elapsed=time.monotonic() - t0,
-                attempts=attempt + 1,
-                note=f"certified summation unavailable: {e}",
-            )
+            return report(Status.INCONCLUSIVE, attempt + 1, terms=e.terms_used, note=str(e))
 
         ua = residual.upper_abs()
         tol = mpf(10) ** (-digits)
         if residual.contains_zero() and ua <= tol:
-            return VerificationReport(
-                status=Status.PASS,
-                digits_requested=digits,
-                digits_matched=min(_magnitude_digits(ua), DIGITS_INF),
-                terms_used=res.terms_used,
-                tail_mode=res.tail_mode,
-                elapsed=time.monotonic() - t0,
-                attempts=attempt + 1,
-                lhs_str=mpmath.nstr(lhs.mid, digits + 5),
-                residual_str=mpmath.nstr(residual.mid, 8),
-            )
+            matched = min(_magnitude_digits(ua), DIGITS_INF)
+            return report(Status.PASS, attempt + 1, matched, res, lhs=lhs, residual=residual)
         if residual.excludes_zero():
-            return VerificationReport(
-                status=Status.FAIL,
-                digits_requested=digits,
-                digits_matched=max(0, _magnitude_digits(ua)),
-                terms_used=res.terms_used,
-                tail_mode=res.tail_mode,
-                elapsed=time.monotonic() - t0,
-                attempts=attempt + 1,
-                lhs_str=mpmath.nstr(lhs.mid, digits + 5),
-                residual_str=mpmath.nstr(residual.mid, 8),
+            matched = max(0, _magnitude_digits(ua))
+            return report(
+                Status.FAIL, attempt + 1, matched, res, lhs=lhs, residual=residual,
                 note="residual ball excludes zero",
             )
-        note = "residual ball still straddles zero at max precision"
-    return VerificationReport(
-        status=Status.INCONCLUSIVE,
-        digits_requested=digits,
-        digits_matched=max(0, residual.to_digits()) if residual is not None else 0,
-        terms_used=res.terms_used if res else 0,
-        tail_mode=res.tail_mode if res else mode,
-        elapsed=time.monotonic() - t0,
-        attempts=MAX_ATTEMPTS,
-        note=note,
+    return report(
+        Status.INCONCLUSIVE, MAX_ATTEMPTS, max(0, residual.to_digits()), res,
+        note="residual ball still straddles zero at max precision",
     )

@@ -201,9 +201,6 @@ class QuadElem:
         """a^2 - d*b^2 (multiplicative; nonzero for nonzero elements)."""
         return self.a * self.a - self.b * self.b * self.d
 
-    def trace(self) -> Fraction:
-        return 2 * self.a
-
     def sign(self) -> int:
         """Exact sign of the real embedding with sqrt(d) > 0."""
         return _surd_sign(self.a, self.b, self.d)

@@ -259,20 +259,8 @@ class ApproxReal:
     # ------------------------------------------------------------------
     # bounds and predicates
 
-    def lower(self):
-        """A lower bound for every point of the ball (directed rounding)."""
-        return mpmath.fsub(self.mid, self.rad, prec=_RADPREC, rounding="f")
-
-    def upper(self):
-        return mpmath.fadd(self.mid, self.rad, prec=_RADPREC, rounding="c")
-
     def upper_abs(self):
         return mpmath.fadd(_abs_exact(self.mid), self.rad, prec=_RADPREC, rounding="c")
-
-    def lower_abs(self):
-        """Lower bound for |x| over the ball (0 if the ball straddles zero)."""
-        low = mpmath.fsub(_abs_exact(self.mid), self.rad, prec=_RADPREC, rounding="f")
-        return low if low > 0 else mpf(0)
 
     def contains_zero(self) -> bool:
         return _abs_exact(self.mid) <= self.rad

@@ -45,8 +45,9 @@ __all__ = [
     "render_weight",
     "parse_den_factors",
     "render_den_factors",
+    "den_value",
+    "den_poly",
     "parse_ratfun",
-    "parse_poly",
     "render_poly",
     "render_ratfun",
 ]
@@ -398,6 +399,25 @@ def parse_den_factors(s: str) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted((u, v, e) for (u, v), e in factors.items()))
 
 
+def den_value(factors: tuple[tuple[int, int, int], ...], k: int) -> Fraction:
+    """D(k) = prod (u*k + v)^e exactly; raises if a factor vanishes at k."""
+    out = Fraction(1)
+    for u, v, e in factors:
+        f = u * k + v
+        if f == 0:
+            raise ZeroDivisionError(f"denominator factor {u}*k{v:+d} vanishes at k={k}")
+        out *= Fraction(f) ** e
+    return out
+
+
+def den_poly(factors: tuple[tuple[int, int, int], ...], var: str = "k") -> Poly:
+    """D as a polynomial in ``var``."""
+    out = Poly.const(Fraction(1), var)
+    for u, v, e in factors:
+        out = out * Poly((Fraction(v), Fraction(u)), var) ** e
+    return out
+
+
 def render_den_factors(factors: tuple[tuple[int, int, int], ...]) -> str:
     if not factors:
         return "1"
@@ -433,13 +453,6 @@ class _RatFunCtx(EvalContext):
 
 def parse_ratfun(s: str, var: str) -> RatFun:
     return _fold_constant_den(eval_ast(parse_expr(s), _RatFunCtx(var)))
-
-
-def parse_poly(s: str, var: str) -> Poly:
-    r = parse_ratfun(s, var)
-    if not r.is_polynomial():
-        raise ExprError(f"expected a polynomial in {var!r}")
-    return _fold_constant_den(r).num
 
 
 # ----------------------------------------------------------------------
@@ -496,21 +509,6 @@ class SeriesDef:
             total = total + coeff
         return total
 
-    def den_value(self, k: int) -> Fraction:
-        out = Fraction(1)
-        for u, v, e in self.den_factors:
-            f = u * k + v
-            if f == 0:
-                raise ZeroDivisionError(f"denominator factor {u}*k+{v} vanishes at k={k}")
-            out *= Fraction(f) ** e
-        return out
-
-    def den_poly(self, var: str = "k") -> Poly:
-        out = Poly.const(Fraction(1), var)
-        for u, v, e in self.den_factors:
-            out = out * Poly((Fraction(v), Fraction(u)), var) ** e
-        return out
-
     def weight_value(self, k: int, harm: Optional[HarmonicCache] = None):
         total = Fraction(0)
         for coeff, atom in self.weight:
@@ -529,7 +527,7 @@ class SeriesDef:
         if self.kernel is not None:
             kv = self.kernel.value(k)
             t = t * kv if self.kernel_pos is Position.NUMERATOR else t / kv
-        return t / self.den_value(k)
+        return t / den_value(self.den_factors, k)
 
     def term_ratio(self) -> RatFun:
         """t_{k+1}/t_k as an exact rational function of k (atom-free weights)."""
@@ -542,7 +540,7 @@ class SeriesDef:
                 num, den = num * a, den * b
             else:
                 num, den = num * b, den * a
-        dpoly = self.den_poly()
+        dpoly = den_poly(self.den_factors)
         num = num * RatFun(dpoly)
         den = den * RatFun(dpoly.shift(1))
         r = num / den

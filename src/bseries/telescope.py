@@ -47,6 +47,8 @@ from .seriesmodel import (
     SeriesDef,
     WeightTerm,
     _RatFunCtx,
+    den_poly,
+    den_value,
     parse_den_factors,
     parse_quad,
     parse_ratfun,
@@ -151,26 +153,10 @@ class TelescopingCert:
         if self.symbolic:
             raise ValueError("specialize the base before evaluating numerically")
 
-    def den_value(self, k: int) -> Fraction:
-        out = Fraction(1)
-        for u, v, e in self.den_factors:
-            f = u * k + v
-            if f == 0:
-                raise ZeroDivisionError(f"denominator factor {u}*k{v:+d} vanishes at k={k}")
-            out *= Fraction(f) ** e
-        return out
-
-    def term_value(self, k: int) -> Fraction:
-        """t_k exactly at the concrete base."""
-        self._need_concrete()
-        t = self.weight_poly(Fraction(k)) * self.base**k
-        kv = self.kernel.value(k)
-        t = t * kv if self.kernel_pos is Position.NUMERATOR else t / kv
-        return t / self.den_value(k)
-
-    def partial_sum(self, n: int) -> Fraction:
-        self._need_concrete()
-        return sum((self.term_value(k) for k in range(self.k_start, n + 1)), Fraction(0))
+    def partial_sum(self, n: int) -> QuadElem:
+        """t_0 + ... + t_n exactly at the concrete base."""
+        sdef = self.to_series()
+        return sum((sdef.term_exact(k) for k in range(self.k_start, n + 1)), QuadElem(0))
 
     def boundary_value(self, n: int) -> Fraction:
         """B(n) exactly at the concrete base."""
@@ -455,14 +441,10 @@ def check_telescoping(cert: TelescopingCert) -> CertReport:
     def kc(scalar) -> Poly:
         return Poly.const(scalar, "k")
 
-    d_poly = Poly.const(Fraction(1), "k")
-    for u, v, e in cert.den_factors:
-        d_poly = d_poly * Poly((Fraction(v), Fraction(u)), "k") ** e
-
     w_n = lift(cert.weight_poly)
     p_n = lift(cert.bound_num)
     q_n = lift(cert.bound_den)
-    d_n = lift(d_poly)
+    d_n = lift(den_poly(cert.den_factors))
     a, b = cert.kernel.ratio_polys("k")
     a_m, b_m = lift(a.shift(-1)), lift(b.shift(-1))
     p_m, q_m = p_n.shift(-1), q_n.shift(-1)
@@ -480,7 +462,7 @@ def check_telescoping(cert: TelescopingCert) -> CertReport:
 
     # base case at n = 0: W(x,0)/D(0) = c0 + P(0) x^e / Q(0)  (kernel(0) = 1)
     clear = max(0, -cert.bound_xoff)
-    d0 = cert.den_value(0)
+    d0 = den_value(cert.den_factors, 0)
     q0 = cert.bound_den.coeff(0)
     w0 = w_n.coeff(0)
     base_resid = (

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bseries import evaluator
 from bseries.catalog import load_catalog, resolve_catalog_path
 from bseries.closedform import parse_closed_form
 from bseries.evaluator import (
@@ -28,6 +29,7 @@ from bseries.kernels import kernel_by_tag
 from bseries.precision import working_bits
 from bseries.seriesmodel import (
     HarmonicCache,
+    NotHypergeometric,
     Position,
     SeriesDef,
     parse_base,
@@ -71,11 +73,9 @@ STREAM_CASES = [
 
 
 def test_stream_matches_direct_terms():
-    from bseries.evaluator import _Embedder
-
     for sdef in STREAM_CASES:
         with working_bits(300):
-            stream = _TermStream(sdef, _Embedder(sdef.field_d))
+            stream = _TermStream(sdef)
             harm = HarmonicCache() if sdef.has_harmonic() else None
             for _ in range(25):
                 k, tb = stream.next_term()
@@ -159,8 +159,9 @@ def test_envelope_rejects_divergent():
 
 
 def test_geometric_sum_certified():
+    sdef = mk("1/2")
     with working_bits(200):
-        res = sum_series(mk("1/2"), 40)
+        res = sum_series(sdef, 40, certify_envelope(sdef))
     assert res.tail_mode == "certified"
     lo, hi = res.ball.to_fraction_bounds()
     assert lo <= 2 <= hi
@@ -184,9 +185,54 @@ def test_kernel_numerator_reference():
 
 
 def test_budget_raises():
+    sdef = mk("1/2")
     with working_bits(150):
         with pytest.raises(BudgetExceeded):
-            sum_series(mk("1/2"), 40, budget_terms=10)
+            sum_series(sdef, 40, certify_envelope(sdef), budget_terms=10)
+
+
+# ----------------------------------------------------------------------
+# the mode contract
+
+
+@pytest.mark.parametrize("check", [evaluate, verify_identity])
+def test_unknown_mode_raises(check):
+    args = (parse_closed_form("2"),) if check is verify_identity else ()
+    with pytest.raises(ValueError, match="unknown mode"):
+        check(mk("1/2"), *args, 30, mode="exact")
+
+
+def test_heuristic_mode_skips_an_existing_envelope():
+    certify_envelope(mk("1/2"))  # an envelope exists
+    rep = verify_identity(mk("1/2"), parse_closed_form("2"), 30, mode="heuristic")
+    assert rep.status is Status.PASS
+    assert rep.tail_mode == "heuristic"
+
+
+def test_evaluate_certified_mode_refuses_harmonic_weights():
+    with pytest.raises(NotHypergeometric):
+        evaluate(mk("1/2", weight="H(k,1)", k0=1), 30, mode="certified")
+
+
+def test_verify_certifies_once_and_sums_once_per_attempt(monkeypatch):
+    # The benchmark rebinds these module globals to trace them and to read
+    # q and k0 off the envelope; verify_identity must call through them.
+    calls = {"certify_envelope": 0, "sum_series": 0}
+
+    def counting(name):
+        fn = getattr(evaluator, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(evaluator, name, counting(name))
+    rep = verify_identity(mk("1/2"), parse_closed_form("2"), 30)
+    assert rep.status is Status.PASS
+    assert calls == {"certify_envelope": 1, "sum_series": rep.attempts}
 
 
 # ----------------------------------------------------------------------
@@ -261,6 +307,7 @@ def test_verify_certified_mode_unavailable():
         mode="certified",
     )
     assert rep.status is Status.INCONCLUSIVE
+    assert rep.attempts == 0
     assert "unavailable" in rep.note
 
 
