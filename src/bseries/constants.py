@@ -18,11 +18,13 @@ independent route against which series evaluations can honestly be tested.
 
 Partial sums are cached as exact rationals keyed by requested digits, so
 repeated evaluations at the same or lower accuracy are free.
+
+Single-threaded use only: the caches take no lock, and ``working_bits``
+sets mpmath's process-global ``mp.prec`` anyway.  Parallelise by process.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 from mpmath import mp
@@ -40,21 +42,16 @@ __all__ = [
     "bernoulli_numbers",
 ]
 
-_cache_lock = threading.Lock()
 _exact_cache: dict[tuple, tuple[int, Fraction, Fraction]] = {}
 
 
 def _cached(key: tuple, digits: int, compute):
     """Return (mid, err) Fractions accurate to `digits`, reusing better results."""
-    with _cache_lock:
-        hit = _exact_cache.get(key)
-        if hit is not None and hit[0] >= digits:
-            return hit[1], hit[2]
+    hit = _exact_cache.get(key)
+    if hit is not None and hit[0] >= digits:
+        return hit[1], hit[2]
     mid, err = compute(digits)
-    with _cache_lock:
-        hit = _exact_cache.get(key)
-        if hit is None or hit[0] < digits:
-            _exact_cache[key] = (digits, mid, err)
+    _exact_cache[key] = (digits, mid, err)
     return mid, err
 
 
@@ -225,17 +222,16 @@ _bernoulli: list[Fraction] = [Fraction(1)]
 
 def bernoulli_numbers(n: int) -> list[Fraction]:
     """B_0 .. B_n (inclusive), cached; the usual recurrence."""
-    with _cache_lock:
-        while len(_bernoulli) <= n:
-            m = len(_bernoulli)
-            # sum_{j=0}^{m} C(m+1, j) B_j = 0  =>  solve for B_m
-            acc = Fraction(0)
-            c = 1  # C(m+1, 0)
-            for j in range(m):
-                acc += c * _bernoulli[j]
-                c = c * (m + 1 - j) // (j + 1)
-            _bernoulli.append(-acc / (m + 1))
-        return _bernoulli[: n + 1]
+    while len(_bernoulli) <= n:
+        m = len(_bernoulli)
+        # sum_{j=0}^{m} C(m+1, j) B_j = 0  =>  solve for B_m
+        acc = Fraction(0)
+        c = 1  # C(m+1, 0)
+        for j in range(m):
+            acc += c * _bernoulli[j]
+            c = c * (m + 1 - j) // (j + 1)
+        _bernoulli.append(-acc / (m + 1))
+    return _bernoulli[: n + 1]
 
 
 def _hurwitz_zeta2_exact(a: Fraction, digits: int) -> tuple[Fraction, Fraction]:

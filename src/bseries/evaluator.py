@@ -45,7 +45,7 @@ import mpmath
 from mpmath import mpf
 
 from .closedform import ClosedForm
-from .exactnum import IntegerSurdPoly, QuadElem, RatFun
+from .exactnum import IntegerSurdPoly, QuadElem, RatFun, horner
 from .precision import DIGITS_INF, MAX_ATTEMPTS, ApproxReal, attempt_bits, working_bits
 from .seriesmodel import HarmonicCache, NotHypergeometric, Position, SeriesDef, den_value
 
@@ -72,9 +72,12 @@ class NonConvergent(ArithmeticError):
 
 
 class BudgetExceeded(ArithmeticError):
-    def __init__(self, terms_used: int, message: str):
+    """The term budget ran out; ``tail_mode`` is the tail the summation ran with."""
+
+    def __init__(self, terms_used: int, tail_mode: str, message: str):
         super().__init__(message)
         self.terms_used = terms_used
+        self.tail_mode = tail_mode
 
 
 class Status(enum.Enum):
@@ -178,59 +181,92 @@ class SumResult:
 class _TermStream:
     """Term balls t_k produced incrementally at the ambient precision.
 
-    Weight, kernel and denominator values are exact rationals and embed
-    without cancellation, but the base power is carried as a *ball*: for a
-    quadratic base whose conjugate is much larger than the value itself
-    (huge integer coefficients, small magnitude), the exact power has
-    catastrophic cancellation on embedding, while the incremental ball
-    only accrues a few ulp of relative radius per step.  The sqrt(d) ball
-    is computed once per stream, not once per term.
+    Each term is ``W(k) * S_k * base^k`` with the exact scale
+    ``S_k = kernel(k)^(+-1) / D(k)`` carried as a plain integer pair: the
+    kernel is advanced by its integer term ratio and D(k) is an integer
+    product, so no Fraction (and no gcd on the huge kernel) is built.  An
+    atom-free weight ``W = (A + B*sqrt(d)) / C`` is evaluated from integer
+    polynomials cleared of denominators once per stream.
+
+    For a rational base, base^k is an exact integer pair too, and the whole
+    term is one integer ratio rounded once by :meth:`ApproxReal.from_ratio`;
+    no ball is multiplied per term.
+
+    For a quadratic base the power stays a *ball*, multiplied by the base
+    ball each step: when the conjugate of the base is much larger than the
+    base itself (huge integer coefficients, small magnitude), the exact
+    power cancels catastrophically on embedding, while the incremental ball
+    only accrues a few ulp of relative radius per step.  The term is then
+    ``(ratio(a*S_k) + ratio(b*S_k)*sqrt(d)) * power`` for ``W = a + b*sqrt(d)``,
+    with the sqrt(d) ball computed once per stream.
     """
 
     def __init__(self, sdef: SeriesDef):
         self.sdef = sdef
-        self.k = sdef.k_start
+        self.k = k0 = sdef.k_start
         d = sdef.field_d
         self.root = ApproxReal.from_int(d).sqrt() if d > 1 else None
-        self.base_ball = self._embed(sdef.base_root) ** sdef.base_exp
-        self.power = self.base_ball**sdef.k_start
-        self.kernel_val = sdef.kernel.value(sdef.k_start) if sdef.kernel else 1
+        # self.power is base^k: an exact (num, den) pair for a rational base, else a ball
+        if sdef.base_value.is_rational:
+            beta = sdef.base_value.a
+            self.base_pair = (beta.numerator, beta.denominator)
+            self.power = (beta.numerator**k0, beta.denominator**k0)
+        else:
+            self.base_pair = None
+            x = sdef.base_root
+            root_ball = ApproxReal.from_fraction(x.a) + ApproxReal.from_fraction(x.b) * self.root
+            self.base_ball = root_ball**sdef.base_exp
+            self.power = self.base_ball**k0
+        self.kernel_val = sdef.kernel.value(k0) if sdef.kernel else 1
         if sdef.kernel:
             a, b = sdef.kernel.ratio_polys()
             self.ratio_num = [int(c) for c in a.coeffs]
             self.ratio_den = [int(c) for c in b.coeffs]
         self.harm = HarmonicCache() if sdef.has_harmonic() else None
+        self.weight_polys = None
+        if self.harm is None:
+            w = sdef.weight_ratfun()
+            num, den = IntegerSurdPoly(w.num), IntegerSurdPoly(w.den)
+            if not any(den.b):
+                # W = (A + B*sqrt(d)) * den.scale / (C * num.scale)
+                self.weight_polys = (
+                    [c * den.scale for c in num.a],
+                    [c * den.scale for c in num.b] if any(num.b) else None,
+                    [c * num.scale for c in den.a],
+                )
 
-    def _embed(self, x: QuadElem) -> ApproxReal:
-        # every surd of the series has the radicand field_d (SeriesDef checks)
-        out = ApproxReal.from_fraction(x.a)
-        if x.b:
-            out = out + ApproxReal.from_fraction(x.b) * self.root
-        return out
-
-    def _poly_int(self, coeffs: list[int], k: int) -> int:
-        out = 0
-        for c in reversed(coeffs):
-            out = out * k + c
-        return out
+    def _weight(self, k: int) -> tuple[int, int, int, int]:
+        """W(k) = a_num/a_den + (b_num/b_den)*sqrt(d) as four integers."""
+        if self.weight_polys is not None:
+            a, b, c = self.weight_polys
+            den = horner(c, k)
+            return horner(a, k), den, horner(b, k) if b else 0, den
+        w = self.sdef.weight_value(k, self.harm)
+        a, b = (w.a, w.b) if isinstance(w, QuadElem) else (w, Fraction(0))
+        return a.numerator, a.denominator, b.numerator, b.denominator
 
     def next_term(self) -> tuple[int, ApproxReal]:
         sdef, k = self.sdef, self.k
-        t = self._embed(QuadElem.of(sdef.weight_value(k, self.harm))) * self.power
-        if sdef.kernel is not None:
-            if sdef.kernel_pos is Position.NUMERATOR:
-                t = t * ApproxReal.from_int(self.kernel_val)
-            else:
-                t = t * ApproxReal.from_fraction(Fraction(1, self.kernel_val))
-        d = den_value(sdef.den_factors, k)
-        if d != 1:
-            t = t * ApproxReal.from_fraction(Fraction(1) / d)
-        # advance the incremental state
-        self.power = self.power * self.base_ball
+        num, den = 1, den_value(sdef.den_factors, k)
+        if sdef.kernel_pos is Position.NUMERATOR:
+            num = self.kernel_val
+        else:
+            den *= self.kernel_val
+        if self.base_pair is not None:
+            (pn, pd), (bn, bd) = self.power, self.base_pair
+            num, den = num * pn, den * pd
+            self.power = (pn * bn, pd * bd)
+        a_num, a_den, b_num, b_den = self._weight(k)
+        t = ApproxReal.from_ratio(a_num * num, a_den * den)
+        if b_num:
+            t = t + ApproxReal.from_ratio(b_num * num, b_den * den) * self.root
+        if self.base_pair is None:
+            t = t * self.power
+            self.power = self.power * self.base_ball
         if sdef.kernel is not None:
             self.kernel_val = (
-                self.kernel_val * self._poly_int(self.ratio_num, k)
-            ) // self._poly_int(self.ratio_den, k)
+                self.kernel_val * horner(self.ratio_num, k)
+            ) // horner(self.ratio_den, k)
         self.k += 1
         return k, t
 
@@ -284,7 +320,7 @@ def sum_series(
                 return SumResult(acc, terms, "certified", q=envelope.q, k_last=k)
         if terms >= budget:
             tail_mode = "heuristic" if envelope is None else "certified"
-            raise BudgetExceeded(terms, f"term budget exhausted in {tail_mode} mode")
+            raise BudgetExceeded(terms, tail_mode, f"term budget exhausted in {tail_mode} mode")
 
 
 def evaluate(
@@ -345,13 +381,15 @@ def verify_identity(
     """Compare the series against its closed form at the requested digits."""
     t0 = time.monotonic()
 
-    def report(status, attempts, matched=0, res=None, terms=0, lhs=None, residual=None, note=""):
+    def report(
+        status, attempts, matched=0, res=None, terms=0, tail=mode, lhs=None, residual=None, note=""
+    ):
         return VerificationReport(
             status=status,
             digits_requested=digits,
             digits_matched=matched,
             terms_used=res.terms_used if res else terms,
-            tail_mode=res.tail_mode if res else mode,
+            tail_mode=res.tail_mode if res else tail,
             elapsed=time.monotonic() - t0,
             attempts=attempts,
             lhs_str="" if lhs is None else mpmath.nstr(lhs.mid, digits + 5),
@@ -375,7 +413,9 @@ def verify_identity(
                 rhs_ball = rhs.eval_ball(digits + 10)
                 residual = lhs - rhs_ball
         except BudgetExceeded as e:
-            return report(Status.INCONCLUSIVE, attempt + 1, terms=e.terms_used, note=str(e))
+            return report(
+                Status.INCONCLUSIVE, attempt + 1, terms=e.terms_used, tail=e.tail_mode, note=str(e)
+            )
 
         ua = residual.upper_abs()
         tol = mpf(10) ** (-digits)

@@ -38,6 +38,7 @@ __all__ = [
     "poly_divmod",
     "poly_gcd",
     "IntegerSurdPoly",
+    "horner",
 ]
 
 
@@ -488,7 +489,8 @@ def _surd_sign(a, b, d: int) -> int:
     return sa if a * a > d * b * b else sb
 
 
-def _horner(coeffs: Sequence[int], x: int) -> int:
+def horner(coeffs: Sequence[int], x: int) -> int:
+    """The integer polynomial with coefficients ``coeffs`` (constant first) at x."""
     out = 0
     for c in reversed(coeffs):
         out = out * x + c
@@ -500,10 +502,11 @@ class IntegerSurdPoly:
 
     The denominators are cleared once, so exact signs at integer points and
     the root bound below run on integer coefficient lists.  A positive scale
-    changes neither signs nor roots.
+    changes neither signs nor roots; the polynomial itself is
+    ``(A + B*sqrt(d)) / scale``.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("a", "b", "d", "scale")
 
     def __init__(self, p: Poly):
         if not p:
@@ -516,11 +519,12 @@ class IntegerSurdPoly:
         self.a = [c.a.numerator * (scale // c.a.denominator) for c in coeffs]
         self.b = [c.b.numerator * (scale // c.b.denominator) for c in coeffs]
         self.d = radicands.pop() if radicands else 1
+        self.scale = scale
 
     def sign_at(self, k: int) -> int:
         """Exact sign of the polynomial at the integer k."""
-        b = _horner(self.b, k) if self.d > 1 else 0
-        return _surd_sign(_horner(self.a, k), b, self.d)
+        b = horner(self.b, k) if self.d > 1 else 0
+        return _surd_sign(horner(self.a, k), b, self.d)
 
     def _magnitudes(self) -> tuple[int, list[int]]:
         """``lead_lo <= |lead|`` and ``U_i >= |c_i|`` (i < n), all scaled by 2**bits.
@@ -559,7 +563,7 @@ class IntegerSurdPoly:
         n = len(upper)
 
         def dominates(x: int) -> bool:
-            return lead_lo * x**n > _horner(upper, x)
+            return lead_lo * x**n > horner(upper, x)
 
         lo = max(1, start)
         if dominates(lo):

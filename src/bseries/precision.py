@@ -12,6 +12,9 @@ precision and always pushed outward:
 * the whole radius expression is multiplied by ``1 + 2**-20`` to absorb
   the rounding of the radius arithmetic itself.
 
+Exact values enter through one door, :meth:`ApproxReal.from_ratio`: an
+integer ratio rounded once to nearest, with radius 0 only when exact.
+
 Nothing here is asymptotically clever; the point is that every bound is
 simple enough to audit.  Directed rounding (``mpmath.fadd(..., rounding=
 'c')`` etc.) is used only where a one-shot upper/lower bound is needed.
@@ -24,7 +27,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational as _libmp_from_rational
+from mpmath.libmp import from_man_exp as _libmp_from_man_exp
 
 __all__ = [
     "ApproxReal",
@@ -78,7 +81,7 @@ def mpf_to_fraction(x) -> Fraction:
 
 def _rounding_eps():
     # 2 ulp at the ambient precision, as a power of two (exact mpf).
-    return mpf(2) ** (1 - mp.prec)
+    return mpmath.make_mpf((0, 1, 1 - mp.prec, 1))
 
 
 def _abs_exact(x):
@@ -115,25 +118,56 @@ class ApproxReal:
     # constructors
 
     @staticmethod
-    def from_int(n: int) -> "ApproxReal":
-        eps = _rounding_eps()
-        m = mpf(n)
-        if mpf_to_fraction(m) == n:
+    def from_ratio(p: int, q: int) -> "ApproxReal":
+        """p/q for integers with q != 0, rounded once to nearest at the ambient precision.
+
+        One integer ``divmod`` gives a quotient of prec+3 or more bits, a
+        non-zero remainder is kept as a sticky low bit, and ``from_man_exp``
+        rounds that once; p and q need no reduction, and neither is ever
+        normalised as a whole.  The power of two in q only moves the
+        exponent, and bits of p below the quotient's precision join the
+        sticky bit instead of the division.  The radius is 0 only when p/q
+        is exact at the working precision.
+        """
+        if q == 0:
+            raise ZeroDivisionError("from_ratio with q == 0")
+        if q < 0:
+            p, q = -p, -q
+        if p == 0:
+            return ApproxReal.exact_zero()
+        prec = mp.prec
+        a = -p if p < 0 else p
+        twos = (q & -q).bit_length() - 1
+        q >>= twos
+        shift = prec + 3 - (a.bit_length() - q.bit_length())
+        # a / q * 2**shift lies in (2**(prec+2), 2**(prec+4)): the quotient
+        # has at least prec+3 bits, so its lowest bit is below the round bit.
+        if shift >= 0:
+            man, rem = divmod(a << shift, q)
+        else:
+            # floor(a / (q * 2**-shift)) = floor((a >> -shift) / q), and the
+            # division is exact iff both the remainder and the dropped bits are 0
+            man, rem = divmod(a >> -shift, q)
+            rem = rem or a & ((1 << -shift) - 1)
+        extra = man.bit_length() - prec
+        exact = rem == 0 and man & ((1 << extra) - 1) == 0
+        if rem:
+            man |= 1  # sticky bit
+        exp = -shift - twos
+        m = mpmath.make_mpf(_libmp_from_man_exp(-man if p < 0 else man, exp, prec, "n"))
+        if exact:
             return ApproxReal(m, mpf(0))
+        eps = _rounding_eps()
         with mp.workprec(_RADPREC):
             return ApproxReal(m, abs(m) * eps * _FUDGE)
 
     @staticmethod
+    def from_int(n: int) -> "ApproxReal":
+        return ApproxReal.from_ratio(n, 1)
+
+    @staticmethod
     def from_fraction(q: Fraction) -> "ApproxReal":
-        if isinstance(q, int):
-            return ApproxReal.from_int(q)
-        eps = _rounding_eps()
-        # Single correctly-rounded conversion, so the 2-ulp allowance covers it.
-        m = mpmath.make_mpf(_libmp_from_rational(q.numerator, q.denominator, mp.prec, "n"))
-        if mpf_to_fraction(m) == q:
-            return ApproxReal(m, mpf(0))
-        with mp.workprec(_RADPREC):
-            return ApproxReal(m, abs(m) * eps * _FUDGE)
+        return ApproxReal.from_ratio(q.numerator, q.denominator)
 
     @staticmethod
     def exact_zero() -> "ApproxReal":

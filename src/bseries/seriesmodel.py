@@ -396,17 +396,19 @@ def parse_den_factors(s: str) -> tuple[tuple[int, int, int], ...]:
             add_linear(node, e)
 
     walk(parse_expr(s), 1)
+    if any(e < 1 for e in factors.values()):
+        raise ExprError("denominator factor exponents must be positive")
     return tuple(sorted((u, v, e) for (u, v), e in factors.items()))
 
 
-def den_value(factors: tuple[tuple[int, int, int], ...], k: int) -> Fraction:
-    """D(k) = prod (u*k + v)^e exactly; raises if a factor vanishes at k."""
-    out = Fraction(1)
+def den_value(factors: tuple[tuple[int, int, int], ...], k: int) -> int:
+    """D(k) = prod (u*k + v)^e as an integer; raises if a factor vanishes at k."""
+    out = 1
     for u, v, e in factors:
         f = u * k + v
         if f == 0:
             raise ZeroDivisionError(f"denominator factor {u}*k{v:+d} vanishes at k={k}")
-        out *= Fraction(f) ** e
+        out *= f**e
     return out
 
 

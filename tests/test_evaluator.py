@@ -69,21 +69,45 @@ STREAM_CASES = [
     mk("1/2", weight="H(k,1) + k", den="k*(k + 1)", k0=1),
     mk("(12 + 4*sqrt(5))^-4", weight="k + 1", kernel="central^3", pos="num"),
     mk("1/64", weight="3*H(2*k - 1,2) - 1", kernel="binom(4k,2k)", pos="den", k0=1),
+    # sec2-4500 shape: D(0) = (-1)*(-5)*(-1) = -5 < 0
+    mk(
+        "1/4096",
+        weight="4536*k^3 - 4500*k^2 + 978*k + 5",
+        kernel="binom(6k,3k)",
+        pos="num",
+        den="(2*k - 1)*(6*k - 5)*(6*k - 1)",
+    ),
+    # sec1-g1a shape: negative base on the boundary |ratio| -> 1
+    mk("-64", weight="4*k - 1", kernel="central^3", pos="den", den="k^3", k0=1),
+    # the weight vanishes at k = 3: an exact zero term
+    mk("-1/5", weight="(k - 3)*(2*k + 1)/(k + 2)", den="k + 1"),
 ]
+
+
+def _check_stream(sdef, terms):
+    with working_bits(300):
+        stream = _TermStream(sdef)
+        harm = HarmonicCache() if sdef.has_harmonic() else None
+        for _ in range(terms):
+            k, tb = stream.next_term()
+            exact = sdef.term_exact(k, harm)
+            with working_bits(500):
+                ref = exact.embed()
+            # the stream ball must contain the exact term, and tightly
+            assert not (tb - ref).excludes_zero(), (sdef, k)
+            assert tb.to_digits() >= 60, (sdef, k)
+            if not exact:
+                assert tb.mid == 0 and tb.rad == 0, (sdef, k)
 
 
 def test_stream_matches_direct_terms():
     for sdef in STREAM_CASES:
-        with working_bits(300):
-            stream = _TermStream(sdef)
-            harm = HarmonicCache() if sdef.has_harmonic() else None
-            for _ in range(25):
-                k, tb = stream.next_term()
-                with working_bits(500):
-                    ref = sdef.term_exact(k, harm).embed()
-                # the stream ball must contain the exact term, and tightly
-                assert not (tb - ref).excludes_zero(), (sdef, k)
-                assert tb.to_digits() >= 60, (sdef, k)
+        _check_stream(sdef, 25)
+
+
+def test_stream_exact_far_beyond_working_precision():
+    # by k = 400 the kernel C(2k,k)^3 and 64^k have ~2400 bits against 300
+    _check_stream(mk("-64", weight="4*k - 1", kernel="central^3", pos="den", den="k^3", k0=1), 400)
 
 
 # ----------------------------------------------------------------------
@@ -296,6 +320,7 @@ def test_verify_budget_inconclusive():
     rep = verify_identity(mk("1/2"), parse_closed_form("2"), 30, budget_terms=10)
     assert rep.status is Status.INCONCLUSIVE
     assert rep.terms_used == 10
+    assert rep.tail_mode == "certified"
     assert "budget" in rep.note
 
 
@@ -319,6 +344,7 @@ def test_verify_boundary_series_inconclusive():
         budget_terms=300,
     )
     assert rep.status is Status.INCONCLUSIVE
+    assert rep.tail_mode == "heuristic"
 
 
 @settings(max_examples=12, deadline=None)

@@ -3,9 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import libmp, make_mpf, mp
 
 from bseries.precision import (
     DIGITS_INF,
@@ -147,3 +147,49 @@ def test_mixed_scalar_coercion():
         assert z.contains_zero()
         z2 = (2 + x) - x - 2
         assert z2.contains_zero()
+
+
+@st.composite
+def int_ratios(draw):
+    """(p, q): p of any sign, q of either sign, q sometimes a power of two, up to ~30 kbit."""
+    p_bits = draw(st.sampled_from([1, 8, 64, 200, 2000, 30000]))
+    p = draw(st.integers(min_value=-(2**p_bits), max_value=2**p_bits))
+    if draw(st.booleans()):
+        q = 1 << draw(st.integers(min_value=0, max_value=30000))
+    else:
+        q_bits = draw(st.sampled_from([1, 8, 64, 200, 2000, 30000]))
+        q = draw(st.integers(min_value=1, max_value=2**q_bits))
+    if draw(st.booleans()):
+        p *= q  # an exact quotient
+    if draw(st.booleans()):
+        q = -q
+    return p, q
+
+
+def _representable(x: Fraction, prec: int) -> bool:
+    den, num = x.denominator, abs(x.numerator)
+    if den & (den - 1):
+        return False
+    if num:
+        num >>= (num & -num).bit_length() - 1  # drop trailing zero bits
+    return num.bit_length() <= prec
+
+
+@given(int_ratios(), st.sampled_from([53, 300, 1100]))
+@example(((1 << 200) + (1 << 147) + 1, 1 << 200), 53)  # just above a tie; q a power of two
+@example((3 * ((1 << 200) + (1 << 147) + 1), -3 << 200), 53)
+@settings(max_examples=300, deadline=None)
+def test_from_ratio_rounds_once_to_nearest(pq, prec):
+    p, q = pq
+    with working_bits(prec):
+        x = ApproxReal.from_ratio(p, q)
+    assert x.mid == make_mpf(libmp.from_rational(p, q, prec, "n"))
+    lo, hi = x.to_fraction_bounds()
+    assert lo <= Fraction(p, q) <= hi
+    assert (x.rad == 0) == _representable(Fraction(p, q), prec)
+
+
+def test_from_ratio_rejects_zero_denominator():
+    with working_bits(53):
+        with pytest.raises(ZeroDivisionError):
+            ApproxReal.from_ratio(1, 0)

@@ -13,6 +13,7 @@ from bseries.seriesmodel import (
     NotHypergeometric,
     Position,
     SeriesDef,
+    den_value,
     parse_base,
     parse_den_factors,
     parse_quad,
@@ -130,6 +131,18 @@ class TestDenFactors:
     def test_rejects_nonlinear(self):
         with pytest.raises(ValueError):
             parse_den_factors("(k^2 + 1)")
+
+    @pytest.mark.parametrize("text", ["k^-1", "(2*k + 1)*k^2*k^-2"])
+    def test_rejects_nonpositive_exponents(self, text):
+        # D(k) is an integer product; a factor with exponent <= 0 is not a denominator
+        with pytest.raises(ValueError, match="exponents must be positive"):
+            parse_den_factors(text)
+
+    def test_value_is_an_integer(self):
+        f = parse_den_factors("(2*k - 1)*(6*k - 5)*(6*k - 1)")
+        assert den_value(f, 0) == -5 and type(den_value(f, 0)) is int
+        with pytest.raises(ZeroDivisionError):
+            den_value(parse_den_factors("k*(k + 1)"), 0)
 
 
 def test_harmonic_cache():
