@@ -8,7 +8,7 @@ The package is layered bottom-up:
 * :mod:`bseries.seriesmodel` — series descriptions, weights, harmonic atoms.
 * :mod:`bseries.constants` — pi, log, zeta(3), Dirichlet L-values as balls.
 * :mod:`bseries.closedform` — exact closed-form right-hand sides.
-* :mod:`bseries.evaluator` — certified/heuristic summation and verification.
+* :mod:`bseries.evaluator` — certified summation and verification.
 * :mod:`bseries.telescope` — telescoping-certificate checking.
 * :mod:`bseries.duality` — Galois conjugation of series and dual classification.
 * :mod:`bseries.relation` — PSLQ integer-relation detection and RHS discovery.

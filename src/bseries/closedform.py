@@ -27,10 +27,10 @@ from typing import NamedTuple
 from mpmath import mp
 
 from . import constants
-from .exactnum import QuadElem, sqrt_surd, squarefree_split
+from .exactnum import QuadElem, squarefree_split
 from .exprparse import EvalContext, ExprError, ast_as_int, eval_ast, parse_expr
 from .precision import ApproxReal, digits_to_bits, working_bits
-from .seriesmodel import render_quad
+from .seriesmodel import _QuadCtx, render_quad
 
 __all__ = ["ClosedForm", "CFAtom", "parse_closed_form", "render_closed_form"]
 
@@ -313,7 +313,7 @@ class _CFCtx(EvalContext):
 
     def call(self, name, args):
         if name == "sqrt" and len(args) == 1:
-            x = eval_ast(args[0], _QuadArgCtx())
+            x = eval_ast(args[0], _QuadCtx())
             return _sqrt_cf(x)
         if name == "L" and len(args) == 1:
             d = ast_as_int(args[0])
@@ -321,7 +321,7 @@ class _CFCtx(EvalContext):
                 raise ExprError(f"L({d}): not a discriminant")
             return ClosedForm.term(1, ((CFAtom("lvalue", d), 1),))
         if name == "log" and len(args) == 1:
-            q = eval_ast(args[0], _QuadArgCtx()).as_fraction()
+            q = eval_ast(args[0], _QuadCtx()).as_fraction()
             if q <= 0:
                 raise ExprError("log of non-positive rational")
             if q == 1:
@@ -332,19 +332,6 @@ class _CFCtx(EvalContext):
                 raise ExprError("only zeta(3) is supported")
             return ClosedForm.term(1, ((CFAtom("zeta3"), 1),))
         raise ExprError(f"unknown closed-form function {name!r}")
-
-
-class _QuadArgCtx(EvalContext):
-    """Arguments of sqrt()/log(): exact scalars, possibly nested sqrt."""
-
-    def number(self, n: int):
-        return QuadElem(Fraction(n))
-
-    def call(self, name, args):
-        if name == "sqrt" and len(args) == 1:
-            inner = eval_ast(args[0], self)
-            return sqrt_surd(inner.as_fraction())
-        raise ExprError(f"function {name!r} not allowed inside radicand")
 
 
 def _sqrt_cf(x: QuadElem) -> ClosedForm:

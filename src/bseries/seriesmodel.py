@@ -115,6 +115,8 @@ class HarmonicCache:
 
 
 class _QuadCtx(EvalContext):
+    """Exact scalars, possibly with nested sqrt: bases, and closed-form sqrt()/log() arguments."""
+
     def number(self, n: int):
         return QuadElem(Fraction(n))
 

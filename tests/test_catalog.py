@@ -297,13 +297,15 @@ def test_label_map_in_document_order():
 @pytest.mark.parametrize("rid", ["thm1.2-42k+5", "conj3.7-equiv", "sec2-4500"])
 def test_spot_verify_shipped_records(shipped, rid):
     rec = shipped.lookup(rid)
-    rep = verify_identity(rec.series, rec.rhs, digits=15, mode="heuristic",
-                          budget_terms=20000, lhs_scale=rec.lhs_scale)
+    rep = verify_identity(
+        rec.series, rec.rhs, digits=15, budget_terms=20000, lhs_scale=rec.lhs_scale
+    )
     assert rep.status is Status.PASS, rep.note
 
 
 def test_spot_known_false_fails(shipped):
     rec = shipped.lookup("aldawoud-t31-r10")
-    rep = verify_identity(rec.series, rec.rhs, digits=12, mode="heuristic",
-                          budget_terms=20000, lhs_scale=rec.lhs_scale)
+    rep = verify_identity(
+        rec.series, rec.rhs, digits=12, budget_terms=20000, lhs_scale=rec.lhs_scale
+    )
     assert rep.status is Status.FAIL

@@ -174,7 +174,7 @@ class TestDualize:
         # downstream identity for the dual: 5625/2 (sqrt6 L_{-24}(2) - 3 L_{-4}(2))
         dual = dualize(S375_DATUM)
         rhs = parse_closed_form("5625/2*sqrt(6)*L(-24) - 16875/2*L(-4)")
-        rep = verify_identity(dual.series, rhs, digits=25, mode="certified")
+        rep = verify_identity(dual.series, rhs, digits=25)
         assert rep.status is Status.PASS, rep.note
 
     def test_a_table_row_gives_320_series(self):
@@ -213,7 +213,7 @@ class TestVerifiedPairs:
     # sigma image: sigma(a*k + b) = -(a'*k + b') with a', b' as printed.
 
     def test_r1_and_r2(self):
-        rep1 = verify_identity(R1, parse_closed_form("32/pi"), digits=30, mode="certified")
+        rep1 = verify_identity(R1, parse_closed_form("32/pi"), digits=30)
         assert rep1.status is Status.PASS, rep1.note
         r2 = mk(
             "(12 - 4*sqrt(5))^-4",
@@ -242,7 +242,7 @@ class TestVerifiedPairs:
         assert rep.tail_mode == "certified"
 
     def test_gr5_and_gr_minus5(self):
-        rep1 = verify_identity(GR5, parse_closed_form("pi^2/30"), digits=30, mode="certified")
+        rep1 = verify_identity(GR5, parse_closed_form("pi^2/30"), digits=30)
         assert rep1.status is Status.PASS, rep1.note
         grm5 = mk(
             "((1 + sqrt(5))/2)^8",

@@ -1,4 +1,4 @@
-"""Evaluator tests: exact term streams, certified envelopes, verification.
+"""Evaluator tests: exact term streams, majorants, certified envelopes, verification.
 
 Frozen reference sums were computed independently with mpmath.nsum at 70
 significant digits.
@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bseries import evaluator
@@ -21,6 +21,7 @@ from bseries.evaluator import (
     _TermStream,
     certify_envelope,
     evaluate,
+    majorant,
     sum_series,
     verify_identity,
 )
@@ -41,6 +42,10 @@ from bseries.seriesmodel import (
 REF_CENTRAL3_DEN = "0.29023413400657121703470999343912139021301191051624900008780285"
 # sum_{k>=0} C(3k,k) / 16^k
 REF_BIN3K_NUM = "1.2788434842132471363252268584432438448292614533246540296855359"
+
+
+def shipped_series():
+    return [r for r in load_catalog(resolve_catalog_path()).records if r.kind == "series_identity"]
 
 
 def mk(base, weight="1", den="", kernel=None, pos="den", k0=0):
@@ -81,18 +86,41 @@ STREAM_CASES = [
     mk("-64", weight="4*k - 1", kernel="central^3", pos="den", den="k^3", k0=1),
     # the weight vanishes at k = 3: an exact zero term
     mk("-1/5", weight="(k - 3)*(2*k + 1)/(k + 2)", den="k + 1"),
+    # conj4.1-hb shape: Q(sqrt 5) base and coefficients, order-2 atoms
+    mk(
+        "(12 - 4*sqrt(5))^-4",
+        weight="(420 + 180*sqrt(5))/(2*k + 1)"
+        " - ((-1050 + 1470*sqrt(5))*k + 35 + 175*sqrt(5))*H(k,2)"
+        " + ((-4080 + 5712*sqrt(5))*k + 136 + 680*sqrt(5))*H(2*k,2)",
+        kernel="central^3",
+        pos="num",
+    ),
+    # sqrt(d) in coefficient denominators, one of them changing sign
+    mk(
+        "(3 - sqrt(5))/4",
+        weight="(k + 1)/(2*k - sqrt(5)) + H(2*k,1)/(k + sqrt(5))",
+        kernel="binom(3k,k)",
+        pos="den",
+        k0=1,
+    ),
 ]
 
 
 def _check_stream(sdef, terms):
+    bound = majorant(sdef)
     with working_bits(300):
-        stream = _TermStream(sdef)
+        stream = _TermStream(sdef, bound)
         harm = HarmonicCache() if sdef.has_harmonic() else None
         for _ in range(terms):
             k, tb = stream.next_term()
             exact = sdef.term_exact(k, harm)
+            m = stream.majorant_term()
             with working_bits(500):
                 ref = exact.embed()
+                ref_m = abs(bound.term_exact(k)).embed()
+                # an upper bound on |U(k) S_k base^k|, and a tight one
+                assert ref_m.mid - ref_m.rad <= m, (sdef, k)
+                assert m <= (ref_m.mid + ref_m.rad) * (1 + mpmath.mpf(2) ** -50), (sdef, k)
             # the stream ball must contain the exact term, and tightly
             assert not (tb - ref).excludes_zero(), (sdef, k)
             assert tb.to_digits() >= 60, (sdef, k)
@@ -127,8 +155,11 @@ def test_envelope_bound_holds_exactly():
         mk("2", weight="k", kernel="central^3", pos="den", k0=1),
         mk("1/16", kernel="binom(3k,k)", pos="num"),
         mk("(12 + 4*sqrt(5))^-4", weight="k + 1", kernel="central^3", pos="num"),
+        mk("1/2", weight="H(k,1)", k0=1),
+        STREAM_CASES[-2],
     ):
         env = certify_envelope(sdef)
+        assert env.majorant == majorant(sdef)
         assert env.q < 1
         assert env.k0 >= sdef.k_start
         num, den = env.ratio.num, env.ratio.den
@@ -178,6 +209,66 @@ def test_envelope_rejects_divergent():
         certify_envelope(mk("2", kernel="central^3", pos="num"))
 
 
+def test_every_shipped_series_gets_an_envelope():
+    # sec1-g1a sits on the boundary |base| * growth = 1: no geometric tail exists
+    refused = set()
+    for rec in shipped_series():
+        try:
+            certify_envelope(rec.series)
+        except NonConvergent:
+            refused.add(rec.id)
+    assert refused == {"sec1-g1a"}
+
+
+# ----------------------------------------------------------------------
+# majorants of harmonic weights
+
+
+def _assert_majorant_bounds(sdef, span):
+    bound = majorant(sdef)
+    assert not bound.has_harmonic()
+    assert bound.k_start >= max(1, sdef.k_start)
+    harm = HarmonicCache()
+    for k in range(bound.k_start, bound.k_start + span + 1):
+        w = abs(QuadElem.of(sdef.weight_value(k, harm)))
+        assert w <= QuadElem.of(bound.weight_value(k)), (sdef, k)
+
+
+def test_majorant_of_an_atom_free_series_is_the_series():
+    sdef = mk("-2/3", weight="k^2 - 3")
+    assert majorant(sdef) is sdef
+
+
+def test_majorant_bounds_every_shipped_harmonic_weight():
+    harmonic = [r.series for r in shipped_series() if r.series.has_harmonic()]
+    assert len(harmonic) == 23
+    for sdef in harmonic:
+        _assert_majorant_bounds(sdef, 200)
+
+
+_ATOMS = st.sampled_from(["H(k,1)", "H(2*k,1)", "H(3*k - 1,2)", "H(6*k,1)", "H(k - 1,3)"])
+_INTS = st.integers(min_value=-60, max_value=60)
+
+
+@st.composite
+def harmonic_weights(draw):
+    """Polynomial coefficients on 1-3 atoms, plus a rational unit term; the
+    coefficients often change sign after the start."""
+    parts = []
+    for atom in draw(st.lists(_ATOMS, min_size=1, max_size=3, unique=True)):
+        lead = draw(_INTS.filter(bool))
+        parts.append(f"({lead}*k^2 + {draw(_INTS)}*k + {draw(_INTS)})*{atom}")
+    parts.append(f"({draw(_INTS)}*k + {draw(_INTS)})/(k + {draw(st.integers(1, 9))})")
+    return " + ".join(parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(harmonic_weights(), st.integers(min_value=0, max_value=3))
+@example("(k - 40)*H(k,1)", 0)
+def test_majorant_bounds_random_harmonic_weights(weight, k0):
+    _assert_majorant_bounds(mk("1/2", weight=weight, k0=k0), 60)
+
+
 # ----------------------------------------------------------------------
 # certified summation
 
@@ -186,7 +277,6 @@ def test_geometric_sum_certified():
     sdef = mk("1/2")
     with working_bits(200):
         res = sum_series(sdef, 40, certify_envelope(sdef))
-    assert res.tail_mode == "certified"
     lo, hi = res.ball.to_fraction_bounds()
     assert lo <= 2 <= hi
     assert res.ball.to_digits() >= 40
@@ -194,7 +284,6 @@ def test_geometric_sum_certified():
 
 def test_kernel_denominator_reference():
     res = evaluate(mk("2", weight="k", kernel="central^3", pos="den", k0=1), 50)
-    assert res.tail_mode == "certified"
     lo, hi = res.ball.to_fraction_bounds()
     ref = Fraction(REF_CENTRAL3_DEN)
     assert lo - Fraction(1, 10**58) <= ref <= hi + Fraction(1, 10**58)
@@ -216,32 +305,19 @@ def test_budget_raises():
 
 
 # ----------------------------------------------------------------------
-# the mode contract
+# one certified tail
 
 
-@pytest.mark.parametrize("check", [evaluate, verify_identity])
-def test_unknown_mode_raises(check):
-    args = (parse_closed_form("2"),) if check is verify_identity else ()
-    with pytest.raises(ValueError, match="unknown mode"):
-        check(mk("1/2"), *args, 30, mode="exact")
-
-
-def test_heuristic_mode_skips_an_existing_envelope():
-    certify_envelope(mk("1/2"))  # an envelope exists
-    rep = verify_identity(mk("1/2"), parse_closed_form("2"), 30, mode="heuristic")
-    assert rep.status is Status.PASS
-    assert rep.tail_mode == "heuristic"
-
-
-def test_evaluate_certified_mode_refuses_harmonic_weights():
-    with pytest.raises(NotHypergeometric):
-        evaluate(mk("1/2", weight="H(k,1)", k0=1), 30, mode="certified")
+def test_evaluate_raises_on_boundary_series():
+    sdef = load_catalog(resolve_catalog_path()).lookup("sec1-g1a").series
+    with pytest.raises(NonConvergent, match="limiting term ratio"):
+        evaluate(sdef, 30)
 
 
 def test_verify_certifies_once_and_sums_once_per_attempt(monkeypatch):
     # The benchmark rebinds these module globals to trace them and to read
     # q and k0 off the envelope; verify_identity must call through them.
-    calls = {"certify_envelope": 0, "sum_series": 0}
+    calls = {}
 
     def counting(name):
         fn = getattr(evaluator, name)
@@ -252,11 +328,16 @@ def test_verify_certifies_once_and_sums_once_per_attempt(monkeypatch):
 
         return wrapper
 
-    for name in calls:
+    for name in ("certify_envelope", "sum_series"):
         monkeypatch.setattr(evaluator, name, counting(name))
-    rep = verify_identity(mk("1/2"), parse_closed_form("2"), 30)
-    assert rep.status is Status.PASS
-    assert calls == {"certify_envelope": 1, "sum_series": rep.attempts}
+    for sdef, rhs in (
+        (mk("1/2"), "2"),
+        (mk("1/2", weight="H(k,1)", k0=1), "2*log(2)"),
+    ):
+        calls.update(certify_envelope=0, sum_series=0)
+        rep = verify_identity(sdef, parse_closed_form(rhs), 30)
+        assert rep.status is Status.PASS
+        assert calls == {"certify_envelope": 1, "sum_series": rep.attempts}
 
 
 # ----------------------------------------------------------------------
@@ -295,10 +376,21 @@ def test_verify_central_even_kernel_closed_form():
 
 
 def test_verify_harmonic_log():
-    # sum_{k>=1} H_k / 2^k = 2 log 2 (harmonic weights force the heuristic tail)
+    # sum_{k>=1} H_k / 2^k = 2 log 2, with the tail of the majorant k / 2^k
     rep = verify_identity(mk("1/2", weight="H(k,1)", k0=1), parse_closed_form("2*log(2)"), 40)
     assert rep.status is Status.PASS
-    assert rep.tail_mode == "heuristic"
+    assert rep.tail_mode == "certified"
+
+
+def test_verify_zero_term_does_not_end_the_sum():
+    # sum_{k>=1} (H_k - H_100) / 2^k = 2 log 2 - H_100.  t_100 = 0 lies past k0,
+    # so |t_k| alone would end the sum there, about 2^-100 short.
+    h100 = HarmonicCache().value(1, 100)
+    sdef = mk("1/2", weight=f"H(k,1) - {h100}", k0=1)
+    assert certify_envelope(sdef).k0 < 100
+    rep = verify_identity(sdef, parse_closed_form(f"2*log(2) - {h100}"), 40)
+    assert rep.status is Status.PASS, rep.note
+    assert rep.terms_used > 100
 
 
 def test_verify_den_factors_log():
@@ -324,16 +416,13 @@ def test_verify_budget_inconclusive():
     assert "budget" in rep.note
 
 
-def test_verify_certified_mode_unavailable():
-    rep = verify_identity(
-        mk("1/2", weight="H(k,1)", k0=1),
-        parse_closed_form("2*log(2)"),
-        30,
-        mode="certified",
-    )
+def test_verify_boundary_record_ends_at_once():
+    # no budget hint: the verdict must not wait for DEFAULT_BUDGET terms
+    rec = load_catalog(resolve_catalog_path()).lookup("sec1-g1a")
+    rep = verify_identity(rec.series, rec.rhs, 30)
     assert rep.status is Status.INCONCLUSIVE
-    assert rep.attempts == 0
-    assert "unavailable" in rep.note
+    assert (rep.terms_used, rep.attempts, rep.tail_mode) == (0, 0, "none")
+    assert "limiting term ratio |base|*growth = 1 is >= 1" in rep.note
 
 
 def test_verify_boundary_series_inconclusive():
@@ -344,7 +433,7 @@ def test_verify_boundary_series_inconclusive():
         budget_terms=300,
     )
     assert rep.status is Status.INCONCLUSIVE
-    assert rep.tail_mode == "heuristic"
+    assert (rep.terms_used, rep.attempts, rep.tail_mode) == (0, 0, "none")
 
 
 @settings(max_examples=12, deadline=None)

@@ -63,7 +63,7 @@ class TestPslqExamples:
             den_factors=parse_den_factors("k^3"),
             k_start=1,
         )
-        s = evaluate(sdef, 45, mode="certified").ball
+        s = evaluate(sdef, 45).ball
         r = pslq([s, ball("pi^2")], 24)
         assert r.coefficients == (2, -1)
 

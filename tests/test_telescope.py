@@ -136,9 +136,7 @@ class TestShippedCertificates:
         cert = concrete(name, x)
         assert cert.const == total
         assert abs(cert.boundary_value(40)) < Fraction(1, 10) ** 20
-        rep = verify_identity(
-            cert.to_series(), ClosedForm.const(total), digits=30, mode="certified"
-        )
+        rep = verify_identity(cert.to_series(), ClosedForm.const(total), digits=30)
         assert rep.status is Status.PASS, rep.note
         assert rep.tail_mode == "certified"
 
