@@ -337,7 +337,7 @@ def sum_series(
             raise BudgetExceeded(terms, "term budget exhausted")
 
 
-def evaluate(sdef: SeriesDef, digits: int, budget_terms: Optional[int] = None) -> SumResult:
+def evaluate(sdef: SeriesDef, digits: int) -> SumResult:
     """Attempt loop around sum_series: doubles precision until the ball is tight.
 
     Raises :class:`NonConvergent` when the series has no envelope.
@@ -346,7 +346,7 @@ def evaluate(sdef: SeriesDef, digits: int, budget_terms: Optional[int] = None) -
     res: Optional[SumResult] = None
     for attempt in range(MAX_ATTEMPTS):
         with working_bits(attempt_bits(digits + 5, attempt)):
-            res = sum_series(sdef, digits, envelope, budget_terms=budget_terms)
+            res = sum_series(sdef, digits, envelope)
         if res.ball.to_digits() >= digits:
             break
     return res

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "QuadElem",
@@ -525,6 +525,10 @@ class IntegerSurdPoly:
         """Exact sign of the polynomial at the integer k."""
         b = horner(self.b, k) if self.d > 1 else 0
         return _surd_sign(horner(self.a, k), b, self.d)
+
+    def integer_root(self, start: int = 0) -> Optional[int]:
+        """Smallest integer ``k >= start`` at which the polynomial vanishes, or None."""
+        return next((k for k in range(start, self.root_bound(start)) if not self.sign_at(k)), None)
 
     def _magnitudes(self) -> tuple[int, list[int]]:
         """``lead_lo <= |lead|`` and ``U_i >= |c_i|`` (i < n), all scaled by 2**bits.

@@ -1,32 +1,31 @@
 """Integer-relation detection (PSLQ) over certified ball inputs.
 
 Given values v_1..v_n as balls, ``pslq`` searches for a nonzero integer
-vector c with sum(c_i * v_i) = 0.  The iteration itself is the standard
-PSLQ algorithm (gamma = sqrt(4/3), Hermite reduction, corner Givens
-rotation) running on the ball midpoints in floating point; *acceptance*
-is decided separately against the original enclosures, so the floats can
-only propose candidates, never certify them:
+vector c with sum(c_i * v_i) = 0.  ``mpmath.pslq`` (Bailey's PSLQ; see
+Ferguson, Bailey & Arno, *Analysis of PSLQ*, Math. Comp. 1999) runs on the
+ball midpoints, scaled by the largest, and only *proposes* a candidate
+with every |c_i| <= 2^max_coeff_bits.  Acceptance is decided against the
+original enclosures by one rule:
 
-* a candidate is accepted only if the residual ball sum(c_i * v_i)
-  contains zero — a relation whose residual provably exceeds the input
-  radii is never reported;
-* additionally the residual's magnitude bound must sit at least ten
-  decimal digits below the input scale (confidence_digits >= 10), which
-  rules out wide balls vacuously containing zero;
-* coefficients must stay below the configured 2^max_coeff_bits bound.
+* the residual ball sum(c_i * v_i) must contain zero, so a relation whose
+  residual provably exceeds the input radii is never reported;
+* its magnitude bound must sit at least 10 + ceil(sum log10|c_i|) decimal
+  digits (over the nonzero c_i) below the input scale.  Every coefficient
+  digit a relation spends must be visible in the data on top of a margin
+  of ten digits, which rules out wide balls vacuously containing zero and
+  large coefficients fitted to the noise of thin inputs.
 
-The search is abandoned honestly in two ways: PSLQ's own lower bound
-1/max_j |H_jj| on the norm of any remaining relation is monitored, and
-once it exceeds sqrt(n) * 2^max_coeff_bits no relation within the
-coefficient bound can exist; a hard iteration cap proportional to
-n^2 * max_coeff_bits backstops everything else.
+A tight ball around zero is accepted as a unit relation without a search.
+An input that vanishes at the working precision relative to the largest
+one makes ``mpmath.pslq`` raise; that is reported as "no relation".
 
 Reliable discovery wants roughly 2 * max_coeff_bits * n / 3.32 certified
 digits of input (each coefficient digit consumed by the relation must be
 visible in the data, times a safety factor of two); ``shortfall_warning``
 reports a human-readable warning when inputs are thinner than that — by
-design a warning, not an error, since thin inputs still fail safe (the
-norm bound exit fires long before a spurious candidate can certify).
+design a warning, not an error, since thin inputs still fail safe: the
+acceptance rule refuses any candidate whose coefficients spend more
+digits than the data certify.
 
 ``discover_rhs`` layers right-hand-side reconstruction on top: it runs
 pslq on [S, b_1..b_m] for a basis of closed-form constants, solves for S,
@@ -127,43 +126,41 @@ def _residual_ball(values: Sequence[ApproxReal], coeffs: Sequence[int], digits: 
 
 
 def _normalize(coeffs: list[int]) -> tuple[int, ...]:
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, abs(c))
-    if g > 1:
-        coeffs = [c // g for c in coeffs]
-    for c in coeffs:
-        if c:
-            if c < 0:
-                coeffs = [-x for x in coeffs]
-            break
-    return tuple(coeffs)
+    """Divide out the gcd and make the first nonzero coefficient positive."""
+    g = math.gcd(*coeffs)
+    if next(c for c in coeffs if c) < 0:
+        g = -g
+    return tuple(c // g for c in coeffs)
 
 
 def _none_result(values: Sequence[ApproxReal], note: str) -> RelationResult:
     return RelationResult(None, ApproxReal(mpf(0), _scale_of(values)), 0, note)
 
 
+def _digits_spent(coeffs: Sequence[int]) -> int:
+    """ceil(sum log10|c_i|) over the nonzero c_i, computed exactly."""
+    prod = 1
+    for c in coeffs:
+        if c:
+            prod *= abs(c)
+    return len(str(prod - 1)) if prod > 1 else 0
+
+
 def _certify(
     values: Sequence[ApproxReal],
     coeffs: list[int],
-    max_coeff_bits: int,
     work_digits: int,
 ) -> RelationResult:
     """Ball-arithmetic acceptance of a float-proposed candidate."""
     cand = _normalize(coeffs)
-    if not any(cand):
-        return _none_result(values, "degenerate zero candidate")
-    if max(abs(c) for c in cand) > (1 << max_coeff_bits):
-        return _none_result(values, "candidate exceeds the coefficient bound")
     residual = _residual_ball(values, cand, work_digits)
-    scale = _scale_of(values)
-    conf = _confidence(residual, scale)
     if residual.excludes_zero():
         return _none_result(values, "candidate residual excludes zero")
-    if conf < _CONFIDENCE_FLOOR:
+    conf = _confidence(residual, _scale_of(values))
+    need = _CONFIDENCE_FLOOR + _digits_spent(cand)
+    if conf < need:
         return _none_result(
-            values, f"candidate residual only {conf} digits below the input scale"
+            values, f"candidate residual only {conf} digits below the input scale, {need} wanted"
         )
     return RelationResult(cand, residual, conf, "accepted")
 
@@ -171,10 +168,10 @@ def _certify(
 def pslq(values: Sequence[ApproxReal], max_coeff_bits: int = 24) -> RelationResult:
     """Search for an integer relation among ball-certified values.
 
-    Returns a RelationResult; ``coefficients`` is None when the search
-    space within 2^max_coeff_bits is exhausted (norm bound), the
-    iteration cap is reached, or a proposed candidate fails the ball
-    certification.
+    Returns a RelationResult; ``coefficients`` is None when
+    ``mpmath.pslq`` proposes nothing with every |c_i| <= 2^max_coeff_bits,
+    an input vanishes at the working precision relative to the largest, or
+    the proposed candidate fails the ball certification.
     """
     vals = list(values)
     n = len(vals)
@@ -184,10 +181,6 @@ def pslq(values: Sequence[ApproxReal], max_coeff_bits: int = 24) -> RelationResu
         raise ValueError("max_coeff_bits must be positive")
 
     scale = _scale_of(vals)
-    if scale == 0:
-        return RelationResult(
-            (1,) + (0,) * (n - 1), vals[0], DIGITS_INF, "all inputs are exactly zero"
-        )
     # An input indistinguishable from zero is already a unit relation —
     # provided the ball is *tight* around zero, not merely wide.
     for i, v in enumerate(vals):
@@ -200,92 +193,23 @@ def pslq(values: Sequence[ApproxReal], max_coeff_bits: int = 24) -> RelationResu
             return _none_result(vals, f"input {i} straddles zero too widely")
 
     work_digits = max(15, min(min(v.to_digits() for v in vals), _MAX_WORK_DIGITS))
-    prec = digits_to_bits(work_digits)
-    cap = 16 * n * n * max_coeff_bits
-    with mp.workprec(prec):
-        # Detect a dip at the *certified* level of the inputs, well above
-        # the float noise floor (~10^-(work_digits+9)): any y_i is exactly
-        # the normalized residual of its B column, so a genuine relation
-        # dips to the input agreement level while float noise stays ~9
-        # digits lower and spurious dips need coefficient growth that the
-        # norm-bound exit forbids first.
-        eps = mpf(10) ** (-(max(work_digits - 6, 8)))
-        norm_cap = mpmath.sqrt(n) * mpmath.ldexp(mpf(1), max_coeff_bits)
-        gamma = mpmath.sqrt(mpf(4) / 3)
-        gam_pow = [gamma ** (j + 1) for j in range(n - 1)]
-
-        y = [v.mid for v in vals]
-        s = [mpf(0)] * n
-        acc = mpf(0)
-        for j in range(n - 1, -1, -1):
-            acc += y[j] * y[j]
-            s[j] = mpmath.sqrt(acc)
-        t = 1 / s[0]
-        y = [t * yi for yi in y]
-        s = [t * sj for sj in s]
-
-        H = [[mpf(0)] * (n - 1) for _ in range(n)]
-        for j in range(n - 1):
-            H[j][j] = s[j + 1] / s[j]
-            for i in range(j + 1, n):
-                H[i][j] = -y[i] * y[j] / (s[j] * s[j + 1])
-
-        A = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        B = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-        def reduce_all():
-            for i in range(1, n):
-                for j in range(min(i - 1, n - 2), -1, -1):
-                    if H[j][j] == 0:
-                        continue
-                    t = mpmath.nint(H[i][j] / H[j][j])
-                    if t == 0:
-                        continue
-                    ti = int(t)
-                    y[j] = y[j] + t * y[i]
-                    for k in range(j + 1):
-                        H[i][k] = H[i][k] - t * H[j][k]
-                    for k in range(n):
-                        A[i][k] -= ti * A[j][k]
-                        B[k][j] += ti * B[k][i]
-
-        def candidate(i0: int) -> list[int]:
-            return [B[r][i0] for r in range(n)]
-
-        reduce_all()
-
-        for _ in range(cap):
-            i0 = min(range(n), key=lambda i: abs(y[i]))
-            if abs(y[i0]) < eps:
-                return _certify(vals, candidate(i0), max_coeff_bits, work_digits)
-
-            hmax = max(abs(H[j][j]) for j in range(n - 1))
-            if hmax > 0 and 1 / hmax > norm_cap:
-                return _none_result(
-                    vals,
-                    f"no relation with coefficients below 2^{max_coeff_bits} "
-                    f"(norm bound {mpmath.nstr(1 / hmax, 6)})",
-                )
-
-            m = max(range(n - 1), key=lambda j: gam_pow[j] * abs(H[j][j]))
-            y[m], y[m + 1] = y[m + 1], y[m]
-            A[m], A[m + 1] = A[m + 1], A[m]
-            H[m], H[m + 1] = H[m + 1], H[m]
-            for r in range(n):
-                B[r][m], B[r][m + 1] = B[r][m + 1], B[r][m]
-
-            if m < n - 2:
-                t0 = mpmath.hypot(H[m][m], H[m][m + 1])
-                if t0 > 0:
-                    t1, t2 = H[m][m] / t0, H[m][m + 1] / t0
-                    for i in range(m, n):
-                        t3, t4 = H[i][m], H[i][m + 1]
-                        H[i][m] = t1 * t3 + t2 * t4
-                        H[i][m + 1] = t1 * t4 - t2 * t3
-
-            reduce_all()
-
-    return _none_result(vals, f"iteration cap {cap} reached")
+    with mp.workprec(digits_to_bits(work_digits)):
+        top = max(abs(v.mid) for v in vals)
+        mids = [v.mid / top for v in vals]
+        try:
+            # The dip threshold sits at the certified level of the inputs,
+            # well above the float noise floor.
+            cand = mpmath.pslq(
+                mids,
+                tol=mpf(10) ** (-(max(work_digits - 6, 8))),
+                maxcoeff=(1 << max_coeff_bits) + 1,
+                maxsteps=16 * n * n * max_coeff_bits,
+            )
+        except ValueError:  # an input rounds to zero in pslq's fixed point
+            return _none_result(vals, "an input vanishes at the working precision")
+    if cand is None:
+        return _none_result(vals, f"no relation with coefficients up to 2^{max_coeff_bits}")
+    return _certify(vals, cand, work_digits)
 
 
 def discover_rhs(

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .exactnum import Poly, QuadElem, RatFun, sqrt_surd
+from .exactnum import IntegerSurdPoly, Poly, QuadElem, RatFun, sqrt_surd
 from .exprparse import EvalContext, ExprError, ast_as_int, eval_ast, parse_expr
 from .kernels import KernelFamily
 
@@ -45,6 +45,7 @@ __all__ = [
     "render_weight",
     "parse_den_factors",
     "render_den_factors",
+    "check_den_factors",
     "den_value",
     "den_poly",
     "parse_ratfun",
@@ -403,6 +404,15 @@ def parse_den_factors(s: str) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted((u, v, e) for (u, v), e in factors.items()))
 
 
+def check_den_factors(factors: tuple[tuple[int, int, int], ...], k_start: int) -> None:
+    """Refuse a factor that is not u*k + v (u, e > 0) or vanishes at an integer k >= k_start."""
+    for u, v, e in factors:
+        if u <= 0 or e <= 0:
+            raise ValueError("denominator factors must be u*k + v with u > 0")
+        if v % u == 0 and -v // u >= k_start:
+            raise ValueError(f"denominator factor {u}*k{v:+d} vanishes at k={-v // u}")
+
+
 def den_value(factors: tuple[tuple[int, int, int], ...], k: int) -> int:
     """D(k) = prod (u*k + v)^e as an integer; raises if a factor vanishes at k."""
     out = 1
@@ -481,6 +491,11 @@ class SeriesDef:
         if not self.base_value:
             raise ValueError("zero base")
         self.field_d  # validates coefficient radicands agree
+        check_den_factors(self.den_factors, self.k_start)
+        for coeff, _ in self.weight:
+            k = IntegerSurdPoly(coeff.den).integer_root(self.k_start)
+            if k is not None:
+                raise ValueError(f"weight denominator vanishes at k={k}")
 
     @property
     def field_d(self) -> int:

@@ -47,6 +47,7 @@ from .seriesmodel import (
     SeriesDef,
     WeightTerm,
     _RatFunCtx,
+    check_den_factors,
     den_poly,
     den_value,
     parse_den_factors,
@@ -114,16 +115,11 @@ class TelescopingCert:
             raise ValueError("zero boundary numerator")
         if self.base is not None and self.base == 0:
             raise ValueError("zero base")
-        for u, v, e in self.den_factors:
-            if u <= 0 or e <= 0:
-                raise ValueError("denominator factors must be u*k + v with u > 0")
-            if v % u == 0 and -v // u >= 0:
-                raise ValueError(f"denominator factor {u}*k{v:+d} vanishes at an index >= 0")
+        check_den_factors(self.den_factors, self.k_start)
         # Q(n) must be nonzero at every index the boundary is evaluated at.
-        bound_den = IntegerSurdPoly(self.bound_den)
-        for j in range(bound_den.root_bound()):
-            if not bound_den.sign_at(j):
-                raise ValueError(f"boundary denominator vanishes at n = {j}")
+        j = IntegerSurdPoly(self.bound_den).integer_root()
+        if j is not None:
+            raise ValueError(f"boundary denominator vanishes at n = {j}")
 
     @property
     def symbolic(self) -> bool:

@@ -208,6 +208,24 @@ def test_negative_kstart_rejected():
         loads_catalog(MINIMAL.replace("kstart: 1", "kstart: -1"))
 
 
+@pytest.mark.parametrize(
+    "old, new, why",
+    [
+        ("kstart: 1", "kstart: 0", r"denominator factor 1\*k\+0 vanishes at k=0"),
+        ("weight: 3*k - 1", "weight: 1/(k - 3)", "weight denominator vanishes at k=3"),
+    ],
+)
+def test_pole_at_an_index_rejected(old, new, why):
+    bad = MINIMAL.replace("den: k^3", "den: k").replace(old, new)
+    with pytest.raises(CatalogError, match=rf"record 't1' \(line 1\): {why}"):
+        loads_catalog(bad)
+
+
+def test_denominator_without_integer_root_loads():
+    text = MINIMAL.replace("den: k^3", "den: (2*k - 1)").replace("kstart: 1", "kstart: 0")
+    assert loads_catalog(text).lookup("t1").series.den_factors == ((2, -1, 1),)
+
+
 def test_bad_min_digits_rejected():
     with pytest.raises(CatalogError, match="min_digits must be >= 1"):
         loads_catalog(MINIMAL + "min_digits: 0\n")

@@ -192,6 +192,11 @@ class TestIntegerSurdPoly:
         assert all(f.sign_at(k) > 0 for k in range(big_k, big_k + 51))
         assert [f.sign_at(k) for k in (1, 2, 3, 5, 7)] == [0, 1, 0, -1, 0]
 
+    def test_integer_root_from_a_start(self):
+        f = IntegerSurdPoly(P(-1, 1) * P(-3, 1) * P(-7, 1))  # (k-1)(k-3)(k-7)
+        assert [f.integer_root(s) for s in (0, 2, 4, 8)] == [1, 3, 7, None]
+        assert IntegerSurdPoly(Poly((QuadElem(0, -1, 2), QuadElem(1)), "k")).integer_root() is None
+
     def test_no_real_roots(self):
         f = IntegerSurdPoly(P(1, 0, 1))  # k^2 + 1
         assert f.root_bound(start=3) == 3

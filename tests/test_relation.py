@@ -7,7 +7,8 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from bseries.closedform import parse_closed_form
+from bseries.catalog import load_catalog, resolve_catalog_path
+from bseries.closedform import ClosedForm, parse_closed_form
 from bseries.evaluator import evaluate
 from bseries.kernels import kernel_by_tag
 from bseries.precision import ApproxReal, digits_to_bits, working_bits
@@ -108,12 +109,32 @@ class TestPslqSoundness:
         z = ApproxReal.from_fraction_ball(Fraction(0), Fraction(1, 10**30))
         r = pslq([ball("pi"), z], 24)
         assert r.coefficients == (0, 1)
+        r = pslq([ApproxReal.exact_zero(), ApproxReal.exact_zero()], 24)
+        assert r.coefficients == (1, 0)
 
     def test_wide_zero_straddler_rejected(self):
         z = ApproxReal.from_fraction_ball(Fraction(0), Fraction(1, 2))
         r = pslq([ball("pi"), z], 24)
         assert r.coefficients is None
         assert "straddles" in r.note
+
+    def test_relation_across_thirty_orders_of_magnitude(self):
+        with working_bits(digits_to_bits(45)):
+            vals = [
+                ApproxReal.from_fraction(Fraction(1, 7)),
+                ApproxReal.from_fraction(Fraction(10**30, 7)),
+                ApproxReal.from_int(1),
+            ]
+        r = pslq(vals, 24)
+        assert r.coefficients == (7, 0, -1)
+
+    def test_input_below_working_precision_gives_no_relation(self):
+        vals = [
+            ApproxReal.from_fraction(10**100 + Fraction(1, 3)),
+            ApproxReal.from_fraction(Fraction(1, 7)),
+        ]
+        r = pslq(vals, 24)
+        assert r.coefficients is None
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -192,6 +213,23 @@ class TestDiscoverRhs:
 
     def test_empty_basis(self):
         assert discover_rhs(ball("pi"), [], 24) is None
+
+    def test_fifteen_digit_ball_spends_no_more_digits_than_it_has(self):
+        # 6272*sqrt(3) to ~15 digits: 184396804/24005*sqrt(2) matches it to
+        # 13 digits, but its coefficients spend those same digits
+        with working_bits(digits_to_bits(40)):
+            v = ball("6272*sqrt(3)", 40) + ApproxReal.from_fraction_ball(
+                Fraction(0), Fraction(1, 10**11)
+            )
+        assert v.to_digits() == 15
+        for bits in (40, 24):
+            assert discover_rhs(v, [parse_closed_form("sqrt(2)")], bits) is None
+
+    @pytest.mark.parametrize("rid", ["conj6.1-m24", "conj6.2-m8", "conj6.1-8g"])
+    def test_catalog_rhs_rediscovered(self, rid):
+        rec = load_catalog(resolve_catalog_path()).lookup(rid)
+        basis = [ClosedForm.term(1, atoms) for _, atoms in rec.rhs.terms]
+        assert discover_rhs(evaluate(rec.series, 60).ball, basis, 24) == rec.rhs
 
     def test_unused_basis_elements_dropped(self):
         got = discover_rhs(
