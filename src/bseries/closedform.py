@@ -204,9 +204,9 @@ class ClosedForm:
     def eval_ball(self, digits: int) -> ApproxReal:
         """Ball enclosure good to ~`digits`; runs at the ambient working
         precision when that is already higher."""
-        pad = digits + 10
-        for c, _ in self.terms:
-            pad = max(pad, digits + 10 + len(str(abs(c.numerator))) // 3)
+        # A coefficient of n decimal digits scales the error of the constants
+        # it multiplies by up to 10^n, so they are computed n digits further.
+        pad = digits + 10 + max((len(str(abs(c.numerator))) for c, _ in self.terms), default=0)
         with working_bits(max(mp.prec, digits_to_bits(pad))):
             total = ApproxReal.from_int(0)
             for coeff, atoms in self.terms:

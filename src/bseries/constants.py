@@ -1,25 +1,41 @@
-"""Mathematical constants as balls, computed from exact rational partial sums.
+"""Mathematical constants as balls, computed from floored integer terms.
 
-Every constant here is produced the same way: an exact ``Fraction`` partial
-sum together with an exact ``Fraction`` tail bound, converted to an
-:class:`~bseries.precision.ApproxReal` at the ambient working precision.
-No library transcendental functions are consulted, so these values form an
-independent route against which series evaluations can honestly be tested.
+Every constant here has one representation: an integer ``S``, a unit
+``2^-P`` and an integer count ``units``, meaning the constant lies within
+``units * 2^-P`` of ``S * 2^-P``.
 
+* ``S`` is the sum of ``floor(2^P * t_j)`` over the constant's exact terms
+  ``t_j``, each term a ratio of integers (its coefficient included) and
+  floored once, so each is off by less than one unit.  No ``Fraction`` is
+  summed and no gcd is taken.
+* ``units`` counts one unit per floored term, plus the series tail bound
+  rounded up to whole units.  Summation stops at the first term after
+  which the tail bound is at most one unit.
+* ``P = digits_to_bits(digits + 2)``, so one unit is at most
+  ``2^-32 * 10^-(digits+2)``.
+
+The series:
+
+* ``atan(x)`` and ``atanh(x)`` for rational ``|x| <= 1/2``: the Taylor
+  series, whose tail is at most the next term over ``1 - x^2``.
 * ``pi``: Machin-type arctangent combinations (two independent formulas,
   used to cross-check each other).
 * ``log``: binary reduction to ``2*atanh(y)`` with ``|y| <= 1/5``.
 * ``zeta(3)``: the central-binomial acceleration
   ``(5/2) * sum (-1)^(k-1) / (k^3 C(2k,k))`` (alternating, ratio -> 1/4).
-* ``zeta(2, a)`` for rational ``0 < a <= 1``: Euler–Maclaurin with an
-  explicit Bernoulli-number remainder bound.
+* ``zeta(2, a)`` for rational ``0 < a <= 1``: a head of ``(n+a)^-2`` terms
+  and Euler–Maclaurin corrections, with the Bernoulli-number remainder
+  bound ``4 |B_{2j+2}| x^(-2j-3)`` as the tail.
 * ``L_d(2)``: the finite Kronecker-character combination
-  ``|d|^(-2) * sum_{a=1}^{|d|} (d|a) zeta(2, a/|d|)``.
+  ``|d|^(-2) * sum_{a=1}^{|d|} (d|a) zeta(2, a/|d|)``, every residue's terms
+  scaled by ``(d|a)/|d|^2`` and floored into one ``S``.
 
-Partial sums are cached as exact rationals keyed by requested digits, so
+No library transcendental functions are consulted, so these values form an
+independent route against which series evaluations can honestly be tested.
+The ``(S, P, units)`` triples are cached keyed by requested digits, so
 repeated evaluations at the same or lower accuracy are free.
 
-Single-threaded use only: the caches take no lock, and ``working_bits``
+Single-threaded use only: the cache takes no lock, and ``working_bits``
 sets mpmath's process-global ``mp.prec`` anyway.  Parallelise by process.
 """
 
@@ -27,7 +43,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import mpmath
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from .precision import ApproxReal, digits_to_bits, working_bits
 
@@ -42,84 +60,55 @@ __all__ = [
     "bernoulli_numbers",
 ]
 
-_exact_cache: dict[tuple, tuple[int, Fraction, Fraction]] = {}
+_cache: dict[tuple, tuple[int, int, int, int]] = {}
 
 
-def _cached(key: tuple, digits: int, compute):
-    """Return (mid, err) Fractions accurate to `digits`, reusing better results."""
-    hit = _exact_cache.get(key)
-    if hit is not None and hit[0] >= digits:
-        return hit[1], hit[2]
-    mid, err = compute(digits)
-    _exact_cache[key] = (digits, mid, err)
-    return mid, err
-
-
-def _sum_fractions(parts: list[Fraction]) -> Fraction:
-    """Balanced pairwise summation (much faster than a linear fold)."""
-    if not parts:
-        return Fraction(0)
-    work = list(parts)
-    while len(work) > 1:
-        nxt = [work[i] + work[i + 1] for i in range(0, len(work) - 1, 2)]
-        if len(work) & 1:
-            nxt.append(work[-1])
-        work = nxt
-    return work[0]
-
-
-def _eps(digits: int) -> Fraction:
-    return Fraction(1, 10 ** (digits + 2))
-
-
-def _to_ball(mid: Fraction, err: Fraction, digits: int) -> ApproxReal:
-    """Convert exact mid/err at no less precision than `digits` demands."""
+def _cached(key: tuple, digits: int, compute) -> ApproxReal:
+    """The ball of ``compute(P) = (S, units)``, reusing a result good to at least `digits`."""
+    hit = _cache.get(key)
+    if hit is None or hit[0] < digits:
+        p = digits_to_bits(digits + 2)
+        hit = (digits, p, *compute(p))
+        _cache[key] = hit
+    _, p, s, units = hit
     with working_bits(max(mp.prec, digits_to_bits(digits))):
-        return ApproxReal.from_fraction_ball(mid, err)
+        ball = ApproxReal.from_ratio(s, 1 << p)
+    err = mpmath.make_mpf(from_man_exp(units, -p, 64, "u"))
+    return ApproxReal(ball.mid, mpmath.fadd(ball.rad, err, prec=64, rounding="u"))
+
+
+def _ceil_units(p: int, num: int, den: int) -> int:
+    """ceil(2^p * num/den) for integers num >= 0, den > 0."""
+    return -((-num << p) // den)
 
 
 # ----------------------------------------------------------------------
 # arctangent / hyperbolic arctangent of small rationals
 
 
-def _atan_frac(x: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """(partial sum, tail bound) for atan(x), |x| < 1; alternating series."""
-    if not -1 < x < 1:
-        raise ValueError("atan argument must satisfy |x| < 1")
-    x2 = x * x
-    power = x
-    parts = []
-    j = 0
+def _atan(c: int, x: Fraction, p: int, hyperbolic: bool = False) -> tuple[int, int]:
+    """(S, units) for c*atan(x), or c*atanh(x) when hyperbolic, for |x| <= 1/2.
+
+    Term j is c * (-+x^2)^j * x / (2j+1), so each term is at most x^2 times
+    the one before and the tail is at most the next term / (1 - x^2).
+    """
+    if x == 0 or c == 0:
+        return 0, 0
+    a, b = x.numerator, x.denominator
+    step = a * a if hyperbolic else -a * a
+    num, den = c * a, b  # c * (-+1)^j * x^(2j+1)
+    s = j = 0
     while True:
-        term = power / (2 * j + 1)
-        if j % 2:
-            term = -term
-        parts.append(term)
-        power *= x2
-        nxt = abs(power) / (2 * j + 3)
-        if nxt < eps:
-            return _sum_fractions(parts), nxt
+        s += (num << p) // ((2 * j + 1) * den)
+        num, den = num * step, den * b * b
+        tail = _ceil_units(p, abs(num) * b * b, (2 * j + 3) * den * (b * b - a * a))
+        if tail <= 1:
+            return s, j + 1 + tail
         j += 1
 
 
-def _atanh_frac(x: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """(partial sum, tail bound) for atanh(x), |x| <= 1/2; geometric tail."""
-    if not -Fraction(1, 2) <= x <= Fraction(1, 2):
-        raise ValueError("atanh argument must satisfy |x| <= 1/2")
-    if x == 0:
-        return Fraction(0), Fraction(0)
-    x2 = x * x
-    geom = 1 / (1 - x2)
-    power = x
-    parts = []
-    j = 0
-    while True:
-        parts.append(power / (2 * j + 1))
-        power *= x2
-        tail = abs(power) / (2 * j + 3) * geom
-        if tail < eps:
-            return _sum_fractions(parts), tail
-        j += 1
+def _add(*parts: tuple[int, int]) -> tuple[int, int]:
+    return sum(s for s, _ in parts), sum(u for _, u in parts)
 
 
 # ----------------------------------------------------------------------
@@ -134,29 +123,16 @@ _MACHIN_FORMULAS = (
 )
 
 
-def _pi_exact(digits: int, formula: int = 0) -> tuple[Fraction, Fraction]:
-    eps = _eps(digits + 2)
-    mid = Fraction(0)
-    err = Fraction(0)
-    for coeff, x in _MACHIN_FORMULAS[formula]:
-        m, e = _atan_frac(x, eps / 32)
-        mid += coeff * m
-        err += abs(coeff) * e
-    return mid, err
-
-
 def pi_ball(digits: int, formula: int = 0) -> ApproxReal:
-    mid, err = _cached(("pi", formula), digits, lambda d: _pi_exact(d, formula))
-    return _to_ball(mid, err, digits)
+    terms = _MACHIN_FORMULAS[formula]
+    return _cached(("pi", formula), digits, lambda p: _add(*(_atan(c, x, p) for c, x in terms)))
 
 
 # ----------------------------------------------------------------------
 # logarithms of positive rationals
 
 
-def _log_exact(x: Fraction, digits: int) -> tuple[Fraction, Fraction]:
-    if x <= 0:
-        raise ValueError("log of a non-positive rational")
+def _log(x: Fraction, p: int) -> tuple[int, int]:
     # Pull out powers of two until the mantissa sits in [2/3, 4/3), where
     # (y-1)/(y+1) in [-1/5, 1/7] keeps the atanh series fast.
     j = 0
@@ -167,54 +143,43 @@ def _log_exact(x: Fraction, digits: int) -> tuple[Fraction, Fraction]:
     while y < Fraction(2, 3):
         y *= 2
         j -= 1
-    eps = _eps(digits + 2)
-    mid = Fraction(0)
-    err = Fraction(0)
-    if j:
-        m2, e2 = _atanh_frac(Fraction(1, 3), eps / (8 * abs(j)))
-        mid += j * 2 * m2
-        err += abs(j) * 2 * e2
-    my, ey = _atanh_frac((y - 1) / (y + 1), eps / 8)
-    mid += 2 * my
-    err += 2 * ey
-    return mid, err
+    return _add(
+        _atan(2 * j, Fraction(1, 3), p, hyperbolic=True),
+        _atan(2, (y - 1) / (y + 1), p, hyperbolic=True),
+    )
 
 
 def log_ball(x: Fraction, digits: int) -> ApproxReal:
     x = Fraction(x)
-    mid, err = _cached(("log", x), digits, lambda d: _log_exact(x, d))
-    return _to_ball(mid, err, digits)
+    if x <= 0:
+        raise ValueError("log of a non-positive rational")
+    return _cached(("log", x), digits, lambda p: _log(x, p))
 
 
 # ----------------------------------------------------------------------
 # zeta(3)
 
 
-def _zeta3_exact(digits: int) -> tuple[Fraction, Fraction]:
+def _zeta3(p: int) -> tuple[int, int]:
     # (5/2) sum_{k>=1} (-1)^(k-1) / (k^3 C(2k,k)); alternating, |t| ~ 4^-k.
-    eps = _eps(digits + 2)
     binom = 2  # C(2k, k) at k = 1
+    s = 0
     k = 1
-    parts = []
     while True:
-        term = Fraction(1, k**3 * binom)
-        if k % 2 == 0:
-            term = -term
-        parts.append(term)
+        s += ((5 if k % 2 else -5) << p) // (2 * k**3 * binom)
         binom = binom * 2 * (2 * k + 1) // (k + 1)
         k += 1
-        nxt = Fraction(1, k**3 * binom)
-        if nxt < eps:
-            return Fraction(5, 2) * _sum_fractions(parts), Fraction(5, 2) * nxt
+        tail = _ceil_units(p, 5, 2 * k**3 * binom)
+        if tail <= 1:
+            return s, k - 1 + tail
 
 
 def zeta3_ball(digits: int) -> ApproxReal:
-    mid, err = _cached(("zeta3",), digits, _zeta3_exact)
-    return _to_ball(mid, err, digits)
+    return _cached(("zeta3",), digits, _zeta3)
 
 
 # ----------------------------------------------------------------------
-# Bernoulli numbers and the Hurwitz zeta value zeta(2, a)
+# Bernoulli numbers and the Hurwitz value zeta(2, a)
 
 
 _bernoulli: list[Fraction] = [Fraction(1)]
@@ -234,28 +199,32 @@ def bernoulli_numbers(n: int) -> list[Fraction]:
     return _bernoulli[: n + 1]
 
 
-def _hurwitz_zeta2_exact(a: Fraction, digits: int) -> tuple[Fraction, Fraction]:
-    """zeta(2, a) = sum_{n>=0} (n+a)^-2 by Euler-Maclaurin, exact remainder bound."""
-    if not 0 < a <= 1:
-        raise ValueError("need 0 < a <= 1")
-    eps = _eps(digits + 1)
-    n_terms = max(8, digits + 10)
-    head = _sum_fractions([1 / (Fraction(n) + a) ** 2 for n in range(n_terms)])
-    x = Fraction(n_terms) + a
-    mid = head + 1 / x + 1 / (2 * x * x)
-    # Correction terms B_{2j} x^(-2j-1); remainder |R_M| <= 4 |B_{2M+2}| x^(-2M-3).
-    xpow = 1 / x**3
-    inv_x2 = 1 / (x * x)
+def _hurwitz2(a: Fraction, cn: int, cd: int, p: int) -> tuple[int, int]:
+    """(S, units) for (cn/cd) * zeta(2, a) = (cn/cd) * sum_{n>=0} (n+a)^-2, by Euler-Maclaurin.
+
+    With a = e/r the head terms are r^2/(n*r + e)^2, and at x = N + a = u/r
+    the corrections are r/u + r^2/(2u^2) + sum_j B_2j r^(2j+1)/u^(2j+1).
+    After the j-th correction the remainder is within |B_{2j+2}| x^(-2j-3),
+    the magnitude of the next correction; the tail keeps a 4x cushion.
+    """
+    e, r = a.numerator, a.denominator
+    n_terms = max(8, p // 3)
+    s = 0
+    for n in range(n_terms):
+        s += (cn * r * r << p) // (cd * (n * r + e) ** 2)
+    u = n_terms * r + e
+    s += (cn * r << p) // (cd * u) + (cn * r * r << p) // (2 * cd * u * u)
+    rpow, upow = r**3, u**3  # r^(2j+1), u^(2j+1) at j = 1
     j = 1
     while True:
         bern = bernoulli_numbers(2 * j + 2)
-        mid += bern[2 * j] * xpow
-        xpow *= inv_x2
-        # after the j-th correction the remainder is within |B_{2j+2}| x^(-2j-3),
-        # which is the magnitude of the next correction term; keep a 4x cushion
-        rem = 4 * abs(bern[2 * j + 2]) * xpow
-        if rem < eps:
-            return mid, rem
+        b = bern[2 * j]
+        s += (cn * b.numerator * rpow << p) // (cd * b.denominator * upow)
+        rpow, upow = rpow * r * r, upow * u * u
+        b = bern[2 * j + 2]
+        tail = _ceil_units(p, 4 * abs(cn * b.numerator) * rpow, cd * b.denominator * upow)
+        if tail <= 1:
+            return s, n_terms + 2 + j + tail
         j += 1
         if j > 4 * n_terms:  # cannot happen for sane inputs; refuse to spin
             raise RuntimeError("Euler-Maclaurin failed to converge")
@@ -263,8 +232,9 @@ def _hurwitz_zeta2_exact(a: Fraction, digits: int) -> tuple[Fraction, Fraction]:
 
 def hurwitz_zeta2_ball(a: Fraction, digits: int) -> ApproxReal:
     a = Fraction(a)
-    mid, err = _cached(("hurwitz2", a), digits, lambda d: _hurwitz_zeta2_exact(a, d))
-    return _to_ball(mid, err, digits)
+    if not 0 < a <= 1:
+        raise ValueError("need 0 < a <= 1")
+    return _cached(("hurwitz2", a), digits, lambda p: _hurwitz2(a, 1, 1, p))
 
 
 # ----------------------------------------------------------------------
@@ -314,25 +284,13 @@ def normalize_discriminant(c: int) -> int:
     return c if c % 4 in (0, 1) else 4 * c
 
 
-def _l_value_exact(d: int, digits: int) -> tuple[Fraction, Fraction]:
-    if d % 4 not in (0, 1) or d in (0,):
-        raise ValueError(f"{d} is not a discriminant (need d = 0, 1 mod 4)")
+def _l_value(d: int, p: int) -> tuple[int, int]:
     q = abs(d)
-    per_term_digits = digits + len(str(q)) + 1
-    mid = Fraction(0)
-    err = Fraction(0)
-    parts = []
-    for a in range(1, q + 1):
-        chi = kronecker(d, a)
-        if chi == 0:
-            continue
-        m, e = _hurwitz_zeta2_exact(Fraction(a, q), per_term_digits)
-        parts.append(chi * m)
-        err += e
-    mid = _sum_fractions(parts) / (q * q)
-    return mid, err / (q * q)
+    chis = [(a, kronecker(d, a)) for a in range(1, q + 1)]
+    return _add(*(_hurwitz2(Fraction(a, q), chi, q * q, p) for a, chi in chis if chi))
 
 
 def l_value_ball(d: int, digits: int) -> ApproxReal:
-    mid, err = _cached(("lvalue", d), digits, lambda dd: _l_value_exact(d, dd))
-    return _to_ball(mid, err, digits)
+    if d % 4 not in (0, 1) or d in (0,):
+        raise ValueError(f"{d} is not a discriminant (need d = 0, 1 mod 4)")
+    return _cached(("lvalue", d), digits, lambda p: _l_value(d, p))

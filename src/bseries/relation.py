@@ -16,8 +16,8 @@ original enclosures by one rule:
   large coefficients fitted to the noise of thin inputs.
 
 A tight ball around zero is accepted as a unit relation without a search.
-An input that vanishes at the working precision relative to the largest
-one makes ``mpmath.pslq`` raise; that is reported as "no relation".
+An input below ``tol/100`` of the largest, where ``mpmath.pslq`` would stop
+without searching, is reported as "no relation" with that reason.
 
 Reliable discovery wants roughly 2 * max_coeff_bits * n / 3.32 certified
 digits of input (each coefficient digit consumed by the relation must be
@@ -30,7 +30,9 @@ digits than the data certify.
 ``discover_rhs`` layers right-hand-side reconstruction on top: it runs
 pslq on [S, b_1..b_m] for a basis of closed-form constants, solves for S,
 and re-verifies the proposed combination with the basis re-evaluated at
-doubled precision before accepting.
+doubled precision before accepting.  A certified relation among the basis
+alone raises ``ValueError`` naming it, since a dependent basis can hide
+a combination that does hold.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Optional, Sequence
 import mpmath
 from mpmath import mp, mpf
 
-from .closedform import ClosedForm
+from .closedform import ClosedForm, render_closed_form
 from .precision import DIGITS_INF, ApproxReal, digits_to_bits, working_bits
 
 __all__ = [
@@ -170,7 +172,7 @@ def pslq(values: Sequence[ApproxReal], max_coeff_bits: int = 24) -> RelationResu
 
     Returns a RelationResult; ``coefficients`` is None when
     ``mpmath.pslq`` proposes nothing with every |c_i| <= 2^max_coeff_bits,
-    an input vanishes at the working precision relative to the largest, or
+    an input is too small relative to the largest for it to search, or
     the proposed candidate fails the ball certification.
     """
     vals = list(values)
@@ -196,17 +198,25 @@ def pslq(values: Sequence[ApproxReal], max_coeff_bits: int = 24) -> RelationResu
     with mp.workprec(digits_to_bits(work_digits)):
         top = max(abs(v.mid) for v in vals)
         mids = [v.mid / top for v in vals]
-        try:
-            # The dip threshold sits at the certified level of the inputs,
-            # well above the float noise floor.
-            cand = mpmath.pslq(
-                mids,
-                tol=mpf(10) ** (-(max(work_digits - 6, 8))),
-                maxcoeff=(1 << max_coeff_bits) + 1,
-                maxsteps=16 * n * n * max_coeff_bits,
+        # The dip threshold sits at the certified level of the inputs,
+        # well above the float noise floor.
+        tol_digits = max(work_digits - 6, 8)
+        tol = mpf(10) ** -tol_digits
+        # mpmath.pslq returns None without searching when an input is below
+        # tol/100 relative to the largest.
+        small = [i for i, m in enumerate(mids) if abs(m) < tol / 100]
+        if small:
+            return _none_result(
+                vals,
+                f"input {small[0]} is below 1e-{tol_digits + 2} of the largest "
+                f"at {work_digits} digits; pslq does not search",
             )
-        except ValueError:  # an input rounds to zero in pslq's fixed point
-            return _none_result(vals, "an input vanishes at the working precision")
+        cand = mpmath.pslq(
+            mids,
+            tol=tol,
+            maxcoeff=(1 << max_coeff_bits) + 1,
+            maxsteps=16 * n * n * max_coeff_bits,
+        )
     if cand is None:
         return _none_result(vals, f"no relation with coefficients up to 2^{max_coeff_bits}")
     return _certify(vals, cand, work_digits)
@@ -223,6 +233,9 @@ def discover_rhs(
     c_0 != 0 proposes S = sum (-c_j/c_0)*b_j, which is accepted only
     after re-evaluating the combination with every basis constant at
     doubled precision and checking the residual against S's ball again.
+    Returns None when no relation is certified.  Raises ``ValueError``
+    naming the relation when the certified one has c_0 = 0: the basis is
+    dependent, and S may lie in its span unseen.
     """
     basis = list(basis)
     if not basis:
@@ -231,9 +244,16 @@ def discover_rhs(
     with working_bits(digits_to_bits(d + 10)):
         bballs = [cf.eval_ball(d + 10) for cf in basis]
     res = pslq([series_value] + bballs, max_coeff_bits)
-    if not res.found or res.coefficients[0] == 0:
+    if not res.found:
         return None
     c0 = res.coefficients[0]
+    if c0 == 0:
+        relation = " ".join(
+            f"{'-' if cj < 0 else '+'} {abs(cj)}*({render_closed_form(cf)})"
+            for cj, cf in zip(res.coefficients[1:], basis)
+            if cj
+        ).removeprefix("+ ")
+        raise ValueError(f"basis is dependent: {relation} = 0")
     combo = ClosedForm.zero()
     for cj, cf in zip(res.coefficients[1:], basis):
         if cj:

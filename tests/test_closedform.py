@@ -83,6 +83,17 @@ def test_eval_ball_digits():
             assert ball.to_digits() >= 40, src
 
 
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("exponent", [40, 80])
+def test_large_coefficient_keeps_the_absolute_radius(exponent, digits):
+    # verify_identity evaluates the RHS with eval_ball(digits + 10) at
+    # attempt 0's working precision and compares against 10^-digits.
+    cf = parse_closed_form(f"{10**exponent}*pi")
+    with working_bits(digits_to_bits(digits + 8)):
+        ball = cf.eval_ball(digits + 10)
+    assert ball.rad <= mpmath.mpf(10) ** -digits
+
+
 def test_eval_against_reference():
     mpmath.mp.dps = 50
     try:

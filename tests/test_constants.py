@@ -23,7 +23,7 @@ from bseries.constants import (
     pi_ball,
     zeta3_ball,
 )
-from bseries.precision import ApproxReal, digits_to_bits, working_bits
+from bseries.precision import ApproxReal, digits_to_bits, mpf_to_fraction, working_bits
 
 PI = "3.141592653589793238462643383279502884197169399375106"
 LOG2 = "0.6931471805599453094172321214581765680755001343602553"
@@ -255,7 +255,7 @@ def test_l_value_against_hurwitz_route():
     # the (separately tested) Kronecker symbol.
     mpmath.mp.dps = 45
     try:
-        for d in (-11, -8, 5, 12, -15):
+        for d in (-11, -8, 5, 12, -15, -24, -39, -68, -87, -111):
             q = abs(d)
             ref = sum(
                 kronecker(d, a) * mpmath.zeta(2, mpmath.mpf(a) / q)
@@ -265,3 +265,18 @@ def test_l_value_against_hurwitz_route():
             assert abs(mpmath.mpf(got.mid) - ref) < mpmath.mpf(10) ** -38
     finally:
         mpmath.mp.dps = 15
+
+
+def test_l_value_ball_holds_the_hurwitz_route_without_slack():
+    # mpmath's Hurwitz zeta at twice the digits, compared exactly; the ball
+    # is rounded at that precision too, so its radius is the counted error.
+    d, digits = -111, 300
+    q = abs(d)
+    with working_bits(digits_to_bits(2 * digits)):
+        ref = mpmath.fsum(
+            kronecker(d, a) * mpmath.zeta(2, mpmath.mpf(a) / q) for a in range(1, q + 1)
+        ) / q**2
+        ball = l_value_ball(d, digits)
+    lo, hi = ball.to_fraction_bounds()
+    assert lo <= mpf_to_fraction(ref) <= hi
+    assert ball.to_digits() >= digits

@@ -136,6 +136,18 @@ class TestPslqSoundness:
         r = pslq(vals, 24)
         assert r.coefficients is None
 
+    def test_input_below_pslq_tolerance_is_named(self):
+        # 16-digit balls: scaled by the largest, 1/7 is 1e-30, below the
+        # tol/100 at which mpmath.pslq stops without searching
+        vals = [
+            ApproxReal.from_fraction(Fraction(1, 7)),
+            ApproxReal.from_fraction(Fraction(10**30, 7)),
+            ApproxReal.from_int(1),
+        ]
+        r = pslq(vals, 24)
+        assert r.coefficients is None
+        assert "input 0 is below" in r.note
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             pslq([ApproxReal.from_int(1)], 24)
@@ -205,11 +217,22 @@ class TestDiscoverRhs:
         ]
         assert discover_rhs(rand_ball(rng, digits=60), basis, 24) is None
 
-    def test_basis_internal_relation_gives_none(self):
+    def test_basis_internal_relation_raises(self):
         # relation hits the basis alone (c0 = 0): no reconstruction claimed
         rng = random.Random(13)
         basis = [parse_closed_form("pi"), parse_closed_form("2*pi")]
-        assert discover_rhs(rand_ball(rng, digits=60), basis, 24) is None
+        with pytest.raises(ValueError, match=r"basis is dependent: 2\*\(pi\) - 1\*\(2\*pi\) = 0"):
+            discover_rhs(rand_ball(rng, digits=60), basis, 24)
+
+    def test_dependent_basis_hiding_the_rhs_raises(self):
+        # L(-12) = 5/4*K, so the basis is dependent; the value
+        # 15/2*sqrt(3)*K - 40/3*G lies in its span, and pslq certifies the
+        # basis relation (0, 5, -4, 0) rather than one involving the value
+        rec = load_catalog(resolve_catalog_path()).lookup("conj6.1-8g")
+        assert rec.rhs == parse_closed_form("15/2*sqrt(3)*K - 40/3*G")
+        basis = [parse_closed_form(s) for s in ("sqrt(3)*K", "sqrt(3)*L(-12)", "G")]
+        with pytest.raises(ValueError, match=r"5\*\(sqrt\(3\)\*K\) - 4\*\(sqrt\(3\)\*L\(-12\)\) = 0"):
+            discover_rhs(evaluate(rec.series, 60).ball, basis, 24)
 
     def test_empty_basis(self):
         assert discover_rhs(ball("pi"), [], 24) is None
