@@ -43,11 +43,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp
 
-from .precision import ApproxReal, digits_to_bits, working_bits
+from .precision import ApproxReal, ceil_units, digits_to_bits, working_bits
 
 __all__ = [
     "pi_ball",
@@ -72,14 +70,7 @@ def _cached(key: tuple, digits: int, compute) -> ApproxReal:
         _cache[key] = hit
     _, p, s, units = hit
     with working_bits(max(mp.prec, digits_to_bits(digits))):
-        ball = ApproxReal.from_ratio(s, 1 << p)
-    err = mpmath.make_mpf(from_man_exp(units, -p, 64, "u"))
-    return ApproxReal(ball.mid, mpmath.fadd(ball.rad, err, prec=64, rounding="u"))
-
-
-def _ceil_units(p: int, num: int, den: int) -> int:
-    """ceil(2^p * num/den) for integers num >= 0, den > 0."""
-    return -((-num << p) // den)
+        return ApproxReal.from_units(s, p, units)
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +92,7 @@ def _atan(c: int, x: Fraction, p: int, hyperbolic: bool = False) -> tuple[int, i
     while True:
         s += (num << p) // ((2 * j + 1) * den)
         num, den = num * step, den * b * b
-        tail = _ceil_units(p, abs(num) * b * b, (2 * j + 3) * den * (b * b - a * a))
+        tail = ceil_units(p, abs(num) * b * b, (2 * j + 3) * den * (b * b - a * a))
         if tail <= 1:
             return s, j + 1 + tail
         j += 1
@@ -169,7 +160,7 @@ def _zeta3(p: int) -> tuple[int, int]:
         s += ((5 if k % 2 else -5) << p) // (2 * k**3 * binom)
         binom = binom * 2 * (2 * k + 1) // (k + 1)
         k += 1
-        tail = _ceil_units(p, 5, 2 * k**3 * binom)
+        tail = ceil_units(p, 5, 2 * k**3 * binom)
         if tail <= 1:
             return s, k - 1 + tail
 
@@ -222,7 +213,7 @@ def _hurwitz2(a: Fraction, cn: int, cd: int, p: int) -> tuple[int, int]:
         s += (cn * b.numerator * rpow << p) // (cd * b.denominator * upow)
         rpow, upow = rpow * r * r, upow * u * u
         b = bern[2 * j + 2]
-        tail = _ceil_units(p, 4 * abs(cn * b.numerator) * rpow, cd * b.denominator * upow)
+        tail = ceil_units(p, 4 * abs(cn * b.numerator) * rpow, cd * b.denominator * upow)
         if tail <= 1:
             return s, n_terms + 2 + j + tail
         j += 1

@@ -9,7 +9,7 @@ replaced by the atom-free weight U of its :func:`majorant`, which bounds
 an atom-free series is its own majorant.
 
 The envelope is certified for the majorant's ratio: with a rational
-``q < 1`` slightly above the limiting ratio ``L = |base| * growth^(+-1)``,
+``q < 1`` above the limiting ratio ``L = |base| * growth^(+-1)``,
 ``|rho(k)| <= q`` for every integer ``k >= k0`` because
 
     G(k) = q^2 * den(rho)^2 - num(rho)^2 = (q*den - num) * (q*den + num)
@@ -18,12 +18,54 @@ is >= 0 there.  Each factor is an :class:`~bseries.exactnum.IntegerSurdPoly`
 with no real root beyond its coefficient-dominance bound; the sign of G at
 an integer, the product of the factors' exact signs, is checked from the
 larger bound down to the majorant's start, which gives ``k0``.  ``L >= 1``
-raises :class:`NonConvergent`.
+raises :class:`NonConvergent`.  A q near L keeps the tail factor
+``q/(1 - q)`` small but can push k0 far out, so q is chosen per series:
+each of ``L*65/64``, ``L*9/8``, ``L*3/2`` and ``(1 + L)/2`` below 1 is
+certified, and the one with the fewest predicted terms
+(:meth:`Envelope.predicted_terms`) to a tail of ``2^-_RANK_BITS`` wins.
+
+The sum is one fixed-point integer recurrence (Brent & Zimmermann, *Modern
+Computer Arithmetic*, 2010, ch. 3-4; Haible & Papanikolaou, *Fast
+multiprecision evaluation of series of rational numbers*, 1998).  With
+``S_k = kernel(k)^(+-1) / D(k)``, the scaled term ``V_k = S_k * base^k`` is
+an integer ``v`` within ``e`` units of ``V_k * 2^P``, stepped by
+
+    V_{k+1} = V_k * base * r(k),   r(k) = (kernel ratio)^(+-1) * D(k)/D(k+1),
+
+with the kernel's integer ratio polynomials, so the kernel's value is
+needed only at ``k_start``.  The base enters as ``(Bn, Bd, eb)`` with
+``|base - Bn/Bd| <= eb/Bd``: exact for a rational base, and ``Bd = 2^E`` from
+``math.isqrt`` for a quadratic one, with E sized from the base's norm so
+that a huge conjugate cannot cancel it (:func:`_embed_base`).  Each step
+floors once, and the count becomes
+
+    e' = ceil((e*(|Bn| + eb) + |v|*eb) * |r| / Bd) + 1.
+
+The weight is ``W(k) = (A + B*sqrt(d)) / C`` over integers; with
+``R = isqrt(d * 4^P)``, ``W~ = (A*2^P + B*R) / (C*2^P)`` is within
+``|B|/(C*2^P)`` of W, and ``T_k = floor(W~ * v)`` is within
+
+    ceil(|W~|*e + (|v| + e)*|B|/(C*2^P)) + 1
+
+units of ``t_k * 2^P``.  The sum is the integer ``S = sum T_k`` with the
+count ``units = sum`` of those errors, and its ball is ``S * 2^-P`` with
+radius ``units * 2^-P`` (:meth:`~bseries.precision.ApproxReal.from_units`).
+
+P is the ambient precision plus guard bits for the count.  After k0, e is
+damped by ``|r*base| <= q``, so it stays below about ``1/(1 - q)`` plus the
+``k*|V_k|`` units the base's rounding adds; times |W| and summed over n
+terms, units stays below ``n * (n + 1/(1 - q)) * max(|U|, 2*|m_{k0}|)``,
+with n the predicted term count and ``m_{k0}`` the majorant's term at k0.
+Its bit length is the guard (:func:`_guard_bits`), so the count costs less
+than one unit of the ambient precision and the first attempt suffices.  The
+estimate leaves out terms before k0 larger than ``m_{k0}``; an estimate
+that falls short only widens the ball, and verification then retries.
 
 One stop rule ends every sum: once ``k >= k0`` and ``|t_k| * q/(1 - q)``
 is at most ``10^-(digits+3)``, the sum stops as soon as the majorant's
 bound ``|U(k) * S_k * base^k| * q/(1 - q)`` is at most that too; it covers
-the tail after ``t_k`` and is added as an explicit ball radius.
+the tail after ``t_k`` and joins the count, rounded up to whole units.  Both
+tests compare integers.
 
 Verification at D digits: PASS iff the residual ball ``LHS - RHS`` contains
 zero and its magnitude upper bound is at most ``10^-D``; FAIL iff the ball
@@ -43,11 +85,18 @@ from fractions import Fraction
 from typing import Optional
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from .closedform import ClosedForm
 from .exactnum import IntegerSurdPoly, Poly, QuadElem, RatFun, horner
-from .precision import DIGITS_INF, MAX_ATTEMPTS, ApproxReal, attempt_bits, working_bits
+from .precision import (
+    DIGITS_INF,
+    MAX_ATTEMPTS,
+    ApproxReal,
+    attempt_bits,
+    ceil_units,
+    working_bits,
+)
 from .seriesmodel import HarmonicCache, Position, SeriesDef, WeightTerm, den_value
 
 __all__ = [
@@ -66,6 +115,12 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 200_000
+
+# q is ranked by the predicted term count to a tail of 2^-_RANK_BITS (about
+# 38 digits).  k0 binds only where the sum would otherwise stop before it,
+# that is at low precision; at high precision every candidate stops where
+# the terms do, and the ranking changes little.
+_RANK_BITS = 128
 
 
 class NonConvergent(ArithmeticError):
@@ -86,18 +141,66 @@ class Status(enum.Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
+def _embed_base(beta: QuadElem, bits: int) -> tuple[int, int, int]:
+    """``(Bn, Bd, eb)`` with ``Bd > 0`` and ``|beta - Bn/Bd| <= eb/Bd``.
+
+    A rational base is exact: ``(num, den, 0)``.  Otherwise, with
+    ``beta = (x + y*sqrt(d)) / c`` over integers, ``Bd = 2^E`` and
+    ``Bn = floor(x*2^E/c) +- isqrt(d*y^2*4^E // c^2)``, each part within one
+    unit of its real value, so eb = 2.  Since ``|beta| = |N(beta)| / |sigma(beta)|``
+    with ``|N| = |x^2 - d*y^2| / c^2`` and ``|sigma| <= (|x| + |y|*(isqrt(d) + 1)) / c``,
+    the E below gives ``|beta| * 2^E > 2^(bits+2)`` and so ``|Bn| >= 2^bits``,
+    however large the conjugate.
+    """
+    if beta.is_rational:
+        return beta.a.numerator, beta.a.denominator, 0
+    d = beta.d
+    c = math.lcm(beta.a.denominator, beta.b.denominator)
+    x, y = int(beta.a * c), int(beta.b * c)
+    norm = abs(x * x - d * y * y)
+    conj = abs(x) + abs(y) * (math.isqrt(d) + 1)
+    e = max(0, bits + 3 + c.bit_length() + conj.bit_length() - norm.bit_length())
+    root = math.isqrt((d * y * y << 2 * e) // (c * c))
+    return (x << e) // c + (root if y > 0 else -root), 1 << e, 2
+
+
+def _log2_abs(x) -> float:
+    """log2 |x| of a rational or QuadElem, -inf at 0; in floats, for sizing only."""
+    x = QuadElem.of(x)
+    if not x:
+        return -math.inf
+    bn, bd, _ = _embed_base(x, 64)
+    return math.log2(abs(bn)) - math.log2(bd)
+
+
 # ----------------------------------------------------------------------
 # envelope certification
 
 
 @dataclass(frozen=True)
 class Envelope:
-    """``|m_{k+1}/m_k| <= q`` for the terms m_k of ``majorant`` and every k >= k0."""
+    """``|m_{k+1}/m_k| <= q`` for the terms m_k of ``majorant`` and every k >= k0.
+
+    ``log2_term`` is ``log2 |m_{k0}|`` (-inf when it is 0), in floats: it
+    sizes and ranks, and certifies nothing.
+    """
 
     q: Fraction
     k0: int
     ratio: RatFun
     majorant: SeriesDef
+    log2_term: float
+
+    def predicted_terms(self, bits: int) -> int:
+        """Terms after k0 until ``|m_k| * q/(1 - q) <= 2^-bits``.
+
+        An upper bound from ``|m_k| <= |m_{k0}| * q^(k - k0)``, in floats.
+        """
+        if self.log2_term == -math.inf:
+            return 0
+        q = float(self.q)
+        need = self.log2_term + math.log2(q / (1 - q)) + bits
+        return max(0, math.ceil(need / -math.log2(q)))
 
 
 def _growth(sdef: SeriesDef) -> Fraction:
@@ -105,13 +208,6 @@ def _growth(sdef: SeriesDef) -> Fraction:
     if sdef.kernel is None:
         return Fraction(1)
     return sdef.kernel.growth() ** sdef.kernel_pos.exponent
-
-
-def _rational_upper_abs(x: QuadElem, bits: int = 192) -> Fraction:
-    with working_bits(bits):
-        ball = abs(x.embed())
-    lo, hi = ball.to_fraction_bounds()
-    return hi
 
 
 def majorant(sdef: SeriesDef) -> SeriesDef:
@@ -136,27 +232,8 @@ def majorant(sdef: SeriesDef) -> SeriesDef:
     return dataclasses.replace(sdef, weight=(WeightTerm(u, None),), k_start=start)
 
 
-def certify_envelope(sdef: SeriesDef) -> Envelope:
-    """Prove ``|m_{k+1}/m_k| <= q < 1`` for the majorant's terms, k >= k0 (exact arithmetic only)."""
-    g = _growth(sdef)
-    limit = abs(sdef.base_value) * g
-    if limit >= 1:
-        raise NonConvergent(f"limiting term ratio |base|*growth = {limit} is >= 1")
-
-    def dyadic_up(x: Fraction, bits: int = 24) -> Fraction:
-        # Round up to a small-denominator dyadic: keeps every downstream
-        # coefficient of G small.
-        return Fraction(math.ceil(x * (1 << bits)), 1 << bits)
-
-    l_hi = _rational_upper_abs(sdef.base_value) * g
-    q = dyadic_up(l_hi * Fraction(65, 64))
-    if q >= 1:
-        q = dyadic_up((l_hi + 1) / 2)
-    if q >= 1:
-        raise NonConvergent("cannot select a geometric bound below 1")
-
-    bound = majorant(sdef)
-    ratio = bound.term_ratio()
+def _certify_q(bound: SeriesDef, ratio: RatFun, q: Fraction) -> Envelope:
+    """The envelope of ``bound``'s terms for this q: the smallest sharp k0."""
     num, den = ratio.num, ratio.den
     # G = q^2*den^2 - num^2 = (q*den - num) * (q*den + num); want G(k) >= 0
     factors = (IntegerSurdPoly(den * q - num), IntegerSurdPoly(den * q + num))
@@ -173,7 +250,42 @@ def certify_envelope(sdef: SeriesDef) -> Envelope:
     while k >= k_min and sign_g(k) >= 0:
         k0 = k
         k -= 1
-    return Envelope(q=q, k0=k0, ratio=ratio, majorant=bound)
+    log2_term = _log2_abs(bound.term_exact(k0))
+    return Envelope(q=q, k0=k0, ratio=ratio, majorant=bound, log2_term=log2_term)
+
+
+def certify_envelope(sdef: SeriesDef) -> Envelope:
+    """Prove ``|m_{k+1}/m_k| <= q < 1`` for the majorant's terms, k >= k0 (exact arithmetic only).
+
+    q is the candidate of the module docstring with the fewest predicted
+    terms, the smallest q on a tie.
+    """
+    g = _growth(sdef)
+    limit = abs(sdef.base_value) * g
+    if limit >= 1:
+        raise NonConvergent(f"limiting term ratio |base|*growth = {limit} is >= 1")
+
+    def dyadic_up(x: Fraction, bits: int = 24) -> Fraction:
+        # Round up to a small-denominator dyadic: keeps every downstream
+        # coefficient of G small.
+        return Fraction(math.ceil(x * (1 << bits)), 1 << bits)
+
+    bn, bd, eb = _embed_base(sdef.base_value, 192)
+    l_hi = Fraction(abs(bn) + eb, bd) * g
+    candidates = [l_hi * f for f in (Fraction(65, 64), Fraction(9, 8), Fraction(3, 2))]
+    candidates.append((l_hi + 1) / 2)
+    qs = sorted({q for q in map(dyadic_up, candidates) if q < 1})
+    if not qs:
+        raise NonConvergent("cannot select a geometric bound below 1")
+    bound = majorant(sdef)
+    ratio = bound.term_ratio()
+    envelopes = []
+    for q in qs:
+        envelopes.append(_certify_q(bound, ratio, q))
+        if envelopes[-1].k0 == bound.k_start:
+            # a larger q keeps this k0 and decays slower: no fewer terms
+            break
+    return min(envelopes, key=lambda env: env.k0 + env.predicted_terms(_RANK_BITS))
 
 
 # ----------------------------------------------------------------------
@@ -207,61 +319,50 @@ def _cleared(weight: tuple[WeightTerm, ...]) -> list:
 
 
 class _TermStream:
-    """Term balls t_k produced incrementally at the ambient precision.
+    """Scaled terms ``T_k`` near ``2^P * t_k``, each with its error count.
 
-    Each term is ``W(k) * S_k * base^k`` with the exact scale
-    ``S_k = kernel(k)^(+-1) / D(k)`` carried as a plain integer pair: the
-    kernel is advanced by its integer term ratio and D(k) is an integer
-    product, so no Fraction (and no gcd on the huge kernel) is built.
-
-    Every weight takes one path: each weight term's coefficient, cleared to
-    integer polynomials once per stream, times its atom's exact
-    :class:`HarmonicCache` value, so W(k) is ``(A + B*sqrt(d)) / C`` for
-    three integers.  The majorant's weight U is cleared the same way, and
-    :meth:`majorant_term` bounds ``|U(k) * S_k * base^k|`` for the last
-    term from the same integers.
-
-    For a rational base, base^k is an exact integer pair too, and the whole
-    term is one integer ratio rounded once by :meth:`ApproxReal.from_ratio`;
-    no ball is multiplied per term.
-
-    For a quadratic base the power stays a *ball*, multiplied by the base
-    ball each step: when the conjugate of the base is much larger than the
-    base itself (huge integer coefficients, small magnitude), the exact
-    power cancels catastrophically on embedding, while the incremental ball
-    only accrues a few ulp of relative radius per step.  The term is then
-    ``(ratio(A*S_k) + ratio(B*S_k)*sqrt(d)) * power``, with the sqrt(d) ball
-    computed once per stream.
+    The recurrence and the counts are those of the module docstring: ``v``
+    and ``e`` carry ``V_k = S_k * base^k``, each weight term's coefficient is
+    cleared to integer polynomials once per stream and multiplied by its
+    atom's exact :class:`HarmonicCache` value, and the majorant's weight U is
+    cleared the same way, so :meth:`majorant_term` bounds
+    ``|U(k) * S_k * base^k|`` for the last term from the same ``v`` and ``e``.
     """
 
-    def __init__(self, sdef: SeriesDef, majorant: SeriesDef):
-        self.sdef = sdef
-        self.k = k0 = sdef.k_start
+    def __init__(self, sdef: SeriesDef, majorant: SeriesDef, p: int):
+        self.sdef, self.p = sdef, p
+        self.k = k = sdef.k_start
+        self.base = _embed_base(sdef.base_value, p)
         d = sdef.field_d
-        self.root = ApproxReal.from_int(d).sqrt() if d > 1 else None
-        # self.power is base^k: an exact (num, den) pair for a rational base, else a ball
-        if sdef.base_value.is_rational:
-            beta = sdef.base_value.a
-            self.base_pair = (beta.numerator, beta.denominator)
-            self.power = (beta.numerator**k0, beta.denominator**k0)
-        else:
-            self.base_pair = None
-            x = sdef.base_root
-            root_ball = ApproxReal.from_fraction(x.a) + ApproxReal.from_fraction(x.b) * self.root
-            self.base_ball = root_ball**sdef.base_exp
-            self.power = self.base_ball**k0
-        self.kernel_val = sdef.kernel.value(k0) if sdef.kernel else 1
+        self.root = math.isqrt(d << 2 * p) if d > 1 else 0
+        self.dk = den_value(sdef.den_factors, k)
+        num, den = 1, self.dk
+        self.ratio = ([1], [1])  # (kernel ratio)^(+-1) as integer polynomials (num, den)
         if sdef.kernel:
-            a, b = sdef.kernel.ratio_polys()
-            self.ratio_num = [int(c) for c in a.coeffs]
-            self.ratio_den = [int(c) for c in b.coeffs]
+            a, b = ([int(c) for c in poly.coeffs] for poly in sdef.kernel.ratio_polys())
+            if sdef.kernel_pos is Position.NUMERATOR:
+                num, self.ratio = sdef.kernel.value(k), (a, b)
+            else:
+                den, self.ratio = den * sdef.kernel.value(k), (b, a)
+        if den < 0:
+            num, den = -num, -den
+        self.v, self.e = (num << p) // den, 1
+        for _ in range(k):  # times base^k_start
+            self._step(1, 1)
         self.harm = HarmonicCache()
         self.weight_terms = _cleared(sdef.weight)
         self.majorant_terms = _cleared(majorant.weight)
-        self.last = None  # (k, S_k*base^k as num, den, power ball or None)
+        self.last = None  # (k, v, e) of the last term
 
-    def _ball(self, terms: list, k: int, num: int, den: int, power) -> ApproxReal:
-        """The ball of ``sum_i coeff_i(k) * atom_i(k) * num/den * power``."""
+    def _step(self, rn: int, rd: int) -> None:
+        """``V <- V * base * rn/rd`` for ``rd > 0``, floored once, and its count."""
+        bn, bd, eb = self.base
+        v, den = self.v, bd * rd
+        self.v = v * bn * rn // den
+        self.e = ceil_units(0, (self.e * (abs(bn) + eb) + abs(v) * eb) * abs(rn), den) + 1
+
+    def _weigh(self, terms: list, k: int, v: int, e: int) -> tuple[int, int]:
+        """``floor(W~ * v)`` for ``W = sum_i coeff_i(k) * atom_i(k)``, and its error count."""
         wa, wb, wc = 0, 0, 1  # the weight is (wa + wb*sqrt(d)) / wc
         for a, b, c, atom in terms:
             x, y, n = horner(a, k), horner(b, k) if b else 0, horner(c, k)
@@ -269,38 +370,40 @@ class _TermStream:
                 h = self.harm.value(atom.order, atom.index_at(k))
                 x, y, n = x * h.numerator, y * h.numerator, n * h.denominator
             wa, wb, wc = wa * n + x * wc, wb * n + y * wc, wc * n
-        t = ApproxReal.from_ratio(wa * num, wc * den)
-        if wb:
-            t = t + ApproxReal.from_ratio(wb * num, wc * den) * self.root
-        return t if power is None else t * power
+        if wc < 0:
+            wa, wb, wc = -wa, -wb, -wc
+        if not wb:
+            return v * wa // wc, ceil_units(0, abs(wa) * e, wc) + 1
+        w, den = (wa << self.p) + wb * self.root, wc << self.p
+        return v * w // den, ceil_units(0, abs(w) * e + (abs(v) + e) * abs(wb), den) + 1
 
-    def next_term(self) -> tuple[int, ApproxReal]:
-        sdef, k = self.sdef, self.k
-        num, den = 1, den_value(sdef.den_factors, k)
-        if sdef.kernel_pos is Position.NUMERATOR:
-            num = self.kernel_val
-        else:
-            den *= self.kernel_val
-        power = None
-        if self.base_pair is not None:
-            (pn, pd), (bn, bd) = self.power, self.base_pair
-            num, den = num * pn, den * pd
-            self.power = (pn * bn, pd * bd)
-        else:
-            power = self.power
-            self.power = power * self.base_ball
-        self.last = (k, num, den, power)
-        t = self._ball(self.weight_terms, *self.last)
-        if sdef.kernel is not None:
-            self.kernel_val = (
-                self.kernel_val * horner(self.ratio_num, k)
-            ) // horner(self.ratio_den, k)
-        self.k += 1
-        return k, t
+    def next_term(self) -> tuple[int, int, int]:
+        """``(k, T_k, err_k)`` with ``|T_k - 2^P * t_k| <= err_k``; then steps V to k + 1."""
+        k, v, e = self.k, self.v, self.e
+        self.last = (k, v, e)
+        t, err = self._weigh(self.weight_terms, k, v, e)
+        d_next = den_value(self.sdef.den_factors, k + 1)
+        rn, rd = horner(self.ratio[0], k) * self.dk, horner(self.ratio[1], k) * d_next
+        if rd < 0:
+            rn, rd = -rn, -rd
+        self._step(rn, rd)
+        self.k, self.dk = k + 1, d_next
+        return k, t, err
 
-    def majorant_term(self) -> mpf:
-        """An upper bound on ``|U(k) * S_k * base^k|`` for the last term's k."""
-        return self._ball(self.majorant_terms, *self.last).upper_abs()
+    def majorant_term(self) -> int:
+        """An upper bound on ``|U(k) * S_k * base^k| * 2^P`` for the last term's k."""
+        t, err = self._weigh(self.majorant_terms, *self.last)
+        return abs(t) + err
+
+
+def _guard_bits(envelope: Envelope, n: int) -> int:
+    """The bit length of the module docstring's bound on the count of an n-term sum."""
+    weight = max(
+        _log2_abs(envelope.majorant.weight_value(k)) for k in (envelope.k0, envelope.k0 + n)
+    )
+    size = math.ceil(max(0.0, weight, envelope.log2_term + 1))
+    damping = math.ceil(1 / (1 - envelope.q))
+    return n.bit_length() + (n + damping).bit_length() + size + 2
 
 
 def sum_series(
@@ -312,27 +415,29 @@ def sum_series(
     """Sum the series to ~`digits` absolute decimal digits at the ambient precision.
 
     The tail is the majorant bound of the ``envelope`` from
-    :func:`certify_envelope`, by the stop rule of the module docstring.
+    :func:`certify_envelope`, by the stop rule of the module docstring; P is
+    the ambient precision plus :func:`_guard_bits` for the predicted count.
     """
     budget = budget_terms if budget_terms is not None else DEFAULT_BUDGET
-    qf = envelope.q / (1 - envelope.q)  # exact; q < 1 guaranteed by certify_envelope
-    q_over = mpmath.make_mpf(mpmath.libmp.from_rational(qf.numerator, qf.denominator, 64, "c"))
-    eps = mpf(10) ** (-(digits + 3))
+    tail_bits = math.ceil((digits + 3) * math.log2(10))
+    n = envelope.k0 - sdef.k_start + 1 + envelope.predicted_terms(tail_bits)
+    p = mp.prec + _guard_bits(envelope, n)
+    qn, qd = envelope.q.numerator, envelope.q.denominator
+    # x * 2^-p * q/(1 - q) <= 10^-(digits+3) for an integer x >= 0 iff x <= limit
+    limit = ((qd - qn) << p) // (qn * 10 ** (digits + 3))
 
-    def tail(x):
-        return mpmath.fmul(x, q_over, prec=64, rounding="c")
-
-    stream = _TermStream(sdef, envelope.majorant)
-    acc = ApproxReal.from_int(0)
-    terms = 0
+    stream = _TermStream(sdef, envelope.majorant, p)
+    s = units = terms = 0
     while True:
-        k, tb = stream.next_term()
-        acc = acc + tb
+        k, t, err = stream.next_term()
+        s += t
+        units += err
         terms += 1
-        if k >= envelope.k0 and tail(tb.upper_abs()) <= eps:
-            bound = tail(stream.majorant_term())
-            if bound <= eps:
-                return SumResult(acc + ApproxReal(mpf(0), bound), terms)
+        if k >= envelope.k0 and abs(t) + err <= limit:
+            bound = stream.majorant_term()
+            if bound <= limit:
+                units += ceil_units(0, bound * qn, qd - qn)
+                return SumResult(ApproxReal.from_units(s, p, units), terms)
         if terms >= budget:
             raise BudgetExceeded(terms, "term budget exhausted")
 

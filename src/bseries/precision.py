@@ -14,6 +14,10 @@ precision and always pushed outward:
 
 Exact values enter through one door, :meth:`ApproxReal.from_ratio`: an
 integer ratio rounded once to nearest, with radius 0 only when exact.
+Fixed-point sums leave integer arithmetic through one door too,
+:meth:`ApproxReal.from_units`: an integer ``S`` over ``2^P`` with a counted
+error of ``units * 2^-P`` (``ceil_units`` rounds a bound up to whole units),
+as the constants and the series evaluator both make them.
 
 Nothing here is asymptotically clever; the point is that every bound is
 simple enough to audit.  Directed rounding (``mpmath.fadd(..., rounding=
@@ -35,6 +39,7 @@ __all__ = [
     "MAX_ATTEMPTS",
     "digits_to_bits",
     "attempt_bits",
+    "ceil_units",
     "mpf_to_fraction",
     "working_bits",
 ]
@@ -61,6 +66,11 @@ def digits_to_bits(digits: int) -> int:
 def attempt_bits(digits: int, attempt: int) -> int:
     """Precision for retry number ``attempt`` (0-based): doubles each time."""
     return digits_to_bits(digits) << attempt
+
+
+def ceil_units(p: int, num: int, den: int) -> int:
+    """ceil(2^p * num/den) for integers num >= 0, den > 0: a bound in units of 2^-p."""
+    return -((-num << p) // den)
 
 
 def working_bits(bits: int):
@@ -160,6 +170,17 @@ class ApproxReal:
         eps = _rounding_eps()
         with mp.workprec(_RADPREC):
             return ApproxReal(m, abs(m) * eps * _FUDGE)
+
+    @staticmethod
+    def from_units(s: int, p: int, units: int) -> "ApproxReal":
+        """The ball of ``s * 2^-p`` widened by ``units * 2^-p``, for integers ``units >= 0``.
+
+        The midpoint is rounded once by :meth:`from_ratio` at the ambient
+        precision, and the count is rounded up into the radius.
+        """
+        ball = ApproxReal.from_ratio(s, 1 << p)
+        err = mpmath.make_mpf(_libmp_from_man_exp(units, -p, _RADPREC, "u"))
+        return ApproxReal(ball.mid, mpmath.fadd(ball.rad, err, prec=_RADPREC, rounding="u"))
 
     @staticmethod
     def from_int(n: int) -> "ApproxReal":

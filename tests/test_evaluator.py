@@ -6,7 +6,6 @@ significant digits.
 
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -27,7 +26,7 @@ from bseries.evaluator import (
 )
 from bseries.exactnum import QuadElem
 from bseries.kernels import kernel_by_tag
-from bseries.precision import working_bits
+from bseries.precision import attempt_bits, working_bits
 from bseries.seriesmodel import (
     HarmonicCache,
     NotHypergeometric,
@@ -84,6 +83,12 @@ STREAM_CASES = [
     ),
     # sec1-g1a shape: negative base on the boundary |ratio| -> 1
     mk("-64", weight="4*k - 1", kernel="central^3", pos="den", den="k^3", k0=1),
+    # large, growing terms (V_20 ~ 2^35, then x4.6 a step) on a small base of
+    # norm 1, whose embedding has few spare bits: the base's rounding
+    # outweighs the floors; with a cancelling sqrt(3) weight, sqrt(3)'s
+    # rounding outweighs both
+    mk("(2 - sqrt(3))^2", weight="k + 1", kernel="central^3", pos="num", k0=20),
+    mk("(2 - sqrt(3))^2", weight="(97 - 56*sqrt(3))*k + 1", kernel="central^3", pos="num", k0=20),
     # the weight vanishes at k = 3: an exact zero term
     mk("-1/5", weight="(k - 3)*(2*k + 1)/(k + 2)", den="k + 1"),
     # conj4.1-hb shape: Q(sqrt 5) base and coefficients, order-2 atoms
@@ -106,26 +111,34 @@ STREAM_CASES = [
 ]
 
 
-def _check_stream(sdef, terms):
+def _count_bound(k, sdef, weight, v, p):
+    """A few units per step, scaled by the weight and by |V_k| = |v| / 2^P."""
+    w = QuadElem.of(weight)
+    w_bound = int(abs(w.a) + abs(w.b) * (w.d + 1)) + 1
+    return 4 * (k - sdef.k_start + 2) * w_bound * ((abs(v) >> p) + 1)
+
+
+def _check_stream(sdef, terms, p=300):
+    """Exact checks of each scaled term T_k ~ 2^P t_k and its count err_k, by QuadElem signs."""
     bound = majorant(sdef)
-    with working_bits(300):
-        stream = _TermStream(sdef, bound)
-        harm = HarmonicCache() if sdef.has_harmonic() else None
-        for _ in range(terms):
-            k, tb = stream.next_term()
-            exact = sdef.term_exact(k, harm)
-            m = stream.majorant_term()
-            with working_bits(500):
-                ref = exact.embed()
-                ref_m = abs(bound.term_exact(k)).embed()
-                # an upper bound on |U(k) S_k base^k|, and a tight one
-                assert ref_m.mid - ref_m.rad <= m, (sdef, k)
-                assert m <= (ref_m.mid + ref_m.rad) * (1 + mpmath.mpf(2) ** -50), (sdef, k)
-            # the stream ball must contain the exact term, and tightly
-            assert not (tb - ref).excludes_zero(), (sdef, k)
-            assert tb.to_digits() >= 60, (sdef, k)
-            if not exact:
-                assert tb.mid == 0 and tb.rad == 0, (sdef, k)
+    stream = _TermStream(sdef, bound, p)
+    harm = HarmonicCache() if sdef.has_harmonic() else None
+    for _ in range(terms):
+        k, t, err = stream.next_term()
+        exact = sdef.term_exact(k, harm) * (1 << p)
+        # |T_k - 2^P t_k| <= err_k
+        assert (exact - (t - err)).sign() >= 0 and ((t + err) - exact).sign() >= 0, (sdef, k)
+        # the count stays small
+        v = stream.last[1]
+        assert err <= _count_bound(k, sdef, sdef.weight_value(k, harm), v, p), (sdef, k, err)
+        if not exact:
+            assert t == 0, (sdef, k)
+        m = stream.majorant_term()
+        ref = abs(bound.term_exact(k) * (1 << p))
+        # an upper bound on |U(k) S_k base^k| * 2^P, and a tight one
+        assert (m - ref).sign() >= 0, (sdef, k)
+        slack = 2 * _count_bound(k, sdef, bound.weight_value(k), v, p)
+        assert (ref + slack - m).sign() >= 0, (sdef, k)
 
 
 def test_stream_matches_direct_terms():
@@ -136,6 +149,34 @@ def test_stream_matches_direct_terms():
 def test_stream_exact_far_beyond_working_precision():
     # by k = 400 the kernel C(2k,k)^3 and 64^k have ~2400 bits against 300
     _check_stream(mk("-64", weight="4*k - 1", kernel="central^3", pos="den", den="k^3", k0=1), 400)
+
+
+def test_huge_conjugate_base_is_certified():
+    # beta = (2 - sqrt(3))^120 is about 4e-69, but its coefficients have 227 bits
+    # and cancel in any fixed-precision embedding of the base
+    beta = QuadElem(2, -1, 3) ** 120
+    sdef = mk("(2 - sqrt(3))^120")
+    env = certify_envelope(sdef)
+    assert env.q < Fraction(1, 10**6)
+    # 1/(1 - beta) = 1/2 + b/(2(a - 1)) sqrt(3) for beta = a - b sqrt(3) of norm 1
+    rhs = parse_closed_form(f"1/2 + {-beta.b / (2 * (beta.a - 1))}*sqrt(3)")
+    rep = verify_identity(sdef, rhs, 30)
+    assert rep.status is Status.PASS, rep.note
+    assert rep.attempts == 1
+
+
+def test_every_shipped_sum_at_30_digits_overlaps_60():
+    for rec in shipped_series():
+        try:
+            env = certify_envelope(rec.series)
+        except NonConvergent:
+            continue
+        lo, hi = {}, {}
+        for digits in (30, 60):
+            with working_bits(attempt_bits(digits + 8, 0)):
+                ball = sum_series(rec.series, digits + 5, env, budget_terms=rec.budget_terms).ball
+            lo[digits], hi[digits] = ball.to_fraction_bounds()
+        assert lo[30] <= hi[60] and lo[60] <= hi[30], rec.id
 
 
 # ----------------------------------------------------------------------
@@ -187,14 +228,17 @@ def test_envelope_start_is_sharp():
 @pytest.mark.parametrize(
     "rid, q, k0",
     [
-        ("conj3.2-equiv", Fraction(65, 256), 97),
+        ("conj3.2-equiv", Fraction(9, 32), 13),
         ("sec2-315", Fraction(65, 512), 32),
         ("conj6.1-111", Fraction(16116889, 16777216), 1),
         ("aldawoud-t31-r10", Fraction(1, 16777216), 0),
+        ("conj3.5-ha", Fraction(9, 512), 21),
     ],
 )
 def test_envelope_pinned_on_catalog_records(rid, q, k0):
     # (q, k0) as the exact root isolation gave them; k0 is the sharp start.
+    # q = L*65/64 would put k0 at 97 on conj3.2-equiv and at 161 on
+    # conj3.5-ha; q = L*9/8 predicts fewer terms there.
     env = certify_envelope(load_catalog(resolve_catalog_path()).lookup(rid).series)
     assert (env.q, env.k0) == (q, k0)
 
