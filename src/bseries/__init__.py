@@ -2,7 +2,7 @@
 
 The package is layered bottom-up:
 
-* :mod:`bseries.precision` — ball arithmetic (midpoint/radius) over mpmath.
+* :mod:`bseries.precision` — ball arithmetic on integer triples (s, p, units).
 * :mod:`bseries.exactnum` — exact rationals, quadratic surds, polynomials.
 * :mod:`bseries.kernels` — binomial-product kernel families and term ratios.
 * :mod:`bseries.seriesmodel` — series descriptions, weights, harmonic atoms.
@@ -13,7 +13,8 @@ The package is layered bottom-up:
 * :mod:`bseries.duality` — Galois conjugation of series and dual classification.
 * :mod:`bseries.relation` — PSLQ integer-relation detection and RHS discovery.
 * :mod:`bseries.catalog` — the record file format and the bundled catalog.
-* :mod:`bseries.cli` — the ``bseries`` command line tool.
+* :mod:`bseries.cli` — the ``bseries`` command line tool (not yet shipped:
+  ``pyproject.toml`` declares it, but the module does not exist).
 """
 
 __version__ = "0.1.0"

@@ -21,13 +21,14 @@ Evaluation produces a conservative ball via :mod:`bseries.constants`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from mpmath import mp
 
 from . import constants
-from .exactnum import QuadElem, squarefree_split
+from .exactnum import QuadElem, embed_dyadic, squarefree_split
 from .exprparse import EvalContext, ExprError, ast_as_int, eval_ast, parse_expr
 from .precision import ApproxReal, digits_to_bits, working_bits
 from .seriesmodel import _QuadCtx, render_quad
@@ -290,7 +291,12 @@ def _atom_ball(atom: CFAtom, digits: int) -> ApproxReal:
     if atom.kind == "sqrt":
         return ApproxReal.from_int(atom.param).sqrt()
     if atom.kind == "sqrtq":
-        return atom.param.embed().sqrt()
+        # |x| <= |a| + |b|*(isqrt(d) + 1): that many bits more keep sqrt(x)'s
+        # absolute error below one unit of the ambient precision
+        x = atom.param
+        size = int(abs(x.a) + abs(x.b) * (math.isqrt(x.d) + 1)).bit_length()
+        bn, bd, eb = embed_dyadic(x, mp.prec + size)
+        return ApproxReal(bn, bd.bit_length() - 1, eb).sqrt()
     raise AssertionError(atom.kind)
 
 

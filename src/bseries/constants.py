@@ -32,20 +32,18 @@ The series:
 
 No library transcendental functions are consulted, so these values form an
 independent route against which series evaluations can honestly be tested.
-The ``(S, P, units)`` triples are cached keyed by requested digits, so
-repeated evaluations at the same or lower accuracy are free.
+Each ``(S, P, units)`` triple is the :class:`~bseries.precision.ApproxReal`
+handed out as it is, cached keyed by requested digits, so repeated
+evaluations at the same or lower accuracy are free.
 
-Single-threaded use only: the cache takes no lock, and ``working_bits``
-sets mpmath's process-global ``mp.prec`` anyway.  Parallelise by process.
+Single-threaded use only: the cache takes no lock.  Parallelise by process.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from mpmath import mp
-
-from .precision import ApproxReal, ceil_units, digits_to_bits, working_bits
+from .precision import ApproxReal, ceil_units, digits_to_bits
 
 __all__ = [
     "pi_ball",
@@ -58,7 +56,7 @@ __all__ = [
     "bernoulli_numbers",
 ]
 
-_cache: dict[tuple, tuple[int, int, int, int]] = {}
+_cache: dict[tuple, tuple[int, ApproxReal]] = {}
 
 
 def _cached(key: tuple, digits: int, compute) -> ApproxReal:
@@ -66,11 +64,9 @@ def _cached(key: tuple, digits: int, compute) -> ApproxReal:
     hit = _cache.get(key)
     if hit is None or hit[0] < digits:
         p = digits_to_bits(digits + 2)
-        hit = (digits, p, *compute(p))
-        _cache[key] = hit
-    _, p, s, units = hit
-    with working_bits(max(mp.prec, digits_to_bits(digits))):
-        return ApproxReal.from_units(s, p, units)
+        s, units = compute(p)
+        hit = _cache[key] = (digits, ApproxReal(s, p, units))
+    return hit[1]
 
 
 # ----------------------------------------------------------------------

@@ -36,8 +36,9 @@ with the kernel's integer ratio polynomials, so the kernel's value is
 needed only at ``k_start``.  The base enters as ``(Bn, Bd, eb)`` with
 ``|base - Bn/Bd| <= eb/Bd``: exact for a rational base, and ``Bd = 2^E`` from
 ``math.isqrt`` for a quadratic one, with E sized from the base's norm so
-that a huge conjugate cannot cancel it (:func:`_embed_base`).  Each step
-floors once, and the count becomes
+that a huge conjugate cannot cancel it
+(:func:`~bseries.exactnum.embed_dyadic`).  Each step floors once, and the
+count becomes
 
     e' = ceil((e*(|Bn| + eb) + |v|*eb) * |r| / Bd) + 1.
 
@@ -48,8 +49,8 @@ The weight is ``W(k) = (A + B*sqrt(d)) / C`` over integers; with
     ceil(|W~|*e + (|v| + e)*|B|/(C*2^P)) + 1
 
 units of ``t_k * 2^P``.  The sum is the integer ``S = sum T_k`` with the
-count ``units = sum`` of those errors, and its ball is ``S * 2^-P`` with
-radius ``units * 2^-P`` (:meth:`~bseries.precision.ApproxReal.from_units`).
+count ``units = sum`` of those errors: the ball is the triple
+``(S, P, units)`` as it stands.
 
 P is the ambient precision plus guard bits for the count.  After k0, e is
 damped by ``|r*base| <= q``, so it stays below about ``1/(1 - q)`` plus the
@@ -67,11 +68,18 @@ bound ``|U(k) * S_k * base^k| * q/(1 - q)`` is at most that too; it covers
 the tail after ``t_k`` and joins the count, rounded up to whole units.  Both
 tests compare integers.
 
-Verification at D digits: PASS iff the residual ball ``LHS - RHS`` contains
-zero and its magnitude upper bound is at most ``10^-D``; FAIL iff the ball
-excludes zero (a proof of discrepancy); otherwise the working precision is
-doubled, up to ``precision.MAX_ATTEMPTS`` attempts, and INCONCLUSIVE is
-reported.  A series without an envelope is INCONCLUSIVE at once.
+One precision-retry loop serves :func:`evaluate` and verification alike: a
+sum to D digits runs at ``attempt_bits(D + 3, attempt)`` and is retried, the
+working precision doubled, until its ball holds D digits or
+``precision.MAX_ATTEMPTS`` attempts have run.
+
+Verification at D digits sums to D + 5 digits in that loop.  The RHS and
+the LHS scale are evaluated once, at the first attempt's precision: they
+are built from cached constants, and no retry of the sum tightens them.
+Then it compares once, in integers: PASS iff the residual ball ``LHS - RHS`` contains zero
+and its magnitude upper bound is at most ``10^-D``; FAIL iff the ball
+excludes zero (a proof of discrepancy); INCONCLUSIVE otherwise.  A series
+without an envelope is INCONCLUSIVE at once.
 """
 
 from __future__ import annotations
@@ -85,16 +93,17 @@ from fractions import Fraction
 from typing import Optional
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mp
 
 from .closedform import ClosedForm
-from .exactnum import IntegerSurdPoly, Poly, QuadElem, RatFun, horner
+from .exactnum import IntegerSurdPoly, Poly, QuadElem, RatFun, embed_dyadic, horner
 from .precision import (
     DIGITS_INF,
     MAX_ATTEMPTS,
     ApproxReal,
     attempt_bits,
     ceil_units,
+    log10_floor,
     working_bits,
 )
 from .seriesmodel import HarmonicCache, Position, SeriesDef, WeightTerm, den_value
@@ -128,11 +137,12 @@ class NonConvergent(ArithmeticError):
 
 
 class BudgetExceeded(ArithmeticError):
-    """The term budget ran out after ``terms_used`` terms."""
+    """The term budget ran out after ``terms_used`` terms, in precision attempt ``attempts``."""
 
     def __init__(self, terms_used: int, message: str):
         super().__init__(message)
         self.terms_used = terms_used
+        self.attempts = 1
 
 
 class Status(enum.Enum):
@@ -141,35 +151,12 @@ class Status(enum.Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-def _embed_base(beta: QuadElem, bits: int) -> tuple[int, int, int]:
-    """``(Bn, Bd, eb)`` with ``Bd > 0`` and ``|beta - Bn/Bd| <= eb/Bd``.
-
-    A rational base is exact: ``(num, den, 0)``.  Otherwise, with
-    ``beta = (x + y*sqrt(d)) / c`` over integers, ``Bd = 2^E`` and
-    ``Bn = floor(x*2^E/c) +- isqrt(d*y^2*4^E // c^2)``, each part within one
-    unit of its real value, so eb = 2.  Since ``|beta| = |N(beta)| / |sigma(beta)|``
-    with ``|N| = |x^2 - d*y^2| / c^2`` and ``|sigma| <= (|x| + |y|*(isqrt(d) + 1)) / c``,
-    the E below gives ``|beta| * 2^E > 2^(bits+2)`` and so ``|Bn| >= 2^bits``,
-    however large the conjugate.
-    """
-    if beta.is_rational:
-        return beta.a.numerator, beta.a.denominator, 0
-    d = beta.d
-    c = math.lcm(beta.a.denominator, beta.b.denominator)
-    x, y = int(beta.a * c), int(beta.b * c)
-    norm = abs(x * x - d * y * y)
-    conj = abs(x) + abs(y) * (math.isqrt(d) + 1)
-    e = max(0, bits + 3 + c.bit_length() + conj.bit_length() - norm.bit_length())
-    root = math.isqrt((d * y * y << 2 * e) // (c * c))
-    return (x << e) // c + (root if y > 0 else -root), 1 << e, 2
-
-
 def _log2_abs(x) -> float:
     """log2 |x| of a rational or QuadElem, -inf at 0; in floats, for sizing only."""
     x = QuadElem.of(x)
     if not x:
         return -math.inf
-    bn, bd, _ = _embed_base(x, 64)
+    bn, bd, _ = embed_dyadic(x, 64)
     return math.log2(abs(bn)) - math.log2(bd)
 
 
@@ -270,7 +257,7 @@ def certify_envelope(sdef: SeriesDef) -> Envelope:
         # coefficient of G small.
         return Fraction(math.ceil(x * (1 << bits)), 1 << bits)
 
-    bn, bd, eb = _embed_base(sdef.base_value, 192)
+    bn, bd, eb = embed_dyadic(sdef.base_value, 192)
     l_hi = Fraction(abs(bn) + eb, bd) * g
     candidates = [l_hi * f for f in (Fraction(65, 64), Fraction(9, 8), Fraction(3, 2))]
     candidates.append((l_hi + 1) / 2)
@@ -296,6 +283,7 @@ def certify_envelope(sdef: SeriesDef) -> Envelope:
 class SumResult:
     ball: ApproxReal
     terms_used: int
+    attempts: int = 1  # precision attempts of the retry loop, this one included
 
 
 def _cleared(weight: tuple[WeightTerm, ...]) -> list:
@@ -332,7 +320,7 @@ class _TermStream:
     def __init__(self, sdef: SeriesDef, majorant: SeriesDef, p: int):
         self.sdef, self.p = sdef, p
         self.k = k = sdef.k_start
-        self.base = _embed_base(sdef.base_value, p)
+        self.base = embed_dyadic(sdef.base_value, p)
         d = sdef.field_d
         self.root = math.isqrt(d << 2 * p) if d > 1 else 0
         self.dk = den_value(sdef.den_factors, k)
@@ -437,24 +425,34 @@ def sum_series(
             bound = stream.majorant_term()
             if bound <= limit:
                 units += ceil_units(0, bound * qn, qd - qn)
-                return SumResult(ApproxReal.from_units(s, p, units), terms)
+                return SumResult(ApproxReal(s, p, units), terms)
         if terms >= budget:
             raise BudgetExceeded(terms, "term budget exhausted")
 
 
-def evaluate(sdef: SeriesDef, digits: int) -> SumResult:
-    """Attempt loop around sum_series: doubles precision until the ball is tight.
-
-    Raises :class:`NonConvergent` when the series has no envelope.
-    """
-    envelope = certify_envelope(sdef)
-    res: Optional[SumResult] = None
+def _sum_to_digits(
+    sdef: SeriesDef, digits: int, envelope: Envelope, budget_terms: Optional[int] = None
+) -> SumResult:
+    """The precision-retry loop of the module docstring around :func:`sum_series`."""
     for attempt in range(MAX_ATTEMPTS):
-        with working_bits(attempt_bits(digits + 5, attempt)):
-            res = sum_series(sdef, digits, envelope)
+        try:
+            with working_bits(attempt_bits(digits + 3, attempt)):
+                res = sum_series(sdef, digits, envelope, budget_terms=budget_terms)
+        except BudgetExceeded as e:
+            e.attempts = attempt + 1
+            raise
+        res.attempts = attempt + 1
         if res.ball.to_digits() >= digits:
             break
     return res
+
+
+def evaluate(sdef: SeriesDef, digits: int) -> SumResult:
+    """The series summed to `digits` digits by the one precision-retry loop.
+
+    Raises :class:`NonConvergent` when the series has no envelope.
+    """
+    return _sum_to_digits(sdef, digits, certify_envelope(sdef))
 
 
 # ----------------------------------------------------------------------
@@ -479,14 +477,6 @@ class VerificationReport:
         return self.status is Status.PASS
 
 
-def _magnitude_digits(x) -> int:
-    """floor(-log10(x)) for a positive mpf upper bound; huge when x == 0."""
-    if x == 0:
-        return DIGITS_INF
-    with working_bits(64):
-        return int(mpmath.floor(-mpmath.log(x, 10)))
-
-
 def verify_identity(
     sdef: SeriesDef,
     rhs: ClosedForm,
@@ -498,14 +488,13 @@ def verify_identity(
     t0 = time.monotonic()
 
     def report(
-        status, attempts, matched=0, res=None, terms=0, tail="certified", lhs=None, residual=None,
-        note="",
+        status, attempts, matched=0, terms=0, tail="certified", lhs=None, residual=None, note=""
     ):
         return VerificationReport(
             status=status,
             digits_requested=digits,
             digits_matched=matched,
-            terms_used=res.terms_used if res else terms,
+            terms_used=terms,
             tail_mode=tail,
             elapsed=time.monotonic() - t0,
             attempts=attempts,
@@ -518,32 +507,27 @@ def verify_identity(
         envelope = certify_envelope(sdef)
     except NonConvergent as e:
         return report(Status.INCONCLUSIVE, 0, tail="none", note=f"no certified tail: {e}")
+    try:
+        res = _sum_to_digits(sdef, digits + 5, envelope, budget_terms)
+    except BudgetExceeded as e:
+        return report(Status.INCONCLUSIVE, e.attempts, terms=e.terms_used, note=str(e))
 
-    for attempt in range(MAX_ATTEMPTS):
-        bits = attempt_bits(digits + 8, attempt)
-        try:
-            with working_bits(bits):
-                res = sum_series(sdef, digits + 5, envelope, budget_terms=budget_terms)
-                lhs = res.ball
-                if lhs_scale is not None:
-                    lhs = lhs * lhs_scale.eval_ball(digits + 10)
-                rhs_ball = rhs.eval_ball(digits + 10)
-                residual = lhs - rhs_ball
-        except BudgetExceeded as e:
-            return report(Status.INCONCLUSIVE, attempt + 1, terms=e.terms_used, note=str(e))
-
-        ua = residual.upper_abs()
-        tol = mpf(10) ** (-digits)
-        if residual.contains_zero() and ua <= tol:
-            matched = min(_magnitude_digits(ua), DIGITS_INF)
-            return report(Status.PASS, attempt + 1, matched, res, lhs=lhs, residual=residual)
-        if residual.excludes_zero():
-            matched = max(0, _magnitude_digits(ua))
-            return report(
-                Status.FAIL, attempt + 1, matched, res, lhs=lhs, residual=residual,
-                note="residual ball excludes zero",
-            )
+    with working_bits(attempt_bits(digits + 8, 0)):  # the first attempt's precision
+        lhs = res.ball
+        if lhs_scale is not None:
+            lhs = lhs * lhs_scale.eval_ball(digits + 10)
+        residual = lhs - rhs.eval_ball(digits + 10)
+    ua = residual.upper_abs()
+    matched = log10_floor(1 / ua) if ua else DIGITS_INF
+    result = dict(terms=res.terms_used, lhs=lhs, residual=residual)
+    if residual.contains_zero() and ua * 10**digits <= 1:
+        return report(Status.PASS, res.attempts, matched, **result)
+    if residual.excludes_zero():
+        return report(
+            Status.FAIL, res.attempts, max(0, matched), **result,
+            note="residual ball excludes zero",
+        )
     return report(
-        Status.INCONCLUSIVE, MAX_ATTEMPTS, max(0, residual.to_digits()), res,
-        note="residual ball still straddles zero at max precision",
+        Status.INCONCLUSIVE, res.attempts, max(0, residual.to_digits()), **result,
+        note=f"residual ball straddles zero and is wider than 1e-{digits}",
     )

@@ -20,7 +20,9 @@ which a lower bound on the leading coefficient times K^n exceeds the sum
 of upper bounds on the other coefficients times K^i.  Beyond K the
 polynomial has no root.  Term-ratio envelopes and telescoping horizons are
 certified with it.  The coefficient bounds embed sqrt(d) through an
-integer square root, so this stays free of floating point too.
+integer square root, so this stays free of floating point too, and so does
+:func:`embed_dyadic`, the one integer embedding of a surd over a power of
+two, through which series bases and nested radicals are evaluated.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "QuadElem",
+    "embed_dyadic",
     "sqrt_surd",
     "squarefree_split",
     "Poly",
@@ -242,18 +245,6 @@ class QuadElem:
     def __ge__(self, other):
         return self._cmp(other) >= 0
 
-    # -- numeric embedding ----------------------------------------------
-
-    def embed(self):
-        """Ball enclosure of the real embedding at the ambient precision."""
-        from .precision import ApproxReal
-
-        out = ApproxReal.from_fraction(self.a)
-        if self.b:
-            root = ApproxReal.from_int(self.d).sqrt()
-            out = out + ApproxReal.from_fraction(self.b) * root
-        return out
-
     def __repr__(self):
         if self.b == 0:
             return f"QuadElem({self.a})"
@@ -263,6 +254,29 @@ class QuadElem:
         if self.b == 0:
             return str(self.a)
         return f"{self.a} + {self.b}*sqrt({self.d})"
+
+
+def embed_dyadic(beta: QuadElem, bits: int) -> tuple[int, int, int]:
+    """``(Bn, Bd, eb)`` with ``Bd > 0`` and ``|beta - Bn/Bd| <= eb/Bd``.
+
+    A rational beta is exact: ``(num, den, 0)``.  Otherwise, with
+    ``beta = (x + y*sqrt(d)) / c`` over integers, ``Bd = 2^E`` and
+    ``Bn = floor(x*2^E/c) +- isqrt(d*y^2*4^E // c^2)``, each part within one
+    unit of its real value, so eb = 2.  Since ``|beta| = |N(beta)| / |sigma(beta)|``
+    with ``|N| = |x^2 - d*y^2| / c^2`` and ``|sigma| <= (|x| + |y|*(isqrt(d) + 1)) / c``,
+    the E below gives ``|beta| * 2^E > 2^(bits+2)`` and so ``|Bn| >= 2^bits``,
+    however large the conjugate.
+    """
+    if beta.is_rational:
+        return beta.a.numerator, beta.a.denominator, 0
+    d = beta.d
+    c = math.lcm(beta.a.denominator, beta.b.denominator)
+    x, y = int(beta.a * c), int(beta.b * c)
+    norm = abs(x * x - d * y * y)
+    conj = abs(x) + abs(y) * (math.isqrt(d) + 1)
+    e = max(0, bits + 3 + c.bit_length() + conj.bit_length() - norm.bit_length())
+    root = math.isqrt((d * y * y << 2 * e) // (c * c))
+    return (x << e) // c + (root if y > 0 else -root), 1 << e, 2
 
 
 def sqrt_surd(q) -> QuadElem:

@@ -1,27 +1,30 @@
-"""Conservative ball arithmetic on top of mpmath big floats.
+"""Ball arithmetic on integer triples.
 
-An :class:`ApproxReal` is a midpoint/radius pair ``(mid, rad)`` of mpf
-values with the invariant that the represented real number lies inside
-``[mid - rad, mid + rad]``.  Midpoints are rounded at the *ambient*
-mpmath working precision (callers wrap computations in
-``with mp.workprec(bits):``); radii are combined at a fixed small
-precision and always pushed outward:
+An :class:`ApproxReal` is three Python ints ``(s, p, units)``: the real
+number it stands for lies within ``units * 2^-p`` of ``s * 2^-p``.  Every
+bound is integer arithmetic, so no ball is narrower than its error:
 
-* every derived midpoint gets a 2-ulp rounding allowance
-  ``|mid| * 2**(1 - prec)`` added to its radius, and
-* the whole radius expression is multiplied by ``1 + 2**-20`` to absorb
-  the rounding of the radius arithmetic itself.
+* addition and negation are exact; the exponents are aligned to the larger
+  one by shifting;
+* multiplication, division and :meth:`~ApproxReal.sqrt` take the exact
+  product, one floor division or one ``math.isqrt``, floor once to the
+  result's exponent and count one unit for that floor, on top of the
+  propagated radius rounded up to whole units;
+* a result's exponent is the largest of its operands' exponents and the
+  ambient precision ``mp.prec`` (set by :func:`working_bits`), but never
+  more than the exact product's, so products of integers stay exact.
 
-Exact values enter through one door, :meth:`ApproxReal.from_ratio`: an
-integer ratio rounded once to nearest, with radius 0 only when exact.
-Fixed-point sums leave integer arithmetic through one door too,
-:meth:`ApproxReal.from_units`: an integer ``S`` over ``2^P`` with a counted
-error of ``units * 2^-P`` (``ceil_units`` rounds a bound up to whole units),
-as the constants and the series evaluator both make them.
+Integers enter exactly at ``p = 0``; :meth:`ApproxReal.from_ratio` floors an
+integer ratio once at the ambient precision, with radius 0 only when the
+ratio is exact there.  The constants and the series evaluator build their
+triples as integer sums over ``2^P`` with a counted error (``ceil_units``
+rounds a bound up to whole units) and hand them over as they are.
 
-Nothing here is asymptotically clever; the point is that every bound is
-simple enough to audit.  Directed rounding (``mpmath.fadd(..., rounding=
-'c')`` etc.) is used only where a one-shot upper/lower bound is needed.
+``mid`` and ``rad`` are exact mpf views of ``s * 2^-p`` and
+``units * 2^-p`` for report strings and ``mpmath.pslq``; nothing here
+computes with them.  Arb keeps the same exact integer bookkeeping under
+its midpoint-radius balls (Johansson, *Arb: efficient arbitrary-precision
+midpoint-radius interval arithmetic*, IEEE Trans. Comput. 2017).
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ import math
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp as _libmp_from_man_exp
+from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 __all__ = [
     "ApproxReal",
@@ -40,22 +43,15 @@ __all__ = [
     "digits_to_bits",
     "attempt_bits",
     "ceil_units",
-    "mpf_to_fraction",
+    "log10_floor",
     "working_bits",
 ]
 
 # Reported digit count for an exact (zero-radius) ball.
 DIGITS_INF = 10**9
 
-# Precision at which radius bookkeeping is done.  Radii never need more
-# than a couple of significant digits; 64 bits is pure headroom.
-_RADPREC = 64
-
 # Verification retries double the working precision up to this many attempts.
 MAX_ATTEMPTS = 4
-
-with mp.workprec(_RADPREC):
-    _FUDGE = mpf(1) + mpf(2) ** -20
 
 
 def digits_to_bits(digits: int) -> int:
@@ -78,25 +74,19 @@ def working_bits(bits: int):
     return mp.workprec(bits)
 
 
-def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of a finite mpf."""
-    if not mpmath.isfinite(x):
-        raise ValueError("cannot convert non-finite mpf to Fraction")
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    value = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -value if sign else value
+def log10_floor(x: Fraction) -> int:
+    """floor(log10(x)) for a rational x > 0, exactly."""
+    n, d = x.numerator, x.denominator
 
+    def at_least(k: int) -> bool:  # x >= 10^k
+        return n * 10 ** max(-k, 0) >= d * 10 ** max(k, 0)
 
-def _rounding_eps():
-    # 2 ulp at the ambient precision, as a power of two (exact mpf).
-    return mpmath.make_mpf((0, 1, 1 - mp.prec, 1))
-
-
-def _abs_exact(x):
-    # abs(mpf) rounds to the ambient precision; negation via fneg does not.
-    return mpmath.fneg(x, exact=True) if x < 0 else x
+    k = math.floor((n.bit_length() - d.bit_length()) * math.log10(2))
+    while not at_least(k):
+        k -= 1
+    while at_least(k + 1):
+        k += 1
+    return k
 
 
 def _coerce(x):
@@ -109,82 +99,42 @@ def _coerce(x):
     return NotImplemented
 
 
+def _floored(s: int, units: int, p: int, t: int) -> "ApproxReal":
+    """The exact ball ``(s, p, units)`` at exponent ``t <= p``: one floor, one unit if inexact."""
+    k = p - t
+    inexact = 1 if s & ((1 << k) - 1) else 0
+    return ApproxReal(s >> k, t, -(-units >> k) + inexact)
+
+
 class ApproxReal:
-    """A real number known to lie in ``[mid - rad, mid + rad]``."""
+    """A real number within ``units * 2^-p`` of ``s * 2^-p``, for integers s, p >= 0, units >= 0."""
 
-    __slots__ = ("mid", "rad")
+    __slots__ = ("s", "p", "units")
 
-    def __init__(self, mid, rad):
-        # Only mpf values are exact as given; an int or Fraction would be
-        # rounded here with no radius to cover it.  Use from_int/from_fraction.
-        if not isinstance(mid, mpf) or not isinstance(rad, mpf):
-            raise TypeError("ApproxReal takes mpf mid and rad; use from_int or from_fraction")
-        if rad < 0:
-            raise ValueError("negative radius")
-        self.mid = mid
-        self.rad = rad
+    def __init__(self, s: int, p: int, units: int):
+        if not all(isinstance(v, int) for v in (s, p, units)):
+            raise TypeError("ApproxReal takes integers s, p and units")
+        if p < 0 or units < 0:
+            raise ValueError("ApproxReal needs p >= 0 and units >= 0")
+        self.s, self.p, self.units = s, p, units
 
     # ------------------------------------------------------------------
     # constructors
 
     @staticmethod
-    def from_ratio(p: int, q: int) -> "ApproxReal":
-        """p/q for integers with q != 0, rounded once to nearest at the ambient precision.
-
-        One integer ``divmod`` gives a quotient of prec+3 or more bits, a
-        non-zero remainder is kept as a sticky low bit, and ``from_man_exp``
-        rounds that once; p and q need no reduction, and neither is ever
-        normalised as a whole.  The power of two in q only moves the
-        exponent, and bits of p below the quotient's precision join the
-        sticky bit instead of the division.  The radius is 0 only when p/q
-        is exact at the working precision.
-        """
-        if q == 0:
+    def from_ratio(n: int, d: int) -> "ApproxReal":
+        """n/d for integers with d != 0, floored once at the ambient precision."""
+        if d == 0:
             raise ZeroDivisionError("from_ratio with q == 0")
-        if q < 0:
-            p, q = -p, -q
-        if p == 0:
-            return ApproxReal.exact_zero()
-        prec = mp.prec
-        a = -p if p < 0 else p
-        twos = (q & -q).bit_length() - 1
-        q >>= twos
-        shift = prec + 3 - (a.bit_length() - q.bit_length())
-        # a / q * 2**shift lies in (2**(prec+2), 2**(prec+4)): the quotient
-        # has at least prec+3 bits, so its lowest bit is below the round bit.
-        if shift >= 0:
-            man, rem = divmod(a << shift, q)
-        else:
-            # floor(a / (q * 2**-shift)) = floor((a >> -shift) / q), and the
-            # division is exact iff both the remainder and the dropped bits are 0
-            man, rem = divmod(a >> -shift, q)
-            rem = rem or a & ((1 << -shift) - 1)
-        extra = man.bit_length() - prec
-        exact = rem == 0 and man & ((1 << extra) - 1) == 0
-        if rem:
-            man |= 1  # sticky bit
-        exp = -shift - twos
-        m = mpmath.make_mpf(_libmp_from_man_exp(-man if p < 0 else man, exp, prec, "n"))
-        if exact:
-            return ApproxReal(m, mpf(0))
-        eps = _rounding_eps()
-        with mp.workprec(_RADPREC):
-            return ApproxReal(m, abs(m) * eps * _FUDGE)
-
-    @staticmethod
-    def from_units(s: int, p: int, units: int) -> "ApproxReal":
-        """The ball of ``s * 2^-p`` widened by ``units * 2^-p``, for integers ``units >= 0``.
-
-        The midpoint is rounded once by :meth:`from_ratio` at the ambient
-        precision, and the count is rounded up into the radius.
-        """
-        ball = ApproxReal.from_ratio(s, 1 << p)
-        err = mpmath.make_mpf(_libmp_from_man_exp(units, -p, _RADPREC, "u"))
-        return ApproxReal(ball.mid, mpmath.fadd(ball.rad, err, prec=_RADPREC, rounding="u"))
+        if d < 0:
+            n, d = -n, -d
+        p = mp.prec
+        s, rem = divmod(n << p, d)
+        return ApproxReal(s, p, 1 if rem else 0)
 
     @staticmethod
     def from_int(n: int) -> "ApproxReal":
-        return ApproxReal.from_ratio(n, 1)
+        return ApproxReal(n, 0, 0)
 
     @staticmethod
     def from_fraction(q: Fraction) -> "ApproxReal":
@@ -192,15 +142,18 @@ class ApproxReal:
 
     @staticmethod
     def exact_zero() -> "ApproxReal":
-        return ApproxReal(mpf(0), mpf(0))
+        return ApproxReal(0, 0, 0)
 
-    @staticmethod
-    def from_fraction_ball(mid: Fraction, rad: Fraction) -> "ApproxReal":
-        """Ball with an exact rational radius bound (rounded outward)."""
-        m = ApproxReal.from_fraction(mid)
-        with mp.workprec(_RADPREC):
-            r = mpf(rad.numerator) / mpf(rad.denominator) if rad else mpf(0)
-            return ApproxReal(m.mid, (m.rad + abs(r)) * _FUDGE)
+    # ------------------------------------------------------------------
+    # exact views
+
+    @property
+    def mid(self):
+        return mpmath.make_mpf(from_man_exp(self.s, -self.p))
+
+    @property
+    def rad(self):
+        return mpmath.make_mpf(from_man_exp(self.units, -self.p))
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -209,16 +162,14 @@ class ApproxReal:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        eps = _rounding_eps()
-        m = self.mid + other.mid
-        with mp.workprec(_RADPREC):
-            r = (self.rad + other.rad + abs(m) * eps) * _FUDGE
-        return ApproxReal(m, r)
+        p = max(self.p, other.p)
+        a, b = p - self.p, p - other.p
+        return ApproxReal((self.s << a) + (other.s << b), p, (self.units << a) + (other.units << b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ApproxReal(mpmath.fneg(self.mid, exact=True), self.rad)
+        return ApproxReal(-self.s, self.p, self.units)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -236,16 +187,10 @@ class ApproxReal:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        eps = _rounding_eps()
-        m = self.mid * other.mid
-        with mp.workprec(_RADPREC):
-            r = (
-                abs(self.mid) * other.rad
-                + abs(other.mid) * self.rad
-                + self.rad * other.rad
-                + abs(m) * eps
-            ) * _FUDGE
-        return ApproxReal(m, r)
+        s1, u1, s2, u2 = self.s, self.units, other.s, other.units
+        p = self.p + other.p
+        units = abs(s1) * u2 + abs(s2) * u1 + u1 * u2
+        return _floored(s1 * s2, units, p, min(p, max(self.p, other.p, mp.prec)))
 
     __rmul__ = __mul__
 
@@ -255,16 +200,15 @@ class ApproxReal:
             return NotImplemented
         if not other.excludes_zero():
             raise ZeroDivisionError("division by a ball containing zero")
-        eps = _rounding_eps()
-        m = self.mid / other.mid
-        with mp.workprec(_RADPREC):
-            low = abs(other.mid) - other.rad  # > 0 by the check above
-            r = (
-                (self.rad * abs(other.mid) + abs(self.mid) * other.rad)
-                / (abs(other.mid) * low)
-                + abs(m) * eps
-            ) * _FUDGE
-        return ApproxReal(m, r)
+        t = max(self.p, other.p, mp.prec)
+        k = t + other.p - self.p
+        s1, u1, s2, u2 = self.s, self.units, other.s, other.units
+        if s2 < 0:
+            s1, s2 = -s1, -s2
+        q, rem = divmod(s1 << k, s2)
+        # |a/b - mid_a/mid_b| <= (rad_a*|mid_b| + |mid_a|*rad_b) / (|mid_b| * (|mid_b| - rad_b))
+        units = ceil_units(k, u1 * s2 + abs(s1) * u2, s2 * (s2 - u2)) + (1 if rem else 0)
+        return ApproxReal(q, t, units)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -273,26 +217,21 @@ class ApproxReal:
         return other / self
 
     def sqrt(self) -> "ApproxReal":
-        eps = _rounding_eps()
-        if self.rad == 0 and self.mid == 0:
-            return ApproxReal.exact_zero()
-        with mp.workprec(_RADPREC):
-            lower_neg = self.mid < self.rad  # lower endpoint may be < 0
-        if self.mid < 0 and lower_neg and -self.mid > self.rad:
+        s, p, u = self.s, self.p, self.units
+        if s + u < 0:
             raise ValueError("sqrt of a negative ball")
-        if lower_neg:
-            # Ball touches zero: enclose sqrt([0, hi]) by [0, sqrt(hi)].
-            with mp.workprec(_RADPREC):
-                hi = (self.mid + self.rad) * _FUDGE
-            s = mpmath.sqrt(hi)
-            with mp.workprec(_RADPREC):
-                half = s / 2 * _FUDGE
-            return ApproxReal(half, half)
-        m = mpmath.sqrt(self.mid)
-        with mp.workprec(_RADPREC):
-            # |sqrt(x) - sqrt(mid)| = |x - mid| / (sqrt(x) + sqrt(mid)) <= rad / sqrt(mid)
-            r = (self.rad / m + abs(m) * eps) * _FUDGE
-        return ApproxReal(m, r)
+        if s + u == 0:
+            return ApproxReal.exact_zero()
+        t = max(p, mp.prec)
+        k = 2 * t - p  # sqrt(x * 2^-p) * 2^t = sqrt(x << k)
+        if s <= u:
+            # The ball reaches zero: sqrt([0, hi]) lies in [0, r * 2^-t].
+            r = math.isqrt(((s + u) << k) - 1) + 1
+            return ApproxReal(r, t + 1, r)
+        x = s << k
+        r = math.isqrt(x)
+        # |sqrt(v) - sqrt(mid)| = |v - mid| / (sqrt(v) + sqrt(mid)) <= rad / sqrt(mid)
+        return ApproxReal(r, t, ceil_units(k, u, r) + (0 if r * r == x else 1))
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -309,25 +248,23 @@ class ApproxReal:
         return result
 
     def __abs__(self):
-        return ApproxReal(_abs_exact(self.mid), self.rad)
+        return ApproxReal(abs(self.s), self.p, self.units)
 
     # ------------------------------------------------------------------
     # bounds and predicates
 
-    def upper_abs(self):
-        return mpmath.fadd(_abs_exact(self.mid), self.rad, prec=_RADPREC, rounding="c")
+    def upper_abs(self) -> Fraction:
+        return Fraction(abs(self.s) + self.units, 1 << self.p)
 
     def contains_zero(self) -> bool:
-        return _abs_exact(self.mid) <= self.rad
+        return abs(self.s) <= self.units
 
     def excludes_zero(self) -> bool:
-        low = mpmath.fsub(_abs_exact(self.mid), self.rad, prec=_RADPREC, rounding="f")
-        return low > 0
+        return abs(self.s) > self.units
 
     def to_fraction_bounds(self) -> tuple[Fraction, Fraction]:
-        m = mpf_to_fraction(self.mid)
-        r = mpf_to_fraction(self.rad)
-        return m - r, m + r
+        one = 1 << self.p
+        return Fraction(self.s - self.units, one), Fraction(self.s + self.units, one)
 
     def to_digits(self) -> int:
         """Correct decimal digits: floor(-log10(rad / max(|mid|, 1))).
@@ -335,15 +272,10 @@ class ApproxReal:
         Returns ``DIGITS_INF`` for an exact ball and clamps at 0 when the
         radius exceeds the midpoint scale.
         """
-        if self.rad == 0:
+        if not self.units:
             return DIGITS_INF
-        mid_abs = _abs_exact(self.mid)
-        with mp.workprec(_RADPREC):
-            denom = mid_abs if mid_abs > 1 else mpf(1)
-            rel = self.rad / denom
-            if rel >= 1:
-                return 0
-            return int(mpmath.floor(-mpmath.log(rel, 10)))
+        scale = max(abs(self.s), 1 << self.p)
+        return 0 if self.units >= scale else log10_floor(Fraction(scale, self.units))
 
     # ------------------------------------------------------------------
 

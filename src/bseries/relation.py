@@ -46,7 +46,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .closedform import ClosedForm, render_closed_form
-from .precision import DIGITS_INF, ApproxReal, digits_to_bits, working_bits
+from .precision import DIGITS_INF, ApproxReal, digits_to_bits, log10_floor, working_bits
 
 __all__ = [
     "RelationResult",
@@ -98,32 +98,25 @@ class RelationResult:
         return self.coefficients is not None
 
 
-def _scale_of(values: Sequence[ApproxReal]):
-    out = mpf(0)
-    for v in values:
-        u = v.upper_abs()
-        if u > out:
-            out = u
-    return out
+def _scale_of(values: Sequence[ApproxReal]) -> Fraction:
+    return max(v.upper_abs() for v in values)
 
 
-def _confidence(residual: ApproxReal, scale) -> int:
+def _confidence(residual: ApproxReal, scale: Fraction) -> int:
+    """floor(log10(scale / |residual|)) over the residual's magnitude bound, at least 0."""
     up = residual.upper_abs()
     if up == 0:
         return DIGITS_INF
     if scale == 0:
         return 0
-    with mp.workprec(64):
-        d = -mpmath.log10(up / scale)
-    return max(0, int(mpmath.floor(d)))
+    return max(0, log10_floor(scale / up))
 
 
-def _residual_ball(values: Sequence[ApproxReal], coeffs: Sequence[int], digits: int) -> ApproxReal:
-    with working_bits(max(mp.prec, 2 * digits_to_bits(digits) + 128)):
-        total = ApproxReal.from_int(0)
-        for c, v in zip(coeffs, values):
-            if c:
-                total = total + ApproxReal.from_int(c) * v
+def _residual_ball(values: Sequence[ApproxReal], coeffs: Sequence[int]) -> ApproxReal:
+    """sum(c_i * v_i), exactly: integer multiples and sums of balls round nothing."""
+    total = ApproxReal.exact_zero()
+    for c, v in zip(coeffs, values):
+        total = total + c * v
     return total
 
 
@@ -136,7 +129,8 @@ def _normalize(coeffs: list[int]) -> tuple[int, ...]:
 
 
 def _none_result(values: Sequence[ApproxReal], note: str) -> RelationResult:
-    return RelationResult(None, ApproxReal(mpf(0), _scale_of(values)), 0, note)
+    v = max(values, key=ApproxReal.upper_abs)
+    return RelationResult(None, ApproxReal(0, v.p, abs(v.s) + v.units), 0, note)
 
 
 def _digits_spent(coeffs: Sequence[int]) -> int:
@@ -148,14 +142,10 @@ def _digits_spent(coeffs: Sequence[int]) -> int:
     return len(str(prod - 1)) if prod > 1 else 0
 
 
-def _certify(
-    values: Sequence[ApproxReal],
-    coeffs: list[int],
-    work_digits: int,
-) -> RelationResult:
+def _certify(values: Sequence[ApproxReal], coeffs: list[int]) -> RelationResult:
     """Ball-arithmetic acceptance of a float-proposed candidate."""
     cand = _normalize(coeffs)
-    residual = _residual_ball(values, cand, work_digits)
+    residual = _residual_ball(values, cand)
     if residual.excludes_zero():
         return _none_result(values, "candidate residual excludes zero")
     conf = _confidence(residual, _scale_of(values))
@@ -219,7 +209,7 @@ def pslq(values: Sequence[ApproxReal], max_coeff_bits: int = 24) -> RelationResu
         )
     if cand is None:
         return _none_result(vals, f"no relation with coefficients up to 2^{max_coeff_bits}")
-    return _certify(vals, cand, work_digits)
+    return _certify(vals, cand)
 
 
 def discover_rhs(

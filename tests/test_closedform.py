@@ -6,8 +6,10 @@ import mpmath
 import pytest
 
 from bseries.closedform import ClosedForm, parse_closed_form, render_closed_form
+from bseries.exactnum import QuadElem
 from bseries.exprparse import ExprError
-from bseries.precision import digits_to_bits, working_bits
+from bseries.precision import attempt_bits, digits_to_bits, working_bits
+from bseries.seriesmodel import render_quad
 
 CANONICAL = [
     ("pi", "pi"),
@@ -119,7 +121,20 @@ def test_surd_root_inverse_multiplies_to_one():
         prod = cf.eval_ball(40) * inv.eval_ball(40)
         diff = prod - 1
     assert diff.contains_zero()
-    assert diff.upper_abs() < mpmath.mpf(10) ** -38
+    assert diff.upper_abs() < Fraction(1, 10**38)
+
+
+def test_nested_radical_with_a_huge_conjugate_keeps_its_digits():
+    # (2 - sqrt(3))^40 is about 1.3e-23, but its parts have 75 bits each and
+    # cancel when each is rounded to the working precision on its own.  Its
+    # square root is (2 - sqrt(3))^20 exactly; the ball must hold it to 30 digits.
+    cf = parse_closed_form("sqrt(" + render_quad(QuadElem(2, -1, 3) ** 40) + ")")
+    with working_bits(attempt_bits(38, 0)):
+        ball = cf.eval_ball(30)
+    assert ball.to_digits() >= 30
+    lo, hi = ball.to_fraction_bounds()
+    exact = QuadElem(2, -1, 3) ** 20
+    assert (exact - lo).sign() >= 0 and (hi - exact).sign() >= 0
 
 
 def test_negative_surd_rejected():

@@ -5,6 +5,8 @@ precision and frozen here; the library itself never consults mpmath's
 transcendental functions, so agreement is a genuine cross-check.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import mpmath
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import isprime, jacobi_symbol
 
+from bseries import constants
 from bseries.constants import (
     bernoulli_numbers,
     hurwitz_zeta2_ball,
@@ -23,7 +26,7 @@ from bseries.constants import (
     pi_ball,
     zeta3_ball,
 )
-from bseries.precision import ApproxReal, digits_to_bits, mpf_to_fraction, working_bits
+from bseries.precision import ApproxReal, ceil_units, digits_to_bits, working_bits
 
 PI = "3.141592653589793238462643383279502884197169399375106"
 LOG2 = "0.6931471805599453094172321214581765680755001343602553"
@@ -50,6 +53,12 @@ def assert_encloses(ball, decimal_str, eps=Fraction(1, 10**48)):
     assert lo - eps <= ref <= hi + eps, f"{decimal_str} outside [{float(lo)}, {float(hi)}]"
 
 
+def mpf_to_fraction(x) -> Fraction:
+    """The exact value of a finite mpf."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(int(man)) * Fraction(2) ** int(exp)
+
+
 def frac_ball(p, q=1):
     return ApproxReal.from_fraction(Fraction(p, q))
 
@@ -69,7 +78,7 @@ def test_pi_two_formulas_agree_at_1000_digits():
     assert b.to_digits() >= 1000
     diff = a - b
     assert diff.contains_zero()
-    assert diff.upper_abs() <= mpmath.mpf(10) ** -1000
+    assert diff.upper_abs() <= Fraction(1, 10**1000)
 
 
 def test_pi_requested_digits_scale():
@@ -90,7 +99,7 @@ def test_log_reference_digits():
 def test_log_one_is_zero():
     b = log_ball(Fraction(1), 40)
     assert b.contains_zero()
-    assert b.upper_abs() <= mpmath.mpf(10) ** -40
+    assert b.upper_abs() <= Fraction(1, 10**40)
 
 
 def test_log_is_additive():
@@ -129,7 +138,7 @@ def test_hurwitz_at_one_is_pi2_over_6():
         z = hurwitz_zeta2_ball(Fraction(1), 50)
         diff = z - pi_ball(50) * pi_ball(50) * frac_ball(1, 6)
     assert diff.contains_zero()
-    assert diff.upper_abs() < mpmath.mpf(10) ** -48
+    assert diff.upper_abs() < Fraction(1, 10**48)
 
 
 def test_hurwitz_at_half_is_pi2_over_2():
@@ -137,7 +146,7 @@ def test_hurwitz_at_half_is_pi2_over_2():
         z = hurwitz_zeta2_ball(Fraction(1, 2), 50)
         diff = z - pi_ball(50) * pi_ball(50) * frac_ball(1, 2)
     assert diff.contains_zero()
-    assert diff.upper_abs() < mpmath.mpf(10) ** -48
+    assert diff.upper_abs() < Fraction(1, 10**48)
 
 
 def test_hurwitz_multiplication_theorem():
@@ -149,7 +158,7 @@ def test_hurwitz_multiplication_theorem():
             total = total + hurwitz_zeta2_ball(Fraction(a, q), 45)
         diff = total - pi_ball(45) * pi_ball(45) * frac_ball(q * q, 6)
     assert diff.contains_zero()
-    assert diff.upper_abs() < mpmath.mpf(10) ** -43
+    assert diff.upper_abs() < Fraction(1, 10**43)
 
 
 def test_bernoulli_numbers():
@@ -268,8 +277,8 @@ def test_l_value_against_hurwitz_route():
 
 
 def test_l_value_ball_holds_the_hurwitz_route_without_slack():
-    # mpmath's Hurwitz zeta at twice the digits, compared exactly; the ball
-    # is rounded at that precision too, so its radius is the counted error.
+    # mpmath's Hurwitz zeta at twice the digits, compared exactly with the
+    # ball, whose radius is the counted error itself.
     d, digits = -111, 300
     q = abs(d)
     with working_bits(digits_to_bits(2 * digits)):
@@ -280,3 +289,108 @@ def test_l_value_ball_holds_the_hurwitz_route_without_slack():
     lo, hi = ball.to_fraction_bounds()
     assert lo <= mpf_to_fraction(ref) <= hi
     assert ball.to_digits() >= digits
+
+
+# ----------------------------------------------------------------------
+# the tail units of each series
+#
+# A constant's ``(S, units)`` counts one unit per floored term plus its tail
+# bound.  The floors alone leave about half the units as slack, so a ball
+# can hold the constant with its tail dropped or shrunk.  These tests record
+# the tail bounds the series loop computes (each iteration bounds the tail
+# once through ``constants.ceil_units``), which fixes the term count, and
+# check the three parts of the count against the exact terms and a
+# reference at twice the precision.
+
+
+def _recorded(monkeypatch, compute) -> tuple[int, int, int, int]:
+    """``(S, units)`` of compute(), the number of tail bounds taken and the last one."""
+    tails = []
+
+    def recording(p, num, den):
+        tails.append(ceil_units(p, num, den))
+        return tails[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(constants, "ceil_units", recording)
+        s, units = compute()
+    return s, units, len(tails), tails[-1]
+
+
+def _check_count(terms, n: int, s: int, units: int, tail: int, p: int, ref) -> None:
+    """S floors the first n terms, units is n plus the tail, and the tail covers the rest.
+
+    ``ref`` is the constant from mpmath at 2p + 64 bits, so it is good to
+    2^-2p, far below one unit 2^-p.
+    """
+    head = [next(terms) for _ in range(n)]
+    assert sum(math.floor(t * 2**p) for t in head) == s
+    assert units == n + tail
+    with working_bits(2 * p + 64):
+        remainder = abs(mpf_to_fraction(ref()) - sum(head))
+    assert tail * 2**p >= remainder * 4**p - 1, float(remainder * 2**p)
+
+
+def _mpf(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+TAIL_BITS = [digits_to_bits(d + 2) for d in (8, 20, 45, 80)]
+
+
+@pytest.mark.parametrize("p", TAIL_BITS)
+@pytest.mark.parametrize(
+    "c, x, hyperbolic",
+    [
+        (16, Fraction(1, 5), False),
+        (-4, Fraction(1, 239), False),
+        (4, Fraction(1, 2), False),
+        (4, Fraction(1, 3), False),
+        (2, Fraction(1, 3), True),
+        (2, Fraction(-1, 5), True),
+        (2, Fraction(1, 7), True),
+    ],
+)
+def test_atan_tail_covers_the_remainder(monkeypatch, p, c, x, hyperbolic):
+    s, units, n, tail = _recorded(monkeypatch, lambda: constants._atan(c, x, p, hyperbolic))
+    step = x * x if hyperbolic else -x * x
+    terms = (c * step**j * x / (2 * j + 1) for j in itertools.count())
+    fn = mpmath.atanh if hyperbolic else mpmath.atan
+    _check_count(terms, n, s, units, tail, p, lambda: c * fn(_mpf(x)))
+
+
+@pytest.mark.parametrize("p", TAIL_BITS)
+def test_zeta3_tail_covers_the_remainder(monkeypatch, p):
+    s, units, n, tail = _recorded(monkeypatch, lambda: constants._zeta3(p))
+    terms = (
+        Fraction(5 * (-1) ** (k - 1), 2 * k**3 * math.comb(2 * k, k)) for k in itertools.count(1)
+    )
+    _check_count(terms, n, s, units, tail, p, lambda: mpmath.zeta(3))
+
+
+@pytest.mark.parametrize("p", TAIL_BITS)
+@pytest.mark.parametrize(
+    "a, scale",
+    [
+        (Fraction(1), Fraction(1)),
+        (Fraction(1, 2), Fraction(1)),
+        (Fraction(1, 4), Fraction(1)),
+        (Fraction(3, 7), Fraction(-1, 49)),
+        (Fraction(10, 11), Fraction(1, 121)),
+        (Fraction(5, 24), Fraction(-1, 576)),
+    ],
+)
+def test_hurwitz_tail_covers_the_remainder(monkeypatch, p, a, scale):
+    s, units, corrections, tail = _recorded(
+        monkeypatch, lambda: constants._hurwitz2(a, scale.numerator, scale.denominator, p)
+    )
+    head = max(8, p // 3)  # the head length _hurwitz2 sums before Euler-Maclaurin
+    x = head + a
+    bern = bernoulli_numbers(2 * corrections)
+    terms = itertools.chain(
+        (scale / (k + a) ** 2 for k in range(head)),
+        (scale / x, scale / (2 * x * x)),
+        (scale * bern[2 * j] / x ** (2 * j + 1) for j in range(1, corrections + 1)),
+    )
+    ref = lambda: _mpf(scale) * mpmath.zeta(2, _mpf(a))  # noqa: E731
+    _check_count(terms, head + 2 + corrections, s, units, tail, p, ref)

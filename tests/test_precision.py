@@ -1,18 +1,18 @@
 """Ball arithmetic: containment under low precision, digit accounting."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import libmp, make_mpf, mp
+from mpmath import mp
 
 from bseries.precision import (
     DIGITS_INF,
     ApproxReal,
     attempt_bits,
     digits_to_bits,
-    mpf_to_fraction,
     working_bits,
 )
 
@@ -29,7 +29,7 @@ def test_exact_dyadic_fraction():
         x = ApproxReal.from_fraction(Fraction(3, 8))
         assert x.rad == 0
         assert x.to_digits() == DIGITS_INF
-        assert mpf_to_fraction(x.mid) == Fraction(3, 8)
+        assert x.to_fraction_bounds() == (Fraction(3, 8), Fraction(3, 8))
 
 
 def test_inexact_fraction_digits():
@@ -43,27 +43,30 @@ def test_inexact_fraction_digits():
 def test_to_digits_clamps_at_zero():
     with working_bits(53):
         x = ApproxReal.from_fraction(Fraction(1, 100))
-        wide = ApproxReal(x.mid, mp.mpf(1))
+        wide = ApproxReal(x.s, x.p, 1 << x.p)  # radius 1
         assert wide.to_digits() == 0
 
 
 def test_rounded_int_never_gets_zero_radius():
-    # At 53 bits 10**30 + 1 rounds; a ball built from it must cover the error.
+    # An integer is exact at any precision; a ratio floored at 53 bits must
+    # count the floor, and a ball holds integers only.
     n = 10**30 + 1
     with working_bits(53):
         with pytest.raises(TypeError):
-            ApproxReal(n, mp.mpf(0))
+            ApproxReal(n, 0, mp.mpf(0))
         with pytest.raises(TypeError):
-            ApproxReal(mp.mpf(1), Fraction(1, 2))
+            ApproxReal(1, 0, Fraction(1, 2))
         for x in (ApproxReal.from_int(n), ApproxReal.from_int(0) + n):
-            assert x.rad > 0
-            lo, hi = x.to_fraction_bounds()
-            assert lo <= n <= hi
+            assert x.to_fraction_bounds() == (n, n)
+        x = ApproxReal.from_ratio(n, 3)
+        assert x.rad > 0
+        lo, hi = x.to_fraction_bounds()
+        assert lo <= Fraction(n, 3) <= hi
 
 
 def test_zero_division_guard():
     with working_bits(53):
-        around_zero = ApproxReal(mp.mpf(0), mp.mpf("1e-10"))
+        around_zero = ApproxReal(0, 34, 1)  # radius 2^-34, about 6e-11
         one = ApproxReal.from_int(1)
         assert around_zero.contains_zero()
         assert not around_zero.excludes_zero()
@@ -87,7 +90,7 @@ def test_sqrt_negative_raises():
 
 def test_sqrt_straddling_zero():
     with working_bits(53):
-        x = ApproxReal(mp.mpf("1e-30"), mp.mpf("1e-20"))
+        x = ApproxReal(2**100 // 10**30, 100, 2**100 // 10**20 + 1)  # 1e-30 +- 1e-20
         s = x.sqrt()
         lo, hi = s.to_fraction_bounds()
         assert lo <= 0 and hi * hi >= Fraction(1, 10**20)
@@ -140,6 +143,49 @@ def test_sqrt_contains_exact_value(a):
         assert max(lo, 0) ** 2 <= a <= hi * hi
 
 
+def _floored_ball(x: Fraction, p: int, extra: int) -> ApproxReal:
+    """x floored at 2^-p: one unit for the floor, ``extra`` more of slack."""
+    return ApproxReal(math.floor(x * 2**p), p, 1 + extra)
+
+
+@given(
+    small_fractions,
+    small_fractions,
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+    st.booleans(),
+    st.sampled_from(["+", "-", "*", "/", "sqrt", "**"]),
+    st.integers(min_value=-3, max_value=5),
+)
+@settings(max_examples=300, deadline=None)
+def test_mixed_exponents_contain_exact_result(a, b, d, guard, ea, eb, tiny, op, n):
+    # A sum at P + guard bits meets a constant at digits_to_bits(d + 2), under
+    # an ambient precision of either 7 bits or the sum's own digits.
+    x = _floored_ball(a, digits_to_bits(d) + guard, ea)
+    y = _floored_ball(b, digits_to_bits(d + 2), eb)
+    with working_bits(7 if tiny else digits_to_bits(d)):
+        if op == "sqrt":
+            x = _floored_ball(abs(a), x.p, ea)
+            lo, hi = x.sqrt().to_fraction_bounds()
+            assert 0 <= hi and max(lo, 0) ** 2 <= abs(a) <= hi * hi
+            return
+        if op == "**":
+            if n < 0 and not x.excludes_zero():
+                return
+            z, exact = x**n, a**n
+        elif op == "/":
+            if not y.excludes_zero():
+                return
+            z, exact = x / y, a / b
+        else:
+            z = {"+": x + y, "-": x - y, "*": x * y}[op]
+            exact = {"+": a + b, "-": a - b, "*": a * b}[op]
+        lo, hi = z.to_fraction_bounds()
+        assert lo <= exact <= hi
+
+
 def test_mixed_scalar_coercion():
     with working_bits(100):
         x = ApproxReal.from_fraction(Fraction(1, 3))
@@ -166,27 +212,19 @@ def int_ratios(draw):
     return p, q
 
 
-def _representable(x: Fraction, prec: int) -> bool:
-    den, num = x.denominator, abs(x.numerator)
-    if den & (den - 1):
-        return False
-    if num:
-        num >>= (num & -num).bit_length() - 1  # drop trailing zero bits
-    return num.bit_length() <= prec
-
-
 @given(int_ratios(), st.sampled_from([53, 300, 1100]))
-@example(((1 << 200) + (1 << 147) + 1, 1 << 200), 53)  # just above a tie; q a power of two
+@example(((1 << 200) + (1 << 147) + 1, 1 << 200), 53)  # not a multiple of 2^-53
 @example((3 * ((1 << 200) + (1 << 147) + 1), -3 << 200), 53)
 @settings(max_examples=300, deadline=None)
-def test_from_ratio_rounds_once_to_nearest(pq, prec):
+def test_from_ratio_floors_once(pq, prec):
     p, q = pq
     with working_bits(prec):
         x = ApproxReal.from_ratio(p, q)
-    assert x.mid == make_mpf(libmp.from_rational(p, q, prec, "n"))
+    exact = Fraction(p, q)
+    assert (x.s, x.p) == (math.floor(exact * 2**prec), prec)
     lo, hi = x.to_fraction_bounds()
-    assert lo <= Fraction(p, q) <= hi
-    assert (x.rad == 0) == _representable(Fraction(p, q), prec)
+    assert lo <= exact <= hi
+    assert (x.rad == 0) == ((exact * 2**prec).denominator == 1)
 
 
 def test_from_ratio_rejects_zero_denominator():

@@ -3,15 +3,13 @@
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
-from mpmath import mp, mpf
 
 from bseries.catalog import load_catalog, resolve_catalog_path
 from bseries.closedform import ClosedForm, parse_closed_form
 from bseries.evaluator import evaluate
 from bseries.kernels import kernel_by_tag
-from bseries.precision import ApproxReal, digits_to_bits, working_bits
+from bseries.precision import ApproxReal, ceil_units, digits_to_bits, working_bits
 from bseries.relation import (
     discover_rhs,
     pslq,
@@ -32,11 +30,16 @@ def ball(x: str, digits: int = 45) -> ApproxReal:
         return parse_closed_form(x).eval_ball(digits)
 
 
+def widened(mid: Fraction, rad: Fraction, p: int = 256) -> ApproxReal:
+    """The ball around ``mid``, floored at 2^-p, with a radius of at least ``rad``."""
+    units = ceil_units(p, rad.numerator, rad.denominator) + 1
+    return ApproxReal(mid.numerator * 2**p // mid.denominator, p, units)
+
+
 def rand_ball(rng: random.Random, digits: int = 50) -> ApproxReal:
     bits = max(170, digits * 4)
     q = Fraction(rng.getrandbits(bits) | (1 << (bits - 1)) | 1, 1 << bits)
-    with working_bits(digits_to_bits(digits + 5)):
-        return ApproxReal.from_fraction_ball(q, Fraction(1, 10**digits))
+    return widened(q, Fraction(1, 10**digits))
 
 
 class TestPslqExamples:
@@ -80,7 +83,7 @@ class TestPslqExamples:
         r = pslq(vals, 24)
         assert r.coefficients == (3, -1, 0)
         scale = max(v.upper_abs() for v in vals)
-        assert r.residual.upper_abs() <= mpf(10) ** (-r.confidence_digits) * scale
+        assert r.residual.upper_abs() <= Fraction(1, 10**r.confidence_digits) * scale
 
 
 class TestPslqSoundness:
@@ -94,9 +97,7 @@ class TestPslqSoundness:
 
     def test_near_relation_rejected(self):
         # off by 1e-12: ball residual excludes zero at 40 certified digits
-        v = ApproxReal.from_fraction_ball(
-            Fraction(1, 2) + Fraction(1, 10**12), Fraction(1, 10**40)
-        )
+        v = widened(Fraction(1, 2) + Fraction(1, 10**12), Fraction(1, 10**40))
         r = pslq([ApproxReal.from_int(1), v], 24)
         assert r.coefficients is None
 
@@ -106,14 +107,14 @@ class TestPslqSoundness:
         assert r.coefficients is None
 
     def test_zero_input_detected(self):
-        z = ApproxReal.from_fraction_ball(Fraction(0), Fraction(1, 10**30))
+        z = widened(Fraction(0), Fraction(1, 10**30))
         r = pslq([ball("pi"), z], 24)
         assert r.coefficients == (0, 1)
         r = pslq([ApproxReal.exact_zero(), ApproxReal.exact_zero()], 24)
         assert r.coefficients == (1, 0)
 
     def test_wide_zero_straddler_rejected(self):
-        z = ApproxReal.from_fraction_ball(Fraction(0), Fraction(1, 2))
+        z = widened(Fraction(0), Fraction(1, 2))
         r = pslq([ball("pi"), z], 24)
         assert r.coefficients is None
         assert "straddles" in r.note
@@ -241,9 +242,7 @@ class TestDiscoverRhs:
         # 6272*sqrt(3) to ~15 digits: 184396804/24005*sqrt(2) matches it to
         # 13 digits, but its coefficients spend those same digits
         with working_bits(digits_to_bits(40)):
-            v = ball("6272*sqrt(3)", 40) + ApproxReal.from_fraction_ball(
-                Fraction(0), Fraction(1, 10**11)
-            )
+            v = ball("6272*sqrt(3)", 40) + widened(Fraction(0), Fraction(1, 10**11))
         assert v.to_digits() == 15
         for bits in (40, 24):
             assert discover_rhs(v, [parse_closed_form("sqrt(2)")], bits) is None
