@@ -8,16 +8,35 @@ replaced by the atom-free weight U of its :func:`majorant`, which bounds
 (Mezzarobba & Salvy, *Effective bounds for P-recursive sequences*, 2010);
 an atom-free series is its own majorant.
 
-The envelope is certified for the majorant's ratio: with a rational
-``q < 1`` above the limiting ratio ``L = |base| * growth^(+-1)``,
-``|rho(k)| <= q`` for every integer ``k >= k0`` because
+The envelope is certified for the majorant's ratio ``num/den``: with a
+rational ``q = qn/qd < 1`` above the limiting ratio
+``L = |base| * growth^(+-1)``, ``|rho(k)| <= q`` for every integer
+``k >= k0`` because
 
-    G(k) = q^2 * den(rho)^2 - num(rho)^2 = (q*den - num) * (q*den + num)
+    qd^2 * G(k) = (qn*den - qd*num) * (qn*den + qd*num),   G = q^2*den^2 - num^2,
 
-is >= 0 there.  Each factor is an :class:`~bseries.exactnum.IntegerSurdPoly`
-with no real root beyond its coefficient-dominance bound; the sign of G at
-an integer, the product of the factors' exact signs, is checked from the
-larger bound down to the majorant's start, which gives ``k0``.  ``L >= 1``
+is >= 0 there.  num and den are built once per series on integer
+coefficient lists.  The weight is ``Wn/Wd``, ``Wn = A + B*sqrt(d)`` summed
+over the common denominator Wd of its cleared terms (:func:`_cleared`); the
+base is ``(ba + bb*sqrt(d))/bc``; and ``(Kn, Kd)`` are the kernel's integer
+ratio lists, swapped for the denominator position.  Then
+
+    num = Wn(k+1) * (ba + bb*sqrt(d)) * Kn(k) * D(k) * Wd(k),
+    den = bc * Wd(k+1) * Kd(k) * D(k+1) * Wn(k),
+
+which is :meth:`SeriesDef.term_ratio`'s numerator and denominator, each
+times ``bc * F(k)`` with ``F(k) = s^2 * X(k) * X(k+1)``: s > 0 is the scale
+that clears the coefficients' denominators, and X is the product of the
+conjugates that rationalise a sqrt(d) in a weight denominator (1 without
+one).  X vanishes at no integer from the start on, since a weight
+denominator does not, so G is multiplied by ``bc^2 * F(k)^2 > 0`` at every
+integer it is evaluated at.  k0 is fixed by the signs of G at integers
+alone (the root bound below only says where the search starts), so the
+positive scale and the squared common factor leave it unchanged.
+Each factor is an :class:`~bseries.exactnum.IntegerSurdPoly` with no real
+root beyond its coefficient-dominance bound; the sign of G at an integer,
+the product of the factors' exact signs, is checked from the larger bound
+down to the majorant's start, which gives ``k0``.  ``L >= 1``
 raises :class:`NonConvergent`.  A q near L keeps the tail factor
 ``q/(1 - q)`` small but can push k0 far out, so q is chosen per series:
 each of ``L*65/64``, ``L*9/8``, ``L*3/2`` and ``(1 + L)/2`` below 1 is
@@ -96,7 +115,17 @@ import mpmath
 from mpmath import mp
 
 from .closedform import ClosedForm
-from .exactnum import IntegerSurdPoly, Poly, QuadElem, RatFun, embed_dyadic, horner
+from .exactnum import (
+    IntegerSurdPoly,
+    Poly,
+    QuadElem,
+    RatFun,
+    embed_dyadic,
+    horner,
+    poly_add,
+    poly_mul,
+    poly_shift1,
+)
 from .precision import (
     DIGITS_INF,
     MAX_ATTEMPTS,
@@ -174,7 +203,6 @@ class Envelope:
 
     q: Fraction
     k0: int
-    ratio: RatFun
     majorant: SeriesDef
     log2_term: float
 
@@ -219,11 +247,59 @@ def majorant(sdef: SeriesDef) -> SeriesDef:
     return dataclasses.replace(sdef, weight=(WeightTerm(u, None),), k_start=start)
 
 
-def _certify_q(bound: SeriesDef, ratio: RatFun, q: Fraction) -> Envelope:
-    """The envelope of ``bound``'s terms for this q: the smallest sharp k0."""
-    num, den = ratio.num, ratio.den
-    # G = q^2*den^2 - num^2 = (q*den - num) * (q*den + num); want G(k) >= 0
-    factors = (IntegerSurdPoly(den * q - num), IntegerSurdPoly(den * q + num))
+def _surd_mul(x: tuple[list, list], y: tuple[list, list], d: int) -> tuple[list, list]:
+    """``(a + b*sqrt(d)) * (a' + b'*sqrt(d))`` on pairs ``(a, b)`` of integer lists."""
+    (a, b), (a2, b2) = x, y
+    rational = poly_add(poly_mul(a, a2), [d * c for c in poly_mul(b, b2)])
+    return rational, poly_add(poly_mul(a, b2), poly_mul(b, a2))
+
+
+def _kernel_ratio(sdef: SeriesDef) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(kernel ratio)^(+-1)`` as integer lists (num, den); ``((1,), (1,))`` without a kernel."""
+    if sdef.kernel is None:
+        return (1,), (1,)
+    a, b = sdef.kernel.ratio_lists
+    return (a, b) if sdef.kernel_pos is Position.NUMERATOR else (b, a)
+
+
+def _majorant_ratio(bound: SeriesDef) -> tuple[tuple[list, list], tuple[list, list]]:
+    """The term ratio ``num/den`` of the atom-free ``bound``, each side a pair
+    ``(a, b)`` of integer lists for ``a + b*sqrt(d)``, built as the module
+    docstring says."""
+    d = bound.field_d
+    wa, wb, wc = [0], [0], [1]  # Wn = wa + wb*sqrt(d), Wd = wc
+    for a, b, c, _ in _cleared(bound.weight):
+        wa = poly_add(poly_mul(wa, c), poly_mul(a, wc))
+        wb = poly_add(poly_mul(wb, c), poly_mul(b or [], wc))
+        wc = poly_mul(wc, c)
+    beta = bound.base_value
+    bc = math.lcm(beta.a.denominator, beta.b.denominator)
+    dl = [1]
+    for u, v, e in bound.den_factors:
+        for _ in range(e):
+            dl = poly_mul(dl, [v, u])
+    ka, kb = _kernel_ratio(bound)
+    r = poly_mul(poly_mul(ka, dl), wc)
+    t = [bc * c for c in poly_mul(poly_mul(kb, poly_shift1(dl)), poly_shift1(wc))]
+    na, nb = _surd_mul(
+        (poly_shift1(wa), poly_shift1(wb)), ([int(beta.a * bc)], [int(beta.b * bc)]), d
+    )
+    return (poly_mul(na, r), poly_mul(nb, r)), (poly_mul(t, wa), poly_mul(t, wb))
+
+
+def _certify_q(bound: SeriesDef, num: tuple, den: tuple, q: Fraction) -> Envelope:
+    """The envelope of ``bound``'s terms for this q: the smallest sharp k0.
+
+    ``num/den`` is :func:`_majorant_ratio`'s.
+    """
+    qn, qd = q.numerator, q.denominator
+
+    def factor(sign: int) -> IntegerSurdPoly:  # qn*den + sign*qd*num
+        a, b = (poly_add([qn * c for c in x], [sign * qd * c for c in y]) for x, y in zip(den, num))
+        return IntegerSurdPoly.from_lists(a, b, bound.field_d)
+
+    # qd^2 * G = (qn*den - qd*num) * (qn*den + qd*num); want G(k) >= 0
+    factors = (factor(-1), factor(1))
 
     def sign_g(k: int) -> int:
         return factors[0].sign_at(k) * factors[1].sign_at(k)
@@ -238,7 +314,7 @@ def _certify_q(bound: SeriesDef, ratio: RatFun, q: Fraction) -> Envelope:
         k0 = k
         k -= 1
     log2_term = _log2_abs(bound.term_exact(k0))
-    return Envelope(q=q, k0=k0, ratio=ratio, majorant=bound, log2_term=log2_term)
+    return Envelope(q=q, k0=k0, majorant=bound, log2_term=log2_term)
 
 
 def certify_envelope(sdef: SeriesDef) -> Envelope:
@@ -265,10 +341,10 @@ def certify_envelope(sdef: SeriesDef) -> Envelope:
     if not qs:
         raise NonConvergent("cannot select a geometric bound below 1")
     bound = majorant(sdef)
-    ratio = bound.term_ratio()
+    num, den = _majorant_ratio(bound)
     envelopes = []
     for q in qs:
-        envelopes.append(_certify_q(bound, ratio, q))
+        envelopes.append(_certify_q(bound, num, den, q))
         if envelopes[-1].k0 == bound.k_start:
             # a larger q keeps this k0 and decays slower: no fewer terms
             break
@@ -294,15 +370,15 @@ def _cleared(weight: tuple[WeightTerm, ...]) -> list:
     """
     out = []
     for coeff, atom in weight:
-        num, den = coeff.num, coeff.den
-        if any(QuadElem.of(x).b for x in den.coeffs):
-            conj = den.map_coeffs(lambda x: QuadElem.of(x).conjugate())
-            num, den = num * conj, den * conj
-        num, den = IntegerSurdPoly(num), IntegerSurdPoly(den)
-        # coeff = (A + B*sqrt(d)) * den.scale / (C * num.scale)
-        a = [x * den.scale for x in num.a]
-        b = [x * den.scale for x in num.b] if any(num.b) else None
-        out.append((a, b, [x * num.scale for x in den.a], atom))
+        num, den = IntegerSurdPoly(coeff.num), IntegerSurdPoly(coeff.den)
+        # coeff = (a + b*sqrt(d)) * den.scale / (c * num.scale)
+        a, b, c = num.a, num.b, den.a
+        if any(den.b):  # times the conjugate den.a - den.b*sqrt(d), over and under
+            conj = (den.a, [-x for x in den.b])
+            a, b = _surd_mul((a, b), conj, den.d)
+            c = _surd_mul((den.a, den.b), conj, den.d)[0]
+        b = [x * den.scale for x in b] if any(b) else None
+        out.append(([x * den.scale for x in a], b, [x * num.scale for x in c], atom))
     return out
 
 
@@ -325,13 +401,12 @@ class _TermStream:
         self.root = math.isqrt(d << 2 * p) if d > 1 else 0
         self.dk = den_value(sdef.den_factors, k)
         num, den = 1, self.dk
-        self.ratio = ([1], [1])  # (kernel ratio)^(+-1) as integer polynomials (num, den)
+        self.ratio = _kernel_ratio(sdef)
         if sdef.kernel:
-            a, b = ([int(c) for c in poly.coeffs] for poly in sdef.kernel.ratio_polys())
             if sdef.kernel_pos is Position.NUMERATOR:
-                num, self.ratio = sdef.kernel.value(k), (a, b)
+                num = sdef.kernel.value(k)
             else:
-                den, self.ratio = den * sdef.kernel.value(k), (b, a)
+                den *= sdef.kernel.value(k)
         if den < 0:
             num, den = -num, -den
         self.v, self.e = (num << p) // den, 1

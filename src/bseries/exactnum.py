@@ -19,16 +19,20 @@ points and a dominance bound on its real roots: the smallest integer K at
 which a lower bound on the leading coefficient times K^n exceeds the sum
 of upper bounds on the other coefficients times K^i.  Beyond K the
 polynomial has no root.  Term-ratio envelopes and telescoping horizons are
-certified with it.  The coefficient bounds embed sqrt(d) through an
-integer square root, so this stays free of floating point too, and so does
-:func:`embed_dyadic`, the one integer embedding of a surd over a power of
-two, through which series bases and nested radicals are evaluated.
+certified with it; an envelope builds its factors on integer coefficient
+lists (:func:`poly_add`, :func:`poly_mul`, :func:`poly_shift1`, evaluated
+by :func:`horner`) and wraps them with :meth:`IntegerSurdPoly.from_lists`.
+The coefficient bounds embed sqrt(d) through an integer square root, so
+this stays free of floating point too, and so does :func:`embed_dyadic`,
+the one integer embedding of a surd over a power of two, through which
+series bases and nested radicals are evaluated.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -42,6 +46,9 @@ __all__ = [
     "poly_gcd",
     "IntegerSurdPoly",
     "horner",
+    "poly_add",
+    "poly_mul",
+    "poly_shift1",
 ]
 
 
@@ -511,6 +518,32 @@ def horner(coeffs: Sequence[int], x: int) -> int:
     return out
 
 
+def poly_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The sum of two integer polynomials (coefficient lists, constant first)."""
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two integer polynomials (coefficient lists, constant first)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def poly_shift1(a: Sequence[int]) -> list[int]:
+    """The integer polynomial ``a(x + 1)``, by Horner's rule in ``x + 1``."""
+    out: list[int] = []
+    for c in reversed(a):
+        out = poly_add([0] + out, out)  # out * (x + 1)
+        out[0] += c
+    return out
+
+
 class IntegerSurdPoly:
     """A positive integer multiple ``A(x) + B(x)*sqrt(d)`` of a polynomial over Q(sqrt d).
 
@@ -534,6 +567,24 @@ class IntegerSurdPoly:
         self.b = [c.b.numerator * (scale // c.b.denominator) for c in coeffs]
         self.d = radicands.pop() if radicands else 1
         self.scale = scale
+
+    @classmethod
+    def from_lists(cls, a: Sequence[int], b: Sequence[int], d: int) -> "IntegerSurdPoly":
+        """``A + B*sqrt(d)`` itself (scale 1) from integer lists, constant first.
+
+        ``d`` is 1, which folds B into A, or squarefree, so a coefficient is
+        zero only where both lists are; trailing zero coefficients are dropped.
+        """
+        a, b = (poly_add(a, b), []) if d == 1 else (list(a), list(b))
+        n = max(len(a), len(b))
+        a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+        while n and not (a[n - 1] or b[n - 1]):
+            n -= 1
+        if not n:
+            raise ValueError("zero polynomial")
+        self = cls.__new__(cls)
+        self.a, self.b, self.d, self.scale = a[:n], b[:n], d, 1
+        return self
 
     def sign_at(self, k: int) -> int:
         """Exact sign of the polynomial at the integer k."""

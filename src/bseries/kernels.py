@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .exactnum import Poly, RatFun
+from .exactnum import Poly, RatFun, poly_mul
 
 __all__ = ["KernelFamily", "KERNELS", "kernel_by_tag"]
 
@@ -43,18 +44,23 @@ class KernelFamily:
             out *= math.comb(p * k, q * k)
         return out
 
-    def ratio_polys(self, var: str = "k") -> tuple[Poly, Poly]:
-        """Polynomials (A, B) with value(k+1)/value(k) = A(k)/B(k)."""
-        num = Poly.const(Fraction(1), var)
-        den = Poly.const(Fraction(1), var)
+    @cached_property
+    def ratio_lists(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Integer lists (A, B), constant first, with value(k+1)/value(k) = A(k)/B(k)."""
+        num, den = [1], [1]
         for p, q in self.pairs:
             r = p - q
             for i in range(1, p + 1):
-                num = num * Poly((Fraction(i), Fraction(p)), var)
+                num = poly_mul(num, [i, p])
             for i in range(1, q + 1):
-                den = den * Poly((Fraction(i), Fraction(q)), var)
+                den = poly_mul(den, [i, q])
             for j in range(1, r + 1):
-                den = den * Poly((Fraction(j), Fraction(r)), var)
+                den = poly_mul(den, [j, r])
+        return tuple(num), tuple(den)
+
+    def ratio_polys(self, var: str = "k") -> tuple[Poly, Poly]:
+        """Polynomials (A, B) with value(k+1)/value(k) = A(k)/B(k): :attr:`ratio_lists` over Q."""
+        num, den = (Poly(map(Fraction, c), var) for c in self.ratio_lists)
         return num, den
 
     def ratio(self, var: str = "k") -> RatFun:

@@ -16,8 +16,11 @@ original enclosures by one rule:
   large coefficients fitted to the noise of thin inputs.
 
 A tight ball around zero is accepted as a unit relation without a search.
-An input below ``tol/100`` of the largest, where ``mpmath.pslq`` would stop
-without searching, is reported as "no relation" with that reason.
+The search runs at the digits to which the scaled midpoints are known, the
+least ``log10(scale / radius)`` over the inputs (capped at 400), so an input
+far below the largest keeps the digits its own ball certifies.  An input
+below ``tol/100`` of the largest, where ``mpmath.pslq`` would stop without
+searching, is reported as "no relation" with that reason.
 
 Reliable discovery wants roughly 2 * max_coeff_bits * n / 3.32 certified
 digits of input (each coefficient digit consumed by the relation must be
@@ -184,7 +187,10 @@ def pslq(values: Sequence[ApproxReal], max_coeff_bits: int = 24) -> RelationResu
                 return RelationResult(tuple(unit), v, conf, f"input {i} is zero")
             return _none_result(vals, f"input {i} straddles zero too widely")
 
-    work_digits = max(15, min(min(v.to_digits() for v in vals), _MAX_WORK_DIGITS))
+    # Scaled by the largest, an input is known to floor(log10(scale/rad))
+    # digits: a small input with a thin ball keeps every digit of its own.
+    known = [log10_floor(scale / Fraction(v.units, 1 << v.p)) for v in vals if v.units]
+    work_digits = max(15, min(known + [_MAX_WORK_DIGITS]))
     with mp.workprec(digits_to_bits(work_digits)):
         top = max(abs(v.mid) for v in vals)
         mids = [v.mid / top for v in vals]

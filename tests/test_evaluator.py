@@ -5,6 +5,7 @@ significant digits.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -24,7 +25,7 @@ from bseries.evaluator import (
     sum_series,
     verify_identity,
 )
-from bseries.exactnum import QuadElem
+from bseries.exactnum import QuadElem, horner
 from bseries.kernels import kernel_by_tag
 from bseries.precision import attempt_bits, working_bits
 from bseries.seriesmodel import (
@@ -198,12 +199,15 @@ def test_envelope_bound_holds_exactly():
         mk("(12 + 4*sqrt(5))^-4", weight="k + 1", kernel="central^3", pos="num"),
         mk("1/2", weight="H(k,1)", k0=1),
         STREAM_CASES[-2],
+        STREAM_CASES[-1],
     ):
         env = certify_envelope(sdef)
         assert env.majorant == majorant(sdef)
         assert env.q < 1
         assert env.k0 >= sdef.k_start
-        num, den = env.ratio.num, env.ratio.den
+        # the exact RatFun reference, not the envelope's own integer factors
+        ratio = majorant(sdef).term_ratio()
+        num, den = ratio.num, ratio.den
         for k in range(env.k0, env.k0 + 40):
             nk = QuadElem.of(num(Fraction(k)))
             dk = QuadElem.of(den(Fraction(k)))
@@ -217,7 +221,8 @@ def test_envelope_start_is_sharp():
     sdef = mk("2", weight="k", kernel="central^3", pos="den", k0=1)
     env = certify_envelope(sdef)
     assert env.k0 > sdef.k_start
-    num, den = env.ratio.num, env.ratio.den
+    ratio = majorant(sdef).term_ratio()
+    num, den = ratio.num, ratio.den
     k = env.k0 - 1
     nk = QuadElem.of(num(Fraction(k)))
     dk = QuadElem.of(den(Fraction(k)))
@@ -243,6 +248,39 @@ def test_envelope_pinned_on_catalog_records(rid, q, k0):
     assert (env.q, env.k0) == (q, k0)
 
 
+def test_envelope_pinned_on_every_shipped_series():
+    # (q, k0) of every shipped series as the RatFun factors gave them
+    pins = {}
+    for line in (Path(__file__).parent / "envelope_pins.tsv").read_text().splitlines():
+        if not line.startswith("#"):
+            rid, *pin = line.split("\t")
+            pins[rid] = pin
+    got = {}
+    for rec in shipped_series():
+        try:
+            env = certify_envelope(rec.series)
+            got[rec.id] = [str(env.q), str(env.k0)]
+        except NonConvergent:
+            got[rec.id] = ["NonConvergent"]
+    assert got == pins
+
+
+def test_integer_ratio_matches_term_ratio():
+    cases = [(rec.id, rec.series) for rec in shipped_series()] + list(enumerate(STREAM_CASES))
+    for rid, sdef in cases:
+        bound = majorant(sdef)
+        ref = bound.term_ratio()
+        (na, nb), (da, db) = evaluator._majorant_ratio(bound)
+        d = bound.field_d
+        for k in range(bound.k_start, bound.k_start + 20):
+            num = QuadElem(horner(na, k), horner(nb, k), d)
+            den = QuadElem(horner(da, k), horner(db, k), d)
+            ref_num, ref_den = ref.num(Fraction(k)), ref.den(Fraction(k))
+            # a zero weight (sec1-cz4096 at k = 0) zeroes both denominators
+            assert bool(den) == bool(ref_den), (rid, k)
+            assert num * ref_den == ref_num * den, (rid, k)
+
+
 def test_envelope_rejects_unit_ratio():
     with pytest.raises(NonConvergent):
         certify_envelope(mk("-1/64", weight="4*k + 1", kernel="central^3", pos="num"))
@@ -251,6 +289,12 @@ def test_envelope_rejects_unit_ratio():
 def test_envelope_rejects_divergent():
     with pytest.raises(NonConvergent):
         certify_envelope(mk("2", kernel="central^3", pos="num"))
+
+
+def test_envelope_refuses_when_no_candidate_is_below_one():
+    # L = 1 - 2^-30 < 1, but (1 + L)/2 rounds up to 1 on the 2^-24 grid
+    with pytest.raises(NonConvergent, match="cannot select a geometric bound below 1"):
+        certify_envelope(mk("1 - 1/2^30"))
 
 
 def test_every_shipped_series_gets_an_envelope():

@@ -12,8 +12,12 @@ from bseries.exactnum import (
     Poly,
     QuadElem,
     RatFun,
+    horner,
+    poly_add,
     poly_divmod,
     poly_gcd,
+    poly_mul,
+    poly_shift1,
     sqrt_surd,
     squarefree_split,
 )
@@ -239,6 +243,30 @@ class TestIntegerSurdPoly:
             IntegerSurdPoly(Poly((QuadElem(0, 1, 2), QuadElem(0, 1, 3)), "k"))
         with pytest.raises(ValueError):
             IntegerSurdPoly(Poly((), "k"))
+        with pytest.raises(ValueError):
+            IntegerSurdPoly.from_lists([0, 0], [0], 5)
+
+    def test_from_lists_matches_the_poly_constructor(self):
+        # 3 - 2k + k^2*sqrt(5), with a trailing zero coefficient to drop
+        f = IntegerSurdPoly(Poly((QuadElem(3), QuadElem(-2), QuadElem(0, 1, 5)), "k"))
+        g = IntegerSurdPoly.from_lists([3, -2, 0, 0], [0, 0, 1], 5)
+        assert (g.a, g.b, g.d, g.scale) == (f.a, f.b, f.d, f.scale)
+        assert g.root_bound() == f.root_bound()
+        # d = 1 folds the second list into the first
+        h = IntegerSurdPoly.from_lists([-4], [0, 1], 1)
+        assert (h.a, h.b) == ([-4, 1], [0, 0])
+        assert [h.sign_at(k) for k in (3, 4, 5)] == [-1, 0, 1]
+
+
+_INT_POLYS = st.lists(st.integers(min_value=-50, max_value=50), max_size=6)
+
+
+@given(_INT_POLYS, _INT_POLYS, st.integers(min_value=-20, max_value=20))
+@settings(max_examples=100, deadline=None)
+def test_integer_list_arithmetic(a, b, x):
+    assert horner(poly_add(a, b), x) == horner(a, x) + horner(b, x)
+    assert horner(poly_mul(a, b), x) == horner(a, x) * horner(b, x)
+    assert horner(poly_shift1(a), x) == horner(a, x + 1)
 
 
 class TestRatFun:

@@ -56,6 +56,14 @@ def test_ratio_matches_direct_quotient():
             assert r(Fraction(k)) == Fraction(fam.value(k + 1), fam.value(k))
 
 
+def test_integer_ratio_lists_are_the_ratio_polys():
+    for fam in KERNELS.values():
+        a, b = fam.ratio_polys()
+        assert fam.ratio_lists == (a.coeffs, b.coeffs)
+        assert all(isinstance(c, int) for lst in fam.ratio_lists for c in lst)
+        assert fam.ratio_lists is fam.ratio_lists  # built once
+
+
 def test_ratio_degrees_balance():
     # deg A == deg B == sum of p over the pairs; the ratio tends to growth().
     for fam in KERNELS.values():

@@ -138,16 +138,24 @@ class TestPslqSoundness:
         assert r.coefficients is None
 
     def test_input_below_pslq_tolerance_is_named(self):
-        # 16-digit balls: scaled by the largest, 1/7 is 1e-30, below the
-        # tol/100 at which mpmath.pslq stops without searching
+        # exact inputs: the search runs at the 400-digit cap, and 2^-2000
+        # (about 1e-602) is below the tol/100 at which mpmath.pslq stops
+        vals = [ApproxReal(1, 2000, 0), ApproxReal.from_int(1)]
+        r = pslq(vals, 24)
+        assert r.coefficients is None
+        assert "input 0 is below 1e-396 of the largest at 400 digits" in r.note
+
+    def test_tiny_input_beside_the_largest_keeps_its_digits(self):
+        # 16-digit balls: scaled by the largest, 1/7 is 1e-30, but it and
+        # the other inputs are known to 45 digits there, so pslq searches
         vals = [
             ApproxReal.from_fraction(Fraction(1, 7)),
             ApproxReal.from_fraction(Fraction(10**30, 7)),
             ApproxReal.from_int(1),
         ]
         r = pslq(vals, 24)
-        assert r.coefficients is None
-        assert "input 0 is below" in r.note
+        assert r.coefficients == (7, 0, -1)
+        assert r.confidence_digits >= 40
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
