@@ -45,15 +45,9 @@ __all__ = [
     "DualClassification",
     "RamanujanDatum",
     "ZeilbergerDatum",
-    "conjugate_series",
     "classify_dual",
     "dualize",
 ]
-
-
-def conjugate_series(sdef: SeriesDef) -> SeriesDef:
-    """Termwise Galois conjugate: sigma applied to base and weight scalars."""
-    return sdef.conjugate()
 
 
 class DualBranch(enum.Enum):

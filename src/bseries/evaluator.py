@@ -1,47 +1,49 @@
 """Certified series summation and identity verification.
 
-Every convergent series is summed with one certified tail.  An atom-free
-weight gives an exact term ratio ``rho(k) = t_{k+1}/t_k``, a rational
-function over the quadratic field.  A weight with harmonic atoms is first
-replaced by the atom-free weight U of its :func:`majorant`, which bounds
-``|W(k)|`` from the majorant's start on because ``0 <= H(n, m) <= n``
-(Mezzarobba & Salvy, *Effective bounds for P-recursive sequences*, 2010);
-an atom-free series is its own majorant.
+Every convergent series is summed with one certified tail.  Its weight is
+cleared once, by :class:`_IntegerWeight`, to integer lists over one common
+denominator c:
 
-The envelope is certified for the majorant's ratio ``num/den``: with a
-rational ``q = qn/qd < 1`` above the limiting ratio
-``L = |base| * growth^(+-1)``, ``|rho(k)| <= q`` for every integer
-``k >= k0`` because
+    W(k) = sum_i (A_i + B_i*sqrt(d)) * atom_i(k) / c(k),
+
+each atom 1 or its exact :class:`~bseries.seriesmodel.HarmonicCache` value;
+a sqrt(d) in a coefficient's denominator is rationalised by its conjugate.
+The majorant weight is ``U = (UA + UB*sqrt(d)) / c`` on the same lists.  An
+atom-free weight is its own majorant, from ``k_start``.  Otherwise U starts
+at K, the largest root bound from ``k_start`` of every coefficient's own
+numerator and denominator, so each coefficient keeps its sign ``sigma_i``
+from K on, and ``U = sum_i sigma_i * (A_i + B_i*sqrt(d)) * b_i / c`` with
+``b_i(k) = stride*k + offset >= H(stride*k + offset, m) >= 0`` for an atom and
+``b_i = 1`` for the unit atom.  Then ``U(k) >= |W(k)|`` for k >= K
+(Mezzarobba & Salvy, *Effective bounds for P-recursive sequences*, 2010).
+
+The envelope is certified for the majorant's terms ``m_k = U(k) * S_k *
+base^k`` (``S_k`` below): with a rational ``q = qn/qd < 1`` above the
+limiting ratio ``L = |base| * growth^(+-1)``, ``|m_{k+1}| <= q*|m_k|`` for
+every integer ``k >= k0`` because
 
     qd^2 * G(k) = (qn*den - qd*num) * (qn*den + qd*num),   G = q^2*den^2 - num^2,
 
-is >= 0 there.  num and den are built once per series on integer
-coefficient lists.  The weight is ``Wn/Wd``, ``Wn = A + B*sqrt(d)`` summed
-over the common denominator Wd of its cleared terms (:func:`_cleared`); the
-base is ``(ba + bb*sqrt(d))/bc``; and ``(Kn, Kd)`` are the kernel's integer
-ratio lists, swapped for the denominator position.  Then
+is >= 0 there, where ``num/den = m_{k+1}/m_k`` is built once per series from
+U's lists, the base ``(ba + bb*sqrt(d))/bc`` and the kernel's integer ratio
+lists ``(Kn, Kd)``, swapped for the denominator position:
 
-    num = Wn(k+1) * (ba + bb*sqrt(d)) * Kn(k) * D(k) * Wd(k),
-    den = bc * Wd(k+1) * Kd(k) * D(k+1) * Wn(k),
+    num = (UA + UB*sqrt(d))(k+1) * (ba + bb*sqrt(d)) * Kn(k) * D(k) * c(k),
+    den = bc * c(k+1) * Kd(k) * D(k+1) * (UA + UB*sqrt(d))(k).
 
-which is :meth:`SeriesDef.term_ratio`'s numerator and denominator, each
-times ``bc * F(k)`` with ``F(k) = s^2 * X(k) * X(k+1)``: s > 0 is the scale
-that clears the coefficients' denominators, and X is the product of the
-conjugates that rationalise a sqrt(d) in a weight denominator (1 without
-one).  X vanishes at no integer from the start on, since a weight
-denominator does not, so G is multiplied by ``bc^2 * F(k)^2 > 0`` at every
-integer it is evaluated at.  k0 is fixed by the signs of G at integers
-alone (the root bound below only says where the search starts), so the
-positive scale and the squared common factor leave it unchanged.
+c, Kd and D vanish at no integer from the start on, so G(k) >= 0 is exactly
+``|m_{k+1}| <= q*|m_k|``, a zero U(k) included.  Another integer form of
+the same weight multiplies num and den by one common factor nonzero at
+those integers, and G by its square, so k0 depends on the weight alone.
 Each factor is an :class:`~bseries.exactnum.IntegerSurdPoly` with no real
 root beyond its coefficient-dominance bound; the sign of G at an integer,
 the product of the factors' exact signs, is checked from the larger bound
-down to the majorant's start, which gives ``k0``.  ``L >= 1``
-raises :class:`NonConvergent`.  A q near L keeps the tail factor
-``q/(1 - q)`` small but can push k0 far out, so q is chosen per series:
-each of ``L*65/64``, ``L*9/8``, ``L*3/2`` and ``(1 + L)/2`` below 1 is
-certified, and the one with the fewest predicted terms
-(:meth:`Envelope.predicted_terms`) to a tail of ``2^-_RANK_BITS`` wins.
+down to K, which gives ``k0``.  ``L >= 1`` raises :class:`NonConvergent`.
+A q near L keeps the tail factor ``q/(1 - q)`` small but can push k0 far
+out, so q is chosen per series: each of ``L*65/64``, ``L*9/8``, ``L*3/2``
+and ``(1 + L)/2`` below 1 is certified, and the one with the fewest
+predicted terms (:meth:`Envelope.predicted_terms`) to a tail of
+``2^-_RANK_BITS`` wins.
 
 The sum is one fixed-point integer recurrence (Brent & Zimmermann, *Modern
 Computer Arithmetic*, 2010, ch. 3-4; Haible & Papanikolaou, *Fast
@@ -103,12 +105,12 @@ without an envelope is INCONCLUSIVE at once.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Optional
 
 import mpmath
@@ -116,15 +118,7 @@ from mpmath import mp
 
 from .closedform import ClosedForm
 from .exactnum import (
-    IntegerSurdPoly,
-    Poly,
-    QuadElem,
-    RatFun,
-    embed_dyadic,
-    horner,
-    poly_add,
-    poly_mul,
-    poly_shift1,
+    IntegerSurdPoly, QuadElem, embed_dyadic, horner, poly_add, poly_mul, poly_shift1,
 )
 from .precision import (
     DIGITS_INF,
@@ -135,13 +129,12 @@ from .precision import (
     log10_floor,
     working_bits,
 )
-from .seriesmodel import HarmonicCache, Position, SeriesDef, WeightTerm, den_value
+from .seriesmodel import HarmonicCache, Position, SeriesDef, den_value
 
 __all__ = [
     "NonConvergent",
     "BudgetExceeded",
     "Envelope",
-    "majorant",
     "certify_envelope",
     "SumResult",
     "sum_series",
@@ -180,9 +173,8 @@ class Status(enum.Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-def _log2_abs(x) -> float:
-    """log2 |x| of a rational or QuadElem, -inf at 0; in floats, for sizing only."""
-    x = QuadElem.of(x)
+def _log2_abs(x: QuadElem) -> float:
+    """log2 |x|, -inf at 0; in floats, for sizing only."""
     if not x:
         return -math.inf
     bn, bd, _ = embed_dyadic(x, 64)
@@ -193,9 +185,66 @@ def _log2_abs(x) -> float:
 # envelope certification
 
 
+class _IntegerWeight:
+    """The weight W and its majorant U on integer lists, as the module docstring says.
+
+    ``terms`` holds ``(A_i, B_i, atom_i)``, ``c`` the common denominator,
+    ``(ua, ub)`` U's numerator, and ``start`` the K from which
+    ``U(k) >= |W(k)|``; an empty list is the zero polynomial.
+    """
+
+    def __init__(self, sdef: SeriesDef):
+        self.d = d = sdef.field_d
+        cleared, polys = [], []
+        for coeff, atom in sdef.weight:
+            num, den = IntegerSurdPoly(coeff.num), IntegerSurdPoly(coeff.den)
+            polys.append((num, den))
+            # coeff = (a + b*sqrt(d)) * den.scale / (c * num.scale)
+            a, b, c = num.a, num.b, den.a
+            if any(den.b):  # times the conjugate den.a - den.b*sqrt(d), over and under
+                conj = (den.a, [-x for x in den.b])
+                a, b = _surd_mul((a, b), conj, d)
+                c = _surd_mul((den.a, den.b), conj, d)[0]
+            b = [x * den.scale for x in b] if any(b) else []
+            cleared.append(([x * den.scale for x in a], b, tuple(x * num.scale for x in c), atom))
+        dens = list(dict.fromkeys(c for *_, c, _ in cleared))
+        self.c, self.terms = reduce(poly_mul, dens, [1]), []
+        for a, b, c, atom in cleared:
+            others = [x for x in dens if x != c]
+            self.terms.append((reduce(poly_mul, others, a), reduce(poly_mul, others, b), atom))
+        self.start, signs = sdef.k_start, [1] * len(polys)
+        if sdef.has_harmonic():
+            self.start = k = max(p.root_bound(start=sdef.k_start) for pair in polys for p in pair)
+            signs = [num.sign_at(k) * den.sign_at(k) for num, den in polys]
+        self.ua, self.ub = [], []
+        for sign, (a, b, atom) in zip(signs, self.terms):
+            bound = [sign * atom.offset, sign * atom.stride] if atom else [sign]
+            self.ua = poly_add(self.ua, poly_mul(a, bound))
+            self.ub = poly_add(self.ub, poly_mul(b, bound))
+
+    def weight_at(self, k: int, harm: HarmonicCache) -> tuple[int, int, int]:
+        """``(wa, wb, wc)`` with ``W(k) = (wa + wb*sqrt(d)) / wc``."""
+        wa, wb, wc = 0, 0, 1
+        for a, b, atom in self.terms:
+            x, y, n = horner(a, k), horner(b, k), 1
+            if atom is not None:
+                h = harm.value(atom.order, atom.index_at(k))
+                x, y, n = x * h.numerator, y * h.numerator, h.denominator
+            wa, wb, wc = wa * n + x * wc, wb * n + y * wc, wc * n
+        return wa, wb, wc * horner(self.c, k)
+
+    def majorant_at(self, k: int) -> tuple[int, int, int]:
+        """``(ua, ub, c)`` with ``U(k) = (ua + ub*sqrt(d)) / c``."""
+        return horner(self.ua, k), horner(self.ub, k), horner(self.c, k)
+
+    def majorant_value(self, k: int) -> QuadElem:
+        ua, ub, c = self.majorant_at(k)
+        return QuadElem(Fraction(ua, c), Fraction(ub, c), self.d)
+
+
 @dataclass(frozen=True)
 class Envelope:
-    """``|m_{k+1}/m_k| <= q`` for the terms m_k of ``majorant`` and every k >= k0.
+    """``|m_{k+1}/m_k| <= q`` for the majorant's terms m_k of ``weight`` and every k >= k0.
 
     ``log2_term`` is ``log2 |m_{k0}|`` (-inf when it is 0), in floats: it
     sizes and ranks, and certifies nothing.
@@ -203,7 +252,7 @@ class Envelope:
 
     q: Fraction
     k0: int
-    majorant: SeriesDef
+    weight: _IntegerWeight
     log2_term: float
 
     def predicted_terms(self, bits: int) -> int:
@@ -225,28 +274,6 @@ def _growth(sdef: SeriesDef) -> Fraction:
     return sdef.kernel.growth() ** sdef.kernel_pos.exponent
 
 
-def majorant(sdef: SeriesDef) -> SeriesDef:
-    """An atom-free series whose terms bound ``|t_k|`` from its start on.
-
-    An atom-free series is returned unchanged.  Otherwise the start K is the
-    largest root bound, from ``k_start``, of every coefficient's numerator
-    and denominator, so each coefficient ``c_i`` keeps its sign ``sigma_i``
-    from K on, and the weight is ``U = sum_i sigma_i * c_i * B_i``, with
-    ``B_i(k) = stride*k + offset >= H(stride*k + offset, m) >= 0`` for an atom
-    and ``B_i = 1`` for the unit atom.  Then ``U(k) >= |W(k)|`` for k >= K.
-    """
-    if not sdef.has_harmonic():
-        return sdef
-    polys = [IntegerSurdPoly(p) for c, _ in sdef.weight for p in (c.num, c.den)]
-    start = max(p.root_bound(start=sdef.k_start) for p in polys)
-    u = RatFun.const(Fraction(0))
-    for (coeff, atom), num, den in zip(sdef.weight, polys[::2], polys[1::2]):
-        sign = Fraction(num.sign_at(start) * den.sign_at(start))
-        bound = Poly((Fraction(atom.offset), Fraction(atom.stride))) if atom else 1
-        u = u + coeff * (bound * sign)
-    return dataclasses.replace(sdef, weight=(WeightTerm(u, None),), k_start=start)
-
-
 def _surd_mul(x: tuple[list, list], y: tuple[list, list], d: int) -> tuple[list, list]:
     """``(a + b*sqrt(d)) * (a' + b'*sqrt(d))`` on pairs ``(a, b)`` of integer lists."""
     (a, b), (a2, b2) = x, y
@@ -262,33 +289,37 @@ def _kernel_ratio(sdef: SeriesDef) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (a, b) if sdef.kernel_pos is Position.NUMERATOR else (b, a)
 
 
-def _majorant_ratio(bound: SeriesDef) -> tuple[tuple[list, list], tuple[list, list]]:
-    """The term ratio ``num/den`` of the atom-free ``bound``, each side a pair
-    ``(a, b)`` of integer lists for ``a + b*sqrt(d)``, built as the module
-    docstring says."""
-    d = bound.field_d
-    wa, wb, wc = [0], [0], [1]  # Wn = wa + wb*sqrt(d), Wd = wc
-    for a, b, c, _ in _cleared(bound.weight):
-        wa = poly_add(poly_mul(wa, c), poly_mul(a, wc))
-        wb = poly_add(poly_mul(wb, c), poly_mul(b or [], wc))
-        wc = poly_mul(wc, c)
-    beta = bound.base_value
+def _majorant_term(sdef: SeriesDef, weight: _IntegerWeight, k: int) -> QuadElem:
+    """The majorant's term ``m_k = U(k) * S_k * base^k``, exactly."""
+    m = weight.majorant_value(k) * sdef.base_value**k / den_value(sdef.den_factors, k)
+    if sdef.kernel is None:
+        return m
+    kv = sdef.kernel.value(k)
+    return m * kv if sdef.kernel_pos is Position.NUMERATOR else m / kv
+
+
+def _majorant_ratio(sdef: SeriesDef, weight: _IntegerWeight) -> tuple[tuple, tuple]:
+    """The majorant's term ratio ``num/den``, each side a pair ``(a, b)`` of
+    integer lists for ``a + b*sqrt(d)``, built as the module docstring says."""
+    beta = sdef.base_value
     bc = math.lcm(beta.a.denominator, beta.b.denominator)
     dl = [1]
-    for u, v, e in bound.den_factors:
+    for u, v, e in sdef.den_factors:
         for _ in range(e):
             dl = poly_mul(dl, [v, u])
-    ka, kb = _kernel_ratio(bound)
-    r = poly_mul(poly_mul(ka, dl), wc)
-    t = [bc * c for c in poly_mul(poly_mul(kb, poly_shift1(dl)), poly_shift1(wc))]
-    na, nb = _surd_mul(
-        (poly_shift1(wa), poly_shift1(wb)), ([int(beta.a * bc)], [int(beta.b * bc)]), d
-    )
-    return (poly_mul(na, r), poly_mul(nb, r)), (poly_mul(t, wa), poly_mul(t, wb))
+    ka, kb = _kernel_ratio(sdef)
+    r = poly_mul(poly_mul(ka, dl), weight.c)
+    t = [bc * c for c in poly_mul(poly_mul(kb, poly_shift1(dl)), poly_shift1(weight.c))]
+    u = (weight.ua, weight.ub)
+    beta_lists = ([int(beta.a * bc)], [int(beta.b * bc)])
+    na, nb = _surd_mul([poly_shift1(x) for x in u], beta_lists, weight.d)
+    return (poly_mul(na, r), poly_mul(nb, r)), tuple(poly_mul(t, x) for x in u)
 
 
-def _certify_q(bound: SeriesDef, num: tuple, den: tuple, q: Fraction) -> Envelope:
-    """The envelope of ``bound``'s terms for this q: the smallest sharp k0.
+def _certify_q(
+    sdef: SeriesDef, weight: _IntegerWeight, num: tuple, den: tuple, q: Fraction
+) -> Envelope:
+    """The envelope of the majorant's terms for this q: the smallest sharp k0.
 
     ``num/den`` is :func:`_majorant_ratio`'s.
     """
@@ -296,7 +327,7 @@ def _certify_q(bound: SeriesDef, num: tuple, den: tuple, q: Fraction) -> Envelop
 
     def factor(sign: int) -> IntegerSurdPoly:  # qn*den + sign*qd*num
         a, b = (poly_add([qn * c for c in x], [sign * qd * c for c in y]) for x, y in zip(den, num))
-        return IntegerSurdPoly.from_lists(a, b, bound.field_d)
+        return IntegerSurdPoly.from_lists(a, b, weight.d)
 
     # qd^2 * G = (qn*den - qd*num) * (qn*den + qd*num); want G(k) >= 0
     factors = (factor(-1), factor(1))
@@ -304,7 +335,7 @@ def _certify_q(bound: SeriesDef, num: tuple, den: tuple, q: Fraction) -> Envelop
     def sign_g(k: int) -> int:
         return factors[0].sign_at(k) * factors[1].sign_at(k)
 
-    k_min = bound.k_start
+    k_min = weight.start
     k_star = max(f.root_bound(start=k_min) for f in factors)
     if sign_g(k_star) < 0:
         raise NonConvergent("envelope is negative beyond its root bound")
@@ -313,8 +344,8 @@ def _certify_q(bound: SeriesDef, num: tuple, den: tuple, q: Fraction) -> Envelop
     while k >= k_min and sign_g(k) >= 0:
         k0 = k
         k -= 1
-    log2_term = _log2_abs(bound.term_exact(k0))
-    return Envelope(q=q, k0=k0, majorant=bound, log2_term=log2_term)
+    log2_term = _log2_abs(_majorant_term(sdef, weight, k0))
+    return Envelope(q=q, k0=k0, weight=weight, log2_term=log2_term)
 
 
 def certify_envelope(sdef: SeriesDef) -> Envelope:
@@ -340,12 +371,12 @@ def certify_envelope(sdef: SeriesDef) -> Envelope:
     qs = sorted({q for q in map(dyadic_up, candidates) if q < 1})
     if not qs:
         raise NonConvergent("cannot select a geometric bound below 1")
-    bound = majorant(sdef)
-    num, den = _majorant_ratio(bound)
+    weight = _IntegerWeight(sdef)
+    num, den = _majorant_ratio(sdef, weight)
     envelopes = []
     for q in qs:
-        envelopes.append(_certify_q(bound, num, den, q))
-        if envelopes[-1].k0 == bound.k_start:
+        envelopes.append(_certify_q(sdef, weight, num, den, q))
+        if envelopes[-1].k0 == weight.start:
             # a larger q keeps this k0 and decays slower: no fewer terms
             break
     return min(envelopes, key=lambda env: env.k0 + env.predicted_terms(_RANK_BITS))
@@ -362,43 +393,21 @@ class SumResult:
     attempts: int = 1  # precision attempts of the retry loop, this one included
 
 
-def _cleared(weight: tuple[WeightTerm, ...]) -> list:
-    """Each weight term as integer lists ``(a, b, c, atom)``: ``coeff = (a + b*sqrt(d)) / c``.
-
-    A sqrt(d) in a coefficient's denominator is rationalised once by its
-    conjugate; ``b`` is None when the coefficient is rational.
-    """
-    out = []
-    for coeff, atom in weight:
-        num, den = IntegerSurdPoly(coeff.num), IntegerSurdPoly(coeff.den)
-        # coeff = (a + b*sqrt(d)) * den.scale / (c * num.scale)
-        a, b, c = num.a, num.b, den.a
-        if any(den.b):  # times the conjugate den.a - den.b*sqrt(d), over and under
-            conj = (den.a, [-x for x in den.b])
-            a, b = _surd_mul((a, b), conj, den.d)
-            c = _surd_mul((den.a, den.b), conj, den.d)[0]
-        b = [x * den.scale for x in b] if any(b) else None
-        out.append(([x * den.scale for x in a], b, [x * num.scale for x in c], atom))
-    return out
-
-
 class _TermStream:
     """Scaled terms ``T_k`` near ``2^P * t_k``, each with its error count.
 
     The recurrence and the counts are those of the module docstring: ``v``
-    and ``e`` carry ``V_k = S_k * base^k``, each weight term's coefficient is
-    cleared to integer polynomials once per stream and multiplied by its
-    atom's exact :class:`HarmonicCache` value, and the majorant's weight U is
-    cleared the same way, so :meth:`majorant_term` bounds
+    and ``e`` carry ``V_k = S_k * base^k``, and the weight is read off the
+    envelope's integer lists, each atom combined over c(k) with its exact
+    :class:`HarmonicCache` value.  :meth:`majorant_term` bounds
     ``|U(k) * S_k * base^k|`` for the last term from the same ``v`` and ``e``.
     """
 
-    def __init__(self, sdef: SeriesDef, majorant: SeriesDef, p: int):
-        self.sdef, self.p = sdef, p
+    def __init__(self, sdef: SeriesDef, weight: _IntegerWeight, p: int):
+        self.sdef, self.weight, self.p = sdef, weight, p
         self.k = k = sdef.k_start
         self.base = embed_dyadic(sdef.base_value, p)
-        d = sdef.field_d
-        self.root = math.isqrt(d << 2 * p) if d > 1 else 0
+        self.root = math.isqrt(weight.d << 2 * p) if weight.d > 1 else 0
         self.dk = den_value(sdef.den_factors, k)
         num, den = 1, self.dk
         self.ratio = _kernel_ratio(sdef)
@@ -413,8 +422,6 @@ class _TermStream:
         for _ in range(k):  # times base^k_start
             self._step(1, 1)
         self.harm = HarmonicCache()
-        self.weight_terms = _cleared(sdef.weight)
-        self.majorant_terms = _cleared(majorant.weight)
         self.last = None  # (k, v, e) of the last term
 
     def _step(self, rn: int, rd: int) -> None:
@@ -424,15 +431,9 @@ class _TermStream:
         self.v = v * bn * rn // den
         self.e = ceil_units(0, (self.e * (abs(bn) + eb) + abs(v) * eb) * abs(rn), den) + 1
 
-    def _weigh(self, terms: list, k: int, v: int, e: int) -> tuple[int, int]:
-        """``floor(W~ * v)`` for ``W = sum_i coeff_i(k) * atom_i(k)``, and its error count."""
-        wa, wb, wc = 0, 0, 1  # the weight is (wa + wb*sqrt(d)) / wc
-        for a, b, c, atom in terms:
-            x, y, n = horner(a, k), horner(b, k) if b else 0, horner(c, k)
-            if atom is not None:
-                h = self.harm.value(atom.order, atom.index_at(k))
-                x, y, n = x * h.numerator, y * h.numerator, n * h.denominator
-            wa, wb, wc = wa * n + x * wc, wb * n + y * wc, wc * n
+    def _weigh(self, w: tuple[int, int, int], v: int, e: int) -> tuple[int, int]:
+        """``floor(W~ * v)`` for ``W = (wa + wb*sqrt(d)) / wc``, and its error count."""
+        wa, wb, wc = w
         if wc < 0:
             wa, wb, wc = -wa, -wb, -wc
         if not wb:
@@ -444,7 +445,7 @@ class _TermStream:
         """``(k, T_k, err_k)`` with ``|T_k - 2^P * t_k| <= err_k``; then steps V to k + 1."""
         k, v, e = self.k, self.v, self.e
         self.last = (k, v, e)
-        t, err = self._weigh(self.weight_terms, k, v, e)
+        t, err = self._weigh(self.weight.weight_at(k, self.harm), v, e)
         d_next = den_value(self.sdef.den_factors, k + 1)
         rn, rd = horner(self.ratio[0], k) * self.dk, horner(self.ratio[1], k) * d_next
         if rd < 0:
@@ -455,15 +456,15 @@ class _TermStream:
 
     def majorant_term(self) -> int:
         """An upper bound on ``|U(k) * S_k * base^k| * 2^P`` for the last term's k."""
-        t, err = self._weigh(self.majorant_terms, *self.last)
+        k, v, e = self.last
+        t, err = self._weigh(self.weight.majorant_at(k), v, e)
         return abs(t) + err
 
 
 def _guard_bits(envelope: Envelope, n: int) -> int:
     """The bit length of the module docstring's bound on the count of an n-term sum."""
-    weight = max(
-        _log2_abs(envelope.majorant.weight_value(k)) for k in (envelope.k0, envelope.k0 + n)
-    )
+    u = envelope.weight.majorant_value
+    weight = max(_log2_abs(u(k)) for k in (envelope.k0, envelope.k0 + n))
     size = math.ceil(max(0.0, weight, envelope.log2_term + 1))
     damping = math.ceil(1 / (1 - envelope.q))
     return n.bit_length() + (n + damping).bit_length() + size + 2
@@ -489,7 +490,7 @@ def sum_series(
     # x * 2^-p * q/(1 - q) <= 10^-(digits+3) for an integer x >= 0 iff x <= limit
     limit = ((qd - qn) << p) // (qn * 10 ** (digits + 3))
 
-    stream = _TermStream(sdef, envelope.majorant, p)
+    stream = _TermStream(sdef, envelope.weight, p)
     s = units = terms = 0
     while True:
         k, t, err = stream.next_term()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exactnum import Poly, RatFun, poly_mul
+from .exactnum import Poly, poly_mul
 
 __all__ = ["KernelFamily", "KERNELS", "kernel_by_tag"]
 
@@ -62,10 +62,6 @@ class KernelFamily:
         """Polynomials (A, B) with value(k+1)/value(k) = A(k)/B(k): :attr:`ratio_lists` over Q."""
         num, den = (Poly(map(Fraction, c), var) for c in self.ratio_lists)
         return num, den
-
-    def ratio(self, var: str = "k") -> RatFun:
-        num, den = self.ratio_polys(var)
-        return RatFun(num, den)
 
     def growth(self) -> Fraction:
         """Limit of value(k+1)/value(k): prod p^p / (q^q (p-q)^(p-q))."""

@@ -17,6 +17,12 @@ and atoms drawn from generalized harmonic numbers
 The textual grammar for each field (used by the catalog) is parsed and
 rendered here; rendering is canonical, i.e. ``render(parse(render(x))) ==
 render(x)`` byte-for-byte.
+
+:meth:`SeriesDef.weight_value`, :meth:`~SeriesDef.term_exact` and
+:meth:`~SeriesDef.term_ratio` evaluate in exact ``Fraction``/``QuadElem``
+arithmetic, with :class:`HarmonicCache`'s exact prefix sums.  The evaluator
+sums on integer lists and calls none of the three: they are the exact
+references the tests compare it against.
 """
 
 from __future__ import annotations
@@ -492,10 +498,12 @@ class SeriesDef:
             raise ValueError("zero base")
         self.field_d  # validates coefficient radicands agree
         check_den_factors(self.den_factors, self.k_start)
-        for coeff, _ in self.weight:
+        for coeff, atom in self.weight:
             k = IntegerSurdPoly(coeff.den).integer_root(self.k_start)
             if k is not None:
                 raise ValueError(f"weight denominator vanishes at k={k}")
+            if atom is not None:  # the index grows with k: refuse it below 0 at the start
+                atom.index_at(self.k_start)
 
     @property
     def field_d(self) -> int:

@@ -221,6 +221,17 @@ def test_pole_at_an_index_rejected(old, new, why):
         loads_catalog(bad)
 
 
+def test_negative_harmonic_index_rejected():
+    bad = (
+        MINIMAL.replace("weight: 3*k - 1", "weight: H(k - 1,1)")
+        .replace("den: k^3", "den: 1")
+        .replace("kstart: 1", "kstart: 0")
+    )
+    with pytest.raises(CatalogError, match=r"record 't1' \(line 1\): harmonic index -1 < 0 at k=0"):
+        loads_catalog(bad)
+    assert loads_catalog(bad.replace("kstart: 0", "kstart: 1")).lookup("t1").series.k_start == 1
+
+
 def test_denominator_without_integer_root_loads():
     text = MINIMAL.replace("den: k^3", "den: (2*k - 1)").replace("kstart: 1", "kstart: 0")
     assert loads_catalog(text).lookup("t1").series.den_factors == ((2, -1, 1),)

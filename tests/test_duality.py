@@ -11,7 +11,6 @@ from bseries.duality import (
     RamanujanDatum,
     ZeilbergerDatum,
     classify_dual,
-    conjugate_series,
     dualize,
 )
 from bseries.evaluator import Status, verify_identity
@@ -74,22 +73,22 @@ GR5 = mk(
 
 class TestConjugateSeries:
     def test_r1_conjugate_structure(self):
-        dual = conjugate_series(R1)
+        dual = R1.conjugate()
         assert dual.base_root == parse_quad("12 - 4*sqrt(5)")
         assert dual.base_exp == -4
         assert dual.weight == parse_weight("6*(5 - 7*sqrt(5))*k - 5*sqrt(5) - 1")
 
     def test_rational_series_fixed(self):
         s = mk("1/2", "central^3", "den", "k + 1")
-        assert conjugate_series(s) == s
+        assert s.conjugate() == s
 
     @pytest.mark.parametrize("sdef", [R1, S375, GR5], ids=["r1", "s375", "gr5"])
     def test_involution(self, sdef):
-        assert conjugate_series(conjugate_series(sdef)) == sdef
+        assert sdef.conjugate().conjugate() == sdef
 
     @pytest.mark.parametrize("sdef", [R1, S375, GR5], ids=["r1", "s375", "gr5"])
     def test_termwise_exact(self, sdef):
-        dual = conjugate_series(sdef)
+        dual = sdef.conjugate()
         for k in range(sdef.k_start, 101):
             assert sdef.term_exact(k).conjugate() == dual.term_exact(k)
 
@@ -101,7 +100,7 @@ class TestConjugateSeries:
             "(6*(5 + 7*sqrt(5))*k + 5*sqrt(5) - 1)*(35*H(k,2) - 136*H(2*k,2))"
             " + (60*(7 - 3*sqrt(5)))/(2*k + 1)",
         )
-        dual = conjugate_series(s)
+        dual = s.conjugate()
         harm = HarmonicCache()
         for k in range(0, 60):
             assert s.term_exact(k, harm).conjugate() == dual.term_exact(k, harm)
@@ -226,7 +225,7 @@ class TestVerifiedPairs:
 
     def test_conjugate_of_r1_is_negated_r2(self):
         rep = verify_identity(
-            conjugate_series(R1), parse_closed_form("-96/pi"), digits=30
+            R1.conjugate(), parse_closed_form("-96/pi"), digits=30
         )
         assert rep.status is Status.PASS, rep.note
 
@@ -236,7 +235,7 @@ class TestVerifiedPairs:
         datum = RamanujanDatum(series=sdef, rhs_r=Fraction(29241), rhs_n=QuadElem(1))
         assert classify_dual(datum).branch is DualBranch.CONJUGATE_RAMANUJAN
         rep = verify_identity(
-            conjugate_series(sdef), parse_closed_form("29241/(2*pi)"), digits=30
+            sdef.conjugate(), parse_closed_form("29241/(2*pi)"), digits=30
         )
         assert rep.status is Status.PASS, rep.note
         assert rep.tail_mode == "certified"
@@ -255,7 +254,7 @@ class TestVerifiedPairs:
         rep2 = verify_identity(grm5, parse_closed_form("71/30*pi^2"), digits=30)
         assert rep2.status is Status.PASS, rep2.note
         rep3 = verify_identity(
-            conjugate_series(GR5), parse_closed_form("-71/30*pi^2"), digits=20
+            GR5.conjugate(), parse_closed_form("-71/30*pi^2"), digits=20
         )
         assert rep3.status is Status.PASS, rep3.note
 

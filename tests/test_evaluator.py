@@ -1,9 +1,13 @@
 """Evaluator tests: exact term streams, majorants, certified envelopes, verification.
 
+The evaluator works on integer lists only; each test's exact reference is
+built from ``SeriesDef.weight_value``/``term_exact``/``term_ratio``.
+
 Frozen reference sums were computed independently with mpmath.nsum at 70
 significant digits.
 """
 
+import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,10 +22,11 @@ from bseries.evaluator import (
     BudgetExceeded,
     NonConvergent,
     Status,
+    _IntegerWeight,
+    _log2_abs,
     _TermStream,
     certify_envelope,
     evaluate,
-    majorant,
     sum_series,
     verify_identity,
 )
@@ -30,7 +35,6 @@ from bseries.kernels import kernel_by_tag
 from bseries.precision import attempt_bits, working_bits
 from bseries.seriesmodel import (
     HarmonicCache,
-    NotHypergeometric,
     Position,
     SeriesDef,
     parse_base,
@@ -59,6 +63,17 @@ def mk(base, weight="1", den="", kernel=None, pos="den", k0=0):
         den_factors=parse_den_factors(den) if den else (),
         k_start=k0,
     )
+
+
+def u_value(form, k):
+    """U(k) from the integer form's lists, exactly."""
+    c = horner(form.c, k)
+    return QuadElem(Fraction(horner(form.ua, k), c), Fraction(horner(form.ub, k), c), form.d)
+
+
+def majorant_term(sdef, form, k):
+    """m_k = U(k) * S_k * base^k: U(k) times the term of the same series with weight 1."""
+    return u_value(form, k) * dataclasses.replace(sdef, weight=parse_weight("1")).term_exact(k)
 
 
 # ----------------------------------------------------------------------
@@ -121,8 +136,8 @@ def _count_bound(k, sdef, weight, v, p):
 
 def _check_stream(sdef, terms, p=300):
     """Exact checks of each scaled term T_k ~ 2^P t_k and its count err_k, by QuadElem signs."""
-    bound = majorant(sdef)
-    stream = _TermStream(sdef, bound, p)
+    form = _IntegerWeight(sdef)
+    stream = _TermStream(sdef, form, p)
     harm = HarmonicCache() if sdef.has_harmonic() else None
     for _ in range(terms):
         k, t, err = stream.next_term()
@@ -135,10 +150,10 @@ def _check_stream(sdef, terms, p=300):
         if not exact:
             assert t == 0, (sdef, k)
         m = stream.majorant_term()
-        ref = abs(bound.term_exact(k) * (1 << p))
+        ref = abs(majorant_term(sdef, form, k) * (1 << p))
         # an upper bound on |U(k) S_k base^k| * 2^P, and a tight one
         assert (m - ref).sign() >= 0, (sdef, k)
-        slack = 2 * _count_bound(k, sdef, bound.weight_value(k), v, p)
+        slack = 2 * _count_bound(k, sdef, u_value(form, k), v, p)
         assert (ref + slack - m).sign() >= 0, (sdef, k)
 
 
@@ -190,6 +205,12 @@ def test_envelope_geometric():
     assert env.k0 == 0
 
 
+def _gaps(sdef, env, ks):
+    """q^2*m_k^2 - m_{k+1}^2 for each k, from the exact majorant terms m_k."""
+    m = {k: majorant_term(sdef, env.weight, k) for k in (*ks, *(k + 1 for k in ks))}
+    return [m[k] * m[k] * (env.q * env.q) - m[k + 1] * m[k + 1] for k in ks]
+
+
 def test_envelope_bound_holds_exactly():
     for sdef in (
         mk("1/2"),
@@ -202,17 +223,11 @@ def test_envelope_bound_holds_exactly():
         STREAM_CASES[-1],
     ):
         env = certify_envelope(sdef)
-        assert env.majorant == majorant(sdef)
+        assert vars(env.weight) == vars(_IntegerWeight(sdef))
         assert env.q < 1
         assert env.k0 >= sdef.k_start
-        # the exact RatFun reference, not the envelope's own integer factors
-        ratio = majorant(sdef).term_ratio()
-        num, den = ratio.num, ratio.den
-        for k in range(env.k0, env.k0 + 40):
-            nk = QuadElem.of(num(Fraction(k)))
-            dk = QuadElem.of(den(Fraction(k)))
-            # |num/den| <= q  <=>  q^2 den^2 - num^2 >= 0
-            gap = dk * dk * (env.q * env.q) - nk * nk
+        # |m_{k+1}| <= q |m_k| on the exact terms, not the envelope's own factors
+        for k, gap in enumerate(_gaps(sdef, env, range(env.k0, env.k0 + 40)), env.k0):
             assert gap.sign() >= 0, (sdef, k)
 
 
@@ -221,13 +236,7 @@ def test_envelope_start_is_sharp():
     sdef = mk("2", weight="k", kernel="central^3", pos="den", k0=1)
     env = certify_envelope(sdef)
     assert env.k0 > sdef.k_start
-    ratio = majorant(sdef).term_ratio()
-    num, den = ratio.num, ratio.den
-    k = env.k0 - 1
-    nk = QuadElem.of(num(Fraction(k)))
-    dk = QuadElem.of(den(Fraction(k)))
-    gap = dk * dk * (env.q * env.q) - nk * nk
-    assert gap.sign() < 0
+    assert _gaps(sdef, env, [env.k0 - 1])[0].sign() < 0
 
 
 @pytest.mark.parametrize(
@@ -266,19 +275,35 @@ def test_envelope_pinned_on_every_shipped_series():
 
 
 def test_integer_ratio_matches_term_ratio():
+    # m_{k+1}/m_k = U(k+1)/U(k) times the term ratio of the series with weight 1
     cases = [(rec.id, rec.series) for rec in shipped_series()] + list(enumerate(STREAM_CASES))
     for rid, sdef in cases:
-        bound = majorant(sdef)
-        ref = bound.term_ratio()
-        (na, nb), (da, db) = evaluator._majorant_ratio(bound)
-        d = bound.field_d
-        for k in range(bound.k_start, bound.k_start + 20):
-            num = QuadElem(horner(na, k), horner(nb, k), d)
-            den = QuadElem(horner(da, k), horner(db, k), d)
-            ref_num, ref_den = ref.num(Fraction(k)), ref.den(Fraction(k))
+        form = _IntegerWeight(sdef)
+        ref = dataclasses.replace(sdef, weight=parse_weight("1")).term_ratio()
+        (na, nb), (da, db) = evaluator._majorant_ratio(sdef, form)
+        for k in range(form.start, form.start + 20):
+            num = QuadElem(horner(na, k), horner(nb, k), form.d)
+            den = QuadElem(horner(da, k), horner(db, k), form.d)
+            ref_num = u_value(form, k + 1) * ref.num(Fraction(k))
+            ref_den = u_value(form, k) * ref.den(Fraction(k))
             # a zero weight (sec1-cz4096 at k = 0) zeroes both denominators
             assert bool(den) == bool(ref_den), (rid, k)
             assert num * ref_den == ref_num * den, (rid, k)
+
+
+def test_log2_term_is_the_exact_majorant_term():
+    for sdef in [rec.series for rec in shipped_series()] + STREAM_CASES:
+        try:
+            env = certify_envelope(sdef)
+        except NonConvergent:
+            continue
+        assert env.log2_term == _log2_abs(majorant_term(sdef, env.weight, env.k0)), sdef
+
+
+def test_evaluator_works_on_integer_lists_only():
+    # the RatFun majorant and the Fraction term paths are gone
+    for name in ("Poly", "RatFun", "WeightTerm", "majorant"):
+        assert not hasattr(evaluator, name), name
 
 
 def test_envelope_rejects_unit_ratio():
@@ -313,24 +338,36 @@ def test_every_shipped_series_gets_an_envelope():
 
 
 def _assert_majorant_bounds(sdef, span):
-    bound = majorant(sdef)
-    assert not bound.has_harmonic()
-    assert bound.k_start >= max(1, sdef.k_start)
+    form = _IntegerWeight(sdef)
+    assert form.start >= max(1, sdef.k_start)
     harm = HarmonicCache()
-    for k in range(bound.k_start, bound.k_start + span + 1):
+    for k in range(form.start, form.start + span + 1):
         w = abs(QuadElem.of(sdef.weight_value(k, harm)))
-        assert w <= QuadElem.of(bound.weight_value(k)), (sdef, k)
+        assert w <= u_value(form, k), (sdef, k)
 
 
 def test_majorant_of_an_atom_free_series_is_the_series():
-    sdef = mk("-2/3", weight="k^2 - 3")
-    assert majorant(sdef) is sdef
+    cases = [mk("-2/3", weight="k^2 - 3")] + [r.series for r in shipped_series()] + STREAM_CASES
+    for sdef in (s for s in cases if not s.has_harmonic()):
+        form = _IntegerWeight(sdef)
+        assert form.start == sdef.k_start
+        for k in range(sdef.k_start, sdef.k_start + 30):
+            assert u_value(form, k) == sdef.weight_value(k), (sdef, k)
+
+
+def test_integer_form_is_the_weight():
+    for sdef in [rec.series for rec in shipped_series()] + STREAM_CASES:
+        form, harm = _IntegerWeight(sdef), HarmonicCache()
+        for k in range(sdef.k_start, sdef.k_start + 30):
+            wa, wb, wc = form.weight_at(k, harm)
+            w = QuadElem.of(sdef.weight_value(k, harm))
+            assert QuadElem(Fraction(wa, wc), Fraction(wb, wc), form.d) == w, (sdef, k)
 
 
 def test_majorant_bounds_every_shipped_harmonic_weight():
     harmonic = [r.series for r in shipped_series() if r.series.has_harmonic()]
     assert len(harmonic) == 23
-    for sdef in harmonic:
+    for sdef in harmonic + [s for s in STREAM_CASES if s.has_harmonic()]:
         _assert_majorant_bounds(sdef, 200)
 
 
@@ -354,6 +391,10 @@ def harmonic_weights(draw):
 @given(harmonic_weights(), st.integers(min_value=0, max_value=3))
 @example("(k - 40)*H(k,1)", 0)
 def test_majorant_bounds_random_harmonic_weights(weight, k0):
+    if k0 == 0 and "- 1," in weight:  # H(s*k - 1) has index -1 at k = 0
+        with pytest.raises(ValueError, match="harmonic index -1 < 0 at k=0"):
+            mk("1/2", weight=weight, k0=k0)
+        k0 = 1
     _assert_majorant_bounds(mk("1/2", weight=weight, k0=k0), 60)
 
 

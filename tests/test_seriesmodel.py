@@ -235,6 +235,13 @@ class TestSeriesDef:
                 k_start=1,
             )
 
+    def test_negative_harmonic_index_rejected(self):
+        # H(k - 1) has index -1 at k = 0: refused when the series is built, not mid-sum
+        half, weight = parse_quad("1/2"), parse_weight("H(k - 1,1)")
+        with pytest.raises(ValueError, match=r"harmonic index -1 < 0 at k=0"):
+            SeriesDef(base_root=half, weight=weight, k_start=0)
+        assert SeriesDef(base_root=half, weight=weight, k_start=1).k_start == 1
+
     def test_field_d(self):
         assert _simple_series().field_d == 1
         sd = _simple_series(base_root=parse_quad("(3 + sqrt(5))/64"))
