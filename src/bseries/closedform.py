@@ -28,7 +28,7 @@ from typing import NamedTuple
 from mpmath import mp
 
 from . import constants
-from .exactnum import QuadElem, embed_dyadic, squarefree_split
+from .exactnum import QuadElem, embed_dyadic, sqrt_surd, squarefree_split
 from .exprparse import EvalContext, ExprError, ast_as_int, eval_ast, parse_expr
 from .precision import ApproxReal, digits_to_bits, working_bits
 from .seriesmodel import _QuadCtx, render_quad
@@ -146,12 +146,7 @@ class ClosedForm:
 
     def __mul__(self, other):
         other = _coerce_cf(other)
-        out = []
-        for c1, a1 in self.terms:
-            for c2, a2 in other.terms:
-                coeff, atoms = _mul_atom_lists(c1 * c2, a1, a2)
-                out.append((coeff, atoms))
-        return ClosedForm(out)
+        return ClosedForm([(c1 * c2, a1 + a2) for c1, a1 in self.terms for c2, a2 in other.terms])
 
     __rmul__ = __mul__
 
@@ -275,10 +270,6 @@ def _fold_even_sqrt(coeff: Fraction, atoms: tuple) -> tuple[Fraction, tuple]:
     return coeff, tuple(out)
 
 
-def _mul_atom_lists(coeff: Fraction, a1: tuple, a2: tuple) -> tuple[Fraction, tuple]:
-    return coeff, _normalize_atoms_tuple(tuple(a1) + tuple(a2))
-
-
 def _atom_ball(atom: CFAtom, digits: int) -> ApproxReal:
     if atom.kind == "pi":
         return constants.pi_ball(digits)
@@ -343,16 +334,12 @@ class _CFCtx(EvalContext):
 def _sqrt_cf(x: QuadElem) -> ClosedForm:
     if x.sign() <= 0:
         raise ExprError("sqrt of a non-positive closed-form radicand")
-    if x.is_rational:
-        q = x.as_fraction()
-        # sqrt(p/q) = sqrt(p*q)/q; then split out the square part
-        n = q.numerator * q.denominator
-        s, m = squarefree_split(n)
-        c = Fraction(s, q.denominator)
-        if m == 1:
-            return ClosedForm.const(c)
-        return ClosedForm.term(c, ((CFAtom("sqrt", m), 1),))
-    return ClosedForm.term(1, ((CFAtom("sqrtq", x), 1),))
+    if not x.is_rational:
+        return ClosedForm.term(1, ((CFAtom("sqrtq", x), 1),))
+    r = sqrt_surd(x.a)
+    if r.is_rational:
+        return ClosedForm.const(r.a)
+    return ClosedForm.term(r.b, ((CFAtom("sqrt", r.d), 1),))
 
 
 def parse_closed_form(s: str) -> ClosedForm:

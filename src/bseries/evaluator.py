@@ -18,20 +18,22 @@ from K on, and ``U = sum_i sigma_i * (A_i + B_i*sqrt(d)) * b_i / c`` with
 (Mezzarobba & Salvy, *Effective bounds for P-recursive sequences*, 2010).
 
 The envelope is certified for the majorant's terms ``m_k = U(k) * S_k *
-base^k`` (``S_k`` below): with a rational ``q = qn/qd < 1`` above the
-limiting ratio ``L = |base| * growth^(+-1)``, ``|m_{k+1}| <= q*|m_k|`` for
-every integer ``k >= k0`` because
+base^k``, with ``S_k = kernel(k)^(+-1) / D(k)`` read from the series in
+integers: :meth:`~bseries.seriesmodel.SeriesDef.scale` gives S_k, and
+:attr:`~bseries.seriesmodel.SeriesDef.scale_ratio` the lists ``(Sn, Sd)``
+with ``S_{k+1}/S_k = Sn(k)/Sd(k)``, and ``scale_growth`` their limit g.
+With a rational ``q = qn/qd < 1`` above the limiting ratio ``L = |base| *
+g``, ``|m_{k+1}| <= q*|m_k|`` for every integer ``k >= k0`` because
 
     qd^2 * G(k) = (qn*den - qd*num) * (qn*den + qd*num),   G = q^2*den^2 - num^2,
 
 is >= 0 there, where ``num/den = m_{k+1}/m_k`` is built once per series from
-U's lists, the base ``(ba + bb*sqrt(d))/bc`` and the kernel's integer ratio
-lists ``(Kn, Kd)``, swapped for the denominator position:
+U's lists, the base ``(ba + bb*sqrt(d))/bc`` and ``(Sn, Sd)``:
 
-    num = (UA + UB*sqrt(d))(k+1) * (ba + bb*sqrt(d)) * Kn(k) * D(k) * c(k),
-    den = bc * c(k+1) * Kd(k) * D(k+1) * (UA + UB*sqrt(d))(k).
+    num = (UA + UB*sqrt(d))(k+1) * (ba + bb*sqrt(d)) * Sn(k) * c(k),
+    den = bc * c(k+1) * Sd(k) * (UA + UB*sqrt(d))(k).
 
-c, Kd and D vanish at no integer from the start on, so G(k) >= 0 is exactly
+c and Sd vanish at no integer from the start on, so G(k) >= 0 is exactly
 ``|m_{k+1}| <= q*|m_k|``, a zero U(k) included.  Another integer form of
 the same weight multiplies num and den by one common factor nonzero at
 those integers, and G by its square, so k0 depends on the weight alone.
@@ -47,17 +49,16 @@ predicted terms (:meth:`Envelope.predicted_terms`) to a tail of
 
 The sum is one fixed-point integer recurrence (Brent & Zimmermann, *Modern
 Computer Arithmetic*, 2010, ch. 3-4; Haible & Papanikolaou, *Fast
-multiprecision evaluation of series of rational numbers*, 1998).  With
-``S_k = kernel(k)^(+-1) / D(k)``, the scaled term ``V_k = S_k * base^k`` is
-an integer ``v`` within ``e`` units of ``V_k * 2^P``, stepped by
+multiprecision evaluation of series of rational numbers*, 1998).  The
+scaled term ``V_k = S_k * base^k`` is an integer ``v`` within ``e`` units
+of ``V_k * 2^P``, stepped by
 
-    V_{k+1} = V_k * base * r(k),   r(k) = (kernel ratio)^(+-1) * D(k)/D(k+1),
+    V_{k+1} = V_k * base * r(k),   r(k) = Sn(k)/Sd(k),
 
-with the kernel's integer ratio polynomials, so the kernel's value is
-needed only at ``k_start``.  The base enters as ``(Bn, Bd, eb)`` with
-``|base - Bn/Bd| <= eb/Bd``: exact for a rational base, and ``Bd = 2^E`` from
-``math.isqrt`` for a quadratic one, with E sized from the base's norm so
-that a huge conjugate cannot cancel it
+so S_k itself is needed only at ``k_start``.  The base enters as ``(Bn,
+Bd, eb)`` with ``|base - Bn/Bd| <= eb/Bd``: exact for a rational base, and
+``Bd = 2^E`` from ``math.isqrt`` for a quadratic one, with E sized from the
+base's norm so that a huge conjugate cannot cancel it
 (:func:`~bseries.exactnum.embed_dyadic`).  Each step floors once, and the
 count becomes
 
@@ -118,7 +119,7 @@ from mpmath import mp
 
 from .closedform import ClosedForm
 from .exactnum import (
-    IntegerSurdPoly, QuadElem, embed_dyadic, horner, poly_add, poly_mul, poly_shift1,
+    IntegerSurdPoly, QuadElem, embed_dyadic, horner, poly_add, poly_mul, poly_shift,
 )
 from .precision import (
     DIGITS_INF,
@@ -129,7 +130,7 @@ from .precision import (
     log10_floor,
     working_bits,
 )
-from .seriesmodel import HarmonicCache, Position, SeriesDef, den_value
+from .seriesmodel import HarmonicCache, SeriesDef
 
 __all__ = [
     "NonConvergent",
@@ -267,13 +268,6 @@ class Envelope:
         return max(0, math.ceil(need / -math.log2(q)))
 
 
-def _growth(sdef: SeriesDef) -> Fraction:
-    """Limiting ratio of the kernel factor kernel(k)^s; 1 without a kernel."""
-    if sdef.kernel is None:
-        return Fraction(1)
-    return sdef.kernel.growth() ** sdef.kernel_pos.exponent
-
-
 def _surd_mul(x: tuple[list, list], y: tuple[list, list], d: int) -> tuple[list, list]:
     """``(a + b*sqrt(d)) * (a' + b'*sqrt(d))`` on pairs ``(a, b)`` of integer lists."""
     (a, b), (a2, b2) = x, y
@@ -281,21 +275,9 @@ def _surd_mul(x: tuple[list, list], y: tuple[list, list], d: int) -> tuple[list,
     return rational, poly_add(poly_mul(a, b2), poly_mul(b, a2))
 
 
-def _kernel_ratio(sdef: SeriesDef) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``(kernel ratio)^(+-1)`` as integer lists (num, den); ``((1,), (1,))`` without a kernel."""
-    if sdef.kernel is None:
-        return (1,), (1,)
-    a, b = sdef.kernel.ratio_lists
-    return (a, b) if sdef.kernel_pos is Position.NUMERATOR else (b, a)
-
-
 def _majorant_term(sdef: SeriesDef, weight: _IntegerWeight, k: int) -> QuadElem:
     """The majorant's term ``m_k = U(k) * S_k * base^k``, exactly."""
-    m = weight.majorant_value(k) * sdef.base_value**k / den_value(sdef.den_factors, k)
-    if sdef.kernel is None:
-        return m
-    kv = sdef.kernel.value(k)
-    return m * kv if sdef.kernel_pos is Position.NUMERATOR else m / kv
+    return weight.majorant_value(k) * sdef.base_value**k * Fraction(*sdef.scale(k))
 
 
 def _majorant_ratio(sdef: SeriesDef, weight: _IntegerWeight) -> tuple[tuple, tuple]:
@@ -303,16 +285,12 @@ def _majorant_ratio(sdef: SeriesDef, weight: _IntegerWeight) -> tuple[tuple, tup
     integer lists for ``a + b*sqrt(d)``, built as the module docstring says."""
     beta = sdef.base_value
     bc = math.lcm(beta.a.denominator, beta.b.denominator)
-    dl = [1]
-    for u, v, e in sdef.den_factors:
-        for _ in range(e):
-            dl = poly_mul(dl, [v, u])
-    ka, kb = _kernel_ratio(sdef)
-    r = poly_mul(poly_mul(ka, dl), weight.c)
-    t = [bc * c for c in poly_mul(poly_mul(kb, poly_shift1(dl)), poly_shift1(weight.c))]
+    sn, sd = sdef.scale_ratio
+    r = poly_mul(sn, weight.c)
+    t = [bc * c for c in poly_mul(sd, poly_shift(weight.c, 1))]
     u = (weight.ua, weight.ub)
     beta_lists = ([int(beta.a * bc)], [int(beta.b * bc)])
-    na, nb = _surd_mul([poly_shift1(x) for x in u], beta_lists, weight.d)
+    na, nb = _surd_mul([poly_shift(x, 1) for x in u], beta_lists, weight.d)
     return (poly_mul(na, r), poly_mul(nb, r)), tuple(poly_mul(t, x) for x in u)
 
 
@@ -354,7 +332,7 @@ def certify_envelope(sdef: SeriesDef) -> Envelope:
     q is the candidate of the module docstring with the fewest predicted
     terms, the smallest q on a tie.
     """
-    g = _growth(sdef)
+    g = sdef.scale_growth
     limit = abs(sdef.base_value) * g
     if limit >= 1:
         raise NonConvergent(f"limiting term ratio |base|*growth = {limit} is >= 1")
@@ -404,20 +382,12 @@ class _TermStream:
     """
 
     def __init__(self, sdef: SeriesDef, weight: _IntegerWeight, p: int):
-        self.sdef, self.weight, self.p = sdef, weight, p
+        self.weight, self.p = weight, p
         self.k = k = sdef.k_start
         self.base = embed_dyadic(sdef.base_value, p)
         self.root = math.isqrt(weight.d << 2 * p) if weight.d > 1 else 0
-        self.dk = den_value(sdef.den_factors, k)
-        num, den = 1, self.dk
-        self.ratio = _kernel_ratio(sdef)
-        if sdef.kernel:
-            if sdef.kernel_pos is Position.NUMERATOR:
-                num = sdef.kernel.value(k)
-            else:
-                den *= sdef.kernel.value(k)
-        if den < 0:
-            num, den = -num, -den
+        self.ratio = sdef.scale_ratio
+        num, den = sdef.scale(k)
         self.v, self.e = (num << p) // den, 1
         for _ in range(k):  # times base^k_start
             self._step(1, 1)
@@ -446,12 +416,11 @@ class _TermStream:
         k, v, e = self.k, self.v, self.e
         self.last = (k, v, e)
         t, err = self._weigh(self.weight.weight_at(k, self.harm), v, e)
-        d_next = den_value(self.sdef.den_factors, k + 1)
-        rn, rd = horner(self.ratio[0], k) * self.dk, horner(self.ratio[1], k) * d_next
+        rn, rd = horner(self.ratio[0], k), horner(self.ratio[1], k)
         if rd < 0:
             rn, rd = -rn, -rd
         self._step(rn, rd)
-        self.k, self.dk = k + 1, d_next
+        self.k = k + 1
         return k, t, err
 
     def majorant_term(self) -> int:

@@ -6,12 +6,15 @@ is ``a + b*sqrt(d)`` with rational ``a, b`` and squarefree integer
 sign, comparisons, equality — are decided exactly from the rational parts;
 no floating point is consulted anywhere in this module.
 
-:class:`Poly` is a dense polynomial whose coefficients only need ``+``,
-``-``, ``*``, ``==`` and truthiness, so coefficients may themselves be
-Fractions, QuadElems, or Polys in a *different* variable (nested
-polynomials stand in for bivariate ones).  :class:`RatFun` is a lazy
-(unreduced) quotient of two Polys with equality decided by
-cross-multiplication.
+:func:`poly_add`, :func:`poly_mul` and :func:`poly_shift` are the one
+polynomial arithmetic, on coefficient lists (constant first) over any ring
+whose elements mix with the integer 0: ints, Fractions, QuadElems, or
+Polys in another variable; :func:`horner` evaluates such a list.
+:class:`Poly` is the typed view of a list: one named variable, checked on
+every operation, with +, * and shift run by those helpers, so nested Polys
+stand in for bivariate polynomials.  :class:`RatFun` is a lazy (unreduced)
+quotient of two Polys with equality decided by cross-multiplication.  A
+constant Poly, and a RatFun equal to one, hash as that constant.
 
 Also here: monic polynomial gcd, and :class:`IntegerSurdPoly`, which
 clears a polynomial's denominators once to give exact signs at integer
@@ -20,8 +23,7 @@ which a lower bound on the leading coefficient times K^n exceeds the sum
 of upper bounds on the other coefficients times K^i.  Beyond K the
 polynomial has no root.  Term-ratio envelopes and telescoping horizons are
 certified with it; an envelope builds its factors on integer coefficient
-lists (:func:`poly_add`, :func:`poly_mul`, :func:`poly_shift1`, evaluated
-by :func:`horner`) and wraps them with :meth:`IntegerSurdPoly.from_lists`.
+lists and wraps them with :meth:`IntegerSurdPoly.from_lists`.
 The coefficient bounds embed sqrt(d) through an integer square root, so
 this stays free of floating point too, and so does :func:`embed_dyadic`,
 the one integer embedding of a surd over a power of two, through which
@@ -48,7 +50,7 @@ __all__ = [
     "horner",
     "poly_add",
     "poly_mul",
-    "poly_shift1",
+    "poly_shift",
 ]
 
 
@@ -299,6 +301,44 @@ def sqrt_surd(q) -> QuadElem:
 
 
 # ----------------------------------------------------------------------
+# polynomial arithmetic on coefficient lists
+
+
+def horner(coeffs: Sequence, x):
+    """The polynomial with coefficients ``coeffs`` (constant first) at x."""
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def poly_add(a: Sequence, b: Sequence) -> list:
+    """The sum of two polynomials (coefficient lists, constant first)."""
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def poly_mul(a: Sequence, b: Sequence) -> list:
+    """The product of two polynomials (coefficient lists, constant first)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def poly_shift(a: Sequence, c) -> list:
+    """The polynomial ``a(x + c)``, by Horner's rule in ``x + c``."""
+    out: list = []
+    for coeff in reversed(a):
+        out = poly_add([0] + out, [c * y for y in out])  # out * (x + c)
+        out[0] += coeff
+    return out
+
+
+# ----------------------------------------------------------------------
 # polynomials
 
 
@@ -354,10 +394,7 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, Poly):
             self._check_var(other)
-            n = max(len(self.coeffs), len(other.coeffs))
-            return Poly(
-                (self.coeff(i) + other.coeff(i) for i in range(n)), self.var
-            )
+            return Poly(poly_add(self.coeffs, other.coeffs), self.var)
         cs = list(self.coeffs) or [Fraction(0)]
         cs[0] = cs[0] + other
         return Poly(cs, self.var)
@@ -376,16 +413,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check_var(other)
-            if not self.coeffs or not other.coeffs:
-                return Poly((), self.var)
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-            return Poly(out, self.var)
+            return Poly(poly_mul(self.coeffs, other.coeffs), self.var)
         if not other:
             return Poly((), self.var)
         return Poly((c * other for c in self.coeffs), self.var)
@@ -420,6 +448,8 @@ class Poly:
         return self.degree() == 0 and self.coeffs[0] == other
 
     def __hash__(self):
+        if self.degree() <= 0:  # equal to its constant, in any variable
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash((self.var, self.coeffs))
 
     def __call__(self, x):
@@ -430,11 +460,7 @@ class Poly:
 
     def shift(self, delta) -> "Poly":
         """p(var + delta)."""
-        t = Poly((delta, Fraction(1)), self.var)
-        result = Poly((), self.var)
-        for c in reversed(self.coeffs):
-            result = result * t + Poly.const(c, self.var)
-        return result
+        return Poly(poly_shift(self.coeffs, delta), self.var)
 
     def derivative(self) -> "Poly":
         return Poly((i * c for i, c in enumerate(self.coeffs) if i), self.var)
@@ -508,40 +534,6 @@ def _surd_sign(a, b, d: int) -> int:
         return sa
     # Opposite signs: |a| vs |b|sqrt(d) decided by a^2 vs d b^2.
     return sa if a * a > d * b * b else sb
-
-
-def horner(coeffs: Sequence[int], x: int) -> int:
-    """The integer polynomial with coefficients ``coeffs`` (constant first) at x."""
-    out = 0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
-def poly_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The sum of two integer polynomials (coefficient lists, constant first)."""
-    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
-
-
-def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The product of two integer polynomials (coefficient lists, constant first)."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def poly_shift1(a: Sequence[int]) -> list[int]:
-    """The integer polynomial ``a(x + 1)``, by Horner's rule in ``x + 1``."""
-    out: list[int] = []
-    for c in reversed(a):
-        out = poly_add([0] + out, out)  # out * (x + 1)
-        out[0] += c
-    return out
 
 
 class IntegerSurdPoly:
@@ -749,7 +741,7 @@ class RatFun:
 
     def __hash__(self):
         r = self.reduced()
-        return hash((r.num, r.den))
+        return hash(r.num) if r.is_polynomial() else hash((r.num, r.den))
 
     def __call__(self, x):
         d = self.den(x)

@@ -58,9 +58,9 @@ class KernelFamily:
                 den = poly_mul(den, [j, r])
         return tuple(num), tuple(den)
 
-    def ratio_polys(self, var: str = "k") -> tuple[Poly, Poly]:
+    def ratio_polys(self) -> tuple[Poly, Poly]:
         """Polynomials (A, B) with value(k+1)/value(k) = A(k)/B(k): :attr:`ratio_lists` over Q."""
-        num, den = (Poly(map(Fraction, c), var) for c in self.ratio_lists)
+        num, den = (Poly(map(Fraction, c)) for c in self.ratio_lists)
         return num, den
 
     def growth(self) -> Fraction:

@@ -18,11 +18,17 @@ The textual grammar for each field (used by the catalog) is parsed and
 rendered here; rendering is canonical, i.e. ``render(parse(render(x))) ==
 render(x)`` byte-for-byte.
 
+The scale ``S_k = kernel(k)^s / D(k)`` is built here once, in integers:
+:meth:`SeriesDef.scale` gives S_k as a fraction of two integers, and
+:attr:`~SeriesDef.scale_ratio` gives ``S_{k+1}/S_k`` as two integer
+coefficient lists, with :attr:`~SeriesDef.scale_growth` its limit.  The
+evaluator reads the kernel, its position and D through these members only.
+
 :meth:`SeriesDef.weight_value`, :meth:`~SeriesDef.term_exact` and
 :meth:`~SeriesDef.term_ratio` evaluate in exact ``Fraction``/``QuadElem``
-arithmetic, with :class:`HarmonicCache`'s exact prefix sums.  The evaluator
-sums on integer lists and calls none of the three: they are the exact
-references the tests compare it against.
+arithmetic, with :class:`HarmonicCache`'s exact prefix sums, and use none
+of the scale members.  The evaluator sums on integer lists and calls none
+of the three: they are the exact references the tests compare it against.
 """
 
 from __future__ import annotations
@@ -30,9 +36,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .exactnum import IntegerSurdPoly, Poly, QuadElem, RatFun, sqrt_surd
+from .exactnum import IntegerSurdPoly, Poly, QuadElem, RatFun, poly_mul, poly_shift, sqrt_surd
 from .exprparse import EvalContext, ExprError, ast_as_int, eval_ast, parse_expr
 from .kernels import KernelFamily
 
@@ -53,6 +60,7 @@ __all__ = [
     "render_den_factors",
     "check_den_factors",
     "den_value",
+    "den_list",
     "den_poly",
     "parse_ratfun",
     "render_poly",
@@ -430,12 +438,18 @@ def den_value(factors: tuple[tuple[int, int, int], ...], k: int) -> int:
     return out
 
 
-def den_poly(factors: tuple[tuple[int, int, int], ...], var: str = "k") -> Poly:
-    """D as a polynomial in ``var``."""
-    out = Poly.const(Fraction(1), var)
+def den_list(factors: tuple[tuple[int, int, int], ...]) -> list[int]:
+    """D as an integer coefficient list, constant first."""
+    out = [1]
     for u, v, e in factors:
-        out = out * Poly((Fraction(v), Fraction(u)), var) ** e
+        for _ in range(e):
+            out = poly_mul(out, [v, u])
     return out
+
+
+def den_poly(factors: tuple[tuple[int, int, int], ...]) -> Poly:
+    """D as a polynomial in k: :func:`den_list` over Q."""
+    return Poly(map(Fraction, den_list(factors)))
 
 
 def render_den_factors(factors: tuple[tuple[int, int, int], ...]) -> str:
@@ -536,6 +550,34 @@ class SeriesDef:
             total = total + coeff
         return total
 
+    def scale(self, k: int) -> tuple[int, int]:
+        """``S_k = kernel(k)^(+-1) / D(k)`` as integers ``(num, den)`` with ``den > 0``."""
+        num, den = 1, den_value(self.den_factors, k)
+        if self.kernel is not None:
+            if self.kernel_pos is Position.NUMERATOR:
+                num = self.kernel.value(k)
+            else:
+                den *= self.kernel.value(k)
+        return (-num, -den) if den < 0 else (num, den)
+
+    @cached_property
+    def scale_ratio(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Integer lists ``(num, den)``, constant first, with ``S_{k+1}/S_k = num(k)/den(k)``.
+
+        The kernel's ratio lists, swapped for the denominator position, times
+        D(k) over D(k + 1); den vanishes at no integer k >= k_start.
+        """
+        a, b = self.kernel.ratio_lists if self.kernel else ((1,), (1,))
+        if self.kernel_pos is Position.DENOMINATOR:
+            a, b = b, a
+        d = den_list(self.den_factors)
+        return tuple(poly_mul(a, d)), tuple(poly_mul(b, poly_shift(d, 1)))
+
+    @property
+    def scale_growth(self) -> Fraction:
+        """The limit of ``S_{k+1}/S_k``: the kernel's growth to the power +-1, or 1."""
+        return self.kernel.growth() ** self.kernel_pos.exponent if self.kernel else Fraction(1)
+
     def weight_value(self, k: int, harm: Optional[HarmonicCache] = None):
         total = Fraction(0)
         for coeff, atom in self.weight:
@@ -562,7 +604,7 @@ class SeriesDef:
         num = w.compose_shift(1) * self.base_value
         den = RatFun.of(w, "k")
         if self.kernel is not None:
-            a, b = self.kernel.ratio_polys("k")
+            a, b = self.kernel.ratio_polys()
             if self.kernel_pos is Position.NUMERATOR:
                 num, den = num * a, den * b
             else:

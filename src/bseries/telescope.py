@@ -441,7 +441,7 @@ def check_telescoping(cert: TelescopingCert) -> CertReport:
     p_n = lift(cert.bound_num)
     q_n = lift(cert.bound_den)
     d_n = lift(den_poly(cert.den_factors))
-    a, b = cert.kernel.ratio_polys("k")
+    a, b = cert.kernel.ratio_polys()
     a_m, b_m = lift(a.shift(-1)), lift(b.shift(-1))
     p_m, q_m = p_n.shift(-1), q_n.shift(-1)
 

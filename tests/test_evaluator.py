@@ -7,7 +7,9 @@ Frozen reference sums were computed independently with mpmath.nsum at 70
 significant digits.
 """
 
+import ast
 import dataclasses
+import inspect
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,6 +39,7 @@ from bseries.seriesmodel import (
     HarmonicCache,
     Position,
     SeriesDef,
+    den_value,
     parse_base,
     parse_den_factors,
     parse_weight,
@@ -304,6 +307,36 @@ def test_evaluator_works_on_integer_lists_only():
     # the RatFun majorant and the Fraction term paths are gone
     for name in ("Poly", "RatFun", "WeightTerm", "majorant"):
         assert not hasattr(evaluator, name), name
+    # S_k and its ratio come from SeriesDef.scale/scale_ratio alone
+    for name in ("Position", "den_value", "_kernel_ratio", "_growth"):
+        assert not hasattr(evaluator, name), name
+    reads = {
+        node.attr
+        for node in ast.walk(ast.parse(inspect.getsource(evaluator)))
+        if isinstance(node, ast.Attribute)
+    }
+    assert not reads & {"kernel", "kernel_pos", "den_factors"}
+
+
+def test_scale_is_the_kernel_over_d():
+    # S_k = kernel(k)^(+-1) / D(k) and S_{k+1}/S_k = num(k)/den(k), in both kernel positions
+    for series in [rec.series for rec in shipped_series()] + STREAM_CASES:
+        for pos in Position:
+            sdef = dataclasses.replace(series, kernel_pos=pos)
+            num, den = sdef.scale_ratio
+            assert sdef.scale_growth == Fraction(num[-1], den[-1]), sdef
+            scales = {}
+            for k in range(sdef.k_start, sdef.k_start + 31):
+                sn, sd = sdef.scale(k)
+                assert sd > 0, (sdef, k)
+                ref = Fraction(1, den_value(sdef.den_factors, k))
+                if sdef.kernel is not None:
+                    ref *= Fraction(sdef.kernel.value(k)) ** pos.exponent
+                scales[k] = Fraction(sn, sd)
+                assert scales[k] == ref, (sdef, k)
+            for k in range(sdef.k_start, sdef.k_start + 30):
+                assert horner(den, k) != 0, (sdef, k)
+                assert horner(num, k) * scales[k] == horner(den, k) * scales[k + 1], (sdef, k)
 
 
 def test_envelope_rejects_unit_ratio():

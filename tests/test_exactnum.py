@@ -17,7 +17,7 @@ from bseries.exactnum import (
     poly_divmod,
     poly_gcd,
     poly_mul,
-    poly_shift1,
+    poly_shift,
     sqrt_surd,
     squarefree_split,
 )
@@ -172,6 +172,28 @@ class TestPoly:
         p = Poly((one, x), "n")
         sq = p * p
         assert sq == Poly((one, 2 * x, x * x), "n")
+        # (x*(n + 2) + 1)^2 through the list helpers' shift
+        assert sq.shift(2) == Poly((one + 4 * x + 4 * x * x, 2 * x + 4 * x * x, x * x), "n")
+
+    def test_equal_values_hash_alike(self):
+        three = Fraction(3)
+        pairs = [
+            (Poly((three,), "k"), three),
+            (Poly((three,), "k"), 3),
+            (Poly((three,), "k"), Poly((three,), "x")),
+            (Poly((), "k"), Poly((), "x")),
+            (Poly((), "k"), 0),
+            (Poly((Poly((three,), "x"),), "k"), three),
+            (Poly((QuadElem(three),), "k"), three),
+            (P(0, 1) * Poly((three,), "k"), P(0, Fraction(3, 1))),
+            (RatFun(P(2), P(4)), Fraction(1, 2)),
+            (RatFun(P(-1, 0, 1), P(-1, 1)), RatFun(P(1, 1))),
+            (RatFun(P(-1, 0, 1), P(-1, 1)), P(1, 1)),
+        ]
+        for x, y in pairs:
+            assert x == y, (x, y)
+            assert hash(x) == hash(y), (x, y)
+        assert len({Poly((three,), "k"), Poly((three,), "x"), three}) == 1
 
     def test_divmod_and_gcd(self):
         f = P(-1, 0, 1)  # k^2 - 1
@@ -261,12 +283,17 @@ class TestIntegerSurdPoly:
 _INT_POLYS = st.lists(st.integers(min_value=-50, max_value=50), max_size=6)
 
 
-@given(_INT_POLYS, _INT_POLYS, st.integers(min_value=-20, max_value=20))
+_SHIFTS = st.integers(min_value=-9, max_value=9) | st.fractions(
+    min_value=-9, max_value=9, max_denominator=12
+)
+
+
+@given(_INT_POLYS, _INT_POLYS, st.integers(min_value=-20, max_value=20), _SHIFTS)
 @settings(max_examples=100, deadline=None)
-def test_integer_list_arithmetic(a, b, x):
+def test_integer_list_arithmetic(a, b, x, c):
     assert horner(poly_add(a, b), x) == horner(a, x) + horner(b, x)
     assert horner(poly_mul(a, b), x) == horner(a, x) * horner(b, x)
-    assert horner(poly_shift1(a), x) == horner(a, x + 1)
+    assert horner(poly_shift(a, c), x) == horner(a, x + c)
 
 
 class TestRatFun:
