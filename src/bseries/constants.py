@@ -25,7 +25,11 @@ The series:
   ``(5/2) * sum (-1)^(k-1) / (k^3 C(2k,k))`` (alternating, ratio -> 1/4).
 * ``zeta(2, a)`` for rational ``0 < a <= 1``: a head of ``(n+a)^-2`` terms
   and Euler–Maclaurin corrections, with the Bernoulli-number remainder
-  bound ``4 |B_{2j+2}| x^(-2j-3)`` as the tail.
+  bound ``4 |B_{2j+2}| x^(-2j-3)`` as the tail.  The Bernoulli numbers are
+  exact, ``B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))`` from the integer
+  tangent numbers ``T_k`` (Brent & Harvey, *Fast computation of Bernoulli,
+  tangent and secant numbers*, 2013, arXiv:1108.0286), whose table is
+  rebuilt at least twice as long whenever a correction needs more.
 * ``L_d(2)``: the finite Kronecker-character combination
   ``|d|^(-2) * sum_{a=1}^{|d|} (d|a) zeta(2, a/|d|)``, every residue's terms
   scaled by ``(d|a)/|d|^2`` and floored into one ``S``.
@@ -169,20 +173,40 @@ def zeta3_ball(digits: int) -> ApproxReal:
 # Bernoulli numbers and the Hurwitz value zeta(2, a)
 
 
-_bernoulli: list[Fraction] = [Fraction(1)]
+_bernoulli: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+
+
+def _tangent_numbers(n: int) -> list[int]:
+    """T_1 .. T_n, T_k = tan^(2k-1)(0), by Brent & Harvey's in-place integer recurrence."""
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
+def _grow_bernoulli(n: int) -> None:
+    """Extend the cache to hold B_n.
+
+    The cache holds B_0 .. B_{2m+1}.  A rebuild at least doubles m, so a
+    caller that asks for one more number at a time builds O(log n) tables.
+    """
+    if len(_bernoulli) > n:
+        return
+    m = max(n // 2, len(_bernoulli) - 2)
+    table = _bernoulli[:2]
+    for k, t in enumerate(_tangent_numbers(m), 1):
+        four = 4**k
+        b = Fraction((-1) ** (k - 1) * 2 * k * t, four * (four - 1))
+        table += [b, Fraction(0)]
+    _bernoulli[:] = table
 
 
 def bernoulli_numbers(n: int) -> list[Fraction]:
-    """B_0 .. B_n (inclusive), cached; the usual recurrence."""
-    while len(_bernoulli) <= n:
-        m = len(_bernoulli)
-        # sum_{j=0}^{m} C(m+1, j) B_j = 0  =>  solve for B_m
-        acc = Fraction(0)
-        c = 1  # C(m+1, 0)
-        for j in range(m):
-            acc += c * _bernoulli[j]
-            c = c * (m + 1 - j) // (j + 1)
-        _bernoulli.append(-acc / (m + 1))
+    """B_0 .. B_n (inclusive), cached; B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    _grow_bernoulli(n)
     return _bernoulli[: n + 1]
 
 
@@ -204,11 +228,11 @@ def _hurwitz2(a: Fraction, cn: int, cd: int, p: int) -> tuple[int, int]:
     rpow, upow = r**3, u**3  # r^(2j+1), u^(2j+1) at j = 1
     j = 1
     while True:
-        bern = bernoulli_numbers(2 * j + 2)
-        b = bern[2 * j]
+        _grow_bernoulli(2 * j + 2)
+        b = _bernoulli[2 * j]
         s += (cn * b.numerator * rpow << p) // (cd * b.denominator * upow)
         rpow, upow = rpow * r * r, upow * u * u
-        b = bern[2 * j + 2]
+        b = _bernoulli[2 * j + 2]
         tail = ceil_units(p, 4 * abs(cn * b.numerator) * rpow, cd * b.denominator * upow)
         if tail <= 1:
             return s, n_terms + 2 + j + tail

@@ -6,8 +6,9 @@ denominator c:
 
     W(k) = sum_i (A_i + B_i*sqrt(d)) * atom_i(k) / c(k),
 
-each atom 1 or its exact :class:`~bseries.seriesmodel.HarmonicCache` value;
-a sqrt(d) in a coefficient's denominator is rationalised by its conjugate.
+each atom 1 or a harmonic number ``H_n^(m)``, carried exactly as the integer
+pair ``(A_n, L_n^m)`` over ``L_n = lcm(1..n)`` (:class:`_Harmonic`); a
+sqrt(d) in a coefficient's denominator is rationalised by its conjugate.
 The majorant weight is ``U = (UA + UB*sqrt(d)) / c`` on the same lists.  An
 atom-free weight is its own majorant, from ``k_start``.  Otherwise U starts
 at K, the largest root bound from ``k_start`` of every coefficient's own
@@ -130,7 +131,7 @@ from .precision import (
     log10_floor,
     working_bits,
 )
-from .seriesmodel import HarmonicCache, SeriesDef
+from .seriesmodel import SeriesDef
 
 __all__ = [
     "NonConvergent",
@@ -186,6 +187,34 @@ def _log2_abs(x: QuadElem) -> float:
 # envelope certification
 
 
+class _Harmonic:
+    """``H_n^(m) = A_n / L_n^m`` over ``L_n = lcm(1..n)``, stepped in n by
+
+        A_n = A_{n-1} * (L_n/L_{n-1})^m + (L_n/n)^m,
+
+    where ``L_n/L_{n-1} = n / gcd(L_{n-1}, n)`` is p at a prime power
+    ``n = p^e`` and 1 otherwise.  Each step divides the big ``L_n^m`` by the
+    small ``n^m`` exactly and takes no gcd of big integers.
+    """
+
+    def __init__(self, order: int):
+        self.order, self.n, self.a, self.l, self.lm = order, 0, 0, 1, 1
+
+    def at(self, n: int) -> tuple[int, int]:
+        """``(A_n, L_n^m)``; stepped on from the last n, or from 0 when n is below it."""
+        if n < self.n:
+            self.__init__(self.order)
+        m = self.order
+        while self.n < n:
+            j = self.n = self.n + 1
+            r = j // math.gcd(self.l % j, j)
+            if r > 1:
+                rm = r**m
+                self.l, self.lm, self.a = self.l * r, self.lm * rm, self.a * rm
+            self.a += self.lm // j**m
+        return self.a, self.lm
+
+
 class _IntegerWeight:
     """The weight W and its majorant U on integer lists, as the module docstring says.
 
@@ -223,14 +252,18 @@ class _IntegerWeight:
             self.ua = poly_add(self.ua, poly_mul(a, bound))
             self.ub = poly_add(self.ub, poly_mul(b, bound))
 
-    def weight_at(self, k: int, harm: HarmonicCache) -> tuple[int, int, int]:
-        """``(wa, wb, wc)`` with ``W(k) = (wa + wb*sqrt(d)) / wc``."""
+    def harmonics(self) -> list[Optional[_Harmonic]]:
+        """A fresh :class:`_Harmonic` for each harmonic atom of ``terms``, None for the unit atom."""
+        return [None if atom is None else _Harmonic(atom.order) for *_, atom in self.terms]
+
+    def weight_at(self, k: int, harmonics: list[Optional[_Harmonic]]) -> tuple[int, int, int]:
+        """``(wa, wb, wc)`` with ``W(k) = (wa + wb*sqrt(d)) / wc``; ``harmonics`` from :meth:`harmonics`."""
         wa, wb, wc = 0, 0, 1
-        for a, b, atom in self.terms:
+        for (a, b, atom), h in zip(self.terms, harmonics):
             x, y, n = horner(a, k), horner(b, k), 1
             if atom is not None:
-                h = harm.value(atom.order, atom.index_at(k))
-                x, y, n = x * h.numerator, y * h.numerator, h.denominator
+                hn, n = h.at(atom.index_at(k))
+                x, y = x * hn, y * hn
             wa, wb, wc = wa * n + x * wc, wb * n + y * wc, wc * n
         return wa, wb, wc * horner(self.c, k)
 
@@ -376,8 +409,8 @@ class _TermStream:
 
     The recurrence and the counts are those of the module docstring: ``v``
     and ``e`` carry ``V_k = S_k * base^k``, and the weight is read off the
-    envelope's integer lists, each atom combined over c(k) with its exact
-    :class:`HarmonicCache` value.  :meth:`majorant_term` bounds
+    envelope's integer lists, each atom combined over c(k) with its integer
+    pair from :class:`_Harmonic`.  :meth:`majorant_term` bounds
     ``|U(k) * S_k * base^k|`` for the last term from the same ``v`` and ``e``.
     """
 
@@ -391,7 +424,7 @@ class _TermStream:
         self.v, self.e = (num << p) // den, 1
         for _ in range(k):  # times base^k_start
             self._step(1, 1)
-        self.harm = HarmonicCache()
+        self.harmonics = weight.harmonics()
         self.last = None  # (k, v, e) of the last term
 
     def _step(self, rn: int, rd: int) -> None:
@@ -415,7 +448,7 @@ class _TermStream:
         """``(k, T_k, err_k)`` with ``|T_k - 2^P * t_k| <= err_k``; then steps V to k + 1."""
         k, v, e = self.k, self.v, self.e
         self.last = (k, v, e)
-        t, err = self._weigh(self.weight.weight_at(k, self.harm), v, e)
+        t, err = self._weigh(self.weight.weight_at(k, self.harmonics), v, e)
         rn, rd = horner(self.ratio[0], k), horner(self.ratio[1], k)
         if rd < 0:
             rn, rd = -rn, -rd

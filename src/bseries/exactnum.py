@@ -443,6 +443,8 @@ class Poly:
             a = self.coeffs[0] if self.coeffs else Fraction(0)
             b = other.coeffs[0] if other.coeffs else Fraction(0)
             return a == b
+        if not isinstance(other, (int, Fraction, QuadElem)):
+            return NotImplemented
         if not self.coeffs:
             return not other
         return self.degree() == 0 and self.coeffs[0] == other
@@ -484,6 +486,11 @@ class Poly:
         return " + ".join(parts)
 
 
+def _field(c):
+    """c as a field element: an int becomes a ``Fraction``, so dividing by it stays exact."""
+    return Fraction(c) if isinstance(c, int) else c
+
+
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """Division with remainder; coefficients must form a field."""
     f._check_var(g)
@@ -492,7 +499,7 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     var = f.var
     q = [Fraction(0)] * max(0, f.degree() - g.degree() + 1)
     rem = list(f.coeffs)
-    glead = g.leading()
+    glead = _field(g.leading())
     gdeg = g.degree()
     while rem and not rem[-1]:
         rem.pop()
@@ -516,7 +523,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         a, b = b, r
     if not a:
         return a
-    lead = a.leading()
+    lead = _field(a.leading())
     return a.map_coeffs(lambda c: c / lead)
 
 
@@ -765,7 +772,7 @@ class RatFun:
             num, _ = poly_divmod(num, g)
             den, _ = poly_divmod(den, g)
         if den.degree() >= 0 and den:
-            lead = den.leading()
+            lead = _field(den.leading())
             num = num.map_coeffs(lambda c: c / lead)
             den = den.map_coeffs(lambda c: c / lead)
         return RatFun(num, den)

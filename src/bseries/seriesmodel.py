@@ -112,7 +112,11 @@ class WeightTerm(NamedTuple):
 
 
 class HarmonicCache:
-    """Exact prefix sums H_n^(m), grown on demand and shared across terms."""
+    """Exact prefix sums H_n^(m) as ``Fraction``s, grown on demand and shared across terms.
+
+    The exact reference for ``weight_value`` and ``term_exact``; the
+    evaluator carries H_n^(m) as integer pairs of its own.
+    """
 
     def __init__(self):
         self._tables: dict[int, list[Fraction]] = {}

@@ -5,9 +5,11 @@ precision and frozen here; the library itself never consults mpmath's
 transcendental functions, so agreement is a genuine cross-check.
 """
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -180,6 +182,52 @@ def test_bernoulli_numbers():
     assert bernoulli_numbers(12) == want
 
 
+def _bernoulli_recurrence(n: int) -> list[Fraction]:
+    """B_0 .. B_n from sum_{j=0}^{m} C(m+1, j) B_j = 0, in Fractions: the reference."""
+    b = [Fraction(1)]
+    while len(b) <= n:
+        m = len(b)
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+@pytest.fixture
+def cold_bernoulli(monkeypatch):
+    """An empty Bernoulli cache for one test, and a count of the tangent tables built."""
+    builds = []
+    tangent = constants._tangent_numbers
+
+    def counting(n):
+        builds.append(n)
+        return tangent(n)
+
+    monkeypatch.setattr(constants, "_bernoulli", [Fraction(1), Fraction(-1, 2)])
+    monkeypatch.setattr(constants, "_tangent_numbers", counting)
+    return builds
+
+
+def test_bernoulli_numbers_match_the_recurrence(cold_bernoulli):
+    assert bernoulli_numbers(400) == _bernoulli_recurrence(400)
+
+
+def test_bernoulli_cache_grown_in_steps_is_the_same_list(cold_bernoulli):
+    steps = [bernoulli_numbers(n) for n in (12, 40, 401)]
+    constants._bernoulli[:] = [Fraction(1), Fraction(-1, 2)]
+    once = bernoulli_numbers(401)
+    assert [len(b) for b in steps] == [13, 41, 402]
+    for b in steps:
+        assert b == once[: len(b)]
+
+
+def test_hurwitz_builds_logarithmically_many_tangent_tables(cold_bernoulli):
+    # _hurwitz2 asks for one more Bernoulli number per correction; its units
+    # count the head, two end terms, the corrections and a tail of one unit at most
+    s, units = constants._hurwitz2(Fraction(1, 3), 1, 1, 3400)
+    corrections = units - max(8, 3400 // 3) - 2
+    assert corrections > 300
+    assert len(cold_bernoulli) <= corrections.bit_length() + 1, cold_bernoulli
+
+
 # ----------------------------------------------------------------------
 # Kronecker symbol
 
@@ -257,6 +305,18 @@ def test_l_value_rejects_non_discriminant():
 def test_l_value_reference_digits():
     for d, s in L_VALUES.items():
         assert_encloses(l_value_ball(d, 50), s)
+
+
+def test_l_value_balls_are_pinned(monkeypatch):
+    # (d, P, units, sha256 of S) at 300 digits, for every discriminant of the catalogs
+    monkeypatch.setattr(constants, "_cache", {})
+    pins = (Path(__file__).parent / "lvalue_pins.tsv").read_text().splitlines()
+    rows = [line.split("\t") for line in pins if not line.startswith("#")]
+    assert len(rows) == 10
+    for d, p, units, digest in rows:
+        ball = l_value_ball(int(d), 300)
+        got = [str(ball.p), str(ball.units), hashlib.sha256(str(ball.s).encode()).hexdigest()]
+        assert got == [p, units, digest], d
 
 
 def test_l_value_against_hurwitz_route():

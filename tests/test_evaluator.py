@@ -10,6 +10,7 @@ significant digits.
 import ast
 import dataclasses
 import inspect
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from bseries.evaluator import (
     BudgetExceeded,
     NonConvergent,
     Status,
+    _Harmonic,
     _IntegerWeight,
     _log2_abs,
     _TermStream,
@@ -304,8 +306,8 @@ def test_log2_term_is_the_exact_majorant_term():
 
 
 def test_evaluator_works_on_integer_lists_only():
-    # the RatFun majorant and the Fraction term paths are gone
-    for name in ("Poly", "RatFun", "WeightTerm", "majorant"):
+    # the RatFun majorant, the Fraction term paths and the Fraction harmonic atoms are gone
+    for name in ("Poly", "RatFun", "WeightTerm", "majorant", "HarmonicCache"):
         assert not hasattr(evaluator, name), name
     # S_k and its ratio come from SeriesDef.scale/scale_ratio alone
     for name in ("Position", "den_value", "_kernel_ratio", "_growth"):
@@ -391,10 +393,24 @@ def test_majorant_of_an_atom_free_series_is_the_series():
 def test_integer_form_is_the_weight():
     for sdef in [rec.series for rec in shipped_series()] + STREAM_CASES:
         form, harm = _IntegerWeight(sdef), HarmonicCache()
+        harmonics = form.harmonics()
         for k in range(sdef.k_start, sdef.k_start + 30):
-            wa, wb, wc = form.weight_at(k, harm)
+            wa, wb, wc = form.weight_at(k, harmonics)
             w = QuadElem.of(sdef.weight_value(k, harm))
             assert QuadElem(Fraction(wa, wc), Fraction(wb, wc), form.d) == w, (sdef, k)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_harmonic_pair_is_the_prefix_sum(order):
+    # (A_n, L_n^m) with L_n = lcm(1..n) is H_n^(m) exactly, stepped one n at a time
+    pair, harm, lcm = _Harmonic(order), HarmonicCache(), 1
+    for n in range(3001):
+        lcm = math.lcm(lcm, max(n, 1))
+        a, lm = pair.at(n)
+        h = harm.value(order, n)
+        assert lm == lcm**order and a * h.denominator == lm * h.numerator, n
+    # a smaller n starts the pair over
+    assert pair.at(7) == (harm.value(order, 7) * 420**order, 420**order)
 
 
 def test_majorant_bounds_every_shipped_harmonic_weight():

@@ -189,9 +189,10 @@ class TestPoly:
             (RatFun(P(2), P(4)), Fraction(1, 2)),
             (RatFun(P(-1, 0, 1), P(-1, 1)), RatFun(P(1, 1))),
             (RatFun(P(-1, 0, 1), P(-1, 1)), P(1, 1)),
+            (RatFun(P(0, 1)), P(0, 1)),
         ]
         for x, y in pairs:
-            assert x == y, (x, y)
+            assert x == y and y == x, (x, y)
             assert hash(x) == hash(y), (x, y)
         assert len({Poly((three,), "k"), Poly((three,), "x"), three}) == 1
 
@@ -201,6 +202,17 @@ class TestPoly:
         q, r = poly_divmod(f, g)
         assert q == P(1, 1) and not r
         assert poly_gcd(P(-1, 0, 1), P(1, 2, 1)) == P(1, 1)
+
+    def test_int_coefficients_divide_exactly(self):
+        # int coefficients become Fractions, never floats
+        r = RatFun(Poly((2,)), Poly((4,))).reduced()
+        assert r.num.coeffs == (Fraction(1, 2),) and r.den.coeffs == (Fraction(1),)
+        q, rem = poly_divmod(Poly((1, 2, 3)), Poly((2,)))
+        g = poly_gcd(Poly((-2, 0, 2)), Poly((-3, 3)))
+        assert q.coeffs == (Fraction(1, 2), 1, Fraction(3, 2)) and not rem
+        assert g.coeffs == (-1, 1)
+        for c in r.num.coeffs + r.den.coeffs + q.coeffs + g.coeffs:
+            assert type(c) is Fraction, c
 
     def test_divmod_quad_coeffs(self):
         s5 = QuadElem(0, 1, 5)
