@@ -2,7 +2,8 @@
 
 The package is layered bottom-up:
 
-* :mod:`bseries.precision` — ball arithmetic on integer triples (s, p, units).
+* :mod:`bseries.precision` — ball arithmetic on integer triples (s, p, units);
+  each ball carries its own precision p, passed where the ball is made.
 * :mod:`bseries.exactnum` — exact rationals, quadratic surds, polynomials.
 * :mod:`bseries.kernels` — binomial-product kernel families and term ratios.
 * :mod:`bseries.seriesmodel` — series descriptions, weights, harmonic atoms.

@@ -25,12 +25,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from mpmath import mp
-
 from . import constants
 from .exactnum import QuadElem, embed_dyadic, sqrt_surd, squarefree_split
 from .exprparse import EvalContext, ExprError, ast_as_int, eval_ast, parse_expr
-from .precision import ApproxReal, digits_to_bits, working_bits
+from .precision import ApproxReal, digits_to_bits
 from .seriesmodel import _QuadCtx, render_quad
 
 __all__ = ["ClosedForm", "CFAtom", "parse_closed_form", "render_closed_form"]
@@ -198,19 +196,18 @@ class ClosedForm:
     # -- numerics ----------------------------------------------------------
 
     def eval_ball(self, digits: int) -> ApproxReal:
-        """Ball enclosure good to ~`digits`; runs at the ambient working
-        precision when that is already higher."""
+        """Ball enclosure good to ~`digits`; its precision is set by `digits` alone."""
         # A coefficient of n decimal digits scales the error of the constants
         # it multiplies by up to 10^n, so they are computed n digits further.
         pad = digits + 10 + max((len(str(abs(c.numerator))) for c, _ in self.terms), default=0)
-        with working_bits(max(mp.prec, digits_to_bits(pad))):
-            total = ApproxReal.from_int(0)
-            for coeff, atoms in self.terms:
-                v = ApproxReal.from_fraction(coeff)
-                for atom, exp in atoms:
-                    v = v * _atom_ball(atom, pad) ** exp
-                total = total + v
-            return total
+        bits = digits_to_bits(pad)
+        total = ApproxReal.from_int(0)
+        for coeff, atoms in self.terms:
+            v = ApproxReal.from_fraction(coeff, bits)
+            for atom, exp in atoms:
+                v = v * _atom_ball(atom, pad) ** exp
+            total = total + v
+        return total
 
     def atoms_used(self) -> set[CFAtom]:
         out = set()
@@ -271,6 +268,7 @@ def _fold_even_sqrt(coeff: Fraction, atoms: tuple) -> tuple[Fraction, tuple]:
 
 
 def _atom_ball(atom: CFAtom, digits: int) -> ApproxReal:
+    """The atom's ball to ~`digits`; a radical is floored at 2^-digits_to_bits(digits)."""
     if atom.kind == "pi":
         return constants.pi_ball(digits)
     if atom.kind == "zeta3":
@@ -280,13 +278,13 @@ def _atom_ball(atom: CFAtom, digits: int) -> ApproxReal:
     if atom.kind == "log":
         return constants.log_ball(atom.param, digits)
     if atom.kind == "sqrt":
-        return ApproxReal.from_int(atom.param).sqrt()
+        return ApproxReal.from_ratio(atom.param, 1, digits_to_bits(digits)).sqrt()
     if atom.kind == "sqrtq":
         # |x| <= |a| + |b|*(isqrt(d) + 1): that many bits more keep sqrt(x)'s
-        # absolute error below one unit of the ambient precision
+        # absolute error below one unit of 2^-digits_to_bits(digits)
         x = atom.param
         size = int(abs(x.a) + abs(x.b) * (math.isqrt(x.d) + 1)).bit_length()
-        bn, bd, eb = embed_dyadic(x, mp.prec + size)
+        bn, bd, eb = embed_dyadic(x, digits_to_bits(digits) + size)
         return ApproxReal(bn, bd.bit_length() - 1, eb).sqrt()
     raise AssertionError(atom.kind)
 

@@ -75,13 +75,13 @@ units of ``t_k * 2^P``.  The sum is the integer ``S = sum T_k`` with the
 count ``units = sum`` of those errors: the ball is the triple
 ``(S, P, units)`` as it stands.
 
-P is the ambient precision plus guard bits for the count.  After k0, e is
+P is the requested precision plus guard bits for the count.  After k0, e is
 damped by ``|r*base| <= q``, so it stays below about ``1/(1 - q)`` plus the
 ``k*|V_k|`` units the base's rounding adds; times |W| and summed over n
 terms, units stays below ``n * (n + 1/(1 - q)) * max(|U|, 2*|m_{k0}|)``,
 with n the predicted term count and ``m_{k0}`` the majorant's term at k0.
 Its bit length is the guard (:func:`_guard_bits`), so the count costs less
-than one unit of the ambient precision and the first attempt suffices.  The
+than one unit of the requested precision and the first attempt suffices.  The
 estimate leaves out terms before k0 larger than ``m_{k0}``; an estimate
 that falls short only widens the ball, and verification then retries.
 
@@ -92,13 +92,14 @@ the tail after ``t_k`` and joins the count, rounded up to whole units.  Both
 tests compare integers.
 
 One precision-retry loop serves :func:`evaluate` and verification alike: a
-sum to D digits runs at ``attempt_bits(D + 3, attempt)`` and is retried, the
-working precision doubled, until its ball holds D digits or
-``precision.MAX_ATTEMPTS`` attempts have run.
+sum to D digits is passed ``attempt_bits(D + 3, attempt)`` bits and is
+retried, the bits doubled, until its ball holds D digits or
+``precision.MAX_ATTEMPTS`` attempts have run.  No global precision is read:
+the bits are an argument, and every ball carries its own exponent.
 
 Verification at D digits sums to D + 5 digits in that loop.  The RHS and
-the LHS scale are evaluated once, at the first attempt's precision: they
-are built from cached constants, and no retry of the sum tightens them.
+the LHS scale are evaluated once, with ``eval_ball(D + 10)``: they are
+built from cached constants, and no retry of the sum tightens them.
 Then it compares once, in integers: PASS iff the residual ball ``LHS - RHS`` contains zero
 and its magnitude upper bound is at most ``10^-D``; FAIL iff the ball
 excludes zero (a proof of discrepancy); INCONCLUSIVE otherwise.  A series
@@ -116,7 +117,6 @@ from functools import reduce
 from typing import Optional
 
 import mpmath
-from mpmath import mp
 
 from .closedform import ClosedForm
 from .exactnum import (
@@ -129,7 +129,6 @@ from .precision import (
     attempt_bits,
     ceil_units,
     log10_floor,
-    working_bits,
 )
 from .seriesmodel import SeriesDef
 
@@ -476,18 +475,19 @@ def sum_series(
     sdef: SeriesDef,
     digits: int,
     envelope: Envelope,
+    bits: int,
     budget_terms: Optional[int] = None,
 ) -> SumResult:
-    """Sum the series to ~`digits` absolute decimal digits at the ambient precision.
+    """Sum the series to ~`digits` absolute decimal digits at 2^-`bits`.
 
     The tail is the majorant bound of the ``envelope`` from
     :func:`certify_envelope`, by the stop rule of the module docstring; P is
-    the ambient precision plus :func:`_guard_bits` for the predicted count.
+    ``bits`` plus :func:`_guard_bits` for the predicted count.
     """
     budget = budget_terms if budget_terms is not None else DEFAULT_BUDGET
     tail_bits = math.ceil((digits + 3) * math.log2(10))
     n = envelope.k0 - sdef.k_start + 1 + envelope.predicted_terms(tail_bits)
-    p = mp.prec + _guard_bits(envelope, n)
+    p = bits + _guard_bits(envelope, n)
     qn, qd = envelope.q.numerator, envelope.q.denominator
     # x * 2^-p * q/(1 - q) <= 10^-(digits+3) for an integer x >= 0 iff x <= limit
     limit = ((qd - qn) << p) // (qn * 10 ** (digits + 3))
@@ -513,9 +513,9 @@ def _sum_to_digits(
 ) -> SumResult:
     """The precision-retry loop of the module docstring around :func:`sum_series`."""
     for attempt in range(MAX_ATTEMPTS):
+        bits = attempt_bits(digits + 3, attempt)
         try:
-            with working_bits(attempt_bits(digits + 3, attempt)):
-                res = sum_series(sdef, digits, envelope, budget_terms=budget_terms)
+            res = sum_series(sdef, digits, envelope, bits, budget_terms=budget_terms)
         except BudgetExceeded as e:
             e.attempts = attempt + 1
             raise
@@ -590,11 +590,10 @@ def verify_identity(
     except BudgetExceeded as e:
         return report(Status.INCONCLUSIVE, e.attempts, terms=e.terms_used, note=str(e))
 
-    with working_bits(attempt_bits(digits + 8, 0)):  # the first attempt's precision
-        lhs = res.ball
-        if lhs_scale is not None:
-            lhs = lhs * lhs_scale.eval_ball(digits + 10)
-        residual = lhs - rhs.eval_ball(digits + 10)
+    lhs = res.ball
+    if lhs_scale is not None:
+        lhs = lhs * lhs_scale.eval_ball(digits + 10)
+    residual = lhs - rhs.eval_ball(digits + 10)
     ua = residual.upper_abs()
     matched = log10_floor(1 / ua) if ua else DIGITS_INF
     result = dict(terms=res.terms_used, lhs=lhs, residual=residual)

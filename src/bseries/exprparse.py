@@ -188,7 +188,10 @@ def ast_as_int(node) -> int:
                 raise ExprError("non-integer exponent")
             return l // r
     if kind == "pow":
-        return ast_as_int(node[1]) ** ast_as_int(node[2])
+        b, e = ast_as_int(node[1]), ast_as_int(node[2])
+        if e < 0 and abs(b) != 1:
+            raise ExprError("non-integer exponent")
+        return b ** abs(e)  # b = 1/b for b = +-1
     raise ExprError("expected an integer expression")
 
 

@@ -10,15 +10,18 @@ bound is integer arithmetic, so no ball is narrower than its error:
   product, one floor division or one ``math.isqrt``, floor once to the
   result's exponent and count one unit for that floor, on top of the
   propagated radius rounded up to whole units;
-* a result's exponent is the largest of its operands' exponents and the
-  ambient precision ``mp.prec`` (set by :func:`working_bits`), but never
-  more than the exact product's, so products of integers stay exact.
+* a result's exponent is the larger of its operands' exponents, and a
+  square root keeps its operand's, so products of integers stay exact.
 
-Integers enter exactly at ``p = 0``; :meth:`ApproxReal.from_ratio` floors an
-integer ratio once at the ambient precision, with radius 0 only when the
-ratio is exact there.  The constants and the series evaluator build their
-triples as integer sums over ``2^P`` with a counted error (``ceil_units``
-rounds a bound up to whole units) and hand them over as they are.
+Precision enters a ball only where a value is made, as an explicit
+exponent; no operation reads a global working precision.  Integers enter
+exactly at ``p = 0``; :meth:`ApproxReal.from_ratio` floors an integer ratio
+once at a given ``2^-p``, with radius 0 only when the ratio is exact there.
+The constants and the series evaluator build their triples as integer sums
+over ``2^P`` with a counted error (``ceil_units`` rounds a bound up to whole
+units) and hand them over as they are.  One consequence: a quotient of two
+exact integer balls floors at ``2^0``, so a ratio that should keep bits is
+built with ``from_ratio`` instead.
 
 ``mid`` and ``rad`` are exact mpf views of ``s * 2^-p`` and
 ``units * 2^-p`` for report strings and ``mpmath.pslq``; nothing here
@@ -33,7 +36,6 @@ import math
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp
 from mpmath.libmp import from_man_exp
 
 __all__ = [
@@ -44,7 +46,6 @@ __all__ = [
     "attempt_bits",
     "ceil_units",
     "log10_floor",
-    "working_bits",
 ]
 
 # Reported digit count for an exact (zero-radius) ball.
@@ -69,11 +70,6 @@ def ceil_units(p: int, num: int, den: int) -> int:
     return -((-num << p) // den)
 
 
-def working_bits(bits: int):
-    """Context manager setting the ambient mpmath precision."""
-    return mp.workprec(bits)
-
-
 def log10_floor(x: Fraction) -> int:
     """floor(log10(x)) for a rational x > 0, exactly."""
     n, d = x.numerator, x.denominator
@@ -94,8 +90,6 @@ def _coerce(x):
         return x
     if isinstance(x, int):
         return ApproxReal.from_int(x)
-    if isinstance(x, Fraction):
-        return ApproxReal.from_fraction(x)
     return NotImplemented
 
 
@@ -122,13 +116,12 @@ class ApproxReal:
     # constructors
 
     @staticmethod
-    def from_ratio(n: int, d: int) -> "ApproxReal":
-        """n/d for integers with d != 0, floored once at the ambient precision."""
+    def from_ratio(n: int, d: int, p: int) -> "ApproxReal":
+        """n/d for integers with d != 0, floored once at 2^-p."""
         if d == 0:
             raise ZeroDivisionError("from_ratio with q == 0")
         if d < 0:
             n, d = -n, -d
-        p = mp.prec
         s, rem = divmod(n << p, d)
         return ApproxReal(s, p, 1 if rem else 0)
 
@@ -137,8 +130,8 @@ class ApproxReal:
         return ApproxReal(n, 0, 0)
 
     @staticmethod
-    def from_fraction(q: Fraction) -> "ApproxReal":
-        return ApproxReal.from_ratio(q.numerator, q.denominator)
+    def from_fraction(q: Fraction, p: int) -> "ApproxReal":
+        return ApproxReal.from_ratio(q.numerator, q.denominator, p)
 
     @staticmethod
     def exact_zero() -> "ApproxReal":
@@ -190,7 +183,7 @@ class ApproxReal:
         s1, u1, s2, u2 = self.s, self.units, other.s, other.units
         p = self.p + other.p
         units = abs(s1) * u2 + abs(s2) * u1 + u1 * u2
-        return _floored(s1 * s2, units, p, min(p, max(self.p, other.p, mp.prec)))
+        return _floored(s1 * s2, units, p, max(self.p, other.p))
 
     __rmul__ = __mul__
 
@@ -200,7 +193,7 @@ class ApproxReal:
             return NotImplemented
         if not other.excludes_zero():
             raise ZeroDivisionError("division by a ball containing zero")
-        t = max(self.p, other.p, mp.prec)
+        t = max(self.p, other.p)
         k = t + other.p - self.p
         s1, u1, s2, u2 = self.s, self.units, other.s, other.units
         if s2 < 0:
@@ -222,16 +215,15 @@ class ApproxReal:
             raise ValueError("sqrt of a negative ball")
         if s + u == 0:
             return ApproxReal.exact_zero()
-        t = max(p, mp.prec)
-        k = 2 * t - p  # sqrt(x * 2^-p) * 2^t = sqrt(x << k)
+        # sqrt(x * 2^-p) * 2^p = sqrt(x << p)
         if s <= u:
-            # The ball reaches zero: sqrt([0, hi]) lies in [0, r * 2^-t].
-            r = math.isqrt(((s + u) << k) - 1) + 1
-            return ApproxReal(r, t + 1, r)
-        x = s << k
+            # The ball reaches zero: sqrt([0, hi]) lies in [0, r * 2^-p].
+            r = math.isqrt(((s + u) << p) - 1) + 1
+            return ApproxReal(r, p + 1, r)
+        x = s << p
         r = math.isqrt(x)
         # |sqrt(v) - sqrt(mid)| = |v - mid| / (sqrt(v) + sqrt(mid)) <= rad / sqrt(mid)
-        return ApproxReal(r, t, ceil_units(k, u, r) + (0 if r * r == x else 1))
+        return ApproxReal(r, p, ceil_units(p, u, r) + (0 if r * r == x else 1))
 
     def __pow__(self, n: int):
         if not isinstance(n, int):

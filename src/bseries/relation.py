@@ -20,7 +20,9 @@ The search runs at the digits to which the scaled midpoints are known, the
 least ``log10(scale / radius)`` over the inputs (capped at 400), so an input
 far below the largest keeps the digits its own ball certifies.  An input
 below ``tol/100`` of the largest, where ``mpmath.pslq`` would stop without
-searching, is reported as "no relation" with that reason.
+searching, is reported as "no relation" with that reason.  The balls carry
+their own exponents; only ``mpmath.pslq``, which computes on the midpoints
+as mpf numbers, runs under ``mp.workprec`` at those digits.
 
 Reliable discovery wants roughly 2 * max_coeff_bits * n / 3.32 certified
 digits of input (each coefficient digit consumed by the relation must be
@@ -33,7 +35,8 @@ digits than the data certify.
 ``discover_rhs`` layers right-hand-side reconstruction on top: it runs
 pslq on [S, b_1..b_m] for a basis of closed-form constants, solves for S,
 and re-verifies the proposed combination with the basis re-evaluated at
-doubled precision before accepting.  A certified relation among the basis
+doubled digits before accepting; each ``eval_ball`` takes its precision
+from the digits it is asked for.  A certified relation among the basis
 alone raises ``ValueError`` naming it, since a dependent basis can hide
 a combination that does hold.
 """
@@ -49,7 +52,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .closedform import ClosedForm, render_closed_form
-from .precision import DIGITS_INF, ApproxReal, digits_to_bits, log10_floor, working_bits
+from .precision import DIGITS_INF, ApproxReal, digits_to_bits, log10_floor
 
 __all__ = [
     "RelationResult",
@@ -237,8 +240,7 @@ def discover_rhs(
     if not basis:
         return None
     d = max(15, min(series_value.to_digits(), _MAX_WORK_DIGITS))
-    with working_bits(digits_to_bits(d + 10)):
-        bballs = [cf.eval_ball(d + 10) for cf in basis]
+    bballs = [cf.eval_ball(d + 10) for cf in basis]
     res = pslq([series_value] + bballs, max_coeff_bits)
     if not res.found:
         return None
@@ -255,9 +257,7 @@ def discover_rhs(
         if cj:
             combo = combo + ClosedForm.const(Fraction(-cj, c0)) * cf
     # re-verification: basis at doubled precision, residual vs S's ball
-    with working_bits(digits_to_bits(2 * d + 20)):
-        c2 = combo.eval_ball(2 * d + 20)
-        resid2 = series_value - c2
+    resid2 = series_value - combo.eval_ball(2 * d + 20)
     if resid2.excludes_zero():
         return None
     if _confidence(resid2, _scale_of([series_value] + bballs)) < _CONFIDENCE_FLOOR:

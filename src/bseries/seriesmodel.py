@@ -509,6 +509,8 @@ class SeriesDef:
     base_value: QuadElem = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.k_start < 0:
+            raise ValueError(f"k_start must be >= 0, got {self.k_start}")
         if not self.weight:
             raise ValueError("series needs a nonzero weight")
         object.__setattr__(self, "base_value", self.base_root**self.base_exp)

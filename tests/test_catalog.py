@@ -209,6 +209,16 @@ def test_negative_kstart_rejected():
 
 
 @pytest.mark.parametrize(
+    "old, new",
+    [("base: 16", "base: (1/2)^(2^-1)"), ("rhs: 1/2*pi^2", "rhs: pi^(2^-1)")],
+)
+def test_non_integer_exponent_names_the_record(old, new):
+    # 2^-1 is no integer exponent: a CatalogError naming the record, not a TypeError
+    with pytest.raises(CatalogError, match=r"record 't1' \(line 1\): non-integer exponent"):
+        loads_catalog(MINIMAL.replace(old, new))
+
+
+@pytest.mark.parametrize(
     "old, new, why",
     [
         ("kstart: 1", "kstart: 0", r"denominator factor 1\*k\+0 vanishes at k=0"),

@@ -28,7 +28,7 @@ from bseries.constants import (
     pi_ball,
     zeta3_ball,
 )
-from bseries.precision import ApproxReal, ceil_units, digits_to_bits, working_bits
+from bseries.precision import ApproxReal, ceil_units, digits_to_bits
 
 PI = "3.141592653589793238462643383279502884197169399375106"
 LOG2 = "0.6931471805599453094172321214581765680755001343602553"
@@ -61,8 +61,8 @@ def mpf_to_fraction(x) -> Fraction:
     return (-1) ** sign * Fraction(int(man)) * Fraction(2) ** int(exp)
 
 
-def frac_ball(p, q=1):
-    return ApproxReal.from_fraction(Fraction(p, q))
+def frac_ball(p, q, bits):
+    return ApproxReal.from_fraction(Fraction(p, q), bits)
 
 
 # ----------------------------------------------------------------------
@@ -136,17 +136,15 @@ def test_hurwitz_reference_digits():
 
 
 def test_hurwitz_at_one_is_pi2_over_6():
-    with working_bits(digits_to_bits(55)):
-        z = hurwitz_zeta2_ball(Fraction(1), 50)
-        diff = z - pi_ball(50) * pi_ball(50) * frac_ball(1, 6)
+    z = hurwitz_zeta2_ball(Fraction(1), 50)
+    diff = z - pi_ball(50) * pi_ball(50) * frac_ball(1, 6, digits_to_bits(55))
     assert diff.contains_zero()
     assert diff.upper_abs() < Fraction(1, 10**48)
 
 
 def test_hurwitz_at_half_is_pi2_over_2():
-    with working_bits(digits_to_bits(55)):
-        z = hurwitz_zeta2_ball(Fraction(1, 2), 50)
-        diff = z - pi_ball(50) * pi_ball(50) * frac_ball(1, 2)
+    z = hurwitz_zeta2_ball(Fraction(1, 2), 50)
+    diff = z - pi_ball(50) * pi_ball(50) * frac_ball(1, 2, digits_to_bits(55))
     assert diff.contains_zero()
     assert diff.upper_abs() < Fraction(1, 10**48)
 
@@ -154,11 +152,10 @@ def test_hurwitz_at_half_is_pi2_over_2():
 def test_hurwitz_multiplication_theorem():
     # sum_{a=1..q} zeta(2, a/q) = q^2 zeta(2)
     q = 5
-    with working_bits(digits_to_bits(50)):
-        total = hurwitz_zeta2_ball(Fraction(1, q), 45)
-        for a in range(2, q + 1):
-            total = total + hurwitz_zeta2_ball(Fraction(a, q), 45)
-        diff = total - pi_ball(45) * pi_ball(45) * frac_ball(q * q, 6)
+    total = hurwitz_zeta2_ball(Fraction(1, q), 45)
+    for a in range(2, q + 1):
+        total = total + hurwitz_zeta2_ball(Fraction(a, q), 45)
+    diff = total - pi_ball(45) * pi_ball(45) * frac_ball(q * q, 6, digits_to_bits(50))
     assert diff.contains_zero()
     assert diff.upper_abs() < Fraction(1, 10**43)
 
@@ -322,8 +319,7 @@ def test_l_value_balls_are_pinned(monkeypatch):
 def test_l_value_against_hurwitz_route():
     # Independent route: mpmath's Hurwitz zeta with a character table from
     # the (separately tested) Kronecker symbol.
-    mpmath.mp.dps = 45
-    try:
+    with mpmath.workdps(45):  # the references' precision
         for d in (-11, -8, 5, 12, -15, -24, -39, -68, -87, -111):
             q = abs(d)
             ref = sum(
@@ -332,8 +328,6 @@ def test_l_value_against_hurwitz_route():
             ) / q**2
             got = l_value_ball(d, 40)
             assert abs(mpmath.mpf(got.mid) - ref) < mpmath.mpf(10) ** -38
-    finally:
-        mpmath.mp.dps = 15
 
 
 def test_l_value_ball_holds_the_hurwitz_route_without_slack():
@@ -341,11 +335,11 @@ def test_l_value_ball_holds_the_hurwitz_route_without_slack():
     # ball, whose radius is the counted error itself.
     d, digits = -111, 300
     q = abs(d)
-    with working_bits(digits_to_bits(2 * digits)):
+    with mpmath.workprec(digits_to_bits(2 * digits)):  # the reference's precision
         ref = mpmath.fsum(
             kronecker(d, a) * mpmath.zeta(2, mpmath.mpf(a) / q) for a in range(1, q + 1)
         ) / q**2
-        ball = l_value_ball(d, digits)
+    ball = l_value_ball(d, digits)
     lo, hi = ball.to_fraction_bounds()
     assert lo <= mpf_to_fraction(ref) <= hi
     assert ball.to_digits() >= digits
@@ -386,7 +380,7 @@ def _check_count(terms, n: int, s: int, units: int, tail: int, p: int, ref) -> N
     head = [next(terms) for _ in range(n)]
     assert sum(math.floor(t * 2**p) for t in head) == s
     assert units == n + tail
-    with working_bits(2 * p + 64):
+    with mpmath.workprec(2 * p + 64):
         remainder = abs(mpf_to_fraction(ref()) - sum(head))
     assert tail * 2**p >= remainder * 4**p - 1, float(remainder * 2**p)
 

@@ -14,11 +14,12 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bseries import evaluator
+from bseries import constants, evaluator
 from bseries.catalog import load_catalog, resolve_catalog_path
 from bseries.closedform import parse_closed_form
 from bseries.evaluator import (
@@ -36,7 +37,7 @@ from bseries.evaluator import (
 )
 from bseries.exactnum import QuadElem, horner
 from bseries.kernels import kernel_by_tag
-from bseries.precision import attempt_bits, working_bits
+from bseries.precision import attempt_bits
 from bseries.seriesmodel import (
     HarmonicCache,
     Position,
@@ -194,8 +195,8 @@ def test_every_shipped_sum_at_30_digits_overlaps_60():
             continue
         lo, hi = {}, {}
         for digits in (30, 60):
-            with working_bits(attempt_bits(digits + 8, 0)):
-                ball = sum_series(rec.series, digits + 5, env, budget_terms=rec.budget_terms).ball
+            bits = attempt_bits(digits + 8, 0)
+            ball = sum_series(rec.series, digits + 5, env, bits, budget_terms=rec.budget_terms).ball
             lo[digits], hi[digits] = ball.to_fraction_bounds()
         assert lo[30] <= hi[60] and lo[60] <= hi[30], rec.id
 
@@ -453,8 +454,7 @@ def test_majorant_bounds_random_harmonic_weights(weight, k0):
 
 def test_geometric_sum_certified():
     sdef = mk("1/2")
-    with working_bits(200):
-        res = sum_series(sdef, 40, certify_envelope(sdef))
+    res = sum_series(sdef, 40, certify_envelope(sdef), 200)
     lo, hi = res.ball.to_fraction_bounds()
     assert lo <= 2 <= hi
     assert res.ball.to_digits() >= 40
@@ -477,9 +477,8 @@ def test_kernel_numerator_reference():
 
 def test_budget_raises():
     sdef = mk("1/2")
-    with working_bits(150):
-        with pytest.raises(BudgetExceeded):
-            sum_series(sdef, 40, certify_envelope(sdef), budget_terms=10)
+    with pytest.raises(BudgetExceeded):
+        sum_series(sdef, 40, certify_envelope(sdef), 150, budget_terms=10)
 
 
 # ----------------------------------------------------------------------
@@ -636,3 +635,47 @@ def test_report_fields():
     assert rep.elapsed >= 0
     assert rep.attempts == 1
     assert rep.lhs_str.startswith("2.0")
+
+
+# ----------------------------------------------------------------------
+# precision is carried by the balls
+
+
+def test_balls_do_not_read_the_mpmath_precision(monkeypatch):
+    # pi, sqrt(m), an L-value and a nested radical: the ball, the sums and
+    # the verification reports come out the same under any mpmath precision.
+    # Each pass starts from an empty constants cache, which otherwise keeps
+    # the deeper balls of an earlier pass.
+    cf = parse_closed_form("16/3*sqrt(3)/pi - 1/7*L(-111) + sqrt(96256 + 43008*sqrt(5))")
+    cat = load_catalog(resolve_catalog_path())
+    records = [cat.lookup(rid) for rid in ("aldawoud-t31-r10", "conj6.1-111", "conj4.1-hb")]
+
+    def snapshot():
+        monkeypatch.setattr(constants, "_cache", {})
+        out = [cf.eval_ball(30)] + [evaluate(r.series, 30).ball for r in records]
+        out = [(b.s, b.p, b.units) for b in out]
+        for r in records:
+            rep = verify_identity(r.series, r.rhs, 30, lhs_scale=r.lhs_scale)
+            out.append(dataclasses.replace(rep, elapsed=0.0))
+        return out
+
+    with mpmath.mp.workprec(10):
+        low = snapshot()
+    with mpmath.mp.workprec(4000):
+        high = snapshot()
+    assert low == high == snapshot()
+    assert [rep.status for rep in low[-3:]] == [Status.FAIL, Status.PASS, Status.PASS]
+
+
+def test_no_module_reads_an_ambient_precision():
+    # Balls take their exponent where they are made; only relation.pslq sets
+    # mpmath's precision, around mpmath.pslq, which computes on mpf midpoints.
+    for path in sorted(Path(evaluator.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        dotted = {ast.unparse(n) for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert "working_bits" not in names, path.name
+        assert not {d for d in dotted if d.endswith("mp.prec") or d.endswith("mp.dps")}, path.name
+        assert ("workprec" in names) == (path.stem == "relation"), path.name

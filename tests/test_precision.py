@@ -1,4 +1,4 @@
-"""Ball arithmetic: containment under low precision, digit accounting."""
+"""Ball arithmetic: containment at low precision, digit accounting, explicit exponents."""
 
 import math
 from fractions import Fraction
@@ -13,7 +13,6 @@ from bseries.precision import (
     ApproxReal,
     attempt_bits,
     digits_to_bits,
-    working_bits,
 )
 
 
@@ -25,85 +24,77 @@ def test_digits_to_bits_policy():
 
 
 def test_exact_dyadic_fraction():
-    with working_bits(53):
-        x = ApproxReal.from_fraction(Fraction(3, 8))
-        assert x.rad == 0
-        assert x.to_digits() == DIGITS_INF
-        assert x.to_fraction_bounds() == (Fraction(3, 8), Fraction(3, 8))
+    x = ApproxReal.from_fraction(Fraction(3, 8), 53)
+    assert x.rad == 0
+    assert x.to_digits() == DIGITS_INF
+    assert x.to_fraction_bounds() == (Fraction(3, 8), Fraction(3, 8))
 
 
 def test_inexact_fraction_digits():
-    with working_bits(digits_to_bits(30)):
-        x = ApproxReal.from_fraction(Fraction(1, 3))
-        assert 30 <= x.to_digits() <= 60
-        lo, hi = x.to_fraction_bounds()
-        assert lo <= Fraction(1, 3) <= hi
+    x = ApproxReal.from_fraction(Fraction(1, 3), digits_to_bits(30))
+    assert 30 <= x.to_digits() <= 60
+    lo, hi = x.to_fraction_bounds()
+    assert lo <= Fraction(1, 3) <= hi
 
 
 def test_to_digits_clamps_at_zero():
-    with working_bits(53):
-        x = ApproxReal.from_fraction(Fraction(1, 100))
-        wide = ApproxReal(x.s, x.p, 1 << x.p)  # radius 1
-        assert wide.to_digits() == 0
+    x = ApproxReal.from_fraction(Fraction(1, 100), 53)
+    wide = ApproxReal(x.s, x.p, 1 << x.p)  # radius 1
+    assert wide.to_digits() == 0
 
 
 def test_rounded_int_never_gets_zero_radius():
     # An integer is exact at any precision; a ratio floored at 53 bits must
     # count the floor, and a ball holds integers only.
     n = 10**30 + 1
-    with working_bits(53):
-        with pytest.raises(TypeError):
-            ApproxReal(n, 0, mp.mpf(0))
-        with pytest.raises(TypeError):
-            ApproxReal(1, 0, Fraction(1, 2))
-        for x in (ApproxReal.from_int(n), ApproxReal.from_int(0) + n):
-            assert x.to_fraction_bounds() == (n, n)
-        x = ApproxReal.from_ratio(n, 3)
-        assert x.rad > 0
-        lo, hi = x.to_fraction_bounds()
-        assert lo <= Fraction(n, 3) <= hi
+    with pytest.raises(TypeError):
+        ApproxReal(n, 0, mp.mpf(0))
+    with pytest.raises(TypeError):
+        ApproxReal(1, 0, Fraction(1, 2))
+    for x in (ApproxReal.from_int(n), ApproxReal.from_int(0) + n):
+        assert x.to_fraction_bounds() == (n, n)
+    x = ApproxReal.from_ratio(n, 3, 53)
+    assert x.rad > 0
+    lo, hi = x.to_fraction_bounds()
+    assert lo <= Fraction(n, 3) <= hi
 
 
 def test_zero_division_guard():
-    with working_bits(53):
-        around_zero = ApproxReal(0, 34, 1)  # radius 2^-34, about 6e-11
-        one = ApproxReal.from_int(1)
-        assert around_zero.contains_zero()
-        assert not around_zero.excludes_zero()
-        with pytest.raises(ZeroDivisionError):
-            one / around_zero
+    around_zero = ApproxReal(0, 34, 1)  # radius 2^-34, about 6e-11
+    one = ApproxReal.from_int(1)
+    assert around_zero.contains_zero()
+    assert not around_zero.excludes_zero()
+    with pytest.raises(ZeroDivisionError):
+        one / around_zero
 
 
 def test_sqrt_encloses():
-    with working_bits(120):
-        s = ApproxReal.from_int(2).sqrt()
-        lo, hi = s.to_fraction_bounds()
-        assert lo * lo <= 2 <= hi * hi
-        assert s.to_digits() >= 30
+    s = ApproxReal.from_ratio(2, 1, 120).sqrt()
+    assert s.p == 120
+    lo, hi = s.to_fraction_bounds()
+    assert lo * lo <= 2 <= hi * hi
+    assert s.to_digits() >= 30
 
 
 def test_sqrt_negative_raises():
-    with working_bits(53):
-        with pytest.raises(ValueError):
-            ApproxReal.from_int(-4).sqrt()
+    with pytest.raises(ValueError):
+        ApproxReal.from_ratio(-4, 1, 53).sqrt()
 
 
 def test_sqrt_straddling_zero():
-    with working_bits(53):
-        x = ApproxReal(2**100 // 10**30, 100, 2**100 // 10**20 + 1)  # 1e-30 +- 1e-20
-        s = x.sqrt()
-        lo, hi = s.to_fraction_bounds()
-        assert lo <= 0 and hi * hi >= Fraction(1, 10**20)
+    x = ApproxReal(2**100 // 10**30, 100, 2**100 // 10**20 + 1)  # 1e-30 +- 1e-20
+    s = x.sqrt()
+    lo, hi = s.to_fraction_bounds()
+    assert lo <= 0 and hi * hi >= Fraction(1, 10**20)
 
 
 def test_pow_int():
-    with working_bits(120):
-        x = ApproxReal.from_fraction(Fraction(3, 7))
-        lo, hi = (x**5).to_fraction_bounds()
-        assert lo <= Fraction(3, 7) ** 5 <= hi
-        lo, hi = (x**-3).to_fraction_bounds()
-        assert lo <= Fraction(7, 3) ** 3 <= hi
-        assert (x**0).rad == 0
+    x = ApproxReal.from_fraction(Fraction(3, 7), 120)
+    lo, hi = (x**5).to_fraction_bounds()
+    assert lo <= Fraction(3, 7) ** 5 <= hi
+    lo, hi = (x**-3).to_fraction_bounds()
+    assert lo <= Fraction(7, 3) ** 3 <= hi
+    assert (x**0).rad == 0
 
 
 small_fractions = st.fractions(min_value=-(10**8), max_value=10**8, max_denominator=10**6)
@@ -112,22 +103,21 @@ small_fractions = st.fractions(min_value=-(10**8), max_value=10**8, max_denomina
 @given(small_fractions, small_fractions, st.sampled_from(["+", "-", "*", "/"]))
 @settings(max_examples=300, deadline=None)
 def test_ops_contain_exact_result_even_at_tiny_precision(a, b, op):
-    # 7 bits of working precision forces heavy rounding; containment must hold.
-    with working_bits(7):
-        x = ApproxReal.from_fraction(a)
-        y = ApproxReal.from_fraction(b)
-        if op == "+":
-            z, exact = x + y, a + b
-        elif op == "-":
-            z, exact = x - y, a - b
-        elif op == "*":
-            z, exact = x * y, a * b
-        else:
-            if not y.excludes_zero():
-                return
-            z, exact = x / y, a / b
-        lo, hi = z.to_fraction_bounds()
-        assert lo <= exact <= hi
+    # Operands floored at 7 bits force heavy rounding; containment must hold.
+    x = ApproxReal.from_fraction(a, 7)
+    y = ApproxReal.from_fraction(b, 7)
+    if op == "+":
+        z, exact = x + y, a + b
+    elif op == "-":
+        z, exact = x - y, a - b
+    elif op == "*":
+        z, exact = x * y, a * b
+    else:
+        if not y.excludes_zero():
+            return
+        z, exact = x / y, a / b
+    lo, hi = z.to_fraction_bounds()
+    assert lo <= exact <= hi
 
 
 @given(small_fractions)
@@ -135,12 +125,11 @@ def test_ops_contain_exact_result_even_at_tiny_precision(a, b, op):
 def test_sqrt_contains_exact_value(a):
     if a < 0:
         a = -a
-    with working_bits(10):
-        x = ApproxReal.from_fraction(a)
-        s = x.sqrt()
-        lo, hi = s.to_fraction_bounds()
-        # lo <= sqrt(a) <= hi  <=>  lo^2 <= a <= hi^2 given lo, hi >= 0
-        assert max(lo, 0) ** 2 <= a <= hi * hi
+    x = ApproxReal.from_fraction(a, 10)
+    s = x.sqrt()
+    lo, hi = s.to_fraction_bounds()
+    # lo <= sqrt(a) <= hi  <=>  lo^2 <= a <= hi^2 given lo, hi >= 0
+    assert max(lo, 0) ** 2 <= a <= hi * hi
 
 
 def _floored_ball(x: Fraction, p: int, extra: int) -> ApproxReal:
@@ -161,38 +150,58 @@ def _floored_ball(x: Fraction, p: int, extra: int) -> ApproxReal:
 )
 @settings(max_examples=300, deadline=None)
 def test_mixed_exponents_contain_exact_result(a, b, d, guard, ea, eb, tiny, op, n):
-    # A sum at P + guard bits meets a constant at digits_to_bits(d + 2), under
-    # an ambient precision of either 7 bits or the sum's own digits.
+    # A sum at P + guard bits meets a constant at digits_to_bits(d + 2), or a
+    # ball floored at only 7 bits.
     x = _floored_ball(a, digits_to_bits(d) + guard, ea)
-    y = _floored_ball(b, digits_to_bits(d + 2), eb)
-    with working_bits(7 if tiny else digits_to_bits(d)):
-        if op == "sqrt":
-            x = _floored_ball(abs(a), x.p, ea)
-            lo, hi = x.sqrt().to_fraction_bounds()
-            assert 0 <= hi and max(lo, 0) ** 2 <= abs(a) <= hi * hi
+    y = _floored_ball(b, 7 if tiny else digits_to_bits(d + 2), eb)
+    if op == "sqrt":
+        x = _floored_ball(abs(a), x.p, ea)
+        lo, hi = x.sqrt().to_fraction_bounds()
+        assert 0 <= hi and max(lo, 0) ** 2 <= abs(a) <= hi * hi
+        return
+    if op == "**":
+        if n < 0 and not x.excludes_zero():
             return
-        if op == "**":
-            if n < 0 and not x.excludes_zero():
-                return
-            z, exact = x**n, a**n
-        elif op == "/":
-            if not y.excludes_zero():
-                return
-            z, exact = x / y, a / b
-        else:
-            z = {"+": x + y, "-": x - y, "*": x * y}[op]
-            exact = {"+": a + b, "-": a - b, "*": a * b}[op]
-        lo, hi = z.to_fraction_bounds()
-        assert lo <= exact <= hi
+        z, exact = x**n, a**n
+    elif op == "/":
+        if not y.excludes_zero():
+            return
+        z, exact = x / y, a / b
+    else:
+        z = {"+": x + y, "-": x - y, "*": x * y}[op]
+        exact = {"+": a + b, "-": a - b, "*": a * b}[op]
+    lo, hi = z.to_fraction_bounds()
+    assert lo <= exact <= hi
 
 
 def test_mixed_scalar_coercion():
-    with working_bits(100):
-        x = ApproxReal.from_fraction(Fraction(1, 3))
-        z = 1 - 3 * x
-        assert z.contains_zero()
-        z2 = (2 + x) - x - 2
-        assert z2.contains_zero()
+    x = ApproxReal.from_fraction(Fraction(1, 3), 100)
+    z = 1 - 3 * x
+    assert z.contains_zero()
+    z2 = (2 + x) - x - 2
+    assert z2.contains_zero()
+    # a Fraction has no exponent: it enters through from_fraction(q, p) only
+    with pytest.raises(TypeError):
+        x + Fraction(1, 3)
+    with pytest.raises(TypeError):
+        Fraction(1, 3) * x
+
+
+def test_results_floor_at_the_larger_operand_exponent():
+    # No operation reads a global precision: mpmath's is no input at all.
+    lo, hi = ApproxReal.from_ratio(1, 3, 10), ApproxReal.from_ratio(2, 7, 40)
+    got = []
+    for prec in (7, 4000):
+        with mp.workprec(prec):
+            balls = (lo * hi, lo / hi, hi / lo, lo.sqrt(), hi.sqrt(), lo**-2)
+            got.append([(z.s, z.p, z.units) for z in balls])
+    assert got[0] == got[1]
+    assert [p for _, p, _ in got[0]] == [40, 40, 40, 10, 40, 10]
+    # products of integers stay exact; a quotient of two exact integer
+    # balls floors at 2^0
+    assert (ApproxReal.from_int(6) * 7).to_fraction_bounds() == (42, 42)
+    q = ApproxReal.from_int(1) / ApproxReal.from_int(3)
+    assert (q.s, q.p, q.units) == (0, 0, 1)
 
 
 @st.composite
@@ -218,8 +227,7 @@ def int_ratios(draw):
 @settings(max_examples=300, deadline=None)
 def test_from_ratio_floors_once(pq, prec):
     p, q = pq
-    with working_bits(prec):
-        x = ApproxReal.from_ratio(p, q)
+    x = ApproxReal.from_ratio(p, q, prec)
     exact = Fraction(p, q)
     assert (x.s, x.p) == (math.floor(exact * 2**prec), prec)
     lo, hi = x.to_fraction_bounds()
@@ -228,6 +236,5 @@ def test_from_ratio_floors_once(pq, prec):
 
 
 def test_from_ratio_rejects_zero_denominator():
-    with working_bits(53):
-        with pytest.raises(ZeroDivisionError):
-            ApproxReal.from_ratio(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        ApproxReal.from_ratio(1, 0, 53)

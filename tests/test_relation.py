@@ -9,7 +9,7 @@ from bseries.catalog import load_catalog, resolve_catalog_path
 from bseries.closedform import ClosedForm, parse_closed_form
 from bseries.evaluator import evaluate
 from bseries.kernels import kernel_by_tag
-from bseries.precision import ApproxReal, ceil_units, digits_to_bits, working_bits
+from bseries.precision import ApproxReal, ceil_units, digits_to_bits
 from bseries.relation import (
     discover_rhs,
     pslq,
@@ -26,8 +26,7 @@ from bseries.seriesmodel import (
 
 
 def ball(x: str, digits: int = 45) -> ApproxReal:
-    with working_bits(digits_to_bits(digits + 5)):
-        return parse_closed_form(x).eval_ball(digits)
+    return parse_closed_form(x).eval_ball(digits)
 
 
 def widened(mid: Fraction, rad: Fraction, p: int = 256) -> ApproxReal:
@@ -44,14 +43,14 @@ def rand_ball(rng: random.Random, digits: int = 50) -> ApproxReal:
 
 class TestPslqExamples:
     def test_exact_halves(self):
-        r = pslq([ApproxReal.from_int(1), ApproxReal.from_fraction(Fraction(1, 2))], 24)
+        r = pslq([ApproxReal.from_int(1), ApproxReal.from_fraction(Fraction(1, 2), 53)], 24)
         assert r.coefficients == (1, -2)
         assert r.confidence_digits > 100
 
     def test_golden_ratio_square(self):
-        with working_bits(digits_to_bits(45)):
-            phi = (ApproxReal.from_int(1) + ApproxReal.from_int(5).sqrt()) / ApproxReal.from_int(2)
-            vals = [ApproxReal.from_int(1), phi, phi * phi]
+        root5 = ApproxReal.from_ratio(5, 1, digits_to_bits(45)).sqrt()
+        phi = (ApproxReal.from_int(1) + root5) / ApproxReal.from_int(2)
+        vals = [ApproxReal.from_int(1), phi, phi * phi]
         r = pslq(vals, 24)
         assert r.coefficients == (1, 1, -1)
         assert r.confidence_digits >= 35
@@ -72,14 +71,13 @@ class TestPslqExamples:
         assert r.coefficients == (2, -1)
 
     def test_sign_and_gcd_normalization(self):
-        r = pslq([ApproxReal.from_fraction(Fraction(1, 2)), ApproxReal.from_int(1)], 24)
+        r = pslq([ApproxReal.from_fraction(Fraction(1, 2), 53), ApproxReal.from_int(1)], 24)
         assert r.coefficients == (2, -1)
         r = pslq([ApproxReal.from_int(6), ApproxReal.from_int(4)], 24)
         assert r.coefficients == (2, -3)
 
     def test_relation_invariant(self):
-        with working_bits(digits_to_bits(45)):
-            vals = [ball("pi"), ball("3*pi"), ball("sqrt(2)")]
+        vals = [ball("pi"), ball("3*pi"), ball("sqrt(2)")]
         r = pslq(vals, 24)
         assert r.coefficients == (3, -1, 0)
         scale = max(v.upper_abs() for v in vals)
@@ -102,7 +100,7 @@ class TestPslqSoundness:
         assert r.coefficients is None
 
     def test_coefficient_bound_respected(self):
-        v = ApproxReal.from_fraction(Fraction(2 * 10**8 + 1, 2 * 10**8))
+        v = ApproxReal.from_fraction(Fraction(2 * 10**8 + 1, 2 * 10**8), 53)
         r = pslq([ApproxReal.from_int(1), v], 24)
         assert r.coefficients is None
 
@@ -120,19 +118,19 @@ class TestPslqSoundness:
         assert "straddles" in r.note
 
     def test_relation_across_thirty_orders_of_magnitude(self):
-        with working_bits(digits_to_bits(45)):
-            vals = [
-                ApproxReal.from_fraction(Fraction(1, 7)),
-                ApproxReal.from_fraction(Fraction(10**30, 7)),
-                ApproxReal.from_int(1),
-            ]
+        p = digits_to_bits(45)
+        vals = [
+            ApproxReal.from_fraction(Fraction(1, 7), p),
+            ApproxReal.from_fraction(Fraction(10**30, 7), p),
+            ApproxReal.from_int(1),
+        ]
         r = pslq(vals, 24)
         assert r.coefficients == (7, 0, -1)
 
     def test_input_below_working_precision_gives_no_relation(self):
         vals = [
-            ApproxReal.from_fraction(10**100 + Fraction(1, 3)),
-            ApproxReal.from_fraction(Fraction(1, 7)),
+            ApproxReal.from_fraction(10**100 + Fraction(1, 3), 53),
+            ApproxReal.from_fraction(Fraction(1, 7), 53),
         ]
         r = pslq(vals, 24)
         assert r.coefficients is None
@@ -149,8 +147,8 @@ class TestPslqSoundness:
         # 16-digit balls: scaled by the largest, 1/7 is 1e-30, but it and
         # the other inputs are known to 45 digits there, so pslq searches
         vals = [
-            ApproxReal.from_fraction(Fraction(1, 7)),
-            ApproxReal.from_fraction(Fraction(10**30, 7)),
+            ApproxReal.from_fraction(Fraction(1, 7), 53),
+            ApproxReal.from_fraction(Fraction(10**30, 7), 53),
             ApproxReal.from_int(1),
         ]
         r = pslq(vals, 24)
@@ -170,9 +168,8 @@ class TestPslqSoundness:
             a = rng.randint(1, 50)
             b = rng.randint(-50, 50) or 1
             c = rng.randint(1, 9)
-            with working_bits(digits_to_bits(50)):
-                x = ball("pi", 45)
-                y = (ApproxReal.from_int(a) * x + ApproxReal.from_int(b)) / ApproxReal.from_int(c)
+            x = ball("pi", 45)
+            y = (ApproxReal.from_int(a) * x + ApproxReal.from_int(b)) / ApproxReal.from_int(c)
             r = pslq([ApproxReal.from_int(1), x, y], 24)
             assert r.found, (a, b, c)
             assert not r.residual.excludes_zero()
@@ -249,8 +246,7 @@ class TestDiscoverRhs:
     def test_fifteen_digit_ball_spends_no_more_digits_than_it_has(self):
         # 6272*sqrt(3) to ~15 digits: 184396804/24005*sqrt(2) matches it to
         # 13 digits, but its coefficients spend those same digits
-        with working_bits(digits_to_bits(40)):
-            v = ball("6272*sqrt(3)", 40) + widened(Fraction(0), Fraction(1, 10**11))
+        v = ball("6272*sqrt(3)", 40) + widened(Fraction(0), Fraction(1, 10**11))
         assert v.to_digits() == 15
         for bits in (40, 24):
             assert discover_rhs(v, [parse_closed_form("sqrt(2)")], bits) is None

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bseries.exactnum import QuadElem
+from bseries.exprparse import ExprError, ast_as_int, parse_expr
 from bseries.kernels import KERNELS
 from bseries.seriesmodel import (
     HarmonicAtom,
@@ -242,10 +243,24 @@ class TestSeriesDef:
             SeriesDef(base_root=half, weight=weight, k_start=0)
         assert SeriesDef(base_root=half, weight=weight, k_start=1).k_start == 1
 
+    def test_negative_k_start_rejected(self):
+        # base^k_start cannot be stepped to a negative k: the sum from k = -1
+        # of 2^-k is 4, and summing from 0 would give 2
+        half, one = parse_quad("1/2"), parse_weight("1")
+        with pytest.raises(ValueError, match="k_start must be >= 0, got -1"):
+            SeriesDef(base_root=half, weight=one, k_start=-1)
+
     def test_field_d(self):
         assert _simple_series().field_d == 1
         sd = _simple_series(base_root=parse_quad("(3 + sqrt(5))/64"))
         assert sd.field_d == 5
+
+
+def test_integer_exponents():
+    assert [ast_as_int(parse_expr(x)) for x in ("2^3", "(-1)^-3", "1^-2", "(2^3)^2")] == [8, -1, 1, 64]
+    for bad in ("2^-1", "0^-1", "(-2)^(0-1)"):
+        with pytest.raises(ExprError, match="non-integer exponent"):
+            ast_as_int(parse_expr(bad))
 
 
 def test_parse_ratfun_certificate_fields():
