@@ -229,7 +229,9 @@ class ApproxReal:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return 1 / (self ** (-n))
+            # The reciprocal first: 1/x exists whenever x excludes zero, while
+            # x^-n floored at x's exponent may reach zero when |x| is small.
+            return (1 / self) ** (-n)
         result = ApproxReal.from_int(1)
         base = self
         while n:

@@ -97,6 +97,15 @@ def test_pow_int():
     assert (x**0).rad == 0
 
 
+def test_negative_power_of_a_small_ball():
+    # x excludes zero but x^3 floored at x's 36 bits does not: the reciprocal
+    # comes first, so x^-3 is still a ball around 2840^3.
+    x = ApproxReal(math.floor(Fraction(2**36, 2840)), 36, 1)
+    assert x.excludes_zero() and (x**3).contains_zero()
+    lo, hi = (x**-3).to_fraction_bounds()
+    assert lo <= 2840**3 <= hi
+
+
 small_fractions = st.fractions(min_value=-(10**8), max_value=10**8, max_denominator=10**6)
 
 
