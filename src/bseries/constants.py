@@ -45,6 +45,7 @@ Single-threaded use only: the cache takes no lock.  Parallelise by process.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .precision import ApproxReal, ceil_units, digits_to_bits
@@ -60,17 +61,25 @@ __all__ = [
     "bernoulli_numbers",
 ]
 
-_cache: dict[tuple, tuple[int, ApproxReal]] = {}
+_cache: dict[tuple, ApproxReal] = {}
 
 
 def _cached(key: tuple, digits: int, compute) -> ApproxReal:
-    """The ball of ``compute(P) = (S, units)``, reusing a result good to at least `digits`."""
+    """The ball of ``compute(P) = (S, units)`` at ``P = digits_to_bits(digits + 2)``.
+
+    A cached ball computed deeper is floored to P (``S >> delta``, units
+    ``ceil(units / 2^delta) + 1``), so the ball has the same P whatever was
+    asked before it.
+    """
+    p = digits_to_bits(digits + 2)
     hit = _cache.get(key)
-    if hit is None or hit[0] < digits:
-        p = digits_to_bits(digits + 2)
+    if hit is None or hit.p < p:
         s, units = compute(p)
-        hit = _cache[key] = (digits, ApproxReal(s, p, units))
-    return hit[1]
+        hit = _cache[key] = ApproxReal(s, p, units)
+    delta = hit.p - p
+    if not delta:
+        return hit
+    return ApproxReal(hit.s >> delta, p, -(-hit.units >> delta) + 1)
 
 
 # ----------------------------------------------------------------------
@@ -188,16 +197,11 @@ def _tangent_numbers(n: int) -> list[int]:
 
 
 def _grow_bernoulli(n: int) -> None:
-    """Extend the cache to hold B_n.
-
-    The cache holds B_0 .. B_{2m+1}.  A rebuild at least doubles m, so a
-    caller that asks for one more number at a time builds O(log n) tables.
-    """
+    """Extend the cache to hold B_n: rebuild it as B_0 .. B_{2m+1}, m = n // 2."""
     if len(_bernoulli) > n:
         return
-    m = max(n // 2, len(_bernoulli) - 2)
     table = _bernoulli[:2]
-    for k, t in enumerate(_tangent_numbers(m), 1):
+    for k, t in enumerate(_tangent_numbers(n // 2), 1):
         four = 4**k
         b = Fraction((-1) ** (k - 1) * 2 * k * t, four * (four - 1))
         table += [b, Fraction(0)]
@@ -210,13 +214,32 @@ def bernoulli_numbers(n: int) -> list[Fraction]:
     return _bernoulli[: n + 1]
 
 
+def _last_correction(c: float, x: float, p: int, j: int, limit: int) -> int:
+    """The first i in j..limit with ``4|c| * b * x^(-2i-3) <= 2^-p``, else j; in floats.
+
+    ``b`` bounds ``|B_{2i+2}|`` from above: ``|B_2k| = 2 (2k)! zeta(2k) /
+    (2 pi)^(2k) < 4 (2k)! / (2 pi)^(2k)``.  So :func:`_hurwitz2`'s tail is at
+    most ``2^-p`` at this i too, and its loop stops here or before.
+    """
+    log2_c, log2_x = math.log2(4 * abs(c)), math.log2(x)
+    for i in range(j, limit + 1):
+        k = 2 * i + 2
+        log2_b = 2 + math.lgamma(k + 1) / math.log(2) - k * math.log2(2 * math.pi)
+        if log2_c + log2_b - (k + 1) * log2_x <= -p:
+            return i
+    return j
+
+
 def _hurwitz2(a: Fraction, cn: int, cd: int, p: int) -> tuple[int, int]:
     """(S, units) for (cn/cd) * zeta(2, a) = (cn/cd) * sum_{n>=0} (n+a)^-2, by Euler-Maclaurin.
 
     With a = e/r the head terms are r^2/(n*r + e)^2, and at x = N + a = u/r
     the corrections are r/u + r^2/(2u^2) + sum_j B_2j r^(2j+1)/u^(2j+1).
     After the j-th correction the remainder is within |B_{2j+2}| x^(-2j-3),
-    the magnitude of the next correction; the tail keeps a 4x cushion.
+    the magnitude of the next correction; the tail keeps a 4x cushion.  A
+    table too short for the last correction :func:`_last_correction`
+    predicts is grown once to it, and at least doubled if the prediction
+    falls short.
     """
     e, r = a.numerator, a.denominator
     n_terms = max(8, p // 3)
@@ -225,10 +248,13 @@ def _hurwitz2(a: Fraction, cn: int, cd: int, p: int) -> tuple[int, int]:
         s += (cn * r * r << p) // (cd * (n * r + e) ** 2)
     u = n_terms * r + e
     s += (cn * r << p) // (cd * u) + (cn * r * r << p) // (2 * cd * u * u)
+    reach = max(1, (len(_bernoulli) - 3) // 2)  # the last correction the table serves
+    _grow_bernoulli(2 * _last_correction(cn / cd, u / r, p, reach, 4 * n_terms) + 2)
     rpow, upow = r**3, u**3  # r^(2j+1), u^(2j+1) at j = 1
     j = 1
     while True:
-        _grow_bernoulli(2 * j + 2)
+        if len(_bernoulli) <= 2 * j + 2:
+            _grow_bernoulli(2 * len(_bernoulli))
         b = _bernoulli[2 * j]
         s += (cn * b.numerator * rpow << p) // (cd * b.denominator * upow)
         rpow, upow = rpow * r * r, upow * u * u

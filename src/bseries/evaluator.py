@@ -6,8 +6,8 @@ denominator c:
 
     W(k) = sum_i (A_i + B_i*sqrt(d)) * atom_i(k) / c(k),
 
-each atom 1 or a harmonic number ``H_n^(m)``, carried exactly as the integer
-pair ``(A_n, L_n^m)`` over ``L_n = lcm(1..n)`` (:class:`_Harmonic`); a
+each atom 1 or a harmonic number ``H_n^(m)``, which a sum carries as a
+fixed-point integer with a counted error (:class:`_FixedHarmonic`, below); a
 sqrt(d) in a coefficient's denominator is rationalised by its conjugate.
 The majorant weight is ``U = (UA + UB*sqrt(d)) / c`` on the same lists.  An
 atom-free weight is its own majorant, from ``k_start``.  Otherwise U starts
@@ -65,25 +65,60 @@ count becomes
 
     e' = ceil((e*(|Bn| + eb) + |v|*eb) * |r| / Bd) + 1.
 
-The weight is ``W(k) = (A + B*sqrt(d)) / C`` over integers; with
-``R = isqrt(d * 4^P)``, ``W~ = (A*2^P + B*R) / (C*2^P)`` is within
-``|B|/(C*2^P)`` of W, and ``T_k = floor(W~ * v)`` is within
+The weight at k is read off the lists at a scale ``2^s``: s = 0 for an
+atom-free weight, whose value is then exact, and s = P otherwise.  A
+harmonic atom is ``h_n = sum_{j<=n} floor(2^P / j^m)``, stepped in n
+(:class:`_FixedHarmonic`); each floor drops less than one unit, so ``0 <=
+2^P * H_n^(m) - h_n < n`` and its count is ``u = n``, one unit per floor.
+The unit atom is ``2^s`` exactly.  With ``coeff_i = (A_i + B_i*sqrt(d))/c``
+at k and ``|x + y*sqrt(d)|_1 = |x| + |y|*sqrt(d)``,
 
-    ceil(|W~|*e + (|v| + e)*|B|/(C*2^P)) + 1
+    |W(k) * c * 2^s - (na + nb*sqrt(d))| <= ea + eb*sqrt(d),
+    na + nb*sqrt(d) = sum_i (A_i + B_i*sqrt(d)) * h_i,
+    ea + eb*sqrt(d) = sum_i |A_i + B_i*sqrt(d)|_1 * u_i.
 
-units of ``t_k * 2^P``.  The sum is the integer ``S = sum T_k`` with the
-count ``units = sum`` of those errors: the ball is the triple
-``(S, P, units)`` as it stands.
+With ``R = isqrt(d * 4^P)``, so that ``0 <= sqrt(d)*2^P - R < 1``, W is
+within ``ew/den`` of ``w/den`` for
+
+    w = na*2^P + nb*R,   den = c * 2^s * 2^P,   ew = |nb| + ea*2^P + eb*(R + 1),
+
+or for ``w = na``, ``den = c * 2^s``, ``ew = ea`` when ``nb = eb = 0``.  Since
+``|v*w/den - V_k*2^P*W| <= e*|w|/den + |V_k|*2^P*ew/den`` and ``|V_k|*2^P <=
+|v| + e``, ``T_k = floor(v * w/den)`` is within
+
+    ceil((|w|*e + (|v| + e)*ew) / den) + 1
+
+units of ``t_k * 2^P``.  An atom-free weight has ``ew = 0``, or ``ew = |nb|``
+in Q(sqrt d).  The sum is the integer ``S = sum T_k`` with the count ``units
+= sum`` of those errors: the ball is the triple ``(S, P, units)`` as it
+stands.
 
 P is the requested precision plus guard bits for the count.  After k0, e is
 damped by ``|r*base| <= q``, so it stays below about ``1/(1 - q)`` plus the
 ``k*|V_k|`` units the base's rounding adds; times |W| and summed over n
-terms, units stays below ``n * (n + 1/(1 - q)) * max(|U|, 2*|m_{k0}|)``,
+terms, that part stays below ``n * (n + 1/(1 - q)) * max(|U|, 2*|m_{k0}|)``,
 with n the predicted term count and ``m_{k0}`` the majorant's term at k0.
-Its bit length is the guard (:func:`_guard_bits`), so the count costs less
-than one unit of the requested precision and the first attempt suffices.  The
-estimate leaves out terms before k0 larger than ``m_{k0}``; an estimate
-that falls short only widens the ball, and verification then retries.
+The atoms add about ``|V_k| * sum_i |coeff_i|_1 * u_i`` units to term k.
+From K on, ``u_i`` is the atom's index ``stride*k + offset = b_i(k)`` and each
+``sigma_i * coeff_i = |coeff_i|``, so ``U(k) >= sum_i |coeff_i| * b_i(k)``
+and the atoms add at most ``rho * |V_k| * U(k) = rho * |m_k|``, where
+
+    rho = max_i |coeff_i|_1 / |coeff_i| >= 1
+
+measures how much a coefficient's two parts cancel (rho = 1 in a rational
+field).  After k0, ``|m_k| <= |m_{k0}|``, so over n terms the atoms add at
+most ``n * rho * |m_{k0}|`` and the count stays below
+
+    n * (n + 1/(1 - q) + rho) * max(|U|, 2*|m_{k0}|),
+
+with rho = 0 for an atom-free weight.  The index cancels against U's own
+``b_i``, so the guard grows by the bits rho adds to ``n + 1/(1 - q)``, not
+by the bit length of the largest index.  The bound's bit length is the
+guard (:func:`_guard_bits`), so the count costs less than one unit of the
+requested precision and the first attempt suffices.  The estimate takes |U|
+and rho at k0 and k0 + n, and leaves out terms before k0 larger than
+``m_{k0}``; an estimate that falls short only widens the ball, and
+verification then retries.
 
 One stop rule ends every sum: once ``k >= k0`` and ``|t_k| * q/(1 - q)``
 is at most ``10^-(digits+3)``, the sum stops as soon as the majorant's
@@ -186,32 +221,24 @@ def _log2_abs(x: QuadElem) -> float:
 # envelope certification
 
 
-class _Harmonic:
-    """``H_n^(m) = A_n / L_n^m`` over ``L_n = lcm(1..n)``, stepped in n by
+class _FixedHarmonic:
+    """``h_n = sum_{j<=n} floor(2^s / j^m)``, stepped in n, with its count ``u = n``.
 
-        A_n = A_{n-1} * (L_n/L_{n-1})^m + (L_n/n)^m,
-
-    where ``L_n/L_{n-1} = n / gcd(L_{n-1}, n)`` is p at a prime power
-    ``n = p^e`` and 1 otherwise.  Each step divides the big ``L_n^m`` by the
-    small ``n^m`` exactly and takes no gcd of big integers.
+    Each of the n floors drops less than one unit, so ``0 <= 2^s * H_n^(m) -
+    h_n < n``.  A step divides ``2^s`` by the small ``j^m`` once.
     """
 
-    def __init__(self, order: int):
-        self.order, self.n, self.a, self.l, self.lm = order, 0, 0, 1, 1
+    def __init__(self, order: int, s: int):
+        self.order, self.one, self.n, self.h = order, 1 << s, 0, 0
 
     def at(self, n: int) -> tuple[int, int]:
-        """``(A_n, L_n^m)``; stepped on from the last n, or from 0 when n is below it."""
+        """``(h_n, n)``; stepped on from the last n, or from 0 when n is below it."""
         if n < self.n:
-            self.__init__(self.order)
-        m = self.order
+            self.n = self.h = 0
         while self.n < n:
-            j = self.n = self.n + 1
-            r = j // math.gcd(self.l % j, j)
-            if r > 1:
-                rm = r**m
-                self.l, self.lm, self.a = self.l * r, self.lm * rm, self.a * rm
-            self.a += self.lm // j**m
-        return self.a, self.lm
+            self.n += 1
+            self.h += self.one // self.n**self.order
+        return self.h, n
 
 
 class _IntegerWeight:
@@ -251,27 +278,56 @@ class _IntegerWeight:
             self.ua = poly_add(self.ua, poly_mul(a, bound))
             self.ub = poly_add(self.ub, poly_mul(b, bound))
 
-    def harmonics(self) -> list[Optional[_Harmonic]]:
-        """A fresh :class:`_Harmonic` for each harmonic atom of ``terms``, None for the unit atom."""
-        return [None if atom is None else _Harmonic(atom.order) for *_, atom in self.terms]
+    def atoms(self, p: int) -> tuple[int, list[Optional[_FixedHarmonic]]]:
+        """The scale ``2^s`` of :meth:`weight_at` at a stream's ``2^p`` and the atoms' steppers.
 
-    def weight_at(self, k: int, harmonics: list[Optional[_Harmonic]]) -> tuple[int, int, int]:
-        """``(wa, wb, wc)`` with ``W(k) = (wa + wb*sqrt(d)) / wc``; ``harmonics`` from :meth:`harmonics`."""
-        wa, wb, wc = 0, 0, 1
-        for (a, b, atom), h in zip(self.terms, harmonics):
-            x, y, n = horner(a, k), horner(b, k), 1
+        s is p when a term has a harmonic atom and 0 otherwise; the list
+        holds a fresh :class:`_FixedHarmonic` at ``2^s`` for each harmonic
+        atom of ``terms`` and None for the unit atom.
+        """
+        atoms = [atom for *_, atom in self.terms]
+        s = p if any(atoms) else 0
+        return s, [None if atom is None else _FixedHarmonic(atom.order, s) for atom in atoms]
+
+    def weight_at(self, k: int, atoms: tuple) -> tuple[int, int, int, int, int]:
+        """``(na, nb, den, ea, eb)`` with ``|W(k)*den - (na + nb*sqrt(d))| <= ea + eb*sqrt(d)``.
+
+        ``atoms`` is :meth:`atoms`'s; ``den = c(k) * 2^s``, the unit atom is
+        ``2^s`` exactly and a harmonic one its ``h_n`` with count ``u = n``, so
+        ``ea + eb*sqrt(d) = sum_i (|A_i(k)| + |B_i(k)|*sqrt(d)) * u_i``.
+        """
+        s, steppers = atoms
+        na = nb = ea = eb = 0
+        for (a, b, atom), h in zip(self.terms, steppers):
+            x, y = horner(a, k), horner(b, k)
+            if atom is None:
+                na, nb = na + (x << s), nb + (y << s)
+            else:
+                hn, u = h.at(atom.index_at(k))
+                na, nb, ea, eb = na + x * hn, nb + y * hn, ea + abs(x) * u, eb + abs(y) * u
+        return na, nb, horner(self.c, k) << s, ea, eb
+
+    def majorant_at(self, k: int) -> tuple[int, int, int, int, int]:
+        """``(ua, ub, c, 0, 0)``, :meth:`weight_at`'s form of ``U(k) = (ua + ub*sqrt(d)) / c``."""
+        return horner(self.ua, k), horner(self.ub, k), horner(self.c, k), 0, 0
+
+    def cancellation(self, k: int) -> float:
+        """``rho(k) = max_i |A_i + B_i*sqrt(d)|_1 / |A_i + B_i*sqrt(d)|`` over the harmonic
+        atoms' nonzero coefficients, at least 1; 0 without a harmonic atom.  In floats.
+
+        Where ``A_i*B_i < 0``, ``|A_i + B_i*sqrt(d)| = |A_i^2 - d*B_i^2| / |A_i + B_i*sqrt(d)|_1``.
+        """
+        rho = 0.0
+        for a, b, atom in self.terms:
             if atom is not None:
-                hn, n = h.at(atom.index_at(k))
-                x, y = x * hn, y * hn
-            wa, wb, wc = wa * n + x * wc, wb * n + y * wc, wc * n
-        return wa, wb, wc * horner(self.c, k)
-
-    def majorant_at(self, k: int) -> tuple[int, int, int]:
-        """``(ua, ub, c)`` with ``U(k) = (ua + ub*sqrt(d)) / c``."""
-        return horner(self.ua, k), horner(self.ub, k), horner(self.c, k)
+                x, y, rho = horner(a, k), horner(b, k), max(rho, 1.0)
+                if x * y < 0:
+                    size = math.log2(abs(x) + abs(y) * math.sqrt(self.d))
+                    rho = max(rho, 2 ** (2 * size - math.log2(abs(x * x - self.d * y * y))))
+        return rho
 
     def majorant_value(self, k: int) -> QuadElem:
-        ua, ub, c = self.majorant_at(k)
+        ua, ub, c, *_ = self.majorant_at(k)
         return QuadElem(Fraction(ua, c), Fraction(ub, c), self.d)
 
 
@@ -408,9 +464,11 @@ class _TermStream:
 
     The recurrence and the counts are those of the module docstring: ``v``
     and ``e`` carry ``V_k = S_k * base^k``, and the weight is read off the
-    envelope's integer lists, each atom combined over c(k) with its integer
-    pair from :class:`_Harmonic`.  :meth:`majorant_term` bounds
-    ``|U(k) * S_k * base^k|`` for the last term from the same ``v`` and ``e``.
+    envelope's integer lists at the scale of :meth:`_IntegerWeight.atoms`,
+    each harmonic atom a :class:`_FixedHarmonic` at the stream's P with its
+    count.  One floor and one count, :meth:`_weigh`, serve every term, and
+    :meth:`majorant_term` bounds ``|U(k) * S_k * base^k|`` for the last term
+    from the same ``v`` and ``e``.
     """
 
     def __init__(self, sdef: SeriesDef, weight: _IntegerWeight, p: int):
@@ -423,7 +481,7 @@ class _TermStream:
         self.v, self.e = (num << p) // den, 1
         for _ in range(k):  # times base^k_start
             self._step(1, 1)
-        self.harmonics = weight.harmonics()
+        self.atoms = weight.atoms(p)
         self.last = None  # (k, v, e) of the last term
 
     def _step(self, rn: int, rd: int) -> None:
@@ -433,21 +491,26 @@ class _TermStream:
         self.v = v * bn * rn // den
         self.e = ceil_units(0, (self.e * (abs(bn) + eb) + abs(v) * eb) * abs(rn), den) + 1
 
-    def _weigh(self, w: tuple[int, int, int], v: int, e: int) -> tuple[int, int]:
-        """``floor(W~ * v)`` for ``W = (wa + wb*sqrt(d)) / wc``, and its error count."""
-        wa, wb, wc = w
-        if wc < 0:
-            wa, wb, wc = -wa, -wb, -wc
-        if not wb:
-            return v * wa // wc, ceil_units(0, abs(wa) * e, wc) + 1
-        w, den = (wa << self.p) + wb * self.root, wc << self.p
-        return v * w // den, ceil_units(0, abs(w) * e + (abs(v) + e) * abs(wb), den) + 1
+    def _weigh(self, form: tuple[int, int, int, int, int], v: int, e: int) -> tuple[int, int]:
+        """``floor(v * w/den)`` and its count, for :meth:`_IntegerWeight.weight_at`'s form of W.
+
+        The form is first put as ``w/den`` within ``ew/den`` of W, as the
+        module docstring says; then one floor and one count serve every term.
+        """
+        na, nb, den, ea, eb = form
+        if den < 0:
+            na, nb, den = -na, -nb, -den
+        w, ew = na, ea
+        if nb or eb:  # the sqrt(d) part, embedded at 2^P by R
+            p, root = self.p, self.root
+            w, den, ew = (na << p) + nb * root, den << p, abs(nb) + (ea << p) + eb * (root + 1)
+        return v * w // den, ceil_units(0, abs(w) * e + (abs(v) + e) * ew, den) + 1
 
     def next_term(self) -> tuple[int, int, int]:
         """``(k, T_k, err_k)`` with ``|T_k - 2^P * t_k| <= err_k``; then steps V to k + 1."""
         k, v, e = self.k, self.v, self.e
         self.last = (k, v, e)
-        t, err = self._weigh(self.weight.weight_at(k, self.harmonics), v, e)
+        t, err = self._weigh(self.weight.weight_at(k, self.atoms), v, e)
         rn, rd = horner(self.ratio[0], k), horner(self.ratio[1], k)
         if rd < 0:
             rn, rd = -rn, -rd
@@ -464,11 +527,12 @@ class _TermStream:
 
 def _guard_bits(envelope: Envelope, n: int) -> int:
     """The bit length of the module docstring's bound on the count of an n-term sum."""
-    u = envelope.weight.majorant_value
-    weight = max(_log2_abs(u(k)) for k in (envelope.k0, envelope.k0 + n))
+    form, ends = envelope.weight, (envelope.k0, envelope.k0 + n)
+    weight = max(_log2_abs(form.majorant_value(k)) for k in ends)
     size = math.ceil(max(0.0, weight, envelope.log2_term + 1))
     damping = math.ceil(1 / (1 - envelope.q))
-    return n.bit_length() + (n + damping).bit_length() + size + 2
+    rho = math.ceil(max(form.cancellation(k) for k in ends))
+    return n.bit_length() + (n + damping + rho).bit_length() + size + 2
 
 
 def sum_series(

@@ -29,6 +29,9 @@ evaluator reads the kernel, its position and D through these members only.
 arithmetic, with :class:`HarmonicCache`'s exact prefix sums, and use none
 of the scale members.  The evaluator sums on integer lists and calls none
 of the three: they are the exact references the tests compare it against.
+It carries each H_n^(m) as a floored fixed-point integer with a counted
+error, and :class:`HarmonicCache` is the exact value that count is checked
+against.
 """
 
 from __future__ import annotations
@@ -114,8 +117,8 @@ class WeightTerm(NamedTuple):
 class HarmonicCache:
     """Exact prefix sums H_n^(m) as ``Fraction``s, grown on demand and shared across terms.
 
-    The exact reference for ``weight_value`` and ``term_exact``; the
-    evaluator carries H_n^(m) as integer pairs of its own.
+    The exact reference for ``weight_value`` and ``term_exact``, and for the
+    evaluator's fixed-point atoms ``sum_{j<=n} floor(2^P / j^m)`` and their counts.
     """
 
     def __init__(self):

@@ -225,6 +225,18 @@ def test_hurwitz_builds_logarithmically_many_tangent_tables(cold_bernoulli):
     assert len(cold_bernoulli) <= corrections.bit_length() + 1, cold_bernoulli
 
 
+def test_l_value_builds_the_bernoulli_table_once_to_its_last_correction(
+    cold_bernoulli, monkeypatch
+):
+    # At 1000 digits the corrections of L(-111) read up to B_702.  The table
+    # is built once, to the last correction predicted for the first residue;
+    # doubling from one more number at a time would have built it to B_1024.
+    monkeypatch.setattr(constants, "_cache", {})
+    l_value_ball(-111, 1000)
+    assert 702 <= len(constants._bernoulli) - 1 <= 710
+    assert len(cold_bernoulli) == 1, cold_bernoulli
+
+
 # ----------------------------------------------------------------------
 # Kronecker symbol
 

@@ -26,7 +26,7 @@ from bseries.evaluator import (
     BudgetExceeded,
     NonConvergent,
     Status,
-    _Harmonic,
+    _FixedHarmonic,
     _IntegerWeight,
     _log2_abs,
     _TermStream,
@@ -111,6 +111,9 @@ STREAM_CASES = [
     # rounding outweighs both
     mk("(2 - sqrt(3))^2", weight="k + 1", kernel="central^3", pos="num", k0=20),
     mk("(2 - sqrt(3))^2", weight="(97 - 56*sqrt(3))*k + 1", kernel="central^3", pos="num", k0=20),
+    # growing terms (V_20 ~ 2^31, then x4 a step) on harmonic atoms: at a low P
+    # the atoms' floors outweigh every other part of the count
+    mk("1/16", weight="k*H(3*k - 1,2) - H(k,1)", kernel="central^3", pos="num", k0=20),
     # the weight vanishes at k = 3: an exact zero term
     mk("-1/5", weight="(k - 3)*(2*k + 1)/(k + 2)", den="k + 1"),
     # conj4.1-hb shape: Q(sqrt 5) base and coefficients, order-2 atoms
@@ -133,11 +136,18 @@ STREAM_CASES = [
 ]
 
 
-def _count_bound(k, sdef, weight, v, p):
-    """A few units per step, scaled by the weight and by |V_k| = |v| / 2^P."""
+def _count_bound(k, sdef, weight, v, p, per_floor=0):
+    """A few units per step, scaled by the weight and by |V_k| = |v| / 2^P, plus
+    ``per_floor``, the harmonic atoms' floors ``sum_i |coeff_i|_1 * u_i``, times |V_k|."""
     w = QuadElem.of(weight)
     w_bound = int(abs(w.a) + abs(w.b) * (w.d + 1)) + 1
-    return 4 * (k - sdef.k_start + 2) * w_bound * ((abs(v) >> p) + 1)
+    return 4 * ((k - sdef.k_start + 2) * w_bound + per_floor) * ((abs(v) >> p) + 1)
+
+
+def _per_floor(form, k, atoms):
+    """``ceil(sum_i (|A_i| + |B_i|*sqrt(d)) * u_i / |c|)`` from the integer form at k."""
+    *_, den, ea, eb = form.weight_at(k, atoms)
+    return -(-((ea + eb * (math.isqrt(form.d) + 1)) << atoms[0]) // abs(den))
 
 
 def _check_stream(sdef, terms, p=300):
@@ -145,6 +155,7 @@ def _check_stream(sdef, terms, p=300):
     form = _IntegerWeight(sdef)
     stream = _TermStream(sdef, form, p)
     harm = HarmonicCache() if sdef.has_harmonic() else None
+    atoms = form.atoms(p)
     for _ in range(terms):
         k, t, err = stream.next_term()
         exact = sdef.term_exact(k, harm) * (1 << p)
@@ -152,8 +163,9 @@ def _check_stream(sdef, terms, p=300):
         assert (exact - (t - err)).sign() >= 0 and ((t + err) - exact).sign() >= 0, (sdef, k)
         # the count stays small
         v = stream.last[1]
-        assert err <= _count_bound(k, sdef, sdef.weight_value(k, harm), v, p), (sdef, k, err)
-        if not exact:
+        bound = _count_bound(k, sdef, sdef.weight_value(k, harm), v, p, _per_floor(form, k, atoms))
+        assert err <= bound, (sdef, k, err)
+        if not exact and not sdef.has_harmonic():
             assert t == 0, (sdef, k)
         m = stream.majorant_term()
         ref = abs(majorant_term(sdef, form, k) * (1 << p))
@@ -166,6 +178,14 @@ def _check_stream(sdef, terms, p=300):
 def test_stream_matches_direct_terms():
     for sdef in STREAM_CASES:
         _check_stream(sdef, 25)
+
+
+def test_stream_counts_the_harmonic_floors_at_low_precision():
+    # at P = 16 most floors of 2^P / j^m drop a large part of a unit, and
+    # from j^m > 2^16 on they drop the whole term: the count must cover them
+    harmonic = [r.series for r in shipped_series() if r.series.has_harmonic()]
+    for sdef in harmonic + [s for s in STREAM_CASES if s.has_harmonic()]:
+        _check_stream(sdef, 40, p=16)
 
 
 def test_stream_exact_far_beyond_working_precision():
@@ -308,7 +328,7 @@ def test_log2_term_is_the_exact_majorant_term():
 
 def test_evaluator_works_on_integer_lists_only():
     # the RatFun majorant, the Fraction term paths and the Fraction harmonic atoms are gone
-    for name in ("Poly", "RatFun", "WeightTerm", "majorant", "HarmonicCache"):
+    for name in ("Poly", "RatFun", "WeightTerm", "majorant", "HarmonicCache", "_Harmonic"):
         assert not hasattr(evaluator, name), name
     # S_k and its ratio come from SeriesDef.scale/scale_ratio alone
     for name in ("Position", "den_value", "_kernel_ratio", "_growth"):
@@ -392,26 +412,34 @@ def test_majorant_of_an_atom_free_series_is_the_series():
 
 
 def test_integer_form_is_the_weight():
-    for sdef in [rec.series for rec in shipped_series()] + STREAM_CASES:
-        form, harm = _IntegerWeight(sdef), HarmonicCache()
-        harmonics = form.harmonics()
-        for k in range(sdef.k_start, sdef.k_start + 30):
-            wa, wb, wc = form.weight_at(k, harmonics)
-            w = QuadElem.of(sdef.weight_value(k, harm))
-            assert QuadElem(Fraction(wa, wc), Fraction(wb, wc), form.d) == w, (sdef, k)
+    # |na + nb*sqrt(d) - W(k)*den| <= ea + eb*sqrt(d), den = c(k) * 2^s; exact without atoms
+    for p in (16, 300):
+        for sdef in [rec.series for rec in shipped_series()] + STREAM_CASES:
+            form, harm = _IntegerWeight(sdef), HarmonicCache()
+            atoms = form.atoms(p)
+            assert atoms[0] == (p if sdef.has_harmonic() else 0)
+            for k in range(sdef.k_start, sdef.k_start + 30):
+                na, nb, den, ea, eb = form.weight_at(k, atoms)
+                assert den == horner(form.c, k) << atoms[0], (sdef, k)
+                gap = QuadElem(na, nb, form.d) - QuadElem.of(sdef.weight_value(k, harm)) * den
+                count = QuadElem(ea, eb, form.d)
+                assert (count - gap).sign() >= 0 and (count + gap).sign() >= 0, (sdef, k)
+                if not sdef.has_harmonic():
+                    assert (ea, eb) == (0, 0) and not gap, (sdef, k)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_harmonic_pair_is_the_prefix_sum(order):
-    # (A_n, L_n^m) with L_n = lcm(1..n) is H_n^(m) exactly, stepped one n at a time
-    pair, harm, lcm = _Harmonic(order), HarmonicCache(), 1
+def test_fixed_harmonic_counts_its_floors(order):
+    # 0 <= 2^P * H_n^(m) - h_n <= u_n, stepped one n at a time; at P = 16 the
+    # floors drop every term with j^m > 2^16, so no count of 0 covers them
+    p = 16
+    atom, harm = _FixedHarmonic(order, p), HarmonicCache()
     for n in range(3001):
-        lcm = math.lcm(lcm, max(n, 1))
-        a, lm = pair.at(n)
-        h = harm.value(order, n)
-        assert lm == lcm**order and a * h.denominator == lm * h.numerator, n
-    # a smaller n starts the pair over
-    assert pair.at(7) == (harm.value(order, 7) * 420**order, 420**order)
+        h, u = atom.at(n)
+        gap = harm.value(order, n) * 2**p - h
+        assert 0 <= gap <= u, n
+    # a smaller n starts the sum over
+    assert atom.at(7) == (sum(2**p // j**order for j in range(1, 8)), 7)
 
 
 def test_majorant_bounds_every_shipped_harmonic_weight():
@@ -644,8 +672,8 @@ def test_report_fields():
 def test_balls_do_not_read_the_mpmath_precision(monkeypatch):
     # pi, sqrt(m), an L-value and a nested radical: the ball, the sums and
     # the verification reports come out the same under any mpmath precision.
-    # Each pass starts from an empty constants cache, which otherwise keeps
-    # the deeper balls of an earlier pass.
+    # Each pass starts from an empty constants cache, which otherwise hands
+    # back an earlier pass's deeper balls floored, not computed afresh.
     cf = parse_closed_form("16/3*sqrt(3)/pi - 1/7*L(-111) + sqrt(96256 + 43008*sqrt(5))")
     cat = load_catalog(resolve_catalog_path())
     records = [cat.lookup(rid) for rid in ("aldawoud-t31-r10", "conj6.1-111", "conj4.1-hb")]
@@ -679,3 +707,19 @@ def test_no_module_reads_an_ambient_precision():
         assert "working_bits" not in names, path.name
         assert not {d for d in dotted if d.endswith("mp.prec") or d.endswith("mp.dps")}, path.name
         assert ("workprec" in names) == (path.stem == "relation"), path.name
+
+
+def test_closed_form_ball_does_not_depend_on_the_constants_cache(monkeypatch):
+    # verify_identity at 30 digits caches its constants at 40 (eval_ball(D + 10));
+    # a later eval_ball(30) floors them to its own precision instead of
+    # carrying their extra bits into every product
+    cf = parse_closed_form("16/3*sqrt(3)/pi - 1/7*L(-111) + sqrt(96256 + 43008*sqrt(5))")
+    monkeypatch.setattr(constants, "_cache", {})
+    cold = cf.eval_ball(30)
+    rec = load_catalog(resolve_catalog_path()).lookup("conj6.1-111")
+    assert verify_identity(rec.series, rec.rhs, 30, lhs_scale=rec.lhs_scale).passed
+    warm = cf.eval_ball(30)
+    assert warm.p == cold.p
+    lo, hi = warm.to_fraction_bounds()
+    cold_lo, cold_hi = cold.to_fraction_bounds()
+    assert lo <= cold_hi and cold_lo <= hi
