@@ -14,8 +14,11 @@ A :class:`ClosedForm` is a sum of terms ``coeff * prod atom^exp`` with
 * ``log(q)`` for positive rational q;
 * ``zeta(3)``.
 
-Rendering is canonical (sorted atoms, negative exponents as ``/pi`` style
-suffixes) and parse/render round-trips byte-for-byte on canonical text.
+The ring operations work on a dict ``{atoms: coeff}`` of canonical terms,
+and parsing folds the whole AST into one such dict before it builds one
+:class:`ClosedForm`.  Rendering is canonical (sorted atoms, negative
+exponents as ``/pi`` style suffixes) and parse/render round-trips
+byte-for-byte on canonical text.
 Evaluation produces a conservative ball via :mod:`bseries.constants`.
 """
 
@@ -27,9 +30,9 @@ from typing import NamedTuple
 
 from . import constants
 from .exactnum import QuadElem, embed_dyadic, sqrt_surd, squarefree_split
-from .exprparse import EvalContext, ExprError, ast_as_int, eval_ast, parse_expr
+from .exprparse import ExprError, ast_as_int, eval_quad, parse_expr
 from .precision import ApproxReal, digits_to_bits
-from .seriesmodel import _QuadCtx, render_quad
+from .seriesmodel import render_quad
 
 __all__ = ["ClosedForm", "CFAtom", "parse_closed_form", "render_closed_form"]
 
@@ -68,11 +71,81 @@ class CFAtom(NamedTuple):
         raise AssertionError(self.kind)
 
 
-_PI = CFAtom("pi")
-
-
 def _term_key(atoms: tuple) -> tuple:
     return tuple((a.sort_key(), e) for a, e in atoms)
+
+
+# A closed form's terms as a dict {atoms: coeff}, atoms a canonical tuple of
+# (atom, exponent) pairs (see _canonical) and no coefficient zero: the ring
+# operations below work on these dicts, and ClosedForm wraps one.
+
+
+def _canonical(coeff: Fraction, atoms) -> tuple[Fraction, tuple]:
+    """The term ``coeff * prod atom^exp`` with its atoms merged, sorted and even roots folded."""
+    coeff, atoms = _fold_even_sqrt(coeff, _normalize_atoms_tuple(atoms))
+    return coeff, _normalize_atoms_tuple(atoms)
+
+
+def _add_term(out: dict, coeff: Fraction, atoms: tuple) -> None:
+    if atoms in out:
+        coeff += out[atoms]
+        if not coeff:
+            del out[atoms]
+            return
+    out[atoms] = coeff
+
+
+def _sum(x: dict, y: dict) -> dict:
+    out = dict(x)
+    for atoms, c in y.items():
+        _add_term(out, c, atoms)
+    return out
+
+
+def _product(x: dict, y: dict) -> dict:
+    out: dict = {}
+    for a1, c1 in x.items():
+        for a2, c2 in y.items():
+            if a1 and a2:
+                c, atoms = _canonical(c1 * c2, a1 + a2)
+            else:  # a rational factor leaves the other's atoms canonical
+                c, atoms = c1 * c2, a1 or a2
+            _add_term(out, c, atoms)
+    return out
+
+
+def _inverse(x: dict) -> dict:
+    if len(x) != 1:
+        raise ExprError("can only divide by a single closed-form term")
+    ((atoms, coeff),) = x.items()
+    inv_coeff = 1 / coeff
+    inv_atoms = []
+    for atom, exp in atoms:
+        if atom.kind == "pi":
+            inv_atoms.append((atom, -exp))
+        elif atom.kind == "sqrt":
+            if exp != 1:
+                raise ExprError("unexpected radical power in divisor")
+            # 1/sqrt(m) = sqrt(m)/m
+            inv_coeff /= atom.param
+            inv_atoms.append((atom, 1))
+        elif atom.kind == "sqrtq":
+            if exp != 1:
+                raise ExprError("unexpected radical power in divisor")
+            inv_atoms.append((CFAtom("sqrtq", atom.param.inverse()), 1))
+        else:
+            raise ExprError(f"cannot invert {atom.render()}")
+    c, atoms = _canonical(inv_coeff, inv_atoms)
+    return {atoms: c}
+
+
+def _power(x: dict, n: int) -> dict:
+    if n < 0:
+        return _power(_inverse(x), -n)
+    out = {(): Fraction(1)}
+    for _ in range(n):
+        out = _product(out, x)
+    return out
 
 
 class ClosedForm:
@@ -80,23 +153,13 @@ class ClosedForm:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms):
-        merged: dict[tuple, tuple[tuple, Fraction]] = {}
-        for coeff, atoms in terms:
-            atoms = _normalize_atoms_tuple(atoms)
-            coeff2, atoms = _fold_even_sqrt(Fraction(coeff), atoms)
-            atoms = _normalize_atoms_tuple((a, e) for a, e in atoms)
-            if not coeff2:
-                continue
-            key = _term_key(atoms)
-            if key in merged:
-                prev_atoms, prev_c = merged[key]
-                merged[key] = (prev_atoms, prev_c + coeff2)
-            else:
-                merged[key] = (atoms, coeff2)
-        out = [(c, atoms) for atoms, c in merged.values() if c]
-        out.sort(key=lambda t: _term_key(t[1]))
-        object.__setattr__(self, "terms", tuple(out))
+    def __init__(self, terms: dict):
+        """The closed form of a dict of canonical terms, as the ring operations leave it."""
+        ordered = sorted(((c, a) for a, c in terms.items()), key=lambda t: _term_key(t[1]))
+        object.__setattr__(self, "terms", tuple(ordered))
+
+    def _dict(self) -> dict:
+        return {atoms: c for c, atoms in self.terms}
 
     def __setattr__(self, *_):
         raise AttributeError("ClosedForm is immutable")
@@ -105,15 +168,16 @@ class ClosedForm:
 
     @staticmethod
     def const(c) -> "ClosedForm":
-        return ClosedForm([(Fraction(c), ())])
+        return ClosedForm({(): Fraction(c)} if c else {})
 
     @staticmethod
     def term(coeff, atoms) -> "ClosedForm":
-        return ClosedForm([(Fraction(coeff), tuple(atoms))])
+        coeff, atoms = _canonical(Fraction(coeff), atoms)
+        return ClosedForm({atoms: coeff} if coeff else {})
 
     @staticmethod
     def zero() -> "ClosedForm":
-        return ClosedForm([])
+        return ClosedForm({})
 
     def is_rational(self) -> bool:
         return all(not atoms for _, atoms in self.terms)
@@ -128,13 +192,12 @@ class ClosedForm:
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce_cf(other)
-        return ClosedForm(list(self.terms) + list(other.terms))
+        return ClosedForm(_sum(self._dict(), _coerce_cf(other)._dict()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ClosedForm([(-c, atoms) for c, atoms in self.terms])
+        return ClosedForm({atoms: -c for c, atoms in self.terms})
 
     def __sub__(self, other):
         return self + (-_coerce_cf(other))
@@ -143,33 +206,12 @@ class ClosedForm:
         return (-self) + _coerce_cf(other)
 
     def __mul__(self, other):
-        other = _coerce_cf(other)
-        return ClosedForm([(c1 * c2, a1 + a2) for c1, a1 in self.terms for c2, a2 in other.terms])
+        return ClosedForm(_product(self._dict(), _coerce_cf(other)._dict()))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ClosedForm":
-        if len(self.terms) != 1:
-            raise ExprError("can only divide by a single closed-form term")
-        coeff, atoms = self.terms[0]
-        inv_coeff = 1 / coeff
-        inv_atoms = []
-        for atom, exp in atoms:
-            if atom.kind == "pi":
-                inv_atoms.append((atom, -exp))
-            elif atom.kind == "sqrt":
-                if exp != 1:
-                    raise ExprError("unexpected radical power in divisor")
-                # 1/sqrt(m) = sqrt(m)/m
-                inv_coeff /= atom.param
-                inv_atoms.append((atom, 1))
-            elif atom.kind == "sqrtq":
-                if exp != 1:
-                    raise ExprError("unexpected radical power in divisor")
-                inv_atoms.append((CFAtom("sqrtq", atom.param.inverse()), 1))
-            else:
-                raise ExprError(f"cannot invert {atom.render()}")
-        return ClosedForm([(inv_coeff, tuple(inv_atoms))])
+        return ClosedForm(_inverse(self._dict()))
 
     def __truediv__(self, other):
         return self * _coerce_cf(other).inverse()
@@ -178,12 +220,7 @@ class ClosedForm:
         return _coerce_cf(other) * self.inverse()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return (self.inverse()) ** (-n)
-        out = ClosedForm.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return ClosedForm(_power(self._dict(), n))
 
     def __eq__(self, other):
         if not isinstance(other, (ClosedForm, int, Fraction)):
@@ -293,55 +330,67 @@ def _atom_ball(atom: CFAtom, digits: int) -> ApproxReal:
 # parsing and rendering
 
 
-class _CFCtx(EvalContext):
-    def number(self, n: int):
-        return ClosedForm.const(n)
-
-    def name(self, name: str):
-        if name == "pi":
-            return ClosedForm.term(1, ((_PI, 1),))
-        if name == "G":
-            return ClosedForm.term(1, ((CFAtom("lvalue", -4), 1),))
-        if name == "K":
-            return ClosedForm.term(1, ((CFAtom("lvalue", -3), 1),))
-        raise ExprError(f"unknown closed-form name {name!r}")
-
-    def call(self, name, args):
-        if name == "sqrt" and len(args) == 1:
-            x = eval_ast(args[0], _QuadCtx())
-            return _sqrt_cf(x)
-        if name == "L" and len(args) == 1:
-            d = ast_as_int(args[0])
-            if d % 4 not in (0, 1) or d == 0:
-                raise ExprError(f"L({d}): not a discriminant")
-            return ClosedForm.term(1, ((CFAtom("lvalue", d), 1),))
-        if name == "log" and len(args) == 1:
-            q = eval_ast(args[0], _QuadCtx()).as_fraction()
-            if q <= 0:
-                raise ExprError("log of non-positive rational")
-            if q == 1:
-                return ClosedForm.const(0)
-            return ClosedForm.term(1, ((CFAtom("log", q), 1),))
-        if name == "zeta" and len(args) == 1:
-            if ast_as_int(args[0]) != 3:
-                raise ExprError("only zeta(3) is supported")
-            return ClosedForm.term(1, ((CFAtom("zeta3"), 1),))
-        raise ExprError(f"unknown closed-form function {name!r}")
+_NAMES = {"pi": CFAtom("pi"), "G": CFAtom("lvalue", -4), "K": CFAtom("lvalue", -3)}
 
 
-def _sqrt_cf(x: QuadElem) -> ClosedForm:
+def _fold(node) -> dict:
+    """A closed form's AST folded into one dict of canonical terms."""
+    kind = node[0]
+    if kind == "num":
+        return {(): Fraction(node[1])} if node[1] else {}
+    if kind == "name":
+        if node[1] not in _NAMES:
+            raise ExprError(f"unknown closed-form name {node[1]!r}")
+        return {((_NAMES[node[1]], 1),): Fraction(1)}
+    if kind == "neg":
+        return {atoms: -c for atoms, c in _fold(node[1]).items()}
+    if kind == "call":
+        return _call(node[1], node[2])
+    if kind == "pow":
+        return _power(_fold(node[1]), ast_as_int(node[2]))
+    if kind != "bin":
+        raise ExprError(f"bad AST node {node!r}")
+    op, x, y = node[1], _fold(node[2]), _fold(node[3])
+    if op == "+":
+        return _sum(x, y)
+    if op == "-":
+        return _sum(x, {atoms: -c for atoms, c in y.items()})
+    return _product(x, y if op == "*" else _inverse(y))
+
+
+def _call(name: str, args: tuple) -> dict:
+    if name == "sqrt" and len(args) == 1:
+        return _sqrt_terms(eval_quad(args[0]))
+    if name == "L" and len(args) == 1:
+        d = ast_as_int(args[0])
+        if d % 4 not in (0, 1) or d == 0:
+            raise ExprError(f"L({d}): not a discriminant")
+        return {((CFAtom("lvalue", d), 1),): Fraction(1)}
+    if name == "log" and len(args) == 1:
+        q = eval_quad(args[0]).as_fraction()
+        if q <= 0:
+            raise ExprError("log of non-positive rational")
+        return {((CFAtom("log", q), 1),): Fraction(1)} if q != 1 else {}
+    if name == "zeta" and len(args) == 1:
+        if ast_as_int(args[0]) != 3:
+            raise ExprError("only zeta(3) is supported")
+        return {((CFAtom("zeta3"), 1),): Fraction(1)}
+    raise ExprError(f"unknown closed-form function {name!r}")
+
+
+def _sqrt_terms(x: QuadElem) -> dict:
     if x.sign() <= 0:
         raise ExprError("sqrt of a non-positive closed-form radicand")
     if not x.is_rational:
-        return ClosedForm.term(1, ((CFAtom("sqrtq", x), 1),))
+        return {((CFAtom("sqrtq", x), 1),): Fraction(1)}
     r = sqrt_surd(x.a)
     if r.is_rational:
-        return ClosedForm.const(r.a)
-    return ClosedForm.term(r.b, ((CFAtom("sqrt", r.d), 1),))
+        return {(): r.a}
+    return {((CFAtom("sqrt", r.d), 1),): r.b}
 
 
 def parse_closed_form(s: str) -> ClosedForm:
-    return eval_ast(parse_expr(s), _CFCtx())
+    return ClosedForm(_fold(parse_expr(s)))
 
 
 def render_closed_form(cf: ClosedForm) -> str:

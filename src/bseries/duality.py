@@ -38,7 +38,7 @@ from typing import Optional
 
 from .closedform import ClosedForm
 from .exactnum import Poly, QuadElem, RatFun
-from .seriesmodel import Position, SeriesDef, WeightTerm
+from .seriesmodel import Position, SeriesDef, Weight, WeightTerm
 
 __all__ = [
     "DualBranch",
@@ -203,7 +203,7 @@ def dualize(datum: RamanujanDatum) -> ZeilbergerDatum:
         base_exp=-datum.series.base_exp,
         kernel=datum.series.kernel,
         kernel_pos=Position.DENOMINATOR,
-        weight=(WeightTerm(RatFun(weight_poly), None),),
+        weight=Weight.from_terms([WeightTerm(RatFun(weight_poly), None)]),
         den_factors=((1, 0, 3),),
         k_start=1,
     )

@@ -1,18 +1,21 @@
 """Certified series summation and identity verification.
 
-Every convergent series is summed with one certified tail.  Its weight is
-cleared once, by :class:`_IntegerWeight`, to integer lists over one common
-denominator c:
+Every convergent series is summed with one certified tail.  Its weight
+comes as the integer lists the series holds
+(:class:`~bseries.seriesmodel.Weight`): per atom, a coefficient ``(a_i +
+b_i*sqrt(d)) / e_i`` with a rational e_i (a sqrt(d) in a denominator was
+rationalised by its conjugate when the series was built), and the same
+weight over one common denominator c:
 
     W(k) = sum_i (A_i + B_i*sqrt(d)) * atom_i(k) / c(k),
 
 each atom 1 or a harmonic number ``H_n^(m)``, which a sum carries as a
-fixed-point integer with a counted error (:class:`_FixedHarmonic`, below); a
-sqrt(d) in a coefficient's denominator is rationalised by its conjugate.
-The majorant weight is ``U = (UA + UB*sqrt(d)) / c`` on the same lists.  An
-atom-free weight is its own majorant, from ``k_start``.  Otherwise U starts
-at K, the largest root bound from ``k_start`` of every coefficient's own
-numerator and denominator, so each coefficient keeps its sign ``sigma_i``
+fixed-point integer with a counted error (:class:`_FixedHarmonic`, below).
+:class:`_IntegerWeight` reads those lists and adds the majorant weight
+``U = (UA + UB*sqrt(d)) / c`` on them.  An atom-free weight is its own
+majorant, from ``k_start``.  Otherwise U starts at K, the largest root
+bound from ``k_start`` of every coefficient's own numerator ``a_i +
+b_i*sqrt(d)`` and denominator e_i, so each coefficient keeps its sign ``sigma_i``
 from K on, and ``U = sum_i sigma_i * (A_i + B_i*sqrt(d)) * b_i / c`` with
 ``b_i(k) = stride*k + offset >= H(stride*k + offset, m) >= 0`` for an atom and
 ``b_i = 1`` for the unit atom.  Then ``U(k) >= |W(k)|`` for k >= K
@@ -82,7 +85,16 @@ within ``ew/den`` of ``w/den`` for
 
     w = na*2^P + nb*R,   den = c * 2^s * 2^P,   ew = |nb| + ea*2^P + eb*(R + 1),
 
-or for ``w = na``, ``den = c * 2^s``, ``ew = ea`` when ``nb = eb = 0``.  Since
+or for ``w = na``, ``den = c * 2^s``, ``ew = ea`` when ``nb = eb = 0``.  When
+s = P, na already carries the atoms' 2^P, and R would double it: w is then
+floored back to that scale, with one more unit for the floor,
+
+    w = floor((na*2^P + nb*R) / 2^P),   den = c * 2^P,
+    ew = ceil((|nb| + ea*2^P + eb*(R + 1)) / 2^P) + 1,
+
+so v, w and den all stay near P bits; the floor adds about ``|V_k|/c(k)``
+units to term k, less than one floor of an atom with an integer
+coefficient does.  Since
 ``|v*w/den - V_k*2^P*W| <= e*|w|/den + |V_k|*2^P*ew/den`` and ``|V_k|*2^P <=
 |v| + e``, ``T_k = floor(v * w/den)`` is within
 
@@ -148,14 +160,13 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Optional
 
 import mpmath
 
 from .closedform import ClosedForm
 from .exactnum import (
-    IntegerSurdPoly, QuadElem, embed_dyadic, horner, poly_add, poly_mul, poly_shift,
+    IntegerSurdPoly, QuadElem, embed_dyadic, horner, poly_add, poly_mul, poly_shift, surd_mul,
 )
 from .precision import (
     DIGITS_INF,
@@ -244,32 +255,21 @@ class _FixedHarmonic:
 class _IntegerWeight:
     """The weight W and its majorant U on integer lists, as the module docstring says.
 
-    ``terms`` holds ``(A_i, B_i, atom_i)``, ``c`` the common denominator,
-    ``(ua, ub)`` U's numerator, and ``start`` the K from which
+    ``terms`` holds ``(A_i, B_i, atom_i)`` and ``c`` the common denominator,
+    both read from the series' :attr:`~bseries.seriesmodel.Weight.common`;
+    ``(ua, ub)`` is U's numerator, and ``start`` the K from which
     ``U(k) >= |W(k)|``; an empty list is the zero polynomial.
     """
 
     def __init__(self, sdef: SeriesDef):
-        self.d = d = sdef.field_d
-        cleared, polys = [], []
-        for coeff, atom in sdef.weight:
-            num, den = IntegerSurdPoly(coeff.num), IntegerSurdPoly(coeff.den)
-            polys.append((num, den))
-            # coeff = (a + b*sqrt(d)) * den.scale / (c * num.scale)
-            a, b, c = num.a, num.b, den.a
-            if any(den.b):  # times the conjugate den.a - den.b*sqrt(d), over and under
-                conj = (den.a, [-x for x in den.b])
-                a, b = _surd_mul((a, b), conj, d)
-                c = _surd_mul((den.a, den.b), conj, d)[0]
-            b = [x * den.scale for x in b] if any(b) else []
-            cleared.append(([x * den.scale for x in a], b, tuple(x * num.scale for x in c), atom))
-        dens = list(dict.fromkeys(c for *_, c, _ in cleared))
-        self.c, self.terms = reduce(poly_mul, dens, [1]), []
-        for a, b, c, atom in cleared:
-            others = [x for x in dens if x != c]
-            self.terms.append((reduce(poly_mul, others, a), reduce(poly_mul, others, b), atom))
-        self.start, signs = sdef.k_start, [1] * len(polys)
+        self.d, parts = sdef.field_d, sdef.weight.parts
+        self.c, self.terms = sdef.weight.common
+        self.start, signs = sdef.k_start, [1] * len(parts)
         if sdef.has_harmonic():
+            polys = [
+                (IntegerSurdPoly.from_lists(a, b, self.d), IntegerSurdPoly.from_lists(e, (), 1))
+                for a, b, e, _ in parts
+            ]
             self.start = k = max(p.root_bound(start=sdef.k_start) for pair in polys for p in pair)
             signs = [num.sign_at(k) * den.sign_at(k) for num, den in polys]
         self.ua, self.ub = [], []
@@ -356,13 +356,6 @@ class Envelope:
         return max(0, math.ceil(need / -math.log2(q)))
 
 
-def _surd_mul(x: tuple[list, list], y: tuple[list, list], d: int) -> tuple[list, list]:
-    """``(a + b*sqrt(d)) * (a' + b'*sqrt(d))`` on pairs ``(a, b)`` of integer lists."""
-    (a, b), (a2, b2) = x, y
-    rational = poly_add(poly_mul(a, a2), [d * c for c in poly_mul(b, b2)])
-    return rational, poly_add(poly_mul(a, b2), poly_mul(b, a2))
-
-
 def _majorant_term(sdef: SeriesDef, weight: _IntegerWeight, k: int) -> QuadElem:
     """The majorant's term ``m_k = U(k) * S_k * base^k``, exactly."""
     return weight.majorant_value(k) * sdef.base_value**k * Fraction(*sdef.scale(k))
@@ -378,7 +371,7 @@ def _majorant_ratio(sdef: SeriesDef, weight: _IntegerWeight) -> tuple[tuple, tup
     t = [bc * c for c in poly_mul(sd, poly_shift(weight.c, 1))]
     u = (weight.ua, weight.ub)
     beta_lists = ([int(beta.a * bc)], [int(beta.b * bc)])
-    na, nb = _surd_mul([poly_shift(x, 1) for x in u], beta_lists, weight.d)
+    na, nb = surd_mul([poly_shift(x, 1) for x in u], beta_lists, weight.d)
     return (poly_mul(na, r), poly_mul(nb, r)), tuple(poly_mul(t, x) for x in u)
 
 
@@ -491,11 +484,14 @@ class _TermStream:
         self.v = v * bn * rn // den
         self.e = ceil_units(0, (self.e * (abs(bn) + eb) + abs(v) * eb) * abs(rn), den) + 1
 
-    def _weigh(self, form: tuple[int, int, int, int, int], v: int, e: int) -> tuple[int, int]:
+    def _weigh(
+        self, form: tuple[int, int, int, int, int], v: int, e: int, scaled: bool
+    ) -> tuple[int, int]:
         """``floor(v * w/den)`` and its count, for :meth:`_IntegerWeight.weight_at`'s form of W.
 
         The form is first put as ``w/den`` within ``ew/den`` of W, as the
-        module docstring says; then one floor and one count serve every term.
+        module docstring says, ``scaled`` when its den carries the atoms'
+        2^P; then one floor and one count serve every term.
         """
         na, nb, den, ea, eb = form
         if den < 0:
@@ -503,14 +499,18 @@ class _TermStream:
         w, ew = na, ea
         if nb or eb:  # the sqrt(d) part, embedded at 2^P by R
             p, root = self.p, self.root
-            w, den, ew = (na << p) + nb * root, den << p, abs(nb) + (ea << p) + eb * (root + 1)
+            w, ew = (na << p) + nb * root, abs(nb) + (ea << p) + eb * (root + 1)
+            if scaled:  # floored back to the atoms' 2^P, one unit more
+                w, ew = w >> p, -(-ew >> p) + 1
+            else:
+                den <<= p
         return v * w // den, ceil_units(0, abs(w) * e + (abs(v) + e) * ew, den) + 1
 
     def next_term(self) -> tuple[int, int, int]:
         """``(k, T_k, err_k)`` with ``|T_k - 2^P * t_k| <= err_k``; then steps V to k + 1."""
         k, v, e = self.k, self.v, self.e
         self.last = (k, v, e)
-        t, err = self._weigh(self.weight.weight_at(k, self.atoms), v, e)
+        t, err = self._weigh(self.weight.weight_at(k, self.atoms), v, e, self.atoms[0] > 0)
         rn, rd = horner(self.ratio[0], k), horner(self.ratio[1], k)
         if rd < 0:
             rn, rd = -rn, -rd
@@ -521,7 +521,7 @@ class _TermStream:
     def majorant_term(self) -> int:
         """An upper bound on ``|U(k) * S_k * base^k| * 2^P`` for the last term's k."""
         k, v, e = self.last
-        t, err = self._weigh(self.weight.majorant_at(k), v, e)
+        t, err = self._weigh(self.weight.majorant_at(k), v, e, False)
         return abs(t) + err
 
 

@@ -10,11 +10,13 @@ no floating point is consulted anywhere in this module.
 polynomial arithmetic, on coefficient lists (constant first) over any ring
 whose elements mix with the integer 0: ints, Fractions, QuadElems, or
 Polys in another variable; :func:`horner` evaluates such a list.
-:class:`Poly` is the typed view of a list: one named variable, checked on
-every operation, with +, * and shift run by those helpers, so nested Polys
-stand in for bivariate polynomials.  :class:`RatFun` is a lazy (unreduced)
-quotient of two Polys with equality decided by cross-multiplication.  A
-constant Poly, and a RatFun equal to one, hash as that constant.
+:func:`surd_mul` multiplies two pairs ``(a, b)`` of such lists, each
+standing for ``a + b*sqrt(d)``.  :class:`Poly` is the typed view of a list:
+one named variable, checked on every operation, with +, * and shift run by
+those helpers, so nested Polys stand in for bivariate polynomials.
+:class:`RatFun` is a lazy (unreduced) quotient of two Polys with equality
+decided by cross-multiplication.  A constant Poly, and a RatFun equal to
+one, hash as that constant.
 
 Also here: monic polynomial gcd, and :class:`IntegerSurdPoly`, which
 clears a polynomial's denominators once to give exact signs at integer
@@ -51,6 +53,7 @@ __all__ = [
     "poly_add",
     "poly_mul",
     "poly_shift",
+    "surd_mul",
 ]
 
 
@@ -194,6 +197,8 @@ class QuadElem:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
+        if n == 1:
+            return self
         result = QuadElem(1)
         base = self
         while n:
@@ -336,6 +341,15 @@ def poly_shift(a: Sequence, c) -> list:
         out = poly_add([0] + out, [c * y for y in out])  # out * (x + c)
         out[0] += coeff
     return out
+
+
+def surd_mul(x: tuple, y: tuple, d: int) -> tuple[list, list]:
+    """``(a + b*sqrt(d)) * (a' + b'*sqrt(d))`` on pairs ``(a, b)`` of coefficient lists."""
+    (a, b), (a2, b2) = x, y
+    rational = poly_mul(a, a2)
+    if b and b2:
+        rational = poly_add(rational, [d * c for c in poly_mul(b, b2)])
+    return rational, poly_add(poly_mul(a, b2), poly_mul(b, a2))
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,19 @@
 """A small arithmetic-expression front end shared by every textual field.
 
-One tokenizer and one recursive-descent parser produce a plain-tuple AST:
+One tokenizer (a single compiled pattern over ASCII text) and one
+recursive-descent parser produce a plain-tuple AST:
 
     ('num', 17) | ('name', 'k') | ('neg', x) | ('bin', '+', l, r)
     | ('pow', base, exponent_ast) | ('call', 'sqrt', (arg, ...))
 
-Interpretation is delegated to a context object, so the same syntax serves
-quadratic surds, harmonic-weight expressions, linear denominator factors,
-closed forms and certificate polynomials.  Contexts implement ``number``,
+The same syntax serves quadratic surds, harmonic-weight expressions, linear
+denominator factors, closed forms and certificate polynomials.
+:class:`IntegerEval` walks an AST straight into integer polynomials over
+Q(sqrt d) with the rules of rational-function arithmetic: scalars
+(:func:`eval_quad`), denominator factors and, with the harmonic atoms
+:mod:`bseries.seriesmodel` adds, weights.  :mod:`bseries.closedform` folds
+its ASTs into one dict of terms.  Certificate polynomials are interpreted
+by :func:`eval_ast` through a context object implementing ``number``,
 ``name``, ``call`` and optionally ``power``; binary operators are applied
 through the Python operators of whatever values the context returns.
 
@@ -18,9 +24,24 @@ function, so ``k(k+1)`` multiplies while ``sqrt(5)`` calls.
 
 from __future__ import annotations
 
+import math
+import re
 from fractions import Fraction
+from typing import Optional
 
-__all__ = ["parse_expr", "EvalContext", "eval_ast", "ast_as_int", "ExprError"]
+from .exactnum import QuadElem, poly_add, squarefree_split, surd_mul
+
+__all__ = [
+    "parse_expr",
+    "EvalContext",
+    "eval_ast",
+    "ast_as_int",
+    "ExprError",
+    "IntegerEval",
+    "eval_quad",
+    "lowest_terms",
+    "ONE",
+]
 
 
 class ExprError(ValueError):
@@ -29,33 +50,22 @@ class ExprError(ValueError):
 
 FUNCTION_NAMES = frozenset({"sqrt", "H", "L", "log", "binom", "zeta"})
 
-_OPS = "+-*/^(),"
+# one token per match, after optional whitespace: a number, a name, an
+# operator, or any other character, which is an error
+_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|([-+*/^(),])|(\S))", re.ASCII)
 
 
 def _tokenize(s: str) -> list[tuple[str, object]]:
     toks: list[tuple[str, object]] = []
-    i, n = 0, len(s)
-    while i < n:
-        c = s[i]
-        if c.isspace():
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < n and s[j].isdigit():
-                j += 1
-            toks.append(("num", int(s[i:j])))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (s[j].isalnum() or s[j] == "_"):
-                j += 1
-            toks.append(("name", s[i:j]))
-            i = j
-        elif c in _OPS:
-            toks.append(("op", c))
-            i += 1
+    for num, name, op, other in _TOKEN.findall(s):
+        if num:
+            toks.append(("num", int(num)))
+        elif name:
+            toks.append(("name", name))
+        elif op:
+            toks.append(("op", op))
         else:
-            raise ExprError(f"unexpected character {c!r} in {s!r}")
+            raise ExprError(f"unexpected character {other!r} in {s!r}")
     toks.append(("end", None))
     return toks
 
@@ -236,3 +246,201 @@ def eval_ast(node, ctx: EvalContext):
         if op == "/":
             return l / r
     raise ExprError(f"bad AST node {node!r}")
+
+
+# ----------------------------------------------------------------------
+# integer evaluation
+#
+# A polynomial over Q(sqrt d) is an integer triple (a, b, l), lists constant
+# first, standing for (a + b*sqrt(d))/l with l > 0.  A rational function is a
+# pair (num, den) of them, as unreduced as a RatFun: +, *, / and ^ combine
+# numerators and denominators the way RatFun's operators do.  So each
+# numerator and denominator is the polynomial a RatFun evaluation of the same
+# text would give.  ONE is the polynomial 1, kept by identity through
+# division-free subexpressions.
+
+ONE, _ZERO = ((1,), (), 1), ((), (), 1)
+
+
+def _p_neg(x):
+    a, b, l = x
+    return [-c for c in a], [-c for c in b], l
+
+
+def _p_add(x, y):
+    (a, b, l), (a2, b2, l2) = x, y
+    if l != l2:
+        a, b = [c * l2 for c in a], [c * l2 for c in b]
+        a2, b2, l = [c * l for c in a2], [c * l for c in b2], l * l2
+    return poly_add(a, a2), poly_add(b, b2), l
+
+
+def _p_mul(x, y, d: int):
+    if x is ONE:
+        return y
+    if y is ONE:
+        return x
+    return (*surd_mul(x[:2], y[:2], d), x[2] * y[2])
+
+
+def _p_pow(x, n: int, d: int):
+    out = ONE
+    while n:
+        if n & 1:
+            out = _p_mul(out, x, d)
+        n >>= 1
+        if n:
+            x = _p_mul(x, x, d)
+    return out
+
+
+def _p_trim(x):
+    """x with both lists padded to one length and trailing zero coefficients dropped."""
+    a, b, l = x
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    while n and not (a[n - 1] or b[n - 1]):
+        n -= 1
+    return a[:n], b[:n], l
+
+
+def _p_div_const(x, c, d: int):
+    """x / c for a nonzero constant c, by c's conjugate."""
+    (ca,), (cb,), cl = _p_trim(c)
+    norm = ca * ca - d * cb * cb
+    a, b = surd_mul(x[:2], ([ca], [-cb]), d)
+    s = cl if norm > 0 else -cl
+    return [v * s for v in a], [v * s for v in b], x[2] * abs(norm)
+
+
+def _is_zero(x) -> bool:
+    return not (any(x[0]) or any(x[1]))
+
+
+def lowest_terms(x) -> tuple[list, list, int]:
+    """x as :class:`~bseries.exactnum.IntegerSurdPoly` holds it: ``(a, b, scale)``,
+    the lists of equal length without trailing zero coefficients, over the least scale."""
+    a, b, l = _p_trim(x)
+    g = math.gcd(l, *a, *b)
+    return [c // g for c in a], [c // g for c in b], l // g
+
+
+class IntegerEval:
+    """An AST as ``{atom: (num, den)}``, None the unit atom, zero coefficients dropped.
+
+    ``var`` is the polynomial variable (None for a scalar) and ``where``
+    names the field in error texts; ``d`` is the one radicand met, 1 if
+    none.  Atoms are linear: a product or quotient of two terms needs one of
+    them atom-free, the divisor always.  Here no function makes an atom;
+    a subclass that reads one overrides :meth:`call`.
+    """
+
+    def __init__(self, var: Optional[str], where: str):
+        self.var, self.where, self.d = var, where, 1
+
+    def eval(self, node) -> dict:
+        kind = node[0]
+        if kind == "num":
+            return {None: (([node[1]], [], 1), ONE)} if node[1] else {}
+        if kind == "name":
+            if node[1] != self.var:
+                raise ExprError(f"unknown name {node[1]!r} in {self.where}")
+            return {None: (([0, 1], [], 1), ONE)}
+        if kind == "neg":
+            return self.neg(self.eval(node[1]))
+        if kind == "call":
+            return self.call(node[1], node[2])
+        if kind == "pow":
+            return self.power(self.eval(node[1]), ast_as_int(node[2]))
+        if kind != "bin":
+            raise ExprError(f"bad AST node {node!r}")
+        op, x, y = node[1], self.eval(node[2]), self.eval(node[3])
+        if op == "+":
+            return self.add(x, y)
+        if op == "-":
+            return self.add(x, self.neg(y))
+        d = self.d
+        if op == "*":
+            if set(x) <= {None}:
+                x, y = y, x
+            elif not set(y) <= {None}:
+                raise ExprError("weights must be linear in harmonic atoms")
+            if not y:
+                return {}
+            ((n2, d2),) = y.values()
+            return {a: (_p_mul(n1, n2, d), _p_mul(d1, d2, d)) for a, (n1, d1) in x.items()}
+        if not set(y) <= {None}:
+            raise ExprError("cannot divide by a harmonic atom")
+        if not y:
+            raise ZeroDivisionError(f"division by zero in {self.where}")
+        ((n2, d2),) = y.values()
+        return {a: (_p_mul(n1, d2, d), _p_mul(d1, n2, d)) for a, (n1, d1) in x.items()}
+
+    @staticmethod
+    def neg(x: dict) -> dict:
+        return {a: (_p_neg(n), den) for a, (n, den) in x.items()}
+
+    def add(self, x: dict, y: dict) -> dict:
+        out, d = dict(x), self.d
+        for a, (n2, d2) in y.items():
+            if a in out:
+                n1, d1 = out[a]
+                n2, d2 = _p_add(_p_mul(n1, d2, d), _p_mul(n2, d1, d)), _p_mul(d1, d2, d)
+                if _is_zero(n2):
+                    del out[a]
+                    continue
+            out[a] = n2, d2
+        return out
+
+    def power(self, x: dict, n: int) -> dict:
+        if not set(x) <= {None}:
+            if n == 1:
+                return x
+            raise ExprError("weights must be linear in harmonic atoms")
+        num, den = x.get(None, (_ZERO, ONE))
+        if n < 0:
+            if _is_zero(num):
+                raise ZeroDivisionError(f"division by zero in {self.where}")
+            num, den, n = den, num, -n
+        if n and _is_zero(num):
+            return {}
+        return {None: (_p_pow(num, n, self.d), _p_pow(den, n, self.d))}
+
+    def fold(self, num, den):
+        """``(num/c, ONE)`` when den is a constant c, else ``(num, den)``."""
+        return (_p_div_const(num, den, self.d), ONE) if len(_p_trim(den)[0]) == 1 else (num, den)
+
+    def polynomial(self, x: dict, degree: int):
+        """x's unit coefficient as one trimmed ``(a, b, l)``, if its denominator is a
+        constant and its degree at most ``degree``; else None."""
+        if not set(x) <= {None}:
+            return None
+        num, den = self.fold(*x.get(None, (_ZERO, ONE)))
+        p = _p_trim(num)
+        return p if den is ONE and len(p[0]) <= degree + 1 else None
+
+    def call(self, name: str, args: tuple) -> dict:
+        if name == "sqrt" and len(args) == 1:
+            p = self.polynomial(self.eval(args[0]), 0)
+            if p is None or any(p[1]):
+                raise ExprError(f"sqrt of a non-rational argument in {self.where}")
+            n, m = p[0][0] if p[0] else 0, p[2]
+            if n < 0:
+                raise ValueError("sqrt of a negative rational")
+            s, r = squarefree_split(n * m) if n else (0, 1)
+            if r == 1:
+                return {None: (([s], [], m), ONE)} if s else {}
+            if self.d not in (1, r):
+                raise ValueError(f"incompatible radicands sqrt({self.d}) and sqrt({r})")
+            self.d = r
+            return {None: (([0], [s], m), ONE)}
+        if name == "H":
+            raise ExprError(f"harmonic atoms not allowed in {self.where}")
+        raise ExprError(f"function {name!r} not allowed in {self.where}")
+
+
+def eval_quad(node) -> QuadElem:
+    """A scalar AST (numbers, +, -, *, /, integer powers, sqrt of a rational) as a QuadElem."""
+    ev = IntegerEval(None, "scalar expressions")
+    a, b, l = ev.polynomial(ev.eval(node), 0)
+    return QuadElem(Fraction(a[0], l) if a else 0, Fraction(b[0], l) if b else 0, ev.d)

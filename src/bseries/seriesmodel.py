@@ -10,13 +10,27 @@ denominator, ``base`` is an exact quadratic surd stored in structured form
 ``root^exp``, ``D(k)`` is a product of integer-linear factors
 ``prod (u*k + v)^e``, and the weight ``W(k)`` is a finite sum of terms
 ``coeff(k) * atom(k)`` with rational-function coefficients over the field
-and atoms drawn from generalized harmonic numbers
+and atoms 1 or generalized harmonic numbers
 
     H(s*k + o, m) = sum_{j=1}^{s*k+o} 1/j^m .
 
-The textual grammar for each field (used by the catalog) is parsed and
-rendered here; rendering is canonical, i.e. ``render(parse(render(x))) ==
-render(x)`` byte-for-byte.
+What a :class:`SeriesDef` holds is integers and one surd: the base's root
+as a :class:`~bseries.exactnum.QuadElem` with an integer exponent, the
+kernel and its position, D as integer triples ``(u, v, e)``, ``field_d``
+(1 or the one squarefree radicand of base and weight), and the weight as a
+:class:`Weight`: per atom, integer lists ``(a_i, b_i, e_i)`` with
+coefficient ``(a_i + b_i*sqrt(d)) / e_i``, and from them the common form
+``(A_i + B_i*sqrt(d)) / c`` the evaluator sums with.
+
+Each field's text is read straight into those integers by
+:class:`~bseries.exprparse.IntegerEval`, with the harmonic atoms added here,
+and no ``Poly`` or ``RatFun`` is built; the lists are those that clearing
+the RatFun coefficients of the same text would give.  Rendering is
+canonical, i.e. ``render(parse(render(x))) == render(x)`` byte-for-byte.
+Code that builds a series from RatFun terms (duality, telescoping
+certificates) passes them through :meth:`Weight.from_terms`, and
+:meth:`Weight.ratfun_terms` builds them back on demand where exact rational
+functions are the point.
 
 The scale ``S_k = kernel(k)^s / D(k)`` is built here once, in integers:
 :meth:`SeriesDef.scale` gives S_k as a fraction of two integers, and
@@ -39,17 +53,24 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import NamedTuple, Optional
+from functools import cached_property, reduce
+from itertools import zip_longest
+from typing import NamedTuple, Optional, Sequence
 
-from .exactnum import IntegerSurdPoly, Poly, QuadElem, RatFun, poly_mul, poly_shift, sqrt_surd
-from .exprparse import EvalContext, ExprError, ast_as_int, eval_ast, parse_expr
+from .exactnum import (
+    IntegerSurdPoly, Poly, QuadElem, RatFun, horner, poly_mul, poly_shift, sqrt_surd, surd_mul,
+)
+from .exprparse import (
+    ONE, EvalContext, ExprError, IntegerEval, ast_as_int, eval_ast, eval_quad, lowest_terms,
+    parse_expr,
+)
 from .kernels import KernelFamily
 
 __all__ = [
     "Position",
     "HarmonicAtom",
     "WeightTerm",
+    "Weight",
     "SeriesDef",
     "HarmonicCache",
     "NotHypergeometric",
@@ -133,25 +154,40 @@ class HarmonicCache:
 
 
 # ----------------------------------------------------------------------
-# scalar (quadratic surd) expressions
+# reading fields: scalars, bases and the harmonic atoms of a weight
 
 
-class _QuadCtx(EvalContext):
-    """Exact scalars, possibly with nested sqrt: bases, and closed-form sqrt()/log() arguments."""
+class _WeightEval(IntegerEval):
+    """:class:`~bseries.exprparse.IntegerEval` with the harmonic atoms of a weight."""
 
-    def number(self, n: int):
-        return QuadElem(Fraction(n))
+    def __init__(self):
+        super().__init__("k", "weight")
 
-    def call(self, name, args):
-        if name == "sqrt" and len(args) == 1:
-            v = eval_ast(args[0], self)
-            return sqrt_surd(v.as_fraction())
-        raise ExprError(f"function {name!r} not allowed in scalar expressions")
+    def call(self, name: str, args: tuple) -> dict:
+        if name != "H":
+            return super().call(name, args)
+        if len(args) != 2:
+            raise ExprError("H takes an index and an order")
+        arg = self.eval(args[0])
+        if not set(arg) <= {None}:
+            raise ExprError("nested harmonic atoms")
+        p = self.polynomial(arg, 1)
+        if p is None:
+            raise ExprError("harmonic argument must be linear in k")
+        a, b, l = p
+        offset, stride = (a + [0, 0])[:2]
+        if any(b) or offset % l or stride % l:
+            raise ExprError("harmonic argument must have integer coefficients")
+        offset, stride, order = offset // l, stride // l, ast_as_int(args[1])
+        if stride not in ALLOWED_STRIDES or offset not in ALLOWED_OFFSETS:
+            raise ExprError(f"unsupported harmonic index {stride}*k{offset:+d}")
+        if order not in ALLOWED_ORDERS:
+            raise ExprError(f"unsupported harmonic order {order}")
+        return {HarmonicAtom(stride, offset, order): (ONE, ONE)}
 
 
 def parse_quad(s: str) -> QuadElem:
-    v = eval_ast(parse_expr(s), _QuadCtx())
-    return v if isinstance(v, QuadElem) else QuadElem.of(v)
+    return eval_quad(parse_expr(s))
 
 
 def _frac_str(q: Fraction) -> str:
@@ -174,14 +210,12 @@ def parse_base(s: str) -> tuple[QuadElem, int]:
     """Base in structured form: returns (root, exponent)."""
     ast = parse_expr(s)
     if ast[0] == "pow":
-        root = eval_ast(ast[1], _QuadCtx())
-        exp = ast_as_int(ast[2])
+        root, exp = eval_quad(ast[1]), ast_as_int(ast[2])
     else:
-        root = eval_ast(ast, _QuadCtx())
-        exp = 1
+        root, exp = eval_quad(ast), 1
     if not root:
         raise ValueError("zero base")
-    return QuadElem.of(root), exp
+    return root, exp
 
 
 def render_base(root: QuadElem, exp: int) -> str:
@@ -191,7 +225,7 @@ def render_base(root: QuadElem, exp: int) -> str:
 
 
 # ----------------------------------------------------------------------
-# weights: linear combinations of harmonic atoms with RatFun coefficients
+# weights: linear combinations of harmonic atoms, on integer lists
 
 
 def _fold_constant_den(r: RatFun) -> RatFun:
@@ -202,113 +236,106 @@ def _fold_constant_den(r: RatFun) -> RatFun:
     return r
 
 
-class _WeightValue:
-    """Linear combination atom -> RatFun coefficient (None = the unit atom)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        self.terms = {a: c for a, c in terms.items() if c}
-
-    @staticmethod
-    def unit(coeff: RatFun) -> "_WeightValue":
-        return _WeightValue({None: coeff})
-
-    def is_unit(self) -> bool:
-        return set(self.terms) <= {None}
-
-    def unit_coeff(self) -> RatFun:
-        return self.terms.get(None, RatFun.const(Fraction(0)))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            out[a] = out[a] + c if a in out else c
-        return _WeightValue(out)
-
-    def __neg__(self):
-        return _WeightValue({a: -c for a, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if self.is_unit():
-            c = self.unit_coeff()
-            return _WeightValue({a: c * d for a, d in other.terms.items()})
-        if other.is_unit():
-            c = other.unit_coeff()
-            return _WeightValue({a: d * c for a, d in self.terms.items()})
-        raise ExprError("weights must be linear in harmonic atoms")
-
-    def __truediv__(self, other):
-        if not other.is_unit():
-            raise ExprError("cannot divide by a harmonic atom")
-        c = other.unit_coeff()
-        if not c:
-            raise ZeroDivisionError("division by zero in weight")
-        return _WeightValue({a: d / c for a, d in self.terms.items()})
-
-    def __pow__(self, n: int):
-        if not self.is_unit():
-            if n == 1:
-                return self
-            raise ExprError("weights must be linear in harmonic atoms")
-        return _WeightValue.unit(self.unit_coeff() ** n)
-
-
-class _WeightCtx(EvalContext):
-    def number(self, n: int):
-        return _WeightValue.unit(RatFun.const(Fraction(n)))
-
-    def name(self, name: str):
-        if name == "k":
-            return _WeightValue.unit(RatFun(Poly.variable("k")))
-        raise ExprError(f"unknown name {name!r} in weight")
-
-    def call(self, name, args):
-        if name == "sqrt" and len(args) == 1:
-            v = eval_ast(args[0], _QuadCtx())
-            return _WeightValue.unit(RatFun.const(sqrt_surd(v.as_fraction())))
-        if name == "H" and len(args) == 2:
-            arg = eval_ast(args[0], self)
-            if not arg.is_unit():
-                raise ExprError("nested harmonic atoms")
-            r = arg.unit_coeff()
-            if not r.is_polynomial() or r.num.degree() > 1:
-                raise ExprError("harmonic argument must be linear in k")
-            r = _fold_constant_den(r)
-            stride = r.num.coeff(1)
-            offset = r.num.coeff(0)
-            if stride.denominator != 1 or offset.denominator != 1:
-                raise ExprError("harmonic argument must have integer coefficients")
-            stride, offset = int(stride), int(offset)
-            order = ast_as_int(args[1])
-            if stride not in ALLOWED_STRIDES or offset not in ALLOWED_OFFSETS:
-                raise ExprError(f"unsupported harmonic index {stride}*k{offset:+d}")
-            if order not in ALLOWED_ORDERS:
-                raise ExprError(f"unsupported harmonic order {order}")
-            return _WeightValue({HarmonicAtom(stride, offset, order): RatFun.const(Fraction(1))})
-        raise ExprError(f"function {name!r} not allowed in weight")
-
-    def power(self, base, exp_ast):
-        return base ** ast_as_int(exp_ast)
-
-
 def _atom_key(atom: Optional[HarmonicAtom]):
     if atom is None:
         return (0, 0, 0, 0)
     return (1, atom.order, atom.stride, atom.offset)
 
 
-def parse_weight(s: str) -> tuple[WeightTerm, ...]:
-    v = eval_ast(parse_expr(s), _WeightCtx())
-    if not v.terms:
+def _clear(num, den, d: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The coefficient num/den as ``(a, b, e)``: ``(a + b*sqrt(d)) / e`` on integer lists.
+
+    num and den are each ``(a, b, scale)`` as
+    :class:`~bseries.exactnum.IntegerSurdPoly` holds a polynomial; a sqrt(d)
+    in den is rationalised by den's conjugate, over and under.
+    """
+    (a, b, num_scale), (da, db, den_scale) = num, den
+    e = da
+    if any(db):
+        conj = (da, [-x for x in db])
+        a, b = surd_mul((a, b), conj, d)
+        e = surd_mul((da, db), conj, d)[0]
+    b = tuple(x * den_scale for x in b) if any(b) else ()
+    return tuple(x * den_scale for x in a), b, tuple(x * num_scale for x in e)
+
+
+@dataclass(frozen=True)
+class Weight:
+    """``W(k) = sum_i (a_i + b_i*sqrt(d)) / e_i * atom_i(k)`` on integer lists, constant first.
+
+    ``parts`` holds ``(a_i, b_i, e_i, atom_i)`` sorted by atom, the unit
+    atom (None) first; b_i is empty when the coefficient is rational, and
+    e_i is a rational integer list that vanishes at no index of the series.
+    ``d`` is 1 or the one squarefree radicand of the coefficients.
+    """
+
+    parts: tuple[tuple[Sequence[int], Sequence[int], Sequence[int], Optional[HarmonicAtom]], ...]
+    d: int = 1
+
+    @staticmethod
+    def from_terms(terms) -> "Weight":
+        """The lists of :class:`WeightTerm`s with nonzero RatFun coefficients over Q(sqrt d)."""
+        polys = [(IntegerSurdPoly(c.num), IntegerSurdPoly(c.den), atom) for c, atom in terms]
+        radicands = {p.d for num, den, _ in polys for p in (num, den)} - {1}
+        if len(radicands) > 1:
+            raise ValueError(f"incompatible radicands {sorted(radicands)}")
+        d = radicands.pop() if radicands else 1
+        parts = [
+            _clear((num.a, num.b, num.scale), (den.a, den.b, den.scale), d) + (atom,)
+            for num, den, atom in sorted(polys, key=lambda t: _atom_key(t[2]))
+        ]
+        return Weight(tuple(parts), d if any(b for _, b, _, _ in parts) else 1)
+
+    def __len__(self) -> int:
+        return len(self.parts)
+
+    def has_harmonic(self) -> bool:
+        return any(atom is not None for *_, atom in self.parts)
+
+    @cached_property
+    def common(self) -> tuple[list, list]:
+        """``(c, terms)``: the common denominator c, the product of the distinct e_i,
+        and ``terms = [(A_i, B_i, atom_i)]`` with ``(A_i + B_i*sqrt(d)) / c`` the
+        i-th coefficient."""
+        dens = list(dict.fromkeys(e for _, _, e, _ in self.parts))
+        terms = []
+        for a, b, e, atom in self.parts:
+            others = [x for x in dens if x != e]
+            a, b = (reduce(poly_mul, others, list(x)) for x in (a, b))
+            terms.append((a, b, atom))
+        return reduce(poly_mul, dens, [1]), terms
+
+    def ratfun_terms(self) -> tuple[WeightTerm, ...]:
+        """The weight as :class:`WeightTerm`s with exact RatFun coefficients."""
+        out = []
+        for a, b, e, atom in self.parts:
+            scale = e[0] if len(e) == 1 else 1  # a constant denominator folds into the numerator
+            num = Poly(
+                QuadElem(Fraction(x, scale), Fraction(y, scale), self.d) if b
+                else Fraction(x, scale)
+                for x, y in zip_longest(a, b, fillvalue=0)
+            )
+            coeff = RatFun(num) if len(e) == 1 else RatFun(num, Poly(map(Fraction, e)))
+            out.append(WeightTerm(coeff, atom))
+        return tuple(out)
+
+    def conjugate(self) -> "Weight":
+        """The Galois conjugate: every b_i negated."""
+        parts = tuple((a, tuple(-x for x in b), e, atom) for a, b, e, atom in self.parts)
+        return Weight(parts, self.d)
+
+
+def parse_weight(s: str) -> Weight:
+    """A weight's text as its integer lists, with no RatFun built."""
+    ev = _WeightEval()
+    v = ev.eval(parse_expr(s))
+    if not v:
         raise ValueError("weight must be nonzero")
-    terms = []
-    for atom in sorted(v.terms, key=_atom_key):
-        terms.append(WeightTerm(_fold_constant_den(v.terms[atom]), atom))
-    return tuple(terms)
+    parts = []
+    for atom in sorted(v, key=_atom_key):
+        num, den = ev.fold(*v[atom])
+        parts.append(_clear(lowest_terms(num), lowest_terms(den), ev.d) + (atom,))
+    return Weight(tuple(parts), ev.d if any(b for _, b, _, _ in parts) else 1)
 
 
 # ----------------------------------------------------------------------
@@ -369,9 +396,9 @@ def render_ratfun(r: RatFun) -> str:
     return f"({render_poly(r.num)})/({render_poly(r.den)})"
 
 
-def render_weight(terms: tuple[WeightTerm, ...]) -> str:
+def render_weight(weight: Weight) -> str:
     parts: list[str] = []
-    for coeff, atom in sorted(terms, key=lambda t: _atom_key(t.atom)):
+    for coeff, atom in weight.ratfun_terms():
         if atom is None:
             parts.append(render_ratfun(coeff))
             continue
@@ -392,22 +419,21 @@ def render_weight(terms: tuple[WeightTerm, ...]) -> str:
 
 
 def parse_den_factors(s: str) -> tuple[tuple[int, int, int], ...]:
+    """``D = prod (u*k + v)^e`` as sorted integer triples ``(u, v, e)``, read off the AST."""
     s = s.strip()
     if s == "1":
         return ()
     factors: dict[tuple[int, int], int] = {}
 
     def add_linear(node, e: int):
-        r = eval_ast(node, _WeightCtx())
-        if not r.is_unit():
-            raise ExprError("harmonic atoms not allowed in denominator")
-        rf = _fold_constant_den(r.unit_coeff())
-        if not rf.is_polynomial() or rf.num.degree() != 1:
-            raise ExprError(f"denominator factor must be linear in k")
-        u, v = rf.num.coeff(1), rf.num.coeff(0)
-        if u.denominator != 1 or v.denominator != 1 or u <= 0:
+        ev = IntegerEval("k", "denominator")
+        p = ev.polynomial(ev.eval(node), 1)
+        if p is None or len(p[0]) != 2:
+            raise ExprError("denominator factor must be linear in k")
+        (v, u), b, q = p
+        if any(b) or u % q or v % q or u < 0:
             raise ExprError("denominator factors must be u*k + v with integer u > 0")
-        key = (int(u), int(v))
+        key = (u // q, v // q)
         factors[key] = factors.get(key, 0) + e
 
     def walk(node, e: int):
@@ -487,8 +513,7 @@ class _RatFunCtx(EvalContext):
 
     def call(self, name, args):
         if name == "sqrt" and len(args) == 1:
-            v = eval_ast(args[0], _QuadCtx())
-            return RatFun.const(sqrt_surd(v.as_fraction()), self.var)
+            return RatFun.const(sqrt_surd(eval_quad(args[0]).as_fraction()), self.var)
         raise ExprError(f"function {name!r} not allowed here")
 
 
@@ -506,56 +531,42 @@ class SeriesDef:
     base_exp: int = 1
     kernel: Optional[KernelFamily] = None
     kernel_pos: Position = Position.DENOMINATOR
-    weight: tuple[WeightTerm, ...] = ()
+    weight: Optional[Weight] = None
     den_factors: tuple[tuple[int, int, int], ...] = ()
     k_start: int = 0
     base_value: QuadElem = field(init=False, compare=False, repr=False)
+    field_d: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.k_start < 0:
             raise ValueError(f"k_start must be >= 0, got {self.k_start}")
         if not self.weight:
             raise ValueError("series needs a nonzero weight")
-        object.__setattr__(self, "base_value", self.base_root**self.base_exp)
-        if not self.base_value:
+        base = self.base_root**self.base_exp
+        if not base:
             raise ValueError("zero base")
-        self.field_d  # validates coefficient radicands agree
+        d = self.weight.d
+        if base.d != 1 and d not in (1, base.d):
+            raise ValueError(f"mixed radicands {base.d} and {d} in one series")
+        object.__setattr__(self, "base_value", base)
+        object.__setattr__(self, "field_d", max(d, base.d))
         check_den_factors(self.den_factors, self.k_start)
-        for coeff, atom in self.weight:
-            k = IntegerSurdPoly(coeff.den).integer_root(self.k_start)
+        for _, _, e, atom in self.weight.parts:
+            k = IntegerSurdPoly.from_lists(e, (), 1).integer_root(self.k_start) if e[1:] else None
             if k is not None:
                 raise ValueError(f"weight denominator vanishes at k={k}")
             if atom is not None:  # the index grows with k: refuse it below 0 at the start
                 atom.index_at(self.k_start)
 
-    @property
-    def field_d(self) -> int:
-        d = 1
-
-        def merge(dd: int):
-            nonlocal d
-            if dd != 1:
-                if d not in (1, dd):
-                    raise ValueError(f"mixed radicands {d} and {dd} in one series")
-                d = dd
-
-        merge(self.base_value.d)
-        for coeff, _ in self.weight:
-            for poly in (coeff.num, coeff.den):
-                for c in poly.coeffs:
-                    if isinstance(c, QuadElem):
-                        merge(c.d)
-        return d
-
     def has_harmonic(self) -> bool:
-        return any(atom is not None for _, atom in self.weight)
+        return self.weight.has_harmonic()
 
     def weight_ratfun(self) -> RatFun:
         """The weight as one rational function (only when atom-free)."""
         if self.has_harmonic():
             raise NotHypergeometric("weight contains harmonic atoms")
         total = RatFun.const(Fraction(0), "k")
-        for coeff, _ in self.weight:
+        for coeff, _ in self.weight.ratfun_terms():
             total = total + coeff
         return total
 
@@ -588,9 +599,13 @@ class SeriesDef:
         return self.kernel.growth() ** self.kernel_pos.exponent if self.kernel else Fraction(1)
 
     def weight_value(self, k: int, harm: Optional[HarmonicCache] = None):
+        """W(k) exactly, a Fraction or a QuadElem, from the weight's integer lists."""
         total = Fraction(0)
-        for coeff, atom in self.weight:
-            c = coeff(Fraction(k))
+        for a, b, e, atom in self.weight.parts:
+            den = horner(e, k)
+            c = Fraction(horner(a, k), den)
+            if b:
+                c = QuadElem(c, Fraction(horner(b, k), den), self.weight.d)
             if atom is not None:
                 if harm is None:
                     raise ValueError("harmonic cache required")
@@ -626,19 +641,12 @@ class SeriesDef:
 
     def conjugate(self) -> "SeriesDef":
         """Apply the Galois conjugate to every scalar (base and weight coefficients)."""
-
-        def conj_scalar(c):
-            return c.conjugate() if isinstance(c, QuadElem) else c
-
-        def conj_ratfun(r: RatFun) -> RatFun:
-            return RatFun(r.num.map_coeffs(conj_scalar), r.den.map_coeffs(conj_scalar))
-
         return SeriesDef(
             base_root=self.base_root.conjugate(),
             base_exp=self.base_exp,
             kernel=self.kernel,
             kernel_pos=self.kernel_pos,
-            weight=tuple(WeightTerm(conj_ratfun(c), a) for c, a in self.weight),
+            weight=self.weight.conjugate(),
             den_factors=self.den_factors,
             k_start=self.k_start,
         )

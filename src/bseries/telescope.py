@@ -45,6 +45,7 @@ from .kernels import KernelFamily, kernel_by_tag
 from .seriesmodel import (
     Position,
     SeriesDef,
+    Weight,
     WeightTerm,
     _RatFunCtx,
     check_den_factors,
@@ -175,7 +176,7 @@ class TelescopingCert:
             base_exp=1,
             kernel=self.kernel,
             kernel_pos=self.kernel_pos,
-            weight=(WeightTerm(RatFun(self.weight_poly), None),),
+            weight=Weight.from_terms([WeightTerm(RatFun(self.weight_poly), None)]),
             den_factors=self.den_factors,
             k_start=self.k_start,
         )

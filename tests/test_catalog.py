@@ -15,7 +15,9 @@ from bseries.catalog import (
     resolve_catalog_path,
     serialize_catalog,
 )
-from bseries.evaluator import Status, verify_identity
+from bseries import seriesmodel
+from bseries.evaluator import Status, _IntegerWeight, verify_identity
+from bseries.exactnum import Poly, RatFun
 from bseries.telescope import DerivativeCert, TelescopingCert
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -240,6 +242,64 @@ def test_negative_harmonic_index_rejected():
     with pytest.raises(CatalogError, match=r"record 't1' \(line 1\): harmonic index -1 < 0 at k=0"):
         loads_catalog(bad)
     assert loads_catalog(bad.replace("kstart: 0", "kstart: 1")).lookup("t1").series.k_start == 1
+
+
+@pytest.mark.parametrize(
+    "old, new, why",
+    [
+        ("weight: 3*k - 1", "weight: 0", "weight must be nonzero"),
+        ("weight: 3*k - 1", "weight: k - k", "weight must be nonzero"),
+        ("weight: 3*k - 1", "weight: 1/(k - k)", "division by zero"),
+        ("weight: 3*k - 1", "weight: H(k,1)*H(k,1)", "linear in harmonic atoms"),
+        ("weight: 3*k - 1", "weight: H(4*k,1)", r"unsupported harmonic index 4\*k\+0"),
+        ("weight: 3*k - 1", "weight: H(k,4)", "unsupported harmonic order 4"),
+        ("weight: 3*k - 1", "weight: H(H(k,1),1)", "nested harmonic atoms"),
+        ("weight: 3*k - 1", "weight: 1/H(k,1)", "cannot divide by a harmonic atom"),
+        ("weight: 3*k - 1", "weight: H(k/2,1)", "harmonic argument must have integer coefficients"),
+        ("weight: 3*k - 1", "weight: H(sqrt(2)*k,1)", "harmonic argument must have integer coefficients"),
+        ("weight: 3*k - 1", "weight: sqrt(2)*k + sqrt(3)", "radicands"),
+        ("base: 16", "base: 4 + sqrt(3)", "radicands"),
+        ("weight: 3*k - 1", "weight: 1/(k - 1)", "weight denominator vanishes at k=1"),
+        ("den: k^3", "den: k^2 + 1", "denominator factor must be linear in k"),
+        ("den: k^3", "den: H(k,1)", "harmonic atoms not allowed in denominator"),
+        ("den: k^3", "den: k^0", "exponents must be positive"),
+        ("den: k^3", "den: k^-1", "exponents must be positive"),
+        ("den: k^3", "den: 1 - k", r"u\*k \+ v with integer u > 0"),
+        ("den: k^3", "den: k - 2", r"denominator factor 1\*k-2 vanishes at k=2"),
+        ("den: k^3", "den: sqrt(2)*k+1", r"denominator factors must be u\*k \+ v with integer u > 0"),
+        ("rhs: 1/2*pi^2", "rhs: L(2)", r"L\(2\): not a discriminant"),
+        ("rhs: 1/2*pi^2", "rhs: zeta(2)", r"only zeta\(3\) is supported"),
+    ],
+)
+def test_malformed_series_field_names_the_record(old, new, why):
+    # every rejection of the weight, den, base and rhs parsers is a CatalogError
+    # naming the record and its line
+    bad = MINIMAL.replace(old, new)
+    if new.startswith("weight: sqrt"):
+        bad = bad.replace("base: 16", "base: 16 + sqrt(2)")
+    if new.startswith("base:"):
+        bad = bad.replace("weight: 3*k - 1", "weight: 3*k - sqrt(2)")
+    with pytest.raises(CatalogError, match=rf"record 't1' \(line 1\): .*{why}"):
+        loads_catalog(bad)
+
+
+def test_series_records_load_without_ratfun(monkeypatch, shipped):
+    # weights, den factors and bases are read straight into integers: loading
+    # series records, and clearing their weights for an envelope, builds no
+    # Poly or RatFun
+    perf = load_catalog(REPO_ROOT / "perfbench" / "catalog.txt")
+    texts = [serialize_catalog(r for r in cat if r.kind == "series_identity") for cat in (shipped, perf)]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built while loading series records")
+
+    monkeypatch.setattr(Poly, "__init__", refuse)
+    monkeypatch.setattr(RatFun, "__init__", refuse)
+    loaded = [rec for text in texts for rec in loads_catalog(text)]
+    assert len(loaded) == 189
+    for rec in loaded:
+        _IntegerWeight(rec.series)
+    assert not hasattr(seriesmodel, "_WeightValue")
 
 
 def test_denominator_without_integer_root_loads():

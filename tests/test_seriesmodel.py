@@ -2,11 +2,13 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from bseries.exactnum import QuadElem
-from bseries.exprparse import ExprError, ast_as_int, parse_expr
+from bseries.catalog import load_catalog
+from bseries.exactnum import Poly, QuadElem, RatFun, sqrt_surd
+from bseries.exprparse import EvalContext, ExprError, ast_as_int, eval_ast, eval_quad, parse_expr
 from bseries.kernels import KERNELS
 from bseries.seriesmodel import (
     HarmonicAtom,
@@ -14,6 +16,8 @@ from bseries.seriesmodel import (
     NotHypergeometric,
     Position,
     SeriesDef,
+    Weight,
+    WeightTerm,
     den_value,
     parse_base,
     parse_den_factors,
@@ -76,24 +80,25 @@ class TestBase:
 class TestWeight:
     def test_polynomial(self):
         w = parse_weight("63*k^2 + 78*k + 22")
-        assert len(w) == 1 and w[0].atom is None
-        assert w[0].coeff(Fraction(1)) == 163
+        assert w.parts == (((22, 78, 63), (), (1,), None),)
+        assert w.ratfun_terms()[0].coeff(Fraction(1)) == 163
         assert render_weight(w) == "63*k^2 + 78*k + 22"
 
     def test_harmonic_terms(self):
         w = parse_weight("2*k - (3*k + 1)*H(k,1) + (11*k + 3)*H(2*k,1)")
         assert render_weight(w) == "2*k - (3*k + 1)*H(k,1) + (11*k + 3)*H(2*k,1)"
-        atoms = {t.atom for t in w}
+        atoms = {t.atom for t in w.ratfun_terms()}
         assert HarmonicAtom(1, 0, 1) in atoms and HarmonicAtom(2, 0, 1) in atoms
 
     def test_offset_atom(self):
         w = parse_weight("H(k - 1,3)")
-        assert w[0].atom == HarmonicAtom(1, -1, 3)
+        assert w.parts == (((1,), (), (1,), HarmonicAtom(1, -1, 3)),)
         assert render_weight(w) == "H(k - 1,3)"
 
     def test_quadratic_coefficients(self):
         w = parse_weight("(459 + 99*sqrt(6))*k - 108 - 38*sqrt(6)")
-        assert w[0].coeff(Fraction(0)) == QuadElem(-108, -38, 6)
+        assert w.parts == (((-108, 459), (-38, 99), (1,), None),) and w.d == 6
+        assert w.ratfun_terms()[0].coeff(Fraction(0)) == QuadElem(-108, -38, 6)
         canon = render_weight(w)
         assert canon == "(459 + 99*sqrt(6))*k - (108 + 38*sqrt(6))"
         # canonical form is a fixed point of parse/render
@@ -101,7 +106,8 @@ class TestWeight:
 
     def test_rational_function_coefficient(self):
         w = parse_weight("(15*k - 4)/27")
-        assert w[0].coeff(Fraction(1)) == Fraction(11, 27)
+        assert w.parts == (((-4, 15), (), (27,), None),)
+        assert w.ratfun_terms()[0].coeff(Fraction(1)) == Fraction(11, 27)
 
     def test_nonlinear_atoms_rejected(self):
         with pytest.raises(ValueError):
@@ -224,7 +230,7 @@ class TestSeriesDef:
         )
         c = sd.conjugate()
         assert c.base_root == QuadElem(12, -4, 5)
-        assert c.weight[0].coeff(Fraction(0)) == QuadElem(3, -1, 5)
+        assert c.weight.ratfun_terms()[0].coeff(Fraction(0)) == QuadElem(3, -1, 5)
         assert c.conjugate() == sd
 
     def test_mixed_radicands_rejected(self):
@@ -268,3 +274,153 @@ def test_parse_ratfun_certificate_fields():
     assert f(Fraction(1)) == Fraction(12, 6)
     g = parse_ratfun("8 - (1 - t^2)^3", "t")
     assert g(Fraction(0)) == 7
+
+
+# ----------------------------------------------------------------------
+# the loaded integer lists against independent exact evaluations of the text
+
+
+class _RatFunWeight:
+    """Test reference: a weight as ``{atom: RatFun}`` (None the unit atom), built
+    by RatFun arithmetic, the way weights were parsed before they were read
+    straight into integer lists."""
+
+    def __init__(self, terms: dict):
+        self.terms = {a: c for a, c in terms.items() if c}
+
+    def _is_unit(self):
+        return set(self.terms) <= {None}
+
+    def _unit(self):
+        return self.terms.get(None, RatFun.const(Fraction(0)))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for a, c in other.terms.items():
+            out[a] = out[a] + c if a in out else c
+        return _RatFunWeight(out)
+
+    def __neg__(self):
+        return _RatFunWeight({a: -c for a, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if self._is_unit():
+            return _RatFunWeight({a: self._unit() * c for a, c in other.terms.items()})
+        if other._is_unit():
+            return _RatFunWeight({a: c * other._unit() for a, c in self.terms.items()})
+        raise ExprError("weights must be linear in harmonic atoms")
+
+    def __truediv__(self, other):
+        if not other._is_unit():
+            raise ExprError("cannot divide by a harmonic atom")
+        if not other._unit():
+            raise ZeroDivisionError("division by zero in weight")
+        return _RatFunWeight({a: c / other._unit() for a, c in self.terms.items()})
+
+    def __pow__(self, n):
+        if not self._is_unit():
+            if n == 1:
+                return self
+            raise ExprError("weights must be linear in harmonic atoms")
+        return _RatFunWeight({None: self._unit() ** n})
+
+
+class _RatFunWeightCtx(EvalContext):
+    def number(self, n):
+        return _RatFunWeight({None: RatFun.const(Fraction(n))})
+
+    def name(self, name):
+        assert name == "k"
+        return _RatFunWeight({None: RatFun(Poly.variable("k"))})
+
+    def call(self, name, args):
+        if name == "sqrt":
+            return _RatFunWeight({None: RatFun.const(sqrt_surd(eval_quad(args[0]).as_fraction()))})
+        arg = eval_ast(args[0], self)._unit()
+        stride, offset = arg.num.coeff(1) / arg.den.coeff(0), arg.num.coeff(0) / arg.den.coeff(0)
+        atom = HarmonicAtom(int(stride), int(offset), ast_as_int(args[1]))
+        return _RatFunWeight({atom: RatFun.const(Fraction(1))})
+
+
+def _ratfun_weight(text: str) -> list:
+    """The weight's RatFun terms, each constant denominator folded into its numerator."""
+    terms = []
+    for atom, coeff in eval_ast(parse_expr(text), _RatFunWeightCtx()).terms.items():
+        if coeff.den.degree() == 0:
+            c = coeff.den.leading()
+            coeff = RatFun(coeff.num.map_coeffs(lambda x: x / c))
+        terms.append(WeightTerm(coeff, atom))
+    return terms
+
+
+class _ExactWalk(EvalContext):
+    """W(k) at one integer k from the weight's AST, in Fraction/QuadElem arithmetic,
+    each H(n, m) the exact prefix sum of :class:`HarmonicCache`."""
+
+    def __init__(self, k: int, harm: HarmonicCache):
+        self.k, self.harm = k, harm
+
+    def name(self, name):
+        assert name == "k"
+        return Fraction(self.k)
+
+    def call(self, name, args):
+        if name == "sqrt":
+            return sqrt_surd(eval_ast(args[0], self))
+        n = eval_ast(args[0], self)
+        assert n.denominator == 1
+        return self.harm.value(ast_as_int(args[1]), int(n))
+
+
+def _shipped_series_records():
+    root = Path(__file__).resolve().parent.parent
+    for path in (root / "src/bseries/data/catalog.txt", root / "perfbench/catalog.txt"):
+        yield from (r for r in load_catalog(path) if r.kind == "series_identity")
+
+
+def test_loaded_lists_are_the_ratfun_weights_cleared():
+    # bit for bit the lists today's clearing of RatFun coefficients gives
+    records = list(_shipped_series_records())
+    assert len(records) == 189
+    for rec in records:
+        terms = _ratfun_weight(rec.fields["weight"])
+        assert rec.series.weight == Weight.from_terms(terms), rec.id
+        # and the RatFun terms built back from the lists are the same functions
+        terms.sort(key=lambda t: t.atom and (t.atom.order, t.atom.stride, t.atom.offset) or ())
+        assert rec.series.weight.ratfun_terms() == tuple(terms), rec.id
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "sqrt(1/2)*k + sqrt(9/8) - 1/3",
+        "k/sqrt(3) - (1 + sqrt(3))^-2",
+        "(k/2)/(k/3 + 1) + (2*k + 13/9)/(2*k + 1)*H(k,1)",
+        "(k + 1)/(2*k - sqrt(5)) + H(2*k,1)/(k + sqrt(5)) - sqrt(5/4)*H(3*k - 1,2)",
+        "((k + 1)^2 - k^2 - 1)*H(6*k,3) + 1/(k + 1)^-2",
+    ],
+)
+def test_parsed_lists_are_the_ratfun_weight_cleared(text):
+    assert parse_weight(text) == Weight.from_terms(_ratfun_weight(text))
+
+
+def test_loaded_lists_give_the_weight_at_integer_points():
+    harm = HarmonicCache()
+    for rec in _shipped_series_records():
+        sdef, ast = rec.series, parse_expr(rec.fields["weight"])
+        deg = max(len(a) + len(b) for a, b, _, _ in sdef.weight.parts) + max(
+            len(e) for *_, e, _ in sdef.weight.parts
+        )
+        for k in range(sdef.k_start, sdef.k_start + deg + 2):
+            exact = eval_ast(ast, _ExactWalk(k, harm))
+            assert QuadElem.of(sdef.weight_value(k, harm)) == QuadElem.of(exact), (rec.id, k)
+
+
+def test_den_factor_with_a_surd_is_refused():
+    for text in ("sqrt(2)*k + 1", "(2*k + 1)*(sqrt(3)*k + 1)", "k + sqrt(2)"):
+        with pytest.raises(ExprError, match=r"u\*k \+ v with integer u > 0"):
+            parse_den_factors(text)
+    assert parse_den_factors("sqrt(4)*k + (2*k + 2)/2") == ((3, 1, 1),)
