@@ -24,8 +24,9 @@ from K on, and ``U = sum_i sigma_i * (A_i + B_i*sqrt(d)) * b_i / c`` with
 The envelope is certified for the majorant's terms ``m_k = U(k) * S_k *
 base^k``, with ``S_k = kernel(k)^(+-1) / D(k)`` read from the series in
 integers: :meth:`~bseries.seriesmodel.SeriesDef.scale` gives S_k, and
-:attr:`~bseries.seriesmodel.SeriesDef.scale_ratio` the lists ``(Sn, Sd)``
-with ``S_{k+1}/S_k = Sn(k)/Sd(k)``, and ``scale_growth`` their limit g.
+:attr:`~bseries.seriesmodel.SeriesDef.scale_ratio` the coprime lists ``(Sn,
+Sd)`` with ``S_{k+1}/S_k = Sn(k)/Sd(k)``, in lowest terms (degree 3 over 3
+for most series of the catalog), and ``scale_growth`` their limit g.
 With a rational ``q = qn/qd < 1`` above the limiting ratio ``L = |base| *
 g``, ``|m_{k+1}| <= q*|m_k|`` for every integer ``k >= k0`` because
 
@@ -101,9 +102,19 @@ coefficient does.  Since
     ceil((|w|*e + (|v| + e)*ew) / den) + 1
 
 units of ``t_k * 2^P``.  An atom-free weight has ``ew = 0``, or ``ew = |nb|``
-in Q(sqrt d).  The sum is the integer ``S = sum T_k`` with the count ``units
-= sum`` of those errors: the ball is the triple ``(S, P, units)`` as it
-stands.
+in Q(sqrt d).
+
+Every divisor above is a small integer times a power of two: a step's
+``Bd * |Sd(k)|``, with ``Bd = 2^E`` for a quadratic base (a rational base's
+denominator gives up its power of two alike), and the weight's ``den =
+c(k) * 2^s``, times a further 2^P in Q(sqrt d).  Each is split as ``small *
+2^shift``: a floor is taken as ``(x // small) >> shift`` and a count as
+``-((-x // small) >> shift)``.  For an integer ``a > 0``, ``floor(floor(x/a)
+/ 2^E) = floor(x / (a*2^E))``, and so for ceil, so each value and each count
+is the one written above, and no P-bit number divides another.
+
+The sum is the integer ``S = sum T_k`` with the count ``units = sum`` of
+those errors: the ball is the triple ``(S, P, units)`` as it stands.
 
 P is the requested precision plus guard bits for the count.  After k0, e is
 damped by ``|r*base| <= q``, so it stays below about ``1/(1 - q)`` plus the
@@ -166,7 +177,8 @@ import mpmath
 
 from .closedform import ClosedForm
 from .exactnum import (
-    IntegerSurdPoly, QuadElem, embed_dyadic, horner, poly_add, poly_mul, poly_shift, surd_mul,
+    IntegerSurdPoly, QuadElem, embed_dyadic, embed_surd, horner, poly_add, poly_mul, poly_shift,
+    surd_mul,
 )
 from .precision import (
     DIGITS_INF,
@@ -222,9 +234,21 @@ class Status(enum.Enum):
 
 def _log2_abs(x: QuadElem) -> float:
     """log2 |x|, -inf at 0; in floats, for sizing only."""
-    if not x:
+    c = math.lcm(x.a.denominator, x.b.denominator)
+    return _log2_surd(int(x.a * c), int(x.b * c), c, x.d)
+
+
+def _log2_surd(x: int, y: int, z: int, d: int) -> float:
+    """log2 |(x + y*sqrt(d)) / z| for integers with z != 0, as :func:`_log2_abs` has it.
+
+    The triple is put in lowest terms with z > 0 first: those are the
+    integers a QuadElem of the same value embeds, so the float is the same.
+    """
+    if not (x or y):
         return -math.inf
-    bn, bd, _ = embed_dyadic(x, 64)
+    g = math.gcd(x, y, z) if z > 0 else -math.gcd(x, y, z)
+    x, y, z = x // g, y // g, z // g
+    bn, bd, _ = embed_surd(x, y, z, d, 64) if y else (x, z, 0)
     return math.log2(abs(bn)) - math.log2(bd)
 
 
@@ -278,39 +302,6 @@ class _IntegerWeight:
             self.ua = poly_add(self.ua, poly_mul(a, bound))
             self.ub = poly_add(self.ub, poly_mul(b, bound))
 
-    def atoms(self, p: int) -> tuple[int, list[Optional[_FixedHarmonic]]]:
-        """The scale ``2^s`` of :meth:`weight_at` at a stream's ``2^p`` and the atoms' steppers.
-
-        s is p when a term has a harmonic atom and 0 otherwise; the list
-        holds a fresh :class:`_FixedHarmonic` at ``2^s`` for each harmonic
-        atom of ``terms`` and None for the unit atom.
-        """
-        atoms = [atom for *_, atom in self.terms]
-        s = p if any(atoms) else 0
-        return s, [None if atom is None else _FixedHarmonic(atom.order, s) for atom in atoms]
-
-    def weight_at(self, k: int, atoms: tuple) -> tuple[int, int, int, int, int]:
-        """``(na, nb, den, ea, eb)`` with ``|W(k)*den - (na + nb*sqrt(d))| <= ea + eb*sqrt(d)``.
-
-        ``atoms`` is :meth:`atoms`'s; ``den = c(k) * 2^s``, the unit atom is
-        ``2^s`` exactly and a harmonic one its ``h_n`` with count ``u = n``, so
-        ``ea + eb*sqrt(d) = sum_i (|A_i(k)| + |B_i(k)|*sqrt(d)) * u_i``.
-        """
-        s, steppers = atoms
-        na = nb = ea = eb = 0
-        for (a, b, atom), h in zip(self.terms, steppers):
-            x, y = horner(a, k), horner(b, k)
-            if atom is None:
-                na, nb = na + (x << s), nb + (y << s)
-            else:
-                hn, u = h.at(atom.index_at(k))
-                na, nb, ea, eb = na + x * hn, nb + y * hn, ea + abs(x) * u, eb + abs(y) * u
-        return na, nb, horner(self.c, k) << s, ea, eb
-
-    def majorant_at(self, k: int) -> tuple[int, int, int, int, int]:
-        """``(ua, ub, c, 0, 0)``, :meth:`weight_at`'s form of ``U(k) = (ua + ub*sqrt(d)) / c``."""
-        return horner(self.ua, k), horner(self.ub, k), horner(self.c, k), 0, 0
-
     def cancellation(self, k: int) -> float:
         """``rho(k) = max_i |A_i + B_i*sqrt(d)|_1 / |A_i + B_i*sqrt(d)|`` over the harmonic
         atoms' nonzero coefficients, at least 1; 0 without a harmonic atom.  In floats.
@@ -327,8 +318,9 @@ class _IntegerWeight:
         return rho
 
     def majorant_value(self, k: int) -> QuadElem:
-        ua, ub, c, *_ = self.majorant_at(k)
-        return QuadElem(Fraction(ua, c), Fraction(ub, c), self.d)
+        """``U(k) = (ua + ub*sqrt(d)) / c`` at k, exactly."""
+        c = horner(self.c, k)
+        return QuadElem(Fraction(horner(self.ua, k), c), Fraction(horner(self.ub, k), c), self.d)
 
 
 @dataclass(frozen=True)
@@ -356,9 +348,22 @@ class Envelope:
         return max(0, math.ceil(need / -math.log2(q)))
 
 
-def _majorant_term(sdef: SeriesDef, weight: _IntegerWeight, k: int) -> QuadElem:
-    """The majorant's term ``m_k = U(k) * S_k * base^k``, exactly."""
-    return weight.majorant_value(k) * sdef.base_value**k * Fraction(*sdef.scale(k))
+def _majorant_term(sdef: SeriesDef, weight: _IntegerWeight, k: int) -> tuple[int, int, int]:
+    """The majorant's term ``m_k = U(k) * S_k * base^k`` as integers ``(x, y, z)``,
+    ``m_k = (x + y*sqrt(d)) / z``; the base's power is taken on its integer
+    numerator by squaring."""
+    beta, d = sdef.base_value, weight.d
+    bc = math.lcm(beta.a.denominator, beta.b.denominator)
+    bx, by = int(beta.a * bc), int(beta.b * bc)
+    px, py = 1, 0  # (bx + by*sqrt(d))^k
+    for bit in bin(k)[2:]:
+        px, py = px * px + d * py * py, 2 * px * py
+        if bit == "1":
+            px, py = px * bx + d * py * by, px * by + py * bx
+    num, den = sdef.scale(k)
+    ux, uy = horner(weight.ua, k), horner(weight.ub, k)
+    x, y = (ux * px + d * uy * py) * num, (ux * py + uy * px) * num
+    return x, y, horner(weight.c, k) * bc**k * den
 
 
 def _majorant_ratio(sdef: SeriesDef, weight: _IntegerWeight) -> tuple[tuple, tuple]:
@@ -375,10 +380,8 @@ def _majorant_ratio(sdef: SeriesDef, weight: _IntegerWeight) -> tuple[tuple, tup
     return (poly_mul(na, r), poly_mul(nb, r)), tuple(poly_mul(t, x) for x in u)
 
 
-def _certify_q(
-    sdef: SeriesDef, weight: _IntegerWeight, num: tuple, den: tuple, q: Fraction
-) -> Envelope:
-    """The envelope of the majorant's terms for this q: the smallest sharp k0.
+def _certify_q(weight: _IntegerWeight, num: tuple, den: tuple, q: Fraction) -> int:
+    """The smallest sharp k0 of the majorant's terms for this q.
 
     ``num/den`` is :func:`_majorant_ratio`'s.
     """
@@ -403,8 +406,7 @@ def _certify_q(
     while k >= k_min and sign_g(k) >= 0:
         k0 = k
         k -= 1
-    log2_term = _log2_abs(_majorant_term(sdef, weight, k0))
-    return Envelope(q=q, k0=k0, weight=weight, log2_term=log2_term)
+    return k0
 
 
 def certify_envelope(sdef: SeriesDef) -> Envelope:
@@ -432,10 +434,13 @@ def certify_envelope(sdef: SeriesDef) -> Envelope:
         raise NonConvergent("cannot select a geometric bound below 1")
     weight = _IntegerWeight(sdef)
     num, den = _majorant_ratio(sdef, weight)
-    envelopes = []
+    envelopes, log2_terms = [], {}  # log2 |m_{k0}| once per distinct k0
     for q in qs:
-        envelopes.append(_certify_q(sdef, weight, num, den, q))
-        if envelopes[-1].k0 == weight.start:
+        k0 = _certify_q(weight, num, den, q)
+        if k0 not in log2_terms:
+            log2_terms[k0] = _log2_surd(*_majorant_term(sdef, weight, k0), weight.d)
+        envelopes.append(Envelope(q=q, k0=k0, weight=weight, log2_term=log2_terms[k0]))
+        if k0 == weight.start:
             # a larger q keeps this k0 and decays slower: no fewer terms
             break
     return min(envelopes, key=lambda env: env.k0 + env.predicted_terms(_RANK_BITS))
@@ -452,77 +457,95 @@ class SumResult:
     attempts: int = 1  # precision attempts of the retry loop, this one included
 
 
-class _TermStream:
-    """Scaled terms ``T_k`` near ``2^P * t_k``, each with its error count.
+def _term_stream(sdef: SeriesDef, weight: _IntegerWeight, p: int):
+    """Yield ``(k, T_k, err_k)``, ``|T_k - 2^P * t_k| <= err_k``, for k = k_start, k_start + 1, ...
 
     The recurrence and the counts are those of the module docstring: ``v``
     and ``e`` carry ``V_k = S_k * base^k``, and the weight is read off the
-    envelope's integer lists at the scale of :meth:`_IntegerWeight.atoms`,
-    each harmonic atom a :class:`_FixedHarmonic` at the stream's P with its
-    count.  One floor and one count, :meth:`_weigh`, serve every term, and
-    :meth:`majorant_term` bounds ``|U(k) * S_k * base^k|`` for the last term
-    from the same ``v`` and ``e``.
+    envelope's integer lists at the scale ``2^s``, each harmonic atom a
+    :class:`_FixedHarmonic` at ``2^s`` with its count.  Every divisor is
+    ``small * 2^shift`` and divides as the module docstring says.  Sent True
+    after a term, the stream yields the majorant's ``(k, M, err)`` at that k,
+    with ``|M - 2^P * U(k) * S_k * base^k| <= err``, by the same floor and
+    count from the same ``v`` and ``e``; the next term follows after it.
     """
-
-    def __init__(self, sdef: SeriesDef, weight: _IntegerWeight, p: int):
-        self.weight, self.p = weight, p
-        self.k = k = sdef.k_start
-        self.base = embed_dyadic(sdef.base_value, p)
-        self.root = math.isqrt(weight.d << 2 * p) if weight.d > 1 else 0
-        self.ratio = sdef.scale_ratio
-        num, den = sdef.scale(k)
-        self.v, self.e = (num << p) // den, 1
-        for _ in range(k):  # times base^k_start
-            self._step(1, 1)
-        self.atoms = weight.atoms(p)
-        self.last = None  # (k, v, e) of the last term
-
-    def _step(self, rn: int, rd: int) -> None:
-        """``V <- V * base * rn/rd`` for ``rd > 0``, floored once, and its count."""
-        bn, bd, eb = self.base
-        v, den = self.v, bd * rd
-        self.v = v * bn * rn // den
-        self.e = ceil_units(0, (self.e * (abs(bn) + eb) + abs(v) * eb) * abs(rn), den) + 1
-
-    def _weigh(
-        self, form: tuple[int, int, int, int, int], v: int, e: int, scaled: bool
-    ) -> tuple[int, int]:
-        """``floor(v * w/den)`` and its count, for :meth:`_IntegerWeight.weight_at`'s form of W.
-
-        The form is first put as ``w/den`` within ``ew/den`` of W, as the
-        module docstring says, ``scaled`` when its den carries the atoms'
-        2^P; then one floor and one count serve every term.
-        """
-        na, nb, den, ea, eb = form
-        if den < 0:
-            na, nb, den = -na, -nb, -den
-        w, ew = na, ea
-        if nb or eb:  # the sqrt(d) part, embedded at 2^P by R
-            p, root = self.p, self.root
-            w, ew = (na << p) + nb * root, abs(nb) + (ea << p) + eb * (root + 1)
-            if scaled:  # floored back to the atoms' 2^P, one unit more
-                w, ew = w >> p, -(-ew >> p) + 1
-            else:
-                den <<= p
-        return v * w // den, ceil_units(0, abs(w) * e + (abs(v) + e) * ew, den) + 1
-
-    def next_term(self) -> tuple[int, int, int]:
-        """``(k, T_k, err_k)`` with ``|T_k - 2^P * t_k| <= err_k``; then steps V to k + 1."""
-        k, v, e = self.k, self.v, self.e
-        self.last = (k, v, e)
-        t, err = self._weigh(self.weight.weight_at(k, self.atoms), v, e, self.atoms[0] > 0)
-        rn, rd = horner(self.ratio[0], k), horner(self.ratio[1], k)
-        if rd < 0:
-            rn, rd = -rn, -rd
-        self._step(rn, rd)
-        self.k = k + 1
-        return k, t, err
-
-    def majorant_term(self) -> int:
-        """An upper bound on ``|U(k) * S_k * base^k| * 2^P`` for the last term's k."""
-        k, v, e = self.last
-        t, err = self._weigh(self.weight.majorant_at(k), v, e, False)
-        return abs(t) + err
+    bn, bd, b_err = embed_dyadic(sdef.base_value, p)
+    b_shift = (bd & -bd).bit_length() - 1
+    b_odd, b_mag = bd >> b_shift, abs(bn) + b_err
+    root = math.isqrt(weight.d << 2 * p) if weight.d > 1 else 0
+    # every list highest degree first, for Horner's rule in the loop
+    sn, sd = (tuple(reversed(x)) for x in sdef.scale_ratio)
+    c = tuple(reversed(weight.c))
+    c_const = c[0] if len(c) == 1 else 0  # c vanishes nowhere: 0 marks a c that varies
+    unit_a = unit_b = ()
+    harmonic = []  # (a, b, stride, offset, stepper) of each harmonic atom
+    s = p if any(atom for *_, atom in weight.terms) else 0
+    for a, b, atom in weight.terms:
+        a, b = tuple(reversed(a)), tuple(reversed(b))
+        if atom is None:
+            unit_a, unit_b = a, b
+        else:
+            harmonic.append((a, b, atom.stride, atom.offset, _FixedHarmonic(atom.order, s)))
+    k_start = sdef.k_start
+    num, den = sdef.scale(k_start)
+    k, v, e, rn, rd = 0, (num << p) // den, 1, 1, 1
+    while True:  # steps by the base alone up to k_start, then weighs and steps by base*r(k)
+        if k >= k_start:
+            # na + nb*sqrt(d) within ea + eb*sqrt(d) of W(k) * c(k) * 2^s
+            na = nb = ea = eb = 0
+            for x in unit_a:
+                na = na * k + x
+            for x in unit_b:
+                nb = nb * k + x
+            na, nb = na << s, nb << s
+            for a, b, stride, offset, h in harmonic:
+                hn, u = h.at(stride * k + offset)
+                x = 0
+                for y in a:
+                    x = x * k + y
+                na, ea = na + x * hn, ea + abs(x) * u
+                if b:
+                    x = 0
+                    for y in b:
+                        x = x * k + y
+                    nb, eb = nb + x * hn, eb + abs(x) * u
+            ck = c_const
+            if not ck:
+                for x in c:
+                    ck = ck * k + x
+            cw, shift = ck, s
+            while True:  # T = floor(v * w / (cw * 2^shift)) and its count
+                if cw < 0:
+                    na, nb, cw = -na, -nb, -cw
+                w, ew = na, ea
+                if nb or eb:  # the sqrt(d) part, embedded at 2^P by R
+                    w, ew = (na << p) + nb * root, abs(nb) + (ea << p) + eb * (root + 1)
+                    if shift:  # floored back to the atoms' 2^P, one unit more
+                        w, ew = w >> p, -(-ew >> p) + 1
+                    else:
+                        shift = p
+                x = abs(w) * e
+                if ew:
+                    x += (abs(v) + e) * ew
+                t, err = (v * w // cw) >> shift, -((-x // cw) >> shift) + 1
+                if (yield k, t, err) is not True:
+                    break
+                # the majorant U(k) = (ua + ub*sqrt(d)) / c: atom-free, at 2^0
+                na, nb, ea, eb, cw, shift = horner(weight.ua, k), horner(weight.ub, k), 0, 0, ck, 0
+            rn = rd = 0
+            for x in sn:
+                rn = rn * k + x
+            for x in sd:
+                rd = rd * k + x
+            if rd < 0:
+                rn, rd = -rn, -rd
+        # V <- V * base * rn/rd, floored once, and its count
+        x = e * b_mag
+        if b_err:
+            x += abs(v) * b_err
+        small = b_odd * rd
+        v, e = (v * (bn * rn) // small) >> b_shift, -((-x * abs(rn) // small) >> b_shift) + 1
+        k += 1
 
 
 def _guard_bits(envelope: Envelope, n: int) -> int:
@@ -556,15 +579,15 @@ def sum_series(
     # x * 2^-p * q/(1 - q) <= 10^-(digits+3) for an integer x >= 0 iff x <= limit
     limit = ((qd - qn) << p) // (qn * 10 ** (digits + 3))
 
-    stream = _TermStream(sdef, envelope.weight, p)
+    stream = _term_stream(sdef, envelope.weight, p)
     s = units = terms = 0
-    while True:
-        k, t, err = stream.next_term()
+    for k, t, err in stream:
         s += t
         units += err
         terms += 1
         if k >= envelope.k0 and abs(t) + err <= limit:
-            bound = stream.majorant_term()
+            _, m, m_err = stream.send(True)
+            bound = abs(m) + m_err
             if bound <= limit:
                 units += ceil_units(0, bound * qn, qd - qn)
                 return SumResult(ApproxReal(s, p, units), terms)

@@ -42,6 +42,7 @@ from typing import Iterable, Optional, Sequence
 __all__ = [
     "QuadElem",
     "embed_dyadic",
+    "embed_surd",
     "sqrt_surd",
     "squarefree_split",
     "Poly",
@@ -283,9 +284,13 @@ def embed_dyadic(beta: QuadElem, bits: int) -> tuple[int, int, int]:
     """
     if beta.is_rational:
         return beta.a.numerator, beta.a.denominator, 0
-    d = beta.d
     c = math.lcm(beta.a.denominator, beta.b.denominator)
-    x, y = int(beta.a * c), int(beta.b * c)
+    return embed_surd(int(beta.a * c), int(beta.b * c), c, beta.d, bits)
+
+
+def embed_surd(x: int, y: int, c: int, d: int, bits: int) -> tuple[int, int, int]:
+    """:func:`embed_dyadic` of ``(x + y*sqrt(d)) / c`` for integers with ``y != 0`` and
+    ``c > 0``, read off those integers as they are."""
     norm = abs(x * x - d * y * y)
     conj = abs(x) + abs(y) * (math.isqrt(d) + 1)
     e = max(0, bits + 3 + c.bit_length() + conj.bit_length() - norm.bit_length())

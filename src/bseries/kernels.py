@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .exactnum import Poly, poly_mul
 
@@ -45,18 +45,20 @@ class KernelFamily:
         return out
 
     @cached_property
+    def ratio_factors(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+        """The linear factors ``u*k + v`` of :attr:`ratio_lists`, over and under, as ``(u, v)``."""
+        num, den = [], []
+        for p, q in self.pairs:
+            num += [(p, i) for i in range(1, p + 1)]
+            den += [(q, i) for i in range(1, q + 1)] + [(p - q, j) for j in range(1, p - q + 1)]
+        return tuple(num), tuple(den)
+
+    @cached_property
     def ratio_lists(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Integer lists (A, B), constant first, with value(k+1)/value(k) = A(k)/B(k)."""
-        num, den = [1], [1]
-        for p, q in self.pairs:
-            r = p - q
-            for i in range(1, p + 1):
-                num = poly_mul(num, [i, p])
-            for i in range(1, q + 1):
-                den = poly_mul(den, [i, q])
-            for j in range(1, r + 1):
-                den = poly_mul(den, [j, r])
-        return tuple(num), tuple(den)
+        return tuple(
+            tuple(reduce(poly_mul, ([v, u] for u, v in side), [1])) for side in self.ratio_factors
+        )
 
     def ratio_polys(self) -> tuple[Poly, Poly]:
         """Polynomials (A, B) with value(k+1)/value(k) = A(k)/B(k): :attr:`ratio_lists` over Q."""

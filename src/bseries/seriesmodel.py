@@ -35,8 +35,12 @@ functions are the point.
 The scale ``S_k = kernel(k)^s / D(k)`` is built here once, in integers:
 :meth:`SeriesDef.scale` gives S_k as a fraction of two integers, and
 :attr:`~SeriesDef.scale_ratio` gives ``S_{k+1}/S_k`` as two integer
-coefficient lists, with :attr:`~SeriesDef.scale_growth` its limit.  The
-evaluator reads the kernel, its position and D through these members only.
+coefficient lists in lowest terms, with :attr:`~SeriesDef.scale_growth` its
+limit.  Kernel ratio and ``D(k)/D(k + 1)`` are both products of
+integer-linear factors, so lowest terms need no polynomial gcd: the factors
+common to both sides cancel as a multiset of primitive pairs, and the
+integer contents by their gcd.  The evaluator reads the kernel, its
+position and D through these members only.
 
 :meth:`SeriesDef.weight_value`, :meth:`~SeriesDef.term_exact` and
 :meth:`~SeriesDef.term_ratio` evaluate in exact ``Fraction``/``QuadElem``
@@ -51,6 +55,8 @@ against.
 from __future__ import annotations
 
 import enum
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -58,7 +64,7 @@ from itertools import zip_longest
 from typing import NamedTuple, Optional, Sequence
 
 from .exactnum import (
-    IntegerSurdPoly, Poly, QuadElem, RatFun, horner, poly_mul, poly_shift, sqrt_surd, surd_mul,
+    IntegerSurdPoly, Poly, QuadElem, RatFun, horner, poly_mul, sqrt_surd, surd_mul,
 )
 from .exprparse import (
     ONE, EvalContext, ExprError, IntegerEval, ast_as_int, eval_ast, eval_quad, lowest_terms,
@@ -582,16 +588,38 @@ class SeriesDef:
 
     @cached_property
     def scale_ratio(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Integer lists ``(num, den)``, constant first, with ``S_{k+1}/S_k = num(k)/den(k)``.
+        """Coprime integer lists ``(num, den)``, constant first: ``S_{k+1}/S_k = num(k)/den(k)``.
 
-        The kernel's ratio lists, swapped for the denominator position, times
-        D(k) over D(k + 1); den vanishes at no integer k >= k_start.
+        Both sides are products of integer-linear factors ``u*k + v`` with u > 0:
+        the kernel's :attr:`~bseries.kernels.KernelFamily.ratio_factors`,
+        swapped for the denominator position, with D(k)'s factors over and
+        D(k + 1)'s under.  Each factor is split into its content ``gcd(u, v)``
+        and a primitive pair, the pairs common to both sides cancel as a
+        multiset, and the two contents are divided by their gcd.  Distinct
+        primitive pairs have distinct roots, and a product of primitive
+        factors is primitive, so num and den share no root and no integer
+        factor.  A cancelled factor vanishes at no integer k >= k_start (a
+        kernel factor has v > 0, and D(k) has no zero there), so the ratio is
+        unchanged at every such k, and den vanishes at none of them.
         """
-        a, b = self.kernel.ratio_lists if self.kernel else ((1,), (1,))
+        num, den = self.kernel.ratio_factors if self.kernel else ((), ())
         if self.kernel_pos is Position.DENOMINATOR:
-            a, b = b, a
-        d = den_list(self.den_factors)
-        return tuple(poly_mul(a, d)), tuple(poly_mul(b, poly_shift(d, 1)))
+            num, den = den, num
+        d = [(u, v) for u, v, e in self.den_factors for _ in range(e)]
+        sides = []
+        for factors in ([*num, *d], [*den, *((u, u + v) for u, v in d)]):
+            content, pairs = 1, Counter()
+            for u, v in factors:
+                g = math.gcd(u, v)
+                content *= g
+                pairs[u // g, v // g] += 1
+            sides.append((content, pairs))
+        (cn, pn), (cd, pd) = sides
+        g, common = math.gcd(cn, cd), pn & pd
+        return tuple(
+            tuple(reduce(poly_mul, ([v, u] for (u, v) in (pairs - common).elements()), [c // g]))
+            for c, pairs in ((cn, pn), (cd, pd))
+        )
 
     @property
     def scale_growth(self) -> Fraction:

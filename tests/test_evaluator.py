@@ -9,6 +9,7 @@ significant digits.
 
 import ast
 import dataclasses
+import hashlib
 import inspect
 import math
 from fractions import Fraction
@@ -29,15 +30,15 @@ from bseries.evaluator import (
     _FixedHarmonic,
     _IntegerWeight,
     _log2_abs,
-    _TermStream,
+    _term_stream,
     certify_envelope,
     evaluate,
     sum_series,
     verify_identity,
 )
-from bseries.exactnum import QuadElem, horner
+from bseries.exactnum import Poly, QuadElem, embed_dyadic, horner, poly_gcd
 from bseries.kernels import kernel_by_tag
-from bseries.precision import attempt_bits
+from bseries.precision import attempt_bits, ceil_units
 from bseries.seriesmodel import (
     HarmonicCache,
     Position,
@@ -136,42 +137,63 @@ STREAM_CASES = [
 ]
 
 
-def _count_bound(k, sdef, weight, v, p, per_floor=0):
-    """A few units per step, scaled by the weight and by |V_k| = |v| / 2^P, plus
+def _count_bound(k, sdef, weight, size, per_floor=0):
+    """A few units per step, scaled by the weight and by ``size = floor(|V_k|)``, plus
     ``per_floor``, the harmonic atoms' floors ``sum_i |coeff_i|_1 * u_i``, times |V_k|."""
     w = QuadElem.of(weight)
     w_bound = int(abs(w.a) + abs(w.b) * (w.d + 1)) + 1
-    return 4 * ((k - sdef.k_start + 2) * w_bound + per_floor) * ((abs(v) >> p) + 1)
+    return 4 * ((k - sdef.k_start + 2) * w_bound + per_floor) * (size + 1)
 
 
-def _per_floor(form, k, atoms):
-    """``ceil(sum_i (|A_i| + |B_i|*sqrt(d)) * u_i / |c|)`` from the integer form at k."""
-    *_, den, ea, eb = form.weight_at(k, atoms)
-    return -(-((ea + eb * (math.isqrt(form.d) + 1)) << atoms[0]) // abs(den))
+def _per_floor(form, k):
+    """``ceil(sum_i (|A_i| + |B_i|*(isqrt(d) + 1)) * u_i / |c|)`` over the harmonic atoms at k,
+    each ``u_i`` the atom's index, from the integer form's lists."""
+    total = sum(
+        (abs(horner(a, k)) + abs(horner(b, k)) * (math.isqrt(form.d) + 1)) * atom.index_at(k)
+        for a, b, atom in form.terms
+        if atom is not None
+    )
+    return -(-total // abs(horner(form.c, k)))
+
+
+def _floor_abs(x):
+    """floor(|x|) of a QuadElem, exactly."""
+    x = abs(x)
+    bn, bd, _ = embed_dyadic(x, 8)
+    n = bn // bd
+    while (x - n).sign() < 0:
+        n -= 1
+    while (x - (n + 1)).sign() >= 0:
+        n += 1
+    return n
 
 
 def _check_stream(sdef, terms, p=300):
-    """Exact checks of each scaled term T_k ~ 2^P t_k and its count err_k, by QuadElem signs."""
+    """Exact checks of each scaled term T_k ~ 2^P t_k and its count err_k, by QuadElem signs,
+    and of the majorant's term the stream yields when sent True after it."""
     form = _IntegerWeight(sdef)
-    stream = _TermStream(sdef, form, p)
+    stream = _term_stream(sdef, form, p)
     harm = HarmonicCache() if sdef.has_harmonic() else None
-    atoms = form.atoms(p)
+    unit = dataclasses.replace(sdef, weight=parse_weight("1"))
     for _ in range(terms):
-        k, t, err = stream.next_term()
+        k, t, err = next(stream)
         exact = sdef.term_exact(k, harm) * (1 << p)
         # |T_k - 2^P t_k| <= err_k
         assert (exact - (t - err)).sign() >= 0 and ((t + err) - exact).sign() >= 0, (sdef, k)
         # the count stays small
-        v = stream.last[1]
-        bound = _count_bound(k, sdef, sdef.weight_value(k, harm), v, p, _per_floor(form, k, atoms))
+        v = unit.term_exact(k)  # V_k = S_k * base^k
+        size = _floor_abs(v)
+        bound = _count_bound(k, sdef, sdef.weight_value(k, harm), size, _per_floor(form, k))
         assert err <= bound, (sdef, k, err)
         if not exact and not sdef.has_harmonic():
             assert t == 0, (sdef, k)
-        m = stream.majorant_term()
-        ref = abs(majorant_term(sdef, form, k) * (1 << p))
+        k_m, m, m_err = stream.send(True)
+        assert k_m == k
+        m = abs(m) + m_err
+        ref = abs(u_value(form, k) * v * (1 << p))
         # an upper bound on |U(k) S_k base^k| * 2^P, and a tight one
         assert (m - ref).sign() >= 0, (sdef, k)
-        slack = 2 * _count_bound(k, sdef, u_value(form, k), v, p)
+        slack = 2 * _count_bound(k, sdef, u_value(form, k), size)
         assert (ref + slack - m).sign() >= 0, (sdef, k)
 
 
@@ -362,6 +384,31 @@ def test_scale_is_the_kernel_over_d():
                 assert horner(num, k) * scales[k] == horner(den, k) * scales[k + 1], (sdef, k)
 
 
+def test_scale_ratio_is_in_lowest_terms():
+    # num and den share no root (a constant gcd) and no integer factor, in both kernel positions
+    for series in [rec.series for rec in shipped_series()] + STREAM_CASES:
+        for pos in Position:
+            sdef = dataclasses.replace(series, kernel_pos=pos)
+            num, den = sdef.scale_ratio
+            assert poly_gcd(Poly(map(Fraction, num)), Poly(map(Fraction, den))).degree() == 0, sdef
+            assert math.gcd(*num, *den) == 1, sdef
+    # thm1.1-pi: (3k+1)(3k+2)(k+1) / (8(2k+3)(6k+7)(6k+11)), of degree 3 over 3
+    sdef = load_catalog(resolve_catalog_path()).lookup("thm1.1-pi").series
+    assert sdef.scale_ratio == ((2, 11, 18, 9), (1848, 3824, 2592, 576))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=-(2**600), max_value=2**600),
+    st.integers(min_value=1, max_value=2**80),
+    st.integers(min_value=0, max_value=700),
+)
+def test_divisor_splits_into_a_shift(x, a, shift):
+    # floor(floor(x/a) / 2^E) = floor(x / (a*2^E)), and so for ceil
+    assert (x // a) >> shift == x // (a << shift)
+    assert -((-x // a) >> shift) == ceil_units(0, x, a << shift)
+
+
 def test_envelope_rejects_unit_ratio():
     with pytest.raises(NonConvergent):
         certify_envelope(mk("-1/64", weight="4*k + 1", kernel="central^3", pos="num"))
@@ -412,20 +459,28 @@ def test_majorant_of_an_atom_free_series_is_the_series():
 
 
 def test_integer_form_is_the_weight():
-    # |na + nb*sqrt(d) - W(k)*den| <= ea + eb*sqrt(d), den = c(k) * 2^s; exact without atoms
+    # With base 1 and S_k = 1, v = 2^P exactly and e = 1 + k (one unit a step
+    # from k = 0, the base's steps up to k_start included), so the
+    # stream weighs W(k) alone: |T_k - 2^P W(k)| <= err_k.  Without atoms or
+    # sqrt(d) the form is W itself: T_k = floor(2^P W(k)), err_k = ceil(|W(k)| e) + 1.
     for p in (16, 300):
-        for sdef in [rec.series for rec in shipped_series()] + STREAM_CASES:
+        for series in [rec.series for rec in shipped_series()] + STREAM_CASES:
+            sdef = dataclasses.replace(
+                series, base_root=QuadElem(1), base_exp=1, kernel=None, den_factors=()
+            )
             form, harm = _IntegerWeight(sdef), HarmonicCache()
-            atoms = form.atoms(p)
-            assert atoms[0] == (p if sdef.has_harmonic() else 0)
-            for k in range(sdef.k_start, sdef.k_start + 30):
-                na, nb, den, ea, eb = form.weight_at(k, atoms)
-                assert den == horner(form.c, k) << atoms[0], (sdef, k)
-                gap = QuadElem(na, nb, form.d) - QuadElem.of(sdef.weight_value(k, harm)) * den
-                count = QuadElem(ea, eb, form.d)
-                assert (count - gap).sign() >= 0 and (count + gap).sign() >= 0, (sdef, k)
-                if not sdef.has_harmonic():
-                    assert (ea, eb) == (0, 0) and not gap, (sdef, k)
+            stream = _term_stream(sdef, form, p)
+            for _ in range(30):
+                k, t, err = next(stream)
+                w = QuadElem.of(sdef.weight_value(k, harm))
+                exact = w * (1 << p)
+                assert (exact - (t - err)).sign() >= 0 and ((t + err) - exact).sign() >= 0
+                if sdef.field_d == 1 and not sdef.has_harmonic():
+                    e = 1 + k
+                    assert t == math.floor(exact.a), (sdef, k)
+                    assert err == math.ceil(abs(w.a) * e) + 1, (sdef, k)
+                else:
+                    assert err <= _count_bound(k, sdef, w, 1, _per_floor(form, k)), (sdef, k)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -501,6 +556,38 @@ def test_kernel_numerator_reference():
     lo, hi = res.ball.to_fraction_bounds()
     ref = Fraction(REF_BIN3K_NUM)
     assert lo - Fraction(1, 10**58) <= ref <= hi + Fraction(1, 10**58)
+
+
+def sum_pin_rows():
+    """(id, digits, P, terms, attempts, 16-hex sha256 of "S,units") of the sum at digits + 5
+    of every shipped series identity with an envelope, at 30 and 300 digits."""
+    rows = []
+    for rec in shipped_series():
+        try:
+            env = certify_envelope(rec.series)
+        except NonConvergent:
+            continue
+        for digits in (30, 300):
+            res = evaluator._sum_to_digits(rec.series, digits + 5, env)
+            ball = res.ball
+            digest = hashlib.sha256(f"{ball.s},{ball.units}".encode()).hexdigest()[:16]
+            pin = (rec.id, digits, ball.p, res.terms_used, res.attempts, digest)
+            rows.append([str(x) for x in pin])
+    return rows
+
+
+def test_every_shipped_ball_is_pinned():
+    r"""Every shipped series' ball, bit for bit, as ``sum_pins.tsv`` records it.
+
+    A change that is meant to move the balls regenerates the rows below the
+    file's comment line, from the repository's root, with
+
+        PYTHONPATH=src:tests python -c 'import test_evaluator as t; [print(*r, sep="\t") for r in t.sum_pin_rows()]'
+    """
+    pins = (Path(__file__).parent / "sum_pins.tsv").read_text().splitlines()
+    rows = [line.split("\t") for line in pins if not line.startswith("#")]
+    assert len(rows) == 186
+    assert sum_pin_rows() == rows
 
 
 def test_budget_raises():
