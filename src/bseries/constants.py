@@ -7,7 +7,9 @@ Every constant here has one representation: an integer ``S``, a unit
 * ``S`` is the sum of ``floor(2^P * t_j)`` over the constant's exact terms
   ``t_j``, each term a ratio of integers (its coefficient included) and
   floored once, so each is off by less than one unit.  No ``Fraction`` is
-  summed and no gcd is taken.
+  summed and no gcd is taken.  The Euler-Maclaurin corrections below are
+  the one exception: each is floored from fixed-point values whose error
+  is bounded and counted with it.
 * ``units`` counts one unit per floored term, plus the series tail bound
   rounded up to whole units.  Summation stops at the first term after
   which the tail bound is at most one unit.
@@ -23,16 +25,50 @@ The series:
 * ``log``: binary reduction to ``2*atanh(y)`` with ``|y| <= 1/5``.
 * ``zeta(3)``: the central-binomial acceleration
   ``(5/2) * sum (-1)^(k-1) / (k^3 C(2k,k))`` (alternating, ratio -> 1/4).
-* ``zeta(2, a)`` for rational ``0 < a <= 1``: a head of ``(n+a)^-2`` terms
-  and Euler–Maclaurin corrections, with the Bernoulli-number remainder
-  bound ``4 |B_{2j+2}| x^(-2j-3)`` as the tail.  The Bernoulli numbers are
-  exact, ``B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))`` from the integer
-  tangent numbers ``T_k`` (Brent & Harvey, *Fast computation of Bernoulli,
-  tangent and secant numbers*, 2013, arXiv:1108.0286), whose table is
-  rebuilt at least twice as long whenever a correction needs more.
-* ``L_d(2)``: the finite Kronecker-character combination
-  ``|d|^(-2) * sum_{a=1}^{|d|} (d|a) zeta(2, a/|d|)``, every residue's terms
-  scaled by ``(d|a)/|d|^2`` and floored into one ``S``.
+* ``zeta(2, a)`` for rational ``0 < a <= 1`` and ``L_d(2)`` for a
+  discriminant d: one Euler-Maclaurin pass, :func:`_hurwitz_sum`, for
+  ``(sn/sd) * sum_a c_a zeta(2, a/q)`` over residues ``0 < a <= q`` with
+  integer ``c_a``.  ``zeta(2, e/r)`` is its one-residue case (q = r, c = 1,
+  scale 1); ``L_d(2)`` is the Kronecker-character combination
+  ``|d|^(-2) * sum_{a=1}^{|d|} (d|a) zeta(2, a/|d|)`` (q = |d|, c_a = (d|a),
+  scale 1/q^2).  With ``n = sum |c_a|``, ``N = max(8, p // 3)`` and
+  ``u_a = N q + a``:
+
+  - *Head and end terms.*  Each residue's N terms ``(k q + a)^-2`` and the
+    two end terms ``q/u_a`` and ``q^2/(2 u_a^2)``, scaled, are floored one
+    by one: one unit each.
+  - *Corrections.*  At ``x = u_a/q`` Euler-Maclaurin adds
+    ``B_2j (q/u_a)^(2j+1)`` for ``j >= 1``.  With ``W = p + g``, each
+    residue carries ``X_a = floor(2^W (q/u_a)^3)`` and steps
+    ``X_a <- floor(X_a q^2 / u_a^2)``, one division by a small integer.  If
+    ``e = x - X >= 0`` for ``x = 2^W (q/u_a)^(2j+1)``, the step leaves
+    ``e (q/u_a)^2`` plus the floor's part of a unit, so ``0 <= e < j`` at
+    order j.  The order's term is ``floor(sn B_2j T_j / sd) >> g``, one
+    product and one division for all residues, with ``T_j = sum_a c_a X_a``
+    off the exact ``sum_a c_a x_a`` by less than ``n j``.  It is off
+    ``2^p`` times the exact correction by less than
+    ``|sn B_2j| n j / (sd 2^g)`` from the X's plus one unit from the floor,
+    so it counts ``ceil(|sn B_2j| n j / (sd 2^g)) + 1`` units.
+  - *Guard.*  g is sized from the largest ``|B_2j|`` up to the last order
+    predicted, so each order counts at most 2 units; the count is exact
+    whatever g is, and g only sets how many units the ball carries.
+  - *Tail.*  ``f(t) = t^-2`` is completely monotone: every even derivative
+    is positive.  After order j the remainder is
+    ``R_j = int_0^inf (B_{2j+2} - B~_{2j+2}(t)) f^(2j+2)(x + t) dt / (2j+2)!``,
+    with ``B~`` the periodic Bernoulli function; ``B~_{2k}(t) - B_{2k}``
+    keeps one sign, which alternates with k.  So ``R_j`` and ``R_{j+1}``
+    have opposite signs, and their difference is the order-(j+1)
+    correction: ``|R_j| <= |B_{2j+2}| x^(-2j-3)``.  Over the residues this
+    is at most ``|sn B_{2j+2}| n (q/u_min)^(2j+3) / sd``, with
+    ``(q/u_min)^(2j+3) < (X_min + j) q^2 / (2^W u_min^2)``; the tail counts
+    4 times that, rounded up to units.  The pass stops at the first order
+    whose tail is at most one unit.
+  - *Bernoulli numbers.*  Exact, ``B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))``
+    from the integer tangent numbers ``T_k`` (Brent & Harvey, *Fast
+    computation of Bernoulli, tangent and secant numbers*, 2013,
+    arXiv:1108.0286).  The table is grown once, to the last order
+    :func:`_last_correction` predicts for the combined tail, and at least
+    doubled if a pass outruns it.
 
 No library transcendental functions are consulted, so these values form an
 independent route against which series evaluations can honestly be tested.
@@ -214,64 +250,83 @@ def bernoulli_numbers(n: int) -> list[Fraction]:
     return _bernoulli[: n + 1]
 
 
-def _last_correction(c: float, x: float, p: int, j: int, limit: int) -> int:
-    """The first i in j..limit with ``4|c| * b * x^(-2i-3) <= 2^-p``, else j; in floats.
+def _last_correction(c: float, x: float, p: int, limit: int) -> int:
+    """The first i in 1..limit with ``4|c| * b * x^(-2i-3) <= 2^-p``, else 1; in floats.
 
     ``b`` bounds ``|B_{2i+2}|`` from above: ``|B_2k| = 2 (2k)! zeta(2k) /
-    (2 pi)^(2k) < 4 (2k)! / (2 pi)^(2k)``.  So :func:`_hurwitz2`'s tail is at
-    most ``2^-p`` at this i too, and its loop stops here or before.
+    (2 pi)^(2k) < 4 (2k)! / (2 pi)^(2k)``.  So :func:`_hurwitz_sum`'s tail is
+    at most ``2^-p`` at this i too, and its loop stops here or before.
     """
     log2_c, log2_x = math.log2(4 * abs(c)), math.log2(x)
-    for i in range(j, limit + 1):
+    for i in range(1, limit + 1):
         k = 2 * i + 2
         log2_b = 2 + math.lgamma(k + 1) / math.log(2) - k * math.log2(2 * math.pi)
         if log2_c + log2_b - (k + 1) * log2_x <= -p:
             return i
-    return j
+    return 1
 
 
-def _hurwitz2(a: Fraction, cn: int, cd: int, p: int) -> tuple[int, int]:
-    """(S, units) for (cn/cd) * zeta(2, a) = (cn/cd) * sum_{n>=0} (n+a)^-2, by Euler-Maclaurin.
+def _guard(sn: int, sd: int, n: int, last: int) -> int:
+    """Guard bits g with ``|sn * B_2j| * n * last < sd * 2^g`` for j = 1 .. last.
 
-    With a = e/r the head terms are r^2/(n*r + e)^2, and at x = N + a = u/r
-    the corrections are r/u + r^2/(2u^2) + sum_j B_2j r^(2j+1)/u^(2j+1).
-    After the j-th correction the remainder is within |B_{2j+2}| x^(-2j-3),
-    the magnitude of the next correction; the tail keeps a 4x cushion.  A
-    table too short for the last correction :func:`_last_correction`
-    predicts is grown once to it, and at least doubled if the prediction
-    falls short.
+    Read from the Bernoulli table, which must hold B_2last.  Each of the
+    first ``last`` orders of :func:`_hurwitz_sum` then counts at most 2 units.
     """
-    e, r = a.numerator, a.denominator
+    bern = _bernoulli[2 : 2 * last + 1 : 2]
+    size = max(b.numerator.bit_length() - b.denominator.bit_length() for b in bern)
+    return max(0, size + (abs(sn) * n * last).bit_length() - sd.bit_length() + 2)
+
+
+def _hurwitz_sum(q: int, residues: list, sn: int, sd: int, p: int) -> tuple[int, int]:
+    """(S, units) for ``(sn/sd) * sum c_a zeta(2, a/q)`` over pairs ``(a, c_a)``, 0 < a <= q.
+
+    One Euler-Maclaurin pass, as the module docstring says: each residue's
+    head and end terms, then the corrections of all residues at once in
+    fixed point, with one tail at the smallest ``u_a``.  ``sd > 0``.
+    """
     n_terms = max(8, p // 3)
-    s = 0
-    for n in range(n_terms):
-        s += (cn * r * r << p) // (cd * (n * r + e) ** 2)
-    u = n_terms * r + e
-    s += (cn * r << p) // (cd * u) + (cn * r * r << p) // (2 * cd * u * u)
-    reach = max(1, (len(_bernoulli) - 3) // 2)  # the last correction the table serves
-    _grow_bernoulli(2 * _last_correction(cn / cd, u / r, p, reach, 4 * n_terms) + 2)
-    rpow, upow = r**3, u**3  # r^(2j+1), u^(2j+1) at j = 1
+    h = Fraction(sn * q * q, sd)  # (sn/sd) * q^2, in lowest terms
+    hn, hd = h.numerator, h.denominator
+    s, us = 0, []
+    for a, c in residues:
+        num, u = c * hn << p, n_terms * q + a
+        s += sum(num // (hd * v * v) for v in range(a, u, q))
+        s += num // (hd * q * u) + num // (2 * hd * u * u)
+        us.append(u)
+    units = len(residues) * (n_terms + 2)
+    n, u_min = sum(abs(c) for _, c in residues), min(us)
+    last = _last_correction(n * sn / sd, u_min / q, p, 4 * n_terms)
+    _grow_bernoulli(2 * last + 2)
+    g = _guard(sn, sd, n, last)
+    w, q2, i_min = p + g, q * q, us.index(u_min)
+    cs, u2s = [c for _, c in residues], [u * u for u in us]
+    xs = [(q * q2 << w) // (u * u2) for u, u2 in zip(us, u2s)]  # X_a at j = 1
     j = 1
     while True:
         if len(_bernoulli) <= 2 * j + 2:
             _grow_bernoulli(2 * len(_bernoulli))
         b = _bernoulli[2 * j]
-        s += (cn * b.numerator * rpow << p) // (cd * b.denominator * upow)
-        rpow, upow = rpow * r * r, upow * u * u
+        bn, bd = sn * b.numerator, sd * b.denominator
+        s += bn * sum(c * x for c, x in zip(cs, xs)) // bd >> g
+        units += -(-abs(bn) * n * j // bd >> g) + 1
         b = _bernoulli[2 * j + 2]
-        tail = ceil_units(p, 4 * abs(cn * b.numerator) * rpow, cd * b.denominator * upow)
+        m = 4 * abs(sn * b.numerator) * n * (xs[i_min] + j) * q2
+        tail = -((-m >> g) // (sd * b.denominator * u2s[i_min]))
         if tail <= 1:
-            return s, n_terms + 2 + j + tail
+            return s, units + tail
         j += 1
         if j > 4 * n_terms:  # cannot happen for sane inputs; refuse to spin
             raise RuntimeError("Euler-Maclaurin failed to converge")
+        xs = [x * q2 // u2 for x, u2 in zip(xs, u2s)]
 
 
 def hurwitz_zeta2_ball(a: Fraction, digits: int) -> ApproxReal:
     a = Fraction(a)
     if not 0 < a <= 1:
         raise ValueError("need 0 < a <= 1")
-    return _cached(("hurwitz2", a), digits, lambda p: _hurwitz2(a, 1, 1, p))
+    return _cached(
+        ("hurwitz2", a), digits, lambda p: _hurwitz_sum(a.denominator, [(a.numerator, 1)], 1, 1, p)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -323,8 +378,8 @@ def normalize_discriminant(c: int) -> int:
 
 def _l_value(d: int, p: int) -> tuple[int, int]:
     q = abs(d)
-    chis = [(a, kronecker(d, a)) for a in range(1, q + 1)]
-    return _add(*(_hurwitz2(Fraction(a, q), chi, q * q, p) for a, chi in chis if chi))
+    chis = [(a, chi) for a in range(1, q + 1) if (chi := kronecker(d, a))]
+    return _hurwitz_sum(q, chis, 1, q * q, p)
 
 
 def l_value_ball(d: int, digits: int) -> ApproxReal:

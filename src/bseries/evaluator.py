@@ -45,7 +45,10 @@ those integers, and G by its square, so k0 depends on the weight alone.
 Each factor is an :class:`~bseries.exactnum.IntegerSurdPoly` with no real
 root beyond its coefficient-dominance bound; the sign of G at an integer,
 the product of the factors' exact signs, is checked from the larger bound
-down to K, which gives ``k0``.  ``L >= 1`` raises :class:`NonConvergent`.
+down to K, which gives ``k0``.  Where both factors, shifted to K, have
+coefficients of one sign each and G is positive beyond K, Descartes' rule
+leaves no root to find and k0 is K without the walk.  ``L >= 1`` raises
+:class:`NonConvergent`.
 A q near L keeps the tail factor ``q/(1 - q)`` small but can push k0 far
 out, so q is chosen per series: each of ``L*65/64``, ``L*9/8``, ``L*3/2``
 and ``(1 + L)/2`` below 1 is certified, and the one with the fewest
@@ -178,7 +181,7 @@ import mpmath
 from .closedform import ClosedForm
 from .exactnum import (
     IntegerSurdPoly, QuadElem, embed_dyadic, embed_surd, horner, poly_add, poly_mul, poly_shift,
-    surd_mul,
+    surd_mul, surd_sign,
 )
 from .precision import (
     DIGITS_INF,
@@ -398,6 +401,8 @@ def _certify_q(weight: _IntegerWeight, num: tuple, den: tuple, q: Fraction) -> i
         return factors[0].sign_at(k) * factors[1].sign_at(k)
 
     k_min = weight.start
+    if factors[0].sign_beyond(k_min) * factors[1].sign_beyond(k_min) > 0:
+        return k_min  # G >= 0 at k_min and G > 0 beyond it: no walk
     k_star = max(f.root_bound(start=k_min) for f in factors)
     if sign_g(k_star) < 0:
         raise NonConvergent("envelope is negative beyond its root bound")
@@ -415,21 +420,22 @@ def certify_envelope(sdef: SeriesDef) -> Envelope:
     q is the candidate of the module docstring with the fewest predicted
     terms, the smallest q on a tie.
     """
-    g = sdef.scale_growth
-    limit = abs(sdef.base_value) * g
-    if limit >= 1:
-        raise NonConvergent(f"limiting term ratio |base|*growth = {limit} is >= 1")
+    beta, g = sdef.base_value, sdef.scale_growth
+    gn, gd = g.numerator, g.denominator
+    c = math.lcm(beta.a.denominator, beta.b.denominator)
+    x = beta.a.numerator * (c // beta.a.denominator)  # beta = (x + y*sqrt(d)) / c
+    y = beta.b.numerator * (c // beta.b.denominator)
+    s = surd_sign(x, y, beta.d)
+    if surd_sign(s * x * gn - c * gd, s * y * gn, beta.d) >= 0:  # |beta| * g >= 1
+        raise NonConvergent(f"limiting term ratio |base|*growth = {abs(beta) * g} is >= 1")
 
-    def dyadic_up(x: Fraction, bits: int = 24) -> Fraction:
-        # Round up to a small-denominator dyadic: keeps every downstream
-        # coefficient of G small.
-        return Fraction(math.ceil(x * (1 << bits)), 1 << bits)
-
-    bn, bd, eb = embed_dyadic(sdef.base_value, 192)
-    l_hi = Fraction(abs(bn) + eb, bd) * g
-    candidates = [l_hi * f for f in (Fraction(65, 64), Fraction(9, 8), Fraction(3, 2))]
-    candidates.append((l_hi + 1) / 2)
-    qs = sorted({q for q in map(dyadic_up, candidates) if q < 1})
+    # l_hi = n/m >= |beta| * g; each candidate is rounded up to a dyadic of
+    # 24 bits, which keeps every downstream coefficient of G small
+    bn, bd, eb = embed_dyadic(beta, 192)
+    n, m = (abs(bn) + eb) * gn, bd * gd
+    candidates = [(65 * n, 64 * m), (9 * n, 8 * m), (3 * n, 2 * m), (n + m, 2 * m)]
+    tops = sorted({-((-a << 24) // b) for a, b in candidates})
+    qs = [Fraction(top, 1 << 24) for top in tops if top < 1 << 24]
     if not qs:
         raise NonConvergent("cannot select a geometric bound below 1")
     weight = _IntegerWeight(sdef)

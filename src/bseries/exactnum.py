@@ -55,6 +55,7 @@ __all__ = [
     "poly_mul",
     "poly_shift",
     "surd_mul",
+    "surd_sign",
 ]
 
 
@@ -222,7 +223,7 @@ class QuadElem:
 
     def sign(self) -> int:
         """Exact sign of the real embedding with sqrt(d) > 0."""
-        return _surd_sign(self.a, self.b, self.d)
+        return surd_sign(self.a, self.b, self.d)
 
     def __abs__(self):
         return self if self.sign() >= 0 else -self
@@ -550,7 +551,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 # exact signs and a positive-root bound at integer points
 
 
-def _surd_sign(a, b, d: int) -> int:
+def surd_sign(a, b, d: int) -> int:
     """Exact sign of ``a + b*sqrt(d)`` for rational a, b (sqrt(d) irrational if b != 0)."""
     sa = (a > 0) - (a < 0)
     sb = (b > 0) - (b < 0)
@@ -607,7 +608,22 @@ class IntegerSurdPoly:
     def sign_at(self, k: int) -> int:
         """Exact sign of the polynomial at the integer k."""
         b = horner(self.b, k) if self.d > 1 else 0
-        return _surd_sign(horner(self.a, k), b, self.d)
+        return surd_sign(horner(self.a, k), b, self.d)
+
+    def sign_beyond(self, start: int) -> int:
+        """The polynomial's sign on ``(start, +inf)`` when the coefficients of
+        ``p(x + start)`` have no sign change, else 0.
+
+        With no sign change every nonzero term of ``p(x + start)`` has one
+        sign s, so ``p`` takes the sign s at every ``x > start`` (Descartes'
+        rule with no root), and ``p(start)`` is s or 0.
+        """
+        a, b = self.a, self.b
+        if start:
+            a = poly_shift(a, start)
+            b = poly_shift(b, start) if self.d > 1 else b
+        signs = {surd_sign(x, y, self.d) for x, y in zip(a, b)} - {0}
+        return signs.pop() if len(signs) == 1 else 0
 
     def integer_root(self, start: int = 0) -> Optional[int]:
         """Smallest integer ``k >= start`` at which the polynomial vanishes, or None."""
@@ -622,7 +638,12 @@ class IntegerSurdPoly:
         1024 times every width: a cancelling coefficient such as
         ``x - y*sqrt(d)`` with huge x, y then gains at most |lead|/1024 in
         its bound, where ``|x| + |y|*sqrt(d)`` would swamp the leading term.
+        When d = 1 the coefficients are exact integers and are read as they
+        are, unscaled: the embedding would only scale them all by 2**bits,
+        so :meth:`root_bound` finds the same K.
         """
+        if self.d == 1:
+            return abs(self.a[-1] + self.b[-1]), [abs(x + y) for x, y in zip(self.a[:-1], self.b)]
         width = max(abs(y) for y in self.b)
         bits = 64
         while True:

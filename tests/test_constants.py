@@ -217,23 +217,25 @@ def test_bernoulli_cache_grown_in_steps_is_the_same_list(cold_bernoulli):
 
 
 def test_hurwitz_builds_logarithmically_many_tangent_tables(cold_bernoulli):
-    # _hurwitz2 asks for one more Bernoulli number per correction; its units
-    # count the head, two end terms, the corrections and a tail of one unit at most
-    s, units = constants._hurwitz2(Fraction(1, 3), 1, 1, 3400)
-    corrections = units - max(8, 3400 // 3) - 2
-    assert corrections > 300
-    assert len(cold_bernoulli) <= corrections.bit_length() + 1, cold_bernoulli
+    # the pass reads B_2 .. B_{2J+2} for its J orders; the table is grown to
+    # the predicted last order, and at least doubled if the pass outruns it
+    constants._hurwitz_sum(3, [(1, 1)], 1, 1, 3400)
+    builds = list(cold_bernoulli)
+    orders = len(_fixed_point_pass(3, [(1, 1)], 1, 1, 3400)[2])
+    assert orders > 300
+    assert len(builds) <= orders.bit_length() + 1, builds
 
 
 def test_l_value_builds_the_bernoulli_table_once_to_its_last_correction(
     cold_bernoulli, monkeypatch
 ):
-    # At 1000 digits the corrections of L(-111) read up to B_702.  The table
-    # is built once, to the last correction predicted for the first residue;
-    # doubling from one more number at a time would have built it to B_1024.
+    # At 1000 digits the corrections of L(-111) read up to B_704.  The table
+    # is built once, to the last order predicted for the combined tail of
+    # all 72 residues; doubling from one more number at a time would have
+    # built it to B_1024.
     monkeypatch.setattr(constants, "_cache", {})
     l_value_ball(-111, 1000)
-    assert 702 <= len(constants._bernoulli) - 1 <= 710
+    assert 704 <= len(constants._bernoulli) - 1 <= 710
     assert len(cold_bernoulli) == 1, cold_bernoulli
 
 
@@ -326,6 +328,57 @@ def test_l_value_balls_are_pinned(monkeypatch):
         ball = l_value_ball(int(d), 300)
         got = [str(ball.p), str(ball.units), hashlib.sha256(str(ball.s).encode()).hexdigest()]
         assert got == [p, units, digest], d
+
+
+def _per_residue_hurwitz2(a: Fraction, cn: int, cd: int, p: int) -> tuple[int, int]:
+    """(S, units) for ``(cn/cd) * zeta(2, a)`` by Euler-Maclaurin, every term an exact floor.
+
+    The route the one-pass routine replaced, kept as a reference: each
+    correction ``B_2j r^(2j+1) / u^(2j+1)`` and its tail are divisions of
+    exact integers, one residue at a time.
+    """
+    e, r = a.numerator, a.denominator
+    n_terms = max(8, p // 3)
+    s = sum((cn * r * r << p) // (cd * (n * r + e) ** 2) for n in range(n_terms))
+    u = n_terms * r + e
+    s += (cn * r << p) // (cd * u) + (cn * r * r << p) // (2 * cd * u * u)
+    bernoulli_numbers(2 * constants._last_correction(cn / cd, u / r, p, 4 * n_terms) + 2)
+    rpow, upow = r**3, u**3  # r^(2j+1), u^(2j+1) at j = 1
+    j = 1
+    while True:
+        bern = bernoulli_numbers(2 * j + 2)
+        b = bern[2 * j]
+        s += (cn * b.numerator * rpow << p) // (cd * b.denominator * upow)
+        rpow, upow = rpow * r * r, upow * u * u
+        b = bern[2 * j + 2]
+        tail = ceil_units(p, 4 * abs(cn * b.numerator) * rpow, cd * b.denominator * upow)
+        if tail <= 1:
+            return s, n_terms + 2 + j + tail
+        j += 1
+
+
+def _per_residue_l_value(d: int, p: int) -> tuple[int, int]:
+    q = abs(d)
+    chis = [(a, chi) for a in range(1, q + 1) if (chi := kronecker(d, a))]
+    parts = [_per_residue_hurwitz2(Fraction(a, q), chi, q * q, p) for a, chi in chis]
+    return sum(s for s, _ in parts), sum(u for _, u in parts)
+
+
+CATALOG_DISCRIMINANTS = (-3, -4, -8, -11, -15, -24, -39, -68, -87, -111)
+
+
+@pytest.mark.parametrize(
+    "digits, discriminants",
+    [(30, CATALOG_DISCRIMINANTS), (300, CATALOG_DISCRIMINANTS), (1000, (-3, -111))],
+)
+def test_l_value_ball_overlaps_the_per_residue_route(monkeypatch, digits, discriminants):
+    monkeypatch.setattr(constants, "_cache", {})
+    p = digits_to_bits(digits + 2)
+    for d in discriminants:
+        ball = l_value_ball(d, digits)
+        s, units = _per_residue_l_value(d, p)
+        assert ball.p == p
+        assert abs(ball.s - s) <= ball.units + units, d
 
 
 def test_l_value_against_hurwitz_route():
@@ -434,29 +487,74 @@ def test_zeta3_tail_covers_the_remainder(monkeypatch, p):
     _check_count(terms, n, s, units, tail, p, lambda: mpmath.zeta(3))
 
 
+def _fixed_point_pass(q: int, residues: list, sn: int, sd: int, p: int):
+    """What ``constants._hurwitz_sum`` floors, counts and bounds, recomputed in Fractions.
+
+    Returns the exact head and end terms with their floors, one
+    ``(floor, count, exact)`` triple per correction order, and the last
+    tail, each as the ``constants`` module docstring defines it.
+    """
+    scale, big_n = Fraction(sn, sd), max(8, p // 3)
+    us = [big_n * q + a for a, _ in residues]
+    terms = []
+    for (a, c), u in zip(residues, us):
+        terms += [scale * c * Fraction(q * q, (k * q + a) ** 2) for k in range(big_n)]
+        terms += [scale * c * Fraction(q, u), scale * c * Fraction(q * q, 2 * u * u)]
+    floors = [math.floor(t * 2**p) for t in terms]
+    n, u_min = sum(abs(c) for _, c in residues), min(us)
+    last = constants._last_correction(float(n * scale), u_min / q, p, 4 * big_n)
+    bernoulli_numbers(2 * last + 2)
+    g = constants._guard(sn, sd, n, last)
+    xs = [math.floor(Fraction(q, u) ** 3 * 2 ** (p + g)) for u in us]
+    corrections = []
+    for j in itertools.count(1):
+        bern = bernoulli_numbers(2 * j + 2)
+        factor = scale * bern[2 * j]
+        exact = factor * sum(c * Fraction(q, u) ** (2 * j + 1) for (_, c), u in zip(residues, us))
+        fixed = sum(c * x for (_, c), x in zip(residues, xs))
+        count = math.ceil(abs(factor) * n * j / 2**g) + 1
+        corrections.append((math.floor(factor * fixed / 2**g), count, exact))
+        x_min = xs[us.index(u_min)]
+        bound = 4 * abs(scale * bern[2 * j + 2]) * n * (x_min + j) * Fraction(q, u_min) ** 2
+        tail = math.ceil(bound / 2**g)
+        if tail <= 1:
+            return terms, floors, corrections, tail
+        xs = [math.floor(x * Fraction(q, u) ** 2) for x, u in zip(xs, us)]
+
+
+def _l_value_case(d: int) -> tuple:
+    q = abs(d)
+    return q, [(a, chi) for a in range(1, q + 1) if (chi := kronecker(d, a))], 1, q * q
+
+
+# zeta(2, a) * scale for one residue, with the ids pytest gives an (a, scale) pair, and three L_d(2)
+_ONE_RESIDUE = [
+    (Fraction(1), Fraction(1)),
+    (Fraction(1, 2), Fraction(1)),
+    (Fraction(1, 4), Fraction(1)),
+    (Fraction(3, 7), Fraction(-1, 49)),
+    (Fraction(10, 11), Fraction(1, 121)),
+    (Fraction(5, 24), Fraction(-1, 576)),
+]
+_PASSES = [
+    pytest.param(
+        a.denominator, [(a.numerator, 1)], scale.numerator, scale.denominator, id=f"a{i}-scale{i}"
+    )
+    for i, (a, scale) in enumerate(_ONE_RESIDUE)
+] + [pytest.param(*_l_value_case(d), id=f"L({d})") for d in (-3, -4, -111)]
+
+
 @pytest.mark.parametrize("p", TAIL_BITS)
-@pytest.mark.parametrize(
-    "a, scale",
-    [
-        (Fraction(1), Fraction(1)),
-        (Fraction(1, 2), Fraction(1)),
-        (Fraction(1, 4), Fraction(1)),
-        (Fraction(3, 7), Fraction(-1, 49)),
-        (Fraction(10, 11), Fraction(1, 121)),
-        (Fraction(5, 24), Fraction(-1, 576)),
-    ],
-)
-def test_hurwitz_tail_covers_the_remainder(monkeypatch, p, a, scale):
-    s, units, corrections, tail = _recorded(
-        monkeypatch, lambda: constants._hurwitz2(a, scale.numerator, scale.denominator, p)
-    )
-    head = max(8, p // 3)  # the head length _hurwitz2 sums before Euler-Maclaurin
-    x = head + a
-    bern = bernoulli_numbers(2 * corrections)
-    terms = itertools.chain(
-        (scale / (k + a) ** 2 for k in range(head)),
-        (scale / x, scale / (2 * x * x)),
-        (scale * bern[2 * j] / x ** (2 * j + 1) for j in range(1, corrections + 1)),
-    )
-    ref = lambda: _mpf(scale) * mpmath.zeta(2, _mpf(a))  # noqa: E731
-    _check_count(terms, head + 2 + corrections, s, units, tail, p, ref)
+@pytest.mark.parametrize("q, residues, sn, sd", _PASSES)
+def test_hurwitz_tail_covers_the_remainder(p, q, residues, sn, sd):
+    s, units = constants._hurwitz_sum(q, residues, sn, sd, p)
+    terms, floors, corrections, tail = _fixed_point_pass(q, residues, sn, sd, p)
+    assert s == sum(floors) + sum(f for f, _, _ in corrections)
+    assert units == len(floors) + sum(c for _, c, _ in corrections) + tail
+    for floor, count, exact in corrections:  # each order's count covers its fixed-point error
+        assert abs(exact * 2**p - floor) < count
+    # the tail covers what Euler-Maclaurin leaves after the last order
+    with mpmath.workprec(2 * p + 64):
+        ref = sum(c * mpmath.zeta(2, mpmath.mpf(a) / q) for a, c in residues) * sn / sd
+        remainder = abs(mpf_to_fraction(ref) - sum(terms) - sum(e for _, _, e in corrections))
+    assert tail * 2**p >= remainder * 4**p - 1, float(remainder * 2**p)

@@ -308,6 +308,44 @@ def test_integer_list_arithmetic(a, b, x, c):
     assert horner(poly_shift(a, c), x) == horner(a, x + c)
 
 
+@given(_INT_POLYS, _INT_POLYS, st.sampled_from([1, 2, 5]), st.integers(min_value=0, max_value=12))
+@settings(max_examples=200, deadline=None)
+def test_sign_beyond_is_the_sign_at_every_later_integer(a, b, d, start):
+    if not any(poly_add(a, b) if d == 1 else a + b):
+        return
+    f = IntegerSurdPoly.from_lists(a, b, d)
+    s = f.sign_beyond(start)
+    if s:
+        assert f.sign_at(start) in (0, s)
+        beyond = range(start + 1, f.root_bound(start) + 10)
+        assert {f.sign_at(k) for k in beyond} == {s}
+
+
+def test_sign_beyond_sees_a_later_root():
+    f = IntegerSurdPoly(P(-1, 1) * P(-3, 1) * P(-7, 1))  # (k-1)(k-3)(k-7)
+    assert [f.sign_beyond(s) for s in (0, 3, 6, 7, 8)] == [0, 0, 0, 1, 1]
+    g = IntegerSurdPoly(Poly((QuadElem(0, -1, 2), QuadElem(1)), "k"))  # k - sqrt(2)
+    assert [g.sign_beyond(s) for s in (0, 1, 2)] == [0, 0, 1]
+
+
+@given(_INT_POLYS, st.integers(min_value=0, max_value=30))
+@settings(max_examples=200, deadline=None)
+def test_rational_root_bound_is_the_smallest_dominating_k(a, start):
+    # d = 1 reads the bounds as |a_i|: K is the smallest K >= max(1, start)
+    # with |a_n| K^n > sum_{i<n} |a_i| K^i
+    if not any(a):
+        return
+    f = IntegerSurdPoly.from_lists(a, [], 1)
+    *rest, lead = f.a
+
+    def dominates(x):
+        return abs(lead) * x ** len(rest) > horner([abs(c) for c in rest], x)
+
+    k, low = f.root_bound(start), max(1, start)
+    assert k >= low and dominates(k)
+    assert k == low or not dominates(k - 1)
+
+
 class TestRatFun:
     def test_cross_multiplication_equality(self):
         # (k^2 - 1)/(k - 1) == k + 1 without reduction
