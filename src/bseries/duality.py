@@ -37,8 +37,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .closedform import ClosedForm
-from .exactnum import Poly, QuadElem, RatFun
-from .seriesmodel import Position, SeriesDef, Weight, WeightTerm
+from .exactnum import QuadElem
+from .seriesmodel import NotHypergeometric, Position, SeriesDef, Weight
 
 __all__ = [
     "DualBranch",
@@ -67,14 +67,17 @@ class DualClassification:
 
 def _linear_weight(sdef: SeriesDef) -> tuple[QuadElem, QuadElem]:
     """Extract (a, b) from a weight that must be a*k + b exactly."""
-    r = sdef.weight_ratfun()  # raises NotHypergeometric on harmonic atoms
-    if r.den.degree() != 0:
+    w = sdef.weight
+    if w.has_harmonic():
+        raise NotHypergeometric("weight contains harmonic atoms")
+    ((a, b, e, _),) = w.parts
+    if len(e) != 1:
         raise ValueError("weight must be polynomial (a*k + b)")
-    lead = r.den.leading()
-    p = r.num.map_coeffs(lambda c: c / lead)
-    if p.degree() > 1:
+    if len(a) > 2:
         raise ValueError("weight must be linear in k")
-    return QuadElem.of(p.coeff(1)), QuadElem.of(p.coeff(0))
+    (a0, a1), (b0, b1) = ((list(x) + [0, 0])[:2] for x in (a, b))
+    c = e[0]
+    return tuple(QuadElem(Fraction(x, c), Fraction(y, c), w.d) for x, y in ((a1, b1), (a0, b0)))
 
 
 @dataclass(frozen=True)
@@ -197,13 +200,12 @@ def dualize(datum: RamanujanDatum) -> ZeilbergerDatum:
     if cls.branch is not DualBranch.ZEILBERGER_DUAL:
         raise ValueError(f"dualize needs the zeilberger-dual branch, got {cls}")
     a, b = _linear_weight(datum.series)
-    weight_poly = Poly((-b.conjugate(), a.conjugate()), "k")
     dual = SeriesDef(
         base_root=datum.series.base_root.conjugate(),
         base_exp=-datum.series.base_exp,
         kernel=datum.series.kernel,
         kernel_pos=Position.DENOMINATOR,
-        weight=Weight.from_terms([WeightTerm(RatFun(weight_poly), None)]),
+        weight=Weight.from_coeffs([-b.conjugate(), a.conjugate()]),
         den_factors=((1, 0, 3),),
         k_start=1,
     )

@@ -1,4 +1,4 @@
-"""Exact arithmetic: rationals, real quadratic surds, polynomials, rational functions.
+"""Exact arithmetic: rationals, real quadratic surds and polynomials on coefficient lists.
 
 The scalar tower is ``Fraction`` ⊂ ``QuadElem`` where a :class:`QuadElem`
 is ``a + b*sqrt(d)`` with rational ``a, b`` and squarefree integer
@@ -6,26 +6,21 @@ is ``a + b*sqrt(d)`` with rational ``a, b`` and squarefree integer
 sign, comparisons, equality — are decided exactly from the rational parts;
 no floating point is consulted anywhere in this module.
 
+A polynomial is a coefficient list, constant first, over any ring whose
+elements mix with the integer 0: ints, Fractions or QuadElems.
 :func:`poly_add`, :func:`poly_mul` and :func:`poly_shift` are the one
-polynomial arithmetic, on coefficient lists (constant first) over any ring
-whose elements mix with the integer 0: ints, Fractions, QuadElems, or
-Polys in another variable; :func:`horner` evaluates such a list.
+polynomial arithmetic, and :func:`horner` evaluates a list.
 :func:`surd_mul` multiplies two pairs ``(a, b)`` of such lists, each
-standing for ``a + b*sqrt(d)``.  :class:`Poly` is the typed view of a list:
-one named variable, checked on every operation, with +, * and shift run by
-those helpers, so nested Polys stand in for bivariate polynomials.
-:class:`RatFun` is a lazy (unreduced) quotient of two Polys with equality
-decided by cross-multiplication.  A constant Poly, and a RatFun equal to
-one, hash as that constant.
+standing for ``a + b*sqrt(d)``.  A rational function is a pair of lists
+where one is needed; nothing here divides polynomials.
 
-Also here: monic polynomial gcd, and :class:`IntegerSurdPoly`, which
-clears a polynomial's denominators once to give exact signs at integer
-points and a dominance bound on its real roots: the smallest integer K at
-which a lower bound on the leading coefficient times K^n exceeds the sum
-of upper bounds on the other coefficients times K^i.  Beyond K the
+Also here: :class:`IntegerSurdPoly`, integer lists ``A + B*sqrt(d)``
+(:meth:`IntegerSurdPoly.from_lists`) with exact signs at integer points
+and a dominance bound on the real roots: the smallest integer K at which
+a lower bound on the leading coefficient times K^n exceeds the sum of
+upper bounds on the other coefficients times K^i.  Beyond K the
 polynomial has no root.  Term-ratio envelopes and telescoping horizons are
-certified with it; an envelope builds its factors on integer coefficient
-lists and wraps them with :meth:`IntegerSurdPoly.from_lists`.
+certified with it.
 The coefficient bounds embed sqrt(d) through an integer square root, so
 this stays free of floating point too, and so does :func:`embed_dyadic`,
 the one integer embedding of a surd over a power of two, through which
@@ -37,7 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 __all__ = [
     "QuadElem",
@@ -45,10 +40,6 @@ __all__ = [
     "embed_surd",
     "sqrt_surd",
     "squarefree_split",
-    "Poly",
-    "RatFun",
-    "poly_divmod",
-    "poly_gcd",
     "IntegerSurdPoly",
     "horner",
     "poly_add",
@@ -359,195 +350,6 @@ def surd_mul(x: tuple, y: tuple, d: int) -> tuple[list, list]:
 
 
 # ----------------------------------------------------------------------
-# polynomials
-
-
-class Poly:
-    """Dense polynomial in one named variable over a duck-typed coefficient ring.
-
-    Mixed-variable arithmetic is an error by design: bivariate work is done
-    with explicitly nested Polys (coefficients that are Polys in another
-    variable), so a stray implicit coercion can never silently change the
-    meaning of an identity check.
-    """
-
-    __slots__ = ("var", "coeffs")
-
-    def __init__(self, coeffs: Iterable = (), var: str = "k"):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "var", var)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Poly is immutable")
-
-    @staticmethod
-    def const(c, var: str = "k") -> "Poly":
-        return Poly((c,), var)
-
-    @staticmethod
-    def variable(var: str = "k") -> "Poly":
-        return Poly((Fraction(0), Fraction(1)), var)
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def _check_var(self, other: "Poly"):
-        if self.var != other.var:
-            raise TypeError(
-                f"mixed polynomial variables {self.var!r} and {other.var!r}; lift explicitly"
-            )
-
-    def __add__(self, other):
-        if isinstance(other, Poly):
-            self._check_var(other)
-            return Poly(poly_add(self.coeffs, other.coeffs), self.var)
-        cs = list(self.coeffs) or [Fraction(0)]
-        cs[0] = cs[0] + other
-        return Poly(cs, self.var)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly((-c for c in self.coeffs), self.var)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly) else -1 * other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            self._check_var(other)
-            return Poly(poly_mul(self.coeffs, other.coeffs), self.var)
-        if not other:
-            return Poly((), self.var)
-        return Poly((c * other for c in self.coeffs), self.var)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial power must be a nonnegative integer")
-        result = Poly.const(Fraction(1), self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, Poly):
-            if self.var == other.var:
-                return self.coeffs == other.coeffs
-            # Different variables only agree when both sides are constants.
-            if self.degree() > 0 or other.degree() > 0:
-                return False
-            a = self.coeffs[0] if self.coeffs else Fraction(0)
-            b = other.coeffs[0] if other.coeffs else Fraction(0)
-            return a == b
-        if not isinstance(other, (int, Fraction, QuadElem)):
-            return NotImplemented
-        if not self.coeffs:
-            return not other
-        return self.degree() == 0 and self.coeffs[0] == other
-
-    def __hash__(self):
-        if self.degree() <= 0:  # equal to its constant, in any variable
-            return hash(self.coeffs[0] if self.coeffs else 0)
-        return hash((self.var, self.coeffs))
-
-    def __call__(self, x):
-        result = Fraction(0)
-        for c in reversed(self.coeffs):
-            result = result * x + c
-        return result
-
-    def shift(self, delta) -> "Poly":
-        """p(var + delta)."""
-        return Poly(poly_shift(self.coeffs, delta), self.var)
-
-    def derivative(self) -> "Poly":
-        return Poly((i * c for i, c in enumerate(self.coeffs) if i), self.var)
-
-    def map_coeffs(self, f) -> "Poly":
-        return Poly((f(c) for c in self.coeffs), self.var)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "Poly(0)"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(f"{c}")
-            elif i == 1:
-                parts.append(f"({c})*{self.var}")
-            else:
-                parts.append(f"({c})*{self.var}^{i}")
-        return " + ".join(parts)
-
-
-def _field(c):
-    """c as a field element: an int becomes a ``Fraction``, so dividing by it stays exact."""
-    return Fraction(c) if isinstance(c, int) else c
-
-
-def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """Division with remainder; coefficients must form a field."""
-    f._check_var(g)
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    var = f.var
-    q = [Fraction(0)] * max(0, f.degree() - g.degree() + 1)
-    rem = list(f.coeffs)
-    glead = _field(g.leading())
-    gdeg = g.degree()
-    while rem and not rem[-1]:
-        rem.pop()
-    while len(rem) - 1 >= gdeg:
-        shift = len(rem) - 1 - gdeg
-        factor = rem[-1] / glead
-        q[shift] = q[shift] + factor
-        for i, gc in enumerate(g.coeffs):
-            rem[shift + i] = rem[shift + i] - factor * gc
-        rem.pop()  # leading term cancelled exactly
-        while rem and not rem[-1]:
-            rem.pop()
-    return Poly(q, var), Poly(rem, var)
-
-
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd over a field of coefficients."""
-    a, b = f, g
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return a
-    lead = _field(a.leading())
-    return a.map_coeffs(lambda c: c / lead)
-
-
-# ----------------------------------------------------------------------
 # exact signs and a positive-root bound at integer points
 
 
@@ -564,32 +366,18 @@ def surd_sign(a, b, d: int) -> int:
 
 
 class IntegerSurdPoly:
-    """A positive integer multiple ``A(x) + B(x)*sqrt(d)`` of a polynomial over Q(sqrt d).
+    """A polynomial ``A(x) + B(x)*sqrt(d)`` on integer coefficient lists.
 
-    The denominators are cleared once, so exact signs at integer points and
-    the root bound below run on integer coefficient lists.  A positive scale
-    changes neither signs nor roots; the polynomial itself is
-    ``(A + B*sqrt(d)) / scale``.
+    A polynomial over Q(sqrt d) enters with its denominators cleared: a
+    positive integer multiple changes neither signs nor roots, so exact
+    signs at integer points and the root bound below run on integers.
     """
 
-    __slots__ = ("a", "b", "d", "scale")
-
-    def __init__(self, p: Poly):
-        if not p:
-            raise ValueError("zero polynomial")
-        coeffs = [QuadElem.of(c) for c in p.coeffs]
-        radicands = {c.d for c in coeffs} - {1}
-        if len(radicands) > 1:
-            raise ValueError(f"incompatible radicands {sorted(radicands)}")
-        scale = math.lcm(*(x.denominator for c in coeffs for x in (c.a, c.b)))
-        self.a = [c.a.numerator * (scale // c.a.denominator) for c in coeffs]
-        self.b = [c.b.numerator * (scale // c.b.denominator) for c in coeffs]
-        self.d = radicands.pop() if radicands else 1
-        self.scale = scale
+    __slots__ = ("a", "b", "d")
 
     @classmethod
     def from_lists(cls, a: Sequence[int], b: Sequence[int], d: int) -> "IntegerSurdPoly":
-        """``A + B*sqrt(d)`` itself (scale 1) from integer lists, constant first.
+        """``A + B*sqrt(d)`` from integer lists, constant first.
 
         ``d`` is 1, which folds B into A, or squarefree, so a coefficient is
         zero only where both lists are; trailing zero coefficients are dropped.
@@ -602,7 +390,7 @@ class IntegerSurdPoly:
         if not n:
             raise ValueError("zero polynomial")
         self = cls.__new__(cls)
-        self.a, self.b, self.d, self.scale = a[:n], b[:n], d, 1
+        self.a, self.b, self.d = a[:n], b[:n], d
         return self
 
     def sign_at(self, k: int) -> int:
@@ -686,136 +474,3 @@ class IntegerSurdPoly:
             else:
                 lo = mid
         return hi
-
-
-# ----------------------------------------------------------------------
-# rational functions
-
-
-class RatFun:
-    """Quotient of two Polys in the same variable; equality by cross-multiplication.
-
-    No automatic gcd reduction: construction is cheap and equality does not
-    depend on normal form.  ``reduced()`` gives the monic-denominator
-    canonical representative when the coefficients form a field.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly | None = None):
-        if den is None:
-            den = Poly.const(Fraction(1), num.var)
-        num._check_var(den)
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *_):
-        raise AttributeError("RatFun is immutable")
-
-    @property
-    def var(self) -> str:
-        return self.num.var
-
-    @staticmethod
-    def const(c, var: str = "k") -> "RatFun":
-        return RatFun(Poly.const(c, var))
-
-    @staticmethod
-    def of(x, var: str = "k") -> "RatFun":
-        if isinstance(x, RatFun):
-            return x
-        if isinstance(x, Poly):
-            return RatFun(x)
-        return RatFun.const(x, var)
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree() == 0
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def _coerce(self, other) -> "RatFun":
-        if isinstance(other, RatFun):
-            return other
-        if isinstance(other, Poly):
-            return RatFun(other)
-        return RatFun.const(other, self.var)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return RatFun(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFun(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return RatFun(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if not o.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            if not self.num:
-                raise ZeroDivisionError
-            return RatFun(self.den, self.num) ** (-n)
-        return RatFun(self.num**n, self.den**n)
-
-    def __eq__(self, other):
-        if isinstance(other, (RatFun, Poly, Fraction, int, QuadElem)):
-            o = self._coerce(other)
-            return self.num * o.den == o.num * self.den
-        return NotImplemented
-
-    def __hash__(self):
-        r = self.reduced()
-        return hash(r.num) if r.is_polynomial() else hash((r.num, r.den))
-
-    def __call__(self, x):
-        d = self.den(x)
-        if not d:
-            raise ZeroDivisionError(f"pole at {x}")
-        return self.num(x) / d
-
-    def derivative(self) -> "RatFun":
-        return RatFun(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
-    def compose_shift(self, delta) -> "RatFun":
-        return RatFun(self.num.shift(delta), self.den.shift(delta))
-
-    def reduced(self) -> "RatFun":
-        g = poly_gcd(self.num, self.den)
-        num, den = self.num, self.den
-        if g.degree() > 0:
-            num, _ = poly_divmod(num, g)
-            den, _ = poly_divmod(den, g)
-        if den.degree() >= 0 and den:
-            lead = _field(den.leading())
-            num = num.map_coeffs(lambda c: c / lead)
-            den = den.map_coeffs(lambda c: c / lead)
-        return RatFun(num, den)
-
-    def __repr__(self):
-        return f"RatFun(({self.num!r}) / ({self.den!r}))"

@@ -8,14 +8,13 @@ recursive-descent parser produce a plain-tuple AST:
 
 The same syntax serves quadratic surds, harmonic-weight expressions, linear
 denominator factors, closed forms and certificate polynomials.
-:class:`IntegerEval` walks an AST straight into integer polynomials over
-Q(sqrt d) with the rules of rational-function arithmetic: scalars
-(:func:`eval_quad`), denominator factors and, with the harmonic atoms
-:mod:`bseries.seriesmodel` adds, weights.  :mod:`bseries.closedform` folds
-its ASTs into one dict of terms.  Certificate polynomials are interpreted
-by :func:`eval_ast` through a context object implementing ``number``,
-``name``, ``call`` and optionally ``power``; binary operators are applied
-through the Python operators of whatever values the context returns.
+:class:`IntegerEval` is the one interpreter of an AST into polynomials: it
+walks it straight into integer polynomials over Q(sqrt d) with the rules of
+rational-function arithmetic.  It reads scalars (:func:`eval_quad`) and
+denominator factors; with the harmonic atoms :mod:`bseries.seriesmodel`
+adds, weights; and with the powers of a formal base as atoms, and n or t
+as the variable, the fields of :mod:`bseries.telescope`'s certificates.
+:mod:`bseries.closedform` folds its ASTs into one dict of terms.
 
 Implicit multiplication (``2k``, ``k(k+1)``, ``(a)(b)``) is supported;
 ``name(...)`` is a function call only when the name is a registered
@@ -33,8 +32,6 @@ from .exactnum import QuadElem, poly_add, squarefree_split, surd_mul
 
 __all__ = [
     "parse_expr",
-    "EvalContext",
-    "eval_ast",
     "ast_as_int",
     "ExprError",
     "IntegerEval",
@@ -205,59 +202,16 @@ def ast_as_int(node) -> int:
     raise ExprError("expected an integer expression")
 
 
-class EvalContext:
-    """Base interpretation: contexts override number/name/call as needed."""
-
-    def number(self, n: int):
-        return Fraction(n)
-
-    def name(self, name: str):
-        raise ExprError(f"unknown name {name!r}")
-
-    def call(self, name: str, args: tuple):
-        raise ExprError(f"unknown function {name!r}")
-
-    def power(self, base, exp_ast):
-        return base ** ast_as_int(exp_ast)
-
-
-def eval_ast(node, ctx: EvalContext):
-    kind = node[0]
-    if kind == "num":
-        return ctx.number(node[1])
-    if kind == "name":
-        return ctx.name(node[1])
-    if kind == "neg":
-        return -eval_ast(node[1], ctx)
-    if kind == "call":
-        return ctx.call(node[1], node[2])
-    if kind == "pow":
-        return ctx.power(eval_ast(node[1], ctx), node[2])
-    if kind == "bin":
-        op = node[1]
-        l = eval_ast(node[2], ctx)
-        r = eval_ast(node[3], ctx)
-        if op == "+":
-            return l + r
-        if op == "-":
-            return l - r
-        if op == "*":
-            return l * r
-        if op == "/":
-            return l / r
-    raise ExprError(f"bad AST node {node!r}")
-
-
 # ----------------------------------------------------------------------
 # integer evaluation
 #
 # A polynomial over Q(sqrt d) is an integer triple (a, b, l), lists constant
 # first, standing for (a + b*sqrt(d))/l with l > 0.  A rational function is a
-# pair (num, den) of them, as unreduced as a RatFun: +, *, / and ^ combine
-# numerators and denominators the way RatFun's operators do.  So each
-# numerator and denominator is the polynomial a RatFun evaluation of the same
-# text would give.  ONE is the polynomial 1, kept by identity through
-# division-free subexpressions.
+# pair (num, den) of them, never reduced: n1/d1 + n2/d2 is
+# (n1*d2 + n2*d1)/(d1*d2), n1/d1 * n2/d2 is (n1*n2)/(d1*d2), a quotient
+# multiplies by the swapped pair, and a power raises both.  So each numerator
+# and denominator depends only on the text.  ONE is the polynomial 1, kept by
+# identity through division-free subexpressions.
 
 ONE, _ZERO = ((1,), (), 1), ((), (), 1)
 
@@ -318,8 +272,8 @@ def _is_zero(x) -> bool:
 
 
 def lowest_terms(x) -> tuple[list, list, int]:
-    """x as :class:`~bseries.exactnum.IntegerSurdPoly` holds it: ``(a, b, scale)``,
-    the lists of equal length without trailing zero coefficients, over the least scale."""
+    """x as ``(a, b, l)`` over the least l: the lists of equal length without
+    trailing zero coefficients, and ``gcd(l, *a, *b) == 1``."""
     a, b, l = _p_trim(x)
     g = math.gcd(l, *a, *b)
     return [c // g for c in a], [c // g for c in b], l // g
@@ -330,9 +284,11 @@ class IntegerEval:
 
     ``var`` is the polynomial variable (None for a scalar) and ``where``
     names the field in error texts; ``d`` is the one radicand met, 1 if
-    none.  Atoms are linear: a product or quotient of two terms needs one of
-    them atom-free, the divisor always.  Here no function makes an atom;
-    a subclass that reads one overrides :meth:`call`.
+    none.  Atoms are linear: a product of two terms multiplies their atoms
+    by :meth:`atom_product`, which here allows only the unit atom, and a
+    divisor is atom-free.  Here no name but ``var`` and no function makes
+    an atom; a subclass that reads one overrides :meth:`name` or
+    :meth:`call`, and :meth:`atom_product` where atoms multiply.
     """
 
     def __init__(self, var: Optional[str], where: str):
@@ -343,9 +299,7 @@ class IntegerEval:
         if kind == "num":
             return {None: (([node[1]], [], 1), ONE)} if node[1] else {}
         if kind == "name":
-            if node[1] != self.var:
-                raise ExprError(f"unknown name {node[1]!r} in {self.where}")
-            return {None: (([0, 1], [], 1), ONE)}
+            return self.name(node[1])
         if kind == "neg":
             return self.neg(self.eval(node[1]))
         if kind == "call":
@@ -359,22 +313,32 @@ class IntegerEval:
             return self.add(x, y)
         if op == "-":
             return self.add(x, self.neg(y))
-        d = self.d
         if op == "*":
-            if set(x) <= {None}:
-                x, y = y, x
-            elif not set(y) <= {None}:
-                raise ExprError("weights must be linear in harmonic atoms")
-            if not y:
-                return {}
-            ((n2, d2),) = y.values()
-            return {a: (_p_mul(n1, n2, d), _p_mul(d1, d2, d)) for a, (n1, d1) in x.items()}
+            return self.mul(x, y)
         if not set(y) <= {None}:
             raise ExprError("cannot divide by a harmonic atom")
         if not y:
             raise ZeroDivisionError(f"division by zero in {self.where}")
         ((n2, d2),) = y.values()
+        d = self.d
         return {a: (_p_mul(n1, d2, d), _p_mul(d1, n2, d)) for a, (n1, d1) in x.items()}
+
+    def name(self, name: str) -> dict:
+        if name != self.var:
+            raise ExprError(f"unknown name {name!r} in {self.where}")
+        return {None: (([0, 1], [], 1), ONE)}
+
+    @staticmethod
+    def atom_product(a, b):
+        """The atom of the product of an a-term and a b-term."""
+        if a is not None and b is not None:
+            raise ExprError("weights must be linear in harmonic atoms")
+        return b if a is None else a
+
+    @staticmethod
+    def unit(x: dict):
+        """``(num, den)`` of x's unit atom: zero over one when x has none."""
+        return x.get(None, (_ZERO, ONE))
 
     @staticmethod
     def neg(x: dict) -> dict:
@@ -392,12 +356,23 @@ class IntegerEval:
             out[a] = n2, d2
         return out
 
+    def mul(self, x: dict, y: dict) -> dict:
+        out, d = {}, self.d
+        for a, (n1, d1) in x.items():
+            for b, (n2, d2) in y.items():
+                term = {self.atom_product(a, b): (_p_mul(n1, n2, d), _p_mul(d1, d2, d))}
+                out = self.add(out, term)
+        return out
+
     def power(self, x: dict, n: int) -> dict:
         if not set(x) <= {None}:
-            if n == 1:
-                return x
-            raise ExprError("weights must be linear in harmonic atoms")
-        num, den = x.get(None, (_ZERO, ONE))
+            if n < 1:
+                raise ExprError(f"an atom's power must be positive in {self.where}")
+            out = x
+            for _ in range(n - 1):
+                out = self.mul(out, x)
+            return out
+        num, den = self.unit(x)
         if n < 0:
             if _is_zero(num):
                 raise ZeroDivisionError(f"division by zero in {self.where}")
@@ -415,7 +390,7 @@ class IntegerEval:
         constant and its degree at most ``degree``; else None."""
         if not set(x) <= {None}:
             return None
-        num, den = self.fold(*x.get(None, (_ZERO, ONE)))
+        num, den = self.fold(*self.unit(x))
         p = _p_trim(num)
         return p if den is ONE and len(p[0]) <= degree + 1 else None
 

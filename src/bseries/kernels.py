@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from .exactnum import Poly, poly_mul
+from .exactnum import poly_mul
 
 __all__ = ["KernelFamily", "KERNELS", "kernel_by_tag"]
 
@@ -59,11 +59,6 @@ class KernelFamily:
         return tuple(
             tuple(reduce(poly_mul, ([v, u] for u, v in side), [1])) for side in self.ratio_factors
         )
-
-    def ratio_polys(self) -> tuple[Poly, Poly]:
-        """Polynomials (A, B) with value(k+1)/value(k) = A(k)/B(k): :attr:`ratio_lists` over Q."""
-        num, den = (Poly(map(Fraction, c)) for c in self.ratio_lists)
-        return num, den
 
     def growth(self) -> Fraction:
         """Limit of value(k+1)/value(k): prod p^p / (q^q (p-q)^(p-q))."""

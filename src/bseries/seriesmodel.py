@@ -23,14 +23,14 @@ coefficient ``(a_i + b_i*sqrt(d)) / e_i``, and from them the common form
 ``(A_i + B_i*sqrt(d)) / c`` the evaluator sums with.
 
 Each field's text is read straight into those integers by
-:class:`~bseries.exprparse.IntegerEval`, with the harmonic atoms added here,
-and no ``Poly`` or ``RatFun`` is built; the lists are those that clearing
-the RatFun coefficients of the same text would give.  Rendering is
-canonical, i.e. ``render(parse(render(x))) == render(x)`` byte-for-byte.
-Code that builds a series from RatFun terms (duality, telescoping
-certificates) passes them through :meth:`Weight.from_terms`, and
-:meth:`Weight.ratfun_terms` builds them back on demand where exact rational
-functions are the point.
+:class:`~bseries.exprparse.IntegerEval`, with the harmonic atoms added here.
+A coefficient's numerator and denominator are cleared to integers and
+divided by their integer gcd, each on its own, and a surd in the
+denominator is rationalised, so a weight has one form per text.  Code that
+builds a polynomial weight from a coefficient list (duality, telescoping
+certificates) passes it through :meth:`Weight.from_coeffs`, the same
+clearing.  :func:`render_weight` renders the lists, and rendering is
+canonical: ``parse_weight(render_weight(w)) == w``.
 
 The scale ``S_k = kernel(k)^s / D(k)`` is built here once, in integers:
 :meth:`SeriesDef.scale` gives S_k as a fraction of two integers, and
@@ -42,11 +42,11 @@ common to both sides cancel as a multiset of primitive pairs, and the
 integer contents by their gcd.  The evaluator reads the kernel, its
 position and D through these members only.
 
-:meth:`SeriesDef.weight_value`, :meth:`~SeriesDef.term_exact` and
-:meth:`~SeriesDef.term_ratio` evaluate in exact ``Fraction``/``QuadElem``
-arithmetic, with :class:`HarmonicCache`'s exact prefix sums, and use none
-of the scale members.  The evaluator sums on integer lists and calls none
-of the three: they are the exact references the tests compare it against.
+:meth:`SeriesDef.weight_value` and :meth:`~SeriesDef.term_exact` evaluate
+in exact ``Fraction``/``QuadElem`` arithmetic, with :class:`HarmonicCache`'s
+exact prefix sums, and use none of the scale members.  The evaluator sums
+on integer lists and calls neither: they are the exact references the
+tests compare it against.
 It carries each H_n^(m) as a floored fixed-point integer with a counted
 error, and :class:`HarmonicCache` is the exact value that count is checked
 against.
@@ -63,19 +63,15 @@ from functools import cached_property, reduce
 from itertools import zip_longest
 from typing import NamedTuple, Optional, Sequence
 
-from .exactnum import (
-    IntegerSurdPoly, Poly, QuadElem, RatFun, horner, poly_mul, sqrt_surd, surd_mul,
-)
+from .exactnum import IntegerSurdPoly, QuadElem, horner, poly_mul, surd_mul
 from .exprparse import (
-    ONE, EvalContext, ExprError, IntegerEval, ast_as_int, eval_ast, eval_quad, lowest_terms,
-    parse_expr,
+    ONE, ExprError, IntegerEval, ast_as_int, eval_quad, lowest_terms, parse_expr,
 )
 from .kernels import KernelFamily
 
 __all__ = [
     "Position",
     "HarmonicAtom",
-    "WeightTerm",
     "Weight",
     "SeriesDef",
     "HarmonicCache",
@@ -91,10 +87,7 @@ __all__ = [
     "check_den_factors",
     "den_value",
     "den_list",
-    "den_poly",
-    "parse_ratfun",
     "render_poly",
-    "render_ratfun",
 ]
 
 ALLOWED_STRIDES = (1, 2, 3, 6)
@@ -134,11 +127,6 @@ class HarmonicAtom(NamedTuple):
         else:
             arg = f"{self.stride}*k" if self.offset == 0 else f"{self.stride}*k - {-self.offset}"
         return f"H({arg},{self.order})"
-
-
-class WeightTerm(NamedTuple):
-    coeff: RatFun
-    atom: Optional[HarmonicAtom]
 
 
 class HarmonicCache:
@@ -234,14 +222,6 @@ def render_base(root: QuadElem, exp: int) -> str:
 # weights: linear combinations of harmonic atoms, on integer lists
 
 
-def _fold_constant_den(r: RatFun) -> RatFun:
-    """Fold a degree-0 denominator into the numerator coefficients."""
-    if r.den.degree() == 0:
-        c = r.den.leading()
-        return RatFun(r.num.map_coeffs(lambda x: x / c))
-    return r
-
-
 def _atom_key(atom: Optional[HarmonicAtom]):
     if atom is None:
         return (0, 0, 0, 0)
@@ -252,7 +232,7 @@ def _clear(num, den, d: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[in
     """The coefficient num/den as ``(a, b, e)``: ``(a + b*sqrt(d)) / e`` on integer lists.
 
     num and den are each ``(a, b, scale)`` as
-    :class:`~bseries.exactnum.IntegerSurdPoly` holds a polynomial; a sqrt(d)
+    :func:`~bseries.exprparse.lowest_terms` gives a polynomial; a sqrt(d)
     in den is rationalised by den's conjugate, over and under.
     """
     (a, b, num_scale), (da, db, den_scale) = num, den
@@ -279,18 +259,18 @@ class Weight:
     d: int = 1
 
     @staticmethod
-    def from_terms(terms) -> "Weight":
-        """The lists of :class:`WeightTerm`s with nonzero RatFun coefficients over Q(sqrt d)."""
-        polys = [(IntegerSurdPoly(c.num), IntegerSurdPoly(c.den), atom) for c, atom in terms]
-        radicands = {p.d for num, den, _ in polys for p in (num, den)} - {1}
+    def from_coeffs(coeffs: Sequence) -> "Weight":
+        """The polynomial weight with coefficients ``coeffs``, constant first:
+        ints, Fractions or QuadElems of one radicand, not all zero."""
+        qs = [QuadElem.of(c) for c in coeffs]
+        if not any(qs):
+            raise ValueError("weight must be nonzero")
+        radicands = {q.d for q in qs} - {1}
         if len(radicands) > 1:
             raise ValueError(f"incompatible radicands {sorted(radicands)}")
-        d = radicands.pop() if radicands else 1
-        parts = [
-            _clear((num.a, num.b, num.scale), (den.a, den.b, den.scale), d) + (atom,)
-            for num, den, atom in sorted(polys, key=lambda t: _atom_key(t[2]))
-        ]
-        return Weight(tuple(parts), d if any(b for _, b, _, _ in parts) else 1)
+        l = math.lcm(*(x.denominator for q in qs for x in (q.a, q.b)))
+        num = [int(q.a * l) for q in qs], [int(q.b * l) for q in qs], l
+        return _weight({None: (num, ONE)}, radicands.pop() if radicands else 1)
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -311,41 +291,33 @@ class Weight:
             terms.append((a, b, atom))
         return reduce(poly_mul, dens, [1]), terms
 
-    def ratfun_terms(self) -> tuple[WeightTerm, ...]:
-        """The weight as :class:`WeightTerm`s with exact RatFun coefficients."""
-        out = []
-        for a, b, e, atom in self.parts:
-            scale = e[0] if len(e) == 1 else 1  # a constant denominator folds into the numerator
-            num = Poly(
-                QuadElem(Fraction(x, scale), Fraction(y, scale), self.d) if b
-                else Fraction(x, scale)
-                for x, y in zip_longest(a, b, fillvalue=0)
-            )
-            coeff = RatFun(num) if len(e) == 1 else RatFun(num, Poly(map(Fraction, e)))
-            out.append(WeightTerm(coeff, atom))
-        return tuple(out)
-
     def conjugate(self) -> "Weight":
         """The Galois conjugate: every b_i negated."""
         parts = tuple((a, tuple(-x for x in b), e, atom) for a, b, e, atom in self.parts)
         return Weight(parts, self.d)
 
 
+def _weight(terms: dict, d: int) -> Weight:
+    """The Weight of ``{atom: (num, den)}``, num and den polynomial triples of
+    :class:`~bseries.exprparse.IntegerEval` over Q(sqrt d)."""
+    parts = [
+        _clear(lowest_terms(num), lowest_terms(den), d) + (atom,)
+        for atom, (num, den) in sorted(terms.items(), key=lambda t: _atom_key(t[0]))
+    ]
+    return Weight(tuple(parts), d if any(b for _, b, _, _ in parts) else 1)
+
+
 def parse_weight(s: str) -> Weight:
-    """A weight's text as its integer lists, with no RatFun built."""
+    """A weight's text as its integer lists."""
     ev = _WeightEval()
     v = ev.eval(parse_expr(s))
     if not v:
         raise ValueError("weight must be nonzero")
-    parts = []
-    for atom in sorted(v, key=_atom_key):
-        num, den = ev.fold(*v[atom])
-        parts.append(_clear(lowest_terms(num), lowest_terms(den), ev.d) + (atom,))
-    return Weight(tuple(parts), ev.d if any(b for _, b, _, _ in parts) else 1)
+    return _weight({atom: ev.fold(num, den) for atom, (num, den) in v.items()}, ev.d)
 
 
 # ----------------------------------------------------------------------
-# rendering of polynomials / rational functions over the scalar field
+# rendering of coefficient lists over the scalar field
 
 
 def _scalar_sign(c) -> int:
@@ -368,14 +340,11 @@ def _wrap(s: str) -> str:
     return f"({s})" if _needs_parens(s) else s
 
 
-def render_poly(p: Poly, var: str | None = None) -> str:
-    if var is None:
-        var = p.var
-    if not p:
-        return "0"
+def render_poly(coeffs: Sequence, var: str) -> str:
+    """A coefficient list (constant first; ints, Fractions or QuadElems) as text in var."""
     parts: list[tuple[int, str]] = []
-    for i in range(p.degree(), -1, -1):
-        c = p.coeff(i)
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
         if not c:
             continue
         s = _scalar_sign(c)
@@ -386,6 +355,8 @@ def render_poly(p: Poly, var: str | None = None) -> str:
             v = var if i == 1 else f"{var}^{i}"
             body = v if ca == 1 else f"{_wrap(_scalar_str(ca))}*{v}"
         parts.append((s, body))
+    if not parts:
+        return "0"
     out = parts[0][1] if parts[0][0] >= 0 else ("-" + parts[0][1] if " " not in parts[0][1] else f"-({parts[0][1]})")
     for s, body in parts[1:]:
         if s >= 0:
@@ -395,23 +366,25 @@ def render_poly(p: Poly, var: str | None = None) -> str:
     return out
 
 
-def render_ratfun(r: RatFun) -> str:
-    r = _fold_constant_den(r)
-    if r.den.degree() == 0:
-        return render_poly(r.num)
-    return f"({render_poly(r.num)})/({render_poly(r.den)})"
-
-
 def render_weight(weight: Weight) -> str:
+    """Canonical text of a weight: each coefficient a polynomial in k, its
+    constant denominator folded in, or ``(numerator)/(denominator)``."""
     parts: list[str] = []
-    for coeff, atom in weight.ratfun_terms():
+    for a, b, e, atom in weight.parts:
+        scale = e[0] if len(e) == 1 else 1
+        num = [
+            QuadElem(Fraction(x, scale), Fraction(y, scale), weight.d) if b else Fraction(x, scale)
+            for x, y in zip_longest(a, b, fillvalue=0)
+        ]
+        neg = atom is not None and _scalar_sign(next(c for c in reversed(num) if c)) < 0
+        if neg:
+            num = [-c for c in num]
+        cs = render_poly(num, "k")
+        if len(e) > 1:
+            cs = f"({cs})/({render_poly(e, 'k')})"
         if atom is None:
-            parts.append(render_ratfun(coeff))
+            parts.append(cs)
             continue
-        neg = False
-        if coeff.num and _scalar_sign(coeff.num.leading()) < 0:
-            coeff, neg = -coeff, True
-        cs = render_ratfun(coeff)
         body = atom.render() if cs == "1" else f"{_wrap(cs)}*{atom.render()}"
         parts.append(f"-{body}" if neg else body)
     out = parts[0]
@@ -486,45 +459,14 @@ def den_list(factors: tuple[tuple[int, int, int], ...]) -> list[int]:
     return out
 
 
-def den_poly(factors: tuple[tuple[int, int, int], ...]) -> Poly:
-    """D as a polynomial in k: :func:`den_list` over Q."""
-    return Poly(map(Fraction, den_list(factors)))
-
-
 def render_den_factors(factors: tuple[tuple[int, int, int], ...]) -> str:
     if not factors:
         return "1"
     parts = []
     for u, v, e in sorted(factors):
-        lin = "k" if (u, v) == (1, 0) else f"({render_poly(Poly((Fraction(v), Fraction(u)), 'k'))})"
+        lin = "k" if (u, v) == (1, 0) else f"({render_poly((v, u), 'k')})"
         parts.append(lin if e == 1 else f"{lin}^{e}")
     return "*".join(parts)
-
-
-# ----------------------------------------------------------------------
-# generic polynomial / rational-function fields (certificates)
-
-
-class _RatFunCtx(EvalContext):
-    def __init__(self, var: str):
-        self.var = var
-
-    def number(self, n: int):
-        return RatFun.const(Fraction(n), self.var)
-
-    def name(self, name: str):
-        if name == self.var:
-            return RatFun(Poly.variable(self.var))
-        raise ExprError(f"unknown name {name!r}; expected {self.var!r}")
-
-    def call(self, name, args):
-        if name == "sqrt" and len(args) == 1:
-            return RatFun.const(sqrt_surd(eval_quad(args[0]).as_fraction()), self.var)
-        raise ExprError(f"function {name!r} not allowed here")
-
-
-def parse_ratfun(s: str, var: str) -> RatFun:
-    return _fold_constant_den(eval_ast(parse_expr(s), _RatFunCtx(var)))
 
 
 # ----------------------------------------------------------------------
@@ -566,15 +508,6 @@ class SeriesDef:
 
     def has_harmonic(self) -> bool:
         return self.weight.has_harmonic()
-
-    def weight_ratfun(self) -> RatFun:
-        """The weight as one rational function (only when atom-free)."""
-        if self.has_harmonic():
-            raise NotHypergeometric("weight contains harmonic atoms")
-        total = RatFun.const(Fraction(0), "k")
-        for coeff, _ in self.weight.ratfun_terms():
-            total = total + coeff
-        return total
 
     def scale(self, k: int) -> tuple[int, int]:
         """``S_k = kernel(k)^(+-1) / D(k)`` as integers ``(num, den)`` with ``den > 0``."""
@@ -649,23 +582,6 @@ class SeriesDef:
             kv = self.kernel.value(k)
             t = t * kv if self.kernel_pos is Position.NUMERATOR else t / kv
         return t / den_value(self.den_factors, k)
-
-    def term_ratio(self) -> RatFun:
-        """t_{k+1}/t_k as an exact rational function of k (atom-free weights)."""
-        w = self.weight_ratfun()
-        num = w.compose_shift(1) * self.base_value
-        den = RatFun.of(w, "k")
-        if self.kernel is not None:
-            a, b = self.kernel.ratio_polys()
-            if self.kernel_pos is Position.NUMERATOR:
-                num, den = num * a, den * b
-            else:
-                num, den = num * b, den * a
-        dpoly = den_poly(self.den_factors)
-        num = num * RatFun(dpoly)
-        den = den * RatFun(dpoly.shift(1))
-        r = num / den
-        return RatFun(r.num, r.den)
 
     def conjugate(self) -> "SeriesDef":
         """Apply the Galois conjugate to every scalar (base and weight coefficients)."""

@@ -1,4 +1,4 @@
-"""Exact symbolic verification of finite-sum proof certificates.
+"""Exact verification of finite-sum proof certificates.
 
 A *telescoping certificate* claims a closed form for every partial sum of
 a kernel series:
@@ -11,21 +11,27 @@ where W is a polynomial weight (possibly genuinely bivariate in x and k),
 D and Q are products of integer-linear factors, P is a polynomial, and
 s = +1/-1 places the kernel in the numerator or denominator.  The base x
 is either a formal indeterminate or a fixed rational specialized up front.
+Every polynomial is a coefficient list, constant first, read from its text
+by :class:`~bseries.exprparse.IntegerEval`; W is one list in k per power
+of x.
 
 ``check_telescoping`` proves or refutes the claim with no numerics at all.
-The base case at n = 0 is an exact arithmetic identity.  The induction
-step B(n) - B(n-1) = t(n) becomes a pure polynomial identity once the
-kernel quotient kernel(n)/kernel(n-1) is replaced by its exact ratio
-polynomials -- for C(6n,3n) that quotient is
+At a concrete base the base case at n = 0 is an exact arithmetic identity,
+and the induction step B(n) - B(n-1) = t(n) becomes a polynomial identity
+in n once the kernel quotient kernel(n)/kernel(n-1) is replaced by the
+kernel's ratio lists -- for C(6n,3n) that quotient is
 
     (6n-5)(6n-4)(6n-3)(6n-2)(6n-1)(6n) / ((3n-2)(3n-1)(3n))^2
 
--- and every denominator is cleared; the result must vanish coefficient by
-coefficient in Q[x][n].  A failing check reports the nonzero witness.
+-- and every denominator is cleared; the residual must vanish coefficient
+by coefficient.  A formal base is checked at enough concrete bases to
+decide the identity in x (see :func:`check_telescoping`).  A failing check
+reports the nonzero witness.
 
 A *derivative certificate* claims f'(t) = target(t) for
-f(t) = f_rational(t) + c*arctan(t); it is checked by exact rational-
-function differentiation plus pinned endpoint values at t = 0 and t = 1.
+f(t) = f_rational(t) + c*arctan(t), with f and the target pairs of
+coefficient lists; it is checked by cross-multiplication plus pinned
+endpoint values at t = 0 and t = 1.
 
 ``check_beta_binomial`` verifies the factorial identity
 (3k)!^2 / (6k+1)! = 1 / ((6k+1)*C(6k,3k)) pointwise with big integers.
@@ -36,24 +42,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Optional
 
 from .closedform import ClosedForm, parse_closed_form
-from .exactnum import IntegerSurdPoly, Poly, QuadElem, RatFun
-from .exprparse import ExprError, ast_as_int, eval_ast, parse_expr
+from .exactnum import IntegerSurdPoly, QuadElem, horner, poly_add, poly_mul, poly_shift
+from .exprparse import ONE, ExprError, IntegerEval, lowest_terms, parse_expr
 from .kernels import KernelFamily, kernel_by_tag
 from .seriesmodel import (
     Position,
     SeriesDef,
     Weight,
-    WeightTerm,
-    _RatFunCtx,
     check_den_factors,
-    den_poly,
+    den_list,
     den_value,
     parse_den_factors,
     parse_quad,
-    parse_ratfun,
     render_poly,
 )
 
@@ -83,6 +87,33 @@ class CertReport:
 
 
 # ----------------------------------------------------------------------
+# coefficient lists
+
+
+def _scaled(a, b, c, d: int) -> tuple:
+    """``(a + b*sqrt(d)) * c`` coefficient by coefficient, for integer lists a, b of
+    one length: the rational c's multiples, or QuadElems where sqrt(d) enters."""
+    return tuple(QuadElem(x * c, y * c, d) if y else x * c for x, y in zip(a, b))
+
+
+def _prod(*factors) -> list:
+    return reduce(poly_mul, factors)
+
+
+def _sub(a, b) -> list:
+    return poly_add(a, [-c for c in b])
+
+
+def _derivative(a) -> list:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _weight_at(weight: tuple, x) -> list:
+    """``W(x, k) = sum_j x^j * W_j(k)`` at a concrete x, as one list in k."""
+    return reduce(poly_add, ([x**j * c for c in w] for j, w in enumerate(weight)), [])
+
+
+# ----------------------------------------------------------------------
 # the telescoping certificate
 
 
@@ -90,35 +121,39 @@ class CertReport:
 class TelescopingCert:
     """Partial-sum closed form for a kernel series, in checkable form.
 
-    ``weight_poly`` is a Poly in k; its coefficients are Fractions (or
-    quadratic surds) when the base is a concrete rational, and Polys in x
-    when the base is symbolic (``base is None``).  ``bound_num`` carries
-    the boundary sign; ``bound_xoff`` is the e in x^(n+e).
+    ``weight`` holds ``W(x, k) = sum_j x^j * W_j(k)`` as one coefficient
+    list W_j in k per power j of x (ints, Fractions or QuadElems); a
+    concrete base (``base`` not None) has only j = 0.  ``bound_num`` and
+    ``bound_den`` are the integer coefficient lists of P and Q in n;
+    ``bound_num`` carries the boundary sign, and ``bound_xoff`` is the e
+    in x^(n+e).
     """
 
     kernel: KernelFamily
     kernel_pos: Position
     base: Optional[Fraction]
-    weight_poly: Poly
+    weight: tuple[tuple, ...]
     den_factors: tuple[tuple[int, int, int], ...]
     const: Fraction
-    bound_num: Poly
-    bound_den: Poly
+    bound_num: tuple[int, ...]
+    bound_den: tuple[int, ...]
     bound_xoff: int
     k_start: int = 0
 
     def __post_init__(self):
         if self.k_start != 0:
             raise ValueError("telescoping base case is fixed at k_start = 0")
-        if not self.weight_poly:
+        if not any(map(any, self.weight)):
             raise ValueError("zero weight")
-        if not self.bound_num:
+        if not self.symbolic and any(map(any, self.weight[1:])):
+            raise ValueError("a concrete base leaves no power of x in the weight")
+        if not any(self.bound_num):
             raise ValueError("zero boundary numerator")
         if self.base is not None and self.base == 0:
             raise ValueError("zero base")
         check_den_factors(self.den_factors, self.k_start)
         # Q(n) must be nonzero at every index the boundary is evaluated at.
-        j = IntegerSurdPoly(self.bound_den).integer_root()
+        j = IntegerSurdPoly.from_lists(self.bound_den, (), 1).integer_root()
         if j is not None:
             raise ValueError(f"boundary denominator vanishes at n = {j}")
 
@@ -133,12 +168,11 @@ class TelescopingCert:
         if not self.symbolic:
             raise ValueError("base is already concrete")
         xv = Fraction(x_value)
-        w = self.weight_poly.map_coeffs(lambda c: c(xv) if isinstance(c, Poly) else c)
         return TelescopingCert(
             kernel=self.kernel,
             kernel_pos=self.kernel_pos,
             base=xv,
-            weight_poly=w,
+            weight=(tuple(_weight_at(self.weight, xv)),),
             den_factors=self.den_factors,
             const=self.const,
             bound_num=self.bound_num,
@@ -158,10 +192,10 @@ class TelescopingCert:
     def boundary_value(self, n: int) -> Fraction:
         """B(n) exactly at the concrete base."""
         self._need_concrete()
-        q = self.bound_den(Fraction(n))
+        q = horner(self.bound_den, n)
         if not q:
             raise ZeroDivisionError(f"boundary denominator vanishes at n={n}")
-        b = self.bound_num(Fraction(n)) * self.base ** (n + self.bound_xoff) / q
+        b = Fraction(horner(self.bound_num, n), q) * self.base ** (n + self.bound_xoff)
         kv = self.kernel.value(n)
         return b * kv if self.kernel_pos is Position.NUMERATOR else b / kv
 
@@ -176,7 +210,7 @@ class TelescopingCert:
             base_exp=1,
             kernel=self.kernel,
             kernel_pos=self.kernel_pos,
-            weight=Weight.from_terms([WeightTerm(RatFun(self.weight_poly), None)]),
+            weight=Weight.from_coeffs(self.weight[0]),
             den_factors=self.den_factors,
             k_start=self.k_start,
         )
@@ -186,47 +220,32 @@ class TelescopingCert:
 # parsing: weight in x and k, closed form in n and x
 
 
-def _x_const(c) -> Poly:
-    return Poly.const(Fraction(c), "x")
+class _BaseEval(IntegerEval):
+    """:class:`~bseries.exprparse.IntegerEval` in k with the formal base x: the
+    power x^j is the atom j, so the atoms of a product add."""
+
+    def __init__(self):
+        super().__init__("k", "certificate weight")
+
+    def name(self, name: str) -> dict:
+        return {1: (ONE, ONE)} if name == "x" else super().name(name)
+
+    @staticmethod
+    def atom_product(a, b):
+        return (a or 0) + (b or 0) or None
 
 
-class _BivarCtx:
-    """Evaluates an AST to a Poly in k whose coefficients are Polys in x."""
-
-    def number(self, n: int):
-        return Poly.const(_x_const(n), "k")
-
-    def name(self, name: str):
-        if name == "k":
-            return Poly((_x_const(0), _x_const(1)), "k")
-        if name == "x":
-            return Poly.const(Poly.variable("x"), "k")
-        raise ExprError(f"unknown name {name!r} in bivariate weight")
-
-    def call(self, name, args):
-        raise ExprError(f"function {name!r} not allowed in bivariate weight")
-
-    def power(self, base, exp_ast):
-        return base ** ast_as_int(exp_ast)
-
-
-def _parse_weight_poly(s: str, symbolic: bool) -> Poly:
-    if symbolic:
-        try:
-            v = eval_ast(parse_expr(s), _BivarCtx())
-        except TypeError as exc:
-            raise ExprError(f"weight must be polynomial in x and k: {s!r}") from exc
-        if not isinstance(v, Poly) or v.var != "k":
-            raise ExprError(f"weight must involve k: {s!r}")
-        return v
-    r = parse_ratfun(s, "k")
-    if not r.is_polynomial():
-        raise ExprError(f"weight must be a polynomial in k: {s!r}")
-    return r.num
-
-
-def _rename(p: Poly, var: str) -> Poly:
-    return Poly(p.coeffs, var)
+def _parse_weight_lists(s: str, symbolic: bool) -> tuple[tuple, ...]:
+    """W_j(k) for each power j of x, from the weight's text."""
+    ev = _BaseEval() if symbolic else IntegerEval("k", "certificate weight")
+    powers = {}
+    for j, (num, den) in ev.eval(parse_expr(s)).items():
+        num, den = ev.fold(num, den)
+        if den is not ONE:
+            raise ExprError(f"weight must be a polynomial in k: {s!r}")
+        a, b, l = lowest_terms(num)
+        powers[j or 0] = _scaled(a, b, Fraction(1, l) if l > 1 else 1, ev.d)
+    return tuple(powers.get(j, ()) for j in range(max(powers, default=-1) + 1))
 
 
 def _flatten_sum(node, sign=1, out=None):
@@ -268,26 +287,22 @@ def _mentions(node, kind, name) -> bool:
     return False
 
 
-def _linear_n_poly(node) -> Poly:
-    r = parse_ratfun_ast(node)
-    if not r.is_polynomial():
-        raise ExprError("expected a polynomial in n")
-    return r.num
-
-
-def parse_ratfun_ast(node) -> RatFun:
-    return eval_ast(node, _RatFunCtx("n"))
+def _n_poly(node, degree: int, why: str) -> list[Fraction]:
+    """node as a rational polynomial in n of degree at most ``degree``; else ``why``."""
+    ev = IntegerEval("n", "closed form")
+    p = ev.polynomial(ev.eval(node), degree)
+    if p is None or any(p[1]):
+        raise ExprError(why)
+    return [Fraction(c, p[2]) for c in p[0]]
 
 
 def _x_exponent_offset(exp_ast) -> int:
     """Offset e from an x-power exponent of the form n + e."""
-    r = parse_ratfun_ast(exp_ast)
-    if not r.is_polynomial():
-        raise ExprError("x exponent must be polynomial in n")
-    p = r.num.map_coeffs(lambda c: c / r.den.coeff(0))
-    if p.degree() != 1 or p.coeff(1) != 1 or p.coeff(0).denominator != 1:
-        raise ExprError("x exponent must have the form n + integer")
-    return int(p.coeff(0))
+    why = "x exponent must have the form n + integer"
+    p = _n_poly(exp_ast, 1, why)
+    if len(p) != 2 or p[1] != 1 or p[0].denominator != 1:
+        raise ExprError(why)
+    return int(p[0])
 
 
 def _binom_pair(args) -> tuple[int, int]:
@@ -295,10 +310,11 @@ def _binom_pair(args) -> tuple[int, int]:
         raise ExprError("binom takes two arguments")
     pq = []
     for a in args:
-        p = _linear_n_poly(a)
-        if p.degree() != 1 or p.coeff(0) != 0:
-            raise ExprError("binom arguments must be integer multiples of n")
-        c = p.coeff(1)
+        why = "binom arguments must be integer multiples of n"
+        p = _n_poly(a, 1, why)
+        if len(p) != 2 or p[0] != 0:
+            raise ExprError(why)
+        c = p[1]
         if c.denominator != 1 or c <= 0:
             raise ExprError("binom arguments must be positive integer multiples of n")
         pq.append(int(c))
@@ -307,10 +323,10 @@ def _binom_pair(args) -> tuple[int, int]:
 
 def _parse_closed_form_rhs(
     src: str, kernel: KernelFamily, kernel_pos: Position
-) -> tuple[Fraction, Poly, Poly, int]:
+) -> tuple[Fraction, tuple, tuple, int]:
     """Split ``c0 + P(n)*x^(n+e)/(Q(n)*kernel(n))`` into its parts.
 
-    Returns (const, bound_num, bound_den, x_offset) with polynomials in k
+    Returns (const, bound_num, bound_den, x_offset) with integer lists in n
     and the boundary sign folded into bound_num.  The kernel factor must
     match the certificate kernel and sit on the same side.
     """
@@ -322,17 +338,15 @@ def _parse_closed_form_rhs(
                 raise ExprError("closed form must have exactly one boundary term")
             boundary = (sign, term)
         else:
-            r = parse_ratfun_ast(term)
-            if r.num.degree() > 0 or r.den.degree() > 0:
-                raise ExprError("non-boundary part of the closed form must be constant")
-            const += sign * r.num.coeff(0) / r.den.coeff(0)
+            c = _n_poly(term, 0, "non-boundary part of the closed form must be constant")
+            const += sign * sum(c)  # c is [] or [c0]
     if boundary is None:
         raise ExprError("closed form lacks a boundary term (no x power found)")
     sign, term = boundary
 
     factors: list[tuple[tuple, bool]] = []
     sign *= _flatten_product(term, out=factors)
-    num = RatFun.const(Fraction(sign), "n")
+    rest = ("num", 1)  # the factors other than kernel and x power, as one AST
     x_off = None
     binom_pairs: list[tuple[int, int]] = []
     binom_inv = None
@@ -353,8 +367,7 @@ def _parse_closed_form_rhs(
             continue
         if node[0] == "name" and node[1] == "x":
             raise ExprError("write the base power as x^n or x^(n + e)")
-        r = parse_ratfun_ast(node)
-        num = num / r if inv else num * r
+        rest = ("bin", "/" if inv else "*", rest, node)
     if x_off is None:
         raise ExprError("boundary term lacks an x power")
     if sorted(binom_pairs) != sorted(kernel.pairs):
@@ -362,7 +375,11 @@ def _parse_closed_form_rhs(
     want_inv = kernel_pos is Position.DENOMINATOR
     if binom_inv != want_inv:
         raise ExprError("boundary kernel is on the wrong side for the summand position")
-    return const, _rename(num.num, "k"), _rename(num.den, "k"), x_off
+    ev = IntegerEval("n", "closed form")
+    (a, b, l), (da, db, dl) = map(lowest_terms, ev.unit(ev.eval(rest)))
+    if any(b) or any(db):
+        raise ExprError("boundary term must be rational in n")
+    return const, tuple(sign * c * dl for c in a), tuple(c * l for c in da), x_off
 
 
 def parse_telescoping(
@@ -380,13 +397,13 @@ def parse_telescoping(
     pos = Position(position)
     symbolic = base.strip() == "x"
     base_value = None if symbolic else parse_quad(base).as_fraction()
-    w = _parse_weight_poly(weight, symbolic)
+    w = _parse_weight_lists(weight, symbolic)
     const, bnum, bden, x_off = _parse_closed_form_rhs(closed_form, fam, pos)
     return TelescopingCert(
         kernel=fam,
         kernel_pos=pos,
         base=base_value,
-        weight_poly=w,
+        weight=w,
         den_factors=parse_den_factors(den),
         const=const,
         bound_num=bnum,
@@ -400,81 +417,65 @@ def parse_telescoping(
 # the induction check
 
 
-def _witness_str(z: Poly) -> str:
-    parts = []
-    for i, c in enumerate(z.coeffs):
-        if not c:
-            continue
-        cs = render_poly(c, "x") if isinstance(c, Poly) else str(c)
-        parts.append(f"({cs})" if i == 0 else f"({cs})*n^{i}")
-    return " + ".join(parts)
+def _check_at(cert: TelescopingCert, x, w) -> CertReport:
+    """Base case and induction step of ``cert`` at the concrete base x, with
+    ``w`` the weight W(x, k) there.
+
+    With kernel(n)/kernel(n-1) = A(n-1)/B(n-1) from the kernel's ratio
+    lists, a denominator kernel requires
+
+      P(n) x^e Q(n-1) D(n) B(n-1) - P(n-1) x^(e-1) A(n-1) Q(n) D(n)
+        = W(x,n) Q(n) Q(n-1) B(n-1),
+
+    and a numerator kernel the same with A and B exchanged.  Both sides are
+    scaled by x^max(0, 1-e) so every exponent is nonnegative, and so are
+    both sides of the base case W(x,0)/D(0) = c0 + P(0) x^e / Q(0), by
+    x^max(0, -e).
+    """
+    e, p_n, q_n = cert.bound_xoff, cert.bound_num, cert.bound_den
+    up, down = (poly_shift(r, -1) for r in cert.kernel.ratio_lists)
+    if cert.kernel_pos is Position.NUMERATOR:
+        up, down = down, up
+    d_n = den_list(cert.den_factors)
+    p_m, q_m = poly_shift(p_n, -1), poly_shift(q_n, -1)
+    s = max(0, 1 - e)
+    hi = _prod([x ** (e + s)], p_n, q_m, d_n, down)
+    lo = _prod([x ** (e + s - 1)], p_m, up, q_n, d_n)
+    z = _sub(_sub(hi, lo), _prod([x**s], w, q_n, q_m, down))
+    if any(z):
+        return CertReport(False, "induction step leaves a nonzero residual", render_poly(z, "n"))
+
+    clear = max(0, -e)
+    d0, q0, w0 = den_value(cert.den_factors, 0), q_n[0], w[0] if w else 0
+    resid = (w0 - cert.const * d0) * q0 * x**clear - p_n[0] * x ** (e + clear) * d0
+    if resid:
+        return CertReport(False, "base case fails at n = 0", str(resid))
+    return CertReport(True, "base case and induction step hold exactly")
 
 
 def check_telescoping(cert: TelescopingCert) -> CertReport:
     """Exact base-case and induction-step check; PASS proves the identity.
 
-    The step B(n) - B(n-1) = t(n) is multiplied out over Q[x][n] (or Q[n]
-    at a concrete base): with kernel(n)/kernel(n-1) = A(n-1)/B(n-1) from
-    the kernel's ratio polynomials, a denominator kernel requires
-
-      P(n) x^e Q(n-1) D(n) B(n-1) - P(n-1) x^(e-1) A(n-1) Q(n) D(n)
-        = W(x,n) Q(n) Q(n-1) B(n-1),
-
-    and a numerator kernel the same with A and B exchanged.  Both sides
-    are scaled by x^max(0, 1-e) so every exponent is nonnegative.
+    At a concrete base this is :func:`_check_at`.  A formal base x is
+    checked at the concrete bases x = 1, 2, ..., D + 1, where
+    ``D = max(deg_x W, e) + max(0, 1 - e)``.  Every coefficient in n of
+    the scaled step residual is a polynomial in x of degree at most D: its
+    terms carry x^(e+s), x^(e+s-1) and x^s*W with s = max(0, 1 - e).  So
+    is the scaled base-case residual, whose terms carry x^c*W(x, 0) and
+    x^(e+c) with c = max(0, -e) <= s.  A polynomial of degree at most D
+    that vanishes at D + 1 distinct points is zero, so both residuals
+    vanish identically in x exactly when they vanish at every one of these
+    bases, and the identity then holds at every base.
     """
-    symbolic = cert.symbolic
-
-    def lift(p: Poly) -> Poly:
-        if not symbolic:
-            return p
-        return p.map_coeffs(lambda c: c if isinstance(c, Poly) else _x_const(c))
-
-    def x_power(e: int):
-        if symbolic:
-            return Poly((Fraction(0),) * e + (Fraction(1),), "x")
-        return cert.base**e
-
-    def kc(scalar) -> Poly:
-        return Poly.const(scalar, "k")
-
-    w_n = lift(cert.weight_poly)
-    p_n = lift(cert.bound_num)
-    q_n = lift(cert.bound_den)
-    d_n = lift(den_poly(cert.den_factors))
-    a, b = cert.kernel.ratio_polys()
-    a_m, b_m = lift(a.shift(-1)), lift(b.shift(-1))
-    p_m, q_m = p_n.shift(-1), q_n.shift(-1)
-
-    shift = max(0, 1 - cert.bound_xoff)
-    x_hi = kc(x_power(cert.bound_xoff + shift))
-    x_lo = kc(x_power(cert.bound_xoff + shift - 1))
-    x_w = kc(x_power(shift))
-
-    if cert.kernel_pos is Position.DENOMINATOR:
-        z = p_n * x_hi * q_m * d_n * b_m - p_m * x_lo * a_m * q_n * d_n - w_n * x_w * q_n * q_m * b_m
-    else:
-        z = p_n * x_hi * a_m * q_m * d_n - p_m * x_lo * b_m * q_n * d_n - w_n * x_w * a_m * q_n * q_m
-    step_ok = not z
-
-    # base case at n = 0: W(x,0)/D(0) = c0 + P(0) x^e / Q(0)  (kernel(0) = 1)
-    clear = max(0, -cert.bound_xoff)
-    d0 = den_value(cert.den_factors, 0)
-    q0 = cert.bound_den.coeff(0)
-    w0 = w_n.coeff(0)
-    base_resid = (
-        w0 * q0 * x_power(clear)
-        - cert.const * d0 * q0 * x_power(clear)
-        - cert.bound_num.coeff(0) * x_power(cert.bound_xoff + clear) * d0
-    )
-    base_ok = not base_resid
-
-    if step_ok and base_ok:
-        return CertReport(True, "base case and induction step hold exactly")
-    if not step_ok:
-        return CertReport(False, "induction step leaves a nonzero residual", _witness_str(z))
-    resid = render_poly(base_resid, "x") if isinstance(base_resid, Poly) else str(base_resid)
-    return CertReport(False, "base case fails at n = 0", resid)
+    if not cert.symbolic:
+        return _check_at(cert, cert.base, cert.weight[0])
+    e = cert.bound_xoff
+    deg = max(j for j, w in enumerate(cert.weight) if any(w))
+    for x in range(1, max(deg, e) + max(0, 1 - e) + 2):
+        rep = _check_at(cert, x, _weight_at(cert.weight, x))
+        if not rep.passed:
+            return CertReport(False, f"{rep.detail} at x = {x}", rep.witness)
+    return CertReport(True, "base case and induction step hold exactly")
 
 
 # ----------------------------------------------------------------------
@@ -489,12 +490,21 @@ class DerivativeCert:
     """Claim that d/dt [f_rational(t) + c*arctan(t)] equals target(t),
 
     with pinned values f(0) = 0 and f(1) = endpoint (a closed form whose
-    arctan contribution appears as c/4 * pi)."""
+    arctan contribution appears as c/4 * pi).  ``f_rational`` and
+    ``target`` are ``(num, den)`` pairs of coefficient lists in t."""
 
-    f_rational: RatFun
+    f_rational: tuple[tuple, tuple]
     arctan_coeff: Fraction
-    target: RatFun
+    target: tuple[tuple, tuple]
     endpoint: Optional[ClosedForm] = None
+
+
+def _parse_pair(s: str) -> tuple[tuple, tuple]:
+    """A rational function of t as ``(num, den)`` coefficient lists, integers
+    where the text is rational."""
+    ev = IntegerEval("t", "derivative certificate")
+    (a, b, l), (da, db, dl) = map(lowest_terms, ev.unit(ev.eval(parse_expr(s))))
+    return _scaled(a, b, dl, ev.d), _scaled(da, db, l, ev.d)
 
 
 def parse_derivative(
@@ -505,30 +515,41 @@ def parse_derivative(
     endpoint: str | None = None,
 ) -> DerivativeCert:
     return DerivativeCert(
-        f_rational=parse_ratfun(f_rational, "t"),
+        f_rational=_parse_pair(f_rational),
         arctan_coeff=Fraction(arctan_coeff),
-        target=parse_ratfun(target, "t"),
+        target=_parse_pair(target),
         endpoint=None if endpoint is None else parse_closed_form(endpoint),
     )
 
 
 def check_derivative(cert: DerivativeCert) -> CertReport:
-    """Exact rational-function check of the derivative identity."""
-    one_plus_t2 = Poly((Fraction(1), Fraction(0), Fraction(1)), "t")
-    lhs = cert.f_rational.derivative() + RatFun(Poly.const(cert.arctan_coeff, "t"), one_plus_t2)
-    if lhs != cert.target:
-        diff = (lhs - cert.target).reduced()
-        return CertReport(
-            False,
-            "derivative identity fails",
-            f"({render_poly(diff.num, 't')})/({render_poly(diff.den, 't')})",
-        )
-    if cert.f_rational(Fraction(0)) != 0:
-        return CertReport(False, "f(0) != 0", str(cert.f_rational(Fraction(0))))
+    """Exact check of the derivative identity on list pairs, with its endpoints.
+
+    With f_rational = N/D and target = P/Q, f' + c/(1 + t^2) = P/Q holds
+    exactly when ``(N'D - ND')(1 + t^2)Q + c*D^2*Q - P*D^2*(1 + t^2)`` is
+    the zero list.  f(0), and f(1) when an endpoint is pinned, are then
+    read off N/D; a zero of D there is a pole, and fails the check.
+    """
+    (n, d), (p, q), c = cert.f_rational, cert.target, cert.arctan_coeff
+
+    def f(t: int):
+        return horner(n, Fraction(t)) / horner(d, Fraction(t))
+
+    one_t2, dd = [1, 0, 1], poly_mul(d, d)
+    derivative = _sub(poly_mul(_derivative(n), d), poly_mul(n, _derivative(d)))
+    resid = _sub(
+        poly_add(_prod(derivative, one_t2, q), [c * x for x in poly_mul(dd, q)]),
+        _prod(p, dd, one_t2),
+    )
+    if any(resid):
+        return CertReport(False, "derivative identity fails", render_poly(resid, "t"))
+    for t in (0, 1) if cert.endpoint is not None else (0,):
+        if not horner(d, t):
+            return CertReport(False, f"f_rational has a pole at t = {t}", f"pole at t = {t}")
+    if f(0):
+        return CertReport(False, "f(0) != 0", str(f(0)))
     if cert.endpoint is not None:
-        at_one = ClosedForm.const(cert.f_rational(Fraction(1))) + ClosedForm.const(
-            cert.arctan_coeff / 4
-        ) * _PI
+        at_one = ClosedForm.const(f(1)) + ClosedForm.const(c / 4) * _PI
         if at_one != cert.endpoint:
             return CertReport(False, "f(1) does not match the pinned endpoint", repr(at_one))
     return CertReport(True, "derivative identity and endpoints hold exactly")

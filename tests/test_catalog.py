@@ -1,5 +1,6 @@
 """Catalog loading, validation, round-trip, path resolution, and label map."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -15,9 +16,8 @@ from bseries.catalog import (
     resolve_catalog_path,
     serialize_catalog,
 )
-from bseries import seriesmodel
-from bseries.evaluator import Status, _IntegerWeight, verify_identity
-from bseries.exactnum import Poly, RatFun
+from bseries.evaluator import Status, verify_identity
+from bseries.exactnum import IntegerSurdPoly
 from bseries.telescope import DerivativeCert, TelescopingCert
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -283,23 +283,27 @@ def test_malformed_series_field_names_the_record(old, new, why):
         loads_catalog(bad)
 
 
-def test_series_records_load_without_ratfun(monkeypatch, shipped):
-    # weights, den factors and bases are read straight into integers: loading
-    # series records, and clearing their weights for an envelope, builds no
-    # Poly or RatFun
-    perf = load_catalog(REPO_ROOT / "perfbench" / "catalog.txt")
-    texts = [serialize_catalog(r for r in cat if r.kind == "series_identity") for cat in (shipped, perf)]
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError(f"{type(self).__name__} built while loading series records")
-
-    monkeypatch.setattr(Poly, "__init__", refuse)
-    monkeypatch.setattr(RatFun, "__init__", refuse)
-    loaded = [rec for text in texts for rec in loads_catalog(text)]
-    assert len(loaded) == 189
-    for rec in loaded:
-        _IntegerWeight(rec.series)
-    assert not hasattr(seriesmodel, "_WeightValue")
+def test_series_records_load_without_ratfun():
+    # coefficient lists are the one polynomial form: no module of bseries
+    # defines or reads a name of the second polynomial stack, and
+    # IntegerSurdPoly is built from integer lists alone
+    gone = {
+        "Poly", "RatFun", "poly_divmod", "poly_gcd", "_field",  # exactnum
+        "EvalContext", "eval_ast",  # exprparse
+        "_RatFunCtx", "parse_ratfun", "_fold_constant_den", "render_ratfun", "den_poly",
+        "WeightTerm", "from_terms", "ratfun_terms", "weight_ratfun", "term_ratio",  # seriesmodel
+        "ratio_polys",  # kernels
+        "_BivarCtx", "_rename", "x_power", "parse_ratfun_ast",  # telescope
+        "_WeightValue",
+    }
+    found = set()
+    for path in sorted((REPO_ROOT / "src" / "bseries").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name in gone:
+                found.add((path.name, name))
+    assert not found
+    assert "__init__" not in vars(IntegerSurdPoly)
 
 
 def test_denominator_without_integer_root_loads():

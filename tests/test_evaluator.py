@@ -1,7 +1,7 @@
 """Evaluator tests: exact term streams, majorants, certified envelopes, verification.
 
 The evaluator works on integer lists only; each test's exact reference is
-built from ``SeriesDef.weight_value``/``term_exact``/``term_ratio``.
+built from ``SeriesDef.weight_value``/``term_exact``.
 
 Frozen reference sums were computed independently with mpmath.nsum at 70
 significant digits.
@@ -17,6 +17,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+import sympy as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +37,7 @@ from bseries.evaluator import (
     sum_series,
     verify_identity,
 )
-from bseries.exactnum import Poly, QuadElem, embed_dyadic, horner, poly_gcd
+from bseries.exactnum import QuadElem, embed_dyadic, horner
 from bseries.kernels import kernel_by_tag
 from bseries.precision import attempt_bits, ceil_units
 from bseries.seriesmodel import (
@@ -323,17 +324,18 @@ def test_envelope_pinned_on_every_shipped_series():
 
 
 def test_integer_ratio_matches_term_ratio():
-    # m_{k+1}/m_k = U(k+1)/U(k) times the term ratio of the series with weight 1
+    # m_{k+1}/m_k = U(k+1)/U(k) times the term ratio of the series with weight 1,
+    # read off its exact terms
     cases = [(rec.id, rec.series) for rec in shipped_series()] + list(enumerate(STREAM_CASES))
     for rid, sdef in cases:
         form = _IntegerWeight(sdef)
-        ref = dataclasses.replace(sdef, weight=parse_weight("1")).term_ratio()
+        one = dataclasses.replace(sdef, weight=parse_weight("1"))
         (na, nb), (da, db) = evaluator._majorant_ratio(sdef, form)
         for k in range(form.start, form.start + 20):
             num = QuadElem(horner(na, k), horner(nb, k), form.d)
             den = QuadElem(horner(da, k), horner(db, k), form.d)
-            ref_num = u_value(form, k + 1) * ref.num(Fraction(k))
-            ref_den = u_value(form, k) * ref.den(Fraction(k))
+            ref_num = u_value(form, k + 1) * one.term_exact(k + 1)
+            ref_den = u_value(form, k) * one.term_exact(k)
             # a zero weight (sec1-cz4096 at k = 0) zeroes both denominators
             assert bool(den) == bool(ref_den), (rid, k)
             assert num * ref_den == ref_num * den, (rid, k)
@@ -385,12 +387,14 @@ def test_scale_is_the_kernel_over_d():
 
 
 def test_scale_ratio_is_in_lowest_terms():
-    # num and den share no root (a constant gcd) and no integer factor, in both kernel positions
+    # num and den share no root (sympy's gcd is a constant) and no integer factor, in
+    # both kernel positions
+    k = sp.Symbol("k")
     for series in [rec.series for rec in shipped_series()] + STREAM_CASES:
         for pos in Position:
             sdef = dataclasses.replace(series, kernel_pos=pos)
             num, den = sdef.scale_ratio
-            assert poly_gcd(Poly(map(Fraction, num)), Poly(map(Fraction, den))).degree() == 0, sdef
+            assert sp.gcd(sp.Poly(num[::-1], k), sp.Poly(den[::-1], k)).degree() == 0, sdef
             assert math.gcd(*num, *den) == 1, sdef
     # thm1.1-pi: (3k+1)(3k+2)(k+1) / (8(2k+3)(6k+7)(6k+11)), of degree 3 over 3
     sdef = load_catalog(resolve_catalog_path()).lookup("thm1.1-pi").series

@@ -1,7 +1,8 @@
-"""Exact arithmetic: quadratic surds, polynomials, rational functions, integer-point signs."""
+"""Exact arithmetic: quadratic surds, coefficient lists, integer-point signs."""
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +10,9 @@ from hypothesis import strategies as st
 
 from bseries.exactnum import (
     IntegerSurdPoly,
-    Poly,
     QuadElem,
-    RatFun,
     horner,
     poly_add,
-    poly_divmod,
-    poly_gcd,
     poly_mul,
     poly_shift,
     sqrt_surd,
@@ -132,13 +129,13 @@ def test_root_bound_magnitudes_are_sound(data, d, n):
     # A leading coefficient isqrt(d n^2) - n*sqrt(d) in (-1, 0) cancels badly.
     lead = data.draw(st.sampled_from([QuadElem(math.isqrt(d * n * n), -n, d), QuadElem(n)]))
     rest = data.draw(st.lists(st.one_of(quad_elems(d=d), rationals), max_size=3))
-    f = Poly(rest + [lead], "k")
-    lead_lo, upper = IntegerSurdPoly(f)._magnitudes()
+    f = rest + [lead]
+    lead_lo, upper = surd_poly(f)._magnitudes()
     # Soundness needs U_i/lead_lo >= |c_i|/|lead|, whatever the common scale.
     assert lead_lo > 0
-    for u, c in zip(upper, f.coeffs):
+    for u, c in zip(upper, f):
         assert abs(QuadElem.of(c)) * lead_lo <= abs(lead) * u
-    g = IntegerSurdPoly(f)
+    g = surd_poly(f)
     big_k = g.root_bound()
     assert {g.sign_at(k) for k in range(big_k, big_k + 20)} == {lead.sign()}
 
@@ -146,109 +143,47 @@ def test_root_bound_magnitudes_are_sound(data, d, n):
 # ----------------------------------------------------------------------
 
 
-def P(*coeffs, var="k"):
-    return Poly([Fraction(c) for c in coeffs], var)
+def P(*coeffs):
+    return [Fraction(c) for c in coeffs]
 
 
-class TestPoly:
-    def test_basic_ops(self):
-        f = P(1, 2, 1)  # 1 + 2k + k^2
-        g = P(-1, 1)  # k - 1
-        assert f == P(1, 1) * P(1, 1)
-        assert f - f == Poly((), "k")
-        assert (f * g).degree() == 3
-        assert f(Fraction(3)) == 16
-        assert f.shift(1) == P(4, 4, 1)
-        assert f.derivative() == P(2, 2)
-
-    def test_mixed_vars_raise(self):
-        with pytest.raises(TypeError):
-            P(1, 1) * P(1, 1, var="x")
-
-    def test_nested_bivariate(self):
-        x = Poly.variable("x")
-        one = Poly.const(Fraction(1), "x")
-        # p(n) = x*n + 1 with coefficients in Q[x]
-        p = Poly((one, x), "n")
-        sq = p * p
-        assert sq == Poly((one, 2 * x, x * x), "n")
-        # (x*(n + 2) + 1)^2 through the list helpers' shift
-        assert sq.shift(2) == Poly((one + 4 * x + 4 * x * x, 2 * x + 4 * x * x, x * x), "n")
-
-    def test_equal_values_hash_alike(self):
-        three = Fraction(3)
-        pairs = [
-            (Poly((three,), "k"), three),
-            (Poly((three,), "k"), 3),
-            (Poly((three,), "k"), Poly((three,), "x")),
-            (Poly((), "k"), Poly((), "x")),
-            (Poly((), "k"), 0),
-            (Poly((Poly((three,), "x"),), "k"), three),
-            (Poly((QuadElem(three),), "k"), three),
-            (P(0, 1) * Poly((three,), "k"), P(0, Fraction(3, 1))),
-            (RatFun(P(2), P(4)), Fraction(1, 2)),
-            (RatFun(P(-1, 0, 1), P(-1, 1)), RatFun(P(1, 1))),
-            (RatFun(P(-1, 0, 1), P(-1, 1)), P(1, 1)),
-            (RatFun(P(0, 1)), P(0, 1)),
-        ]
-        for x, y in pairs:
-            assert x == y and y == x, (x, y)
-            assert hash(x) == hash(y), (x, y)
-        assert len({Poly((three,), "k"), Poly((three,), "x"), three}) == 1
-
-    def test_divmod_and_gcd(self):
-        f = P(-1, 0, 1)  # k^2 - 1
-        g = P(-1, 1)  # k - 1
-        q, r = poly_divmod(f, g)
-        assert q == P(1, 1) and not r
-        assert poly_gcd(P(-1, 0, 1), P(1, 2, 1)) == P(1, 1)
-
-    def test_int_coefficients_divide_exactly(self):
-        # int coefficients become Fractions, never floats
-        r = RatFun(Poly((2,)), Poly((4,))).reduced()
-        assert r.num.coeffs == (Fraction(1, 2),) and r.den.coeffs == (Fraction(1),)
-        q, rem = poly_divmod(Poly((1, 2, 3)), Poly((2,)))
-        g = poly_gcd(Poly((-2, 0, 2)), Poly((-3, 3)))
-        assert q.coeffs == (Fraction(1, 2), 1, Fraction(3, 2)) and not rem
-        assert g.coeffs == (-1, 1)
-        for c in r.num.coeffs + r.den.coeffs + q.coeffs + g.coeffs:
-            assert type(c) is Fraction, c
-
-    def test_divmod_quad_coeffs(self):
-        s5 = QuadElem(0, 1, 5)
-        f = Poly((s5 * s5, 2 * s5, QuadElem(1)), "k")  # (k + sqrt5)^2
-        g = Poly((s5, QuadElem(1)), "k")
-        q, r = poly_divmod(f, g)
-        assert q == g and not r
+def surd_poly(*factors):
+    """IntegerSurdPoly of the product of coefficient lists of ints, Fractions or
+    QuadElems, its denominators cleared by their lcm: a positive multiple, with the
+    same signs and roots."""
+    qs = [QuadElem.of(c) for c in reduce(poly_mul, factors)]
+    scale = math.lcm(*(x.denominator for q in qs for x in (q.a, q.b)))
+    d = max(q.d for q in qs)
+    return IntegerSurdPoly.from_lists([int(q.a * scale) for q in qs], [int(q.b * scale) for q in qs], d)
 
 
 class TestIntegerSurdPoly:
     def test_cubic_with_three_roots(self):
-        f = IntegerSurdPoly(P(-1, 1) * P(-3, 1) * P(-7, 1))  # (k-1)(k-3)(k-7)
+        f = surd_poly(P(-1, 1), P(-3, 1), P(-7, 1))  # (k-1)(k-3)(k-7)
         big_k = f.root_bound()
         assert big_k >= 8
         assert all(f.sign_at(k) > 0 for k in range(big_k, big_k + 51))
         assert [f.sign_at(k) for k in (1, 2, 3, 5, 7)] == [0, 1, 0, -1, 0]
 
     def test_integer_root_from_a_start(self):
-        f = IntegerSurdPoly(P(-1, 1) * P(-3, 1) * P(-7, 1))  # (k-1)(k-3)(k-7)
+        f = surd_poly(P(-1, 1), P(-3, 1), P(-7, 1))  # (k-1)(k-3)(k-7)
         assert [f.integer_root(s) for s in (0, 2, 4, 8)] == [1, 3, 7, None]
-        assert IntegerSurdPoly(Poly((QuadElem(0, -1, 2), QuadElem(1)), "k")).integer_root() is None
+        assert surd_poly([QuadElem(0, -1, 2), 1]).integer_root() is None
 
     def test_no_real_roots(self):
-        f = IntegerSurdPoly(P(1, 0, 1))  # k^2 + 1
+        f = surd_poly(P(1, 0, 1))  # k^2 + 1
         assert f.root_bound(start=3) == 3
         assert f.root_bound() == 2  # 1*K^2 > 1 needs K >= 2: the bound is not sharp
         assert all(f.sign_at(k) > 0 for k in range(-50, 51))
 
     def test_repeated_roots(self):
-        f = P(-1, 1) ** 3 * P(-5, 1)
-        big_k = IntegerSurdPoly(f).root_bound()
+        f = [P(-1, 1)] * 3 + [P(-5, 1)]
+        big_k = surd_poly(*f).root_bound()
         assert big_k >= 6
-        assert all(f(Fraction(k)) > 0 for k in range(big_k, big_k + 51))
+        assert all(horner(reduce(poly_mul, f), k) > 0 for k in range(big_k, big_k + 51))
 
     def test_negative_leading_coefficient(self):
-        f = IntegerSurdPoly(P(Fraction(7, 2), 0, Fraction(-1, 3)))  # 7/2 - k^2/3
+        f = surd_poly(P(Fraction(7, 2), 0, Fraction(-1, 3)))  # 7/2 - k^2/3
         big_k = f.root_bound()
         assert big_k >= 4
         assert all(f.sign_at(k) < 0 for k in range(big_k, big_k + 51))
@@ -258,33 +193,33 @@ class TestIntegerSurdPoly:
         # is about 1.9e6: the bound must see c, not the size of its parts.
         c = QuadElem(930249, -416020, 5)
         assert 0 < c < Fraction(1, 10**6)
-        f = Poly((15 * c, -8 * c, c), "k")  # c*(k - 3)*(k - 5)
-        g = IntegerSurdPoly(f)
+        f = [15 * c, -8 * c, c]  # c*(k - 3)*(k - 5)
+        g = surd_poly(f)
         big_k = g.root_bound()
         assert 6 <= big_k <= 10
         assert all(g.sign_at(k) > 0 for k in range(big_k, big_k + 51))
         assert [g.sign_at(k) for k in (2, 3, 4, 5, 6)] == [1, 0, -1, 0, 1]
-        assert IntegerSurdPoly(f * Poly((-1,), "k")).root_bound(start=4) == big_k
+        assert surd_poly(f, [-1]).root_bound(start=4) == big_k
 
     def test_sign_matches_exact_evaluation(self):
-        f = Poly((QuadElem(Fraction(-3, 2), 1, 2), QuadElem(0, Fraction(1, 7), 2), QuadElem(-1)), "k")
-        g = IntegerSurdPoly(f)
+        f = [QuadElem(Fraction(-3, 2), 1, 2), QuadElem(0, Fraction(1, 7), 2), QuadElem(-1)]
+        g = surd_poly(f)
         for k in range(-20, 21):
-            assert g.sign_at(k) == f(Fraction(k)).sign(), k
+            assert g.sign_at(k) == horner(f, k).sign(), k
 
     def test_mixed_radicands_and_zero_rejected(self):
+        # one radicand d per polynomial: only the zero polynomial is left to refuse
         with pytest.raises(ValueError):
-            IntegerSurdPoly(Poly((QuadElem(0, 1, 2), QuadElem(0, 1, 3)), "k"))
-        with pytest.raises(ValueError):
-            IntegerSurdPoly(Poly((), "k"))
+            IntegerSurdPoly.from_lists([], [], 1)
         with pytest.raises(ValueError):
             IntegerSurdPoly.from_lists([0, 0], [0], 5)
 
     def test_from_lists_matches_the_poly_constructor(self):
-        # 3 - 2k + k^2*sqrt(5), with a trailing zero coefficient to drop
-        f = IntegerSurdPoly(Poly((QuadElem(3), QuadElem(-2), QuadElem(0, 1, 5)), "k"))
+        # 3 - 2k + k^2*sqrt(5), with a trailing zero coefficient to drop, against the
+        # clearing of its coefficient list by the lcm of the denominators
+        f = surd_poly([QuadElem(3), QuadElem(-2), QuadElem(0, 1, 5)])
         g = IntegerSurdPoly.from_lists([3, -2, 0, 0], [0, 0, 1], 5)
-        assert (g.a, g.b, g.d, g.scale) == (f.a, f.b, f.d, f.scale)
+        assert (g.a, g.b, g.d) == (f.a, f.b, f.d)
         assert g.root_bound() == f.root_bound()
         # d = 1 folds the second list into the first
         h = IntegerSurdPoly.from_lists([-4], [0, 1], 1)
@@ -322,9 +257,9 @@ def test_sign_beyond_is_the_sign_at_every_later_integer(a, b, d, start):
 
 
 def test_sign_beyond_sees_a_later_root():
-    f = IntegerSurdPoly(P(-1, 1) * P(-3, 1) * P(-7, 1))  # (k-1)(k-3)(k-7)
+    f = surd_poly(P(-1, 1), P(-3, 1), P(-7, 1))  # (k-1)(k-3)(k-7)
     assert [f.sign_beyond(s) for s in (0, 3, 6, 7, 8)] == [0, 0, 0, 1, 1]
-    g = IntegerSurdPoly(Poly((QuadElem(0, -1, 2), QuadElem(1)), "k"))  # k - sqrt(2)
+    g = surd_poly([QuadElem(0, -1, 2), 1])  # k - sqrt(2)
     assert [g.sign_beyond(s) for s in (0, 1, 2)] == [0, 0, 1]
 
 
@@ -344,35 +279,3 @@ def test_rational_root_bound_is_the_smallest_dominating_k(a, start):
     k, low = f.root_bound(start), max(1, start)
     assert k >= low and dominates(k)
     assert k == low or not dominates(k - 1)
-
-
-class TestRatFun:
-    def test_cross_multiplication_equality(self):
-        # (k^2 - 1)/(k - 1) == k + 1 without reduction
-        f = RatFun(P(-1, 0, 1), P(-1, 1))
-        assert f == RatFun(P(1, 1))
-        assert f != RatFun(P(2, 1))
-
-    def test_arithmetic(self):
-        f = RatFun(P(0, 1), P(1, 0, 1))  # k/(k^2+1)
-        g = RatFun(P(1), P(0, 1))  # 1/k
-        h = f + g
-        assert h == RatFun(P(1, 0, 2), P(0, 1, 0, 1))
-        assert (f * g) == RatFun(P(1), P(1, 0, 1))
-        assert (f / g) == RatFun(P(0, 0, 1), P(1, 0, 1))
-
-    def test_derivative(self):
-        f = RatFun(P(0, 1), P(1, 0, 1))  # k/(k^2+1)
-        assert f.derivative() == RatFun(P(1, 0, -1), P(1, 0, 1) * P(1, 0, 1))
-
-    def test_eval_and_shift(self):
-        f = RatFun(P(1, 1), P(3, 2))  # (k+1)/(2k+3)
-        assert f(Fraction(1)) == Fraction(2, 5)
-        assert f.compose_shift(1) == RatFun(P(2, 1), P(5, 2))
-        with pytest.raises(ZeroDivisionError):
-            f(Fraction(-3, 2))
-
-    def test_reduced(self):
-        f = RatFun(P(-2, 0, 2), P(-1, 1) * P(2))
-        r = f.reduced()
-        assert r.num == P(1, 1) and r.den == P(1)

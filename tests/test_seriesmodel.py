@@ -1,34 +1,33 @@
 """Series model: field parsing/rendering round-trips and exact term arithmetic."""
 
 import math
+import operator
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy as sp
 
 from bseries.catalog import load_catalog
-from bseries.exactnum import Poly, QuadElem, RatFun, sqrt_surd
-from bseries.exprparse import EvalContext, ExprError, ast_as_int, eval_ast, eval_quad, parse_expr
+from bseries.exactnum import QuadElem, horner, sqrt_surd
+from bseries.exprparse import ExprError, ast_as_int, parse_expr
 from bseries.kernels import KERNELS
 from bseries.seriesmodel import (
     HarmonicAtom,
     HarmonicCache,
-    NotHypergeometric,
     Position,
     SeriesDef,
-    Weight,
-    WeightTerm,
     den_value,
     parse_base,
     parse_den_factors,
     parse_quad,
-    parse_ratfun,
     parse_weight,
     render_base,
     render_den_factors,
     render_quad,
     render_weight,
 )
+from bseries.telescope import parse_derivative
 
 
 class TestScalarField:
@@ -81,13 +80,13 @@ class TestWeight:
     def test_polynomial(self):
         w = parse_weight("63*k^2 + 78*k + 22")
         assert w.parts == (((22, 78, 63), (), (1,), None),)
-        assert w.ratfun_terms()[0].coeff(Fraction(1)) == 163
+        assert _simple_series(weight=w).weight_value(1) == 163
         assert render_weight(w) == "63*k^2 + 78*k + 22"
 
     def test_harmonic_terms(self):
         w = parse_weight("2*k - (3*k + 1)*H(k,1) + (11*k + 3)*H(2*k,1)")
         assert render_weight(w) == "2*k - (3*k + 1)*H(k,1) + (11*k + 3)*H(2*k,1)"
-        atoms = {t.atom for t in w.ratfun_terms()}
+        atoms = {atom for *_, atom in w.parts}
         assert HarmonicAtom(1, 0, 1) in atoms and HarmonicAtom(2, 0, 1) in atoms
 
     def test_offset_atom(self):
@@ -98,7 +97,7 @@ class TestWeight:
     def test_quadratic_coefficients(self):
         w = parse_weight("(459 + 99*sqrt(6))*k - 108 - 38*sqrt(6)")
         assert w.parts == (((-108, 459), (-38, 99), (1,), None),) and w.d == 6
-        assert w.ratfun_terms()[0].coeff(Fraction(0)) == QuadElem(-108, -38, 6)
+        assert _simple_series(weight=w).weight_value(0) == QuadElem(-108, -38, 6)
         canon = render_weight(w)
         assert canon == "(459 + 99*sqrt(6))*k - (108 + 38*sqrt(6))"
         # canonical form is a fixed point of parse/render
@@ -107,7 +106,7 @@ class TestWeight:
     def test_rational_function_coefficient(self):
         w = parse_weight("(15*k - 4)/27")
         assert w.parts == (((-4, 15), (), (27,), None),)
-        assert w.ratfun_terms()[0].coeff(Fraction(1)) == Fraction(11, 27)
+        assert _simple_series(weight=w).weight_value(1) == Fraction(11, 27)
 
     def test_nonlinear_atoms_rejected(self):
         with pytest.raises(ValueError):
@@ -194,6 +193,9 @@ class TestSeriesDef:
         assert sd.term_exact(2) == Fraction(5 * 64, 8 * 216)
 
     def test_term_ratio_consistency(self):
+        # t_{k+1}/t_k from the base, the weight and scale_ratio equals term_exact's
+        # quotient and sympy's simplified quotient of the term, at more points than
+        # the ratio's degree
         sd = SeriesDef(
             base_root=parse_quad("1/4"),
             kernel=KERNELS["binom(6k,3k)"],
@@ -202,9 +204,16 @@ class TestSeriesDef:
             den_factors=parse_den_factors("(2*k + 1)"),
             k_start=0,
         )
-        r = sd.term_ratio()
-        for k in range(5):
-            assert r(Fraction(k)) == sd.term_exact(k + 1) / sd.term_exact(k)
+        k = sp.Symbol("k")
+        term = (15 * k + 2) * sp.Rational(1, 4) ** k / (sp.binomial(6 * k, 3 * k) * (2 * k + 1))
+        ratio = sp.combsimp(term.subs(k, k + 1) / term)
+        num, den = sd.scale_ratio
+        assert len(num) == len(den) == 4
+        for n in range(10):
+            want = (sd.term_exact(n + 1) / sd.term_exact(n)).as_fraction()
+            got = sd.base_value * Fraction(horner(num, n), horner(den, n))
+            assert got * sd.weight_value(n + 1) / sd.weight_value(n) == want
+            assert ratio.subs(k, n) == sp.Rational(want.numerator, want.denominator)
 
     def test_harmonic_weight_term(self):
         sd = SeriesDef(
@@ -215,8 +224,6 @@ class TestSeriesDef:
         )
         h = HarmonicCache()
         assert sd.term_exact(1, h) == Fraction(3, 4)  # (1 + 1/2) * (1/2) / 1
-        with pytest.raises(NotHypergeometric):
-            sd.term_ratio()
 
     def test_conjugate(self):
         sd = SeriesDef(
@@ -230,7 +237,7 @@ class TestSeriesDef:
         )
         c = sd.conjugate()
         assert c.base_root == QuadElem(12, -4, 5)
-        assert c.weight.ratfun_terms()[0].coeff(Fraction(0)) == QuadElem(3, -1, 5)
+        assert c.weight_value(0) == QuadElem(3, -1, 5)
         assert c.conjugate() == sd
 
     def test_mixed_radicands_rejected(self):
@@ -270,109 +277,83 @@ def test_integer_exponents():
 
 
 def test_parse_ratfun_certificate_fields():
-    f = parse_ratfun("(2*t^5 + 10*t)/(3*(1 + t^2))", "t")
-    assert f(Fraction(1)) == Fraction(12, 6)
-    g = parse_ratfun("8 - (1 - t^2)^3", "t")
-    assert g(Fraction(0)) == 7
+    # a certificate's rational function of t is a (num, den) pair of coefficient lists
+    cert = parse_derivative(
+        f_rational="(2*t^5 + 10*t)/(3*(1 + t^2))", arctan_coeff="0", target="8 - (1 - t^2)^3"
+    )
+    (n, d), (p, q) = cert.f_rational, cert.target
+    assert (n, d) == ((0, 10, 0, 0, 0, 2), (3, 0, 3))
+    assert Fraction(horner(n, 1), horner(d, 1)) == Fraction(12, 6)
+    assert (p, q) == ((7, 0, 3, 0, -3, 0, 1), (1,))
+    assert Fraction(horner(p, 0), horner(q, 0)) == 7
 
 
 # ----------------------------------------------------------------------
 # the loaded integer lists against independent exact evaluations of the text
 
 
-class _RatFunWeight:
-    """Test reference: a weight as ``{atom: RatFun}`` (None the unit atom), built
-    by RatFun arithmetic, the way weights were parsed before they were read
-    straight into integer lists."""
-
-    def __init__(self, terms: dict):
-        self.terms = {a: c for a, c in terms.items() if c}
-
-    def _is_unit(self):
-        return set(self.terms) <= {None}
-
-    def _unit(self):
-        return self.terms.get(None, RatFun.const(Fraction(0)))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            out[a] = out[a] + c if a in out else c
-        return _RatFunWeight(out)
-
-    def __neg__(self):
-        return _RatFunWeight({a: -c for a, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if self._is_unit():
-            return _RatFunWeight({a: self._unit() * c for a, c in other.terms.items()})
-        if other._is_unit():
-            return _RatFunWeight({a: c * other._unit() for a, c in self.terms.items()})
-        raise ExprError("weights must be linear in harmonic atoms")
-
-    def __truediv__(self, other):
-        if not other._is_unit():
-            raise ExprError("cannot divide by a harmonic atom")
-        if not other._unit():
-            raise ZeroDivisionError("division by zero in weight")
-        return _RatFunWeight({a: c / other._unit() for a, c in self.terms.items()})
-
-    def __pow__(self, n):
-        if not self._is_unit():
-            if n == 1:
-                return self
-            raise ExprError("weights must be linear in harmonic atoms")
-        return _RatFunWeight({None: self._unit() ** n})
+K = sp.Symbol("k")
 
 
-class _RatFunWeightCtx(EvalContext):
-    def number(self, n):
-        return _RatFunWeight({None: RatFun.const(Fraction(n))})
-
-    def name(self, name):
-        assert name == "k"
-        return _RatFunWeight({None: RatFun(Poly.variable("k"))})
-
-    def call(self, name, args):
-        if name == "sqrt":
-            return _RatFunWeight({None: RatFun.const(sqrt_surd(eval_quad(args[0]).as_fraction()))})
-        arg = eval_ast(args[0], self)._unit()
-        stride, offset = arg.num.coeff(1) / arg.den.coeff(0), arg.num.coeff(0) / arg.den.coeff(0)
-        atom = HarmonicAtom(int(stride), int(offset), ast_as_int(args[1]))
-        return _RatFunWeight({atom: RatFun.const(Fraction(1))})
-
-
-def _ratfun_weight(text: str) -> list:
-    """The weight's RatFun terms, each constant denominator folded into its numerator."""
-    terms = []
-    for atom, coeff in eval_ast(parse_expr(text), _RatFunWeightCtx()).terms.items():
-        if coeff.den.degree() == 0:
-            c = coeff.den.leading()
-            coeff = RatFun(coeff.num.map_coeffs(lambda x: x / c))
-        terms.append(WeightTerm(coeff, atom))
-    return terms
+def _sympy_weight(text: str) -> dict:
+    """The weight's text read by sympy, ``{atom: coefficient}`` with None the unit atom."""
+    h = sp.Function("H")
+    expr = sp.parse_expr(text.replace("^", "**"), local_dict={"k": K, "H": h, "sqrt": sp.sqrt})
+    atoms = {}
+    for app in expr.atoms(sp.core.function.AppliedUndef):
+        index, order = app.args
+        offset, stride = (sp.Poly(index, K).all_coeffs()[::-1] + [0])[:2]
+        atoms[HarmonicAtom(int(stride), int(offset), int(order))] = app
+    symbols = {atom: sp.Dummy() for atom in atoms}
+    flat = expr.xreplace({app: symbols[atom] for atom, app in atoms.items()})
+    out = {atom: sp.diff(flat, x) for atom, x in symbols.items()}
+    out[None] = flat.subs({x: 0 for x in symbols.values()})
+    return {atom: c for atom, c in out.items() if not _is_zero(c)}
 
 
-class _ExactWalk(EvalContext):
+def _is_zero(expr) -> bool:
+    return sp.expand(sp.numer(sp.together(expr))) == 0
+
+
+def _sympy_part(a, b, e, d):
+    """(a + b*sqrt(d)) / e for integer lists, constant first."""
+
+    def poly(c):
+        return sum(x * K**i for i, x in enumerate(c))
+
+    return (poly(a) + poly(b) * sp.sqrt(d)) / poly(e)
+
+
+def _assert_cleared(w, text):
+    ref = _sympy_weight(text)
+    assert {atom for *_, atom in w.parts} == set(ref)
+    for a, b, e, atom in w.parts:
+        assert _is_zero(ref[atom] - _sympy_part(a, b, e, w.d)), (text, atom)
+        if len(e) == 1:  # a polynomial coefficient over the least positive integer
+            assert e[0] > 0 and math.gcd(*a, *b, *e) == 1, (text, atom)
+
+
+def _exact(node, k: int, harm: HarmonicCache):
     """W(k) at one integer k from the weight's AST, in Fraction/QuadElem arithmetic,
     each H(n, m) the exact prefix sum of :class:`HarmonicCache`."""
-
-    def __init__(self, k: int, harm: HarmonicCache):
-        self.k, self.harm = k, harm
-
-    def name(self, name):
-        assert name == "k"
-        return Fraction(self.k)
-
-    def call(self, name, args):
-        if name == "sqrt":
-            return sqrt_surd(eval_ast(args[0], self))
-        n = eval_ast(args[0], self)
-        assert n.denominator == 1
-        return self.harm.value(ast_as_int(args[1]), int(n))
+    kind = node[0]
+    if kind == "num":
+        return Fraction(node[1])
+    if kind == "name":
+        assert node[1] == "k"
+        return Fraction(k)
+    if kind == "neg":
+        return -_exact(node[1], k, harm)
+    if kind == "pow":
+        return _exact(node[1], k, harm) ** ast_as_int(node[2])
+    if kind == "call":
+        x = _exact(node[2][0], k, harm)
+        if node[1] == "sqrt":
+            return sqrt_surd(x)
+        assert x.denominator == 1
+        return harm.value(ast_as_int(node[2][1]), int(x))
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+    return ops[node[1]](_exact(node[2], k, harm), _exact(node[3], k, harm))
 
 
 def _shipped_series_records():
@@ -382,15 +363,21 @@ def _shipped_series_records():
 
 
 def test_loaded_lists_are_the_ratfun_weights_cleared():
-    # bit for bit the lists today's clearing of RatFun coefficients gives
+    # each part of every loaded weight is sympy's coefficient of its atom in the
+    # weight's text, cleared to integer lists
     records = list(_shipped_series_records())
     assert len(records) == 189
     for rec in records:
-        terms = _ratfun_weight(rec.fields["weight"])
-        assert rec.series.weight == Weight.from_terms(terms), rec.id
-        # and the RatFun terms built back from the lists are the same functions
-        terms.sort(key=lambda t: t.atom and (t.atom.order, t.atom.stride, t.atom.offset) or ())
-        assert rec.series.weight.ratfun_terms() == tuple(terms), rec.id
+        _assert_cleared(rec.series.weight, rec.fields["weight"])
+
+
+def test_rendered_weights_parse_back():
+    # render_weight is canonical on the lists of every shipped series
+    records = list(_shipped_series_records())
+    assert len(records) == 189
+    for rec in records:
+        w = rec.series.weight
+        assert parse_weight(render_weight(w)) == w, rec.id
 
 
 @pytest.mark.parametrize(
@@ -404,7 +391,7 @@ def test_loaded_lists_are_the_ratfun_weights_cleared():
     ],
 )
 def test_parsed_lists_are_the_ratfun_weight_cleared(text):
-    assert parse_weight(text) == Weight.from_terms(_ratfun_weight(text))
+    _assert_cleared(parse_weight(text), text)
 
 
 def test_loaded_lists_give_the_weight_at_integer_points():
@@ -415,7 +402,7 @@ def test_loaded_lists_give_the_weight_at_integer_points():
             len(e) for *_, e, _ in sdef.weight.parts
         )
         for k in range(sdef.k_start, sdef.k_start + deg + 2):
-            exact = eval_ast(ast, _ExactWalk(k, harm))
+            exact = _exact(ast, k, harm)
             assert QuadElem.of(sdef.weight_value(k, harm)) == QuadElem.of(exact), (rec.id, k)
 
 

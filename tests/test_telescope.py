@@ -8,9 +8,9 @@ import pytest
 
 from bseries.closedform import ClosedForm, parse_closed_form
 from bseries.evaluator import Status, verify_identity
-from bseries.exactnum import Poly
+from bseries.exactnum import horner
 from bseries.exprparse import ExprError
-from bseries.seriesmodel import den_value
+from bseries.seriesmodel import den_value, parse_weight
 from bseries.telescope import (
     CertReport,
     check_beta_binomial,
@@ -93,11 +93,11 @@ class TestShippedCertificates:
         cert = make_cert("sixk-general")
         assert cert.const == 8
         assert cert.bound_xoff == 1
-        w0 = cert.weight_poly.coeff(0)
-        assert w0 == Poly((Fraction(40), Fraction(2)), "x")
+        # W(x, 0) = 40 + 2x: the constant coefficient in k of each power of x
+        assert [w[0] for w in cert.weight] == [40, 2]
         assert den_value(cert.den_factors, 0) == 5
-        assert cert.bound_num(Fraction(0)) == 2
-        assert cert.bound_den(Fraction(0)) == 5
+        assert horner(cert.bound_num, 0) == 2
+        assert horner(cert.bound_den, 0) == 5
         third = cert.specialize(Fraction(1, 3))
         assert third.partial_sum(0) == Fraction(2, 5) * Fraction(1, 3) + 8
         assert third.partial_sum(0) == third.closed_sum(0)
@@ -130,6 +130,12 @@ class TestShippedCertificates:
             running += sdef.term_exact(n).as_fraction()
             assert cert.partial_sum(n) == running == cert.closed_sum(n)
 
+    @pytest.mark.parametrize("name", sorted(CERT_FIELDS))
+    def test_series_weight_is_the_weight_text_at_the_base(self, name):
+        # the lists to_series builds its Weight from clear as the text does
+        text = CERT_FIELDS[name]["weight"].replace("x", "(8)")
+        assert concrete(name, 8).to_series().weight == parse_weight(text)
+
     @pytest.mark.parametrize("name,x,total", LIMITS)
     def test_limit_consistency(self, name, x, total):
         # the boundary term dies geometrically, so the series sums to const
@@ -145,24 +151,20 @@ class TestPerturbationFuzz:
     def _perturb(self, cert, rng):
         delta = rng.choice([-3, -2, -1, 1, 2, 3])
         which = rng.randrange(3)
-        if which == 0:  # one coefficient of the weight polynomial
-            i = rng.randrange(cert.weight_poly.degree() + 1)
-            coeffs = list(cert.weight_poly.coeffs)
-            if isinstance(coeffs[i], Poly):
-                xc = list(coeffs[i].coeffs) + [Fraction(0)] * 2
-                j = rng.randrange(2)
-                xc[j] += delta
-                coeffs[i] = Poly(xc, "x")
-            else:
-                coeffs[i] += delta
-            return dataclasses.replace(cert, weight_poly=Poly(coeffs, "k"))
+        if which == 0:  # the coefficient of x^j k^i in the weight, j = 0 at a concrete base
+            i = rng.randrange(max(map(len, cert.weight)))
+            j = rng.randrange(2) if cert.symbolic else 0
+            weight = [list(w) for w in cert.weight] + [[] for _ in range(j + 1 - len(cert.weight))]
+            weight[j] += [0] * (i + 1 - len(weight[j]))
+            weight[j][i] += delta
+            return dataclasses.replace(cert, weight=tuple(map(tuple, weight)))
         if which == 1:  # one coefficient of the boundary numerator
-            i = rng.randrange(cert.bound_num.degree() + 1)
-            coeffs = list(cert.bound_num.coeffs)
-            if cert.bound_num.degree() == 0 and coeffs[i] + delta == 0:
+            i = rng.randrange(len(cert.bound_num))
+            coeffs = list(cert.bound_num)
+            if len(coeffs) == 1 and coeffs[i] + delta == 0:
                 delta *= 2
             coeffs[i] += delta
-            return dataclasses.replace(cert, bound_num=Poly(coeffs, "k"))
+            return dataclasses.replace(cert, bound_num=tuple(coeffs))
         return dataclasses.replace(cert, const=cert.const + delta)
 
     def test_hundred_random_perturbations_fail(self):
@@ -176,6 +178,35 @@ class TestPerturbationFuzz:
             assert rep.witness != ""
             failures += 1
         assert failures == 100
+
+
+class TestSymbolicBase:
+    @pytest.mark.parametrize("roots", [(1,), (1, 2, 3)])
+    def test_residual_vanishing_at_every_sample_base_but_one_fails(self, roots):
+        # sixk-general plus prod(x - r)*k: deg_x W = len(roots) = D, so the formal
+        # base is checked at x = 1, ..., D + 1, and both residuals vanish at the D
+        # roots and nowhere else among them
+        fields = dict(CERT_FIELDS["sixk-general"])
+        fields["weight"] += " + " + "*".join(f"(x - {r})" for r in roots) + "*k"
+        cert = parse_telescoping(**fields)
+        assert len(cert.weight) - 1 == len(roots)
+        for r in roots:
+            assert check_telescoping(cert.specialize(r)).passed
+        rep = check_telescoping(cert)
+        assert not rep.passed
+        assert rep.detail.endswith(f"at x = {len(roots) + 1}") and rep.witness != ""
+
+    def test_weight_of_degree_two_in_x_fails_with_a_witness(self):
+        fields = dict(CERT_FIELDS["sixk-general"], weight="x^2*k + 1")
+        rep = check_telescoping(parse_telescoping(**fields))
+        assert not rep.passed
+        assert rep.witness != ""
+
+    def test_surd_weight_at_a_concrete_base_fails(self):
+        fields = dict(CERT_FIELDS["sixk-4096-single"], weight="sqrt(2)*k")
+        rep = check_telescoping(parse_telescoping(**fields))
+        assert not rep.passed
+        assert rep.witness != ""
 
 
 class TestDerivativeCertificate:
@@ -195,8 +226,9 @@ class TestDerivativeCertificate:
 
     def test_endpoint_values(self):
         cert = parse_derivative(**self.FIELDS)
-        assert cert.f_rational(Fraction(0)) == 0
-        assert cert.f_rational(Fraction(1)) == 2
+        num, den = cert.f_rational
+        assert horner(num, 0) == 0 and horner(den, 0) != 0
+        assert Fraction(horner(num, 1), horner(den, 1)) == 2
         # 2 f(1) = 4 + 3 pi / 2
         doubled = ClosedForm.const(2) * cert.endpoint
         assert doubled == parse_closed_form("4 + 3/2*pi")
@@ -223,6 +255,23 @@ class TestDerivativeCertificate:
     def test_wrong_endpoint_fails(self):
         fields = dict(self.FIELDS, endpoint="2 + 5/4*pi")
         assert not check_derivative(parse_derivative(**fields)).passed
+
+    def test_pole_at_zero_fails(self):
+        cert = parse_derivative(f_rational="1/t", arctan_coeff="3", target="-1/t^2 + 3/(1 + t^2)")
+        rep = check_derivative(cert)
+        assert not rep.passed
+        assert rep.witness == "pole at t = 0"
+
+    def test_pole_at_one_fails_when_the_endpoint_is_pinned(self):
+        fields = dict(f_rational="t/(1 - t)", arctan_coeff="0", target="1/(1 - t)^2")
+        assert check_derivative(parse_derivative(**fields)).passed  # f(1) is not read
+        rep = check_derivative(parse_derivative(**fields, endpoint="1"))
+        assert not rep.passed
+        assert rep.witness == "pole at t = 1"
+
+    def test_surd_coefficients_pass(self):
+        cert = parse_derivative(f_rational="sqrt(2)*t", arctan_coeff="0", target="sqrt(2)")
+        assert check_derivative(cert).passed
 
 
 class TestBetaBinomial:
