@@ -10,7 +10,7 @@ weight over one common denominator c:
     W(k) = sum_i (A_i + B_i*sqrt(d)) * atom_i(k) / c(k),
 
 each atom 1 or a harmonic number ``H_n^(m)``, which a sum carries as a
-fixed-point integer with a counted error (:class:`_FixedHarmonic`, below).
+fixed-point integer with a counted error (below).
 :class:`_IntegerWeight` reads those lists and adds the majorant weight
 ``U = (UA + UB*sqrt(d)) / c`` on them.  An atom-free weight is its own
 majorant, from ``k_start``.  Otherwise U starts at K, the largest root
@@ -74,9 +74,10 @@ count becomes
 
 The weight at k is read off the lists at a scale ``2^s``: s = 0 for an
 atom-free weight, whose value is then exact, and s = P otherwise.  A
-harmonic atom is ``h_n = sum_{j<=n} floor(2^P / j^m)``, stepped in n
-(:class:`_FixedHarmonic`); each floor drops less than one unit, so ``0 <=
-2^P * H_n^(m) - h_n < n`` and its count is ``u = n``, one unit per floor.
+harmonic atom is ``h_n = sum_{j<=n} floor(2^P / j^m)``, stepped in n as
+k grows, by one division of 2^P by the small ``j^m`` a step; each floor
+drops less than one unit, so ``0 <= 2^P * H_n^(m) - h_n < n`` and its count
+is ``u = n``, one unit per floor.
 The unit atom is ``2^s`` exactly.  With ``coeff_i = (A_i + B_i*sqrt(d))/c``
 at k and ``|x + y*sqrt(d)|_1 = |x| + |y|*sqrt(d)``,
 
@@ -111,10 +112,39 @@ Every divisor above is a small integer times a power of two: a step's
 ``Bd * |Sd(k)|``, with ``Bd = 2^E`` for a quadratic base (a rational base's
 denominator gives up its power of two alike), and the weight's ``den =
 c(k) * 2^s``, times a further 2^P in Q(sqrt d).  Each is split as ``small *
-2^shift``: a floor is taken as ``(x // small) >> shift`` and a count as
-``-((-x // small) >> shift)``.  For an integer ``a > 0``, ``floor(floor(x/a)
-/ 2^E) = floor(x / (a*2^E))``, and so for ceil, so each value and each count
-is the one written above, and no P-bit number divides another.
+2^shift``, and the shift comes first: a floor is taken as ``(x >> shift) //
+small`` and a count as ``-(((-x) >> shift) // small)``.  For integers ``a >
+0`` and ``E >= 0``, write ``x = q*a*2^E + r1*2^E + r0`` with ``0 <= r1 <
+a`` and ``0 <= r0 < 2^E``; then ``floor(x/2^E) = q*a + r1`` and
+
+    floor(floor(x / 2^E) / a) = q = floor(x / (a*2^E)),
+
+and ceil follows from ``ceil(y) = -floor(-y)``.  So each value and each
+count is the one written above, bit for bit, while the small division runs
+over the shifted dividend: for a quadratic base E >= P, so it divides the
+P-bit V, not the (E + P)-bit product.  The small factors are multiplied
+first, ``v * (Bn*Sn(k))`` for a rational base and ``(v * Sn(k)) * Bn`` for a
+quadratic one, and a weight with c = 1 skips its division, so a term costs
+the two P-bit products ``v * w`` and the step's (and ``nb*R`` for atoms in
+Q(sqrt d)), and no P-bit number divides another.
+
+A count of P-bit numbers reads them above ``2^cut`` only, ``cut = max(0,
+shift - 32)``.  For ``y >= 0`` let ``top(y) = floor(y / 2^cut) + 1``, so
+``y <= 2^cut * top(y) <= y + 2^cut``.  A count ``ceil(X / (a*2^shift))`` with
+``X = sum_j y_j*z_j``, each y_j P-bit and each z_j >= 0 small, is taken as
+``ceil(X' / (a*2^(shift - cut)))`` with ``X' = sum_j top(y_j)*z_j``.  Then
+
+    X <= 2^cut * X' <= X + 2^cut * sum_j z_j,
+
+so the count is at least the exact one, and since ``ceil(y + delta) < ceil(y)
++ 1 + delta``, it exceeds it by at most ``1 + sum_j z_j / (a*2^32)`` once
+``shift >= 32``, and mostly by nothing.  A term's count reads ``|w|`` and
+``|v| + e`` with ``z = (e, ew)``: at most ``1 + (e + ew)/2^32`` more.  The
+step of a quadratic base reads ``|Bn| + eb`` and ``|v|`` with ``z =
+(e*|Sn(k)|, eb*|Sn(k)|)`` and ``a = |Sd(k)|``: at most ``1 + (e + eb)*|r|/2^32``
+more.  The floor back to 2^P in Q(sqrt d) reads ``|nb|`` and ``R + 1`` with
+``z = (1, eb)``.  Each such count multiplies and divides integers
+of about 32 bits times the small factors, so no count is P-bit arithmetic.
 
 The sum is the integer ``S = sum T_k`` with the count ``units = sum`` of
 those errors: the ball is the triple ``(S, P, units)`` as it stands.
@@ -257,26 +287,6 @@ def _log2_surd(x: int, y: int, z: int, d: int) -> float:
 
 # ----------------------------------------------------------------------
 # envelope certification
-
-
-class _FixedHarmonic:
-    """``h_n = sum_{j<=n} floor(2^s / j^m)``, stepped in n, with its count ``u = n``.
-
-    Each of the n floors drops less than one unit, so ``0 <= 2^s * H_n^(m) -
-    h_n < n``.  A step divides ``2^s`` by the small ``j^m`` once.
-    """
-
-    def __init__(self, order: int, s: int):
-        self.order, self.one, self.n, self.h = order, 1 << s, 0, 0
-
-    def at(self, n: int) -> tuple[int, int]:
-        """``(h_n, n)``; stepped on from the last n, or from 0 when n is below it."""
-        if n < self.n:
-            self.n = self.h = 0
-        while self.n < n:
-            self.n += 1
-            self.h += self.one // self.n**self.order
-        return self.h, n
 
 
 class _IntegerWeight:
@@ -463,38 +473,48 @@ class SumResult:
     attempts: int = 1  # precision attempts of the retry loop, this one included
 
 
-def _term_stream(sdef: SeriesDef, weight: _IntegerWeight, p: int):
-    """Yield ``(k, T_k, err_k)``, ``|T_k - 2^P * t_k| <= err_k``, for k = k_start, k_start + 1, ...
+def _sum_terms(
+    sdef: SeriesDef, weight: _IntegerWeight, p: int, k0: int, limit: int, budget: int
+) -> tuple[int, int, int, Optional[int]]:
+    """Sum the scaled terms ``T_k ~ 2^P * t_k`` from ``k_start`` by the stop rule, at most
+    ``budget`` of them: ``(S, units, terms, bound)``.
 
-    The recurrence and the counts are those of the module docstring: ``v``
-    and ``e`` carry ``V_k = S_k * base^k``, and the weight is read off the
-    envelope's integer lists at the scale ``2^s``, each harmonic atom a
-    :class:`_FixedHarmonic` at ``2^s`` with its count.  Every divisor is
-    ``small * 2^shift`` and divides as the module docstring says.  Sent True
-    after a term, the stream yields the majorant's ``(k, M, err)`` at that k,
-    with ``|M - 2^P * U(k) * S_k * base^k| <= err``, by the same floor and
-    count from the same ``v`` and ``e``; the next term follows after it.
+    S and units sum the terms and their counts, as the module docstring has
+    them: ``v`` and ``e`` carry ``V_k = S_k * base^k``, and the weight is
+    read off the envelope's integer lists at the scale ``2^s``, each
+    harmonic atom ``(n, h_n)`` stepped in place.  Every floor divides the
+    shifted product by the small factor, and every count of a P-bit number
+    reads its top bits.  ``bound = |M| + err`` is the majorant's term at the
+    last k, ``|M - 2^P * U(k) * S_k * base^k| <= err``, floored and counted
+    from the same ``v`` and ``e``; it is None when the budget ran out first.
+    The stop rule compares ``|T_k| + err_k`` from ``k0`` on, and then the
+    bound, with ``limit``.
     """
     bn, bd, b_err = embed_dyadic(sdef.base_value, p)
     b_shift = (bd & -bd).bit_length() - 1
     b_odd, b_mag = bd >> b_shift, abs(bn) + b_err
     root = math.isqrt(weight.d << 2 * p) if weight.d > 1 else 0
+    # a count reads a P-bit number above 2^cut, and the base's above 2^b_cut
+    cut, b_cut = max(p - 32, 0), max(b_shift - 32, 0)
+    b_top, r_top = (b_mag >> b_cut) + 1, ((root + 1) >> cut) + 1
     # every list highest degree first, for Horner's rule in the loop
     sn, sd = (tuple(reversed(x)) for x in sdef.scale_ratio)
     c = tuple(reversed(weight.c))
     c_const = c[0] if len(c) == 1 else 0  # c vanishes nowhere: 0 marks a c that varies
     unit_a = unit_b = ()
-    harmonic = []  # (a, b, stride, offset, stepper) of each harmonic atom
+    atoms = []  # [a, b, stride, offset, order, n, h_n] of each harmonic atom
     s = p if any(atom for *_, atom in weight.terms) else 0
+    one = 1 << s
     for a, b, atom in weight.terms:
         a, b = tuple(reversed(a)), tuple(reversed(b))
         if atom is None:
             unit_a, unit_b = a, b
         else:
-            harmonic.append((a, b, atom.stride, atom.offset, _FixedHarmonic(atom.order, s)))
+            atoms.append([a, b, atom.stride, atom.offset, atom.order, 0, 0])
     k_start = sdef.k_start
     num, den = sdef.scale(k_start)
     k, v, e, rn, rd = 0, (num << p) // den, 1, 1, 1
+    total = units = terms = 0
     while True:  # steps by the base alone up to k_start, then weighs and steps by base*r(k)
         if k >= k_start:
             # na + nb*sqrt(d) within ea + eb*sqrt(d) of W(k) * c(k) * 2^s
@@ -503,41 +523,67 @@ def _term_stream(sdef: SeriesDef, weight: _IntegerWeight, p: int):
                 na = na * k + x
             for x in unit_b:
                 nb = nb * k + x
-            na, nb = na << s, nb << s
-            for a, b, stride, offset, h in harmonic:
-                hn, u = h.at(stride * k + offset)
-                x = 0
-                for y in a:
-                    x = x * k + y
-                na, ea = na + x * hn, ea + abs(x) * u
-                if b:
+            if s:
+                na, nb = na << s, nb << s
+                for atom in atoms:
+                    a, b, stride, offset, order, n, h = atom
+                    index = stride * k + offset
+                    while n < index:  # h_n = sum_{j<=n} floor(2^P / j^m), one unit a floor
+                        n += 1
+                        h += one // n**order
+                    atom[5:] = n, h
                     x = 0
-                    for y in b:
+                    for y in a:
                         x = x * k + y
-                    nb, eb = nb + x * hn, eb + abs(x) * u
+                    na, ea = na + x * h, ea + abs(x) * n
+                    if b:
+                        x = 0
+                        for y in b:
+                            x = x * k + y
+                        nb, eb = nb + x * h, eb + abs(x) * n
             ck = c_const
             if not ck:
                 for x in c:
                     ck = ck * k + x
-            cw, shift = ck, s
-            while True:  # T = floor(v * w / (cw * 2^shift)) and its count
+            cw = ck
+            if cw < 0:
+                na, nb, cw = -na, -nb, -cw
+            # T = floor(v * w / (cw * 2^shift)) and its count, shift = 0 or P
+            w, ew, shift = na, ea, s
+            if nb or eb:  # the sqrt(d) part, embedded at 2^P by R
+                w, shift = (na << p) + nb * root, p
+                if s:  # floored back to the atoms' 2^P, one unit more
+                    w >>= p
+                    ew = ea - ((-((abs(nb) >> cut) + 1 + eb * r_top)) >> p - cut) + 1
+                else:
+                    ew = abs(nb)
+            if shift:
+                t, x = (v * w) >> p, ((abs(w) >> cut) + 1) * e
+                if ew:
+                    x += (((abs(v) + e) >> cut) + 1) * ew
+                x = -x >> p - cut
+            else:
+                t, x = v * w, -abs(w) * e
+            if c_const != 1:
+                t //= cw
+            err = -(x // cw) + 1
+            total += t
+            units += err
+            terms += 1
+            if k >= k0 and abs(t) + err <= limit:
+                # the majorant U(k) = (ua + ub*sqrt(d)) / c: atom-free, at 2^0, counted in full
+                na, nb, cw = horner(weight.ua, k), horner(weight.ub, k), ck
                 if cw < 0:
                     na, nb, cw = -na, -nb, -cw
-                w, ew = na, ea
-                if nb or eb:  # the sqrt(d) part, embedded at 2^P by R
-                    w, ew = (na << p) + nb * root, abs(nb) + (ea << p) + eb * (root + 1)
-                    if shift:  # floored back to the atoms' 2^P, one unit more
-                        w, ew = w >> p, -(-ew >> p) + 1
-                    else:
-                        shift = p
-                x = abs(w) * e
-                if ew:
-                    x += (abs(v) + e) * ew
-                t, err = (v * w // cw) >> shift, -((-x // cw) >> shift) + 1
-                if (yield k, t, err) is not True:
-                    break
-                # the majorant U(k) = (ua + ub*sqrt(d)) / c: atom-free, at 2^0
-                na, nb, ea, eb, cw, shift = horner(weight.ua, k), horner(weight.ub, k), 0, 0, ck, 0
+                w, ew, shift = na, 0, 0
+                if nb:
+                    w, ew, shift = (na << p) + nb * root, abs(nb), p
+                x = abs(w) * e + (abs(v) + e) * ew
+                bound = abs(((v * w) >> shift) // cw) - ((-x >> shift) // cw) + 1
+                if bound <= limit:
+                    return total, units, terms, bound
+            if terms >= budget:
+                return total, units, terms, None
             rn = rd = 0
             for x in sn:
                 rn = rn * k + x
@@ -546,11 +592,13 @@ def _term_stream(sdef: SeriesDef, weight: _IntegerWeight, p: int):
             if rd < 0:
                 rn, rd = -rn, -rd
         # V <- V * base * rn/rd, floored once, and its count
-        x = e * b_mag
-        if b_err:
-            x += abs(v) * b_err
-        small = b_odd * rd
-        v, e = (v * (bn * rn) // small) >> b_shift, -((-x * abs(rn) // small) >> b_shift) + 1
+        if b_err:  # a quadratic base: Bd = 2^E, and |Bn| + eb and |v| are read above 2^b_cut
+            x = (e * b_top + ((abs(v) >> b_cut) + 1) * b_err) * abs(rn)
+            v, e = ((v * rn * bn) >> b_shift) // rd, -((-x >> b_shift - b_cut) // rd) + 1
+        else:
+            small = b_odd * rd
+            x = e * b_mag * abs(rn)
+            v, e = ((v * (bn * rn)) >> b_shift) // small, -((-x >> b_shift) // small) + 1
         k += 1
 
 
@@ -585,20 +633,11 @@ def sum_series(
     # x * 2^-p * q/(1 - q) <= 10^-(digits+3) for an integer x >= 0 iff x <= limit
     limit = ((qd - qn) << p) // (qn * 10 ** (digits + 3))
 
-    stream = _term_stream(sdef, envelope.weight, p)
-    s = units = terms = 0
-    for k, t, err in stream:
-        s += t
-        units += err
-        terms += 1
-        if k >= envelope.k0 and abs(t) + err <= limit:
-            _, m, m_err = stream.send(True)
-            bound = abs(m) + m_err
-            if bound <= limit:
-                units += ceil_units(0, bound * qn, qd - qn)
-                return SumResult(ApproxReal(s, p, units), terms)
-        if terms >= budget:
-            raise BudgetExceeded(terms, "term budget exhausted")
+    s, units, terms, bound = _sum_terms(sdef, envelope.weight, p, envelope.k0, limit, budget)
+    if bound is None:
+        raise BudgetExceeded(terms, "term budget exhausted")
+    units += ceil_units(0, bound * qn, qd - qn)
+    return SumResult(ApproxReal(s, p, units), terms)
 
 
 def _sum_to_digits(

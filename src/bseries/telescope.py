@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Optional
+from typing import Optional, Sequence
 
 from .closedform import ClosedForm, parse_closed_form
 from .exactnum import IntegerSurdPoly, QuadElem, horner, poly_add, poly_mul, poly_shift
@@ -59,6 +59,7 @@ from .seriesmodel import (
     parse_den_factors,
     parse_quad,
     render_poly,
+    render_quad,
 )
 
 __all__ = [
@@ -522,13 +523,25 @@ def parse_derivative(
     )
 
 
+def _divide_root(a: Sequence, r: int) -> list:
+    """``a(t) / (t - r)`` for a list a with ``a(r) = 0``, constant first (synthetic division)."""
+    out, carry = [], 0
+    for x in reversed(a[1:]):
+        carry = x + r * carry
+        out.append(carry)
+    return out[::-1]
+
+
 def check_derivative(cert: DerivativeCert) -> CertReport:
     """Exact check of the derivative identity on list pairs, with its endpoints.
 
     With f_rational = N/D and target = P/Q, f' + c/(1 + t^2) = P/Q holds
     exactly when ``(N'D - ND')(1 + t^2)Q + c*D^2*Q - P*D^2*(1 + t^2)`` is
     the zero list.  f(0), and f(1) when an endpoint is pinned, are then
-    read off N/D; a zero of D there is a pole, and fails the check.
+    read off N/D with every common factor t and t - 1 divided out, so a
+    removable singularity is no pole; a zero of D left there is a pole, and
+    fails the check.  f(1) lies in Q(sqrt d) and is compared with the
+    endpoint as a closed form.
     """
     (n, d), (p, q), c = cert.f_rational, cert.target, cert.arctan_coeff
 
@@ -544,12 +557,14 @@ def check_derivative(cert: DerivativeCert) -> CertReport:
     if any(resid):
         return CertReport(False, "derivative identity fails", render_poly(resid, "t"))
     for t in (0, 1) if cert.endpoint is not None else (0,):
+        while any(n) and not horner(n, t) and not horner(d, t):
+            n, d = _divide_root(n, t), _divide_root(d, t)
         if not horner(d, t):
             return CertReport(False, f"f_rational has a pole at t = {t}", f"pole at t = {t}")
     if f(0):
         return CertReport(False, "f(0) != 0", str(f(0)))
     if cert.endpoint is not None:
-        at_one = ClosedForm.const(f(1)) + ClosedForm.const(c / 4) * _PI
+        at_one = parse_closed_form(render_quad(QuadElem.of(f(1)))) + ClosedForm.const(c / 4) * _PI
         if at_one != cert.endpoint:
             return CertReport(False, "f(1) does not match the pinned endpoint", repr(at_one))
     return CertReport(True, "derivative identity and endpoints hold exactly")

@@ -28,10 +28,9 @@ from bseries.evaluator import (
     BudgetExceeded,
     NonConvergent,
     Status,
-    _FixedHarmonic,
     _IntegerWeight,
     _log2_abs,
-    _term_stream,
+    _sum_terms,
     certify_envelope,
     evaluate,
     sum_series,
@@ -169,15 +168,32 @@ def _floor_abs(x):
     return n
 
 
+def _terms(sdef, form, p, n):
+    """``(k, T_k, err_k)`` of the first n terms, read off the summation loop's partial sums:
+    a budget of j + 1 terms adds term j to what a budget of j terms summed."""
+    last_s = last_units = 0
+    for j in range(n):
+        s, units, terms, bound = _sum_terms(sdef, form, p, 0, -1, j + 1)
+        assert terms == j + 1 and bound is None
+        yield sdef.k_start + j, s - last_s, units - last_units
+        last_s, last_units = s, units
+
+
+def _majorant_bound(sdef, form, p, k):
+    """``|M| + err`` of the majorant's term at k: the loop's stop rule with k0 = k and a limit
+    above every term and bound these tests reach."""
+    _, _, terms, bound = _sum_terms(sdef, form, p, k, 1 << 20000, k + 1)
+    assert terms == k - sdef.k_start + 1
+    return bound
+
+
 def _check_stream(sdef, terms, p=300):
     """Exact checks of each scaled term T_k ~ 2^P t_k and its count err_k, by QuadElem signs,
-    and of the majorant's term the stream yields when sent True after it."""
+    and of the majorant's term at which the stop rule would end the sum at k."""
     form = _IntegerWeight(sdef)
-    stream = _term_stream(sdef, form, p)
     harm = HarmonicCache() if sdef.has_harmonic() else None
     unit = dataclasses.replace(sdef, weight=parse_weight("1"))
-    for _ in range(terms):
-        k, t, err = next(stream)
+    for k, t, err in _terms(sdef, form, p, terms):
         exact = sdef.term_exact(k, harm) * (1 << p)
         # |T_k - 2^P t_k| <= err_k
         assert (exact - (t - err)).sign() >= 0 and ((t + err) - exact).sign() >= 0, (sdef, k)
@@ -188,9 +204,7 @@ def _check_stream(sdef, terms, p=300):
         assert err <= bound, (sdef, k, err)
         if not exact and not sdef.has_harmonic():
             assert t == 0, (sdef, k)
-        k_m, m, m_err = stream.send(True)
-        assert k_m == k
-        m = abs(m) + m_err
+        m = _majorant_bound(sdef, form, p, k)
         ref = abs(u_value(form, k) * v * (1 << p))
         # an upper bound on |U(k) S_k base^k| * 2^P, and a tight one
         assert (m - ref).sign() >= 0, (sdef, k)
@@ -408,9 +422,31 @@ def test_scale_ratio_is_in_lowest_terms():
     st.integers(min_value=0, max_value=700),
 )
 def test_divisor_splits_into_a_shift(x, a, shift):
-    # floor(floor(x/a) / 2^E) = floor(x / (a*2^E)), and so for ceil
+    # floor(floor(x/a) / 2^E) = floor(x / (a*2^E)) = floor(floor(x/2^E) / a), and so for ceil
     assert (x // a) >> shift == x // (a << shift)
+    assert (x >> shift) // a == x // (a << shift)
     assert -((-x // a) >> shift) == ceil_units(0, x, a << shift)
+    assert -((-x >> shift) // a) == ceil_units(0, x, a << shift)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=32, max_value=700),
+    st.integers(min_value=-(2**710), max_value=2**710),
+    st.integers(min_value=-(2**710), max_value=2**710),
+    st.integers(min_value=0, max_value=2**40),
+    st.integers(min_value=0, max_value=2**40),
+    st.integers(min_value=1, max_value=2**40),
+)
+@example(64, 2**64 - 1, 2**64 - 1, 2**40, 2**40, 1)
+def test_top_bit_count_bounds_the_exact_count(p, v, w, e, ew, c):
+    # a term's count ceil((|w|*e + (|v| + e)*ew) / (c*2^P)) + 1, with |w| and
+    # |v| + e read above 2^(P - 32) only, as the summation loop counts it
+    exact = ceil_units(0, abs(w) * e + (abs(v) + e) * ew, c << p) + 1
+    cut = p - 32
+    x = ((abs(w) >> cut) + 1) * e + (((abs(v) + e) >> cut) + 1) * ew
+    top = -((-x >> p - cut) // c) + 1
+    assert exact <= top <= exact + 1 + Fraction(e + ew, 2**32)
 
 
 def test_envelope_rejects_unit_ratio():
@@ -473,9 +509,7 @@ def test_integer_form_is_the_weight():
                 series, base_root=QuadElem(1), base_exp=1, kernel=None, den_factors=()
             )
             form, harm = _IntegerWeight(sdef), HarmonicCache()
-            stream = _term_stream(sdef, form, p)
-            for _ in range(30):
-                k, t, err = next(stream)
+            for k, t, err in _terms(sdef, form, p, 30):
                 w = QuadElem.of(sdef.weight_value(k, harm))
                 exact = w * (1 << p)
                 assert (exact - (t - err)).sign() >= 0 and ((t + err) - exact).sign() >= 0
@@ -489,16 +523,22 @@ def test_integer_form_is_the_weight():
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_fixed_harmonic_counts_its_floors(order):
-    # 0 <= 2^P * H_n^(m) - h_n <= u_n, stepped one n at a time; at P = 16 the
-    # floors drop every term with j^m > 2^16, so no count of 0 covers them
+    # With base 1, S_k = 1 and W = H(k, m), v = 2^P exactly and the term is the
+    # atom itself: T_k = h_k = sum_{j<=k} floor(2^P / j^m), and 0 <= 2^P * H_k^(m)
+    # - h_k <= k <= err_k.  At P = 16 the floors drop every term with j^m > 2^16,
+    # so no count of 0 covers them.
     p = 16
-    atom, harm = _FixedHarmonic(order, p), HarmonicCache()
-    for n in range(3001):
-        h, u = atom.at(n)
-        gap = harm.value(order, n) * 2**p - h
-        assert 0 <= gap <= u, n
-    # a smaller n starts the sum over
-    assert atom.at(7) == (sum(2**p // j**order for j in range(1, 8)), 7)
+    sdef = mk("1", weight=f"H(k,{order})")
+    form, harm = _IntegerWeight(sdef), HarmonicCache()
+
+    def partial(n):
+        return _sum_terms(sdef, form, p, 0, -1, n)[:2] if n else (0, 0)
+
+    for k in (0, 1, 2, 3, 40, 41, 255, 256, 257, 1000, 3000):
+        (s0, u0), (s1, u1) = partial(k), partial(k + 1)
+        h, err = s1 - s0, u1 - u0
+        assert h == sum(2**p // j**order for j in range(1, k + 1)), k
+        assert 0 <= harm.value(order, k) * 2**p - h <= k <= err, k
 
 
 def test_majorant_bounds_every_shipped_harmonic_weight():

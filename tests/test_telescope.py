@@ -273,6 +273,36 @@ class TestDerivativeCertificate:
         cert = parse_derivative(f_rational="sqrt(2)*t", arctan_coeff="0", target="sqrt(2)")
         assert check_derivative(cert).passed
 
+    def test_surd_endpoint_is_compared_in_the_field(self):
+        fields = dict(f_rational="sqrt(2)*t", arctan_coeff="0", target="sqrt(2)")
+        assert check_derivative(parse_derivative(**fields, endpoint="sqrt(2)")).passed
+        rep = check_derivative(parse_derivative(**fields, endpoint="sqrt(3)"))
+        assert not rep.passed and rep.witness == "ClosedForm('sqrt(2)')"
+        fields = dict(
+            f_rational="(1 + sqrt(2))*t",
+            arctan_coeff="1",
+            target="1 + sqrt(2) + 1/(1 + t^2)",
+            endpoint="1 + sqrt(2) + 1/4*pi",
+        )
+        assert check_derivative(parse_derivative(**fields)).passed
+
+    @pytest.mark.parametrize(
+        "f_rational", ["t^2/t", "t*(t - 1)/(t - 1)", "t^2*(t - 1)^2/(t*(t - 1)^2)"]
+    )
+    def test_removable_singularity_is_no_pole(self, f_rational):
+        # each f is t, with a common factor t or t - 1 over and under
+        fields = dict(f_rational=f_rational, arctan_coeff="0", target="1")
+        assert check_derivative(parse_derivative(**fields)).passed
+        assert check_derivative(parse_derivative(**fields, endpoint="1")).passed
+        rep = check_derivative(parse_derivative(**fields, endpoint="2"))
+        assert not rep.passed and rep.detail == "f(1) does not match the pinned endpoint"
+
+    def test_cancelled_factor_leaves_the_constant(self):
+        # t*(t - 1)/(t*(t - 1)) = 1: nothing is a pole, and f(0) = 1 fails
+        cert = parse_derivative(f_rational="t*(t - 1)/(t*(t - 1))", arctan_coeff="0", target="0")
+        rep = check_derivative(cert)
+        assert not rep.passed and rep.detail == "f(0) != 0"
+
 
 class TestBetaBinomial:
     def test_range_holds(self):
