@@ -6,7 +6,8 @@ exist, each validated on load:
 
 * ``series_identity`` — a concrete series (kernel, base, weight, optional
   denominator factors) together with its claimed closed form ``rhs``, an
-  optional left-hand scale factor, and verification hints;
+  optional left-hand scale factor, and two verification hints that are
+  accepted and ignored;
 * ``telescoping`` — a partial-sum certificate checked by exact induction;
 * ``derivative`` — a rational-derivative certificate with pinned endpoints.
 
@@ -95,7 +96,11 @@ class CatalogError(ValueError):
 
 @dataclass(frozen=True)
 class IdentityRecord:
-    """One catalog entry, with raw fields kept for exact re-serialization."""
+    """One catalog entry, with raw fields kept for exact re-serialization.
+
+    ``budget_terms`` is ignored by ``verify_identity``; it is kept only because
+    ``perfbench/worker.py`` passes it on.
+    """
 
     id: str
     kind: str
@@ -106,7 +111,6 @@ class IdentityRecord:
     series: Optional[SeriesDef] = None
     rhs: Optional[ClosedForm] = None
     lhs_scale: Optional[ClosedForm] = None
-    min_digits: Optional[int] = None
     budget_terms: Optional[int] = None
     cert: Union[TelescopingCert, DerivativeCert, None] = None
 
@@ -217,7 +221,6 @@ def _build_record(fields: dict[str, str], line: int) -> IdentityRecord:
         raise err(f"missing required keys {sorted(missing)}")
 
     series = rhs = lhs_scale = cert = None
-    min_digits = _positive_int(fields, "min_digits", rid, line)
     budget_terms = _positive_int(fields, "budget_terms", rid, line)
     kstart = 0
     if "kstart" in fields:
@@ -278,7 +281,6 @@ def _build_record(fields: dict[str, str], line: int) -> IdentityRecord:
         series=series,
         rhs=rhs,
         lhs_scale=lhs_scale,
-        min_digits=min_digits,
         budget_terms=budget_terms,
         cert=cert,
     )

@@ -180,7 +180,11 @@ One stop rule ends every sum: once ``k >= k0`` and ``|t_k| * q/(1 - q)``
 is at most ``10^-(digits+3)``, the sum stops as soon as the majorant's
 bound ``|U(k) * S_k * base^k| * q/(1 - q)`` is at most that too; it covers
 the tail after ``t_k`` and joins the count, rounded up to whole units.  Both
-tests compare integers.
+tests compare integers.  No term budget is needed: after k0 the majorant's
+term shrinks by the factor q each step and ``|t_k| <= |m_k|``, while each
+term's count stays below the guard that the limit exceeds, so every sum
+with an envelope ends, in the predicted count n of terms on every shipped
+series (:attr:`SumResult.predicted_terms`).
 
 One precision-retry loop serves :func:`evaluate` and verification alike: a
 sum to D digits is passed ``attempt_bits(D + 3, attempt)`` bits and is
@@ -225,7 +229,6 @@ from .seriesmodel import SeriesDef
 
 __all__ = [
     "NonConvergent",
-    "BudgetExceeded",
     "Envelope",
     "certify_envelope",
     "SumResult",
@@ -234,10 +237,7 @@ __all__ = [
     "Status",
     "VerificationReport",
     "verify_identity",
-    "DEFAULT_BUDGET",
 ]
-
-DEFAULT_BUDGET = 200_000
 
 # q is ranked by the predicted term count to a tail of 2^-_RANK_BITS (about
 # 38 digits).  k0 binds only where the sum would otherwise stop before it,
@@ -248,15 +248,6 @@ _RANK_BITS = 128
 
 class NonConvergent(ArithmeticError):
     """The limiting term ratio is >= 1; no geometric tail exists."""
-
-
-class BudgetExceeded(ArithmeticError):
-    """The term budget ran out after ``terms_used`` terms, in precision attempt ``attempts``."""
-
-    def __init__(self, terms_used: int, message: str):
-        super().__init__(message)
-        self.terms_used = terms_used
-        self.attempts = 1
 
 
 class Status(enum.Enum):
@@ -470,14 +461,15 @@ def certify_envelope(sdef: SeriesDef) -> Envelope:
 class SumResult:
     ball: ApproxReal
     terms_used: int
+    predicted_terms: int  # n, the count P is sized for: k0 - k_start + 1 + Envelope.predicted_terms
     attempts: int = 1  # precision attempts of the retry loop, this one included
 
 
 def _sum_terms(
-    sdef: SeriesDef, weight: _IntegerWeight, p: int, k0: int, limit: int, budget: int
-) -> tuple[int, int, int, Optional[int]]:
-    """Sum the scaled terms ``T_k ~ 2^P * t_k`` from ``k_start`` by the stop rule, at most
-    ``budget`` of them: ``(S, units, terms, bound)``.
+    sdef: SeriesDef, weight: _IntegerWeight, p: int, k0: int, limit: int
+) -> tuple[int, int, int, int]:
+    """Sum the scaled terms ``T_k ~ 2^P * t_k`` from ``k_start`` by the stop rule:
+    ``(S, units, terms, bound)``.
 
     S and units sum the terms and their counts, as the module docstring has
     them: ``v`` and ``e`` carry ``V_k = S_k * base^k``, and the weight is
@@ -486,7 +478,7 @@ def _sum_terms(
     shifted product by the small factor, and every count of a P-bit number
     reads its top bits.  ``bound = |M| + err`` is the majorant's term at the
     last k, ``|M - 2^P * U(k) * S_k * base^k| <= err``, floored and counted
-    from the same ``v`` and ``e``; it is None when the budget ran out first.
+    from the same ``v`` and ``e``.
     The stop rule compares ``|T_k| + err_k`` from ``k0`` on, and then the
     bound, with ``limit``.
     """
@@ -582,8 +574,6 @@ def _sum_terms(
                 bound = abs(((v * w) >> shift) // cw) - ((-x >> shift) // cw) + 1
                 if bound <= limit:
                     return total, units, terms, bound
-            if terms >= budget:
-                return total, units, terms, None
             rn = rd = 0
             for x in sn:
                 rn = rn * k + x
@@ -617,7 +607,6 @@ def sum_series(
     digits: int,
     envelope: Envelope,
     bits: int,
-    budget_terms: Optional[int] = None,
 ) -> SumResult:
     """Sum the series to ~`digits` absolute decimal digits at 2^-`bits`.
 
@@ -625,7 +614,6 @@ def sum_series(
     :func:`certify_envelope`, by the stop rule of the module docstring; P is
     ``bits`` plus :func:`_guard_bits` for the predicted count.
     """
-    budget = budget_terms if budget_terms is not None else DEFAULT_BUDGET
     tail_bits = math.ceil((digits + 3) * math.log2(10))
     n = envelope.k0 - sdef.k_start + 1 + envelope.predicted_terms(tail_bits)
     p = bits + _guard_bits(envelope, n)
@@ -633,24 +621,16 @@ def sum_series(
     # x * 2^-p * q/(1 - q) <= 10^-(digits+3) for an integer x >= 0 iff x <= limit
     limit = ((qd - qn) << p) // (qn * 10 ** (digits + 3))
 
-    s, units, terms, bound = _sum_terms(sdef, envelope.weight, p, envelope.k0, limit, budget)
-    if bound is None:
-        raise BudgetExceeded(terms, "term budget exhausted")
+    s, units, terms, bound = _sum_terms(sdef, envelope.weight, p, envelope.k0, limit)
     units += ceil_units(0, bound * qn, qd - qn)
-    return SumResult(ApproxReal(s, p, units), terms)
+    return SumResult(ApproxReal(s, p, units), terms, n)
 
 
-def _sum_to_digits(
-    sdef: SeriesDef, digits: int, envelope: Envelope, budget_terms: Optional[int] = None
-) -> SumResult:
+def _sum_to_digits(sdef: SeriesDef, digits: int, envelope: Envelope) -> SumResult:
     """The precision-retry loop of the module docstring around :func:`sum_series`."""
     for attempt in range(MAX_ATTEMPTS):
         bits = attempt_bits(digits + 3, attempt)
-        try:
-            res = sum_series(sdef, digits, envelope, bits, budget_terms=budget_terms)
-        except BudgetExceeded as e:
-            e.attempts = attempt + 1
-            raise
+        res = sum_series(sdef, digits, envelope, bits)
         res.attempts = attempt + 1
         if res.ball.to_digits() >= digits:
             break
@@ -694,7 +674,11 @@ def verify_identity(
     budget_terms: Optional[int] = None,
     lhs_scale: Optional[ClosedForm] = None,
 ) -> VerificationReport:
-    """Compare the series against its closed form at the requested digits."""
+    """Compare the series against its closed form at the requested digits.
+
+    ``budget_terms`` is ignored: the envelope's stop rule alone ends the sum.
+    It is kept only because ``perfbench/worker.py`` passes it.
+    """
     t0 = time.monotonic()
 
     def report(
@@ -717,10 +701,7 @@ def verify_identity(
         envelope = certify_envelope(sdef)
     except NonConvergent as e:
         return report(Status.INCONCLUSIVE, 0, tail="none", note=f"no certified tail: {e}")
-    try:
-        res = _sum_to_digits(sdef, digits + 5, envelope, budget_terms)
-    except BudgetExceeded as e:
-        return report(Status.INCONCLUSIVE, e.attempts, terms=e.terms_used, note=str(e))
+    res = _sum_to_digits(sdef, digits + 5, envelope)
 
     lhs = res.ball
     if lhs_scale is not None:

@@ -1,8 +1,9 @@
-"""The benchmark worker's contract with ``bseries``, checked on four records.
+"""The benchmark worker's contract with ``bseries``, checked on five records.
 
 ``perfbench/worker.py`` rebinds module functions to trace them, calls
-``verify_identity`` with ``budget_terms=`` and reads ``q`` and ``k0`` off each
-envelope.  A change that breaks any of this turns every benchmark row into
+``verify_identity`` with ``budget_terms=`` (ignored; ``conj5.1-slow`` passes
+20000 from the pinned catalog) and reads ``q`` and ``k0`` off each envelope.
+A change that breaks any of this turns every benchmark row into
 ``RAISED:``; this test fails first.  The worker is imported without writing
 bytecode next to it, and every attribute it rebinds is restored afterwards.
 """
@@ -18,6 +19,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 ROWS = {
     "sec1-z": ("PASS", "65/4096", 1, {"verify", "envelope", "sum", "rhs"}),
     "conj4.1-hb": ("PASS", "12507613/16777216", 33, {"verify", "envelope", "sum", "rhs"}),
+    "conj5.1-slow": ("PASS", "7913603/8388608", 0, {"verify", "envelope", "sum", "rhs"}),
     "cert-4096-single": ("PASS", None, None, {"cert"}),
     "cert-arctan": ("PASS", None, None, {"cert"}),
 }

@@ -25,7 +25,6 @@ from bseries import constants, evaluator
 from bseries.catalog import load_catalog, resolve_catalog_path
 from bseries.closedform import parse_closed_form
 from bseries.evaluator import (
-    BudgetExceeded,
     NonConvergent,
     Status,
     _IntegerWeight,
@@ -168,23 +167,25 @@ def _floor_abs(x):
     return n
 
 
-def _terms(sdef, form, p, n):
-    """``(k, T_k, err_k)`` of the first n terms, read off the summation loop's partial sums:
-    a budget of j + 1 terms adds term j to what a budget of j terms summed."""
-    last_s = last_units = 0
-    for j in range(n):
-        s, units, terms, bound = _sum_terms(sdef, form, p, 0, -1, j + 1)
-        assert terms == j + 1 and bound is None
-        yield sdef.k_start + j, s - last_s, units - last_units
-        last_s, last_units = s, units
-
-
-def _majorant_bound(sdef, form, p, k):
-    """``|M| + err`` of the majorant's term at k: the loop's stop rule with k0 = k and a limit
-    above every term and bound these tests reach."""
-    _, _, terms, bound = _sum_terms(sdef, form, p, k, 1 << 20000, k + 1)
+def _sum_through(sdef, form, p, k):
+    """``(S, units, bound)`` of the summation loop up to term k, ``bound = |M| + err`` of the
+    majorant's term at k: the stop rule with k0 = k and a limit above every term and bound
+    these tests reach.  Zeros before ``k_start``."""
+    if k < sdef.k_start:
+        return 0, 0, 0
+    s, units, terms, bound = _sum_terms(sdef, form, p, k, 1 << 20000)
     assert terms == k - sdef.k_start + 1
-    return bound
+    return s, units, bound
+
+
+def _terms(sdef, form, p, n):
+    """``(k, T_k, err_k, bound_k)`` of the first n terms: the partial sums through k and k - 1
+    differ by term k."""
+    last_s = last_units = 0
+    for k in range(sdef.k_start, sdef.k_start + n):
+        s, units, bound = _sum_through(sdef, form, p, k)
+        yield k, s - last_s, units - last_units, bound
+        last_s, last_units = s, units
 
 
 def _check_stream(sdef, terms, p=300):
@@ -193,7 +194,7 @@ def _check_stream(sdef, terms, p=300):
     form = _IntegerWeight(sdef)
     harm = HarmonicCache() if sdef.has_harmonic() else None
     unit = dataclasses.replace(sdef, weight=parse_weight("1"))
-    for k, t, err in _terms(sdef, form, p, terms):
+    for k, t, err, m in _terms(sdef, form, p, terms):
         exact = sdef.term_exact(k, harm) * (1 << p)
         # |T_k - 2^P t_k| <= err_k
         assert (exact - (t - err)).sign() >= 0 and ((t + err) - exact).sign() >= 0, (sdef, k)
@@ -204,7 +205,6 @@ def _check_stream(sdef, terms, p=300):
         assert err <= bound, (sdef, k, err)
         if not exact and not sdef.has_harmonic():
             assert t == 0, (sdef, k)
-        m = _majorant_bound(sdef, form, p, k)
         ref = abs(u_value(form, k) * v * (1 << p))
         # an upper bound on |U(k) S_k base^k| * 2^P, and a tight one
         assert (m - ref).sign() >= 0, (sdef, k)
@@ -253,7 +253,7 @@ def test_every_shipped_sum_at_30_digits_overlaps_60():
         lo, hi = {}, {}
         for digits in (30, 60):
             bits = attempt_bits(digits + 8, 0)
-            ball = sum_series(rec.series, digits + 5, env, bits, budget_terms=rec.budget_terms).ball
+            ball = sum_series(rec.series, digits + 5, env, bits).ball
             lo[digits], hi[digits] = ball.to_fraction_bounds()
         assert lo[30] <= hi[60] and lo[60] <= hi[30], rec.id
 
@@ -509,7 +509,7 @@ def test_integer_form_is_the_weight():
                 series, base_root=QuadElem(1), base_exp=1, kernel=None, den_factors=()
             )
             form, harm = _IntegerWeight(sdef), HarmonicCache()
-            for k, t, err in _terms(sdef, form, p, 30):
+            for k, t, err, _ in _terms(sdef, form, p, 30):
                 w = QuadElem.of(sdef.weight_value(k, harm))
                 exact = w * (1 << p)
                 assert (exact - (t - err)).sign() >= 0 and ((t + err) - exact).sign() >= 0
@@ -530,12 +530,8 @@ def test_fixed_harmonic_counts_its_floors(order):
     p = 16
     sdef = mk("1", weight=f"H(k,{order})")
     form, harm = _IntegerWeight(sdef), HarmonicCache()
-
-    def partial(n):
-        return _sum_terms(sdef, form, p, 0, -1, n)[:2] if n else (0, 0)
-
     for k in (0, 1, 2, 3, 40, 41, 255, 256, 257, 1000, 3000):
-        (s0, u0), (s1, u1) = partial(k), partial(k + 1)
+        (s0, u0, _), (s1, u1, _) = (_sum_through(sdef, form, p, j) for j in (k - 1, k))
         h, err = s1 - s0, u1 - u0
         assert h == sum(2**p // j**order for j in range(1, k + 1)), k
         assert 0 <= harm.value(order, k) * 2**p - h <= k <= err, k
@@ -604,7 +600,8 @@ def test_kernel_numerator_reference():
 
 def sum_pin_rows():
     """(id, digits, P, terms, attempts, 16-hex sha256 of "S,units") of the sum at digits + 5
-    of every shipped series identity with an envelope, at 30 and 300 digits."""
+    of every shipped series identity with an envelope, at 30 and 300 digits.  No sum uses
+    more terms than the count its precision was sized for."""
     rows = []
     for rec in shipped_series():
         try:
@@ -613,6 +610,7 @@ def sum_pin_rows():
             continue
         for digits in (30, 300):
             res = evaluator._sum_to_digits(rec.series, digits + 5, env)
+            assert res.terms_used <= res.predicted_terms, (rec.id, digits)
             ball = res.ball
             digest = hashlib.sha256(f"{ball.s},{ball.units}".encode()).hexdigest()[:16]
             pin = (rec.id, digits, ball.p, res.terms_used, res.attempts, digest)
@@ -634,10 +632,13 @@ def test_every_shipped_ball_is_pinned():
     assert sum_pin_rows() == rows
 
 
-def test_budget_raises():
-    sdef = mk("1/2")
-    with pytest.raises(BudgetExceeded):
-        sum_series(sdef, 40, certify_envelope(sdef), 150, budget_terms=10)
+def test_slow_series_is_not_cut_short():
+    # term ratio about 0.94: 700 digits take more than 20,000 terms, and an ignored
+    # budget_terms of 20000 must not end the sum before the stop rule does
+    rec = load_catalog(resolve_catalog_path()).lookup("conj5.1-slow")
+    rep = verify_identity(rec.series, rec.rhs, 700, budget_terms=20000, lhs_scale=rec.lhs_scale)
+    assert rep.status is Status.PASS, rep.note
+    assert rep.terms_used == 22151
 
 
 # ----------------------------------------------------------------------
@@ -744,16 +745,8 @@ def test_verify_detects_wrong_rhs():
     assert rep.digits_matched in range(6, 10)
 
 
-def test_verify_budget_inconclusive():
-    rep = verify_identity(mk("1/2"), parse_closed_form("2"), 30, budget_terms=10)
-    assert rep.status is Status.INCONCLUSIVE
-    assert rep.terms_used == 10
-    assert rep.tail_mode == "certified"
-    assert "budget" in rep.note
-
-
 def test_verify_boundary_record_ends_at_once():
-    # no budget hint: the verdict must not wait for DEFAULT_BUDGET terms
+    # no envelope: the verdict comes before any term is summed
     rec = load_catalog(resolve_catalog_path()).lookup("sec1-g1a")
     rep = verify_identity(rec.series, rec.rhs, 30)
     assert rep.status is Status.INCONCLUSIVE
@@ -766,7 +759,6 @@ def test_verify_boundary_series_inconclusive():
         mk("-1/64", weight="4*k + 1", kernel="central^3", pos="num"),
         parse_closed_form("2/pi"),
         10,
-        budget_terms=300,
     )
     assert rep.status is Status.INCONCLUSIVE
     assert (rep.terms_used, rep.attempts, rep.tail_mode) == (0, 0, "none")
