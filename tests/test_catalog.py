@@ -94,6 +94,13 @@ def test_certificates_parse(shipped):
     assert all(isinstance(r.cert, DerivativeCert) for r in der)
 
 
+def test_verification_hints_parsed(shipped):
+    # the shipped catalog dropped the hints; the benchmark's pinned copy keeps them
+    assert shipped.lookup("conj5.1-slow").budget_terms is None
+    text = (REPO_ROOT / "perfbench" / "catalog.txt").read_text(encoding="utf-8")
+    assert loads_catalog(text).lookup("conj5.1-slow").budget_terms == 20000
+
+
 def test_lhs_scale_on_known_false_record(shipped):
     rec = shipped.lookup("aldawoud-t31-r10")
     assert rec.lhs_scale is not None
