@@ -12,7 +12,8 @@ The package is layered bottom-up:
 * :mod:`bseries.evaluator` — certified summation and verification.
 * :mod:`bseries.telescope` — telescoping-certificate checking.
 * :mod:`bseries.duality` — Galois conjugation of series and dual classification.
-* :mod:`bseries.relation` — PSLQ integer-relation detection and RHS discovery.
+* :mod:`bseries.relation` — PSLQ integer-relation detection and RHS discovery;
+  the only module that imports mpmath, for ``mpmath.pslq``.
 * :mod:`bseries.catalog` — the record file format and the bundled catalog.
 * :mod:`bseries.cli` — the ``bseries`` command line tool (not yet shipped:
   ``pyproject.toml`` declares it, but the module does not exist).

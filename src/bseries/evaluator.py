@@ -210,11 +210,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-
 from .closedform import ClosedForm
 from .exactnum import (
-    IntegerSurdPoly, QuadElem, embed_dyadic, embed_surd, horner, poly_add, poly_mul, poly_shift,
+    IntegerSurdPoly, embed_dyadic, embed_surd, horner, poly_add, poly_mul, poly_shift,
     surd_mul, surd_sign,
 )
 from .precision import (
@@ -256,17 +254,11 @@ class Status(enum.Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-def _log2_abs(x: QuadElem) -> float:
-    """log2 |x|, -inf at 0; in floats, for sizing only."""
-    c = math.lcm(x.a.denominator, x.b.denominator)
-    return _log2_surd(int(x.a * c), int(x.b * c), c, x.d)
-
-
 def _log2_surd(x: int, y: int, z: int, d: int) -> float:
-    """log2 |(x + y*sqrt(d)) / z| for integers with z != 0, as :func:`_log2_abs` has it.
+    """log2 |(x + y*sqrt(d)) / z| for integers with z != 0, -inf at 0; in floats, for sizing only.
 
-    The triple is put in lowest terms with z > 0 first: those are the
-    integers a QuadElem of the same value embeds, so the float is the same.
+    The triple is put in lowest terms with z > 0 first, so the float depends
+    on the value alone.
     """
     if not (x or y):
         return -math.inf
@@ -321,11 +313,6 @@ class _IntegerWeight:
                     rho = max(rho, 2 ** (2 * size - math.log2(abs(x * x - self.d * y * y))))
         return rho
 
-    def majorant_value(self, k: int) -> QuadElem:
-        """``U(k) = (ua + ub*sqrt(d)) / c`` at k, exactly."""
-        c = horner(self.c, k)
-        return QuadElem(Fraction(horner(self.ua, k), c), Fraction(horner(self.ub, k), c), self.d)
-
 
 @dataclass(frozen=True)
 class Envelope:
@@ -352,13 +339,13 @@ class Envelope:
         return max(0, math.ceil(need / -math.log2(q)))
 
 
-def _majorant_term(sdef: SeriesDef, weight: _IntegerWeight, k: int) -> tuple[int, int, int]:
+def _majorant_term(
+    sdef: SeriesDef, weight: _IntegerWeight, base: tuple, k: int
+) -> tuple[int, int, int]:
     """The majorant's term ``m_k = U(k) * S_k * base^k`` as integers ``(x, y, z)``,
     ``m_k = (x + y*sqrt(d)) / z``; the base's power is taken on its integer
-    numerator by squaring."""
-    beta, d = sdef.base_value, weight.d
-    bc = math.lcm(beta.a.denominator, beta.b.denominator)
-    bx, by = int(beta.a * bc), int(beta.b * bc)
+    numerator by squaring.  ``base`` is ``(bx, by, bc)``, base = ``(bx + by*sqrt(d)) / bc``."""
+    (bx, by, bc), d = base, weight.d
     px, py = 1, 0  # (bx + by*sqrt(d))^k
     for bit in bin(k)[2:]:
         px, py = px * px + d * py * py, 2 * px * py
@@ -370,17 +357,16 @@ def _majorant_term(sdef: SeriesDef, weight: _IntegerWeight, k: int) -> tuple[int
     return x, y, horner(weight.c, k) * bc**k * den
 
 
-def _majorant_ratio(sdef: SeriesDef, weight: _IntegerWeight) -> tuple[tuple, tuple]:
+def _majorant_ratio(sdef: SeriesDef, weight: _IntegerWeight, base: tuple) -> tuple[tuple, tuple]:
     """The majorant's term ratio ``num/den``, each side a pair ``(a, b)`` of
-    integer lists for ``a + b*sqrt(d)``, built as the module docstring says."""
-    beta = sdef.base_value
-    bc = math.lcm(beta.a.denominator, beta.b.denominator)
+    integer lists for ``a + b*sqrt(d)``, built as the module docstring says;
+    ``base`` is :func:`_majorant_term`'s."""
+    bx, by, bc = base
     sn, sd = sdef.scale_ratio
     r = poly_mul(sn, weight.c)
     t = [bc * c for c in poly_mul(sd, poly_shift(weight.c, 1))]
     u = (weight.ua, weight.ub)
-    beta_lists = ([int(beta.a * bc)], [int(beta.b * bc)])
-    na, nb = surd_mul([poly_shift(x, 1) for x in u], beta_lists, weight.d)
+    na, nb = surd_mul([poly_shift(x, 1) for x in u], ([bx], [by]), weight.d)
     return (poly_mul(na, r), poly_mul(nb, r)), tuple(poly_mul(t, x) for x in u)
 
 
@@ -439,13 +425,13 @@ def certify_envelope(sdef: SeriesDef) -> Envelope:
     qs = [Fraction(top, 1 << 24) for top in tops if top < 1 << 24]
     if not qs:
         raise NonConvergent("cannot select a geometric bound below 1")
-    weight = _IntegerWeight(sdef)
-    num, den = _majorant_ratio(sdef, weight)
+    weight, base = _IntegerWeight(sdef), (x, y, c)
+    num, den = _majorant_ratio(sdef, weight, base)
     envelopes, log2_terms = [], {}  # log2 |m_{k0}| once per distinct k0
     for q in qs:
         k0 = _certify_q(weight, num, den, q)
         if k0 not in log2_terms:
-            log2_terms[k0] = _log2_surd(*_majorant_term(sdef, weight, k0), weight.d)
+            log2_terms[k0] = _log2_surd(*_majorant_term(sdef, weight, base, k0), weight.d)
         envelopes.append(Envelope(q=q, k0=k0, weight=weight, log2_term=log2_terms[k0]))
         if k0 == weight.start:
             # a larger q keeps this k0 and decays slower: no fewer terms
@@ -595,7 +581,9 @@ def _sum_terms(
 def _guard_bits(envelope: Envelope, n: int) -> int:
     """The bit length of the module docstring's bound on the count of an n-term sum."""
     form, ends = envelope.weight, (envelope.k0, envelope.k0 + n)
-    weight = max(_log2_abs(form.majorant_value(k)) for k in ends)
+    weight = max(
+        _log2_surd(horner(form.ua, k), horner(form.ub, k), horner(form.c, k), form.d) for k in ends
+    )
     size = math.ceil(max(0.0, weight, envelope.log2_term + 1))
     damping = math.ceil(1 / (1 - envelope.q))
     rho = math.ceil(max(form.cancellation(k) for k in ends))
@@ -692,8 +680,8 @@ def verify_identity(
             tail_mode=tail,
             elapsed=time.monotonic() - t0,
             attempts=attempts,
-            lhs_str="" if lhs is None else mpmath.nstr(lhs.mid, digits + 5),
-            residual_str="" if residual is None else mpmath.nstr(residual.mid, 8),
+            lhs_str="" if lhs is None else lhs.decimal(digits + 5),
+            residual_str="" if residual is None else residual.decimal(8),
             note=note,
         )
 

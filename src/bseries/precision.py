@@ -23,20 +23,18 @@ units) and hand them over as they are.  One consequence: a quotient of two
 exact integer balls floors at ``2^0``, so a ratio that should keep bits is
 built with ``from_ratio`` instead.
 
-``mid`` and ``rad`` are exact mpf views of ``s * 2^-p`` and
-``units * 2^-p`` for report strings and ``mpmath.pslq``; nothing here
-computes with them.  Arb keeps the same exact integer bookkeeping under
-its midpoint-radius balls (Johansson, *Arb: efficient arbitrary-precision
-midpoint-radius interval arithmetic*, IEEE Trans. Comput. 2017).
+A ball prints from its integers alone: :meth:`ApproxReal.decimal` rounds
+``s * 2^-p`` to n significant digits exactly, in ``mpmath.nstr``'s layout,
+and ``repr`` shows the midpoint to 17 digits and ``units * 2^-p`` to 5.
+Arb keeps the same exact integer bookkeeping under its midpoint-radius
+balls (Johansson, *Arb: efficient arbitrary-precision midpoint-radius
+interval arithmetic*, IEEE Trans. Comput. 2017).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import mpmath
-from mpmath.libmp import from_man_exp
 
 __all__ = [
     "ApproxReal",
@@ -136,17 +134,6 @@ class ApproxReal:
     @staticmethod
     def exact_zero() -> "ApproxReal":
         return ApproxReal(0, 0, 0)
-
-    # ------------------------------------------------------------------
-    # exact views
-
-    @property
-    def mid(self):
-        return mpmath.make_mpf(from_man_exp(self.s, -self.p))
-
-    @property
-    def rad(self):
-        return mpmath.make_mpf(from_man_exp(self.units, -self.p))
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -273,5 +260,26 @@ class ApproxReal:
 
     # ------------------------------------------------------------------
 
+    def decimal(self, n: int) -> str:
+        """The midpoint ``s * 2^-p`` to n >= 1 significant digits, as ``mpmath.nstr`` prints it.
+
+        Rounded to nearest, ties away from zero, exactly.  With e the leading
+        digit's exponent, fixed-point when ``min(-(n // 3), -5) < e < n``, else
+        ``<digits>e<+-e>``; trailing zeros are stripped down to one after the point.
+        """
+        if not self.s:
+            return "0.0"
+        a = abs(self.s)
+        e = log10_floor(Fraction(a, 1 << self.p))
+        num, den = a * 10 ** max(n - 1 - e, 0), 10 ** max(e + 1 - n, 0) << self.p
+        digits = str((2 * num + den) // (2 * den))
+        if len(digits) > n:  # rounded up to 10^n
+            digits, e = digits[:n], e + 1
+        split = 1
+        if min(-(n // 3), -5) < e < n:
+            digits, split, e = "0" * -e + digits, max(e, 0) + 1, 0
+        text = ("-" if self.s < 0 else "") + (digits[:split] + "." + digits[split:]).rstrip("0")
+        return text + ("0" if text.endswith(".") else "") + (f"e{e:+d}" if e else "")
+
     def __repr__(self):
-        return f"ApproxReal({mpmath.nstr(self.mid, 17)}, rad={mpmath.nstr(self.rad, 5)})"
+        return f"ApproxReal({self.decimal(17)}, rad={ApproxReal(self.units, self.p, 0).decimal(5)})"

@@ -21,8 +21,9 @@ least ``log10(scale / radius)`` over the inputs (capped at 400), so an input
 far below the largest keeps the digits its own ball certifies.  An input
 below ``tol/100`` of the largest, where ``mpmath.pslq`` would stop without
 searching, is reported as "no relation" with that reason.  The balls carry
-their own exponents; only ``mpmath.pslq``, which computes on the midpoints
-as mpf numbers, runs under ``mp.workprec`` at those digits.
+their own exponents.  This module alone imports mpmath: ``pslq`` builds
+each midpoint as the exact mpf of ``s * 2^-p`` from its ball's integers, and
+only ``mpmath.pslq`` on them runs under ``mp.workprec`` at those digits.
 
 Reliable discovery wants roughly 2 * max_coeff_bits * n / 3.32 certified
 digits of input (each coefficient digit consumed by the relation must be
@@ -50,6 +51,7 @@ from typing import Optional, Sequence
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from .closedform import ClosedForm, render_closed_form
 from .precision import DIGITS_INF, ApproxReal, digits_to_bits, log10_floor
@@ -195,8 +197,9 @@ def pslq(values: Sequence[ApproxReal], max_coeff_bits: int = 24) -> RelationResu
     known = [log10_floor(scale / Fraction(v.units, 1 << v.p)) for v in vals if v.units]
     work_digits = max(15, min(known + [_MAX_WORK_DIGITS]))
     with mp.workprec(digits_to_bits(work_digits)):
-        top = max(abs(v.mid) for v in vals)
-        mids = [v.mid / top for v in vals]
+        mids = [mpmath.make_mpf(from_man_exp(v.s, -v.p)) for v in vals]
+        top = max(abs(m) for m in mids)
+        mids = [m / top for m in mids]
         # The dip threshold sits at the certified level of the inputs,
         # well above the float noise floor.
         tol_digits = max(work_digits - 6, 8)

@@ -105,7 +105,7 @@ def test_lhs_scale_on_known_false_record(shipped):
     rec = shipped.lookup("aldawoud-t31-r10")
     assert rec.lhs_scale is not None
     # the scale is a positive constant (pi times a real surd)
-    assert rec.lhs_scale.eval_ball(15).mid > 0
+    assert rec.lhs_scale.eval_ball(15).s > 0
 
 
 def test_round_trip_byte_identity(shipped):

@@ -392,7 +392,7 @@ def test_l_value_against_hurwitz_route():
                 for a in range(1, q + 1)
             ) / q**2
             got = l_value_ball(d, 40)
-            assert abs(mpmath.mpf(got.mid) - ref) < mpmath.mpf(10) ** -38
+            assert abs(mpmath.ldexp(got.s, -got.p) - ref) < mpmath.mpf(10) ** -38
 
 
 def test_l_value_ball_holds_the_hurwitz_route_without_slack():

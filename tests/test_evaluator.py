@@ -11,7 +11,10 @@ import ast
 import dataclasses
 import hashlib
 import inspect
+import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +31,7 @@ from bseries.evaluator import (
     NonConvergent,
     Status,
     _IntegerWeight,
-    _log2_abs,
+    _log2_surd,
     _sum_terms,
     certify_envelope,
     evaluate,
@@ -75,6 +78,12 @@ def u_value(form, k):
     """U(k) from the integer form's lists, exactly."""
     c = horner(form.c, k)
     return QuadElem(Fraction(horner(form.ua, k), c), Fraction(horner(form.ub, k), c), form.d)
+
+
+def quad_integers(x):
+    """A QuadElem as integers ``(a, b, c)`` in lowest terms with c > 0, x = (a + b*sqrt(d)) / c."""
+    c = math.lcm(x.a.denominator, x.b.denominator)
+    return int(x.a * c), int(x.b * c), c
 
 
 def majorant_term(sdef, form, k):
@@ -344,7 +353,7 @@ def test_integer_ratio_matches_term_ratio():
     for rid, sdef in cases:
         form = _IntegerWeight(sdef)
         one = dataclasses.replace(sdef, weight=parse_weight("1"))
-        (na, nb), (da, db) = evaluator._majorant_ratio(sdef, form)
+        (na, nb), (da, db) = evaluator._majorant_ratio(sdef, form, quad_integers(sdef.base_value))
         for k in range(form.start, form.start + 20):
             num = QuadElem(horner(na, k), horner(nb, k), form.d)
             den = QuadElem(horner(da, k), horner(db, k), form.d)
@@ -361,7 +370,8 @@ def test_log2_term_is_the_exact_majorant_term():
             env = certify_envelope(sdef)
         except NonConvergent:
             continue
-        assert env.log2_term == _log2_abs(majorant_term(sdef, env.weight, env.k0)), sdef
+        m = majorant_term(sdef, env.weight, env.k0)
+        assert env.log2_term == _log2_surd(*quad_integers(m), m.d), sdef
 
 
 def test_evaluator_works_on_integer_lists_only():
@@ -816,6 +826,53 @@ def test_balls_do_not_read_the_mpmath_precision(monkeypatch):
         high = snapshot()
     assert low == high == snapshot()
     assert [rep.status for rep in low[-3:]] == [Status.FAIL, Status.PASS, Status.PASS]
+
+
+def test_report_strings_match_nstr_on_shipped_sums():
+    # a ball prints from its integers; mpmath.nstr of its exact midpoint is the
+    # reference, for the sums and their residuals at the report's digit counts
+    for rec in shipped_series():
+        for digits in (30, 300):
+            try:
+                lhs = evaluate(rec.series, digits).ball
+            except NonConvergent:
+                continue
+            for ball in (lhs, lhs - rec.rhs.eval_ball(digits + 10)):
+                mid = mpmath.make_mpf(mpmath.libmp.from_man_exp(ball.s, -ball.p))
+                for n in (digits + 5, 8):
+                    assert ball.decimal(n) == mpmath.nstr(mid, n), (rec.id, digits, n)
+
+
+VERIFY_WITHOUT_MPMATH = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+sys.modules["mpmath"] = None  # any import of mpmath raises ImportError
+from bseries import catalog, closedform, constants, evaluator, telescope
+got = {}
+for r in catalog.load_catalog(catalog.resolve_catalog_path()):
+    if r.kind == "series_identity":
+        rep = evaluator.verify_identity(r.series, r.rhs, 30, lhs_scale=r.lhs_scale)
+        got[r.id] = rep.status.value
+    elif isinstance(r.cert, telescope.TelescopingCert):
+        got[r.id] = "PASS" if telescope.check_telescoping(r.cert).passed else "FAIL"
+    else:
+        got[r.id] = "PASS" if telescope.check_derivative(r.cert).passed else "FAIL"
+print(json.dumps(got))
+"""
+
+
+def test_verification_runs_without_mpmath():
+    # the perfbench worker's imports check every shipped record on the standard library alone
+    src = str(Path(evaluator.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", VERIFY_WITHOUT_MPMATH, src], capture_output=True, text=True, check=True
+    )
+    got = json.loads(out.stdout)  # 94 series and 5 certificates
+    assert len(got) == 99
+    assert {rid: v for rid, v in got.items() if v != "PASS"} == {
+        "aldawoud-t31-r10": "FAIL",
+        "sec1-g1a": "INCONCLUSIVE",
+    }
 
 
 def test_no_module_reads_an_ambient_precision():

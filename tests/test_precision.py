@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import make_mpf, mp, nstr
+from mpmath.libmp import from_man_exp
 
 from bseries.precision import (
     DIGITS_INF,
@@ -25,7 +26,7 @@ def test_digits_to_bits_policy():
 
 def test_exact_dyadic_fraction():
     x = ApproxReal.from_fraction(Fraction(3, 8), 53)
-    assert x.rad == 0
+    assert x.units == 0
     assert x.to_digits() == DIGITS_INF
     assert x.to_fraction_bounds() == (Fraction(3, 8), Fraction(3, 8))
 
@@ -54,7 +55,7 @@ def test_rounded_int_never_gets_zero_radius():
     for x in (ApproxReal.from_int(n), ApproxReal.from_int(0) + n):
         assert x.to_fraction_bounds() == (n, n)
     x = ApproxReal.from_ratio(n, 3, 53)
-    assert x.rad > 0
+    assert x.units > 0
     lo, hi = x.to_fraction_bounds()
     assert lo <= Fraction(n, 3) <= hi
 
@@ -94,7 +95,7 @@ def test_pow_int():
     assert lo <= Fraction(3, 7) ** 5 <= hi
     lo, hi = (x**-3).to_fraction_bounds()
     assert lo <= Fraction(7, 3) ** 3 <= hi
-    assert (x**0).rad == 0
+    assert (x**0).units == 0
 
 
 def test_negative_power_of_a_small_ball():
@@ -241,7 +242,36 @@ def test_from_ratio_floors_once(pq, prec):
     assert (x.s, x.p) == (math.floor(exact * 2**prec), prec)
     lo, hi = x.to_fraction_bounds()
     assert lo <= exact <= hi
-    assert (x.rad == 0) == ((exact * 2**prec).denominator == 1)
+    assert (x.units == 0) == ((exact * 2**prec).denominator == 1)
+
+
+@pytest.mark.parametrize(
+    "x, n, text",
+    [
+        (Fraction(0), 5, "0.0"),
+        (Fraction(-22, 7), 8, "-3.1428571"),
+        (Fraction(1, 10**7), 5, "1.0e-7"),
+        (Fraction(123456), 3, "1.23e+5"),
+        (Fraction(123456), 8, "123456.0"),
+        (Fraction(10**20), 5, "1.0e+20"),
+        (Fraction(12345, 10**8), 5, "0.00012345"),
+        (Fraction(12345, 10**9), 5, "1.2345e-5"),
+        (Fraction(1, 8), 1, "0.1"),
+        (Fraction(1, 8), 2, "0.13"),  # a tie, away from zero
+        (Fraction(5, 2), 1, "3.0"),
+        (Fraction(5, 2), 2, "2.5"),
+        (Fraction(-5, 2), 1, "-3.0"),
+        (Fraction(9999, 1000), 2, "10.0"),  # the carry moves the exponent
+    ],
+)
+def test_decimal_rounds_the_midpoint_as_nstr_prints_it(x, n, text):
+    ball = ApproxReal.from_fraction(x, 64)
+    assert ball.decimal(n) == text == nstr(make_mpf(from_man_exp(ball.s, -ball.p)), n)
+
+
+def test_repr_prints_midpoint_and_radius():
+    assert repr(ApproxReal(-7, 1, 3)) == "ApproxReal(-3.5, rad=1.5)"
+    assert repr(ApproxReal.from_int(3)) == "ApproxReal(3.0, rad=0.0)"
 
 
 def test_from_ratio_rejects_zero_denominator():

@@ -233,11 +233,12 @@ class TestDerivativeCertificate:
         doubled = ClosedForm.const(2) * cert.endpoint
         assert doubled == parse_closed_form("4 + 3/2*pi")
         ball = doubled.eval_ball(30)
-        from mpmath import mp, mpf
+        from mpmath import make_mpf, mp, mpf
+        from mpmath.libmp import from_man_exp
 
         with mp.workprec(140):
             want = mpf(4) + 3 * mp.pi / 2
-            assert abs(ball.mid - want) <= mpf(10) ** -30
+            assert abs(make_mpf(from_man_exp(ball.s, -ball.p)) - want) <= mpf(10) ** -30
 
     def test_wrong_arctan_coeff_fails(self):
         fields = dict(self.FIELDS, arctan_coeff="5/2")
