@@ -10,10 +10,15 @@ The same syntax serves quadratic surds, harmonic-weight expressions, linear
 denominator factors, closed forms and certificate polynomials.
 :class:`IntegerEval` is the one interpreter of an AST into polynomials: it
 walks it straight into integer polynomials over Q(sqrt d) with the rules of
-rational-function arithmetic.  It reads scalars (:func:`eval_quad`) and
-denominator factors; with the harmonic atoms :mod:`bseries.seriesmodel`
-adds, weights; and with the powers of a formal base as atoms, and n or t
-as the variable, the fields of :mod:`bseries.telescope`'s certificates.
+rational-function arithmetic, one coefficient per atom.  A product
+multiplies atoms by :meth:`IntegerEval.atom_product` and a quotient by the
+divisor's reciprocal atom, :meth:`IntegerEval.atom_inverse`; by default
+only the unit atom has one.  It reads scalars (:func:`eval_quad`),
+denominator factors and the rational functions of t in derivative
+certificates; with the harmonic atoms :mod:`bseries.seriesmodel` adds,
+weights; and with the atoms ``x^(a*n + e) * prod binom(p*n, q*n)^s``,
+which multiply and divide, both text fields of a telescoping certificate
+in :mod:`bseries.telescope`, the weight in k and the closed form in n.
 :mod:`bseries.closedform` folds its ASTs into one dict of terms.
 
 Implicit multiplication (``2k``, ``k(k+1)``, ``(a)(b)``) is supported;
@@ -284,11 +289,14 @@ class IntegerEval:
 
     ``var`` is the polynomial variable (None for a scalar) and ``where``
     names the field in error texts; ``d`` is the one radicand met, 1 if
-    none.  Atoms are linear: a product of two terms multiplies their atoms
-    by :meth:`atom_product`, which here allows only the unit atom, and a
-    divisor is atom-free.  Here no name but ``var`` and no function makes
-    an atom; a subclass that reads one overrides :meth:`name` or
-    :meth:`call`, and :meth:`atom_product` where atoms multiply.
+    none.  A product of two terms multiplies their atoms by
+    :meth:`atom_product`, and a quotient multiplies by the divisor's one
+    term with its atom replaced by :meth:`atom_inverse`.  Here both allow
+    only the unit atom, so atoms are linear and a divisor is atom-free, and
+    no name but ``var`` and no function makes an atom.  A subclass that
+    reads one overrides :meth:`name` or :meth:`call`, and
+    :meth:`atom_product` and :meth:`atom_inverse` where atoms multiply and
+    divide.
     """
 
     def __init__(self, var: Optional[str], where: str):
@@ -315,13 +323,12 @@ class IntegerEval:
             return self.add(x, self.neg(y))
         if op == "*":
             return self.mul(x, y)
-        if not set(y) <= {None}:
-            raise ExprError("cannot divide by a harmonic atom")
         if not y:
             raise ZeroDivisionError(f"division by zero in {self.where}")
-        ((n2, d2),) = y.values()
-        d = self.d
-        return {a: (_p_mul(n1, d2, d), _p_mul(d1, n2, d)) for a, (n1, d1) in x.items()}
+        inverse = {self.atom_inverse(b): (d2, n2) for b, (n2, d2) in y.items()}
+        if len(inverse) > 1:
+            raise ExprError(f"cannot divide by a sum of atoms in {self.where}")
+        return self.mul(x, inverse)
 
     def name(self, name: str) -> dict:
         if name != self.var:
@@ -334,6 +341,13 @@ class IntegerEval:
         if a is not None and b is not None:
             raise ExprError("weights must be linear in harmonic atoms")
         return b if a is None else a
+
+    @staticmethod
+    def atom_inverse(b):
+        """The atom of the reciprocal of a b-term."""
+        if b is not None:
+            raise ExprError("cannot divide by a harmonic atom")
+        return None
 
     @staticmethod
     def unit(x: dict):

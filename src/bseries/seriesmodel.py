@@ -184,20 +184,16 @@ def parse_quad(s: str) -> QuadElem:
     return eval_quad(parse_expr(s))
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)
-
-
 def render_quad(q: QuadElem) -> str:
     """Canonical scalar rendering: 'a + b*sqrt(d)' with explicit rationals."""
     if q.b == 0:
-        return _frac_str(q.a)
+        return str(q.a)
     babs = abs(q.b)
-    root = f"sqrt({q.d})" if babs == 1 else f"{_frac_str(babs)}*sqrt({q.d})"
+    root = f"sqrt({q.d})" if babs == 1 else f"{str(babs)}*sqrt({q.d})"
     if q.a == 0:
         return root if q.b > 0 else f"-{root}"
     sign = " + " if q.b > 0 else " - "
-    return f"{_frac_str(q.a)}{sign}{root}"
+    return f"{str(q.a)}{sign}{root}"
 
 
 def parse_base(s: str) -> tuple[QuadElem, int]:
@@ -329,7 +325,7 @@ def _scalar_sign(c) -> int:
 def _scalar_str(c) -> str:
     if isinstance(c, QuadElem):
         return render_quad(c)
-    return _frac_str(c)
+    return str(c)
 
 
 def _needs_parens(s: str) -> bool:

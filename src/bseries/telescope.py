@@ -12,8 +12,13 @@ D and Q are products of integer-linear factors, P is a polynomial, and
 s = +1/-1 places the kernel in the numerator or denominator.  The base x
 is either a formal indeterminate or a fixed rational specialized up front.
 Every polynomial is a coefficient list, constant first, read from its text
-by :class:`~bseries.exprparse.IntegerEval`; W is one list in k per power
-of x.
+by one :class:`~bseries.exprparse.IntegerEval` subclass, whose atoms are
+x^(a*var + e) * kernel^s: the weight in k, as one list W_j per power x^j,
+and the closed form in n.  The closed form is read as the value it
+denotes, one coefficient per atom, so like terms merge (``x^n*x`` is
+x^(n+1)): the unit atom's coefficient is c0, and the one other atom must
+be x^(n+e) times the kernel, on the side s names, with P/Q its
+coefficient.
 
 ``check_telescoping`` proves or refutes the claim with no numerics at all.
 At a concrete base the base case at n = 0 is an exact arithmetic identity,
@@ -221,166 +226,104 @@ class TelescopingCert:
 # parsing: weight in x and k, closed form in n and x
 
 
-class _BaseEval(IntegerEval):
-    """:class:`~bseries.exprparse.IntegerEval` in k with the formal base x: the
-    power x^j is the atom j, so the atoms of a product add."""
+class _CertEval(IntegerEval):
+    """:class:`~bseries.exprparse.IntegerEval` with the atoms of a certificate field.
 
-    def __init__(self):
-        super().__init__("k", "certificate weight")
+    The atom ``(a, e, kernel)`` stands for x^(a*var + e) times
+    binom(p*var, q*var)^s over the sorted ``((p, q), s)`` in ``kernel``.
+    Atoms add under a product and subtract under a quotient, and one with
+    nothing left is the unit atom None.  ``x`` is ``(0, 1, ())``, and in
+    ``x^(expr)`` the exponent is an integer-linear form in var.
+    """
+
+    def eval(self, node) -> dict:
+        if node[0] == "pow" and node[1] == ("name", "x"):
+            e, a = self._linear(node[2])
+            return {(a, e, ()) if a or e else None: (ONE, ONE)}
+        return super().eval(node)
 
     def name(self, name: str) -> dict:
-        return {1: (ONE, ONE)} if name == "x" else super().name(name)
+        return {(0, 1, ()): (ONE, ONE)} if name == "x" else super().name(name)
+
+    def call(self, name: str, args: tuple) -> dict:
+        if name != "binom":
+            return super().call(name, args)
+        if len(args) != 2:
+            raise ExprError("binom takes two arguments")
+        (e, p), (f, q) = map(self._linear, args)
+        if e or f or p < 1 or q < 1:
+            raise ExprError(f"binom arguments must be positive integer multiples of {self.var}")
+        return {(0, 0, (((p, q), 1),)): (ONE, ONE)}
+
+    def _linear(self, node) -> tuple[int, int]:
+        """``(c0, c1)`` for node = c0 + c1*var with integers c0, c1."""
+        p = self.polynomial(self.eval(node), 1)
+        if p is None or any(p[1]) or any(c % p[2] for c in p[0]):
+            raise ExprError(f"expected an integer-linear form in {self.var} in {self.where}")
+        c0, c1 = [c // p[2] for c in p[0]] + [0] * (2 - len(p[0]))
+        return c0, c1
 
     @staticmethod
     def atom_product(a, b):
-        return (a or 0) + (b or 0) or None
+        (a1, e1, k1), (a2, e2, k2) = a or (0, 0, ()), b or (0, 0, ())
+        kernel = dict(k1)
+        for pq, s in k2:
+            kernel[pq] = kernel.get(pq, 0) + s
+        kernel = tuple(sorted((pq, s) for pq, s in kernel.items() if s))
+        return (a1 + a2, e1 + e2, kernel) if a1 + a2 or e1 + e2 or kernel else None
+
+    @staticmethod
+    def atom_inverse(b):
+        return b and (-b[0], -b[1], tuple((pq, -s) for pq, s in b[2]))
 
 
-def _parse_weight_lists(s: str, symbolic: bool) -> tuple[tuple, ...]:
+def _parse_weight_lists(s: str) -> tuple[tuple, ...]:
     """W_j(k) for each power j of x, from the weight's text."""
-    ev = _BaseEval() if symbolic else IntegerEval("k", "certificate weight")
+    ev = _CertEval("k", "certificate weight")
     powers = {}
-    for j, (num, den) in ev.eval(parse_expr(s)).items():
+    for atom, (num, den) in ev.eval(parse_expr(s)).items():
+        k_exp, j, kernel = atom or (0, 0, ())
         num, den = ev.fold(num, den)
-        if den is not ONE:
-            raise ExprError(f"weight must be a polynomial in k: {s!r}")
+        if k_exp or kernel or j < 0 or den is not ONE:
+            raise ExprError(f"weight must be a polynomial in x and k: {s!r}")
         a, b, l = lowest_terms(num)
-        powers[j or 0] = _scaled(a, b, Fraction(1, l) if l > 1 else 1, ev.d)
+        powers[j] = _scaled(a, b, Fraction(1, l) if l > 1 else 1, ev.d)
     return tuple(powers.get(j, ()) for j in range(max(powers, default=-1) + 1))
-
-
-def _flatten_sum(node, sign=1, out=None):
-    if out is None:
-        out = []
-    if node[0] == "bin" and node[1] in "+-":
-        _flatten_sum(node[2], sign, out)
-        _flatten_sum(node[3], sign if node[1] == "+" else -sign, out)
-    elif node[0] == "neg":
-        _flatten_sum(node[1], -sign, out)
-    else:
-        out.append((sign, node))
-    return out
-
-
-def _flatten_product(node, inv=False, out=None, sign=1):
-    if out is None:
-        out = []
-    if node[0] == "bin" and node[1] in "*/":
-        sign = _flatten_product(node[2], inv, out, sign)
-        sign = _flatten_product(node[3], inv or node[1] == "/", out, sign)
-    elif node[0] == "neg":
-        sign = -_flatten_product(node[1], inv, out, sign)
-    else:
-        out.append((node, inv))
-    return sign
-
-
-def _mentions(node, kind, name) -> bool:
-    if node[0] == kind and node[1] == name:
-        return True
-    for child in node[1:]:
-        if isinstance(child, tuple) and child and isinstance(child[0], str):
-            if _mentions(child, kind, name):
-                return True
-        elif isinstance(child, tuple):  # call argument tuples
-            if any(_mentions(a, kind, name) for a in child):
-                return True
-    return False
-
-
-def _n_poly(node, degree: int, why: str) -> list[Fraction]:
-    """node as a rational polynomial in n of degree at most ``degree``; else ``why``."""
-    ev = IntegerEval("n", "closed form")
-    p = ev.polynomial(ev.eval(node), degree)
-    if p is None or any(p[1]):
-        raise ExprError(why)
-    return [Fraction(c, p[2]) for c in p[0]]
-
-
-def _x_exponent_offset(exp_ast) -> int:
-    """Offset e from an x-power exponent of the form n + e."""
-    why = "x exponent must have the form n + integer"
-    p = _n_poly(exp_ast, 1, why)
-    if len(p) != 2 or p[1] != 1 or p[0].denominator != 1:
-        raise ExprError(why)
-    return int(p[0])
-
-
-def _binom_pair(args) -> tuple[int, int]:
-    if len(args) != 2:
-        raise ExprError("binom takes two arguments")
-    pq = []
-    for a in args:
-        why = "binom arguments must be integer multiples of n"
-        p = _n_poly(a, 1, why)
-        if len(p) != 2 or p[0] != 0:
-            raise ExprError(why)
-        c = p[1]
-        if c.denominator != 1 or c <= 0:
-            raise ExprError("binom arguments must be positive integer multiples of n")
-        pq.append(int(c))
-    return pq[0], pq[1]
 
 
 def _parse_closed_form_rhs(
     src: str, kernel: KernelFamily, kernel_pos: Position
 ) -> tuple[Fraction, tuple, tuple, int]:
-    """Split ``c0 + P(n)*x^(n+e)/(Q(n)*kernel(n))`` into its parts.
+    """Split ``c0 + P(n)*x^(n+e)*kernel(n)^s/Q(n)`` into its parts.
 
-    Returns (const, bound_num, bound_den, x_offset) with integer lists in n
-    and the boundary sign folded into bound_num.  The kernel factor must
-    match the certificate kernel and sit on the same side.
+    :class:`_CertEval` reads the text as one coefficient per atom.  The
+    unit atom's must be the rational constant c0, and there must be exactly
+    one other atom: x^(n + e) times the certificate kernel, each binomial
+    on the side ``kernel_pos`` names, with P/Q its coefficient.  Returns
+    (const, bound_num, bound_den, e) with integer lists in n and the
+    boundary sign in bound_num.
     """
-    const = Fraction(0)
-    boundary = None
-    for sign, term in _flatten_sum(parse_expr(src)):
-        if _mentions(term, "name", "x") or _mentions(term, "call", "binom"):
-            if boundary is not None:
-                raise ExprError("closed form must have exactly one boundary term")
-            boundary = (sign, term)
-        else:
-            c = _n_poly(term, 0, "non-boundary part of the closed form must be constant")
-            const += sign * sum(c)  # c is [] or [c0]
-    if boundary is None:
-        raise ExprError("closed form lacks a boundary term (no x power found)")
-    sign, term = boundary
-
-    factors: list[tuple[tuple, bool]] = []
-    sign *= _flatten_product(term, out=factors)
-    rest = ("num", 1)  # the factors other than kernel and x power, as one AST
-    x_off = None
-    binom_pairs: list[tuple[int, int]] = []
-    binom_inv = None
-    for node, inv in factors:
-        if node[0] == "call" and node[1] == "binom":
-            binom_pairs.append(_binom_pair(node[2]))
-            if binom_inv is None:
-                binom_inv = inv
-            elif binom_inv != inv:
-                raise ExprError("kernel factors must all sit on one side of the fraction")
-            continue
-        if node[0] == "pow" and node[1] == ("name", "x"):
-            if inv:
-                raise ExprError("x power must sit in the numerator of the boundary term")
-            if x_off is not None:
-                raise ExprError("multiple x powers in the boundary term")
-            x_off = _x_exponent_offset(node[2])
-            continue
-        if node[0] == "name" and node[1] == "x":
-            raise ExprError("write the base power as x^n or x^(n + e)")
-        rest = ("bin", "/" if inv else "*", rest, node)
-    if x_off is None:
-        raise ExprError("boundary term lacks an x power")
-    if sorted(binom_pairs) != sorted(kernel.pairs):
-        raise ExprError(f"boundary kernel {binom_pairs} does not match {kernel.tag!r}")
-    want_inv = kernel_pos is Position.DENOMINATOR
-    if binom_inv != want_inv:
+    ev = _CertEval("n", "closed form")
+    terms = ev.eval(parse_expr(src))
+    c = ev.polynomial({None: ev.unit(terms)}, 0)
+    if c is None or any(c[1]):
+        raise ExprError("non-boundary part of the closed form must be a rational constant")
+    boundary = [(atom, coeff) for atom, coeff in terms.items() if atom is not None]
+    if len(boundary) != 1:
+        raise ExprError(f"closed form must have exactly one boundary term, not {len(boundary)}")
+    (((a, e, kern), (num, den)),) = boundary
+    if a != 1:
+        raise ExprError("boundary term must carry x^(n + e)")
+    pairs = sorted(pq for pq, s in kern for _ in range(abs(s)))
+    if pairs != sorted(kernel.pairs):
+        raise ExprError(f"boundary kernel {pairs} does not match {kernel.tag!r}")
+    if any(s * kernel_pos.exponent < 0 for _, s in kern):
         raise ExprError("boundary kernel is on the wrong side for the summand position")
-    ev = IntegerEval("n", "closed form")
-    (a, b, l), (da, db, dl) = map(lowest_terms, ev.unit(ev.eval(rest)))
-    if any(b) or any(db):
+    (na, nb, nl), (da, db, dl) = map(lowest_terms, (num, den))
+    if any(nb) or any(db):
         raise ExprError("boundary term must be rational in n")
-    return const, tuple(sign * c * dl for c in a), tuple(c * l for c in da), x_off
+    const = Fraction(c[0][0], c[2]) if c[0] else Fraction(0)
+    return const, tuple(v * dl for v in na), tuple(v * nl for v in da), e
 
 
 def parse_telescoping(
@@ -396,9 +339,8 @@ def parse_telescoping(
     """Build a certificate from its textual record fields."""
     fam = kernel_by_tag(kernel)
     pos = Position(position)
-    symbolic = base.strip() == "x"
-    base_value = None if symbolic else parse_quad(base).as_fraction()
-    w = _parse_weight_lists(weight, symbolic)
+    base_value = None if base.strip() == "x" else parse_quad(base).as_fraction()
+    w = _parse_weight_lists(weight)
     const, bnum, bden, x_off = _parse_closed_form_rhs(closed_form, fam, pos)
     return TelescopingCert(
         kernel=fam,

@@ -63,6 +63,16 @@ CERT_FIELDS = {
     ),
 }
 
+# (const, bound_num, bound_den, bound_xoff, weight) each of them parses to
+PARSED = {
+    "sixk-general": (8, (2, 11, 18, 9), (5, 36, 36), 1, ((40, 208, -288, -576), (2, 11, 18, 9))),
+    "sixk-odd-general": (
+        -8, (2, 11, 18, 9), (5, 46, 108, 72), 1, ((-40, -368, -864, -576), (2, 11, 18, 9)),
+    ),
+    "sixk-4096-triple": (0, (-1,), (1,), 0, ((5, 978, -4500, 4536),)),
+    "sixk-4096-single": (0, (-5, -16, -12), (1,), 0, ((25, 1074, -4644, 4536),)),
+}
+
 # (name, x to specialize or None, value of the infinite sum)
 LIMITS = [
     ("sixk-general", Fraction(8), Fraction(8)),
@@ -327,12 +337,56 @@ class TestParsing:
         assert str(rep).startswith("PASS")
         assert isinstance(rep, CertReport)
 
+    @pytest.mark.parametrize("name,parts", sorted(PARSED.items()))
+    def test_shipped_fields_parse_to_pinned_lists(self, name, parts):
+        cert = make_cert(name)
+        got = (cert.const, cert.bound_num, cert.bound_den, cert.bound_xoff, cert.weight)
+        assert got == parts
+
     def test_rejects_two_boundary_terms(self):
         fields = dict(
             CERT_FIELDS["sixk-4096-triple"],
-            closed_form="-binom(6*n,3*n)*x^n + binom(6*n,3*n)*x^n/(6*n + 1)",
+            closed_form="-binom(6*n,3*n)*x^n + binom(6*n,3*n)*x^(n + 1)",
         )
         with pytest.raises(ExprError):
+            parse_telescoping(**fields)
+
+    def test_like_boundary_terms_merge(self):
+        # both terms carry binom(6n,3n)*x^n, so the text denotes one boundary term,
+        # -6n/(6n + 1) of it, and the induction check refutes it
+        base = CERT_FIELDS["sixk-4096-triple"]
+        two = dict(base, closed_form="-binom(6*n,3*n)*x^n + binom(6*n,3*n)*x^n/(6*n + 1)")
+        one = dict(base, closed_form="-6*n*binom(6*n,3*n)*x^n/(6*n + 1)")
+        cert = parse_telescoping(**two)
+        assert cert == parse_telescoping(**one)
+        rep = check_telescoping(cert)
+        assert not rep.passed
+        assert rep.witness != ""
+
+    def test_kernel_power_is_its_repeated_factors(self):
+        # binom(2n,n)^3 is central^3's three factors, all under the fraction bar
+        fields = dict(
+            kernel="central^3",
+            position="denominator",
+            base="1/64",
+            weight="k",
+            den="1",
+            closed_form="1 + x^n/binom(2*n,n)^3",
+        )
+        cert = parse_telescoping(**fields)
+        three = "1 + x^n/(binom(2*n,n)*binom(2*n,n)*binom(2*n,n))"
+        assert cert == parse_telescoping(**dict(fields, closed_form=three))
+        assert (cert.const, cert.bound_num, cert.bound_den, cert.bound_xoff) == (1, (1,), (1,), 0)
+
+    @pytest.mark.parametrize("closed_form", ["1 + x", "1 + binom(6*n,3*n)/x^n", "3"])
+    def test_rejects_boundary_without_x_to_the_n(self, closed_form):
+        fields = dict(CERT_FIELDS["sixk-4096-triple"], closed_form=closed_form)
+        with pytest.raises(ExprError):
+            parse_telescoping(**fields)
+
+    def test_rejects_x_in_a_concrete_base_weight(self):
+        fields = dict(CERT_FIELDS["sixk-4096-single"], weight="x*k + 1")
+        with pytest.raises(ValueError):
             parse_telescoping(**fields)
 
     def test_rejects_missing_x_power(self):
