@@ -42,18 +42,48 @@ c and Sd vanish at no integer from the start on, so G(k) >= 0 is exactly
 ``|m_{k+1}| <= q*|m_k|``, a zero U(k) included.  Another integer form of
 the same weight multiplies num and den by one common factor nonzero at
 those integers, and G by its square, so k0 depends on the weight alone.
-Each factor is an :class:`~bseries.exactnum.IntegerSurdPoly` with no real
-root beyond its coefficient-dominance bound; the sign of G at an integer,
-the product of the factors' exact signs, is checked from the larger bound
-down to K, which gives ``k0``.  Where both factors, shifted to K, have
-coefficients of one sign each and G is positive beyond K, Descartes' rule
-leaves no root to find and k0 is K without the walk.  ``L >= 1`` raises
-:class:`NonConvergent`.
+k0 is the least ``k >= K`` with ``G >= 0`` at every integer from k on.
+``L >= 1`` raises :class:`NonConvergent`.
+
+The candidates share one integer form of the ratio.  A Taylor shift is
+linear, so with num and den shifted to K once per series, each candidate's
+two factors at K are ``qn*D_K -+ qd*N_K``, coefficient by coefficient.
+Where both, so shifted, have coefficients of one sign each and G is
+positive beyond K, Descartes' rule leaves no root to find and k0 is K
+without a walk.  Where the same test passes at K + 1 (G(K) < 0 alone is
+common), the walk is one step.  Else each factor is an
+:class:`~bseries.exactnum.IntegerSurdPoly` with no real root beyond its
+coefficient-dominance bound, and the sign of G at an integer, read off
+num(k) and den(k) for both factors, is checked from the larger bound down
+to K.  Since ``G_q' - G_q = (q'^2 - q^2) * den^2 >= 0`` for ``q' > q``,
+G_q' >= 0 wherever G_q >= 0: the k0 of a smaller q is a start for a larger
+one too, so ``k0(q') <= k0(q)`` and a walk starts at the lower of that k0
+and the bound.
+
 A q near L keeps the tail factor ``q/(1 - q)`` small but can push k0 far
-out, so q is chosen per series: each of ``L*65/64``, ``L*9/8``, ``L*3/2``
-and ``(1 + L)/2`` below 1 is certified, and the one with the fewest
-predicted terms (:meth:`Envelope.predicted_terms`) to a tail of
-``2^-_RANK_BITS`` wins.
+out, so q is chosen per series among ``L*65/64``, ``L*9/8``, ``L*3/2`` and
+``(1 + L)/2`` below 1, taken in increasing order.  The one with the least
+rank ``r(q) = k0 + max(0, ceil(T(q)))`` wins, the smallest q on a tie,
+where
+
+    T(q) = (l + log2(q/(1 - q)) + R) / -log2(q),   l = log2|m_{k0}|,  R = _RANK_BITS,
+
+so that ``max(0, ceil(T))`` is the predicted term count after k0 to a tail
+of ``2^-R`` (:meth:`Envelope.predicted_terms`).  Only a candidate that can
+win is certified.  Let q_i be certified with k0_i and l_i, and ``q' > q_i``.
+From k0' on each step multiplies ``|m_k|`` by at most q', and ``k0' <=
+k0_i``, so ``|m_{k0_i}| <= q'^(k0_i - k0') * |m_{k0'}|``, that is ``l' >= l_i
++ (k0_i - k0') * -log2(q')``.  Hence ``T(q') >= k0_i - k0' + (l_i +
+log2(q'/(1 - q')) + R) / -log2(q')``, and with ``r(q') >= k0' >= K``,
+
+    r(q') >= max(K, k0_i + (l_i + log2(q'/(1 - q')) + R) / -log2(q'))
+
+(:meth:`Envelope.rank_floor`).  Where this floor reaches the best rank so
+far plus one, r(q') exceeds that rank by more than any float rounding of
+the two, so q' can neither win nor tie, and it is not certified.  Where
+``k0_i = K``, every larger q keeps k0 = K and l, and T grows with q
+wherever it is positive, so no larger q ranks lower and none is certified.
+Neither rule moves the choice.
 
 The sum is one fixed-point integer recurrence (Brent & Zimmermann, *Modern
 Computer Arithmetic*, 2010, ch. 3-4; Haible & Papanikolaou, *Fast
@@ -208,12 +238,13 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional
 
 from .closedform import ClosedForm
 from .exactnum import (
-    IntegerSurdPoly, embed_dyadic, embed_surd, horner, poly_add, poly_mul, poly_shift,
-    surd_mul, surd_sign,
+    IntegerSurdPoly, coefficient_sign, embed_dyadic, embed_surd, horner, poly_add, poly_mul,
+    poly_shift, surd_mul, surd_sign,
 )
 from .precision import (
     DIGITS_INF,
@@ -338,6 +369,13 @@ class Envelope:
         need = self.log2_term + math.log2(q / (1 - q)) + bits
         return max(0, math.ceil(need / -math.log2(q)))
 
+    def rank_floor(self, q: Fraction) -> float:
+        """A lower bound, in floats, on the rank of the envelope of a larger q: its k0 plus
+        its predicted terms to a tail of ``2^-_RANK_BITS``, as the module docstring proves."""
+        q = float(q)
+        need = self.log2_term + math.log2(q / (1 - q)) + _RANK_BITS
+        return max(self.weight.start, self.k0 + need / -math.log2(q))
+
 
 def _majorant_term(
     sdef: SeriesDef, weight: _IntegerWeight, base: tuple, k: int
@@ -370,31 +408,47 @@ def _majorant_ratio(sdef: SeriesDef, weight: _IntegerWeight, base: tuple) -> tup
     return (poly_mul(na, r), poly_mul(nb, r)), tuple(poly_mul(t, x) for x in u)
 
 
-def _certify_q(weight: _IntegerWeight, num: tuple, den: tuple, q: Fraction) -> int:
-    """The smallest sharp k0 of the majorant's terms for this q.
+def _certify_q(weight: _IntegerWeight, ratio: tuple, q: Fraction, k_hi: Optional[int]) -> int:
+    """The smallest sharp k0 of the majorant's terms for this q, as the module docstring says.
 
-    ``num/den`` is :func:`_majorant_ratio`'s.
+    ``ratio`` is ``(lists, shifted)``: :func:`_majorant_ratio`'s lists
+    ``[na, nb, da, db]``, and ``shifted[t]`` the same shifted to t, for t =
+    K and then K + 1, kept for every candidate.  ``k_hi`` is the k0 of a
+    smaller q, or None.
     """
+    (lists, shifted), d, k_min = ratio, weight.d, weight.start
     qn, qd = q.numerator, q.denominator
 
-    def factor(sign: int) -> IntegerSurdPoly:  # qn*den + sign*qd*num
-        a, b = (poly_add([qn * c for c in x], [sign * qd * c for c in y]) for x, y in zip(den, num))
-        return IntegerSurdPoly.from_lists(a, b, weight.d)
+    def factors(na, nb, da, db) -> list:  # qn*den - qd*num and qn*den + qd*num, as pairs (a, b)
+        pairs = ((na, da), (nb, db))
+        return [
+            [[qn * x + s * y for x, y in zip_longest(den, num, fillvalue=0)] for num, den in pairs]
+            for s in (-qd, qd)
+        ]
 
-    # qd^2 * G = (qn*den - qd*num) * (qn*den + qd*num); want G(k) >= 0
-    factors = (factor(-1), factor(1))
+    def descartes(t: int) -> bool:  # G > 0 beyond t and G(t) >= 0
+        if t not in shifted:
+            shifted[t] = [poly_shift(x, 1) for x in shifted[t - 1]]
+        low, high = factors(*shifted[t])
+        return coefficient_sign(*low, d) * coefficient_sign(*high, d) > 0
 
-    def sign_g(k: int) -> int:
-        return factors[0].sign_at(k) * factors[1].sign_at(k)
+    def sign_g(k: int) -> int:  # the sign of qd^2 * G(k), from N(k) and D(k)
+        na, nb, da, db = (horner(x, k) for x in lists)
+        x, y, u, v = qn * da, qn * db, qd * na, qd * nb
+        return surd_sign(x - u, y - v, d) * surd_sign(x + u, y + v, d)
 
-    k_min = weight.start
-    if factors[0].sign_beyond(k_min) * factors[1].sign_beyond(k_min) > 0:
-        return k_min  # G >= 0 at k_min and G > 0 beyond it: no walk
-    k_star = max(f.root_bound(start=k_min) for f in factors)
-    if sign_g(k_star) < 0:
-        raise NonConvergent("envelope is negative beyond its root bound")
-    k0 = k_star
-    k = k_star - 1
+    if descartes(k_min):
+        return k_min
+    if descartes(k_min + 1):
+        k_hi = k_min + 1  # a walk of one step
+    else:
+        polys = [IntegerSurdPoly.from_lists(a, b, d) for a, b in factors(*lists)]
+        k_star = max(f.root_bound(start=k_min) for f in polys)
+        if k_hi is None or k_star < k_hi:
+            if sign_g(k_star) < 0:
+                raise NonConvergent("envelope is negative beyond its root bound")
+            k_hi = k_star
+    k0, k = k_hi, k_hi - 1
     while k >= k_min and sign_g(k) >= 0:
         k0 = k
         k -= 1
@@ -405,7 +459,8 @@ def certify_envelope(sdef: SeriesDef) -> Envelope:
     """Prove ``|m_{k+1}/m_k| <= q < 1`` for the majorant's terms, k >= k0 (exact arithmetic only).
 
     q is the candidate of the module docstring with the fewest predicted
-    terms, the smallest q on a tie.
+    terms, the smallest q on a tie; a candidate that provably cannot win is
+    not certified.
     """
     beta, g = sdef.base_value, sdef.scale_growth
     gn, gd = g.numerator, g.denominator
@@ -426,17 +481,25 @@ def certify_envelope(sdef: SeriesDef) -> Envelope:
     if not qs:
         raise NonConvergent("cannot select a geometric bound below 1")
     weight, base = _IntegerWeight(sdef), (x, y, c)
-    num, den = _majorant_ratio(sdef, weight, base)
-    envelopes, log2_terms = [], {}  # log2 |m_{k0}| once per distinct k0
+    (na, nb), (da, db) = _majorant_ratio(sdef, weight, base)
+    # in Q, sqrt(d) = 1 folds b into a, as IntegerSurdPoly.from_lists does
+    lists = [na, nb, da, db] if weight.d > 1 else [poly_add(na, nb), [], poly_add(da, db), []]
+    ratio = lists, {weight.start: [poly_shift(x, weight.start) for x in lists]}
+    envelopes: list[Envelope] = []
+    ranks: list[int] = []  # k0 plus the predicted terms to a tail of 2^-_RANK_BITS
     for q in qs:
-        k0 = _certify_q(weight, num, den, q)
-        if k0 not in log2_terms:
-            log2_terms[k0] = _log2_surd(*_majorant_term(sdef, weight, base, k0), weight.d)
-        envelopes.append(Envelope(q=q, k0=k0, weight=weight, log2_term=log2_terms[k0]))
-        if k0 == weight.start:
-            # a larger q keeps this k0 and decays slower: no fewer terms
-            break
-    return min(envelopes, key=lambda env: env.k0 + env.predicted_terms(_RANK_BITS))
+        if envelopes:
+            last = envelopes[-1]
+            if last.k0 == weight.start or last.rank_floor(q) >= min(ranks) + 1:
+                continue  # q cannot win
+        k0 = _certify_q(weight, ratio, q, envelopes[-1].k0 if envelopes else None)
+        if envelopes and envelopes[-1].k0 == k0:
+            log2_term = envelopes[-1].log2_term
+        else:
+            log2_term = _log2_surd(*_majorant_term(sdef, weight, base, k0), weight.d)
+        envelopes.append(Envelope(q=q, k0=k0, weight=weight, log2_term=log2_term))
+        ranks.append(k0 + envelopes[-1].predicted_terms(_RANK_BITS))
+    return envelopes[ranks.index(min(ranks))]
 
 
 # ----------------------------------------------------------------------

@@ -41,6 +41,7 @@ __all__ = [
     "sqrt_surd",
     "squarefree_split",
     "IntegerSurdPoly",
+    "coefficient_sign",
     "horner",
     "poly_add",
     "poly_mul",
@@ -332,11 +333,13 @@ def poly_mul(a: Sequence, b: Sequence) -> list:
 
 
 def poly_shift(a: Sequence, c) -> list:
-    """The polynomial ``a(x + c)``, by Horner's rule in ``x + c``."""
-    out: list = []
-    for coeff in reversed(a):
-        out = poly_add([0] + out, [c * y for y in out])  # out * (x + c)
-        out[0] += coeff
+    """The polynomial ``a(x + c)``, by Horner's rule in ``x + c`` done in place: pass i
+    divides the rest by ``x - c`` synthetically and leaves the remainder as coefficient i."""
+    out = list(a)
+    if c:
+        for i in range(len(out) - 1):
+            for j in range(len(out) - 2, i - 1, -1):
+                out[j] += c * out[j + 1]
     return out
 
 
@@ -363,6 +366,19 @@ def surd_sign(a, b, d: int) -> int:
         return sa
     # Opposite signs: |a| vs |b|sqrt(d) decided by a^2 vs d b^2.
     return sa if a * a > d * b * b else sb
+
+
+def coefficient_sign(a: Sequence[int], b: Sequence[int], d: int) -> int:
+    """The sign that every nonzero coefficient of ``A + B*sqrt(d)`` shares, or 0 when two differ
+    or none is nonzero.
+
+    Applied to the lists of ``p(x + start)``: a sign s leaves ``p(x + start)``
+    no sign change, so every nonzero term has the sign s, ``p`` takes the sign
+    s at every ``x > start`` (Descartes' rule with no root), and ``p(start)``
+    is s or 0.
+    """
+    signs = {surd_sign(x, y, d) for x, y in zip_longest(a, b, fillvalue=0)} - {0}
+    return signs.pop() if len(signs) == 1 else 0
 
 
 class IntegerSurdPoly:
@@ -397,21 +413,6 @@ class IntegerSurdPoly:
         """Exact sign of the polynomial at the integer k."""
         b = horner(self.b, k) if self.d > 1 else 0
         return surd_sign(horner(self.a, k), b, self.d)
-
-    def sign_beyond(self, start: int) -> int:
-        """The polynomial's sign on ``(start, +inf)`` when the coefficients of
-        ``p(x + start)`` have no sign change, else 0.
-
-        With no sign change every nonzero term of ``p(x + start)`` has one
-        sign s, so ``p`` takes the sign s at every ``x > start`` (Descartes'
-        rule with no root), and ``p(start)`` is s or 0.
-        """
-        a, b = self.a, self.b
-        if start:
-            a = poly_shift(a, start)
-            b = poly_shift(b, start) if self.d > 1 else b
-        signs = {surd_sign(x, y, self.d) for x, y in zip(a, b)} - {0}
-        return signs.pop() if len(signs) == 1 else 0
 
     def integer_root(self, start: int = 0) -> Optional[int]:
         """Smallest integer ``k >= start`` at which the polynomial vanishes, or None."""

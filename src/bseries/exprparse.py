@@ -11,9 +11,10 @@ denominator factors, closed forms and certificate polynomials.
 :class:`IntegerEval` is the one interpreter of an AST into polynomials: it
 walks it straight into integer polynomials over Q(sqrt d) with the rules of
 rational-function arithmetic, one coefficient per atom.  A product
-multiplies atoms by :meth:`IntegerEval.atom_product` and a quotient by the
-divisor's reciprocal atom, :meth:`IntegerEval.atom_inverse`; by default
-only the unit atom has one.  It reads scalars (:func:`eval_quad`),
+multiplies atoms by :meth:`IntegerEval.atom_product`, and a quotient or a
+negative power by the reciprocal atom, :meth:`IntegerEval.atom_inverse`; by
+default only the unit atom has one.  :meth:`IntegerEval.linear` reads an
+integer-linear form in the variable, such as an index or an exponent.  It reads scalars (:func:`eval_quad`),
 denominator factors and the rational functions of t in derivative
 certificates; with the harmonic atoms :mod:`bseries.seriesmodel` adds,
 weights; and with the atoms ``x^(a*n + e) * prod binom(p*n, q*n)^s``,
@@ -323,12 +324,7 @@ class IntegerEval:
             return self.add(x, self.neg(y))
         if op == "*":
             return self.mul(x, y)
-        if not y:
-            raise ZeroDivisionError(f"division by zero in {self.where}")
-        inverse = {self.atom_inverse(b): (d2, n2) for b, (n2, d2) in y.items()}
-        if len(inverse) > 1:
-            raise ExprError(f"cannot divide by a sum of atoms in {self.where}")
-        return self.mul(x, inverse)
+        return self.mul(x, self.reciprocal(y))
 
     def name(self, name: str) -> dict:
         if name != self.var:
@@ -378,19 +374,25 @@ class IntegerEval:
                 out = self.add(out, term)
         return out
 
+    def reciprocal(self, x: dict) -> dict:
+        """1/x for x of one term, its atom replaced by :meth:`atom_inverse`."""
+        if not x:
+            raise ZeroDivisionError(f"division by zero in {self.where}")
+        inverse = {self.atom_inverse(b): (den, num) for b, (num, den) in x.items()}
+        if len(inverse) > 1:
+            raise ExprError(f"cannot divide by a sum of atoms in {self.where}")
+        return inverse
+
     def power(self, x: dict, n: int) -> dict:
+        """x^n; a negative n raises :meth:`reciprocal` of x to -n."""
+        if n < 0:
+            x, n = self.reciprocal(x), -n
         if not set(x) <= {None}:
-            if n < 1:
-                raise ExprError(f"an atom's power must be positive in {self.where}")
-            out = x
-            for _ in range(n - 1):
+            out = {None: (ONE, ONE)}
+            for _ in range(n):
                 out = self.mul(out, x)
             return out
         num, den = self.unit(x)
-        if n < 0:
-            if _is_zero(num):
-                raise ZeroDivisionError(f"division by zero in {self.where}")
-            num, den, n = den, num, -n
         if n and _is_zero(num):
             return {}
         return {None: (_p_pow(num, n, self.d), _p_pow(den, n, self.d))}
@@ -407,6 +409,18 @@ class IntegerEval:
         num, den = self.fold(*self.unit(x))
         p = _p_trim(num)
         return p if den is ONE and len(p[0]) <= degree + 1 else None
+
+    def linear(self, x: dict, what: str) -> tuple[int, int]:
+        """``(c0, c1)`` with ``x = c0 + c1*var`` for integers c0 and c1; ``what`` names x in
+        the errors."""
+        p = self.polynomial(x, 1)
+        if p is None:
+            raise ExprError(f"{what} must be linear in {self.var} in {self.where}")
+        a, b, l = p
+        if any(b) or any(c % l for c in a):
+            raise ExprError(f"{what} must have integer coefficients in {self.where}")
+        c0, c1 = (a + [0, 0])[:2]
+        return c0 // l, c1 // l
 
     def call(self, name: str, args: tuple) -> dict:
         if name == "sqrt" and len(args) == 1:

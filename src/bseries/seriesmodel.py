@@ -59,7 +59,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import zip_longest
 from typing import NamedTuple, Optional, Sequence
 
@@ -165,14 +165,7 @@ class _WeightEval(IntegerEval):
         arg = self.eval(args[0])
         if not set(arg) <= {None}:
             raise ExprError("nested harmonic atoms")
-        p = self.polynomial(arg, 1)
-        if p is None:
-            raise ExprError("harmonic argument must be linear in k")
-        a, b, l = p
-        offset, stride = (a + [0, 0])[:2]
-        if any(b) or offset % l or stride % l:
-            raise ExprError("harmonic argument must have integer coefficients")
-        offset, stride, order = offset // l, stride // l, ast_as_int(args[1])
+        (offset, stride), order = self.linear(arg, "harmonic argument"), ast_as_int(args[1])
         if stride not in ALLOWED_STRIDES or offset not in ALLOWED_OFFSETS:
             raise ExprError(f"unsupported harmonic index {stride}*k{offset:+d}")
         if order not in ALLOWED_ORDERS:
@@ -469,6 +462,29 @@ def render_den_factors(factors: tuple[tuple[int, int, int], ...]) -> str:
 # the series definition proper
 
 
+@cache
+def _scale_ratio(kernel, kernel_pos, den_factors) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """:attr:`SeriesDef.scale_ratio`, once per kernel, position and D(k)."""
+    num, den = kernel.ratio_factors if kernel else ((), ())
+    if kernel_pos is Position.DENOMINATOR:
+        num, den = den, num
+    d = [(u, v) for u, v, e in den_factors for _ in range(e)]
+    sides = []
+    for factors in ([*num, *d], [*den, *((u, u + v) for u, v in d)]):
+        content, pairs = 1, Counter()
+        for u, v in factors:
+            g = math.gcd(u, v)
+            content *= g
+            pairs[u // g, v // g] += 1
+        sides.append((content, pairs))
+    (cn, pn), (cd, pd) = sides
+    g, common = math.gcd(cn, cd), pn & pd
+    return tuple(
+        tuple(reduce(poly_mul, ([v, u] for (u, v) in (pairs - common).elements()), [c // g]))
+        for c, pairs in ((cn, pn), (cd, pd))
+    )
+
+
 @dataclass(frozen=True)
 class SeriesDef:
     base_root: QuadElem
@@ -515,7 +531,7 @@ class SeriesDef:
                 den *= self.kernel.value(k)
         return (-num, -den) if den < 0 else (num, den)
 
-    @cached_property
+    @property
     def scale_ratio(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Coprime integer lists ``(num, den)``, constant first: ``S_{k+1}/S_k = num(k)/den(k)``.
 
@@ -531,29 +547,14 @@ class SeriesDef:
         kernel factor has v > 0, and D(k) has no zero there), so the ratio is
         unchanged at every such k, and den vanishes at none of them.
         """
-        num, den = self.kernel.ratio_factors if self.kernel else ((), ())
-        if self.kernel_pos is Position.DENOMINATOR:
-            num, den = den, num
-        d = [(u, v) for u, v, e in self.den_factors for _ in range(e)]
-        sides = []
-        for factors in ([*num, *d], [*den, *((u, u + v) for u, v in d)]):
-            content, pairs = 1, Counter()
-            for u, v in factors:
-                g = math.gcd(u, v)
-                content *= g
-                pairs[u // g, v // g] += 1
-            sides.append((content, pairs))
-        (cn, pn), (cd, pd) = sides
-        g, common = math.gcd(cn, cd), pn & pd
-        return tuple(
-            tuple(reduce(poly_mul, ([v, u] for (u, v) in (pairs - common).elements()), [c // g]))
-            for c, pairs in ((cn, pn), (cd, pd))
-        )
+        return _scale_ratio(self.kernel, self.kernel_pos, self.den_factors)
 
     @property
     def scale_growth(self) -> Fraction:
-        """The limit of ``S_{k+1}/S_k``: the kernel's growth to the power +-1, or 1."""
-        return self.kernel.growth() ** self.kernel_pos.exponent if self.kernel else Fraction(1)
+        """The limit of ``S_{k+1}/S_k``, the kernel's growth to the power +-1 or 1: the ratio
+        of :attr:`scale_ratio`'s leading coefficients, since D(k)/D(k + 1) tends to 1."""
+        num, den = self.scale_ratio
+        return Fraction(num[-1], den[-1])
 
     def weight_value(self, k: int, harm: Optional[HarmonicCache] = None):
         """W(k) exactly, a Fraction or a QuadElem, from the weight's integer lists."""

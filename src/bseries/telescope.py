@@ -238,7 +238,7 @@ class _CertEval(IntegerEval):
 
     def eval(self, node) -> dict:
         if node[0] == "pow" and node[1] == ("name", "x"):
-            e, a = self._linear(node[2])
+            e, a = self.linear(self.eval(node[2]), "the exponent of x")
             return {(a, e, ()) if a or e else None: (ONE, ONE)}
         return super().eval(node)
 
@@ -250,18 +250,10 @@ class _CertEval(IntegerEval):
             return super().call(name, args)
         if len(args) != 2:
             raise ExprError("binom takes two arguments")
-        (e, p), (f, q) = map(self._linear, args)
+        (e, p), (f, q) = (self.linear(self.eval(arg), "a binom argument") for arg in args)
         if e or f or p < 1 or q < 1:
             raise ExprError(f"binom arguments must be positive integer multiples of {self.var}")
         return {(0, 0, (((p, q), 1),)): (ONE, ONE)}
-
-    def _linear(self, node) -> tuple[int, int]:
-        """``(c0, c1)`` for node = c0 + c1*var with integers c0, c1."""
-        p = self.polynomial(self.eval(node), 1)
-        if p is None or any(p[1]) or any(c % p[2] for c in p[0]):
-            raise ExprError(f"expected an integer-linear form in {self.var} in {self.where}")
-        c0, c1 = [c // p[2] for c in p[0]] + [0] * (2 - len(p[0]))
-        return c0, c1
 
     @staticmethod
     def atom_product(a, b):

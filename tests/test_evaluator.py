@@ -38,7 +38,7 @@ from bseries.evaluator import (
     sum_series,
     verify_identity,
 )
-from bseries.exactnum import QuadElem, embed_dyadic, horner
+from bseries.exactnum import IntegerSurdPoly, QuadElem, embed_dyadic, horner, poly_add
 from bseries.kernels import kernel_by_tag
 from bseries.precision import attempt_bits, ceil_units
 from bseries.seriesmodel import (
@@ -395,7 +395,8 @@ def test_scale_is_the_kernel_over_d():
         for pos in Position:
             sdef = dataclasses.replace(series, kernel_pos=pos)
             num, den = sdef.scale_ratio
-            assert sdef.scale_growth == Fraction(num[-1], den[-1]), sdef
+            growth = sdef.kernel.growth() ** pos.exponent if sdef.kernel else 1
+            assert sdef.scale_growth == Fraction(num[-1], den[-1]) == growth, sdef
             scales = {}
             for k in range(sdef.k_start, sdef.k_start + 31):
                 sn, sd = sdef.scale(k)
@@ -457,6 +458,80 @@ def test_top_bit_count_bounds_the_exact_count(p, v, w, e, ew, c):
     x = ((abs(w) >> cut) + 1) * e + (((abs(v) + e) >> cut) + 1) * ew
     top = -((-x >> p - cut) // c) + 1
     assert exact <= top <= exact + 1 + Fraction(e + ew, 2**32)
+
+
+def _sum_terms_code(select):
+    """The statements of ``_sum_terms`` that ``select`` picks, compiled from its source, so that
+    a test runs the production count expression itself and not a copy of it."""
+    tree = ast.parse(inspect.getsource(evaluator._sum_terms))
+    body = [node for node in ast.walk(tree) if select(node)]
+    assert len(body) == 1
+    return compile(ast.Module(body=body, type_ignores=[]), "<_sum_terms>", "exec")
+
+
+# b_top and r_top, the base's and R + 1's top bits; the step of V (its quadratic branch under
+# b_err != 0); and the floor of w back to 2^P in Q(sqrt d), which reads r_top
+def _assigns(target, reading=""):
+    """Picks an assignment to ``target`` whose text contains ``reading``."""
+    return lambda n: (
+        isinstance(n, ast.Assign) and ast.unparse(n.targets[0]) == target and reading in ast.unparse(n)
+    )
+
+
+_TOPS = _sum_terms_code(_assigns("(b_top, r_top)"))
+_STEP = _sum_terms_code(lambda n: isinstance(n, ast.If) and ast.unparse(n.test) == "b_err")
+_FLOOR_BACK = _sum_terms_code(_assigns("ew", reading="r_top"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=700),
+    st.integers(min_value=0, max_value=2**710),
+    st.integers(min_value=-(2**710), max_value=2**710),
+    st.integers(min_value=0, max_value=2**40),
+    st.integers(min_value=1, max_value=2**20),
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.integers(min_value=1, max_value=2**40),
+)
+# v's low bits, then |Bn| + eb's, carry the count just over a multiple of rd*2^E
+@example(40, 2**40, 2**39 * 3 + 1, 0, 2, 1, 1)
+@example(40, 733007751851, 0, 3, 1, 1, 1)
+def test_quadratic_step_count_bounds_the_exact_count(b_shift, b_mag, v, e, b_err, rn, rd):
+    # e' = ceil((e*(|Bn| + eb) + |v|*eb) * |rn| / (rd*2^E)) + 1, as the summation loop counts it
+    # with |Bn| + eb and |v| read above 2^b_cut: at most 1 + (e + eb)*|rn|/(rd*2^(E - b_cut)) more
+    b_cut = max(b_shift - 32, 0)
+    loop = dict(b_mag=b_mag, b_cut=b_cut, root=0, cut=0)
+    exec(_TOPS, loop)
+    loop.update(v=v, e=e, rn=rn, rd=rd, bn=b_mag - b_err, b_err=b_err, b_shift=b_shift)
+    exec(_STEP, loop)
+    exact = ceil_units(0, (e * b_mag + abs(v) * b_err) * abs(rn), rd << b_shift) + 1
+    slack = Fraction((e + b_err) * abs(rn), rd << b_shift - b_cut)
+    assert exact <= loop["e"] <= exact + 1 + slack
+    assert loop["v"] == (v * rn * (b_mag - b_err)) // (rd << b_shift)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=700),
+    st.sampled_from([2, 3, 5, 6, 7, 10, 13, 15]),
+    st.integers(min_value=-(2**710), max_value=2**710),
+    st.integers(min_value=0, max_value=2**40),
+    st.integers(min_value=0, max_value=2**40),
+)
+# |nb|'s low bits, then R + 1's, carry the count just over a multiple of 2^P
+@example(40, 2, 2**40 + 1, 0, 0)
+@example(40, 2, 2843102255117, 0, 1)
+def test_floor_back_count_bounds_the_exact_count(p, d, nb, ea, eb):
+    # ew = ceil((|nb| + ea*2^P + eb*(R + 1)) / 2^P) + 1 with R = isqrt(d*4^P), as the loop counts
+    # the floor of w back to 2^P, with |nb| and R + 1 read above 2^cut: at most
+    # 1 + (1 + eb)/2^(P - cut) more
+    cut, root = max(p - 32, 0), math.isqrt(d << 2 * p)
+    loop = dict(b_mag=0, b_cut=0, root=root, cut=cut)
+    exec(_TOPS, loop)
+    loop.update(nb=nb, ea=ea, eb=eb, p=p)
+    exec(_FLOOR_BACK, loop)
+    exact = ceil_units(0, abs(nb) + (ea << p) + eb * (root + 1), 1 << p) + 1
+    assert exact <= loop["ew"] <= exact + 1 + Fraction(1 + eb, 1 << p - cut)
 
 
 def test_envelope_rejects_unit_ratio():
@@ -579,6 +654,116 @@ def test_majorant_bounds_random_harmonic_weights(weight, k0):
             mk("1/2", weight=weight, k0=k0)
         k0 = 1
     _assert_majorant_bounds(mk("1/2", weight=weight, k0=k0), 60)
+
+
+# ----------------------------------------------------------------------
+# the q candidates: certified from one shifted ratio, or provably not winning
+
+
+def reference_envelope(sdef):
+    """certify_envelope as it was before the candidates shared a shifted ratio: every
+    candidate certified from scratch, each factor of G built and root-bounded and G's sign
+    walked from the larger bound down to K, and log2_term from the exact majorant term; the
+    fewest predicted terms win, the smallest q on a tie."""
+    beta = sdef.base_value
+    g = sdef.kernel.growth() ** sdef.kernel_pos.exponent if sdef.kernel else Fraction(1)
+    if abs(beta) * g >= 1:
+        raise NonConvergent("limiting term ratio is >= 1")
+    bn, bd, eb = embed_dyadic(beta, 192)
+    n, m = (abs(bn) + eb) * g.numerator, bd * g.denominator
+    candidates = [(65 * n, 64 * m), (9 * n, 8 * m), (3 * n, 2 * m), (n + m, 2 * m)]
+    tops = sorted({-((-a << 24) // b) for a, b in candidates})
+    qs = [Fraction(top, 1 << 24) for top in tops if top < 1 << 24]
+    if not qs:
+        raise NonConvergent("cannot select a geometric bound below 1")
+    form = _IntegerWeight(sdef)
+    (na, nb), (da, db) = evaluator._majorant_ratio(sdef, form, quad_integers(beta))
+    envelopes = []
+    for q in qs:
+        qn, qd = q.numerator, q.denominator
+        factors = [
+            IntegerSurdPoly.from_lists(
+                poly_add([qn * c for c in da], [s * qd * c for c in na]),
+                poly_add([qn * c for c in db], [s * qd * c for c in nb]),
+                form.d,
+            )
+            for s in (-1, 1)
+        ]
+
+        def sign_g(k):
+            return factors[0].sign_at(k) * factors[1].sign_at(k)
+
+        k0 = max(f.root_bound(start=form.start) for f in factors)
+        if sign_g(k0) < 0:
+            raise NonConvergent("envelope is negative beyond its root bound")
+        while k0 > form.start and sign_g(k0 - 1) >= 0:
+            k0 -= 1
+        mk0 = majorant_term(sdef, form, k0)
+        log2_term = _log2_surd(*quad_integers(mk0), mk0.d)
+        envelopes.append(evaluator.Envelope(q=q, k0=k0, weight=form, log2_term=log2_term))
+    return min(envelopes, key=lambda env: env.k0 + env.predicted_terms(evaluator._RANK_BITS))
+
+
+def _assert_envelope_is_the_reference(sdef):
+    try:
+        ref = reference_envelope(sdef)
+    except NonConvergent:
+        with pytest.raises(NonConvergent):
+            certify_envelope(sdef)
+        return
+    env = certify_envelope(sdef)
+    assert (env.q, env.k0, env.log2_term) == (ref.q, ref.k0, ref.log2_term), sdef
+
+
+def test_envelope_is_the_reference_on_every_shipped_series():
+    for sdef in [rec.series for rec in shipped_series()] + STREAM_CASES:
+        _assert_envelope_is_the_reference(sdef)
+
+
+@st.composite
+def small_series(draw):
+    """A small series of the catalog's shape: a rational or Q(sqrt 5) base, a kernel on
+    either side or none, a linear den and a polynomial or harmonic weight."""
+    base = draw(st.sampled_from(
+        ["1/2", "-2/3", "1/16", "-1/64", "1/4096", "4/27", "-27/512", "(3 - sqrt(5))/4",
+         "(12 + 4*sqrt(5))^-4", "(2 - sqrt(5))^2"]
+    ))
+    kernel = draw(
+        st.sampled_from([None, "central^3", "binom(3k,k)", "binom(6k,3k)", "binom(4k,2k)"])
+    )
+    polynomial = st.builds("({}*k^2 + {}*k + {})".format, _INTS, _INTS, _INTS.filter(bool))
+    weight = draw(polynomial | harmonic_weights())
+    den = draw(
+        st.sampled_from(["", "k + 1", "(2*k + 1)*(6*k + 5)", "(k + 1)^3", "(3*k + 2)*(k + 3)"])
+    )
+    return base, weight, den, kernel, draw(st.sampled_from(["num", "den"])), draw(st.integers(1, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_series())
+@example(("1/2", "(k - 40)*H(k,1)", "", None, "den", 1))
+# Descartes' test fails at K = 2 and passes at 3, and G(2) >= 0: k0 is K after a walk of one step
+@example(("1/2", "(1*k^2 + -3*k + 5)", "(k + 1)^3", None, "num", 2))
+def test_envelope_is_the_reference_on_small_series(fields):
+    try:
+        sdef = mk(*fields)
+    except ValueError:  # a weight denominator that vanishes from k0 on
+        return
+    _assert_envelope_is_the_reference(sdef)
+
+
+def test_candidate_certifications_are_pinned(monkeypatch):
+    # certifying every candidate took 221 certifications over the shipped series; the
+    # candidates that provably cannot win are not certified
+    calls = []
+    certify_q = evaluator._certify_q
+    monkeypatch.setattr(evaluator, "_certify_q", lambda *args: calls.append(1) or certify_q(*args))
+    for rec in shipped_series():
+        try:
+            certify_envelope(rec.series)
+        except NonConvergent:
+            pass
+    assert len(calls) == 140
 
 
 # ----------------------------------------------------------------------

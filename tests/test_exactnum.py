@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bseries.exactnum import (
     IntegerSurdPoly,
     QuadElem,
+    coefficient_sign,
     horner,
     poly_add,
     poly_mul,
@@ -243,24 +244,30 @@ def test_integer_list_arithmetic(a, b, x, c):
     assert horner(poly_shift(a, c), x) == horner(a, x + c)
 
 
+def _sign_beyond(f, start):
+    """coefficient_sign of ``f(x + start)``: Descartes' test as the envelope runs it."""
+    b = poly_shift(f.b, start) if f.d > 1 else []
+    return coefficient_sign(poly_shift(f.a, start), b, f.d)
+
+
 @given(_INT_POLYS, _INT_POLYS, st.sampled_from([1, 2, 5]), st.integers(min_value=0, max_value=12))
 @settings(max_examples=200, deadline=None)
-def test_sign_beyond_is_the_sign_at_every_later_integer(a, b, d, start):
+def test_shifted_coefficient_sign_is_the_sign_at_every_later_integer(a, b, d, start):
     if not any(poly_add(a, b) if d == 1 else a + b):
         return
     f = IntegerSurdPoly.from_lists(a, b, d)
-    s = f.sign_beyond(start)
+    s = _sign_beyond(f, start)
     if s:
         assert f.sign_at(start) in (0, s)
         beyond = range(start + 1, f.root_bound(start) + 10)
         assert {f.sign_at(k) for k in beyond} == {s}
 
 
-def test_sign_beyond_sees_a_later_root():
+def test_shifted_coefficient_sign_sees_a_later_root():
     f = surd_poly(P(-1, 1), P(-3, 1), P(-7, 1))  # (k-1)(k-3)(k-7)
-    assert [f.sign_beyond(s) for s in (0, 3, 6, 7, 8)] == [0, 0, 0, 1, 1]
+    assert [_sign_beyond(f, s) for s in (0, 3, 6, 7, 8)] == [0, 0, 0, 1, 1]
     g = surd_poly([QuadElem(0, -1, 2), 1])  # k - sqrt(2)
-    assert [g.sign_beyond(s) for s in (0, 1, 2)] == [0, 0, 1]
+    assert [_sign_beyond(g, s) for s in (0, 1, 2)] == [0, 0, 1]
 
 
 @given(_INT_POLYS, st.integers(min_value=0, max_value=30))

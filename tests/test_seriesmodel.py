@@ -114,6 +114,12 @@ class TestWeight:
         with pytest.raises(ValueError):
             parse_weight("H(k,1)^2")
 
+    @pytest.mark.parametrize("text", ["H(k,1)^(-1)", "H(k,2)^(-2)", "k*H(2*k,1)^(-1)"])
+    def test_negative_atom_power_rejected(self, text):
+        # a negative power inverts the atom, and a harmonic atom has no inverse in a weight
+        with pytest.raises(ExprError, match="cannot divide by a harmonic atom"):
+            parse_weight(text)
+
     def test_unsupported_atom_rejected(self):
         with pytest.raises(ValueError):
             parse_weight("H(4*k,1)")

@@ -378,6 +378,21 @@ class TestParsing:
         assert cert == parse_telescoping(**dict(fields, closed_form=three))
         assert (cert.const, cert.bound_num, cert.bound_den, cert.bound_xoff) == (1, (1,), (1,), 0)
 
+    def test_negative_kernel_power_is_its_inverse(self):
+        # binom(2n,n)^(-3) is the reciprocal atom cubed, the same as dividing by binom(2n,n)^3
+        fields = dict(
+            kernel="central^3",
+            position="denominator",
+            base="1/64",
+            weight="k",
+            den="1",
+            closed_form="1 + x^n/binom(2*n,n)^3",
+        )
+        cert = parse_telescoping(**dict(fields, closed_form="1 + x^n*binom(2*n,n)^(-3)"))
+        assert cert == parse_telescoping(**fields)
+        x_inverse = "1 + binom(2*n,n)^(-3)/(x^(-n))"
+        assert parse_telescoping(**dict(fields, closed_form=x_inverse)) == cert
+
     @pytest.mark.parametrize("closed_form", ["1 + x", "1 + binom(6*n,3*n)/x^n", "3"])
     def test_rejects_boundary_without_x_to_the_n(self, closed_form):
         fields = dict(CERT_FIELDS["sixk-4096-triple"], closed_form=closed_form)
