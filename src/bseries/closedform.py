@@ -235,8 +235,11 @@ class ClosedForm:
     def eval_ball(self, digits: int) -> ApproxReal:
         """Ball enclosure good to ~`digits`; its precision is set by `digits` alone."""
         # A coefficient of n decimal digits scales the error of the constants
-        # it multiplies by up to 10^n, so they are computed n digits further.
+        # it multiplies by up to 10^n, so they are computed n digits further;
+        # rounded up to a multiple of 4, so that the closed forms of one
+        # precision ask for their constants at one precision, computed once.
         pad = digits + 10 + max((len(str(abs(c.numerator))) for c, _ in self.terms), default=0)
+        pad += -pad % 4
         bits = digits_to_bits(pad)
         total = ApproxReal.from_int(0)
         for coeff, atoms in self.terms:

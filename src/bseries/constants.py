@@ -4,27 +4,50 @@ Every constant here has one representation: an integer ``S``, a unit
 ``2^-P`` and an integer count ``units``, meaning the constant lies within
 ``units * 2^-P`` of ``S * 2^-P``.
 
-* ``S`` is the sum of ``floor(2^P * t_j)`` over the constant's exact terms
-  ``t_j``, each term a ratio of integers (its coefficient included) and
-  floored once, so each is off by less than one unit.  No ``Fraction`` is
-  summed and no gcd is taken.  The Euler-Maclaurin corrections below are
-  the one exception: each is floored from fixed-point values whose error
-  is bounded and counted with it.
-* ``units`` counts one unit per floored term, plus the series tail bound
-  rounded up to whole units.  Summation stops at the first term after
-  which the tail bound is at most one unit.
+* ``S`` is a sum of integers, each within a counted number of units of
+  ``2^P`` times an exact term ``t_j`` of the constant's series.  No
+  ``Fraction`` is summed and no gcd is taken.
+* ``units`` adds those counts and the series tail bound, rounded up to
+  whole units.
 * ``P = digits_to_bits(digits + 2)``, so one unit is at most
   ``2^-32 * 10^-(digits+2)``.
 
 The series:
 
-* ``atan(x)`` and ``atanh(x)`` for rational ``|x| <= 1/2``: the Taylor
-  series, whose tail is at most the next term over ``1 - x^2``.
+* ``c * atan(x)`` and ``c * atanh(x)`` for an integer c and a rational
+  ``x = a/b`` with ``|x| <= 1/2``, in fixed point.  With ``r = x^2`` and
+  ``x_j = 2^P |c| |x|^(2j+1)``, the pass keeps ``T_0 = floor(2^P |c a| / b)``
+  and steps ``T_{j+1} = floor(T_j a^2 / b^2)``, a product and a division by
+  small integers (an exact term would divide a shifted numerator by a
+  denominator that grows to P bits).  Term j adds ``+-floor(T_j / (2j+1))``.
+
+  - *Per-term count.*  ``e_j = x_j - T_j`` has ``0 <= e_0 < 1`` and
+    ``e_{j+1} = r e_j + (T_j r - T_{j+1}) < r e_j + 1``, so
+    ``0 <= e_j < 1/(1 - r) <= 4/3``.  Term j falls short of
+    ``2^P |t_j| = x_j / (2j+1)`` by ``e_j / (2j+1)`` plus the floor's part of
+    a unit, which is 0 at j = 0: by less than 2 units at every j, so each
+    term counts two.
+  - *Tail.*  Each term is at most r times the one before, so the remainder
+    after n terms is at most ``|t_n| / (1 - r)``.  The pass stops at the
+    first n with ``T_n = 0``, where ``x_n = e_n < 4/3``: the remainder is
+    below ``(4/3)^2 / (2n+1) < 2`` units and counts two.  So
+    ``units = 2n + 2``.
 * ``pi``: Machin-type arctangent combinations (two independent formulas,
   used to cross-check each other).
-* ``log``: binary reduction to ``2*atanh(y)`` with ``|y| <= 1/5``.
+* ``log``: ``log x = sum e_b log b`` over the factors b of x: the primes
+  below 32, divided out of its numerator and denominator, and the cofactor
+  they leave.  Each ``log b`` is a cache entry of its own, so the catalog's
+  logarithms, all of the form ``2^i 3^j``, share two series.  ``log b``
+  reduces by powers of two to ``2*atanh(y)`` with ``|y| <= 1/5``, and the
+  ball sums ``e_b`` times each ``log b``'s S and ``|e_b|`` times its units.
 * ``zeta(3)``: the central-binomial acceleration
-  ``(5/2) * sum (-1)^(k-1) / (k^3 C(2k,k))`` (alternating, ratio -> 1/4).
+  ``(5/2) * sum (-1)^(k-1) / (k^3 C(2k,k))``, in fixed point as atan is.
+  ``T_1 = 2^P 5/4`` is exact and ``T_{k+1} = floor(T_k rho_k)``, with the
+  term ratio ``rho_k = k^3 / (2 (k+1)^2 (2k+1)) < 1/4``; term k adds
+  ``(-1)^(k-1) T_k``.  As for atan, ``0 <= 2^P |t_k| - T_k < 4/3``: two
+  units a term.  The pass stops at the first k with ``T_k = 0``; the terms
+  alternate and shrink, so the remainder is at most ``2^P |t_k| < 4/3``
+  units and counts two.  So ``units = 2k``.
 * ``zeta(2, a)`` for rational ``0 < a <= 1`` and ``L_d(2)`` for a
   discriminant d: one Euler-Maclaurin pass, :func:`_hurwitz_sum`, for
   ``(sn/sd) * sum_a c_a zeta(2, a/q)`` over residues ``0 < a <= q`` with
@@ -74,7 +97,14 @@ No library transcendental functions are consulted, so these values form an
 independent route against which series evaluations can honestly be tested.
 Each ``(S, P, units)`` triple is the :class:`~bseries.precision.ApproxReal`
 handed out as it is, cached keyed by requested digits, so repeated
-evaluations at the same or lower accuracy are free.
+evaluations at the same or lower accuracy are free.  A deeper request
+computes the constant again, which is why
+:meth:`~bseries.closedform.ClosedForm.eval_ball` asks on a grid of 4 digits:
+the closed forms checked at one precision, whose coefficients have 1 to 4
+digits, then ask for each constant at one precision, and it is computed
+once.  Nothing is computed deeper than asked: a cache that computed 1/16
+more bits to serve later requests made the workloads that ask for each
+L-value once slower.
 
 Single-threaded use only: the cache takes no lock.  Parallelise by process.
 """
@@ -84,7 +114,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .precision import ApproxReal, ceil_units, digits_to_bits
+from .precision import ApproxReal, digits_to_bits
 
 __all__ = [
     "pi_ball",
@@ -125,22 +155,21 @@ def _cached(key: tuple, digits: int, compute) -> ApproxReal:
 def _atan(c: int, x: Fraction, p: int, hyperbolic: bool = False) -> tuple[int, int]:
     """(S, units) for c*atan(x), or c*atanh(x) when hyperbolic, for |x| <= 1/2.
 
-    Term j is c * (-+x^2)^j * x / (2j+1), so each term is at most x^2 times
-    the one before and the tail is at most the next term / (1 - x^2).
+    Fixed point, as the module docstring proves: T_0 = floor(2^p |c a| / b),
+    T_{j+1} = floor(T_j a^2 / b^2), and term j adds +-floor(T_j / (2j+1)).
     """
     if x == 0 or c == 0:
         return 0, 0
     a, b = x.numerator, x.denominator
-    step = a * a if hyperbolic else -a * a
-    num, den = c * a, b  # c * (-+1)^j * x^(2j+1)
+    a2, b2 = a * a, b * b
+    t = (abs(c * a) << p) // b
     s = j = 0
-    while True:
-        s += (num << p) // ((2 * j + 1) * den)
-        num, den = num * step, den * b * b
-        tail = ceil_units(p, abs(num) * b * b, (2 * j + 3) * den * (b * b - a * a))
-        if tail <= 1:
-            return s, j + 1 + tail
+    while t:
+        term = t // (2 * j + 1)
+        s += term if hyperbolic or not j & 1 else -term
+        t = t * a2 // b2
         j += 1
+    return (s if c * a > 0 else -s), 2 * j + 2
 
 
 def _add(*parts: tuple[int, int]) -> tuple[int, int]:
@@ -185,11 +214,36 @@ def _log(x: Fraction, p: int) -> tuple[int, int]:
     )
 
 
+_TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _log_basis(x: Fraction) -> dict[Fraction, int]:
+    """{b: e} with x = prod b^e: the primes below 32 and one cofactor they leave."""
+    n, d = x.numerator, x.denominator
+    basis = {}
+    for q in _TRIAL_PRIMES:
+        e = 0
+        while not n % q:
+            n, e = n // q, e + 1
+        while not d % q:
+            d, e = d // q, e - 1
+        if e:
+            basis[Fraction(q)] = e
+    if n != d:
+        basis[Fraction(n, d)] = 1
+    return basis
+
+
 def log_ball(x: Fraction, digits: int) -> ApproxReal:
+    """log x as sum e * log b over :func:`_log_basis`, each log b a ball of its own cache entry."""
     x = Fraction(x)
     if x <= 0:
         raise ValueError("log of a non-positive rational")
-    return _cached(("log", x), digits, lambda p: _log(x, p))
+    s = units = 0
+    for b, e in _log_basis(x).items():
+        ball = _cached(("log", b), digits, lambda p, b=b: _log(b, p))
+        s, units = s + e * ball.s, units + abs(e) * ball.units
+    return ApproxReal(s, digits_to_bits(digits + 2), units)
 
 
 # ----------------------------------------------------------------------
@@ -197,17 +251,15 @@ def log_ball(x: Fraction, digits: int) -> ApproxReal:
 
 
 def _zeta3(p: int) -> tuple[int, int]:
-    # (5/2) sum_{k>=1} (-1)^(k-1) / (k^3 C(2k,k)); alternating, |t| ~ 4^-k.
-    binom = 2  # C(2k, k) at k = 1
-    s = 0
-    k = 1
-    while True:
-        s += ((5 if k % 2 else -5) << p) // (2 * k**3 * binom)
-        binom = binom * 2 * (2 * k + 1) // (k + 1)
+    # (5/2) sum_{k>=1} (-1)^(k-1) / (k^3 C(2k,k)) in fixed point: T_1 = 2^p 5/4,
+    # T_{k+1} = floor(T_k k^3 / (2 (k+1)^2 (2k+1))); term k adds +-T_k.
+    t = 5 << p >> 2
+    s, k = 0, 1
+    while t:
+        s += t if k & 1 else -t
+        t = t * k**3 // (2 * (k + 1) ** 2 * (2 * k + 1))
         k += 1
-        tail = ceil_units(p, 5, 2 * k**3 * binom)
-        if tail <= 1:
-            return s, k - 1 + tail
+    return s, 2 * k
 
 
 def zeta3_ball(digits: int) -> ApproxReal:

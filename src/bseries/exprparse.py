@@ -410,15 +410,16 @@ class IntegerEval:
         p = _p_trim(num)
         return p if den is ONE and len(p[0]) <= degree + 1 else None
 
-    def linear(self, x: dict, what: str) -> tuple[int, int]:
+    def linear(self, x: dict, what: str, refusal: str = "") -> tuple[int, int]:
         """``(c0, c1)`` with ``x = c0 + c1*var`` for integers c0 and c1; ``what`` names x in
-        the errors."""
+        the errors, and ``refusal``, if given, is the error for coefficients that are not
+        integers."""
         p = self.polynomial(x, 1)
         if p is None:
             raise ExprError(f"{what} must be linear in {self.var} in {self.where}")
         a, b, l = p
         if any(b) or any(c % l for c in a):
-            raise ExprError(f"{what} must have integer coefficients in {self.where}")
+            raise ExprError(refusal or f"{what} must have integer coefficients in {self.where}")
         c0, c1 = (a + [0, 0])[:2]
         return c0 // l, c1 // l
 

@@ -394,15 +394,12 @@ def parse_den_factors(s: str) -> tuple[tuple[int, int, int], ...]:
     factors: dict[tuple[int, int], int] = {}
 
     def add_linear(node, e: int):
+        refusal = "denominator factors must be u*k + v with integer u > 0"
         ev = IntegerEval("k", "denominator")
-        p = ev.polynomial(ev.eval(node), 1)
-        if p is None or len(p[0]) != 2:
-            raise ExprError("denominator factor must be linear in k")
-        (v, u), b, q = p
-        if any(b) or u % q or v % q or u < 0:
-            raise ExprError("denominator factors must be u*k + v with integer u > 0")
-        key = (u // q, v // q)
-        factors[key] = factors.get(key, 0) + e
+        v, u = ev.linear(ev.eval(node), "denominator factor", refusal)
+        if u <= 0:
+            raise ExprError(refusal)
+        factors[(u, v)] = factors.get((u, v), 0) + e
 
     def walk(node, e: int):
         if node[0] == "bin" and node[1] == "*":

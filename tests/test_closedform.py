@@ -1,13 +1,17 @@
 """Closed-form expressions: parsing, canonical rendering, exact algebra, balls."""
 
+import functools
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bseries.closedform import ClosedForm, parse_closed_form, render_closed_form
 from bseries.exactnum import QuadElem
 from bseries.exprparse import ExprError
+from bseries.precision import digits_to_bits
 from bseries.seriesmodel import render_quad
 
 CANONICAL = [
@@ -107,6 +111,61 @@ def test_eval_against_reference():
         for src, ref in cases.items():
             ball = parse_closed_form(src).eval_ball(45)
             assert abs(mpmath.ldexp(ball.s, -ball.p) - ref) < mpmath.mpf(10) ** -42, src
+
+
+# mpmath's atoms at twice the deepest ball's precision, and a slack far below its unit
+_REF_BITS = 2 * digits_to_bits(440) + 64
+_REF_SLACK = Fraction(1, 2 ** (_REF_BITS - 80))
+
+
+@functools.cache
+def _reference(name: str, arg: Fraction = Fraction(0)) -> Fraction:
+    """An atom's value from mpmath at ``_REF_BITS`` bits, as the exact value of the mpf."""
+    with mpmath.workprec(_REF_BITS):
+        value = {
+            "pi": lambda: +mpmath.pi,
+            "zeta(3)": lambda: mpmath.zeta(3),
+            "G": lambda: +mpmath.catalan,
+            "K": lambda: (mpmath.zeta(2, mpmath.mpf(1) / 3) - mpmath.zeta(2, mpmath.mpf(2) / 3)) / 9,
+            "log": lambda: mpmath.log(mpmath.mpf(arg.numerator) / arg.denominator),
+            "sqrt": lambda: mpmath.sqrt(arg),
+        }[name]()
+    sign, man, exp, _ = value._mpf_
+    return (-1) ** sign * Fraction(int(man)) * Fraction(2) ** int(exp)
+
+
+def _log_atom(a: int, b: int, c: int) -> tuple[str, Fraction]:
+    x = Fraction(2) ** a * Fraction(3) ** b * Fraction(5) ** c
+    return f"log({x})", _reference("log", x)
+
+
+# (text, mpmath's value) of one atom of a closed form
+_ATOMS = st.one_of(
+    st.sampled_from(["pi", "zeta(3)", "G", "K"]).map(lambda name: (name, _reference(name))),
+    st.just(("pi^-1", 1 / _reference("pi"))),
+    st.tuples(st.integers(-6, 6), st.integers(-4, 4), st.integers(-3, 3)).map(lambda e: _log_atom(*e)),
+    st.integers(2, 30).map(lambda m: (f"sqrt({m})", _reference("sqrt", Fraction(m)))),
+)
+_COEFFS = st.builds(
+    Fraction, st.integers(1, 999_999) | st.integers(-999_999, -1), st.integers(1, 999)
+)
+_TERMS = st.lists(st.tuples(_COEFFS, st.lists(_ATOMS, max_size=2)), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TERMS, st.integers(20, 400))
+def test_eval_ball_holds_mpmath_at_the_digits_asked(terms, digits):
+    text, ref = [], Fraction(0)
+    for coeff, atoms in terms:
+        text.append("*".join([f"({coeff})"] + [atom for atom, _ in atoms]))
+        value = coeff
+        for _, v in atoms:
+            value *= v
+        ref += value
+    ball = parse_closed_form(" + ".join(text)).eval_ball(digits)
+    assert ball.to_digits() >= digits
+    lo, hi = ball.to_fraction_bounds()
+    assert lo - _REF_SLACK <= ref <= hi + _REF_SLACK
 
 
 def test_surd_root_inverse_multiplies_to_one():

@@ -8,6 +8,7 @@ transcendental functions, so agreement is a genuine cross-check.
 import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from sympy import isprime, jacobi_symbol
 
 from bseries import constants
+from bseries.closedform import parse_closed_form
 from bseries.constants import (
     bernoulli_numbers,
     hurwitz_zeta2_ball,
@@ -121,6 +123,84 @@ def test_log_rejects_nonpositive():
         log_ball(Fraction(0), 10)
     with pytest.raises(ValueError):
         log_ball(Fraction(-3), 10)
+
+
+# the catalog's log arguments, each a product of powers of 2 and 3
+CATALOG_LOGS = [Fraction(x) for x in ("2", "3", "2/3", "3/4", "4/27", "27/256", "64/27", "432")]
+
+
+def _assert_holds_the_reference(ball, ref_fn, p):
+    """The ball holds ref_fn() computed by mpmath at 2p + 64 bits, without slack."""
+    with mpmath.workprec(2 * p + 64):
+        ref = mpf_to_fraction(ref_fn())
+    lo, hi = ball.to_fraction_bounds()
+    assert lo <= ref <= hi
+
+
+@pytest.mark.parametrize("digits", [30, 300, 1000])
+def test_log_balls_hold_mpmath(monkeypatch, digits):
+    monkeypatch.setattr(constants, "_cache", {})
+    rng = random.Random(digits)
+    smooth = [
+        Fraction(2) ** rng.randint(-9, 9) * Fraction(3) ** rng.randint(-6, 6)
+        * Fraction(5) ** rng.randint(-4, 4) * Fraction(7) ** rng.randint(-3, 3)
+        for _ in range(12)
+    ]
+    p = digits_to_bits(digits + 2)
+    for x in CATALOG_LOGS + smooth:
+        ball = log_ball(x, digits)
+        assert ball.p == p and ball.to_digits() >= digits
+        # the ball sums e times each factor's ball: S exactly, units with |e|
+        basis = constants._log_basis(x)
+        assert math.prod(b**e for b, e in basis.items()) == x
+        parts = [(e, log_ball(b, digits)) for b, e in basis.items()]
+        assert ball.s == sum(e * part.s for e, part in parts)
+        assert ball.units == sum(abs(e) * part.units for e, part in parts)
+        _assert_holds_the_reference(ball, lambda: mpmath.log(_mpf(x)), p)
+        # the prime basis agrees with the direct reduction of x to atanh
+        s, units = constants._log(x, p)
+        assert abs(ball.s - s) <= ball.units + units, x
+
+
+def test_log_of_a_cofactor_has_its_own_entry(monkeypatch):
+    monkeypatch.setattr(constants, "_cache", {})
+    x = Fraction(10007, 3)
+    assert constants._log_basis(x) == {Fraction(3): -1, Fraction(10007): 1}
+    for digits in (30, 300):
+        _assert_holds_the_reference(
+            log_ball(x, digits), lambda: mpmath.log(_mpf(x)), digits_to_bits(digits + 2)
+        )
+    assert set(constants._cache) == {("log", Fraction(3)), ("log", Fraction(10007))}
+
+
+def test_closed_forms_of_one_precision_compute_each_constant_once(monkeypatch):
+    # coefficients of 1 to 4 digits pad eval_ball(310) to 321 .. 324 digits,
+    # which the grid rounds to one request for each constant
+    computed = []
+    cached = constants._cached
+
+    def counting(key, digits, compute):
+        def recorded(p):
+            computed.append(key)
+            return compute(p)
+
+        return cached(key, digits, recorded)
+
+    monkeypatch.setattr(constants, "_cache", {})
+    monkeypatch.setattr(constants, "_cached", counting)
+    texts = [
+        "3*pi + 2*log(2)",
+        "17*log(3) - 5/4*G",
+        "311/3*K + 7*zeta(3) - log(4/27)",
+        "2719*log(432) + 13*pi - 4000*K",
+        "9*G*pi + log(27/256) - 99*zeta(3)",
+    ]
+    for text in texts:
+        parse_closed_form(text).eval_ball(310)
+    assert sorted(computed, key=str) == sorted(
+        [("pi", 0), ("log", Fraction(2)), ("log", Fraction(3)), ("lvalue", -3), ("lvalue", -4), ("zeta3",)],
+        key=str,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -413,41 +493,40 @@ def test_l_value_ball_holds_the_hurwitz_route_without_slack():
 # ----------------------------------------------------------------------
 # the tail units of each series
 #
-# A constant's ``(S, units)`` counts one unit per floored term plus its tail
-# bound.  The floors alone leave about half the units as slack, so a ball
-# can hold the constant with its tail dropped or shrunk.  These tests record
-# the tail bounds the series loop computes (each iteration bounds the tail
-# once through ``constants.ceil_units``), which fixes the term count, and
-# check the three parts of the count against the exact terms and a
-# reference at twice the precision.
+# A constant's ``(S, units)`` counts its terms' errors plus its tail bound.
+# The floors alone leave about half the units as slack, so a ball can hold
+# the constant with its tail dropped or shrunk.  These tests replay each
+# series' fixed-point recurrence as the module docstring states it, which
+# fixes the term count n, and check the parts of the count: S against the
+# exact head in Fractions, and the tail against a reference at twice the
+# precision.
 
 
-def _recorded(monkeypatch, compute) -> tuple[int, int, int, int]:
-    """``(S, units)`` of compute(), the number of tail bounds taken and the last one."""
-    tails = []
-
-    def recording(p, num, den):
-        tails.append(ceil_units(p, num, den))
-        return tails[-1]
-
-    with monkeypatch.context() as m:
-        m.setattr(constants, "ceil_units", recording)
-        s, units = compute()
-    return s, units, len(tails), tails[-1]
+def _fixed_point_steps(t: int, ratio, start: int = 0) -> list[int]:
+    """T_start, T_start+1, ... before the first zero, with T_{j+1} = floor(T_j * ratio(j))."""
+    steps = []
+    for j in itertools.count(start):
+        if not t:
+            return steps
+        steps.append(t)
+        t = math.floor(t * ratio(j))
 
 
-def _check_count(terms, n: int, s: int, units: int, tail: int, p: int, ref) -> None:
-    """S floors the first n terms, units is n plus the tail, and the tail covers the rest.
+def _check_count(adds, terms, s: int, units: int, p: int, ref) -> None:
+    """S sums the n replayed terms, each within two units of its exact term; the tail's
+    two units cover the rest.
 
     ``ref`` is the constant from mpmath at 2p + 64 bits, so it is good to
     2^-2p, far below one unit 2^-p.
     """
+    n = len(adds)
     head = [next(terms) for _ in range(n)]
-    assert sum(math.floor(t * 2**p) for t in head) == s
-    assert units == n + tail
+    assert s == sum(adds)
+    assert units == 2 * n + 2
+    assert abs(s - sum(head) * 2**p) < 2 * n  # the proved head count
     with mpmath.workprec(2 * p + 64):
         remainder = abs(mpf_to_fraction(ref()) - sum(head))
-    assert tail * 2**p >= remainder * 4**p - 1, float(remainder * 2**p)
+    assert 2 * 2**p >= remainder * 4**p - 1, float(remainder * 2**p)
 
 
 def _mpf(q: Fraction):
@@ -470,21 +549,28 @@ TAIL_BITS = [digits_to_bits(d + 2) for d in (8, 20, 45, 80)]
         (2, Fraction(1, 7), True),
     ],
 )
-def test_atan_tail_covers_the_remainder(monkeypatch, p, c, x, hyperbolic):
-    s, units, n, tail = _recorded(monkeypatch, lambda: constants._atan(c, x, p, hyperbolic))
+def test_atan_tail_covers_the_remainder(p, c, x, hyperbolic):
+    s, units = constants._atan(c, x, p, hyperbolic)
+    steps = _fixed_point_steps(math.floor(abs(c * x) * 2**p), lambda j: x * x)
+    sign = 1 if c * x > 0 else -1
+    adds = [sign * (-1 if j % 2 and not hyperbolic else 1) * (t // (2 * j + 1)) for j, t in enumerate(steps)]
     step = x * x if hyperbolic else -x * x
     terms = (c * step**j * x / (2 * j + 1) for j in itertools.count())
     fn = mpmath.atanh if hyperbolic else mpmath.atan
-    _check_count(terms, n, s, units, tail, p, lambda: c * fn(_mpf(x)))
+    _check_count(adds, terms, s, units, p, lambda: c * fn(_mpf(x)))
 
 
 @pytest.mark.parametrize("p", TAIL_BITS)
-def test_zeta3_tail_covers_the_remainder(monkeypatch, p):
-    s, units, n, tail = _recorded(monkeypatch, lambda: constants._zeta3(p))
+def test_zeta3_tail_covers_the_remainder(p):
+    s, units = constants._zeta3(p)
+    steps = _fixed_point_steps(
+        math.floor(Fraction(5, 4) * 2**p), lambda k: Fraction(k**3, 2 * (k + 1) ** 2 * (2 * k + 1)), 1
+    )
+    adds = [t if k % 2 else -t for k, t in enumerate(steps, 1)]
     terms = (
         Fraction(5 * (-1) ** (k - 1), 2 * k**3 * math.comb(2 * k, k)) for k in itertools.count(1)
     )
-    _check_count(terms, n, s, units, tail, p, lambda: mpmath.zeta(3))
+    _check_count(adds, terms, s, units, p, lambda: mpmath.zeta(3))
 
 
 def _fixed_point_pass(q: int, residues: list, sn: int, sd: int, p: int):

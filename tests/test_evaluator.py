@@ -1028,30 +1028,12 @@ def test_report_strings_match_nstr_on_shipped_sums():
                     assert ball.decimal(n) == mpmath.nstr(mid, n), (rec.id, digits, n)
 
 
-VERIFY_WITHOUT_MPMATH = """
-import json, sys
-sys.path.insert(0, sys.argv[1])
-sys.modules["mpmath"] = None  # any import of mpmath raises ImportError
-from bseries import catalog, closedform, constants, evaluator, telescope
-got = {}
-for r in catalog.load_catalog(catalog.resolve_catalog_path()):
-    if r.kind == "series_identity":
-        rep = evaluator.verify_identity(r.series, r.rhs, 30, lhs_scale=r.lhs_scale)
-        got[r.id] = rep.status.value
-    elif isinstance(r.cert, telescope.TelescopingCert):
-        got[r.id] = "PASS" if telescope.check_telescoping(r.cert).passed else "FAIL"
-    else:
-        got[r.id] = "PASS" if telescope.check_derivative(r.cert).passed else "FAIL"
-print(json.dumps(got))
-"""
-
-
 def test_verification_runs_without_mpmath():
     # the perfbench worker's imports check every shipped record on the standard library alone
+    script = Path(__file__).with_name("verify_without_mpmath.py")
     src = str(Path(evaluator.__file__).parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", VERIFY_WITHOUT_MPMATH, src], capture_output=True, text=True, check=True
-    )
+    out = subprocess.run([sys.executable, str(script), src], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
     got = json.loads(out.stdout)  # 94 series and 5 certificates
     assert len(got) == 99
     assert {rid: v for rid, v in got.items() if v != "PASS"} == {

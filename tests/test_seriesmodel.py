@@ -144,6 +144,11 @@ class TestDenFactors:
         with pytest.raises(ValueError):
             parse_den_factors("(k^2 + 1)")
 
+    @pytest.mark.parametrize("text", ["3", "(2*k + 1)*5", "0*k + 2", "1 - k", "-2*k + 3", "k/2 + 1"])
+    def test_rejects_a_constant_and_a_slope_that_is_not_a_positive_integer(self, text):
+        with pytest.raises(ExprError, match=r"u\*k \+ v with integer u > 0"):
+            parse_den_factors(text)
+
     @pytest.mark.parametrize("text", ["k^-1", "(2*k + 1)*k^2*k^-2"])
     def test_rejects_nonpositive_exponents(self, text):
         # D(k) is an integer product; a factor with exponent <= 0 is not a denominator

@@ -1,0 +1,47 @@
+"""Check every shipped catalog record at 30 digits on the standard library alone.
+
+Usage: python tests/verify_without_mpmath.py [SRC]
+
+SRC is the directory that holds the ``bseries`` package (default: ``src/``
+of this checkout).  Any import of mpmath raises ``ImportError``, so a run
+that ends shows that verification needs no package outside the standard
+library.  Prints each record's verdict as one JSON object, and exits with
+status 1 unless the catalog's 94 series and 5 certificates all PASS except
+``aldawoud-t31-r10`` (FAIL: the record is known to be false) and
+``sec1-g1a`` (INCONCLUSIVE: its term ratio tends to 1, so no tail is
+certified).
+"""
+
+import json
+import sys
+from pathlib import Path
+
+RECORDS = 99
+NOT_PASSING = {"aldawoud-t31-r10": "FAIL", "sec1-g1a": "INCONCLUSIVE"}
+
+
+def main(argv: list[str]) -> int:
+    sys.path.insert(0, argv[1] if len(argv) > 1 else str(Path(__file__).resolve().parents[1] / "src"))
+    sys.modules["mpmath"] = None  # any import of mpmath raises ImportError
+    # the modules the perfbench worker imports
+    from bseries import catalog, closedform, constants, evaluator, telescope  # noqa: F401
+
+    got = {}
+    for r in catalog.load_catalog(catalog.resolve_catalog_path()):
+        if r.kind == "series_identity":
+            rep = evaluator.verify_identity(r.series, r.rhs, 30, lhs_scale=r.lhs_scale)
+            got[r.id] = rep.status.value
+        elif isinstance(r.cert, telescope.TelescopingCert):
+            got[r.id] = "PASS" if telescope.check_telescoping(r.cert).passed else "FAIL"
+        else:
+            got[r.id] = "PASS" if telescope.check_derivative(r.cert).passed else "FAIL"
+    print(json.dumps(got))
+    not_passing = {rid: v for rid, v in got.items() if v != "PASS"}
+    if len(got) == RECORDS and not_passing == NOT_PASSING:
+        return 0
+    print(f"{len(got)} records, not passing: {not_passing}", file=sys.stderr)
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
