@@ -9,6 +9,8 @@ The package is layered bottom-up:
 * :mod:`bseries.seriesmodel` — series descriptions, weights, harmonic atoms.
 * :mod:`bseries.constants` — pi, log, zeta(3), Dirichlet L-values as balls.
 * :mod:`bseries.closedform` — exact closed-form right-hand sides.
+* :mod:`bseries.envelope` — the weight's majorant and the certified tail
+  envelope (q, k0).
 * :mod:`bseries.evaluator` — certified summation and verification.
 * :mod:`bseries.telescope` — telescoping-certificate checking.
 * :mod:`bseries.duality` — Galois conjugation of series and dual classification.

@@ -81,7 +81,7 @@ _ALLOWED_BY_KIND = {
     ),
     "telescoping": (
         frozenset({"kernel", "position", "base", "weight", "den", "closed_form"}),
-        frozenset({"kstart"}),
+        frozenset(),
     ),
     "derivative": (
         frozenset({"f_rational", "arctan_coeff", "target"}),
@@ -254,7 +254,6 @@ def _build_record(fields: dict[str, str], line: int) -> IdentityRecord:
                 weight=fields["weight"],
                 den=fields["den"],
                 closed_form=fields["closed_form"],
-                k_start=kstart,
             )
         else:
             cert = parse_derivative(

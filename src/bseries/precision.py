@@ -26,6 +26,10 @@ built with ``from_ratio`` instead.
 A ball prints from its integers alone: :meth:`ApproxReal.decimal` rounds
 ``s * 2^-p`` to n significant digits exactly, in ``mpmath.nstr``'s layout,
 and ``repr`` shows the midpoint to 17 digits and ``units * 2^-p`` to 5.
+The rounded integer is converted in chunks of at most 4,000 digits, split
+at powers of 10, so any n prints under CPython's default limit of 4,300
+digits on one int-to-str conversion, which the process owns and no module
+here changes.
 Arb keeps the same exact integer bookkeeping under its midpoint-radius
 balls (Johansson, *Arb: efficient arbitrary-precision midpoint-radius
 interval arithmetic*, IEEE Trans. Comput. 2017).
@@ -81,6 +85,21 @@ def log10_floor(x: Fraction) -> int:
     while at_least(k + 1):
         k += 1
     return k
+
+
+def _int_text(x: int) -> str:
+    """The decimal digits of an integer x >= 0, each ``str`` call on at most 4,000 of them.
+
+    A b-bit x has at most ``n = floor(b * 0.30103) + 1`` digits, since 0.30103
+    exceeds log10(2); a longer x is split at 10^m, m = n // 2, and the low
+    part padded to m digits.
+    """
+    n = x.bit_length() * 30103 // 100000 + 1
+    if n <= 4000:
+        return str(x)
+    m = n // 2
+    hi, lo = divmod(x, 10**m)
+    return _int_text(hi) + _int_text(lo).zfill(m)
 
 
 def _coerce(x):
@@ -272,7 +291,7 @@ class ApproxReal:
         a = abs(self.s)
         e = log10_floor(Fraction(a, 1 << self.p))
         num, den = a * 10 ** max(n - 1 - e, 0), 10 ** max(e + 1 - n, 0) << self.p
-        digits = str((2 * num + den) // (2 * den))
+        digits = _int_text((2 * num + den) // (2 * den))
         if len(digits) > n:  # rounded up to 10^n
             digits, e = digits[:n], e + 1
         split = 1

@@ -19,8 +19,8 @@ as a :class:`~bseries.exactnum.QuadElem` with an integer exponent, the
 kernel and its position, D as integer triples ``(u, v, e)``, ``field_d``
 (1 or the one squarefree radicand of base and weight), and the weight as a
 :class:`Weight`: per atom, integer lists ``(a_i, b_i, e_i)`` with
-coefficient ``(a_i + b_i*sqrt(d)) / e_i``, and from them the common form
-``(A_i + B_i*sqrt(d)) / c`` the evaluator sums with.
+coefficient ``(a_i + b_i*sqrt(d)) / e_i``, from which
+:mod:`bseries.envelope` builds the common form the evaluator sums with.
 
 Each field's text is read straight into those integers by
 :class:`~bseries.exprparse.IntegerEval`, with the harmonic atoms added here.
@@ -39,17 +39,8 @@ coefficient lists in lowest terms, with :attr:`~SeriesDef.scale_growth` its
 limit.  Kernel ratio and ``D(k)/D(k + 1)`` are both products of
 integer-linear factors, so lowest terms need no polynomial gcd: the factors
 common to both sides cancel as a multiset of primitive pairs, and the
-integer contents by their gcd.  The evaluator reads the kernel, its
-position and D through these members only.
-
-:meth:`SeriesDef.weight_value` and :meth:`~SeriesDef.term_exact` evaluate
-in exact ``Fraction``/``QuadElem`` arithmetic, with :class:`HarmonicCache`'s
-exact prefix sums, and use none of the scale members.  The evaluator sums
-on integer lists and calls neither: they are the exact references the
-tests compare it against.
-It carries each H_n^(m) as a floored fixed-point integer with a counted
-error, and :class:`HarmonicCache` is the exact value that count is checked
-against.
+integer contents by their gcd.  The envelope and the sum read the kernel,
+its position and D through these members only.
 """
 
 from __future__ import annotations
@@ -59,11 +50,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 from itertools import zip_longest
 from typing import NamedTuple, Optional, Sequence
 
-from .exactnum import IntegerSurdPoly, QuadElem, horner, poly_mul, surd_mul
+from .exactnum import IntegerSurdPoly, QuadElem, poly_mul, surd_mul
 from .exprparse import (
     ONE, ExprError, IntegerEval, ast_as_int, eval_quad, lowest_terms, parse_expr,
 )
@@ -74,7 +65,6 @@ __all__ = [
     "HarmonicAtom",
     "Weight",
     "SeriesDef",
-    "HarmonicCache",
     "NotHypergeometric",
     "parse_quad",
     "render_quad",
@@ -127,24 +117,6 @@ class HarmonicAtom(NamedTuple):
         else:
             arg = f"{self.stride}*k" if self.offset == 0 else f"{self.stride}*k - {-self.offset}"
         return f"H({arg},{self.order})"
-
-
-class HarmonicCache:
-    """Exact prefix sums H_n^(m) as ``Fraction``s, grown on demand and shared across terms.
-
-    The exact reference for ``weight_value`` and ``term_exact``, and for the
-    evaluator's fixed-point atoms ``sum_{j<=n} floor(2^P / j^m)`` and their counts.
-    """
-
-    def __init__(self):
-        self._tables: dict[int, list[Fraction]] = {}
-
-    def value(self, order: int, n: int) -> Fraction:
-        tab = self._tables.setdefault(order, [Fraction(0)])
-        while len(tab) <= n:
-            j = len(tab)
-            tab.append(tab[-1] + Fraction(1, j**order))
-        return tab[n]
 
 
 # ----------------------------------------------------------------------
@@ -266,19 +238,6 @@ class Weight:
 
     def has_harmonic(self) -> bool:
         return any(atom is not None for *_, atom in self.parts)
-
-    @cached_property
-    def common(self) -> tuple[list, list]:
-        """``(c, terms)``: the common denominator c, the product of the distinct e_i,
-        and ``terms = [(A_i, B_i, atom_i)]`` with ``(A_i + B_i*sqrt(d)) / c`` the
-        i-th coefficient."""
-        dens = list(dict.fromkeys(e for _, _, e, _ in self.parts))
-        terms = []
-        for a, b, e, atom in self.parts:
-            others = [x for x in dens if x != e]
-            a, b = (reduce(poly_mul, others, list(x)) for x in (a, b))
-            terms.append((a, b, atom))
-        return reduce(poly_mul, dens, [1]), terms
 
     def conjugate(self) -> "Weight":
         """The Galois conjugate: every b_i negated."""
@@ -552,30 +511,6 @@ class SeriesDef:
         of :attr:`scale_ratio`'s leading coefficients, since D(k)/D(k + 1) tends to 1."""
         num, den = self.scale_ratio
         return Fraction(num[-1], den[-1])
-
-    def weight_value(self, k: int, harm: Optional[HarmonicCache] = None):
-        """W(k) exactly, a Fraction or a QuadElem, from the weight's integer lists."""
-        total = Fraction(0)
-        for a, b, e, atom in self.weight.parts:
-            den = horner(e, k)
-            c = Fraction(horner(a, k), den)
-            if b:
-                c = QuadElem(c, Fraction(horner(b, k), den), self.weight.d)
-            if atom is not None:
-                if harm is None:
-                    raise ValueError("harmonic cache required")
-                c = c * harm.value(atom.order, atom.index_at(k))
-            total = total + c
-        return total
-
-    def term_exact(self, k: int, harm: Optional[HarmonicCache] = None) -> QuadElem:
-        """t_k exactly, as a quadratic surd (slow path; the evaluator is incremental)."""
-        w = self.weight_value(k, harm)
-        t = QuadElem.of(w) * self.base_value**k
-        if self.kernel is not None:
-            kv = self.kernel.value(k)
-            t = t * kv if self.kernel_pos is Position.NUMERATOR else t / kv
-        return t / den_value(self.den_factors, k)
 
     def conjugate(self) -> "SeriesDef":
         """Apply the Galois conjugate to every scalar (base and weight coefficients)."""

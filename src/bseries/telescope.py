@@ -144,11 +144,8 @@ class TelescopingCert:
     bound_num: tuple[int, ...]
     bound_den: tuple[int, ...]
     bound_xoff: int
-    k_start: int = 0
 
     def __post_init__(self):
-        if self.k_start != 0:
-            raise ValueError("telescoping base case is fixed at k_start = 0")
         if not any(map(any, self.weight)):
             raise ValueError("zero weight")
         if not self.symbolic and any(map(any, self.weight[1:])):
@@ -157,7 +154,7 @@ class TelescopingCert:
             raise ValueError("zero boundary numerator")
         if self.base is not None and self.base == 0:
             raise ValueError("zero base")
-        check_den_factors(self.den_factors, self.k_start)
+        check_den_factors(self.den_factors, 0)
         # Q(n) must be nonzero at every index the boundary is evaluated at.
         j = IntegerSurdPoly.from_lists(self.bound_den, (), 1).integer_root()
         if j is not None:
@@ -186,31 +183,10 @@ class TelescopingCert:
             bound_xoff=self.bound_xoff,
         )
 
-    def _need_concrete(self):
-        if self.symbolic:
-            raise ValueError("specialize the base before evaluating numerically")
-
-    def partial_sum(self, n: int) -> QuadElem:
-        """t_0 + ... + t_n exactly at the concrete base."""
-        sdef = self.to_series()
-        return sum((sdef.term_exact(k) for k in range(self.k_start, n + 1)), QuadElem(0))
-
-    def boundary_value(self, n: int) -> Fraction:
-        """B(n) exactly at the concrete base."""
-        self._need_concrete()
-        q = horner(self.bound_den, n)
-        if not q:
-            raise ZeroDivisionError(f"boundary denominator vanishes at n={n}")
-        b = Fraction(horner(self.bound_num, n), q) * self.base ** (n + self.bound_xoff)
-        kv = self.kernel.value(n)
-        return b * kv if self.kernel_pos is Position.NUMERATOR else b / kv
-
-    def closed_sum(self, n: int) -> Fraction:
-        return self.const + self.boundary_value(n)
-
     def to_series(self) -> SeriesDef:
         """The infinite series this certificate's partial sums approach."""
-        self._need_concrete()
+        if self.symbolic:
+            raise ValueError("specialize the base before evaluating numerically")
         return SeriesDef(
             base_root=QuadElem.of(self.base),
             base_exp=1,
@@ -218,7 +194,6 @@ class TelescopingCert:
             kernel_pos=self.kernel_pos,
             weight=Weight.from_coeffs(self.weight[0]),
             den_factors=self.den_factors,
-            k_start=self.k_start,
         )
 
 
@@ -326,7 +301,6 @@ def parse_telescoping(
     weight: str,
     den: str,
     closed_form: str,
-    k_start: int = 0,
 ) -> TelescopingCert:
     """Build a certificate from its textual record fields."""
     fam = kernel_by_tag(kernel)
@@ -344,7 +318,6 @@ def parse_telescoping(
         bound_num=bnum,
         bound_den=bden,
         bound_xoff=x_off,
-        k_start=k_start,
     )
 
 

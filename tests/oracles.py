@@ -1,0 +1,88 @@
+"""Exact references the tests compare ``bseries`` against.
+
+:func:`weight_value` and :func:`term_exact` evaluate a
+:class:`~bseries.seriesmodel.SeriesDef` in exact ``Fraction``/``QuadElem``
+arithmetic, with :class:`HarmonicCache`'s exact prefix sums, and use none of
+the scale members.  The evaluator sums on integer lists and calls neither:
+they are the exact references the tests compare it against.  It carries
+each H_n^(m) as a floored fixed-point integer with a counted error, and
+:class:`HarmonicCache` is the exact value that count is checked against.
+:func:`partial_sum`, :func:`boundary_value` and :func:`closed_sum` are the
+two sides of a concrete-base :class:`~bseries.telescope.TelescopingCert`
+at one n.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Optional
+
+from bseries.exactnum import QuadElem, horner
+from bseries.seriesmodel import Position, SeriesDef, den_value
+from bseries.telescope import TelescopingCert
+
+
+class HarmonicCache:
+    """Exact prefix sums H_n^(m) as ``Fraction``s, grown on demand and shared across terms.
+
+    The exact reference for ``weight_value`` and ``term_exact``, and for the
+    evaluator's fixed-point atoms ``sum_{j<=n} floor(2^P / j^m)`` and their counts.
+    """
+
+    def __init__(self):
+        self._tables: dict[int, list[Fraction]] = {}
+
+    def value(self, order: int, n: int) -> Fraction:
+        tab = self._tables.setdefault(order, [Fraction(0)])
+        while len(tab) <= n:
+            j = len(tab)
+            tab.append(tab[-1] + Fraction(1, j**order))
+        return tab[n]
+
+
+def weight_value(sdef: SeriesDef, k: int, harm: Optional[HarmonicCache] = None):
+    """W(k) exactly, a Fraction or a QuadElem, from the weight's integer lists."""
+    total = Fraction(0)
+    for a, b, e, atom in sdef.weight.parts:
+        den = horner(e, k)
+        c = Fraction(horner(a, k), den)
+        if b:
+            c = QuadElem(c, Fraction(horner(b, k), den), sdef.weight.d)
+        if atom is not None:
+            if harm is None:
+                raise ValueError("harmonic cache required")
+            c = c * harm.value(atom.order, atom.index_at(k))
+        total = total + c
+    return total
+
+
+def term_exact(sdef: SeriesDef, k: int, harm: Optional[HarmonicCache] = None) -> QuadElem:
+    """t_k exactly, as a quadratic surd (slow path; the evaluator is incremental)."""
+    w = weight_value(sdef, k, harm)
+    t = QuadElem.of(w) * sdef.base_value**k
+    if sdef.kernel is not None:
+        kv = sdef.kernel.value(k)
+        t = t * kv if sdef.kernel_pos is Position.NUMERATOR else t / kv
+    return t / den_value(sdef.den_factors, k)
+
+
+def partial_sum(cert: TelescopingCert, n: int) -> QuadElem:
+    """t_0 + ... + t_n exactly at the concrete base."""
+    sdef = cert.to_series()
+    return sum((term_exact(sdef, k) for k in range(n + 1)), QuadElem(0))
+
+
+def boundary_value(cert: TelescopingCert, n: int) -> Fraction:
+    """B(n) exactly at the concrete base."""
+    if cert.symbolic:
+        raise ValueError("specialize the base before evaluating numerically")
+    q = horner(cert.bound_den, n)
+    if not q:
+        raise ZeroDivisionError(f"boundary denominator vanishes at n={n}")
+    b = Fraction(horner(cert.bound_num, n), q) * cert.base ** (n + cert.bound_xoff)
+    kv = cert.kernel.value(n)
+    return b * kv if cert.kernel_pos is Position.NUMERATOR else b / kv
+
+
+def closed_sum(cert: TelescopingCert, n: int) -> Fraction:
+    return cert.const + boundary_value(cert, n)

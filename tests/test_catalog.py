@@ -321,6 +321,18 @@ def test_benchmark_catalog_round_trips():
     assert loads_catalog(text).serialize() == text
 
 
+def test_kstart_not_allowed_on_telescoping():
+    # a telescoping certificate's base case is fixed at k = 0
+    cert = (
+        "id: c1\nkind: telescoping\nkernel: binom(6k,3k)\nposition: numerator\n"
+        "base: 1/4096\nweight: 4536*k^3 - 4644*k^2 + 1074*k + 25\nden: 6*k - 5\n"
+        "closed_form: -(2*n + 1)*(6*n + 5)*binom(6*n,3*n)*x^n\nstatus: PROVED\nsource: s\n"
+    )
+    assert isinstance(loads_catalog(cert).lookup("c1").cert, TelescopingCert)
+    with pytest.raises(CatalogError, match=r"keys \['kstart'\] not allowed for kind telescoping"):
+        loads_catalog(cert.replace("den: 6*k - 5\n", "den: 6*k - 5\nkstart: 1\n"))
+
+
 def test_series_keys_not_allowed_on_derivative():
     bad = (
         "id: d1\nkind: derivative\nbase: 16\nf_rational: t\narctan_coeff: 1\n"

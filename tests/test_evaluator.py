@@ -1,7 +1,7 @@
 """Evaluator tests: exact term streams, majorants, certified envelopes, verification.
 
 The evaluator works on integer lists only; each test's exact reference is
-built from ``SeriesDef.weight_value``/``term_exact``.
+built from ``oracles.weight_value``/``term_exact``.
 
 Frozen reference sums were computed independently with mpmath.nsum at 70
 significant digits.
@@ -24,25 +24,15 @@ import sympy as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bseries import constants, evaluator
+from bseries import constants, envelope, evaluator, seriesmodel, telescope
 from bseries.catalog import load_catalog, resolve_catalog_path
 from bseries.closedform import parse_closed_form
-from bseries.evaluator import (
-    NonConvergent,
-    Status,
-    _IntegerWeight,
-    _log2_surd,
-    _sum_terms,
-    certify_envelope,
-    evaluate,
-    sum_series,
-    verify_identity,
-)
+from bseries.envelope import NonConvergent, _IntegerWeight, _log2_surd, certify_envelope
+from bseries.evaluator import Status, _sum_terms, evaluate, sum_series, verify_identity
 from bseries.exactnum import IntegerSurdPoly, QuadElem, embed_dyadic, horner, poly_add
 from bseries.kernels import kernel_by_tag
 from bseries.precision import attempt_bits, ceil_units
 from bseries.seriesmodel import (
-    HarmonicCache,
     Position,
     SeriesDef,
     den_value,
@@ -50,6 +40,8 @@ from bseries.seriesmodel import (
     parse_den_factors,
     parse_weight,
 )
+
+from oracles import HarmonicCache, term_exact, weight_value
 
 # sum_{k>=1} k 2^k / C(2k,k)^3
 REF_CENTRAL3_DEN = "0.29023413400657121703470999343912139021301191051624900008780285"
@@ -88,7 +80,7 @@ def quad_integers(x):
 
 def majorant_term(sdef, form, k):
     """m_k = U(k) * S_k * base^k: U(k) times the term of the same series with weight 1."""
-    return u_value(form, k) * dataclasses.replace(sdef, weight=parse_weight("1")).term_exact(k)
+    return u_value(form, k) * term_exact(dataclasses.replace(sdef, weight=parse_weight("1")), k)
 
 
 # ----------------------------------------------------------------------
@@ -204,13 +196,13 @@ def _check_stream(sdef, terms, p=300):
     harm = HarmonicCache() if sdef.has_harmonic() else None
     unit = dataclasses.replace(sdef, weight=parse_weight("1"))
     for k, t, err, m in _terms(sdef, form, p, terms):
-        exact = sdef.term_exact(k, harm) * (1 << p)
+        exact = term_exact(sdef, k, harm) * (1 << p)
         # |T_k - 2^P t_k| <= err_k
         assert (exact - (t - err)).sign() >= 0 and ((t + err) - exact).sign() >= 0, (sdef, k)
         # the count stays small
-        v = unit.term_exact(k)  # V_k = S_k * base^k
+        v = term_exact(unit, k)  # V_k = S_k * base^k
         size = _floor_abs(v)
-        bound = _count_bound(k, sdef, sdef.weight_value(k, harm), size, _per_floor(form, k))
+        bound = _count_bound(k, sdef, weight_value(sdef, k, harm), size, _per_floor(form, k))
         assert err <= bound, (sdef, k, err)
         if not exact and not sdef.has_harmonic():
             assert t == 0, (sdef, k)
@@ -353,12 +345,12 @@ def test_integer_ratio_matches_term_ratio():
     for rid, sdef in cases:
         form = _IntegerWeight(sdef)
         one = dataclasses.replace(sdef, weight=parse_weight("1"))
-        (na, nb), (da, db) = evaluator._majorant_ratio(sdef, form, quad_integers(sdef.base_value))
+        (na, nb), (da, db) = envelope._majorant_ratio(sdef, form, quad_integers(sdef.base_value))
         for k in range(form.start, form.start + 20):
             num = QuadElem(horner(na, k), horner(nb, k), form.d)
             den = QuadElem(horner(da, k), horner(db, k), form.d)
-            ref_num = u_value(form, k + 1) * one.term_exact(k + 1)
-            ref_den = u_value(form, k) * one.term_exact(k)
+            ref_num = u_value(form, k + 1) * term_exact(one, k + 1)
+            ref_den = u_value(form, k) * term_exact(one, k)
             # a zero weight (sec1-cz4096 at k = 0) zeroes both denominators
             assert bool(den) == bool(ref_den), (rid, k)
             assert num * ref_den == ref_num * den, (rid, k)
@@ -387,6 +379,32 @@ def test_evaluator_works_on_integer_lists_only():
         if isinstance(node, ast.Attribute)
     }
     assert not reads & {"kernel", "kernel_pos", "den_factors"}
+
+
+def test_envelope_and_exact_oracles_are_out_of_the_evaluator():
+    # the certified tail is decided in bseries.envelope, and the exact references live in
+    # tests/oracles.py: no module of src defines them a second time
+    moved = {
+        "NonConvergent", "_RANK_BITS", "_log2_surd", "_IntegerWeight", "Envelope",
+        "_majorant_term", "_majorant_ratio", "_certify_q", "certify_envelope",
+    }
+    exact = {
+        "weight_value", "term_exact", "HarmonicCache", "partial_sum", "closed_sum", "boundary_value",
+    }
+
+    def defined(module):
+        names = set()
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign):
+                names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        return names
+
+    assert moved <= defined(envelope)
+    assert not moved & defined(evaluator)
+    assert not exact & (defined(seriesmodel) | defined(telescope))
+    assert not hasattr(seriesmodel.Weight, "common")
 
 
 def test_scale_is_the_kernel_over_d():
@@ -570,7 +588,7 @@ def _assert_majorant_bounds(sdef, span):
     assert form.start >= max(1, sdef.k_start)
     harm = HarmonicCache()
     for k in range(form.start, form.start + span + 1):
-        w = abs(QuadElem.of(sdef.weight_value(k, harm)))
+        w = abs(QuadElem.of(weight_value(sdef, k, harm)))
         assert w <= u_value(form, k), (sdef, k)
 
 
@@ -580,7 +598,7 @@ def test_majorant_of_an_atom_free_series_is_the_series():
         form = _IntegerWeight(sdef)
         assert form.start == sdef.k_start
         for k in range(sdef.k_start, sdef.k_start + 30):
-            assert u_value(form, k) == sdef.weight_value(k), (sdef, k)
+            assert u_value(form, k) == weight_value(sdef, k), (sdef, k)
 
 
 def test_integer_form_is_the_weight():
@@ -595,7 +613,7 @@ def test_integer_form_is_the_weight():
             )
             form, harm = _IntegerWeight(sdef), HarmonicCache()
             for k, t, err, _ in _terms(sdef, form, p, 30):
-                w = QuadElem.of(sdef.weight_value(k, harm))
+                w = QuadElem.of(weight_value(sdef, k, harm))
                 exact = w * (1 << p)
                 assert (exact - (t - err)).sign() >= 0 and ((t + err) - exact).sign() >= 0
                 if sdef.field_d == 1 and not sdef.has_harmonic():
@@ -677,7 +695,7 @@ def reference_envelope(sdef):
     if not qs:
         raise NonConvergent("cannot select a geometric bound below 1")
     form = _IntegerWeight(sdef)
-    (na, nb), (da, db) = evaluator._majorant_ratio(sdef, form, quad_integers(beta))
+    (na, nb), (da, db) = envelope._majorant_ratio(sdef, form, quad_integers(beta))
     envelopes = []
     for q in qs:
         qn, qd = q.numerator, q.denominator
@@ -700,8 +718,8 @@ def reference_envelope(sdef):
             k0 -= 1
         mk0 = majorant_term(sdef, form, k0)
         log2_term = _log2_surd(*quad_integers(mk0), mk0.d)
-        envelopes.append(evaluator.Envelope(q=q, k0=k0, weight=form, log2_term=log2_term))
-    return min(envelopes, key=lambda env: env.k0 + env.predicted_terms(evaluator._RANK_BITS))
+        envelopes.append(envelope.Envelope(q=q, k0=k0, weight=form, log2_term=log2_term))
+    return min(envelopes, key=lambda env: env.k0 + env.predicted_terms(envelope._RANK_BITS))
 
 
 def _assert_envelope_is_the_reference(sdef):
@@ -756,8 +774,8 @@ def test_candidate_certifications_are_pinned(monkeypatch):
     # certifying every candidate took 221 certifications over the shipped series; the
     # candidates that provably cannot win are not certified
     calls = []
-    certify_q = evaluator._certify_q
-    monkeypatch.setattr(evaluator, "_certify_q", lambda *args: calls.append(1) or certify_q(*args))
+    certify_q = envelope._certify_q
+    monkeypatch.setattr(envelope, "_certify_q", lambda *args: calls.append(1) or certify_q(*args))
     for rec in shipped_series():
         try:
             certify_envelope(rec.series)
@@ -848,7 +866,7 @@ def test_evaluate_raises_on_boundary_series():
 
 def test_verify_certifies_once_and_sums_once_per_attempt(monkeypatch):
     # The benchmark rebinds these module globals to trace them and to read
-    # q and k0 off the envelope; verify_identity must call through them.
+    # q and k0 off the envelope; verify_identity and evaluate must call through them.
     calls = {}
 
     def counting(name):
@@ -870,6 +888,9 @@ def test_verify_certifies_once_and_sums_once_per_attempt(monkeypatch):
         rep = verify_identity(sdef, parse_closed_form(rhs), 30)
         assert rep.status is Status.PASS
         assert calls == {"certify_envelope": 1, "sum_series": rep.attempts}
+        calls.update(certify_envelope=0, sum_series=0)
+        res = evaluate(sdef, 30)
+        assert calls == {"certify_envelope": 1, "sum_series": res.attempts}
 
 
 # ----------------------------------------------------------------------

@@ -269,6 +269,33 @@ def test_decimal_rounds_the_midpoint_as_nstr_prints_it(x, n, text):
     assert ball.decimal(n) == text == nstr(make_mpf(from_man_exp(ball.s, -ball.p)), n)
 
 
+def _digits_by_divmod(x: int) -> str:
+    """The decimal digits of x >= 0 from 10^1000 chunks, no ``str`` of more than 1,000 digits."""
+    chunks = []
+    while x >= 10**1000:
+        x, r = divmod(x, 10**1000)
+        chunks.append(str(r).zfill(1000))
+    return str(x) + "".join(reversed(chunks))
+
+
+def test_decimal_prints_past_the_int_to_str_limit():
+    # CPython converts at most 4,300 digits of an int to str by default
+    s, p, n = 3**20000, 30000, 5000
+    e = len(_digits_by_divmod(s >> p)) - 1  # the leading digit's exponent, 511
+    digits = _digits_by_divmod((s * 10 ** (n - 1 - e) * 2 + (1 << p)) >> (p + 1))
+    assert len(digits) == n
+    text = (digits[: e + 1] + "." + digits[e + 1 :]).rstrip("0")
+    assert ApproxReal(s, p, 1).decimal(n) == text
+    assert ApproxReal(-s, p, 1).decimal(n) == "-" + text
+    # 10^100 - 2^-16700 rounds up to 10^100 at n digits: the carry moves the exponent
+    s, p = (10**100 << 16700) - 1, 16700
+    assert ApproxReal(s, p, 1).decimal(n) == "1" + "0" * 100 + ".0"
+    assert ApproxReal(-s, p, 1).decimal(n) == "-1" + "0" * 100 + ".0"
+    # 10^n - 1/2 rounds up to 10^n, past the fixed-point range
+    assert ApproxReal(2 * 10**n - 1, 1, 1).decimal(n) == "1.0e+5000"
+    assert ApproxReal(1 - 2 * 10**n, 1, 1).decimal(n) == "-1.0e+5000"
+
+
 def test_repr_prints_midpoint_and_radius():
     assert repr(ApproxReal(-7, 1, 3)) == "ApproxReal(-3.5, rad=1.5)"
     assert repr(ApproxReal.from_int(3)) == "ApproxReal(3.0, rad=0.0)"

@@ -9,7 +9,8 @@ library.  Prints each record's verdict as one JSON object, and exits with
 status 1 unless the catalog's 94 series and 5 certificates all PASS except
 ``aldawoud-t31-r10`` (FAIL: the record is known to be false) and
 ``sec1-g1a`` (INCONCLUSIVE: its term ratio tends to 1, so no tail is
-certified).
+certified), and unless ``conj5.1-265`` also PASSes at 4,400 digits, past
+CPython's default limit of 4,300 digits on one int-to-str conversion.
 """
 
 import json
@@ -18,6 +19,7 @@ from pathlib import Path
 
 RECORDS = 99
 NOT_PASSING = {"aldawoud-t31-r10": "FAIL", "sec1-g1a": "INCONCLUSIVE"}
+DEEP, DEEP_DIGITS = "conj5.1-265", 4400
 
 
 def main(argv: list[str]) -> int:
@@ -26,8 +28,8 @@ def main(argv: list[str]) -> int:
     # the modules the perfbench worker imports
     from bseries import catalog, closedform, constants, evaluator, telescope  # noqa: F401
 
-    got = {}
-    for r in catalog.load_catalog(catalog.resolve_catalog_path()):
+    got, cat = {}, catalog.load_catalog(catalog.resolve_catalog_path())
+    for r in cat:
         if r.kind == "series_identity":
             rep = evaluator.verify_identity(r.series, r.rhs, 30, lhs_scale=r.lhs_scale)
             got[r.id] = rep.status.value
@@ -37,9 +39,12 @@ def main(argv: list[str]) -> int:
             got[r.id] = "PASS" if telescope.check_derivative(r.cert).passed else "FAIL"
     print(json.dumps(got))
     not_passing = {rid: v for rid, v in got.items() if v != "PASS"}
-    if len(got) == RECORDS and not_passing == NOT_PASSING:
+    r = cat.lookup(DEEP)
+    deep = evaluator.verify_identity(r.series, r.rhs, DEEP_DIGITS, lhs_scale=r.lhs_scale).status.value
+    if len(got) == RECORDS and not_passing == NOT_PASSING and deep == "PASS":
         return 0
     print(f"{len(got)} records, not passing: {not_passing}", file=sys.stderr)
+    print(f"{DEEP} at {DEEP_DIGITS} digits: {deep}", file=sys.stderr)
     return 1
 
 
