@@ -19,6 +19,7 @@ KNOWN_FALSE) and a ``source`` locator.  Records are immutable after load;
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -193,7 +194,8 @@ def _positive_int(fields: dict[str, str], key: str, rid: str, line: int) -> Opti
     return n
 
 
-def _build_record(fields: dict[str, str], line: int) -> IdentityRecord:
+def _build_record(fields: dict[str, str], line: int, parse) -> IdentityRecord:
+    """The record of one block; ``parse(parser, text)`` reads a series field's text."""
     rid = fields.get("id")
     if not rid:
         raise CatalogError(f"record starting at line {line}: missing id")
@@ -233,19 +235,19 @@ def _build_record(fields: dict[str, str], line: int) -> IdentityRecord:
 
     try:
         if kind == "series_identity":
-            root, exp = parse_base(fields["base"])
+            root, exp = parse(parse_base, fields["base"])
             series = SeriesDef(
                 base_root=root,
                 base_exp=exp,
                 kernel=kernel_by_tag(fields["kernel"]),
                 kernel_pos=Position(fields["position"]),
-                weight=parse_weight(fields["weight"]),
-                den_factors=parse_den_factors(fields.get("den", "1")),
+                weight=parse(parse_weight, fields["weight"]),
+                den_factors=parse(parse_den_factors, fields.get("den", "1")),
                 k_start=kstart,
             )
-            rhs = parse_closed_form(fields["rhs"])
+            rhs = parse(parse_closed_form, fields["rhs"])
             if "lhs_scale" in fields:
-                lhs_scale = parse_closed_form(fields["lhs_scale"])
+                lhs_scale = parse(parse_closed_form, fields["lhs_scale"])
         elif kind == "telescoping":
             cert = parse_telescoping(
                 kernel=fields["kernel"],
@@ -286,16 +288,27 @@ def _build_record(fields: dict[str, str], line: int) -> IdentityRecord:
 
 
 def loads_catalog(text: str) -> Catalog:
-    """Parse catalog text into records; errors carry record id and line."""
+    """Parse catalog text into records; errors carry record id and line.
+
+    A series field's text is parsed once per load: records with the same
+    text share its value, which is immutable.
+    """
     records: list[IdentityRecord] = []
     seen: dict[str, int] = {}
     fields: dict[str, str] = {}
     block_line = 0
+    parsed: dict = {}
+
+    def parse(parser, field_text: str):
+        key = parser, field_text
+        if key not in parsed:
+            parsed[key] = parser(field_text)
+        return parsed[key]
 
     def flush():
         if not fields:
             return
-        rec = _build_record(fields, block_line)
+        rec = _build_record(fields, block_line, parse)
         if rec.id in seen:
             raise CatalogError(
                 f"duplicate record id {rec.id!r} (lines {seen[rec.id]} and {block_line})"
@@ -304,15 +317,15 @@ def loads_catalog(text: str) -> Catalog:
         records.append(rec)
         fields.clear()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             flush()
             continue
         if not fields:
             block_line = lineno
         key, sep, value = line.partition(": ")
-        key, value = key.strip(), value.strip()
+        # one string per distinct key and value: records hold them for as long as they live
+        key, value = sys.intern(key.strip()), sys.intern(value.strip())
         if not sep or not key or not value:
             raise CatalogError(f"line {lineno}: expected 'key: value', got {line!r}")
         if key not in _KEY_RANK:

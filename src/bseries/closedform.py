@@ -36,6 +36,7 @@ from .seriesmodel import render_quad
 
 __all__ = ["ClosedForm", "CFAtom", "parse_closed_form", "render_closed_form"]
 
+_ONE = Fraction(1)
 _KIND_RANK = {"sqrt": 0, "sqrtq": 1, "pi": 2, "lvalue": 3, "log": 4, "zeta3": 5}
 
 
@@ -82,8 +83,7 @@ def _term_key(atoms: tuple) -> tuple:
 
 def _canonical(coeff: Fraction, atoms) -> tuple[Fraction, tuple]:
     """The term ``coeff * prod atom^exp`` with its atoms merged, sorted and even roots folded."""
-    coeff, atoms = _fold_even_sqrt(coeff, _normalize_atoms_tuple(atoms))
-    return coeff, _normalize_atoms_tuple(atoms)
+    return _fold_even_sqrt(coeff, _normalize_atoms_tuple(atoms))
 
 
 def _add_term(out: dict, coeff: Fraction, atoms: tuple) -> None:
@@ -106,10 +106,11 @@ def _product(x: dict, y: dict) -> dict:
     out: dict = {}
     for a1, c1 in x.items():
         for a2, c2 in y.items():
+            c = c1 if c2 is _ONE else c2 if c1 is _ONE else c1 * c2
             if a1 and a2:
-                c, atoms = _canonical(c1 * c2, a1 + a2)
+                c, atoms = _canonical(c, a1 + a2)
             else:  # a rational factor leaves the other's atoms canonical
-                c, atoms = c1 * c2, a1 or a2
+                atoms = a1 or a2
             _add_term(out, c, atoms)
     return out
 
@@ -142,7 +143,7 @@ def _inverse(x: dict) -> dict:
 def _power(x: dict, n: int) -> dict:
     if n < 0:
         return _power(_inverse(x), -n)
-    out = {(): Fraction(1)}
+    out = {(): _ONE}
     for _ in range(n):
         out = _product(out, x)
     return out
@@ -279,13 +280,15 @@ def _normalize_atoms_tuple(atoms) -> tuple:
 
 def _fold_even_sqrt(coeff: Fraction, atoms: tuple) -> tuple[Fraction, tuple]:
     """sqrt(m)^(2j+r) -> m^j * sqrt(m)^r, merging residual roots into one
-    radicand (sqrt(2)*sqrt(3) = sqrt(6)); rejects powered surd radicals."""
+    radicand (sqrt(2)*sqrt(3) = sqrt(6)); rejects powered surd radicals.
+    Merged and sorted atoms stay so: the one radical left is the least atom."""
     out = []
     radicand = 1
     for atom, exp in atoms:
         if atom.kind == "sqrt":
             j, r = divmod(exp, 2)
-            coeff *= Fraction(atom.param) ** j
+            if j:
+                coeff *= Fraction(atom.param) ** j
             if r:
                 radicand *= atom.param
         elif atom.kind == "sqrtq":
@@ -303,7 +306,7 @@ def _fold_even_sqrt(coeff: Fraction, atoms: tuple) -> tuple[Fraction, tuple]:
         s, m = squarefree_split(radicand)
         coeff *= s
         if m != 1:
-            out.append((CFAtom("sqrt", m), 1))
+            out.insert(0, (CFAtom("sqrt", m), 1))
     return coeff, tuple(out)
 
 
@@ -336,29 +339,48 @@ def _atom_ball(atom: CFAtom, digits: int) -> ApproxReal:
 _NAMES = {"pi": CFAtom("pi"), "G": CFAtom("lvalue", -4), "K": CFAtom("lvalue", -3)}
 
 
-def _fold(node) -> dict:
-    """A closed form's AST folded into one dict of canonical terms."""
+def _fold(node):
+    """A closed form's AST folded into one dict of canonical terms, or into an int pair
+    ``(n, d)`` where it holds integers alone."""
     kind = node[0]
     if kind == "num":
-        return {(): Fraction(node[1])} if node[1] else {}
+        return node[1], 1
+    if kind == "bin":
+        op, x, y = node[1], _fold(node[2]), _fold(node[3])
+        if type(x) is tuple and type(y) is tuple:
+            (n1, d1), (n2, d2) = x, y
+            if op == "*":
+                return n1 * n2, d1 * d2
+            if op == "/":
+                if not n2:
+                    raise ExprError("can only divide by a single closed-form term")
+                return n1 * d2, d1 * n2
+            return n1 * d2 + (n2 if op == "+" else -n2) * d1, d1 * d2
+        x, y = _terms(x), _terms(y)
+        if op == "+":
+            return _sum(x, y)
+        if op == "-":
+            return _sum(x, {atoms: -c for atoms, c in y.items()})
+        return _product(x, y if op == "*" else _inverse(y))
     if kind == "name":
         if node[1] not in _NAMES:
             raise ExprError(f"unknown closed-form name {node[1]!r}")
-        return {((_NAMES[node[1]], 1),): Fraction(1)}
+        return {((_NAMES[node[1]], 1),): _ONE}
     if kind == "neg":
-        return {atoms: -c for atoms, c in _fold(node[1]).items()}
+        x = _fold(node[1])
+        return (-x[0], x[1]) if type(x) is tuple else {atoms: -c for atoms, c in x.items()}
     if kind == "call":
         return _call(node[1], node[2])
     if kind == "pow":
-        return _power(_fold(node[1]), ast_as_int(node[2]))
-    if kind != "bin":
-        raise ExprError(f"bad AST node {node!r}")
-    op, x, y = node[1], _fold(node[2]), _fold(node[3])
-    if op == "+":
-        return _sum(x, y)
-    if op == "-":
-        return _sum(x, {atoms: -c for atoms, c in y.items()})
-    return _product(x, y if op == "*" else _inverse(y))
+        return _power(_terms(_fold(node[1])), ast_as_int(node[2]))
+    raise ExprError(f"bad AST node {node!r}")
+
+
+def _terms(x) -> dict:
+    """A folded value as a dict of canonical terms."""
+    if type(x) is dict:
+        return x
+    return {(): Fraction(*x)} if x[0] else {}
 
 
 def _call(name: str, args: tuple) -> dict:
@@ -368,16 +390,16 @@ def _call(name: str, args: tuple) -> dict:
         d = ast_as_int(args[0])
         if d % 4 not in (0, 1) or d == 0:
             raise ExprError(f"L({d}): not a discriminant")
-        return {((CFAtom("lvalue", d), 1),): Fraction(1)}
+        return {((CFAtom("lvalue", d), 1),): _ONE}
     if name == "log" and len(args) == 1:
         q = eval_quad(args[0]).as_fraction()
         if q <= 0:
             raise ExprError("log of non-positive rational")
-        return {((CFAtom("log", q), 1),): Fraction(1)} if q != 1 else {}
+        return {((CFAtom("log", q), 1),): _ONE} if q != 1 else {}
     if name == "zeta" and len(args) == 1:
         if ast_as_int(args[0]) != 3:
             raise ExprError("only zeta(3) is supported")
-        return {((CFAtom("zeta3"), 1),): Fraction(1)}
+        return {((CFAtom("zeta3"), 1),): _ONE}
     raise ExprError(f"unknown closed-form function {name!r}")
 
 
@@ -385,7 +407,7 @@ def _sqrt_terms(x: QuadElem) -> dict:
     if x.sign() <= 0:
         raise ExprError("sqrt of a non-positive closed-form radicand")
     if not x.is_rational:
-        return {((CFAtom("sqrtq", x), 1),): Fraction(1)}
+        return {((CFAtom("sqrtq", x), 1),): _ONE}
     r = sqrt_surd(x.a)
     if r.is_rational:
         return {(): r.a}
@@ -393,7 +415,7 @@ def _sqrt_terms(x: QuadElem) -> dict:
 
 
 def parse_closed_form(s: str) -> ClosedForm:
-    return ClosedForm(_fold(parse_expr(s)))
+    return ClosedForm(_terms(_fold(parse_expr(s))))
 
 
 def render_closed_form(cf: ClosedForm) -> str:

@@ -38,8 +38,10 @@ The series:
   below 32, divided out of its numerator and denominator, and the cofactor
   they leave.  Each ``log b`` is a cache entry of its own, so the catalog's
   logarithms, all of the form ``2^i 3^j``, share two series.  ``log b``
-  reduces by powers of two to ``2*atanh(y)`` with ``|y| <= 1/5``, and the
-  ball sums ``e_b`` times each ``log b``'s S and ``|e_b|`` times its units.
+  reduces by powers of two to ``j log 2 + 2*atanh(y)`` with ``|y| <= 1/5``,
+  ``j log 2`` taken from log 2's entry (``2*atanh(1/3)``) at ``|j|`` times
+  its units, and the ball sums ``e_b`` times each ``log b``'s S and
+  ``|e_b|`` times its units.
 * ``zeta(3)``: the central-binomial acceleration
   ``(5/2) * sum (-1)^(k-1) / (k^3 C(2k,k))``, in fixed point as atan is.
   ``T_1 = 2^P 5/4`` is exact and ``T_{k+1} = floor(T_k rho_k)``, with the
@@ -131,13 +133,17 @@ _cache: dict[tuple, ApproxReal] = {}
 
 
 def _cached(key: tuple, digits: int, compute) -> ApproxReal:
-    """The ball of ``compute(P) = (S, units)`` at ``P = digits_to_bits(digits + 2)``.
+    """The ball of ``compute(P) = (S, units)`` at ``P = digits_to_bits(digits + 2)``."""
+    return _cached_at(key, digits_to_bits(digits + 2), compute)
 
-    A cached ball computed deeper is floored to P (``S >> delta``, units
-    ``ceil(units / 2^delta) + 1``), so the ball has the same P whatever was
+
+def _cached_at(key: tuple, p: int, compute) -> ApproxReal:
+    """The ball of ``compute(p)`` at p.
+
+    A cached ball computed deeper is floored to p (``S >> delta``, units
+    ``ceil(units / 2^delta) + 1``), so the ball has the same p whatever was
     asked before it.
     """
-    p = digits_to_bits(digits + 2)
     hit = _cache.get(key)
     if hit is None or hit.p < p:
         s, units = compute(p)
@@ -197,9 +203,14 @@ def pi_ball(digits: int, formula: int = 0) -> ApproxReal:
 # logarithms of positive rationals
 
 
+def _log2(p: int) -> tuple[int, int]:
+    return _atan(2, Fraction(1, 3), p, hyperbolic=True)  # log 2 = 2*atanh(1/3)
+
+
 def _log(x: Fraction, p: int) -> tuple[int, int]:
     # Pull out powers of two until the mantissa sits in [2/3, 4/3), where
-    # (y-1)/(y+1) in [-1/5, 1/7] keeps the atanh series fast.
+    # (y-1)/(y+1) in [-1/5, 1/7] keeps the atanh series fast; j*log 2 comes
+    # from log 2's own cache entry, at |j| times its units.
     j = 0
     y = x
     while y >= Fraction(4, 3):
@@ -208,10 +219,11 @@ def _log(x: Fraction, p: int) -> tuple[int, int]:
     while y < Fraction(2, 3):
         y *= 2
         j -= 1
-    return _add(
-        _atan(2 * j, Fraction(1, 3), p, hyperbolic=True),
-        _atan(2, (y - 1) / (y + 1), p, hyperbolic=True),
-    )
+    s, units = _atan(2, (y - 1) / (y + 1), p, hyperbolic=True)
+    if j:
+        two = _cached_at(("log", Fraction(2)), p, _log2)
+        s, units = s + j * two.s, units + abs(j) * two.units
+    return s, units
 
 
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)

@@ -71,11 +71,14 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return s, m * n
 
 
+_ZERO = Fraction(0)
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return Fraction(x) if x else _ZERO
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
@@ -89,16 +92,11 @@ class QuadElem:
         b = _as_fraction(b)
         if not isinstance(d, int) or d < 1:
             raise ValueError("radicand must be a positive integer")
-        if d > 1:
-            s, m = squarefree_split(d)
-            if s != 1:
-                b, d = b * s, m
-            else:
-                d = m
-        if d == 1:
-            a, b = a + b, Fraction(0)
-        if b == 0:
-            d = 1
+        if b and d > 1:
+            s, d = squarefree_split(d)
+            b = b * s if s != 1 else b
+        if d == 1 or not b:
+            a, b, d = a + b if b else a, _ZERO, 1
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
@@ -193,15 +191,18 @@ class QuadElem:
             return self.inverse() ** (-n)
         if n == 1:
             return self
-        result = QuadElem(1)
-        base = self
+        # (x + y*sqrt(d))^n / c^n by squaring on integers, c a common denominator
+        (p, q), (r, t) = self.a.as_integer_ratio(), self.b.as_integer_ratio()
+        c = q * t // math.gcd(q, t)
+        x, y, d, cn = p * (c // q), r * (c // t), self.d, c**n
+        big_x, big_y = 1, 0
         while n:
             if n & 1:
-                result = result * base
+                big_x, big_y = big_x * x + big_y * y * d, big_x * y + big_y * x
             n >>= 1
             if n:
-                base = base * base
-        return result
+                x, y = x * x + y * y * d, 2 * x * y
+        return QuadElem(Fraction(big_x, cn), Fraction(big_y, cn), d)
 
     # -- Galois action and exact predicates -----------------------------
 

@@ -129,12 +129,12 @@ class _WeightEval(IntegerEval):
     def __init__(self):
         super().__init__("k", "weight")
 
-    def call(self, name: str, args: tuple) -> dict:
+    def call(self, name: str, args: tuple):
         if name != "H":
             return super().call(name, args)
         if len(args) != 2:
             raise ExprError("H takes an index and an order")
-        arg = self.eval(args[0])
+        arg = self.terms(self.eval(args[0]))
         if not set(arg) <= {None}:
             raise ExprError("nested harmonic atoms")
         (offset, stride), order = self.linear(arg, "harmonic argument"), ast_as_int(args[1])
@@ -192,11 +192,14 @@ def _atom_key(atom: Optional[HarmonicAtom]):
 def _clear(num, den, d: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The coefficient num/den as ``(a, b, e)``: ``(a + b*sqrt(d)) / e`` on integer lists.
 
-    num and den are each ``(a, b, scale)`` as
-    :func:`~bseries.exprparse.lowest_terms` gives a polynomial; a sqrt(d)
-    in den is rationalised by den's conjugate, over and under.
+    num and den are polynomial triples, each taken as ``(a, b, scale)`` in
+    :func:`~bseries.exprparse.lowest_terms`; a sqrt(d) in den is
+    rationalised by den's conjugate, over and under.
     """
-    (a, b, num_scale), (da, db, den_scale) = num, den
+    a, b, num_scale = lowest_terms(num)
+    if den is ONE:
+        return tuple(a), tuple(b) if any(b) else (), (num_scale,)
+    da, db, den_scale = lowest_terms(den)
     e = da
     if any(db):
         conj = (da, [-x for x in db])
@@ -249,7 +252,7 @@ def _weight(terms: dict, d: int) -> Weight:
     """The Weight of ``{atom: (num, den)}``, num and den polynomial triples of
     :class:`~bseries.exprparse.IntegerEval` over Q(sqrt d)."""
     parts = [
-        _clear(lowest_terms(num), lowest_terms(den), d) + (atom,)
+        _clear(num, den, d) + (atom,)
         for atom, (num, den) in sorted(terms.items(), key=lambda t: _atom_key(t[0]))
     ]
     return Weight(tuple(parts), d if any(b for _, b, _, _ in parts) else 1)
@@ -258,7 +261,7 @@ def _weight(terms: dict, d: int) -> Weight:
 def parse_weight(s: str) -> Weight:
     """A weight's text as its integer lists."""
     ev = _WeightEval()
-    v = ev.eval(parse_expr(s))
+    v = ev.terms(ev.eval(parse_expr(s)))
     if not v:
         raise ValueError("weight must be nonzero")
     return _weight({atom: ev.fold(num, den) for atom, (num, den) in v.items()}, ev.d)

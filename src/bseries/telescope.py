@@ -248,7 +248,7 @@ def _parse_weight_lists(s: str) -> tuple[tuple, ...]:
     """W_j(k) for each power j of x, from the weight's text."""
     ev = _CertEval("k", "certificate weight")
     powers = {}
-    for atom, (num, den) in ev.eval(parse_expr(s)).items():
+    for atom, (num, den) in ev.terms(ev.eval(parse_expr(s))).items():
         k_exp, j, kernel = atom or (0, 0, ())
         num, den = ev.fold(num, den)
         if k_exp or kernel or j < 0 or den is not ONE:
@@ -271,7 +271,7 @@ def _parse_closed_form_rhs(
     boundary sign in bound_num.
     """
     ev = _CertEval("n", "closed form")
-    terms = ev.eval(parse_expr(src))
+    terms = ev.terms(ev.eval(parse_expr(src)))
     c = ev.polynomial({None: ev.unit(terms)}, 0)
     if c is None or any(c[1]):
         raise ExprError("non-boundary part of the closed form must be a rational constant")
@@ -411,7 +411,7 @@ def _parse_pair(s: str) -> tuple[tuple, tuple]:
     """A rational function of t as ``(num, den)`` coefficient lists, integers
     where the text is rational."""
     ev = IntegerEval("t", "derivative certificate")
-    (a, b, l), (da, db, dl) = map(lowest_terms, ev.unit(ev.eval(parse_expr(s))))
+    (a, b, l), (da, db, dl) = map(lowest_terms, ev.unit(ev.terms(ev.eval(parse_expr(s)))))
     return _scaled(a, b, dl, ev.d), _scaled(da, db, l, ev.d)
 
 

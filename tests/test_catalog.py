@@ -19,6 +19,7 @@ from bseries.catalog import (
 from bseries.evaluator import Status, verify_identity
 from bseries.exactnum import IntegerSurdPoly
 from bseries.telescope import DerivativeCert, TelescopingCert
+from parse_pin import PINS, digest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SOURCE_DOC = REPO_ROOT / "paper.md"
@@ -259,6 +260,13 @@ def test_negative_harmonic_index_rejected():
         ("weight: 3*k - 1", "weight: H(k/2,1)", "harmonic argument must have integer coefficients"),
         ("weight: 3*k - 1", "weight: H(sqrt(2)*k,1)", "harmonic argument must have integer coefficients"),
         ("weight: 3*k - 1", "weight: sqrt(2)*k + sqrt(3)", "radicands"),
+        ("weight: 3*k - 1", "weight: 1/(2 - 2)", "division by zero in weight"),
+        ("weight: 3*k - 1", "weight: 0^-1", "division by zero in weight"),
+        ("weight: 3*k - 1", "weight: 2^(1/2)", "non-integer exponent"),
+        ("weight: 3*k - 1", "weight: sqrt(-4)", "sqrt of a negative rational"),
+        ("base: 16", "base: 1/(2 - 2)", "division by zero in scalar expressions"),
+        ("base: 16", "base: 0^-1", "zero base"),
+        ("den: k^3", "den: sqrt(-4)", "sqrt of a negative rational"),
         ("base: 16", "base: 4 + sqrt(3)", "radicands"),
         ("weight: 3*k - 1", "weight: 1/(k - 1)", "weight denominator vanishes at k=1"),
         ("den: k^3", "den: k^2 + 1", "denominator factor must be linear in k"),
@@ -270,6 +278,10 @@ def test_negative_harmonic_index_rejected():
         ("den: k^3", "den: sqrt(2)*k+1", r"denominator factors must be u\*k \+ v with integer u > 0"),
         ("rhs: 1/2*pi^2", "rhs: L(2)", r"L\(2\): not a discriminant"),
         ("rhs: 1/2*pi^2", "rhs: zeta(2)", r"only zeta\(3\) is supported"),
+        ("rhs: 1/2*pi^2", "rhs: (1 + pi)^-1", "can only divide by a single closed-form term"),
+        ("rhs: 1/2*pi^2", "rhs: 1/(2 - 2)", "can only divide by a single closed-form term"),
+        ("rhs: 1/2*pi^2", "rhs: log(0)", "log of non-positive rational"),
+        ("rhs: 1/2*pi^2", "rhs: sqrt(-4)", "sqrt of a non-positive closed-form radicand"),
     ],
 )
 def test_malformed_series_field_names_the_record(old, new, why):
@@ -319,6 +331,14 @@ def test_benchmark_catalog_round_trips():
     text = (REPO_ROOT / "perfbench" / "catalog.txt").read_text(encoding="utf-8")
     assert "min_digits: " in text and "budget_terms: " in text
     assert loads_catalog(text).serialize() == text
+
+
+@pytest.mark.parametrize("rel", sorted(PINS))
+def test_parse_is_pinned(rel):
+    # every value the parse produces, for both catalogs the repository ships:
+    # a change to the expression front end must leave each one as it is
+    text = (REPO_ROOT / rel).read_text(encoding="utf-8")
+    assert digest(loads_catalog(text)) == PINS[rel]
 
 
 def test_kstart_not_allowed_on_telescoping():

@@ -71,6 +71,23 @@ def test_division_by_multi_term_rejected():
         parse_closed_form("1/(1 + sqrt(2))")
 
 
+@pytest.mark.parametrize(
+    "src, why",
+    [
+        ("1/(2 - 2)", "can only divide by a single closed-form term"),
+        ("0^-1", "can only divide by a single closed-form term"),
+        ("(1 + pi)^-1", "can only divide by a single closed-form term"),
+        ("2^(1/2)", "non-integer exponent"),
+        ("sqrt(-4)", "sqrt of a non-positive closed-form radicand"),
+        ("log(0)", "log of non-positive rational"),
+    ],
+)
+def test_malformed_closed_form_names_the_fault(src, why):
+    with pytest.raises(ExprError) as err:
+        parse_closed_form(src)
+    assert type(err.value) is ExprError and str(err.value) == why
+
+
 def test_unknown_names_rejected():
     with pytest.raises(ExprError):
         parse_closed_form("x + 1")

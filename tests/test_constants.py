@@ -170,7 +170,19 @@ def test_log_of_a_cofactor_has_its_own_entry(monkeypatch):
         _assert_holds_the_reference(
             log_ball(x, digits), lambda: mpmath.log(_mpf(x)), digits_to_bits(digits + 2)
         )
-    assert set(constants._cache) == {("log", Fraction(3)), ("log", Fraction(10007))}
+    # both reduce by powers of two, and take those from log 2's own entry
+    assert set(constants._cache) == {("log", Fraction(n)) for n in (2, 3, 10007)}
+
+
+def test_log_2_series_is_summed_once_per_precision(monkeypatch):
+    # log 3 = 2*log 2 + 2*atanh(-1/7), with 2*log 2 taken from log 2's own entry
+    monkeypatch.setattr(constants, "_cache", {})
+    calls, atan = [], constants._atan
+    monkeypatch.setattr(constants, "_atan", lambda c, x, *a, **k: calls.append((c, x)) or atan(c, x, *a, **k))
+    for digits in (30, 300):
+        for x in (3, 432, 2):
+            log_ball(Fraction(x), digits)
+    assert calls == [(2, Fraction(-1, 7)), (2, Fraction(1, 3))] * 2
 
 
 def test_closed_forms_of_one_precision_compute_each_constant_once(monkeypatch):
