@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import constants
-from .exactnum import QuadElem, embed_dyadic, sqrt_surd, squarefree_split
+from .exactnum import QuadElem, embed_dyadic, squarefree_split
 from .exprparse import ExprError, ast_as_int, eval_quad, parse_expr
 from .precision import ApproxReal, digits_to_bits
 from .seriesmodel import render_quad
@@ -116,6 +116,8 @@ def _product(x: dict, y: dict) -> dict:
 
 
 def _inverse(x: dict) -> dict:
+    if not x:
+        raise ZeroDivisionError("division by zero in closed form")
     if len(x) != 1:
         raise ExprError("can only divide by a single closed-form term")
     ((atoms, coeff),) = x.items()
@@ -353,7 +355,7 @@ def _fold(node):
                 return n1 * n2, d1 * d2
             if op == "/":
                 if not n2:
-                    raise ExprError("can only divide by a single closed-form term")
+                    raise ZeroDivisionError("division by zero in closed form")
                 return n1 * d2, d1 * n2
             return n1 * d2 + (n2 if op == "+" else -n2) * d1, d1 * d2
         x, y = _terms(x), _terms(y)
@@ -385,7 +387,14 @@ def _terms(x) -> dict:
 
 def _call(name: str, args: tuple) -> dict:
     if name == "sqrt" and len(args) == 1:
-        return _sqrt_terms(eval_quad(args[0]))
+        if args[0][0] == "num":  # sqrt(m) of an integer m
+            return _rational_sqrt(args[0][1], 1)
+        x = eval_quad(args[0])
+        if x.is_rational:
+            return _rational_sqrt(x.a.numerator, x.a.denominator)
+        if x.sign() < 0:
+            raise ExprError("sqrt of a non-positive closed-form radicand")
+        return {((CFAtom("sqrtq", x), 1),): _ONE}
     if name == "L" and len(args) == 1:
         d = ast_as_int(args[0])
         if d % 4 not in (0, 1) or d == 0:
@@ -403,15 +412,12 @@ def _call(name: str, args: tuple) -> dict:
     raise ExprError(f"unknown closed-form function {name!r}")
 
 
-def _sqrt_terms(x: QuadElem) -> dict:
-    if x.sign() <= 0:
+def _rational_sqrt(n: int, d: int) -> dict:
+    """sqrt(n/d) for integers d > 0 and n, n*d = s^2 * m split once: (s/d) * sqrt(m)."""
+    if n <= 0:
         raise ExprError("sqrt of a non-positive closed-form radicand")
-    if not x.is_rational:
-        return {((CFAtom("sqrtq", x), 1),): _ONE}
-    r = sqrt_surd(x.a)
-    if r.is_rational:
-        return {(): r.a}
-    return {((CFAtom("sqrt", r.d), 1),): r.b}
+    s, m = squarefree_split(n * d)
+    return {(): Fraction(s, d)} if m == 1 else {((CFAtom("sqrt", m), 1),): Fraction(s, d)}
 
 
 def parse_closed_form(s: str) -> ClosedForm:

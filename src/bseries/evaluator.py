@@ -146,15 +146,19 @@ the bits are an argument, and every ball carries its own exponent.
 Verification at D digits sums to D + 5 digits in that loop.  The RHS and
 the LHS scale are evaluated once, with ``eval_ball(D + 10)``: they are
 built from cached constants, and no retry of the sum tightens them.
-Then it compares once, in integers: PASS iff the residual ball ``LHS - RHS`` contains zero
-and its magnitude upper bound is at most ``10^-D``; FAIL iff the ball
-excludes zero (a proof of discrepancy); INCONCLUSIVE otherwise.  A series
-without an envelope is INCONCLUSIVE at once.
+Then it compares once, in integers: for the residual ball ``LHS - RHS =
+(s, p, units)`` and ``ua = |s| + units``, PASS iff the ball contains zero
+and ``ua * 10^D <= 2^p``, with ``floor(log10(2^p / ua))`` digits matched;
+FAIL iff the ball excludes zero (a proof of discrepancy); INCONCLUSIVE
+otherwise.  A series without an envelope is INCONCLUSIVE at once.  The
+report keeps both balls' integers, compares on them, and prints its
+strings from them on first read.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -335,7 +339,8 @@ def _guard_bits(envelope: Envelope, n: int) -> int:
         _log2_surd(horner(form.ua, k), horner(form.ub, k), horner(form.c, k), form.d) for k in ends
     )
     size = math.ceil(max(0.0, weight, envelope.log2_term + 1))
-    damping = math.ceil(1 / (1 - envelope.q))
+    qn, qd = envelope.q.numerator, envelope.q.denominator
+    damping = -(-qd // (qd - qn))  # ceil(1 / (1 - q))
     rho = math.ceil(max(form.cancellation(k) for k in ends))
     return n.bit_length() + (n + damping + rho).bit_length() + size + 2
 
@@ -396,13 +401,30 @@ class VerificationReport:
     tail_mode: str  # "certified", or "none" when the series has no envelope
     elapsed: float
     attempts: int
-    lhs_str: str = ""
-    residual_str: str = ""
+    lhs_ball: Optional[tuple[int, int, int]] = None  # (s, p, units) of the LHS ball
+    residual_ball: Optional[tuple[int, int, int]] = None  # and of LHS - RHS
     note: str = ""
 
     @property
     def passed(self) -> bool:
         return self.status is Status.PASS
+
+    @functools.cached_property
+    def lhs_str(self) -> str:  # to digits_requested + 5 digits; "" without a sum
+        ball = self.lhs_ball
+        return "" if ball is None else ApproxReal(*ball).decimal(self.digits_requested + 5)
+
+    @functools.cached_property
+    def residual_str(self) -> str:  # to 8 digits; "" without a sum
+        ball = self.residual_ball
+        return "" if ball is None else ApproxReal(*ball).decimal(8)
+
+
+def _residual_digits(residual: ApproxReal, digits: int) -> tuple[bool, int]:
+    """Whether ``|residual| <= 10^-digits`` surely, and the digits matched,
+    ``floor(log10(1/ua))`` for the bound ``|residual| <= ua``: in integers."""
+    ua, one = abs(residual.s) + residual.units, 1 << residual.p  # ua over 2^p
+    return ua * 10**digits <= one, log10_floor(one, ua) if ua else DIGITS_INF
 
 
 def verify_identity(
@@ -430,8 +452,8 @@ def verify_identity(
             tail_mode=tail,
             elapsed=time.monotonic() - t0,
             attempts=attempts,
-            lhs_str="" if lhs is None else lhs.decimal(digits + 5),
-            residual_str="" if residual is None else residual.decimal(8),
+            lhs_ball=None if lhs is None else (lhs.s, lhs.p, lhs.units),
+            residual_ball=None if residual is None else (residual.s, residual.p, residual.units),
             note=note,
         )
 
@@ -445,10 +467,9 @@ def verify_identity(
     if lhs_scale is not None:
         lhs = lhs * lhs_scale.eval_ball(digits + 10)
     residual = lhs - rhs.eval_ball(digits + 10)
-    ua = residual.upper_abs()
-    matched = log10_floor(1 / ua) if ua else DIGITS_INF
+    within, matched = _residual_digits(residual, digits)
     result = dict(terms=res.terms_used, lhs=lhs, residual=residual)
-    if residual.contains_zero() and ua * 10**digits <= 1:
+    if residual.contains_zero() and within:
         return report(Status.PASS, res.attempts, matched, **result)
     if residual.excludes_zero():
         return report(

@@ -38,7 +38,6 @@ __all__ = [
     "QuadElem",
     "embed_dyadic",
     "embed_surd",
-    "sqrt_surd",
     "squarefree_split",
     "IntegerSurdPoly",
     "coefficient_sign",
@@ -290,18 +289,6 @@ def embed_surd(x: int, y: int, c: int, d: int, bits: int) -> tuple[int, int, int
     e = max(0, bits + 3 + c.bit_length() + conj.bit_length() - norm.bit_length())
     root = math.isqrt((d * y * y << 2 * e) // (c * c))
     return (x << e) // c + (root if y > 0 else -root), 1 << e, 2
-
-
-def sqrt_surd(q) -> QuadElem:
-    """Exact sqrt of a nonnegative rational as a QuadElem (b*sqrt(m))."""
-    q = _as_fraction(q)
-    if q < 0:
-        raise ValueError("sqrt of a negative rational")
-    if q == 0:
-        return QuadElem(0)
-    n = q.numerator * q.denominator
-    s, m = squarefree_split(n)
-    return QuadElem(0, Fraction(s, q.denominator), m) if m > 1 else QuadElem(Fraction(s, q.denominator))
 
 
 # ----------------------------------------------------------------------

@@ -72,17 +72,12 @@ def ceil_units(p: int, num: int, den: int) -> int:
     return -((-num << p) // den)
 
 
-def log10_floor(x: Fraction) -> int:
-    """floor(log10(x)) for a rational x > 0, exactly."""
-    n, d = x.numerator, x.denominator
-
-    def at_least(k: int) -> bool:  # x >= 10^k
-        return n * 10 ** max(-k, 0) >= d * 10 ** max(k, 0)
-
+def log10_floor(n: int, d: int) -> int:
+    """floor(log10(n/d)) for integers n, d > 0, exactly."""
     k = math.floor((n.bit_length() - d.bit_length()) * math.log10(2))
-    while not at_least(k):
+    while n * 10 ** max(-k, 0) < d * 10 ** max(k, 0):  # n/d < 10^k
         k -= 1
-    while at_least(k + 1):
+    while n * 10 ** max(-k - 1, 0) >= d * 10 ** max(k + 1, 0):  # n/d >= 10^(k+1)
         k += 1
     return k
 
@@ -123,7 +118,7 @@ class ApproxReal:
     __slots__ = ("s", "p", "units")
 
     def __init__(self, s: int, p: int, units: int):
-        if not all(isinstance(v, int) for v in (s, p, units)):
+        if not (isinstance(s, int) and isinstance(p, int) and isinstance(units, int)):
             raise TypeError("ApproxReal takes integers s, p and units")
         if p < 0 or units < 0:
             raise ValueError("ApproxReal needs p >= 0 and units >= 0")
@@ -275,7 +270,7 @@ class ApproxReal:
         if not self.units:
             return DIGITS_INF
         scale = max(abs(self.s), 1 << self.p)
-        return 0 if self.units >= scale else log10_floor(Fraction(scale, self.units))
+        return 0 if self.units >= scale else log10_floor(scale, self.units)
 
     # ------------------------------------------------------------------
 
@@ -289,7 +284,7 @@ class ApproxReal:
         if not self.s:
             return "0.0"
         a = abs(self.s)
-        e = log10_floor(Fraction(a, 1 << self.p))
+        e = log10_floor(a, 1 << self.p)
         num, den = a * 10 ** max(n - 1 - e, 0), 10 ** max(e + 1 - n, 0) << self.p
         digits = _int_text((2 * num + den) // (2 * den))
         if len(digits) > n:  # rounded up to 10^n

@@ -117,7 +117,8 @@ def _confidence(residual: ApproxReal, scale: Fraction) -> int:
         return DIGITS_INF
     if scale == 0:
         return 0
-    return max(0, log10_floor(scale / up))
+    q = scale / up
+    return max(0, log10_floor(q.numerator, q.denominator))
 
 
 def _residual_ball(values: Sequence[ApproxReal], coeffs: Sequence[int]) -> ApproxReal:
@@ -194,7 +195,8 @@ def pslq(values: Sequence[ApproxReal], max_coeff_bits: int = 24) -> RelationResu
 
     # Scaled by the largest, an input is known to floor(log10(scale/rad))
     # digits: a small input with a thin ball keeps every digit of its own.
-    known = [log10_floor(scale / Fraction(v.units, 1 << v.p)) for v in vals if v.units]
+    sn, sd = scale.numerator, scale.denominator
+    known = [log10_floor(sn << v.p, sd * v.units) for v in vals if v.units]
     work_digits = max(15, min(known + [_MAX_WORK_DIGITS]))
     with mp.workprec(digits_to_bits(work_digits)):
         mids = [mpmath.make_mpf(from_man_exp(v.s, -v.p)) for v in vals]

@@ -169,6 +169,8 @@ def parse_base(s: str) -> tuple[QuadElem, int]:
     else:
         root, exp = eval_quad(ast), 1
     if not root:
+        if exp < 0:
+            raise ZeroDivisionError("division by zero: zero base to a negative power")
         raise ValueError("zero base")
     return root, exp
 
@@ -360,6 +362,8 @@ def parse_den_factors(s: str) -> tuple[tuple[int, int, int], ...]:
         ev = IntegerEval("k", "denominator")
         v, u = ev.linear(ev.eval(node), "denominator factor", refusal)
         if u <= 0:
+            if not (u or v) and e < 0:
+                raise ZeroDivisionError("division by zero in denominator")
             raise ExprError(refusal)
         factors[(u, v)] = factors.get((u, v), 0) + e
 

@@ -9,15 +9,20 @@ each H_n^(m) as a floored fixed-point integer with a counted error, and
 :class:`HarmonicCache` is the exact value that count is checked against.
 :func:`partial_sum`, :func:`boundary_value` and :func:`closed_sum` are the
 two sides of a concrete-base :class:`~bseries.telescope.TelescopingCert`
-at one n.
+at one n.  :func:`log10_floor`, :func:`to_digits` and
+:func:`residual_digits` count a ball's digits through ``Fraction``s, the
+references for the integer counts of :mod:`bseries.precision` and of
+verification.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
-from bseries.exactnum import QuadElem, horner
+from bseries.exactnum import QuadElem, horner, squarefree_split
+from bseries.precision import DIGITS_INF, ApproxReal
 from bseries.seriesmodel import Position, SeriesDef, den_value
 from bseries.telescope import TelescopingCert
 
@@ -86,3 +91,39 @@ def boundary_value(cert: TelescopingCert, n: int) -> Fraction:
 
 def closed_sum(cert: TelescopingCert, n: int) -> Fraction:
     return cert.const + boundary_value(cert, n)
+
+
+def sqrt_surd(q) -> QuadElem:
+    """Exact sqrt of a nonnegative rational as a QuadElem (b*sqrt(m))."""
+    q = Fraction(q)
+    if q < 0:
+        raise ValueError("sqrt of a negative rational")
+    if q == 0:
+        return QuadElem(0)
+    s, m = squarefree_split(q.numerator * q.denominator)
+    return QuadElem(0, Fraction(s, q.denominator), m) if m > 1 else QuadElem(Fraction(s, q.denominator))
+
+
+def log10_floor(x: Fraction) -> int:
+    """floor(log10(x)) for a rational x > 0, by Fraction comparisons."""
+    k = math.floor((x.numerator.bit_length() - x.denominator.bit_length()) * math.log10(2))
+    while x < Fraction(10) ** k:
+        k -= 1
+    while x >= Fraction(10) ** (k + 1):
+        k += 1
+    return k
+
+
+def to_digits(ball: ApproxReal) -> int:
+    """floor(-log10(rad / max(|mid|, 1))), DIGITS_INF if exact, at least 0."""
+    if not ball.units:
+        return DIGITS_INF
+    rad = Fraction(ball.units, 1 << ball.p)
+    scale = max(Fraction(abs(ball.s), 1 << ball.p), Fraction(1))
+    return 0 if rad >= scale else log10_floor(scale / rad)
+
+
+def residual_digits(residual: ApproxReal, digits: int) -> tuple[bool, int]:
+    """Whether the residual's magnitude bound is at most 10^-digits, and floor(log10(1/bound))."""
+    ua = residual.upper_abs()
+    return ua * 10**digits <= 1, (log10_floor(1 / ua) if ua else DIGITS_INF)

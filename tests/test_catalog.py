@@ -266,7 +266,11 @@ def test_negative_harmonic_index_rejected():
         ("weight: 3*k - 1", "weight: sqrt(-4)", "sqrt of a negative rational"),
         ("base: 16", "base: 1/(2 - 2)", "division by zero in scalar expressions"),
         ("base: 16", "base: 0^-1", "zero base"),
+        ("base: 16", "base: (2 - 2)^-1", "division by zero: zero base to a negative power"),
+        ("base: 16", "base: 2 - 2", "zero base"),
         ("den: k^3", "den: sqrt(-4)", "sqrt of a negative rational"),
+        ("den: k^3", "den: 0^-1", "division by zero in denominator"),
+        ("den: k^3", "den: k*(k - k)^-2", "division by zero in denominator"),
         ("base: 16", "base: 4 + sqrt(3)", "radicands"),
         ("weight: 3*k - 1", "weight: 1/(k - 1)", "weight denominator vanishes at k=1"),
         ("den: k^3", "den: k^2 + 1", "denominator factor must be linear in k"),
@@ -279,7 +283,8 @@ def test_negative_harmonic_index_rejected():
         ("rhs: 1/2*pi^2", "rhs: L(2)", r"L\(2\): not a discriminant"),
         ("rhs: 1/2*pi^2", "rhs: zeta(2)", r"only zeta\(3\) is supported"),
         ("rhs: 1/2*pi^2", "rhs: (1 + pi)^-1", "can only divide by a single closed-form term"),
-        ("rhs: 1/2*pi^2", "rhs: 1/(2 - 2)", "can only divide by a single closed-form term"),
+        ("rhs: 1/2*pi^2", "rhs: 1/(2 - 2)", "division by zero in closed form"),
+        ("rhs: 1/2*pi^2", "rhs: 3/(pi - pi)", "division by zero in closed form"),
         ("rhs: 1/2*pi^2", "rhs: log(0)", "log of non-positive rational"),
         ("rhs: 1/2*pi^2", "rhs: sqrt(-4)", "sqrt of a non-positive closed-form radicand"),
     ],

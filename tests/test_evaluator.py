@@ -31,7 +31,7 @@ from bseries.envelope import NonConvergent, _IntegerWeight, _log2_surd, certify_
 from bseries.evaluator import Status, _sum_terms, evaluate, sum_series, verify_identity
 from bseries.exactnum import IntegerSurdPoly, QuadElem, embed_dyadic, horner, poly_add
 from bseries.kernels import kernel_by_tag
-from bseries.precision import attempt_bits, ceil_units
+from bseries.precision import ApproxReal, attempt_bits, ceil_units, log10_floor
 from bseries.seriesmodel import (
     Position,
     SeriesDef,
@@ -41,6 +41,7 @@ from bseries.seriesmodel import (
     parse_weight,
 )
 
+import oracles
 from oracles import HarmonicCache, term_exact, weight_value
 
 # sum_{k>=1} k 2^k / C(2k,k)^3
@@ -1002,6 +1003,78 @@ def test_report_fields():
     assert rep.elapsed >= 0
     assert rep.attempts == 1
     assert rep.lhs_str.startswith("2.0")
+
+
+def test_report_prints_its_strings_on_first_read(monkeypatch):
+    calls = []
+    decimal = ApproxReal.decimal
+
+    def counted(ball, n):
+        calls.append(n)
+        return decimal(ball, n)
+
+    monkeypatch.setattr(ApproxReal, "decimal", counted)
+    rep = verify_identity(mk("1/2"), parse_closed_form("2"), 35)
+    assert calls == []
+    lhs, residual = rep.lhs_str, rep.residual_str
+    assert calls == [40, 8]
+    assert (rep.lhs_str, rep.residual_str) == (lhs, residual) and len(calls) == 2
+    assert dataclasses.replace(rep, elapsed=0.0) == dataclasses.replace(rep, elapsed=0.0)
+    assert dataclasses.replace(rep, lhs_ball=(1, 0, 0)) != rep
+
+
+def test_report_strings_are_the_eager_formatting_on_shipped_series():
+    # the strings printed on first read are the ones verification printed before it
+    # kept the balls: the LHS to digits + 5 and the residual to 8 digits
+    for rec in shipped_series():
+        for digits in (30, 300):
+            rep = verify_identity(rec.series, rec.rhs, digits, lhs_scale=rec.lhs_scale)
+            try:
+                env = certify_envelope(rec.series)
+            except NonConvergent:
+                assert (rep.lhs_str, rep.residual_str) == ("", ""), rec.id
+                continue
+            lhs = evaluator._sum_to_digits(rec.series, digits + 5, env).ball
+            if rec.lhs_scale is not None:
+                lhs = lhs * rec.lhs_scale.eval_ball(digits + 10)
+            residual = lhs - rec.rhs.eval_ball(digits + 10)
+            assert rep.lhs_str == lhs.decimal(digits + 5), (rec.id, digits)
+            assert rep.residual_str == residual.decimal(8), (rec.id, digits)
+
+
+def _balls():
+    """(s, p, units) at random, and with units 0, units past both |s| and 2^p, and
+    midpoints and radii whose ratio is a power of ten."""
+    s, p, u = st.integers(-(2**160), 2**160), st.integers(0, 200), st.integers(0, 2**160)
+    ten = st.tuples(st.integers(1, 2**40), st.integers(0, 40), st.integers(0, 60))
+    return st.one_of(
+        st.tuples(s, p, u),
+        st.tuples(s, p, st.just(0)),
+        st.tuples(s, p, u).map(lambda b: (b[0], b[1], max(abs(b[0]), 1 << b[1]) + b[2])),
+        ten.map(lambda t: (t[0] * 10 ** t[1], t[2], t[0])),  # |mid|/rad = 10^j
+        ten.map(lambda t: (t[0], t[2], t[0] * 10 ** t[1])),
+        ten.map(lambda t: (0, t[2], 10 ** t[1] << t[2])),  # rad = 10^j exactly
+        ten.map(lambda t: ((1 << t[2]) * t[0], t[2], t[0] * 10 ** t[1] - 1)),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_balls(), st.integers(0, 60))
+@example((1, 0, 0), 0)
+@example((0, 0, 1), 0)
+@example((0, 4, 16), 0)  # |residual| <= 1 = 10^0 exactly
+@example((10**30, 0, 1), 30)
+@example((0, 100, 10**5 << 70), 5)  # 10^5 * 2^-30 against 10^-5
+def test_digit_counts_in_integers_are_the_fraction_counts(ball, digits):
+    s, p, units = ball
+    x = ApproxReal(s, p, units)
+    assert x.to_digits() == oracles.to_digits(x)
+    assert evaluator._residual_digits(x, digits) == oracles.residual_digits(x, digits)
+    n, d = abs(s) + units, (1 << p) + units
+    if n:
+        assert log10_floor(n, d) == oracles.log10_floor(Fraction(n, d))
+        assert log10_floor(n * 10**digits, n) == digits
+        assert log10_floor(n, n * 10**digits) == -digits
 
 
 # ----------------------------------------------------------------------

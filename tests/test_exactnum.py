@@ -16,9 +16,9 @@ from bseries.exactnum import (
     poly_add,
     poly_mul,
     poly_shift,
-    sqrt_surd,
     squarefree_split,
 )
+from oracles import sqrt_surd
 
 
 def test_squarefree_split():

@@ -9,7 +9,7 @@ import pytest
 import sympy as sp
 
 from bseries.catalog import load_catalog
-from bseries.exactnum import QuadElem, horner, sqrt_surd
+from bseries.exactnum import QuadElem, horner
 from bseries.exprparse import ExprError, ast_as_int, parse_expr
 from bseries.kernels import KERNELS
 from bseries.seriesmodel import (
@@ -28,7 +28,7 @@ from bseries.seriesmodel import (
 )
 from bseries.telescope import parse_derivative
 
-from oracles import HarmonicCache, term_exact, weight_value
+from oracles import HarmonicCache, sqrt_surd, term_exact, weight_value
 
 
 class TestScalarField:
