@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
 from .closedform import ClosedForm, parse_closed_form
+from .exactnum import Frozen
 from .kernels import kernel_by_tag
 from .seriesmodel import Position, SeriesDef, parse_base, parse_den_factors, parse_weight
 from .telescope import DerivativeCert, TelescopingCert, parse_derivative, parse_telescoping
@@ -95,25 +95,35 @@ class CatalogError(ValueError):
     """Malformed catalog file: carries the record id / line when known."""
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(Frozen):
     """One catalog entry, with raw fields kept for exact re-serialization.
 
     ``budget_terms`` is ignored by ``verify_identity``; it is kept only because
     ``perfbench/worker.py`` passes it on.
     """
 
-    id: str
-    kind: str
-    status: str
-    source: str
-    fields: dict[str, str]
-    source_note: Optional[str] = None
-    series: Optional[SeriesDef] = None
-    rhs: Optional[ClosedForm] = None
-    lhs_scale: Optional[ClosedForm] = None
-    budget_terms: Optional[int] = None
-    cert: Union[TelescopingCert, DerivativeCert, None] = None
+    __slots__ = (
+        "id", "kind", "status", "source", "fields", "source_note", "series", "rhs", "lhs_scale",
+        "budget_terms", "cert",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        kind: str,
+        status: str,
+        source: str,
+        fields: dict[str, str],
+        source_note: Optional[str] = None,
+        series: Optional[SeriesDef] = None,
+        rhs: Optional[ClosedForm] = None,
+        lhs_scale: Optional[ClosedForm] = None,
+        budget_terms: Optional[int] = None,
+        cert: Union[TelescopingCert, DerivativeCert, None] = None,
+    ):
+        self._set(
+            id, kind, status, source, fields, source_note, series, rhs, lhs_scale, budget_terms, cert
+        )
 
     def serialize(self) -> str:
         keys = sorted(self.fields, key=_KEY_RANK.__getitem__)
@@ -287,11 +297,51 @@ def _build_record(fields: dict[str, str], line: int, parse) -> IdentityRecord:
     )
 
 
+# the series fields in the order the pre-pass parses them, with their defaults
+_WARM_ORDER = (
+    (parse_base, "base", None),
+    (parse_weight, "weight", None),
+    (parse_den_factors, "den", "1"),
+    (parse_closed_form, "rhs", None),
+    (parse_closed_form, "lhs_scale", None),
+)
+
+
+def _warm(text: str, parse) -> None:
+    """Parse every series record's fields through ``parse``, one field kind at a time.
+
+    Each parser runs over all records before the next starts, which is
+    faster than running them record by record.  Nothing is checked here:
+    the pre-pass stops at the first exception, and the records are built
+    after it in catalog order, parsing whatever it did not reach, so each
+    error is raised by the record that raised it before.
+    """
+    blocks, fields = [], {}
+    for line in text.splitlines():
+        if line.strip():
+            key, _, value = line.partition(": ")
+            fields[key.strip()] = value.strip()
+        elif fields:
+            blocks.append(fields)
+            fields = {}
+    blocks.append(fields)
+    series = [f for f in blocks if f.get("kind") == "series_identity"]
+    try:
+        for parser, key, default in _WARM_ORDER:
+            for f in series:
+                field_text = f.get(key, default)
+                if field_text is not None:
+                    parse(parser, field_text)
+    except Exception:  # any type: the loop raises it, or the earlier record's error, in order
+        pass
+
+
 def loads_catalog(text: str) -> Catalog:
     """Parse catalog text into records; errors carry record id and line.
 
     A series field's text is parsed once per load: records with the same
-    text share its value, which is immutable.
+    text share its value, which is immutable.  A pre-pass parses them one
+    field kind at a time before the records are built.
     """
     records: list[IdentityRecord] = []
     seen: dict[str, int] = {}
@@ -304,6 +354,8 @@ def loads_catalog(text: str) -> Catalog:
         if key not in parsed:
             parsed[key] = parser(field_text)
         return parsed[key]
+
+    _warm(text, parse)
 
     def flush():
         if not fields:

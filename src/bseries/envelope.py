@@ -89,14 +89,13 @@ Neither rule moves the choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
 from typing import Optional
 
 from .exactnum import (
-    IntegerSurdPoly, coefficient_sign, embed_dyadic, embed_surd, horner, poly_add, poly_mul,
+    Frozen, IntegerSurdPoly, coefficient_sign, embed_dyadic, embed_surd, horner, poly_add, poly_mul,
     poly_shift, surd_mul, surd_sign,
 )
 from .seriesmodel import SeriesDef
@@ -175,18 +174,17 @@ class _IntegerWeight:
         return rho
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(Frozen):
     """``|m_{k+1}/m_k| <= q`` for the majorant's terms m_k of ``weight`` and every k >= k0.
 
     ``log2_term`` is ``log2 |m_{k0}|`` (-inf when it is 0), in floats: it
     sizes and ranks, and certifies nothing.
     """
 
-    q: Fraction
-    k0: int
-    weight: _IntegerWeight
-    log2_term: float
+    __slots__ = ("q", "k0", "weight", "log2_term")
+
+    def __init__(self, q: Fraction, k0: int, weight: _IntegerWeight, log2_term: float):
+        self._set(q, k0, weight, log2_term)
 
     def predicted_terms(self, bits: int) -> int:
         """Terms after k0 until ``|m_k| * q/(1 - q) <= 2^-bits``.

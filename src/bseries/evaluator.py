@@ -158,10 +158,8 @@ strings from them on first read.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from .closedform import ClosedForm
@@ -197,12 +195,17 @@ class Status(enum.Enum):
 # summation
 
 
-@dataclass
 class SumResult:
-    ball: ApproxReal
-    terms_used: int
-    predicted_terms: int  # n, the count P is sized for: k0 - k_start + 1 + Envelope.predicted_terms
-    attempts: int = 1  # precision attempts of the retry loop, this one included
+    """A series' sum as a ball, with the terms it took and the attempts that reached it."""
+
+    __slots__ = ("ball", "terms_used", "predicted_terms", "attempts")
+
+    def __init__(self, ball: ApproxReal, terms_used: int, predicted_terms: int, attempts: int = 1):
+        self.ball = ball
+        self.terms_used = terms_used
+        # n, the count P is sized for: k0 - k_start + 1 + Envelope.predicted_terms
+        self.predicted_terms = predicted_terms
+        self.attempts = attempts  # precision attempts of the retry loop, this one included
 
 
 def _sum_terms(
@@ -392,32 +395,62 @@ def evaluate(sdef: SeriesDef, digits: int) -> SumResult:
 # verification
 
 
-@dataclass
 class VerificationReport:
-    status: Status
-    digits_requested: int
-    digits_matched: int
-    terms_used: int
-    tail_mode: str  # "certified", or "none" when the series has no envelope
-    elapsed: float
-    attempts: int
-    lhs_ball: Optional[tuple[int, int, int]] = None  # (s, p, units) of the LHS ball
-    residual_ball: Optional[tuple[int, int, int]] = None  # and of LHS - RHS
-    note: str = ""
+    """A series' verdict against its closed form, with the balls it rests on."""
+
+    __slots__ = (
+        "status", "digits_requested", "digits_matched", "terms_used", "tail_mode", "elapsed",
+        "attempts", "lhs_ball", "residual_ball", "note", "_lhs_str", "_residual_str",
+    )
+
+    def __init__(
+        self,
+        status: Status,
+        digits_requested: int,
+        digits_matched: int,
+        terms_used: int,
+        tail_mode: str,  # "certified", or "none" when the series has no envelope
+        elapsed: float,
+        attempts: int,
+        lhs_ball: Optional[tuple[int, int, int]] = None,  # (s, p, units) of the LHS ball
+        residual_ball: Optional[tuple[int, int, int]] = None,  # and of LHS - RHS
+        note: str = "",
+    ):
+        self.status = status
+        self.digits_requested = digits_requested
+        self.digits_matched = digits_matched
+        self.terms_used = terms_used
+        self.tail_mode = tail_mode
+        self.elapsed = elapsed
+        self.attempts = attempts
+        self.lhs_ball = lhs_ball
+        self.residual_ball = residual_ball
+        self.note = note
+        self._lhs_str = self._residual_str = None
+
+    def __eq__(self, other):
+        if type(other) is not VerificationReport:
+            return NotImplemented
+        fields = VerificationReport.__slots__[:10]  # not the strings printed from the balls
+        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
 
     @property
     def passed(self) -> bool:
         return self.status is Status.PASS
 
-    @functools.cached_property
+    @property
     def lhs_str(self) -> str:  # to digits_requested + 5 digits; "" without a sum
-        ball = self.lhs_ball
-        return "" if ball is None else ApproxReal(*ball).decimal(self.digits_requested + 5)
+        if self._lhs_str is None:
+            ball, digits = self.lhs_ball, self.digits_requested + 5
+            self._lhs_str = "" if ball is None else ApproxReal(*ball).decimal(digits)
+        return self._lhs_str
 
-    @functools.cached_property
+    @property
     def residual_str(self) -> str:  # to 8 digits; "" without a sum
-        ball = self.residual_ball
-        return "" if ball is None else ApproxReal(*ball).decimal(8)
+        if self._residual_str is None:
+            ball = self.residual_ball
+            self._residual_str = "" if ball is None else ApproxReal(*ball).decimal(8)
+        return self._residual_str
 
 
 def _residual_digits(residual: ApproxReal, digits: int) -> tuple[bool, int]:

@@ -25,6 +25,10 @@ The coefficient bounds embed sqrt(d) through an integer square root, so
 this stays free of floating point too, and so does :func:`embed_dyadic`,
 the one integer embedding of a surd over a power of two, through which
 series bases and nested radicals are evaluated.
+
+:class:`Frozen` is the base of the package's immutable records, the
+kernel, weight, series, certificate, envelope and catalog classes: plain
+classes with ``__slots__``, whose methods no code generator writes.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from itertools import zip_longest
 from typing import Optional, Sequence
 
 __all__ = [
+    "Frozen",
     "QuadElem",
     "embed_dyadic",
     "embed_surd",
@@ -48,6 +53,26 @@ __all__ = [
     "surd_mul",
     "surd_sign",
 ]
+
+
+class Frozen:
+    """Base of the immutable records: ``_set`` fills the slots once, in ``__slots__`` order,
+    and two records of one class are equal when their slots are.  A record is hashable
+    only where its class defines ``__hash__``."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
 def squarefree_split(n: int) -> tuple[int, int]:

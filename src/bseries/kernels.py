@@ -16,26 +16,37 @@ approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 
-from .exactnum import poly_mul
+from .exactnum import Frozen, poly_mul
 
 __all__ = ["KernelFamily", "KERNELS", "kernel_by_tag"]
 
 
-@dataclass(frozen=True)
-class KernelFamily:
-    """A product of binomial coefficients C(p*k, q*k) given by (p, q) pairs."""
+class KernelFamily(Frozen):
+    """A product of binomial coefficients C(p*k, q*k) given by (p, q) pairs.
 
-    tag: str
-    pairs: tuple[tuple[int, int], ...]
+    ``ratio_factors`` holds the linear factors ``u*k + v`` of ``ratio_lists``,
+    over and under, as ``(u, v)``; ``ratio_lists`` holds the integer lists
+    (A, B), constant first, with value(k+1)/value(k) = A(k)/B(k).
+    """
 
-    def __post_init__(self):
-        for p, q in self.pairs:
+    __slots__ = ("tag", "pairs", "ratio_factors", "ratio_lists")
+
+    def __init__(self, tag: str, pairs: tuple[tuple[int, int], ...]):
+        num, den = [], []
+        for p, q in pairs:
             if not (0 < q < p):
                 raise ValueError(f"need 0 < q < p in binomial pair, got ({p}, {q})")
+            num += [(p, i) for i in range(1, p + 1)]
+            den += [(q, i) for i in range(1, q + 1)] + [(p - q, j) for j in range(1, p - q + 1)]
+        factors = tuple(num), tuple(den)
+        lists = tuple(tuple(reduce(poly_mul, ([v, u] for u, v in side), [1])) for side in factors)
+        self._set(tag, pairs, factors, lists)
+
+    def __hash__(self):  # the ratio lists follow from the pairs
+        return hash((self.tag, self.pairs))
 
     def value(self, k: int) -> int:
         """Exact integer value prod C(p*k, q*k)."""
@@ -43,22 +54,6 @@ class KernelFamily:
         for p, q in self.pairs:
             out *= math.comb(p * k, q * k)
         return out
-
-    @cached_property
-    def ratio_factors(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-        """The linear factors ``u*k + v`` of :attr:`ratio_lists`, over and under, as ``(u, v)``."""
-        num, den = [], []
-        for p, q in self.pairs:
-            num += [(p, i) for i in range(1, p + 1)]
-            den += [(q, i) for i in range(1, q + 1)] + [(p - q, j) for j in range(1, p - q + 1)]
-        return tuple(num), tuple(den)
-
-    @cached_property
-    def ratio_lists(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Integer lists (A, B), constant first, with value(k+1)/value(k) = A(k)/B(k)."""
-        return tuple(
-            tuple(reduce(poly_mul, ([v, u] for u, v in side), [1])) for side in self.ratio_factors
-        )
 
     def growth(self) -> Fraction:
         """Limit of value(k+1)/value(k): prod p^p / (q^q (p-q)^(p-q))."""

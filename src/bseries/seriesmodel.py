@@ -48,13 +48,12 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import zip_longest
 from typing import NamedTuple, Optional, Sequence
 
-from .exactnum import IntegerSurdPoly, QuadElem, poly_mul, surd_mul
+from .exactnum import Frozen, IntegerSurdPoly, QuadElem, poly_mul, surd_mul
 from .exprparse import (
     ONE, ExprError, IntegerEval, ast_as_int, eval_quad, lowest_terms, parse_expr,
 )
@@ -211,8 +210,7 @@ def _clear(num, den, d: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[in
     return tuple(x * den_scale for x in a), b, tuple(x * num_scale for x in e)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Frozen):
     """``W(k) = sum_i (a_i + b_i*sqrt(d)) / e_i * atom_i(k)`` on integer lists, constant first.
 
     ``parts`` holds ``(a_i, b_i, e_i, atom_i)`` sorted by atom, the unit
@@ -221,8 +219,10 @@ class Weight:
     ``d`` is 1 or the one squarefree radicand of the coefficients.
     """
 
-    parts: tuple[tuple[Sequence[int], Sequence[int], Sequence[int], Optional[HarmonicAtom]], ...]
-    d: int = 1
+    __slots__ = ("parts", "d")
+
+    def __init__(self, parts: tuple, d: int = 1):
+        self._set(parts, d)
 
     @staticmethod
     def from_coeffs(coeffs: Sequence) -> "Weight":
@@ -448,38 +448,44 @@ def _scale_ratio(kernel, kernel_pos, den_factors) -> tuple[tuple[int, ...], tupl
     )
 
 
-@dataclass(frozen=True)
-class SeriesDef:
-    base_root: QuadElem
-    base_exp: int = 1
-    kernel: Optional[KernelFamily] = None
-    kernel_pos: Position = Position.DENOMINATOR
-    weight: Optional[Weight] = None
-    den_factors: tuple[tuple[int, int, int], ...] = ()
-    k_start: int = 0
-    base_value: QuadElem = field(init=False, compare=False, repr=False)
-    field_d: int = field(init=False, compare=False, repr=False)
+class SeriesDef(Frozen):
+    """The series ``sum_{k >= k_start} W(k) * S_k * base^k`` with ``base = base_root^base_exp``."""
 
-    def __post_init__(self):
-        if self.k_start < 0:
-            raise ValueError(f"k_start must be >= 0, got {self.k_start}")
-        if not self.weight:
+    __slots__ = (
+        "base_root", "base_exp", "kernel", "kernel_pos", "weight", "den_factors", "k_start",
+        "base_value", "field_d",
+    )
+
+    def __init__(
+        self,
+        base_root: QuadElem,
+        base_exp: int = 1,
+        kernel: Optional[KernelFamily] = None,
+        kernel_pos: Position = Position.DENOMINATOR,
+        weight: Optional[Weight] = None,
+        den_factors: tuple[tuple[int, int, int], ...] = (),
+        k_start: int = 0,
+    ):
+        if k_start < 0:
+            raise ValueError(f"k_start must be >= 0, got {k_start}")
+        if not weight:
             raise ValueError("series needs a nonzero weight")
-        base = self.base_root**self.base_exp
+        base = base_root**base_exp
         if not base:
             raise ValueError("zero base")
-        d = self.weight.d
+        d = weight.d
         if base.d != 1 and d not in (1, base.d):
             raise ValueError(f"mixed radicands {base.d} and {d} in one series")
-        object.__setattr__(self, "base_value", base)
-        object.__setattr__(self, "field_d", max(d, base.d))
-        check_den_factors(self.den_factors, self.k_start)
-        for _, _, e, atom in self.weight.parts:
-            k = IntegerSurdPoly.from_lists(e, (), 1).integer_root(self.k_start) if e[1:] else None
+        check_den_factors(den_factors, k_start)
+        for _, _, e, atom in weight.parts:
+            k = IntegerSurdPoly.from_lists(e, (), 1).integer_root(k_start) if e[1:] else None
             if k is not None:
                 raise ValueError(f"weight denominator vanishes at k={k}")
             if atom is not None:  # the index grows with k: refuse it below 0 at the start
-                atom.index_at(self.k_start)
+                atom.index_at(k_start)
+        self._set(
+            base_root, base_exp, kernel, kernel_pos, weight, den_factors, k_start, base, max(d, base.d)
+        )
 
     def has_harmonic(self) -> bool:
         return self.weight.has_harmonic()

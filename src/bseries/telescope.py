@@ -45,13 +45,12 @@ endpoint values at t = 0 and t = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Optional, Sequence
 
 from .closedform import ClosedForm, parse_closed_form
-from .exactnum import IntegerSurdPoly, QuadElem, horner, poly_add, poly_mul, poly_shift
+from .exactnum import Frozen, IntegerSurdPoly, QuadElem, horner, poly_add, poly_mul, poly_shift
 from .exprparse import ONE, ExprError, IntegerEval, lowest_terms, parse_expr
 from .kernels import KernelFamily, kernel_by_tag
 from .seriesmodel import (
@@ -79,13 +78,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CertReport:
+class CertReport(Frozen):
     """Outcome of a certificate check: PASS/FAIL plus a failure witness."""
 
-    passed: bool
-    detail: str
-    witness: str = ""
+    __slots__ = ("passed", "detail", "witness")
+
+    def __init__(self, passed: bool, detail: str, witness: str = ""):
+        self._set(passed, detail, witness)
+
 
     def __str__(self):
         s = "PASS" if self.passed else "FAIL"
@@ -123,8 +123,7 @@ def _weight_at(weight: tuple, x) -> list:
 # the telescoping certificate
 
 
-@dataclass(frozen=True)
-class TelescopingCert:
+class TelescopingCert(Frozen):
     """Partial-sum closed form for a kernel series, in checkable form.
 
     ``weight`` holds ``W(x, k) = sum_j x^j * W_j(k)`` as one coefficient
@@ -135,30 +134,40 @@ class TelescopingCert:
     in x^(n+e).
     """
 
-    kernel: KernelFamily
-    kernel_pos: Position
-    base: Optional[Fraction]
-    weight: tuple[tuple, ...]
-    den_factors: tuple[tuple[int, int, int], ...]
-    const: Fraction
-    bound_num: tuple[int, ...]
-    bound_den: tuple[int, ...]
-    bound_xoff: int
+    __slots__ = (
+        "kernel", "kernel_pos", "base", "weight", "den_factors", "const", "bound_num", "bound_den",
+        "bound_xoff",
+    )
 
-    def __post_init__(self):
-        if not any(map(any, self.weight)):
+    def __init__(
+        self,
+        kernel: KernelFamily,
+        kernel_pos: Position,
+        base: Optional[Fraction],
+        weight: tuple[tuple, ...],
+        den_factors: tuple[tuple[int, int, int], ...],
+        const: Fraction,
+        bound_num: tuple[int, ...],
+        bound_den: tuple[int, ...],
+        bound_xoff: int,
+    ):
+        if not any(map(any, weight)):
             raise ValueError("zero weight")
-        if not self.symbolic and any(map(any, self.weight[1:])):
+        if base is not None and any(map(any, weight[1:])):
             raise ValueError("a concrete base leaves no power of x in the weight")
-        if not any(self.bound_num):
+        if not any(bound_num):
             raise ValueError("zero boundary numerator")
-        if self.base is not None and self.base == 0:
+        if base is not None and base == 0:
             raise ValueError("zero base")
-        check_den_factors(self.den_factors, 0)
+        check_den_factors(den_factors, 0)
         # Q(n) must be nonzero at every index the boundary is evaluated at.
-        j = IntegerSurdPoly.from_lists(self.bound_den, (), 1).integer_root()
+        j = IntegerSurdPoly.from_lists(bound_den, (), 1).integer_root()
         if j is not None:
             raise ValueError(f"boundary denominator vanishes at n = {j}")
+        self._set(
+            kernel, kernel_pos, base, weight, den_factors, const, bound_num, bound_den, bound_xoff
+        )
+
 
     @property
     def symbolic(self) -> bool:
@@ -393,18 +402,24 @@ def check_telescoping(cert: TelescopingCert) -> CertReport:
 _PI = parse_closed_form("pi")
 
 
-@dataclass(frozen=True)
-class DerivativeCert:
+class DerivativeCert(Frozen):
     """Claim that d/dt [f_rational(t) + c*arctan(t)] equals target(t),
 
     with pinned values f(0) = 0 and f(1) = endpoint (a closed form whose
     arctan contribution appears as c/4 * pi).  ``f_rational`` and
     ``target`` are ``(num, den)`` pairs of coefficient lists in t."""
 
-    f_rational: tuple[tuple, tuple]
-    arctan_coeff: Fraction
-    target: tuple[tuple, tuple]
-    endpoint: Optional[ClosedForm] = None
+    __slots__ = ("f_rational", "arctan_coeff", "target", "endpoint")
+
+    def __init__(
+        self,
+        f_rational: tuple[tuple, tuple],
+        arctan_coeff: Fraction,
+        target: tuple[tuple, tuple],
+        endpoint: Optional[ClosedForm] = None,
+    ):
+        self._set(f_rational, arctan_coeff, target, endpoint)
+
 
 
 def _parse_pair(s: str) -> tuple[tuple, tuple]:

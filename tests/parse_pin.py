@@ -12,7 +12,6 @@ a parser change that moves any parsed value moves a digest.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import hashlib
 import json
@@ -30,7 +29,7 @@ PINS = {
 
 
 def canonical(x):
-    """x as plain JSON values: dataclasses by field, tuples and lists as lists."""
+    """x as plain JSON values: records by their ``__slots__``, tuples and lists as lists."""
     if x is None or isinstance(x, (int, str)):
         return x
     if isinstance(x, Fraction):
@@ -43,10 +42,10 @@ def canonical(x):
         return x.tag
     if isinstance(x, ClosedForm):
         return canonical(x.terms)
-    if dataclasses.is_dataclass(x):
-        return {f.name: canonical(getattr(x, f.name)) for f in dataclasses.fields(x)}
     if isinstance(x, (tuple, list)):
         return [canonical(v) for v in x]
+    if hasattr(type(x), "__slots__"):
+        return {name: canonical(getattr(x, name)) for name in type(x).__slots__}
     raise TypeError(f"no canonical form for {type(x).__name__}")
 
 

@@ -185,6 +185,32 @@ def test_parse_error_carries_record_id_and_line():
         loads_catalog(bad)
 
 
+BAD_WEIGHT = "record 't1' (line 1): unexpected token None in '3*k -'"
+
+
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        (
+            ("status: CITED", "status: TRUE"),
+            ("weight: 3*k - 1", "weight: 3*k -"),
+            "record 't1' (line 1): status must be one of "
+            "('PROVED', 'CONJECTURAL', 'CITED', 'KNOWN_FALSE'), got 'TRUE'",
+        ),
+        (("weight: 3*k - 1", "weight: 3*k -"), ("weight:", "wight:"), BAD_WEIGHT),
+        (("weight: 3*k - 1", "weight: 3*k -"), ("base: 16", "base: 16 +"), BAD_WEIGHT),
+    ],
+    ids=["status-then-weight", "weight-then-unknown-key", "weight-then-base"],
+)
+def test_first_bad_record_raises_first(first, second, message):
+    # the fields are parsed one kind at a time before the records are built, all bases
+    # before any weight; the first record's error is still the one raised
+    text = MINIMAL.replace(*first) + "\n" + MINIMAL.replace("id: t1", "id: t2").replace(*second)
+    with pytest.raises(CatalogError) as caught:
+        loads_catalog(text)
+    assert str(caught.value) == message
+
+
 def test_bad_kind_rejected():
     with pytest.raises(CatalogError, match="kind must be one of"):
         loads_catalog(MINIMAL.replace("kind: series_identity", "kind: mystery"))
