@@ -14,6 +14,12 @@ exist, each validated on load:
 Every record carries a ``status`` (PROVED / CONJECTURAL / CITED /
 KNOWN_FALSE) and a ``source`` locator.  Records are immutable after load;
 ``serialize_catalog`` reproduces the canonical file byte-for-byte.
+
+``loads_catalog`` reads the text in one pass: it splits it into blocks once,
+parses the series fields one field kind at a time over all blocks, keeping
+each parser's value or exception, and builds the records in catalog order.
+Errors come in catalog order too: the first bad record raises its own error,
+and a malformed line raises only after every block before it is built.
 """
 
 from __future__ import annotations
@@ -278,6 +284,8 @@ def _build_record(fields: dict[str, str], line: int, parse) -> IdentityRecord:
         raise
     except (ValueError, KeyError, ZeroDivisionError) as e:
         raise err(str(e)) from e
+    except RecursionError:
+        raise err("expression nested too deeply") from None
 
     if status == "KNOWN_FALSE" and not rid.startswith("aldawoud"):
         raise err("status KNOWN_FALSE is reserved for the aldawoud discrepancy record")
@@ -287,7 +295,7 @@ def _build_record(fields: dict[str, str], line: int, parse) -> IdentityRecord:
         kind=kind,
         status=status,
         source=source,
-        fields=dict(fields),
+        fields=fields,
         source_note=fields.get("source_note"),
         series=series,
         rhs=rhs,
@@ -297,8 +305,8 @@ def _build_record(fields: dict[str, str], line: int, parse) -> IdentityRecord:
     )
 
 
-# the series fields in the order the pre-pass parses them, with their defaults
-_WARM_ORDER = (
+# the series fields, in the order they are parsed over all records, with their defaults
+_SERIES_FIELDS = (
     (parse_base, "base", None),
     (parse_weight, "weight", None),
     (parse_den_factors, "den", "1"),
@@ -307,85 +315,72 @@ _WARM_ORDER = (
 )
 
 
-def _warm(text: str, parse) -> None:
-    """Parse every series record's fields through ``parse``, one field kind at a time.
+def _split(text: str) -> tuple[list[tuple[int, dict[str, str]]], Optional[CatalogError]]:
+    """The ``(first line, fields)`` blocks of ``text``, and the first malformed line's error.
 
-    Each parser runs over all records before the next starts, which is
-    faster than running them record by record.  Nothing is checked here:
-    the pre-pass stops at the first exception, and the records are built
-    after it in catalog order, parsing whatever it did not reach, so each
-    error is raised by the record that raised it before.
+    The scan stops at that line and drops the block it is in.
     """
-    blocks, fields = [], {}
-    for line in text.splitlines():
-        if line.strip():
-            key, _, value = line.partition(": ")
-            fields[key.strip()] = value.strip()
-        elif fields:
-            blocks.append(fields)
+    blocks: list[tuple[int, dict[str, str]]] = []
+    fields: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
             fields = {}
-    blocks.append(fields)
-    series = [f for f in blocks if f.get("kind") == "series_identity"]
-    try:
-        for parser, key, default in _WARM_ORDER:
-            for f in series:
-                field_text = f.get(key, default)
-                if field_text is not None:
-                    parse(parser, field_text)
-    except Exception:  # any type: the loop raises it, or the earlier record's error, in order
-        pass
+            continue
+        if not fields:
+            blocks.append((lineno, fields))
+        key, sep, value = line.partition(": ")
+        # one string per distinct key and value: records hold them for as long as they live
+        key, value = sys.intern(key.strip()), sys.intern(value.strip())
+        if not sep or not key or not value:
+            error = f"expected 'key: value', got {line!r}"
+        elif key not in _KEY_RANK:
+            error = f"unknown key {key!r}"
+        elif key in fields:
+            error = f"duplicate key {key!r} in one record"
+        else:
+            fields[key] = value
+            continue
+        return blocks[:-1], CatalogError(f"line {lineno}: {error}")
+    return blocks, None
 
 
 def loads_catalog(text: str) -> Catalog:
     """Parse catalog text into records; errors carry record id and line.
 
-    A series field's text is parsed once per load: records with the same
-    text share its value, which is immutable.  A pre-pass parses them one
-    field kind at a time before the records are built.
+    Each series field's text is parsed once per load, all bases first, then
+    every weight, den, rhs and lhs_scale; records with the same text share
+    its immutable value.  A parser's exception is kept in place of the
+    value and raised by the first record that reads it, as the records are
+    built in catalog order; a malformed line's error is raised after them.
     """
-    records: list[IdentityRecord] = []
-    seen: dict[str, int] = {}
-    fields: dict[str, str] = {}
-    block_line = 0
+    blocks, line_error = _split(text)
     parsed: dict = {}
+    series = [fields for _, fields in blocks if fields.get("kind") == "series_identity"]
+    for parser, key, default in _SERIES_FIELDS:
+        for fields in series:
+            field_text = fields.get(key, default)
+            if field_text is not None and (parser, field_text) not in parsed:
+                try:
+                    parsed[parser, field_text] = parser(field_text)
+                except Exception as e:  # raised by the first record that reads it
+                    parsed[parser, field_text] = e
 
     def parse(parser, field_text: str):
-        key = parser, field_text
-        if key not in parsed:
-            parsed[key] = parser(field_text)
-        return parsed[key]
+        value = parsed[parser, field_text]
+        if isinstance(value, Exception):
+            raise value
+        return value
 
-    _warm(text, parse)
-
-    def flush():
-        if not fields:
-            return
-        rec = _build_record(fields, block_line, parse)
+    records: list[IdentityRecord] = []
+    seen: dict[str, int] = {}
+    for line, fields in blocks:
+        rec = _build_record(fields, line, parse)
         if rec.id in seen:
-            raise CatalogError(
-                f"duplicate record id {rec.id!r} (lines {seen[rec.id]} and {block_line})"
-            )
-        seen[rec.id] = block_line
+            raise CatalogError(f"duplicate record id {rec.id!r} (lines {seen[rec.id]} and {line})")
+        seen[rec.id] = line
         records.append(rec)
-        fields.clear()
-
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            flush()
-            continue
-        if not fields:
-            block_line = lineno
-        key, sep, value = line.partition(": ")
-        # one string per distinct key and value: records hold them for as long as they live
-        key, value = sys.intern(key.strip()), sys.intern(value.strip())
-        if not sep or not key or not value:
-            raise CatalogError(f"line {lineno}: expected 'key: value', got {line!r}")
-        if key not in _KEY_RANK:
-            raise CatalogError(f"line {lineno}: unknown key {key!r}")
-        if key in fields:
-            raise CatalogError(f"line {lineno}: duplicate key {key!r} in one record")
-        fields[key] = value
-    flush()
+    if line_error:
+        raise line_error
     return Catalog(records)
 
 

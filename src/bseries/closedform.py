@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import constants
-from .exactnum import QuadElem, embed_dyadic, squarefree_split
+from .exactnum import Frozen, QuadElem, embed_dyadic, squarefree_split
 from .exprparse import ExprError, ast_as_int, eval_quad, parse_expr
 from .precision import ApproxReal, digits_to_bits
 from .seriesmodel import render_quad
@@ -151,7 +151,7 @@ def _power(x: dict, n: int) -> dict:
     return out
 
 
-class ClosedForm:
+class ClosedForm(Frozen):
     """Sum of coeff * prod(atom^exp) with exact rational coefficients."""
 
     __slots__ = ("terms",)
@@ -159,13 +159,10 @@ class ClosedForm:
     def __init__(self, terms: dict):
         """The closed form of a dict of canonical terms, as the ring operations leave it."""
         ordered = sorted(((c, a) for a, c in terms.items()), key=lambda t: _term_key(t[1]))
-        object.__setattr__(self, "terms", tuple(ordered))
+        self._set(tuple(ordered))
 
     def _dict(self) -> dict:
         return {atoms: c for c, atoms in self.terms}
-
-    def __setattr__(self, *_):
-        raise AttributeError("ClosedForm is immutable")
 
     # -- constructors ---------------------------------------------------
 

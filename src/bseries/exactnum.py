@@ -26,9 +26,10 @@ this stays free of floating point too, and so does :func:`embed_dyadic`,
 the one integer embedding of a surd over a power of two, through which
 series bases and nested radicals are evaluated.
 
-:class:`Frozen` is the base of the package's immutable records, the
-kernel, weight, series, certificate, envelope and catalog classes: plain
-classes with ``__slots__``, whose methods no code generator writes.
+:class:`Frozen` is the base of the package's immutable values, the
+quadratic surds and closed forms, and of its records, the kernel, weight,
+series, certificate, envelope and catalog classes: plain classes with
+``__slots__``, whose methods no code generator writes.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ __all__ = [
 
 class Frozen:
     """Base of the immutable records: ``_set`` fills the slots once, in ``__slots__`` order,
-    and two records of one class are equal when their slots are.  A record is hashable
-    only where its class defines ``__hash__``."""
+    and two records of one class are equal when their slots are, unless the class defines
+    its own ``__eq__``.  A record is hashable only where its class defines ``__hash__``."""
 
     __slots__ = ()
 
@@ -106,7 +107,7 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
-class QuadElem:
+class QuadElem(Frozen):
     """An element ``a + b*sqrt(d)`` of a real quadratic field (or Q when d=1)."""
 
     __slots__ = ("a", "b", "d")
@@ -121,12 +122,7 @@ class QuadElem:
             b = b * s if s != 1 else b
         if d == 1 or not b:
             a, b, d = a + b if b else a, _ZERO, 1
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, *_):
-        raise AttributeError("QuadElem is immutable")
+        self._set(a, b, d)
 
     # -- construction helpers -----------------------------------------
 

@@ -86,7 +86,6 @@ class CertReport(Frozen):
     def __init__(self, passed: bool, detail: str, witness: str = ""):
         self._set(passed, detail, witness)
 
-
     def __str__(self):
         s = "PASS" if self.passed else "FAIL"
         return f"{s}: {self.detail}" + (f" [witness: {self.witness}]" if self.witness else "")
@@ -167,7 +166,6 @@ class TelescopingCert(Frozen):
         self._set(
             kernel, kernel_pos, base, weight, den_factors, const, bound_num, bound_den, bound_xoff
         )
-
 
     @property
     def symbolic(self) -> bool:
@@ -419,7 +417,6 @@ class DerivativeCert(Frozen):
         endpoint: Optional[ClosedForm] = None,
     ):
         self._set(f_rational, arctan_coeff, target, endpoint)
-
 
 
 def _parse_pair(s: str) -> tuple[tuple, tuple]:

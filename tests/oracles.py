@@ -12,15 +12,19 @@ two sides of a concrete-base :class:`~bseries.telescope.TelescopingCert`
 at one n.  :func:`log10_floor`, :func:`to_digits` and
 :func:`residual_digits` count a ball's digits through ``Fraction``s, the
 references for the integer counts of :mod:`bseries.precision` and of
-verification.
+verification.  :func:`loads_catalog_by_record` loads a catalog one record
+at a time, the reference for the one pass of
+:func:`bseries.catalog.loads_catalog`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Optional
 
+from bseries.catalog import Catalog, CatalogError, _build_record, _KEY_RANK
 from bseries.exactnum import QuadElem, horner, squarefree_split
 from bseries.precision import DIGITS_INF, ApproxReal
 from bseries.seriesmodel import Position, SeriesDef, den_value
@@ -127,3 +131,50 @@ def residual_digits(residual: ApproxReal, digits: int) -> tuple[bool, int]:
     """Whether the residual's magnitude bound is at most 10^-digits, and floor(log10(1/bound))."""
     ua = residual.upper_abs()
     return ua * 10**digits <= 1, (log10_floor(1 / ua) if ua else DIGITS_INF)
+
+
+def loads_catalog_by_record(text: str) -> Catalog:
+    """The catalog of ``text``, read line by line: each block is built at the blank line
+    after it, each series field parsed when its record reads it (once per load), and a
+    malformed line raises where it stands.  No field is parsed ahead of its record."""
+    records: list = []
+    seen: dict[str, int] = {}
+    fields: dict[str, str] = {}
+    block_line = 0
+    parsed: dict = {}
+
+    def parse(parser, field_text: str):
+        key = parser, field_text
+        if key not in parsed:
+            parsed[key] = parser(field_text)
+        return parsed[key]
+
+    def flush():
+        if not fields:
+            return
+        rec = _build_record(dict(fields), block_line, parse)
+        if rec.id in seen:
+            raise CatalogError(
+                f"duplicate record id {rec.id!r} (lines {seen[rec.id]} and {block_line})"
+            )
+        seen[rec.id] = block_line
+        records.append(rec)
+        fields.clear()
+
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            flush()
+            continue
+        if not fields:
+            block_line = lineno
+        key, sep, value = line.partition(": ")
+        key, value = sys.intern(key.strip()), sys.intern(value.strip())
+        if not sep or not key or not value:
+            raise CatalogError(f"line {lineno}: expected 'key: value', got {line!r}")
+        if key not in _KEY_RANK:
+            raise CatalogError(f"line {lineno}: unknown key {key!r}")
+        if key in fields:
+            raise CatalogError(f"line {lineno}: duplicate key {key!r} in one record")
+        fields[key] = value
+    flush()
+    return Catalog(records)

@@ -5,6 +5,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bseries.catalog import (
     CATALOG_ENV,
@@ -19,6 +21,7 @@ from bseries.catalog import (
 from bseries.evaluator import Status, verify_identity
 from bseries.exactnum import IntegerSurdPoly
 from bseries.telescope import DerivativeCert, TelescopingCert
+from oracles import loads_catalog_by_record
 from parse_pin import PINS, digest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -199,12 +202,25 @@ BAD_WEIGHT = "record 't1' (line 1): unexpected token None in '3*k -'"
         ),
         (("weight: 3*k - 1", "weight: 3*k -"), ("weight:", "wight:"), BAD_WEIGHT),
         (("weight: 3*k - 1", "weight: 3*k -"), ("base: 16", "base: 16 +"), BAD_WEIGHT),
+        (("weight: 3*k - 1", "weight: 3*k -"), ("weight: 3*k - 1", "weight 3*k - 1"), BAD_WEIGHT),
+        (("weight: 3*k - 1", "weight: 3*k -"), ("status: CITED", "status: CITED\nstatus: CITED"), BAD_WEIGHT),
+        (("weight: 3*k - 1", "weight: 3*k -"), ("id: t2", "id: t1"), BAD_WEIGHT),
+        (
+            ("status: CITED", "status: TRUE"),
+            ("weight: 3*k - 1", "weight: " + "(" * 1000 + "k" + ")" * 1000),
+            "record 't1' (line 1): status must be one of "
+            "('PROVED', 'CONJECTURAL', 'CITED', 'KNOWN_FALSE'), got 'TRUE'",
+        ),
     ],
-    ids=["status-then-weight", "weight-then-unknown-key", "weight-then-base"],
+    ids=[
+        "status-then-weight", "weight-then-unknown-key", "weight-then-base",
+        "weight-then-malformed-line", "weight-then-duplicate-key", "weight-then-duplicate-id",
+        "status-then-deep-weight",
+    ],
 )
 def test_first_bad_record_raises_first(first, second, message):
-    # the fields are parsed one kind at a time before the records are built, all bases
-    # before any weight; the first record's error is still the one raised
+    # the text is split into blocks before any record is built, and the fields are parsed one
+    # kind at a time, all bases before any weight; the first record's error is still the one raised
     text = MINIMAL.replace(*first) + "\n" + MINIMAL.replace("id: t1", "id: t2").replace(*second)
     with pytest.raises(CatalogError) as caught:
         loads_catalog(text)
@@ -313,6 +329,18 @@ def test_negative_harmonic_index_rejected():
         ("rhs: 1/2*pi^2", "rhs: 3/(pi - pi)", "division by zero in closed form"),
         ("rhs: 1/2*pi^2", "rhs: log(0)", "log of non-positive rational"),
         ("rhs: 1/2*pi^2", "rhs: sqrt(-4)", "sqrt of a non-positive closed-form radicand"),
+        # past the interpreter's recursion limit: one text on every Python version
+        pytest.param(
+            "weight: 3*k - 1", "weight: " + "(" * 1000 + "k" + ")" * 1000, "expression nested too deeply",
+            id="deep-parentheses",
+        ),
+        pytest.param(
+            "rhs: 1/2*pi^2", "rhs: " + "-" * 1000 + "pi", "expression nested too deeply", id="deep-minus"
+        ),
+        pytest.param(
+            "weight: 3*k - 1", "weight: " + " + ".join(["k"] * 3000), "expression nested too deeply",
+            id="long-sum",
+        ),
     ],
 )
 def test_malformed_series_field_names_the_record(old, new, why):
@@ -370,6 +398,82 @@ def test_parse_is_pinned(rel):
     # a change to the expression front end must leave each one as it is
     text = (REPO_ROOT / rel).read_text(encoding="utf-8")
     assert digest(loads_catalog(text)) == PINS[rel]
+
+
+BENCH_TEXT = (REPO_ROOT / "perfbench" / "catalog.txt").read_text(encoding="utf-8")
+BENCH_BLOCKS = [block.splitlines() for block in BENCH_TEXT.split("\n\n")]
+BENCH_VALUES = sorted({line.partition(": ")[2] for block in BENCH_BLOCKS for line in block})
+PARSED_KEYS = (
+    "base:", "weight:", "den:", "rhs:", "lhs_scale:", "closed_form:", "f_rational:", "arctan_coeff:",
+    "target:", "endpoint:",
+)
+LINE_EDITS = (
+    "no-separator", "no-value", "unknown-key", "duplicate-key", "delete", "blank-line", "first-id",
+    "other-value", "drop-last", "edit-character", "deep-parentheses", "deep-minus", "long-sum",
+)
+
+
+@st.composite
+def mutated_catalogs(draw):
+    """Two to six blocks of the benchmark's catalog with up to three lines edited."""
+    picks = st.lists(st.integers(0, len(BENCH_BLOCKS) - 1), min_size=2, max_size=6, unique=True)
+    blocks = [list(BENCH_BLOCKS[i]) for i in draw(picks)]
+    for _ in range(draw(st.integers(0, 3))):
+        block = draw(st.sampled_from(blocks))
+        where = range(len(block))
+        if draw(st.booleans()):  # half the edits go to a field the expression parser reads
+            where = [j for j, line in enumerate(block) if line.startswith(PARSED_KEYS)] or where
+        i = draw(st.sampled_from(where))
+        if len(block[i]) > 1000:  # already made long by an edit: a second one would multiply it
+            continue
+        key, _, value = block[i].partition(": ")
+        edit = draw(st.sampled_from(LINE_EDITS))
+        if edit == "no-separator":
+            lines = [f"{key} {value}"]
+        elif edit == "no-value":
+            lines = [f"{key}: "]
+        elif edit == "unknown-key":
+            lines = [f"{key}x: {value}"]
+        elif edit == "duplicate-key":
+            lines = [block[i], block[i]]
+        elif edit == "delete":
+            lines = []
+        elif edit == "blank-line":
+            lines = ["", block[i]]
+        elif edit == "first-id":
+            lines = [blocks[0][0]]
+        elif edit == "other-value":
+            lines = [f"{key}: {draw(st.sampled_from(BENCH_VALUES))}"]
+        elif edit == "drop-last":
+            lines = [block[i][:-1]]
+        elif edit == "edit-character":
+            j, c = draw(st.integers(0, len(value))), draw(st.sampled_from("()+-*/^,0123456789knx "))
+            lines = [f"{key}: {value[:j]}{c}{value[j + 1:]}"]
+        elif edit == "deep-parentheses":
+            lines = [f"{key}: {'(' * 1000}{value}{')' * 1000}"]
+        elif edit == "deep-minus":
+            lines = [f"{key}: {'-' * 1000}{value}"]
+        else:
+            lines = [f"{key}: {' + '.join([value] * 3000)}"]
+        block[i:i + 1] = lines
+    return "\n\n".join("\n".join(block) for block in blocks) + "\n"
+
+
+def load_outcome(load, text):
+    """The parse digest and text of the catalog, or the type and message of the load's error."""
+    try:
+        cat = load(text)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    return digest(cat), cat.serialize()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(mutated_catalogs())
+def test_one_pass_load_matches_record_by_record(text):
+    # splitting once and parsing one field kind at a time give the catalog, or the error,
+    # of reading the text line by line and parsing each field when its record needs it
+    assert load_outcome(loads_catalog, text) == load_outcome(loads_catalog_by_record, text)
 
 
 def test_kstart_not_allowed_on_telescoping():

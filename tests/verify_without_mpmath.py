@@ -15,7 +15,11 @@ unless both catalogs of this checkout parse to their pinned digests
 (``tests/parse_pin.py``), so the expression front end is checked on the
 Python that runs this.  It also exits with status 1 if a class of a module
 the catalog check imports is a dataclass: each process would generate its
-methods with ``exec`` while it sets up.
+methods with ``exec`` while it sets up; and unless a catalog record whose
+weight is nested in 1,000 parentheses, whose rhs follows 1,000 minus
+signs, or whose weight sums 3,000 terms, fails to load with a
+``CatalogError`` naming the record: past the interpreter's recursion limit,
+on every Python version.
 """
 
 import dataclasses
@@ -26,6 +30,12 @@ from pathlib import Path
 RECORDS = 99
 NOT_PASSING = {"aldawoud-t31-r10": "FAIL", "sec1-g1a": "INCONCLUSIVE"}
 DEEP, DEEP_DIGITS = "conj5.1-265", 4400
+# a field and a text for it nested past the recursion limit
+NESTED = (
+    ("weight", "(" * 1000 + "k" + ")" * 1000),
+    ("rhs", "-" * 1000 + "pi"),
+    ("weight", " + ".join(["k"] * 3000)),
+)
 # the bseries modules the catalog check imports
 IMPORTED = (
     "precision", "exactnum", "exprparse", "kernels", "seriesmodel", "constants", "closedform",
@@ -62,18 +72,30 @@ def main(argv: list[str]) -> int:
         else:
             got[r.id] = "PASS" if telescope.check_derivative(r.cert).passed else "FAIL"
     print(json.dumps(got))
+    first = cat.by_kind("series_identity")[0]
+    nesting = []
+    for key, text in NESTED:
+        fields = dict(first.fields, **{key: text})
+        try:
+            catalog.loads_catalog("\n".join(f"{k}: {v}" for k, v in fields.items()))
+            error = "loaded"
+        except Exception as e:
+            error = f"{type(e).__name__}: {e}"
+        if error != f"CatalogError: record {first.id!r} (line 1): expression nested too deeply":
+            nesting.append(f"{key} nested: {error[:100]}")
     not_passing = {rid: v for rid, v in got.items() if v != "PASS"}
     r = cat.lookup(DEEP)
     rep = evaluator.verify_identity(r.series, r.rhs, DEEP_DIGITS, lhs_scale=r.lhs_scale)
     # the report prints its strings when they are read: read them past the limit too
     deep = rep.status.value if rep.lhs_str and rep.residual_str else "no report strings"
     passing = len(got) == RECORDS and not_passing == NOT_PASSING and deep == "PASS"
-    if passing and not moved and not generated:
+    if passing and not moved and not generated and not nesting:
         return 0
     print(f"{len(got)} records, not passing: {not_passing}", file=sys.stderr)
     print(f"{DEEP} at {DEEP_DIGITS} digits: {deep}", file=sys.stderr)
     print(f"catalogs whose parse moved from the pin: {moved}", file=sys.stderr)
     print(f"dataclasses: {generated}", file=sys.stderr)
+    print(f"deep nesting not rejected: {nesting}", file=sys.stderr)
     return 1
 
 
