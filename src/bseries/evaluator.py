@@ -74,10 +74,11 @@ and ceil follows from ``ceil(y) = -floor(-y)``.  So each value and each
 count is the one written above, bit for bit, while the small division runs
 over the shifted dividend: for a quadratic base E >= P, so it divides the
 P-bit V, not the (E + P)-bit product.  The small factors are multiplied
-first, ``v * (Bn*Sn(k))`` for a rational base and ``(v * Sn(k)) * Bn`` for a
-quadratic one, and a weight with c = 1 skips its division, so a term costs
-the two P-bit products ``v * w`` and the step's (and ``nb*R`` for atoms in
-Q(sqrt d)), and no P-bit number divides another.
+first: a rational base steps by ``v * (Bn*Sn(k))`` over ``odd(Bd)*Sd(k)``,
+read off lists scaled by Bn and odd(Bd) before the loop, and a quadratic
+one by ``(v * Sn(k)) * Bn``; a term with c(k) = 1 skips its division, so a
+term costs the two P-bit products ``v * w`` and the step's (and ``nb*R`` for
+atoms in Q(sqrt d)), and no P-bit number divides another.
 
 A count of P-bit numbers reads them above ``2^cut`` only, ``cut = max(0,
 shift - 32)``.  For ``y >= 0`` let ``top(y) = floor(y / 2^cut) + 1``, so
@@ -96,6 +97,15 @@ step of a quadratic base reads ``|Bn| + eb`` and ``|v|`` with ``z =
 more.  The floor back to 2^P in Q(sqrt d) reads ``|nb|`` and ``R + 1`` with
 ``z = (1, eb)``.  Each such count multiplies and divides integers
 of about 32 bits times the small factors, so no count is P-bit arithmetic.
+
+The loop reads each integer list at k, Sn, Sd, c, the unit atom's A and B
+and each harmonic atom's, off a value stream built once per sum
+(:func:`~bseries.exactnum.poly_values`): a polynomial of degree d at
+consecutive integers is its difference table at ``k_start`` added up d
+times, in C.  The differences of an integer polynomial at integers are
+integers, so each value is the integer Horner's rule gives, and every
+term, count and stop is the same, bit for bit.  The ``k_start`` steps by
+the base alone run through the same loop, with ``r = 1``.
 
 The sum is the integer ``S = sum T_k`` with the count ``units = sum`` of
 those errors: the ball is the triple ``(S, P, units)`` as it stands.
@@ -160,11 +170,12 @@ from __future__ import annotations
 import enum
 import math
 import time
+from itertools import chain, count, repeat
 from typing import Optional
 
 from .closedform import ClosedForm
 from .envelope import Envelope, NonConvergent, _IntegerWeight, _log2_surd, certify_envelope
-from .exactnum import embed_dyadic, horner
+from .exactnum import embed_dyadic, horner, poly_values
 from .precision import (
     DIGITS_INF,
     MAX_ATTEMPTS,
@@ -232,54 +243,47 @@ def _sum_terms(
     # a count reads a P-bit number above 2^cut, and the base's above 2^b_cut
     cut, b_cut = max(p - 32, 0), max(b_shift - 32, 0)
     b_top, r_top = (b_mag >> b_cut) + 1, ((root + 1) >> cut) + 1
-    # every list highest degree first, for Horner's rule in the loop
-    sn, sd = (tuple(reversed(x)) for x in sdef.scale_ratio)
-    c = tuple(reversed(weight.c))
-    c_const = c[0] if len(c) == 1 else 0  # c vanishes nowhere: 0 marks a c that varies
+    k_start = sdef.k_start
     unit_a = unit_b = ()
-    atoms = []  # [a, b, stride, offset, order, n, h_n] of each harmonic atom
+    atoms = []  # [stride, offset, order, n, h_n] of each harmonic atom
+    pairs = []  # the values of each atom's A_i and B_i at k
     s = p if any(atom for *_, atom in weight.terms) else 0
     one = 1 << s
     for a, b, atom in weight.terms:
-        a, b = tuple(reversed(a)), tuple(reversed(b))
         if atom is None:
             unit_a, unit_b = a, b
         else:
-            atoms.append([a, b, atom.stride, atom.offset, atom.order, 0, 0])
-    k_start = sdef.k_start
+            atoms.append([atom.stride, atom.offset, atom.order, 0, 0])
+            pairs.append(zip(poly_values(a, k_start), poly_values(b, k_start)))
+    sn, sd = sdef.scale_ratio
+    r0 = 1, 1  # r = 1 before k_start; a rational base's Bn*Sn and odd(Bd)*Sd are scaled here
+    if not b_err:
+        sn, sd, r0 = [bn * x for x in sn], [b_odd * x for x in sd], (bn, b_odd)
+    values = [poly_values(x, k_start) for x in (sn, sd, weight.c, unit_a, unit_b)]
+    values.append(zip(*pairs) if pairs else repeat(()))
     num, den = sdef.scale(k_start)
-    k, v, e, rn, rd = 0, (num << p) // den, 1, 1, 1
+    v, e = (num << p) // den, 1
     total = units = terms = 0
-    while True:  # steps by the base alone up to k_start, then weighs and steps by base*r(k)
+    # k_start steps by the base alone, the weight's values unread, then one weighed term and
+    # one step by base*r(k) a k, each list's value at k read off its stream
+    before = zip(range(k_start), *map(repeat, r0), *[repeat(1)] * 4)
+    steps = chain(before, zip(count(k_start), *values))
+    for k, rn, rd, ck, na, nb, atom_values in steps:
         if k >= k_start:
             # na + nb*sqrt(d) within ea + eb*sqrt(d) of W(k) * c(k) * 2^s
-            na = nb = ea = eb = 0
-            for x in unit_a:
-                na = na * k + x
-            for x in unit_b:
-                nb = nb * k + x
+            ea = eb = 0
             if s:
                 na, nb = na << s, nb << s
-                for atom in atoms:
-                    a, b, stride, offset, order, n, h = atom
+                for atom, (x, y) in zip(atoms, atom_values):
+                    stride, offset, order, n, h = atom
                     index = stride * k + offset
                     while n < index:  # h_n = sum_{j<=n} floor(2^P / j^m), one unit a floor
                         n += 1
                         h += one // n**order
-                    atom[5:] = n, h
-                    x = 0
-                    for y in a:
-                        x = x * k + y
+                    atom[3:] = n, h
                     na, ea = na + x * h, ea + abs(x) * n
-                    if b:
-                        x = 0
-                        for y in b:
-                            x = x * k + y
-                        nb, eb = nb + x * h, eb + abs(x) * n
-            ck = c_const
-            if not ck:
-                for x in c:
-                    ck = ck * k + x
+                    if y:
+                        nb, eb = nb + y * h, eb + abs(y) * n
             cw = ck
             if cw < 0:
                 na, nb, cw = -na, -nb, -cw
@@ -299,7 +303,7 @@ def _sum_terms(
                 x = -x >> p - cut
             else:
                 t, x = v * w, -abs(w) * e
-            if c_const != 1:
+            if cw != 1:
                 t //= cw
             err = -(x // cw) + 1
             total += t
@@ -317,11 +321,6 @@ def _sum_terms(
                 bound = abs(((v * w) >> shift) // cw) - ((-x >> shift) // cw) + 1
                 if bound <= limit:
                     return total, units, terms, bound
-            rn = rd = 0
-            for x in sn:
-                rn = rn * k + x
-            for x in sd:
-                rd = rd * k + x
             if rd < 0:
                 rn, rd = -rn, -rd
         # V <- V * base * rn/rd, floored once, and its count
@@ -329,10 +328,8 @@ def _sum_terms(
             x = (e * b_top + ((abs(v) >> b_cut) + 1) * b_err) * abs(rn)
             v, e = ((v * rn * bn) >> b_shift) // rd, -((-x >> b_shift - b_cut) // rd) + 1
         else:
-            small = b_odd * rd
-            x = e * b_mag * abs(rn)
-            v, e = ((v * (bn * rn)) >> b_shift) // small, -((-x >> b_shift) // small) + 1
-        k += 1
+            x = e * abs(rn)
+            v, e = ((v * rn) >> b_shift) // rd, -((-x >> b_shift) // rd) + 1
 
 
 def _guard_bits(envelope: Envelope, n: int) -> int:

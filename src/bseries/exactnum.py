@@ -9,7 +9,8 @@ no floating point is consulted anywhere in this module.
 A polynomial is a coefficient list, constant first, over any ring whose
 elements mix with the integer 0: ints, Fractions or QuadElems.
 :func:`poly_add`, :func:`poly_mul` and :func:`poly_shift` are the one
-polynomial arithmetic, and :func:`horner` evaluates a list.
+polynomial arithmetic, :func:`horner` evaluates a list, and
+:func:`poly_values` tabulates one at consecutive integers.
 :func:`surd_mul` multiplies two pairs ``(a, b)`` of such lists, each
 standing for ``a + b*sqrt(d)``.  A rational function is a pair of lists
 where one is needed; nothing here divides polynomials.
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, count, repeat, zip_longest
 from typing import Optional, Sequence
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "IntegerSurdPoly",
     "coefficient_sign",
     "horner",
+    "poly_values",
     "poly_add",
     "poly_mul",
     "poly_shift",
@@ -322,6 +324,24 @@ def horner(coeffs: Sequence, x):
     for c in reversed(coeffs):
         out = out * x + c
     return out
+
+
+def poly_values(coeffs: Sequence, start: int):
+    """The values at start, start + 1, ... of the polynomial ``coeffs`` (constant first), without
+    end, tabulated by forward differences (Knuth, TAOCP vol. 2, 4.6.4).  Degree 0 is a ``repeat``
+    and degree 1 a ``count``; degree d nests d - 1 ``accumulate`` over the ``count`` of its last
+    two differences, each started from one difference at ``start``.  Each value is the one
+    ``horner`` gives, at d additions in C."""
+    if len(coeffs) < 2:
+        return repeat(coeffs[0] if coeffs else 0)
+    table, heads = [horner(coeffs, start + j) for j in range(len(coeffs))], []
+    while len(table) > 1:  # heads[i] is the i-th difference at start
+        heads.append(table[0])
+        table = [y - x for x, y in zip(table, table[1:])]
+    values = count(heads.pop(), table[0])
+    for head in reversed(heads):
+        values = accumulate(values, initial=head)
+    return values
 
 
 def poly_add(a: Sequence, b: Sequence) -> list:

@@ -14,7 +14,9 @@ at one n.  :func:`log10_floor`, :func:`to_digits` and
 references for the integer counts of :mod:`bseries.precision` and of
 verification.  :func:`loads_catalog_by_record` loads a catalog one record
 at a time, the reference for the one pass of
-:func:`bseries.catalog.loads_catalog`.
+:func:`bseries.catalog.loads_catalog`.  :func:`sum_terms_horner` is the
+summation loop evaluating every integer list by Horner's rule at each
+term, the reference for the evaluator's value streams.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from bseries.catalog import Catalog, CatalogError, _build_record, _KEY_RANK
-from bseries.exactnum import QuadElem, horner, squarefree_split
+from bseries.exactnum import QuadElem, embed_dyadic, horner, squarefree_split
 from bseries.precision import DIGITS_INF, ApproxReal
 from bseries.seriesmodel import Position, SeriesDef, den_value
 from bseries.telescope import TelescopingCert
@@ -178,3 +180,119 @@ def loads_catalog_by_record(text: str) -> Catalog:
         fields[key] = value
     flush()
     return Catalog(records)
+
+
+def sum_terms_horner(
+    sdef: SeriesDef, weight, p: int, k0: int, limit: int
+) -> tuple[int, int, int, int]:
+    """``evaluator._sum_terms`` as it was with Horner's rule at every term: ``(S, units, terms,
+    bound)`` from the same arguments.  The reference the term loop's value streams must
+    match bit for bit."""
+    bn, bd, b_err = embed_dyadic(sdef.base_value, p)
+    b_shift = (bd & -bd).bit_length() - 1
+    b_odd, b_mag = bd >> b_shift, abs(bn) + b_err
+    root = math.isqrt(weight.d << 2 * p) if weight.d > 1 else 0
+    # a count reads a P-bit number above 2^cut, and the base's above 2^b_cut
+    cut, b_cut = max(p - 32, 0), max(b_shift - 32, 0)
+    b_top, r_top = (b_mag >> b_cut) + 1, ((root + 1) >> cut) + 1
+    # every list highest degree first, for Horner's rule in the loop
+    sn, sd = (tuple(reversed(x)) for x in sdef.scale_ratio)
+    c = tuple(reversed(weight.c))
+    c_const = c[0] if len(c) == 1 else 0  # c vanishes nowhere: 0 marks a c that varies
+    unit_a = unit_b = ()
+    atoms = []  # [a, b, stride, offset, order, n, h_n] of each harmonic atom
+    s = p if any(atom for *_, atom in weight.terms) else 0
+    one = 1 << s
+    for a, b, atom in weight.terms:
+        a, b = tuple(reversed(a)), tuple(reversed(b))
+        if atom is None:
+            unit_a, unit_b = a, b
+        else:
+            atoms.append([a, b, atom.stride, atom.offset, atom.order, 0, 0])
+    k_start = sdef.k_start
+    num, den = sdef.scale(k_start)
+    k, v, e, rn, rd = 0, (num << p) // den, 1, 1, 1
+    total = units = terms = 0
+    while True:  # steps by the base alone up to k_start, then weighs and steps by base*r(k)
+        if k >= k_start:
+            # na + nb*sqrt(d) within ea + eb*sqrt(d) of W(k) * c(k) * 2^s
+            na = nb = ea = eb = 0
+            for x in unit_a:
+                na = na * k + x
+            for x in unit_b:
+                nb = nb * k + x
+            if s:
+                na, nb = na << s, nb << s
+                for atom in atoms:
+                    a, b, stride, offset, order, n, h = atom
+                    index = stride * k + offset
+                    while n < index:  # h_n = sum_{j<=n} floor(2^P / j^m), one unit a floor
+                        n += 1
+                        h += one // n**order
+                    atom[5:] = n, h
+                    x = 0
+                    for y in a:
+                        x = x * k + y
+                    na, ea = na + x * h, ea + abs(x) * n
+                    if b:
+                        x = 0
+                        for y in b:
+                            x = x * k + y
+                        nb, eb = nb + x * h, eb + abs(x) * n
+            ck = c_const
+            if not ck:
+                for x in c:
+                    ck = ck * k + x
+            cw = ck
+            if cw < 0:
+                na, nb, cw = -na, -nb, -cw
+            # T = floor(v * w / (cw * 2^shift)) and its count, shift = 0 or P
+            w, ew, shift = na, ea, s
+            if nb or eb:  # the sqrt(d) part, embedded at 2^P by R
+                w, shift = (na << p) + nb * root, p
+                if s:  # floored back to the atoms' 2^P, one unit more
+                    w >>= p
+                    ew = ea - ((-((abs(nb) >> cut) + 1 + eb * r_top)) >> p - cut) + 1
+                else:
+                    ew = abs(nb)
+            if shift:
+                t, x = (v * w) >> p, ((abs(w) >> cut) + 1) * e
+                if ew:
+                    x += (((abs(v) + e) >> cut) + 1) * ew
+                x = -x >> p - cut
+            else:
+                t, x = v * w, -abs(w) * e
+            if c_const != 1:
+                t //= cw
+            err = -(x // cw) + 1
+            total += t
+            units += err
+            terms += 1
+            if k >= k0 and abs(t) + err <= limit:
+                # the majorant U(k) = (ua + ub*sqrt(d)) / c: atom-free, at 2^0, counted in full
+                na, nb, cw = horner(weight.ua, k), horner(weight.ub, k), ck
+                if cw < 0:
+                    na, nb, cw = -na, -nb, -cw
+                w, ew, shift = na, 0, 0
+                if nb:
+                    w, ew, shift = (na << p) + nb * root, abs(nb), p
+                x = abs(w) * e + (abs(v) + e) * ew
+                bound = abs(((v * w) >> shift) // cw) - ((-x >> shift) // cw) + 1
+                if bound <= limit:
+                    return total, units, terms, bound
+            rn = rd = 0
+            for x in sn:
+                rn = rn * k + x
+            for x in sd:
+                rd = rd * k + x
+            if rd < 0:
+                rn, rd = -rn, -rd
+        # V <- V * base * rn/rd, floored once, and its count
+        if b_err:  # a quadratic base: Bd = 2^E, and |Bn| + eb and |v| are read above 2^b_cut
+            x = (e * b_top + ((abs(v) >> b_cut) + 1) * b_err) * abs(rn)
+            v, e = ((v * rn * bn) >> b_shift) // rd, -((-x >> b_shift - b_cut) // rd) + 1
+        else:
+            small = b_odd * rd
+            x = e * b_mag * abs(rn)
+            v, e = ((v * (bn * rn)) >> b_shift) // small, -((-x >> b_shift) // small) + 1
+        k += 1

@@ -8,7 +8,6 @@ significant digits.
 """
 
 import ast
-import hashlib
 import inspect
 import json
 import math
@@ -41,6 +40,7 @@ from bseries.seriesmodel import (
 )
 
 import oracles
+import sum_pin
 from oracles import HarmonicCache, term_exact, weight_value
 
 # sum_{k>=1} k 2^k / C(2k,k)^3
@@ -493,6 +493,18 @@ def _sum_terms_code(select):
     return compile(ast.Module(body=body, type_ignores=[]), "<_sum_terms>", "exec")
 
 
+def test_term_loop_runs_no_loop_over_a_coefficient_list():
+    # every list's value at k comes off its stream in the loop header; the one loop inside is
+    # the harmonic atoms' own, so Horner's rule cannot come back into the term loop
+    tree = ast.parse(inspect.getsource(evaluator._sum_terms))
+    (loop,) = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.For) and any(isinstance(m, ast.Return) for m in ast.walk(n))
+    ]
+    inner = [n for n in ast.walk(loop) if isinstance(n, (ast.For, ast.comprehension))]
+    assert [ast.unparse(n.iter) for n in inner[1:]] == ["zip(atoms, atom_values)"]
+
+
 # b_top and r_top, the base's and R + 1's top bits; the step of V (its quadratic branch under
 # b_err != 0); and the floor of w back to 2^P in Q(sqrt d), which reads r_top
 def _assigns(target, reading=""):
@@ -817,38 +829,40 @@ def test_kernel_numerator_reference():
     assert lo - Fraction(1, 10**58) <= ref <= hi + Fraction(1, 10**58)
 
 
-def sum_pin_rows():
-    """(id, digits, P, terms, attempts, 16-hex sha256 of "S,units") of the sum at digits + 5
-    of every shipped series identity with an envelope, at 30 and 300 digits.  No sum uses
-    more terms than the count its precision was sized for."""
-    rows = []
+def test_every_shipped_ball_is_pinned():
+    """Every shipped series' ball, bit for bit, as ``sum_pins.tsv`` records it
+    (:mod:`sum_pin` says how to regenerate the file)."""
+    rows = sum_pin.pinned()
+    assert len(rows) == 186
+    assert sum_pin.rows() == rows
+
+
+def test_term_loop_is_the_horner_loop_bit_for_bit(monkeypatch):
+    # every shipped series at 30, 150 (deep_quadratic's precision) and 300 digits, with the
+    # arguments sum_series passes: the value streams give the same S, units, terms and bound
+    calls = []
+
+    def recording(*args):
+        out = _sum_terms(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(evaluator, "_sum_terms", recording)
     for rec in shipped_series():
         try:
             env = certify_envelope(rec.series)
         except NonConvergent:
             continue
-        for digits in (30, 300):
-            res = evaluator._sum_to_digits(rec.series, digits + 5, env)
-            assert res.terms_used <= res.predicted_terms, (rec.id, digits)
-            ball = res.ball
-            digest = hashlib.sha256(f"{ball.s},{ball.units}".encode()).hexdigest()[:16]
-            pin = (rec.id, digits, ball.p, res.terms_used, res.attempts, digest)
-            rows.append([str(x) for x in pin])
-    return rows
-
-
-def test_every_shipped_ball_is_pinned():
-    r"""Every shipped series' ball, bit for bit, as ``sum_pins.tsv`` records it.
-
-    A change that is meant to move the balls regenerates the rows below the
-    file's comment line, from the repository's root, with
-
-        PYTHONPATH=src:tests python -c 'import test_evaluator as t; [print(*r, sep="\t") for r in t.sum_pin_rows()]'
-    """
-    pins = (Path(__file__).parent / "sum_pins.tsv").read_text().splitlines()
-    rows = [line.split("\t") for line in pins if not line.startswith("#")]
-    assert len(rows) == 186
-    assert sum_pin_rows() == rows
+        for digits in (30, 150, 300):
+            evaluator._sum_to_digits(rec.series, digits + 5, env)
+    assert len(calls) == 279  # 93 series, one attempt each
+    for args, out in calls:
+        assert oracles.sum_terms_horner(*args) == out, args[0]
+    # and 40 terms of each stream case at a low and a high P: starts past 0, D(0) < 0, H(2*k - 1,2)
+    for sdef in STREAM_CASES:
+        for p in (16, 300):
+            args = (sdef, _IntegerWeight(sdef), p, sdef.k_start + 40, 1 << 20000)
+            assert oracles.sum_terms_horner(*args) == _sum_terms(*args), sdef
 
 
 def test_slow_series_is_not_cut_short():

@@ -3,9 +3,10 @@
 import math
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bseries.exactnum import (
@@ -16,6 +17,7 @@ from bseries.exactnum import (
     poly_add,
     poly_mul,
     poly_shift,
+    poly_values,
     squarefree_split,
 )
 from oracles import sqrt_surd
@@ -242,6 +244,21 @@ def test_integer_list_arithmetic(a, b, x, c):
     assert horner(poly_add(a, b), x) == horner(a, x) + horner(b, x)
     assert horner(poly_mul(a, b), x) == horner(a, x) * horner(b, x)
     assert horner(poly_shift(a, c), x) == horner(a, x + c)
+
+
+@given(
+    st.lists(st.integers(min_value=-50, max_value=50) | st.integers(), max_size=7),
+    st.integers(min_value=0, max_value=60),
+)
+@settings(max_examples=300, deadline=None)
+@example([], 0)
+@example([-7], 60)
+@example([0, 0, 0, 0, 0, 0, -3], 0)
+@example([5, 0, -1, 0, 2, 0, -9], 37)
+def test_poly_values_are_horner_at_each_k(coeffs, start):
+    # degree 0 to 6 and the empty list; zero, negative and negative leading coefficients
+    values = list(islice(poly_values(coeffs, start), 200))
+    assert values == [horner(coeffs, k) for k in range(start, start + 200)]
 
 
 def _sign_beyond(f, start):

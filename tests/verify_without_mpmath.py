@@ -13,13 +13,15 @@ certified), unless ``conj5.1-265`` also PASSes at 4,400 digits, past
 CPython's default limit of 4,300 digits on one int-to-str conversion, and
 unless both catalogs of this checkout parse to their pinned digests
 (``tests/parse_pin.py``), so the expression front end is checked on the
-Python that runs this.  It also exits with status 1 if a class of a module
-the catalog check imports is a dataclass: each process would generate its
-methods with ``exec`` while it sets up; and unless a catalog record whose
-weight is nested in 1,000 parentheses, whose rhs follows 1,000 minus
-signs, or whose weight sums 3,000 terms, fails to load with a
-``CatalogError`` naming the record: past the interpreter's recursion limit,
-on every Python version.
+Python that runs this, and unless every shipped series' ball at 30 and 300
+digits is the one ``tests/sum_pins.tsv`` pins (``tests/sum_pin.py``), so
+the summation is checked bit for bit there too.  It also exits with status
+1 if a class of a module the catalog check imports is a dataclass: each
+process would generate its methods with ``exec`` while it sets up; and
+unless a catalog record whose weight is nested in 1,000 parentheses, whose
+rhs follows 1,000 minus signs, or whose weight sums 3,000 terms, fails to
+load with a ``CatalogError`` naming the record: past the interpreter's
+recursion limit, on every Python version.
 """
 
 import dataclasses
@@ -48,6 +50,7 @@ def main(argv: list[str]) -> int:
     sys.modules["mpmath"] = None  # any import of mpmath raises ImportError
     # the modules the perfbench worker imports
     from bseries import catalog, closedform, constants, evaluator, telescope  # noqa: F401
+    import sum_pin
     from parse_pin import PINS, digest
 
     generated = [
@@ -61,6 +64,8 @@ def main(argv: list[str]) -> int:
 
     root = Path(__file__).resolve().parents[1]
     moved = [rel for rel, pin in PINS.items() if digest(catalog.load_catalog(root / rel)) != pin]
+    rows, pins = (set(map(tuple, x)) for x in (sum_pin.rows(), sum_pin.pinned()))
+    sums = sorted(" ".join(row[:2]) for row in rows ^ pins)
 
     got, cat = {}, catalog.load_catalog(catalog.resolve_catalog_path())
     for r in cat:
@@ -89,11 +94,12 @@ def main(argv: list[str]) -> int:
     # the report prints its strings when they are read: read them past the limit too
     deep = rep.status.value if rep.lhs_str and rep.residual_str else "no report strings"
     passing = len(got) == RECORDS and not_passing == NOT_PASSING and deep == "PASS"
-    if passing and not moved and not generated and not nesting:
+    if passing and not moved and not sums and not generated and not nesting:
         return 0
     print(f"{len(got)} records, not passing: {not_passing}", file=sys.stderr)
     print(f"{DEEP} at {DEEP_DIGITS} digits: {deep}", file=sys.stderr)
     print(f"catalogs whose parse moved from the pin: {moved}", file=sys.stderr)
+    print(f"sums whose ball moved from the pin: {sums}", file=sys.stderr)
     print(f"dataclasses: {generated}", file=sys.stderr)
     print(f"deep nesting not rejected: {nesting}", file=sys.stderr)
     return 1
