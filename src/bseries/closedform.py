@@ -344,23 +344,11 @@ def _fold(node):
     kind = node[0]
     if kind == "num":
         return node[1], 1
-    if kind == "bin":
-        op, x, y = node[1], _fold(node[2]), _fold(node[3])
-        if type(x) is tuple and type(y) is tuple:
-            (n1, d1), (n2, d2) = x, y
-            if op == "*":
-                return n1 * n2, d1 * d2
-            if op == "/":
-                if not n2:
-                    raise ZeroDivisionError("division by zero in closed form")
-                return n1 * d2, d1 * n2
-            return n1 * d2 + (n2 if op == "+" else -n2) * d1, d1 * d2
-        x, y = _terms(x), _terms(y)
-        if op == "+":
-            return _sum(x, y)
-        if op == "-":
-            return _sum(x, {atoms: -c for atoms, c in y.items()})
-        return _product(x, y if op == "*" else _inverse(y))
+    if kind == "sum" or kind == "prod":
+        x = _fold(node[1])
+        for op, y in node[2]:
+            x = _combine(op, x, _fold(y))
+        return x
     if kind == "name":
         if node[1] not in _NAMES:
             raise ExprError(f"unknown closed-form name {node[1]!r}")
@@ -373,6 +361,25 @@ def _fold(node):
     if kind == "pow":
         return _power(_terms(_fold(node[1])), ast_as_int(node[2]))
     raise ExprError(f"bad AST node {node!r}")
+
+
+def _combine(op: str, x, y):
+    """``x op y`` for folded values, int pairs where both are."""
+    if type(x) is tuple and type(y) is tuple:
+        (n1, d1), (n2, d2) = x, y
+        if op == "*":
+            return n1 * n2, d1 * d2
+        if op == "/":
+            if not n2:
+                raise ZeroDivisionError("division by zero in closed form")
+            return n1 * d2, d1 * n2
+        return n1 * d2 + (n2 if op == "+" else -n2) * d1, d1 * d2
+    x, y = _terms(x), _terms(y)
+    if op == "+":
+        return _sum(x, y)
+    if op == "-":
+        return _sum(x, {atoms: -c for atoms, c in y.items()})
+    return _product(x, y if op == "*" else _inverse(y))
 
 
 def _terms(x) -> dict:

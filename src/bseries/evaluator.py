@@ -107,6 +107,78 @@ integers, so each value is the integer Horner's rule gives, and every
 term, count and stop is the same, bit for bit.  The ``k_start`` steps by
 the base alone run through the same loop, with ``r = 1``.
 
+A series with an irrational base and an atom-free weight ``(A + B*sqrt(d))/c``
+over a constant c is summed in blocks of m terms first
+(:mod:`bseries.blocks`; m = 1 is the loop above, and :func:`_block_size`
+gives m = 1 to every other series and wherever blocks do not pay).  Block
+j starts at ``K = k_start + m*j``.  Since ``V_{K+i} = V_K * base^i *
+prod_{l<i} r(K + l)``,
+
+    V_{K+m} = V_K * base^m * Sn'(j)/Sd'(j),   Sn' = prod_{l<m} Sn(K + l),  Sd' alike,
+    sum_{i<m} t_{K+i} = V_K * W'(j),   W'(j) = sum_{i<m} W(K + i) * base^i * prod_{l<i} r(K + l).
+
+With ``base = (bx + by*sqrt(d))/bc``, W' is ``(NA' + NB'*sqrt(d)) / (cc * Sd')``
+for ``cc = bc^(m-1) * c`` and
+
+    NA' + NB'*sqrt(d) = sum_i (A + B*sqrt(d))(K + i) * (bx + by*sqrt(d))^i * bc^(m-1-i)
+                        * prod_{l<i} Sn(K + l) * prod_{i<=l<m} Sd(K + l),
+
+taken in exact integers as ``R <- Sd(K + i) * (R + X_i * prod_{l<i} Sn(K + l))``.
+Each of Sn', Sd', NA', NB' is an integer polynomial in j of degree below
+``D = m * max(deg Sn, deg Sd) + deg W + 1``, so its values at j = 0, ...,
+D - 1, each from its m terms, fix it, and its difference stream goes on
+from them (:func:`~bseries.exactnum.table_values`).  A g that divides cc
+and those values of NA' and NB' divides all their differences there, so
+every later value: it is divided out.  The block steps V as a term does,
+by ``(Bn, 2^E, 2) = embed_dyadic(base^m, P)``, and floors once, with the
+count of a step, but reads |Bn| and |v| above ``2^(min(bits(Bn), E) - 32)``,
+since ``|base^m|`` may lie far below 2^-32.  The block's weight is a term's in
+Q(sqrt d) with ``R' = isqrt(d * 4^P')``: ``T_j = floor(v * w / den)`` for ``w =
+NA'*2^P' + NB'*R'`` and ``den = cc * Sd' * 2^P'``, within
+``ceil((|w|*e + (|v| + e)*|NB'|) / den) + 1`` units of ``2^P * V_K * W'``,
+read above 2^cut as a term's count is (``cut <= P <= P'``).  The first
+block starts from ``embed_dyadic(base^k_start * S_{k_start}, P) = (x, y,
+ex)``, ``v = floor(x * 2^P / y)`` within ``ceil(ex * 2^P / y) + 1``.
+
+P' sizes the part ``(|v| + e)*|NB'|/den`` of that count.  With ``N' = NA'
++ NB'*sqrt(d)``, its conjugate N'' and ``s = |NA'| + |NB'|*(isqrt(d) + 1) >=
+|N''|, |NB'|``, ``|NA'^2 - d*NB'^2| = |N'|*|N''|`` gives ``|NB'|/|N'| <= s^2 /
+|NA'^2 - d*NB'^2| < 2^c`` for ``c = 2*bits(s) - bits(NA'^2 - d*NB'^2) + 1``,
+the way :func:`~bseries.exactnum.embed_surd` sizes E from a surd's norm
+and conjugate.  With ``P' = P + c``, that part is at most ``(|v| + e)/2^P *
+|W'|``, about ``|V_K * W'(j)|``: the cancellation between NA' and
+``NB'*sqrt(d)``, which grows by about ``log2|conjugate(base)/base|`` a term,
+costs no precision.  c is read at j = 0 and at the predicted last block
+``n/m``, the larger taken; where it falls short, the ball only widens.
+
+The blocks need no more guard bits.  A block floors V once where m terms
+floor it m times, its step is damped by ``|base^m * Sn'/Sd'| = |V_{K+m}/V_K|``
+as the m steps together are, and base^m's rounding adds ``2*|v|*|Sn'/Sd'| /
+2^E`` units once, below the ``m*|V|`` the m roundings of the base add; so e
+stays within the term loop's bound.  The block's count, ``e*|W'| + |V_K *
+W'| + 2``, is at most ``sum_i e_{K+i}*|W(K + i)|`` for the errors ``e_{K+i}
+>= e*|V_{K+i}/V_K|`` the term loop would carry, plus ``sum_i |m_{K+i}|``
+for the R' part, plus 2: no more than the m terms' own counts, whose R
+parts are of that size.  Summed over n terms it stays below the guard's
+bound for n terms, so P is unchanged.
+
+A block is committed only when no stop can fall inside it.  The stop rule
+ends the sum at k only if ``k >= k0`` and its bound, ``|M| + err >= 2^P *
+|m_k|``, is at most ``limit``; and from k0 on ``|m_{k+1}| <= q*|m_k|``, so
+``|m_k| >= |m_{K'}|`` for ``k0 <= k <= K'``.  So ``2^P * |m_{K'}| > limit``
+proves that no k <= K' stops.  At the block's end ``K' = K + m`` the new
+(v, e) and ``U(K') = (ua + ub*sqrt(d))/c`` give ``2^P * |m_{K'}| >= (|v| -
+e) * (|u| - |ub|) / (|c| * 2^P)`` for ``u = ua*2^P + ub*R``, which exceeds
+``limit`` when ``bits(|v| - e) + bits(|u| - |ub|) >= bits(limit) + bits(c) +
+P + 2``: integer bit lengths.  A block with ``K' <= k0`` holds no k >= k0
+and needs no test.  At the first block the test refuses, the blocks hand
+over: the term loop goes on from that block's K with the committed (v, e),
+S and units and its own stop rule, and with none committed it runs from
+``k_start``, bit for bit the loop with m = 1.  The stop therefore falls at
+the first k at which the rule holds on this sum's balls; those differ from
+the term loop's by less than their counts, and on every shipped series the
+terms are the term loop's (``tests/sum_pins.tsv``).
+
 The sum is the integer ``S = sum T_k`` with the count ``units = sum`` of
 those errors: the ball is the triple ``(S, P, units)`` as it stands.
 
@@ -220,7 +292,7 @@ class SumResult:
 
 
 def _sum_terms(
-    sdef: SeriesDef, weight: _IntegerWeight, p: int, k0: int, limit: int
+    sdef: SeriesDef, weight: _IntegerWeight, p: int, k0: int, limit: int, m: int = 1, n: int = 0
 ) -> tuple[int, int, int, int]:
     """Sum the scaled terms ``T_k ~ 2^P * t_k`` from ``k_start`` by the stop rule:
     ``(S, units, terms, bound)``.
@@ -234,7 +306,10 @@ def _sum_terms(
     last k, ``|M - 2^P * U(k) * S_k * base^k| <= err``, floored and counted
     from the same ``v`` and ``e``.
     The stop rule compares ``|T_k| + err_k`` from ``k0`` on, and then the
-    bound, with ``limit``.
+    bound, with ``limit``.  With ``m > 1`` the blocks of
+    :func:`~bseries.blocks.sum_blocks` come first, for n predicted terms, and
+    the terms go on from the first block its certificate refused; with none
+    committed, from ``k_start``.
     """
     bn, bd, b_err = embed_dyadic(sdef.base_value, p)
     b_shift = (bd & -bd).bit_length() - 1
@@ -244,6 +319,16 @@ def _sum_terms(
     cut, b_cut = max(p - 32, 0), max(b_shift - 32, 0)
     b_top, r_top = (b_mag >> b_cut) + 1, ((root + 1) >> cut) + 1
     k_start = sdef.k_start
+    state = None
+    if m > 1:  # the blocks' module is compiled only by a process that sums in blocks
+        from .blocks import sum_blocks
+
+        state = sum_blocks(sdef, weight, p, k0, limit, m, n)
+    if state is None:  # from k = 0: k_start steps by the base alone, the weight's values unread
+        num, den = sdef.scale(k_start)
+        k_first, v, e, total, units, terms = k_start, (num << p) // den, 1, 0, 0, 0
+    else:  # on from the block the certificate refused, term by term
+        k_first, v, e, total, units, terms = state
     unit_a = unit_b = ()
     atoms = []  # [stride, offset, order, n, h_n] of each harmonic atom
     pairs = []  # the values of each atom's A_i and B_i at k
@@ -254,20 +339,17 @@ def _sum_terms(
             unit_a, unit_b = a, b
         else:
             atoms.append([atom.stride, atom.offset, atom.order, 0, 0])
-            pairs.append(zip(poly_values(a, k_start), poly_values(b, k_start)))
+            pairs.append(zip(poly_values(a, k_first), poly_values(b, k_first)))
     sn, sd = sdef.scale_ratio
     r0 = 1, 1  # r = 1 before k_start; a rational base's Bn*Sn and odd(Bd)*Sd are scaled here
     if not b_err:
         sn, sd, r0 = [bn * x for x in sn], [b_odd * x for x in sd], (bn, b_odd)
-    values = [poly_values(x, k_start) for x in (sn, sd, weight.c, unit_a, unit_b)]
+    values = [poly_values(x, k_first) for x in (sn, sd, weight.c, unit_a, unit_b)]
     values.append(zip(*pairs) if pairs else repeat(()))
-    num, den = sdef.scale(k_start)
-    v, e = (num << p) // den, 1
-    total = units = terms = 0
-    # k_start steps by the base alone, the weight's values unread, then one weighed term and
+    # the k_start steps by the base alone unless blocks came first, then one weighed term and
     # one step by base*r(k) a k, each list's value at k read off its stream
-    before = zip(range(k_start), *map(repeat, r0), *[repeat(1)] * 4)
-    steps = chain(before, zip(count(k_start), *values))
+    before = zip(range(0 if state else k_start), *map(repeat, r0), *[repeat(1)] * 4)
+    steps = chain(before, zip(count(k_first), *values))
     for k, rn, rd, ck, na, nb, atom_values in steps:
         if k >= k_start:
             # na + nb*sqrt(d) within ea + eb*sqrt(d) of W(k) * c(k) * 2^s
@@ -332,6 +414,16 @@ def _sum_terms(
             v, e = ((v * rn) >> b_shift) // rd, -((-x >> b_shift) // rd) + 1
 
 
+def _block_size(sdef: SeriesDef, weight: _IntegerWeight, p: int, n: int) -> int:
+    """m, the terms a block of :func:`~bseries.blocks.sum_blocks` takes: 1 for a rational
+    base, a weight with harmonic atoms or a denominator in k, and wherever blocks do not pay."""
+    if sdef.base_value.is_rational or len(weight.terms) != 1 or weight.terms[0][2] is not None:
+        return 1
+    if len(weight.c) != 1 or n * p < 1 << 18:
+        return 1
+    return 4 if p < 400 else 8 if p < 2000 else 16
+
+
 def _guard_bits(envelope: Envelope, n: int) -> int:
     """The bit length of the module docstring's bound on the count of an n-term sum."""
     form, ends = envelope.weight, (envelope.k0, envelope.k0 + n)
@@ -364,7 +456,8 @@ def sum_series(
     # x * 2^-p * q/(1 - q) <= 10^-(digits+3) for an integer x >= 0 iff x <= limit
     limit = ((qd - qn) << p) // (qn * 10 ** (digits + 3))
 
-    s, units, terms, bound = _sum_terms(sdef, envelope.weight, p, envelope.k0, limit)
+    m = _block_size(sdef, envelope.weight, p, n)
+    s, units, terms, bound = _sum_terms(sdef, envelope.weight, p, envelope.k0, limit, m, n)
     units += ceil_units(0, bound * qn, qd - qn)
     return SumResult(ApproxReal(s, p, units), terms, n)
 

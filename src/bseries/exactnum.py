@@ -10,7 +10,8 @@ A polynomial is a coefficient list, constant first, over any ring whose
 elements mix with the integer 0: ints, Fractions or QuadElems.
 :func:`poly_add`, :func:`poly_mul` and :func:`poly_shift` are the one
 polynomial arithmetic, :func:`horner` evaluates a list, and
-:func:`poly_values` tabulates one at consecutive integers.
+:func:`poly_values` tabulates one at consecutive integers, and
+:func:`table_values` goes on with a table of its first values.
 :func:`surd_mul` multiplies two pairs ``(a, b)`` of such lists, each
 standing for ``a + b*sqrt(d)``.  A rational function is a pair of lists
 where one is needed; nothing here divides polynomials.
@@ -50,6 +51,7 @@ __all__ = [
     "coefficient_sign",
     "horner",
     "poly_values",
+    "table_values",
     "poly_add",
     "poly_mul",
     "poly_shift",
@@ -334,12 +336,23 @@ def poly_values(coeffs: Sequence, start: int):
     ``horner`` gives, at d additions in C."""
     if len(coeffs) < 2:
         return repeat(coeffs[0] if coeffs else 0)
-    table, heads = [horner(coeffs, start + j) for j in range(len(coeffs))], []
-    while len(table) > 1:  # heads[i] is the i-th difference at start
+    return table_values([horner(coeffs, start + j) for j in range(len(coeffs))])
+
+
+def table_values(table: Sequence[int]):
+    """The values at start, start + 1, ... of the polynomial of degree below ``len(table)``
+    whose values there begin with ``table``, without end, as :func:`poly_values` makes them:
+    a polynomial is fixed by that many values, and its differences are read off them."""
+    heads = []  # heads[i] is the i-th difference at start
+    while table:
         heads.append(table[0])
         table = [y - x for x, y in zip(table, table[1:])]
-    values = count(heads.pop(), table[0])
-    for head in reversed(heads):
+    while len(heads) > 1 and not heads[-1]:
+        heads.pop()
+    if len(heads) < 2:
+        return repeat(heads[0] if heads else 0)
+    values = count(heads[-2], heads.pop())
+    for head in reversed(heads[:-1]):
         values = accumulate(values, initial=head)
     return values
 

@@ -3,8 +3,12 @@
 One tokenizer (a compiled pattern over ASCII text) and one
 recursive-descent parser produce a plain-tuple AST:
 
-    ('num', 17) | ('name', 'k') | ('neg', x) | ('bin', '+', l, r)
+    ('num', 17) | ('name', 'k') | ('neg', x)
+    | ('sum', x, (('+' | '-', y), ...)) | ('prod', x, (('*' | '/', y), ...))
     | ('pow', base, exponent_ast) | ('call', 'sqrt', (arg, ...))
+
+A sum or a product of several operands is one flat node, its operands
+combined left to right, so a long flat sum nests no deeper than one term.
 
 The same syntax serves quadratic surds, harmonic-weight expressions, linear
 denominator factors, closed forms and certificate polynomials.
@@ -89,22 +93,24 @@ class _Parser:
     # expr := term (('+'|'-') term)*
     # term := unary (('*'|'/'|implicit) unary)*
     def expr(self):
-        toks, node, term, op, mulop = self.toks, None, None, None, None
+        toks, terms, op = self.toks, [], None
         while True:
-            factor = self.unary()
-            term = factor if mulop is None else ("bin", mulop, term, factor)
-            tok = toks[self.pos]
-            if tok == "*" or tok == "/":
-                mulop = tok
-                self.pos += 1
-            elif tok == "(" or tok and tok not in _OPS:
-                mulop = "*"  # implicit multiplication: 2k, 22k(k+1), (a)(b)
-            else:
-                node = term if op is None else ("bin", op, node, term)
-                if tok != "+" and tok != "-":
-                    return node
-                op, mulop = tok, None
-                self.pos += 1
+            factors, mulop = [], None
+            while True:
+                factors.append((mulop, self.unary()))
+                tok = toks[self.pos]
+                if tok == "*" or tok == "/":
+                    mulop = tok
+                    self.pos += 1
+                elif tok == "(" or tok and tok not in _OPS:
+                    mulop = "*"  # implicit multiplication: 2k, 22k(k+1), (a)(b)
+                else:
+                    break
+            terms.append((op, _chain("prod", factors)))
+            if tok != "+" and tok != "-":
+                return _chain("sum", terms)
+            op = tok
+            self.pos += 1
 
     # unary := '-' unary | '+' unary | primary ('^' exponent)?    (right associative)
     # exponent := '-' exponent | primary ('^' exponent)?
@@ -139,6 +145,11 @@ class _Parser:
         return node
 
 
+def _chain(kind: str, items: list):
+    """The operand of a one-item chain, else ``(kind, first, ((op, operand), ...))``."""
+    return items[0][1] if len(items) == 1 else (kind, items[0][1], tuple(items[1:]))
+
+
 def parse_expr(s: str):
     p = _Parser(s)
     node = p.expr()
@@ -154,18 +165,21 @@ def ast_as_int(node) -> int:
         return node[1]
     if kind == "neg":
         return -ast_as_int(node[1])
-    if kind == "bin":
-        op, l, r = node[1], ast_as_int(node[2]), ast_as_int(node[3])
-        if op == "+":
-            return l + r
-        if op == "-":
-            return l - r
-        if op == "*":
-            return l * r
-        if op == "/":
-            if r == 0 or l % r:
+    if kind == "sum" or kind == "prod":
+        out = ast_as_int(node[1])
+        for op, y in node[2]:
+            y = ast_as_int(y)
+            if op == "+":
+                out += y
+            elif op == "-":
+                out -= y
+            elif op == "*":
+                out *= y
+            elif y == 0 or out % y:
                 raise ExprError("non-integer exponent")
-            return l // r
+            else:
+                out //= y
+        return out
     if kind == "pow":
         b, e = ast_as_int(node[1]), ast_as_int(node[2])
         if e < 0 and abs(b) != 1:
@@ -277,15 +291,18 @@ class IntegerEval:
         kind = node[0]
         if kind == "num":
             return node[1], 1
-        if kind == "bin":
-            op, x, y = node[1], node[2], node[3]
+        if kind == "sum" or kind == "prod":
+            x = node[1]
             x = (x[1], 1) if x[0] == "num" else self.eval(x)
-            y = (y[1], 1) if y[0] == "num" else self.eval(y)
-            if op == "+":
-                return self.add(x, y)
-            if op == "-":
-                return self.add(x, self.mul(y, _MINUS))
-            return self.mul(x, y if op == "*" else self.reciprocal(y))
+            for op, y in node[2]:
+                y = (y[1], 1) if y[0] == "num" else self.eval(y)
+                if op == "+":
+                    x = self.add(x, y)
+                elif op == "-":
+                    x = self.add(x, self.mul(y, _MINUS))
+                else:
+                    x = self.mul(x, y if op == "*" else self.reciprocal(y))
+            return x
         if kind == "name":
             return self.name(node[1])
         if kind == "neg":

@@ -368,9 +368,14 @@ def parse_den_factors(s: str) -> tuple[tuple[int, int, int], ...]:
         factors[(u, v)] = factors.get((u, v), 0) + e
 
     def walk(node, e: int):
-        if node[0] == "bin" and node[1] == "*":
-            walk(node[2], e)
-            walk(node[3], e)
+        if node[0] == "prod":  # the product up to its last '/' is read whole, then each factor
+            i = max((j + 1 for j, (op, _) in enumerate(node[2]) if op == "/"), default=0)
+            if i:
+                add_linear(("prod", node[1], node[2][:i]), e)
+            else:
+                walk(node[1], e)
+            for _, y in node[2][i:]:
+                walk(y, e)
         elif node[0] == "pow":
             walk(node[1], e * ast_as_int(node[2]))
         else:

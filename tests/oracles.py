@@ -7,9 +7,10 @@ the scale members.  The evaluator sums on integer lists and calls neither:
 they are the exact references the tests compare it against.  It carries
 each H_n^(m) as a floored fixed-point integer with a counted error, and
 :class:`HarmonicCache` is the exact value that count is checked against.
-:func:`partial_sum`, :func:`boundary_value` and :func:`closed_sum` are the
-two sides of a concrete-base :class:`~bseries.telescope.TelescopingCert`
-at one n.  :func:`log10_floor`, :func:`to_digits` and
+:func:`series_partial_sum` is a series' partial sum, the reference for the
+balls of its blocks.  :func:`partial_sum`, :func:`boundary_value` and
+:func:`closed_sum` are the two sides of a concrete-base
+:class:`~bseries.telescope.TelescopingCert` at one n.  :func:`log10_floor`, :func:`to_digits` and
 :func:`residual_digits` count a ball's digits through ``Fraction``s, the
 references for the integer counts of :mod:`bseries.precision` and of
 verification.  :func:`loads_catalog_by_record` loads a catalog one record
@@ -75,6 +76,11 @@ def term_exact(sdef: SeriesDef, k: int, harm: Optional[HarmonicCache] = None) ->
         kv = sdef.kernel.value(k)
         t = t * kv if sdef.kernel_pos is Position.NUMERATOR else t / kv
     return t / den_value(sdef.den_factors, k)
+
+
+def series_partial_sum(sdef: SeriesDef, k_end: int) -> QuadElem:
+    """t_{k_start} + ... + t_{k_end} exactly, for a series without harmonic atoms."""
+    return sum((term_exact(sdef, k) for k in range(sdef.k_start, k_end + 1)), QuadElem(0))
 
 
 def partial_sum(cert: TelescopingCert, n: int) -> QuadElem:

@@ -337,10 +337,6 @@ def test_negative_harmonic_index_rejected():
         pytest.param(
             "rhs: 1/2*pi^2", "rhs: " + "-" * 1000 + "pi", "expression nested too deeply", id="deep-minus"
         ),
-        pytest.param(
-            "weight: 3*k - 1", "weight: " + " + ".join(["k"] * 3000), "expression nested too deeply",
-            id="long-sum",
-        ),
     ],
 )
 def test_malformed_series_field_names_the_record(old, new, why):
@@ -353,6 +349,25 @@ def test_malformed_series_field_names_the_record(old, new, why):
         bad = bad.replace("weight: 3*k - 1", "weight: 3*k - sqrt(2)")
     with pytest.raises(CatalogError, match=rf"record 't1' \(line 1\): .*{why}"):
         loads_catalog(bad)
+
+
+@pytest.mark.parametrize(
+    "old, new, same",
+    [
+        pytest.param("weight: 3*k - 1", "weight: " + " + ".join(["k"] * 3000), "weight: 3000*k", id="long-sum"),
+        pytest.param(
+            "weight: 3*k - 1", "weight: " + " + ".join(["k"] * 10000), "weight: 10000*k", id="long-weight"
+        ),
+        pytest.param("rhs: 1/2*pi^2", "rhs: " + " + ".join(["pi"] * 10000), "rhs: 10000*pi", id="long-rhs"),
+        pytest.param(
+            "rhs: 1/2*pi^2", "rhs: " + " - ".join(["pi/2"] * 10000), "rhs: -4999*pi", id="long-difference"
+        ),
+    ],
+)
+def test_flat_field_loads(old, new, same):
+    # a flat sum nests nothing, however many terms it adds: it loads as what it adds up to
+    got, want = (loads_catalog(MINIMAL.replace(old, text)).records[0] for text in (new, same))
+    assert (got.series, got.rhs) == (want.series, want.rhs)
 
 
 def test_series_records_load_without_ratfun():
@@ -453,8 +468,8 @@ def mutated_catalogs(draw):
             lines = [f"{key}: {'(' * 1000}{value}{')' * 1000}"]
         elif edit == "deep-minus":
             lines = [f"{key}: {'-' * 1000}{value}"]
-        else:
-            lines = [f"{key}: {' + '.join([value] * 3000)}"]
+        else:  # a flat sum nests nothing; each fraction it adds multiplies its denominator
+            lines = [f"{key}: {' + '.join([value] * 30)}"]
         block[i:i + 1] = lines
     return "\n\n".join("\n".join(block) for block in blocks) + "\n"
 

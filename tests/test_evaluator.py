@@ -11,6 +11,7 @@ import ast
 import inspect
 import json
 import math
+from itertools import islice
 import subprocess
 import sys
 from fractions import Fraction
@@ -22,12 +23,12 @@ import sympy as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bseries import constants, envelope, evaluator, seriesmodel, telescope
+from bseries import blocks, constants, envelope, evaluator, seriesmodel, telescope
 from bseries.catalog import load_catalog, resolve_catalog_path
 from bseries.closedform import parse_closed_form
 from bseries.envelope import NonConvergent, _IntegerWeight, _log2_surd, certify_envelope
 from bseries.evaluator import Status, _sum_terms, evaluate, sum_series, verify_identity
-from bseries.exactnum import IntegerSurdPoly, QuadElem, embed_dyadic, horner, poly_add
+from bseries.exactnum import IntegerSurdPoly, QuadElem, embed_dyadic, horner, poly_add, table_values
 from bseries.kernels import kernel_by_tag
 from bseries.precision import ApproxReal, attempt_bits, ceil_units, log10_floor
 from bseries.seriesmodel import (
@@ -484,25 +485,27 @@ def test_top_bit_count_bounds_the_exact_count(p, v, w, e, ew, c):
     assert exact <= top <= exact + 1 + Fraction(e + ew, 2**32)
 
 
-def _sum_terms_code(select):
-    """The statements of ``_sum_terms`` that ``select`` picks, compiled from its source, so that
-    a test runs the production count expression itself and not a copy of it."""
-    tree = ast.parse(inspect.getsource(evaluator._sum_terms))
+def _sum_terms_code(select, fn=evaluator._sum_terms, count=1):
+    """The ``count`` statements of ``fn`` that ``select`` picks, compiled from its source, so
+    that a test runs the production count expression itself and not a copy of it."""
+    tree = ast.parse(inspect.getsource(fn))
     body = [node for node in ast.walk(tree) if select(node)]
-    assert len(body) == 1
-    return compile(ast.Module(body=body, type_ignores=[]), "<_sum_terms>", "exec")
+    assert len(body) == count
+    return compile(ast.Module(body=body, type_ignores=[]), f"<{fn.__name__}>", "exec")
 
 
 def test_term_loop_runs_no_loop_over_a_coefficient_list():
     # every list's value at k comes off its stream in the loop header; the one loop inside is
-    # the harmonic atoms' own, so Horner's rule cannot come back into the term loop
-    tree = ast.parse(inspect.getsource(evaluator._sum_terms))
-    (loop,) = [
-        n for n in ast.walk(tree)
-        if isinstance(n, ast.For) and any(isinstance(m, ast.Return) for m in ast.walk(n))
-    ]
-    inner = [n for n in ast.walk(loop) if isinstance(n, (ast.For, ast.comprehension))]
-    assert [ast.unparse(n.iter) for n in inner[1:]] == ["zip(atoms, atom_values)"]
+    # the harmonic atoms' own, so Horner's rule cannot come back into the term loop, and the
+    # block loop has none at all
+    for fn, allowed in ((evaluator._sum_terms, ["zip(atoms, atom_values)"]), (blocks.sum_blocks, [])):
+        tree = ast.parse(inspect.getsource(fn))
+        (loop,) = [
+            n for n in ast.walk(tree)
+            if isinstance(n, ast.For) and any(isinstance(m, ast.Return) for m in ast.walk(n))
+        ]
+        inner = [n for n in ast.walk(loop) if isinstance(n, (ast.For, ast.comprehension))]
+        assert [ast.unparse(n.iter) for n in inner[1:]] == allowed, fn.__name__
 
 
 # b_top and r_top, the base's and R + 1's top bits; the step of V (its quadratic branch under
@@ -568,6 +571,32 @@ def test_floor_back_count_bounds_the_exact_count(p, d, nb, ea, eb):
     exec(_FLOOR_BACK, loop)
     exact = ceil_units(0, abs(nb) + (ea << p) + eb * (root + 1), 1 << p) + 1
     assert exact <= loop["ew"] <= exact + 1 + Fraction(1 + eb, 1 << p - cut)
+
+
+# the count of a block's weight: x, read above 2^cut, then err
+_BLOCK_COUNT = _sum_terms_code(
+    lambda n: _assigns("x", reading="abs(nb)")(n) or _assigns("err")(n), blocks.sum_blocks, 2
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=32, max_value=700),
+    st.integers(min_value=0, max_value=300),
+    st.integers(min_value=-(2**710), max_value=2**710),
+    st.integers(min_value=-(2**1100), max_value=2**1100),
+    st.integers(min_value=0, max_value=2**40),
+    st.integers(min_value=-(2**400), max_value=2**400),
+    st.integers(min_value=1, max_value=2**300),
+)
+def test_block_count_bounds_the_exact_count(p, extra, v, w, e, nb, cw):
+    # a block's count ceil((|w|*e + (|v| + e)*|NB'|) / (cw*2^P')) + 1 with |w| and |v| + e read
+    # above 2^(P - 32) <= 2^P': at most 1 + (e + |NB'|) / (cw*2^(P' - cut)) more
+    p2, cut = p + extra, p - 32
+    loop = dict(v=v, w=w, e=e, nb=nb, cw=cw, p2=p2, cut=cut)
+    exec(_BLOCK_COUNT, loop)
+    exact = ceil_units(0, abs(w) * e + (abs(v) + e) * abs(nb), cw << p2) + 1
+    assert exact <= loop["err"] <= exact + 1 + Fraction(e + abs(nb), cw << p2 - cut)
 
 
 def test_envelope_rejects_unit_ratio():
@@ -833,13 +862,14 @@ def test_every_shipped_ball_is_pinned():
     """Every shipped series' ball, bit for bit, as ``sum_pins.tsv`` records it
     (:mod:`sum_pin` says how to regenerate the file)."""
     rows = sum_pin.pinned()
-    assert len(rows) == 186
+    assert len(rows) == 189
     assert sum_pin.rows() == rows
 
 
 def test_term_loop_is_the_horner_loop_bit_for_bit(monkeypatch):
     # every shipped series at 30, 150 (deep_quadratic's precision) and 300 digits, with the
-    # arguments sum_series passes: the value streams give the same S, units, terms and bound
+    # arguments sum_series passes: where it sums term by term (m = 1), the value streams give
+    # the same S, units, terms and bound; where in blocks, the same terms and an overlapping ball
     calls = []
 
     def recording(*args):
@@ -856,13 +886,91 @@ def test_term_loop_is_the_horner_loop_bit_for_bit(monkeypatch):
         for digits in (30, 150, 300):
             evaluator._sum_to_digits(rec.series, digits + 5, env)
     assert len(calls) == 279  # 93 series, one attempt each
+    blocks = 0
     for args, out in calls:
-        assert oracles.sum_terms_horner(*args) == out, args[0]
+        ref = oracles.sum_terms_horner(*args[:5])
+        if args[5] == 1:
+            assert ref == out, args[0]
+        else:
+            blocks += 1
+            assert ref[2] == out[2] and abs(ref[0] - out[0]) <= ref[1] + out[1], args[0]
+    assert blocks == 32
     # and 40 terms of each stream case at a low and a high P: starts past 0, D(0) < 0, H(2*k - 1,2)
     for sdef in STREAM_CASES:
         for p in (16, 300):
             args = (sdef, _IntegerWeight(sdef), p, sdef.k_start + 40, 1 << 20000)
             assert oracles.sum_terms_horner(*args) == _sum_terms(*args), sdef
+
+
+def _block_series():
+    """The shipped series that :func:`evaluator._block_size` lets sum in blocks."""
+    size = evaluator._block_size
+    return [r for r in shipped_series() if size(r.series, _IntegerWeight(r.series), 600, 1000) > 1]
+
+
+def test_block_sizes_of_the_shipped_series():
+    # the quadratic bases with an atom-free weight over a constant c; nothing rational, no atom
+    series = _block_series()
+    assert len(series) == 33
+    assert all(not r.series.base_value.is_rational and not r.series.has_harmonic() for r in series)
+    # m = 1 below 2^18 terms times bits, then 4, 8 and 16 by P
+    sdef = series[0].series
+    weight = _IntegerWeight(sdef)
+    cases = ((200, 1310), (200, 1311), (600, 1000), (2000, 1000))
+    sizes = [evaluator._block_size(sdef, weight, p, n) for p, n in cases]
+    assert sizes == [1, 4, 8, 16]
+
+
+def test_block_balls_contain_the_exact_partial_sum():
+    # 150 terms of every series that sums in blocks, and of the stream cases that could (the
+    # growing terms of (2 - sqrt(3))^2 among them), at m = 2, 4 and 8: the blocks run until one
+    # ends past k0, and the terms from there stop at k0, since no bound is below 2^20000
+    cases = [rec.series for rec in _block_series()] + [
+        s for s in STREAM_CASES if evaluator._block_size(s, _IntegerWeight(s), 600, 1000) > 1
+    ]
+    assert len(cases) == 37
+    for sdef in cases:
+        weight, k0, p = _IntegerWeight(sdef), sdef.k_start + 150, 300
+        exact = oracles.series_partial_sum(sdef, k0) * (1 << p)
+        for m in (2, 4, 8):
+            s, units, terms, _ = _sum_terms(sdef, weight, p, k0, 1 << 20000, m, 150)
+            assert terms == 151, (sdef, m)
+            assert exact - (s - units) >= 0 and (s + units) - exact >= 0, (sdef, m)
+            assert blocks.sum_blocks(sdef, weight, p, k0, 1 << 20000, m, 150)[0] > k0 - m
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=32),
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=0, max_value=120),
+)
+def test_block_lists_are_the_products_and_sums_of_the_term_lists(index, m, j):
+    # the value streams of the block table at j are Sn' = prod_l Sn(K + l), Sd' alike, and
+    # (NA' + NB'*sqrt(d)) / (cc * Sd') = sum_i W(K + i) * base^i * prod_{l<i} Sn(K + l)/Sd(K + l)
+    sdef = _block_series()[index].series
+    weight = _IntegerWeight(sdef)
+    cc, g, table = blocks.block_lists(sdef, weight, m)
+    rn, rd, na, nb = (next(islice(table_values(list(x)), j, None)) for x in zip(*table))
+    assert [(rn, rd, na * g, nb * g)] == blocks.block_values(sdef, weight, m, j, 1)
+    k, (sn, sd), beta = sdef.k_start + m * j, sdef.scale_ratio, sdef.base_value
+    assert rn == math.prod(horner(sn, k + l) for l in range(m))
+    assert rd == math.prod(horner(sd, k + l) for l in range(m))
+    ratio, want = Fraction(1), QuadElem(0)
+    for i in range(m):
+        want += QuadElem.of(weight_value(sdef, k + i)) * beta**i * ratio
+        ratio *= Fraction(horner(sn, k + i), horner(sd, k + i))
+    assert QuadElem(na, nb, weight.d) / (cc * rd) == want
+
+
+def test_block_refused_at_once_is_the_term_loop():
+    # a certificate that fails at the first block hands the whole sum to the term loop from
+    # k_start: the same S, units, terms and bound as the reference, bit for bit
+    for rec in _block_series():
+        sdef, weight = rec.series, _IntegerWeight(rec.series)
+        args = (sdef, weight, 300, sdef.k_start, 1 << 20000)
+        assert blocks.sum_blocks(*args, 4, 100) is None
+        assert _sum_terms(*args, 4, 100) == oracles.sum_terms_horner(*args), rec.id
 
 
 def test_slow_series_is_not_cut_short():

@@ -365,7 +365,10 @@ def _exact(node, k: int, harm: HarmonicCache):
         assert x.denominator == 1
         return harm.value(ast_as_int(node[2][1]), int(x))
     ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-    return ops[node[1]](_exact(node[2], k, harm), _exact(node[3], k, harm))
+    out = _exact(node[1], k, harm)
+    for op, y in node[2]:  # a sum or a product, left to right
+        out = ops[op](out, _exact(y, k, harm))
+    return out
 
 
 def _shipped_series_records():
