@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cf_corpus
 from bseries.closedform import ClosedForm, parse_closed_form, render_closed_form
 from bseries.exactnum import QuadElem
 from bseries.exprparse import ExprError
@@ -64,6 +65,12 @@ def test_algebra():
     assert render_closed_form(pi * pi / pi) == "pi"
     assert render_closed_form(pi**2 / 6 - pi**2 / 6) == "0"
     assert (parse_closed_form("1/2") + parse_closed_form("1/2")) == ClosedForm.const(1)
+
+
+def test_corpus_is_pinned():
+    # every parse, rendering, cf*cf + cf and 1/cf of the seeded corpus and the catalogs'
+    # closed-form fields, or the error it raises: the front end must leave each one as it is
+    assert cf_corpus.digest() == cf_corpus.PIN
 
 
 def test_division_by_multi_term_rejected():
