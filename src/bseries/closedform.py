@@ -14,10 +14,15 @@ A :class:`ClosedForm` is a sum of terms ``coeff * prod atom^exp`` with
 * ``log(q)`` for positive rational q;
 * ``zeta(3)``.
 
-The ring operations work on a dict ``{atoms: coeff}`` of canonical terms,
-and parsing folds the whole AST into one such dict before it builds one
-:class:`ClosedForm`.  Rendering is canonical (sorted atoms, negative
-exponents as ``/pi`` style suffixes) and parse/render round-trips
+Closed forms are read and combined by :class:`_CFEval`, the
+:class:`~bseries.exprparse.IntegerEval` whose atoms are canonical monomials:
+sorted ``(CFAtom, exp)`` tuples with at most one ``sqrt(m)``.  Its ``name``
+and ``call`` read the atoms from the text, and its atom hooks multiply and
+invert them, returning the integer the radicals leave over.  Parsing and
+every :class:`ClosedForm` operator run the evaluator's ``add``, ``mul``,
+``reciprocal`` and ``power``, so closed forms follow the coefficient rules
+of every other field.  Rendering is canonical (sorted atoms,
+negative exponents as ``/pi`` style suffixes) and parse/render round-trips
 byte-for-byte on canonical text.
 Evaluation produces a conservative ball via :mod:`bseries.constants`.
 """
@@ -30,13 +35,12 @@ from typing import NamedTuple
 
 from . import constants
 from .exactnum import Frozen, QuadElem, embed_dyadic, squarefree_split
-from .exprparse import ExprError, ast_as_int, eval_quad, parse_expr
+from .exprparse import ONE, ExprError, IntegerEval, ast_as_int, eval_quad, parse_expr
 from .precision import ApproxReal, digits_to_bits
 from .seriesmodel import render_quad
 
 __all__ = ["ClosedForm", "CFAtom", "parse_closed_form", "render_closed_form"]
 
-_ONE = Fraction(1)
 _KIND_RANK = {"sqrt": 0, "sqrtq": 1, "pi": 2, "lvalue": 3, "log": 4, "zeta3": 5}
 
 
@@ -76,108 +80,40 @@ def _term_key(atoms: tuple) -> tuple:
     return tuple((a.sort_key(), e) for a, e in atoms)
 
 
-# A closed form's terms as a dict {atoms: coeff}, atoms a canonical tuple of
-# (atom, exponent) pairs (see _canonical) and no coefficient zero: the ring
-# operations below work on these dicts, and ClosedForm wraps one.
-
-
-def _canonical(coeff: Fraction, atoms) -> tuple[Fraction, tuple]:
-    """The term ``coeff * prod atom^exp`` with its atoms merged, sorted and even roots folded."""
-    return _fold_even_sqrt(coeff, _normalize_atoms_tuple(atoms))
-
-
-def _add_term(out: dict, coeff: Fraction, atoms: tuple) -> None:
-    if atoms in out:
-        coeff += out[atoms]
-        if not coeff:
-            del out[atoms]
-            return
-    out[atoms] = coeff
-
-
-def _sum(x: dict, y: dict) -> dict:
-    out = dict(x)
-    for atoms, c in y.items():
-        _add_term(out, c, atoms)
-    return out
-
-
-def _product(x: dict, y: dict) -> dict:
-    out: dict = {}
-    for a1, c1 in x.items():
-        for a2, c2 in y.items():
-            c = c1 if c2 is _ONE else c2 if c1 is _ONE else c1 * c2
-            if a1 and a2:
-                c, atoms = _canonical(c, a1 + a2)
-            else:  # a rational factor leaves the other's atoms canonical
-                atoms = a1 or a2
-            _add_term(out, c, atoms)
-    return out
-
-
-def _inverse(x: dict) -> dict:
-    if not x:
-        raise ZeroDivisionError("division by zero in closed form")
-    if len(x) != 1:
-        raise ExprError("can only divide by a single closed-form term")
-    ((atoms, coeff),) = x.items()
-    inv_coeff = 1 / coeff
-    inv_atoms = []
-    for atom, exp in atoms:
-        if atom.kind == "pi":
-            inv_atoms.append((atom, -exp))
-        elif atom.kind == "sqrt":
-            if exp != 1:
-                raise ExprError("unexpected radical power in divisor")
-            # 1/sqrt(m) = sqrt(m)/m
-            inv_coeff /= atom.param
-            inv_atoms.append((atom, 1))
-        elif atom.kind == "sqrtq":
-            if exp != 1:
-                raise ExprError("unexpected radical power in divisor")
-            inv_atoms.append((CFAtom("sqrtq", atom.param.inverse()), 1))
-        else:
-            raise ExprError(f"cannot invert {atom.render()}")
-    c, atoms = _canonical(inv_coeff, inv_atoms)
-    return {atoms: c}
-
-
-def _power(x: dict, n: int) -> dict:
-    if n < 0:
-        return _power(_inverse(x), -n)
-    out = {(): _ONE}
-    for _ in range(n):
-        out = _product(out, x)
-    return out
-
-
 class ClosedForm(Frozen):
     """Sum of coeff * prod(atom^exp) with exact rational coefficients."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict):
-        """The closed form of a dict of canonical terms, as the ring operations leave it."""
-        ordered = sorted(((c, a) for a, c in terms.items()), key=lambda t: _term_key(t[1]))
-        self._set(tuple(ordered))
+    def __init__(self, x):
+        """The closed form of an evaluator value: an int pair or ``{atoms or None: (num, den)}``."""
+        terms = [(_fraction(*value), atoms or ()) for atoms, value in IntegerEval.terms(x).items()]
+        terms.sort(key=lambda t: _term_key(t[1]))
+        self._set(tuple(terms))
 
-    def _dict(self) -> dict:
-        return {atoms: c for c, atoms in self.terms}
+    def _value(self) -> dict:
+        """The closed form as a new evaluator value."""
+        terms = IntegerEval.terms
+        return {atoms or None: terms((c.numerator, c.denominator))[None] for c, atoms in self.terms}
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def const(c) -> "ClosedForm":
-        return ClosedForm({(): Fraction(c)} if c else {})
+        c = Fraction(c)
+        return ClosedForm((c.numerator, c.denominator))
 
     @staticmethod
     def term(coeff, atoms) -> "ClosedForm":
-        coeff, atoms = _canonical(Fraction(coeff), atoms)
-        return ClosedForm({atoms: coeff} if coeff else {})
+        """coeff times the product of ``atom^exp`` over the pairs of ``atoms``."""
+        out = ClosedForm.const(coeff)
+        for atom, exp in atoms:
+            out *= ClosedForm({((atom, 1),): (ONE, ONE)}) ** exp
+        return out
 
     @staticmethod
     def zero() -> "ClosedForm":
-        return ClosedForm({})
+        return ClosedForm((0, 1))
 
     def is_rational(self) -> bool:
         return all(not atoms for _, atoms in self.terms)
@@ -189,15 +125,15 @@ class ClosedForm(Frozen):
             return sum((c for c, _ in self.terms), Fraction(0))
         raise ValueError("closed form is not rational")
 
-    # -- ring operations --------------------------------------------------
+    # -- ring operations: the evaluator's ------------------------------------
 
     def __add__(self, other):
-        return ClosedForm(_sum(self._dict(), _coerce_cf(other)._dict()))
+        return ClosedForm(_CFEval().add(self._value(), _coerce_cf(other)._value()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ClosedForm({atoms: -c for c, atoms in self.terms})
+        return self * -1
 
     def __sub__(self, other):
         return self + (-_coerce_cf(other))
@@ -206,12 +142,12 @@ class ClosedForm(Frozen):
         return (-self) + _coerce_cf(other)
 
     def __mul__(self, other):
-        return ClosedForm(_product(self._dict(), _coerce_cf(other)._dict()))
+        return ClosedForm(_CFEval().mul(self._value(), _coerce_cf(other)._value()))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ClosedForm":
-        return ClosedForm(_inverse(self._dict()))
+        return ClosedForm(_CFEval().reciprocal(self._value()))
 
     def __truediv__(self, other):
         return self * _coerce_cf(other).inverse()
@@ -220,7 +156,7 @@ class ClosedForm(Frozen):
         return _coerce_cf(other) * self.inverse()
 
     def __pow__(self, n: int):
-        return ClosedForm(_power(self._dict(), n))
+        return ClosedForm(_CFEval().power(self._value(), n))
 
     def __eq__(self, other):
         if not isinstance(other, (ClosedForm, int, Fraction)):
@@ -268,45 +204,9 @@ def _coerce_cf(x) -> ClosedForm:
     raise TypeError(f"cannot treat {type(x).__name__} as a closed form")
 
 
-def _normalize_atoms_tuple(atoms) -> tuple:
-    merged: dict[CFAtom, int] = {}
-    for atom, exp in atoms:
-        merged[atom] = merged.get(atom, 0) + exp
-    out = [(a, e) for a, e in merged.items() if e]
-    out.sort(key=lambda t: t[0].sort_key())
-    return tuple(out)
-
-
-def _fold_even_sqrt(coeff: Fraction, atoms: tuple) -> tuple[Fraction, tuple]:
-    """sqrt(m)^(2j+r) -> m^j * sqrt(m)^r, merging residual roots into one
-    radicand (sqrt(2)*sqrt(3) = sqrt(6)); rejects powered surd radicals.
-    Merged and sorted atoms stay so: the one radical left is the least atom."""
-    out = []
-    radicand = 1
-    for atom, exp in atoms:
-        if atom.kind == "sqrt":
-            j, r = divmod(exp, 2)
-            if j:
-                coeff *= Fraction(atom.param) ** j
-            if r:
-                radicand *= atom.param
-        elif atom.kind == "sqrtq":
-            if exp not in (0, 1):
-                raise ExprError("cannot take powers of nested radicals")
-            if exp:
-                out.append((atom, exp))
-        elif atom.kind == "pi":
-            out.append((atom, exp))
-        else:
-            if exp < 0:
-                raise ExprError(f"cannot invert {atom.render()}")
-            out.append((atom, exp))
-    if radicand != 1:
-        s, m = squarefree_split(radicand)
-        coeff *= s
-        if m != 1:
-            out.insert(0, (CFAtom("sqrt", m), 1))
-    return coeff, tuple(out)
+def _fraction(num, den) -> Fraction:
+    """num/den for the evaluator's constant triples ``([a], [], l)``, each a/l."""
+    return Fraction(num[0][0] * den[2], num[2] * den[0][0])
 
 
 def _atom_ball(atom: CFAtom, digits: int) -> ApproxReal:
@@ -335,97 +235,116 @@ def _atom_ball(atom: CFAtom, digits: int) -> ApproxReal:
 # parsing and rendering
 
 
-_NAMES = {"pi": CFAtom("pi"), "G": CFAtom("lvalue", -4), "K": CFAtom("lvalue", -3)}
+_NAMES = {"pi": ("pi", None), "G": ("lvalue", -4), "K": ("lvalue", -3)}
 
 
-def _fold(node):
-    """A closed form's AST folded into one dict of canonical terms, or into an int pair
-    ``(n, d)`` where it holds integers alone."""
-    kind = node[0]
-    if kind == "num":
-        return node[1], 1
-    if kind == "sum" or kind == "prod":
-        x = _fold(node[1])
-        for op, y in node[2]:
-            x = _combine(op, x, _fold(y))
-        return x
-    if kind == "name":
-        if node[1] not in _NAMES:
-            raise ExprError(f"unknown closed-form name {node[1]!r}")
-        return {((_NAMES[node[1]], 1),): _ONE}
-    if kind == "neg":
-        x = _fold(node[1])
-        return (-x[0], x[1]) if type(x) is tuple else {atoms: -c for atoms, c in x.items()}
-    if kind == "call":
-        return _call(node[1], node[2])
-    if kind == "pow":
-        return _power(_terms(_fold(node[1])), ast_as_int(node[2]))
-    raise ExprError(f"bad AST node {node!r}")
+def _atom(kind: str, param=None) -> dict:
+    """The value of one atom: a new dict, as the evaluator adds into its first operand."""
+    return {((CFAtom(kind, param), 1),): (ONE, ONE)}
 
 
-def _combine(op: str, x, y):
-    """``x op y`` for folded values, int pairs where both are."""
-    if type(x) is tuple and type(y) is tuple:
-        (n1, d1), (n2, d2) = x, y
-        if op == "*":
-            return n1 * n2, d1 * d2
-        if op == "/":
-            if not n2:
-                raise ZeroDivisionError("division by zero in closed form")
-            return n1 * d2, d1 * n2
-        return n1 * d2 + (n2 if op == "+" else -n2) * d1, d1 * d2
-    x, y = _terms(x), _terms(y)
-    if op == "+":
-        return _sum(x, y)
-    if op == "-":
-        return _sum(x, {atoms: -c for atoms, c in y.items()})
-    return _product(x, y if op == "*" else _inverse(y))
+class _CFEval(IntegerEval):
+    """:class:`~bseries.exprparse.IntegerEval` with the atoms of a closed form.
 
+    An atom is a canonical monomial: a tuple of ``(CFAtom, exp)`` pairs,
+    sorted by :meth:`CFAtom.sort_key`, with at most one ``sqrt(m)``, and
+    that to the first power; None is the unit atom.  Every coefficient is
+    rational: no radical enters one.
+    """
 
-def _terms(x) -> dict:
-    """A folded value as a dict of canonical terms."""
-    if type(x) is dict:
-        return x
-    return {(): Fraction(*x)} if x[0] else {}
+    def __init__(self):
+        super().__init__(None, "closed form")
 
+    def name(self, name: str) -> dict:
+        if name not in _NAMES:
+            raise ExprError(f"unknown closed-form name {name!r}")
+        return _atom(*_NAMES[name])
 
-def _call(name: str, args: tuple) -> dict:
-    if name == "sqrt" and len(args) == 1:
-        if args[0][0] == "num":  # sqrt(m) of an integer m
-            return _rational_sqrt(args[0][1], 1)
-        x = eval_quad(args[0])
-        if x.is_rational:
-            return _rational_sqrt(x.a.numerator, x.a.denominator)
-        if x.sign() < 0:
+    def call(self, name: str, args: tuple):
+        if name == "sqrt" and len(args) == 1:
+            if args[0][0] == "num":  # sqrt(m) of an integer m
+                return self._rational_sqrt(args[0][1], 1)
+            x = eval_quad(args[0])
+            if x.is_rational:
+                return self._rational_sqrt(x.a.numerator, x.a.denominator)
+            if x.sign() < 0:
+                raise ExprError("sqrt of a non-positive closed-form radicand")
+            return _atom("sqrtq", x)
+        if name == "L" and len(args) == 1:
+            d = ast_as_int(args[0])
+            if d % 4 not in (0, 1) or d == 0:
+                raise ExprError(f"L({d}): not a discriminant")
+            return _atom("lvalue", d)
+        if name == "log" and len(args) == 1:
+            q = eval_quad(args[0]).as_fraction()
+            if q <= 0:
+                raise ExprError("log of non-positive rational")
+            return _atom("log", q) if q != 1 else {}
+        if name == "zeta" and len(args) == 1:
+            if ast_as_int(args[0]) != 3:
+                raise ExprError("only zeta(3) is supported")
+            return _atom("zeta3")
+        raise ExprError(f"unknown closed-form function {name!r}")
+
+    def _rational_sqrt(self, n: int, d: int):
+        """sqrt(n/d) for integers d > 0 and n, n*d = s^2 * m split once: (s/d) * sqrt(m)."""
+        if n <= 0:
             raise ExprError("sqrt of a non-positive closed-form radicand")
-        return {((CFAtom("sqrtq", x), 1),): _ONE}
-    if name == "L" and len(args) == 1:
-        d = ast_as_int(args[0])
-        if d % 4 not in (0, 1) or d == 0:
-            raise ExprError(f"L({d}): not a discriminant")
-        return {((CFAtom("lvalue", d), 1),): _ONE}
-    if name == "log" and len(args) == 1:
-        q = eval_quad(args[0]).as_fraction()
-        if q <= 0:
-            raise ExprError("log of non-positive rational")
-        return {((CFAtom("log", q), 1),): _ONE} if q != 1 else {}
-    if name == "zeta" and len(args) == 1:
-        if ast_as_int(args[0]) != 3:
-            raise ExprError("only zeta(3) is supported")
-        return {((CFAtom("zeta3"), 1),): _ONE}
-    raise ExprError(f"unknown closed-form function {name!r}")
+        s, m = squarefree_split(n * d)
+        return (s, d) if m == 1 else self.mul(_atom("sqrt", m), (s, d))
 
+    def reciprocal(self, x):
+        if type(x) is dict and len(x) > 1:
+            raise ExprError("can only divide by a single closed-form term")
+        return super().reciprocal(x)
 
-def _rational_sqrt(n: int, d: int) -> dict:
-    """sqrt(n/d) for integers d > 0 and n, n*d = s^2 * m split once: (s/d) * sqrt(m)."""
-    if n <= 0:
-        raise ExprError("sqrt of a non-positive closed-form radicand")
-    s, m = squarefree_split(n * d)
-    return {(): Fraction(s, d)} if m == 1 else {((CFAtom("sqrt", m), 1),): Fraction(s, d)}
+    @staticmethod
+    def atom_product(a, b):
+        """Exponents add; sqrt(m)^2 = m, and two radicals merge into one, sqrt(2)*sqrt(6) =
+        2*sqrt(3): that m, or 2, is the integer returned."""
+        if a is None or b is None:
+            return (b if a is None else a), 1
+        merged = dict(a)
+        for atom, exp in b:
+            merged[atom] = merged.get(atom, 0) + exp
+        f, roots, out = 1, [], []
+        for atom, exp in sorted(merged.items(), key=lambda t: t[0].sort_key()):
+            if atom.kind == "sqrt":
+                if exp == 2:
+                    f = atom.param
+                else:
+                    roots.append(atom.param)
+            elif atom.kind == "sqrtq" and exp > 1:
+                raise ExprError("cannot take powers of nested radicals")
+            elif exp:
+                out.append((atom, exp))
+        if len(roots) == 2:
+            f, m = squarefree_split(roots[0] * roots[1])
+            roots = [m] if m != 1 else []
+        return tuple([(CFAtom("sqrt", m), 1) for m in roots] + out) or None, f
+
+    @staticmethod
+    def atom_inverse(b):
+        """1/pi^e = pi^-e, 1/sqrt(m) = sqrt(m)/m, with m returned, and 1/sqrt(x) = sqrt(1/x);
+        no other atom has a reciprocal."""
+        if b is None:
+            return None, 1
+        f, out = 1, []
+        for atom, exp in b:
+            if atom.kind == "pi":
+                out.append((atom, -exp))
+            elif atom.kind == "sqrt":
+                f = atom.param
+                out.append((atom, 1))
+            elif atom.kind == "sqrtq":
+                out.append((CFAtom("sqrtq", atom.param.inverse()), 1))
+            else:
+                raise ExprError(f"cannot invert {atom.render()}")
+        return tuple(sorted(out, key=lambda t: t[0].sort_key())), f
 
 
 def parse_closed_form(s: str) -> ClosedForm:
-    return ClosedForm(_terms(_fold(parse_expr(s))))
+    return ClosedForm(_CFEval().eval(parse_expr(s)))
 
 
 def render_closed_form(cf: ClosedForm) -> str:

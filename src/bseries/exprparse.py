@@ -8,7 +8,7 @@ recursive-descent parser produce a plain-tuple AST:
     | ('pow', base, exponent_ast) | ('call', 'sqrt', (arg, ...))
 
 A sum or a product of several operands is one flat node, its operands
-combined left to right, so a long flat sum nests no deeper than one term.
+combined in one loop, so a long flat sum nests no deeper than one term.
 
 The same syntax serves quadratic surds, harmonic-weight expressions, linear
 denominator factors, closed forms and certificate polynomials.
@@ -22,15 +22,20 @@ through a dict of atoms, and the unreduced-pair rule still fixes every
 numerator and denominator by the text alone.  A product
 multiplies atoms by :meth:`IntegerEval.atom_product`, and a quotient or a
 negative power by the reciprocal atom, :meth:`IntegerEval.atom_inverse`; by
-default only the unit atom has one.  :meth:`IntegerEval.linear` reads an
-integer-linear form in the variable, such as an index or an exponent.  It
-reads scalars (:func:`eval_quad`), denominator factors and the rational
-functions of t in derivative certificates; with the harmonic atoms
-:mod:`bseries.seriesmodel` adds, weights; and with the atoms
-``x^(a*n + e) * prod binom(p*n, q*n)^s``, which multiply and divide, both
-text fields of a telescoping certificate in :mod:`bseries.telescope`, the
-weight in k and the closed form in n.  :mod:`bseries.closedform` folds its
-ASTs into one dict of terms, its numbers-only subtrees into int pairs too.
+default only the unit atom has one.  Each hook returns ``(atom, f)`` with f
+an integer: an a-term times a b-term is f times a term of that atom, and the
+reciprocal of a b-term is a term of that atom over f, so radical atoms can
+multiply out, sqrt(2)*sqrt(6) = 2*sqrt(3) and 1/sqrt(m) = sqrt(m)/m.
+:meth:`IntegerEval.linear` reads an integer-linear form in the variable,
+such as an index or an exponent.  It reads scalars (:func:`eval_quad`),
+denominator factors and the rational functions of t in derivative
+certificates; with the harmonic atoms :mod:`bseries.seriesmodel` adds,
+weights; with the atoms ``x^(a*n + e) * prod binom(p*n, q*n)^s``, which
+multiply and divide, both text fields of a telescoping certificate in
+:mod:`bseries.telescope`, the weight in k and the closed form in n; and
+with the pi, radical, L-value, log and zeta(3) monomials of
+:mod:`bseries.closedform`, whose hooks return an f other than 1, the
+closed forms and their arithmetic.
 
 Implicit multiplication (``2k``, ``k(k+1)``, ``(a)(b)``) is supported;
 ``name(...)`` is a function call only when the name is a registered
@@ -42,6 +47,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import reduce
 from typing import Optional
 
 from .exactnum import QuadElem, poly_add, squarefree_split, surd_mul
@@ -194,13 +200,16 @@ def ast_as_int(node) -> int:
 # A polynomial over Q(sqrt d) is an integer triple (a, b, l), lists constant
 # first, standing for (a + b*sqrt(d))/l with l > 0.  A rational function is a
 # pair (num, den) of them, never reduced: n1/d1 + n2/d2 is
-# (n1*d2 + n2*d1)/(d1*d2), n1/d1 * n2/d2 is (n1*n2)/(d1*d2), a quotient
-# multiplies by the swapped pair, a power raises both, and a zero sum drops
-# out.  So each numerator and denominator depends only on the text.  ONE is
-# the polynomial 1, kept by identity through division-free subexpressions.
-# A subtree of integers alone is a pair (n, d) of ints under the same rules,
-# zero _NIL = (0, 1); where it meets a triple, n and d scale it, so every num
-# and den is the one the triples alone give.
+# (n1*d2 + n2*d1)/(d1*d2), and (n1 + n2)/d1 where d1 and d2 are equal; a
+# flat sum adds its terms over equal denominators first, in groups taken in
+# the order they first appear, so copies of a sum of fractions keep its
+# denominators; n1/d1 * n2/d2 is
+# (n1*n2)/(d1*d2), a quotient multiplies by the swapped pair, a power raises
+# both, and a zero sum drops out.  So each numerator and denominator depends
+# only on the text.  ONE is the polynomial 1, kept by identity through
+# division-free subexpressions.  A subtree of integers alone is a pair (n, d)
+# of ints under the same rules, zero _NIL = (0, 1); where it meets a triple,
+# n and d scale it.
 
 ONE, _ZERO, _NIL, _MINUS = ((1,), (), 1), ((), (), 1), (0, 1), (-1, 1)
 
@@ -275,13 +284,17 @@ class IntegerEval:
     (None for a scalar) and ``where`` names the field in error texts; ``d``
     is the one radicand met, 1 if none.  A product of two terms multiplies
     their atoms by :meth:`atom_product`, and a quotient multiplies by the
-    divisor's one term with its atom replaced by :meth:`atom_inverse`.  Here
-    both allow only the unit atom, so atoms are linear and a divisor is
-    atom-free, and no name but ``var`` and no function makes an atom.  A
-    subclass that reads one overrides :meth:`name` or :meth:`call`, and
-    :meth:`atom_product` and :meth:`atom_inverse` where atoms multiply and
-    divide.  Every dict :meth:`eval` returns is a new one, so :meth:`add`
-    adds into its first.
+    divisor's one term with its atom replaced by :meth:`atom_inverse`.  Each
+    hook returns ``(atom, f)``, f an integer: the product of an a-term and a
+    b-term is f times a term of that atom, and the reciprocal of a b-term is
+    a term of that atom divided by f.  Here both allow only the unit atom,
+    with f = 1, so atoms are linear and a divisor is atom-free, and no name
+    but ``var`` and no function makes an atom.  A subclass that reads one
+    overrides :meth:`name` or :meth:`call`, and :meth:`atom_product` and
+    :meth:`atom_inverse` where atoms multiply and divide; the closed forms
+    of :mod:`bseries.closedform` are read and combined by such a subclass.
+    Every dict :meth:`eval` returns is a new one, so :meth:`add` adds into
+    its first.
     """
 
     def __init__(self, var: Optional[str], where: str):
@@ -291,17 +304,20 @@ class IntegerEval:
         kind = node[0]
         if kind == "num":
             return node[1], 1
-        if kind == "sum" or kind == "prod":
-            x = node[1]
-            x = (x[1], 1) if x[0] == "num" else self.eval(x)
+        if kind == "sum":
+            # the terms over each denominator add first, and the dicts, which add atom
+            # by atom, together: copies of a sum of fractions keep its denominators
+            groups = {}
+            for op, y in (("+", node[1]),) + node[2]:
+                y = self.eval(y) if op == "+" else self.mul(self.eval(y), _MINUS)
+                key = type(y) is dict or (d if type(d := y[1]) is int else (tuple(d[0]), tuple(d[1]), d[2]))
+                groups[key] = self.add(groups[key], y) if key in groups else y
+            return reduce(self.add, groups.values())
+        if kind == "prod":
+            x = self.eval(node[1])
             for op, y in node[2]:
-                y = (y[1], 1) if y[0] == "num" else self.eval(y)
-                if op == "+":
-                    x = self.add(x, y)
-                elif op == "-":
-                    x = self.add(x, self.mul(y, _MINUS))
-                else:
-                    x = self.mul(x, y if op == "*" else self.reciprocal(y))
+                y = self.eval(y)
+                x = self.mul(x, y if op == "*" else self.reciprocal(y))
             return x
         if kind == "name":
             return self.name(node[1])
@@ -320,17 +336,17 @@ class IntegerEval:
 
     @staticmethod
     def atom_product(a, b):
-        """The atom of the product of an a-term and a b-term."""
+        """``(atom, f)``: an a-term times a b-term is f times a term of that atom, f an int."""
         if a is not None and b is not None:
             raise ExprError("weights must be linear in harmonic atoms")
-        return b if a is None else a
+        return (b if a is None else a), 1
 
     @staticmethod
     def atom_inverse(b):
-        """The atom of the reciprocal of a b-term."""
+        """``(atom, f)``: the reciprocal of a b-term is a term of that atom over f, f an int."""
         if b is not None:
             raise ExprError("cannot divide by a harmonic atom")
-        return None
+        return None, 1
 
     @staticmethod
     def terms(x) -> dict:
@@ -349,8 +365,11 @@ class IntegerEval:
 
     def _plus(self, n1, d1, n2, d2):
         """``n1/d1 + n2/d2`` for triples n1, d1 and triples or ints n2, d2; None if zero."""
-        num = _p_add(_p_mul(n1, d2, self.d), _p_mul(d1, n2, self.d))
-        return None if _is_zero(num) else (num, _p_mul(d1, d2, self.d))
+        if d1 == d2:  # over one denominator: n1/d + n2/d = (n1 + n2)/d
+            num, den = _p_add(n1, n2), d1
+        else:
+            num, den = _p_add(_p_mul(n1, d2, self.d), _p_mul(d1, n2, self.d)), _p_mul(d1, d2, self.d)
+        return None if _is_zero(num) else (num, den)
 
     def add(self, x, y):
         if type(x) is not dict:
@@ -358,8 +377,8 @@ class IntegerEval:
                 (n1, d1), (n2, d2) = x, y
                 if type(n1) is int:
                     if type(n2) is int:
-                        n = n1 * d2 + n2 * d1
-                        return (n, d1 * d2) if n else _NIL
+                        n, d = (n1 + n2, d1) if d1 == d2 else (n1 * d2 + n2 * d1, d1 * d2)
+                        return (n, d) if n else _NIL
                     n1, d1, n2, d2 = n2, d2, n1, d1
                 return self._plus(n1, d1, n2, d2) or _NIL
             x, y = y, x
@@ -393,16 +412,21 @@ class IntegerEval:
         out = {}
         for a, (n1, d1) in x.items():
             for b, (n2, d2) in y.items():
-                self._merge(out, self.atom_product(a, b), _p_mul(n1, n2, d), _p_mul(d1, d2, d))
+                atom, f = self.atom_product(a, b)
+                self._merge(out, atom, _p_mul(_p_mul(n1, n2, d), f, d), _p_mul(d1, d2, d))
         return out
 
     def reciprocal(self, x):
-        """1/x for x of one term, its atom replaced by :meth:`atom_inverse`."""
+        """1/x for x of one term, its atom replaced by :meth:`atom_inverse`: every atom is
+        inverted before a sum of several is refused."""
         if not x or x == _NIL:
             raise ZeroDivisionError(f"division by zero in {self.where}")
         if type(x) is not dict:
             return x[1], x[0]
-        inverse = {self.atom_inverse(b): (den, num) for b, (num, den) in x.items()}
+        inverse = {}
+        for b, (num, den) in x.items():
+            atom, f = self.atom_inverse(b)
+            inverse[atom] = den, _p_mul(num, f, self.d)
         if len(inverse) > 1:
             raise ExprError(f"cannot divide by a sum of atoms in {self.where}")
         return inverse

@@ -244,11 +244,11 @@ class _CertEval(IntegerEval):
         for pq, s in k2:
             kernel[pq] = kernel.get(pq, 0) + s
         kernel = tuple(sorted((pq, s) for pq, s in kernel.items() if s))
-        return (a1 + a2, e1 + e2, kernel) if a1 + a2 or e1 + e2 or kernel else None
+        return ((a1 + a2, e1 + e2, kernel) if a1 + a2 or e1 + e2 or kernel else None), 1
 
     @staticmethod
     def atom_inverse(b):
-        return b and (-b[0], -b[1], tuple((pq, -s) for pq, s in b[2]))
+        return (b and (-b[0], -b[1], tuple((pq, -s) for pq, s in b[2]))), 1
 
 
 def _parse_weight_lists(s: str) -> tuple[tuple, ...]:

@@ -371,9 +371,9 @@ def test_flat_field_loads(old, new, same):
 
 
 def test_series_records_load_without_ratfun():
-    # coefficient lists are the one polynomial form: no module of bseries
-    # defines or reads a name of the second polynomial stack, and
-    # IntegerSurdPoly is built from integer lists alone
+    # coefficient lists are the one polynomial form and IntegerEval the one expression
+    # algebra: no module of bseries defines or reads a name of the second polynomial
+    # stack or of closedform's own ring, and IntegerSurdPoly is built from integer lists alone
     gone = {
         "Poly", "RatFun", "poly_divmod", "poly_gcd", "_field",  # exactnum
         "EvalContext", "eval_ast",  # exprparse
@@ -384,6 +384,8 @@ def test_series_records_load_without_ratfun():
         "_WeightValue",
         "_flatten_sum", "_flatten_product", "_mentions", "_n_poly",  # telescope's closed-form walker
         "_x_exponent_offset", "_binom_pair", "_BaseEval",
+        "_canonical", "_add_term", "_sum", "_product", "_inverse", "_power",  # closedform's ring
+        "_fold", "_combine", "_terms", "_normalize_atoms_tuple", "_fold_even_sqrt", "_dict",
     }
     found = set()
     for path in sorted((REPO_ROOT / "src" / "bseries").glob("*.py")):
@@ -468,8 +470,8 @@ def mutated_catalogs(draw):
             lines = [f"{key}: {'(' * 1000}{value}{')' * 1000}"]
         elif edit == "deep-minus":
             lines = [f"{key}: {'-' * 1000}{value}"]
-        else:  # a flat sum nests nothing; each fraction it adds multiplies its denominator
-            lines = [f"{key}: {' + '.join([value] * 30)}"]
+        else:  # a flat sum nests nothing, and its copies of one fraction keep its denominator
+            lines = [f"{key}: {' + '.join([value] * 3000)}"]
         block[i:i + 1] = lines
     return "\n\n".join("\n".join(block) for block in blocks) + "\n"
 

@@ -409,6 +409,22 @@ def test_parsed_lists_are_the_ratfun_weight_cleared(text):
     _assert_cleared(parse_weight(text), text)
 
 
+@pytest.mark.parametrize(
+    "term",
+    [
+        "(14976*k^3 - 23616*k^2 + 9952*k - 1200)/(216*k^3 - 324*k^2 + 114*k - 6)",
+        "48*k*(k^4 - 3*k^2 + 10)/(k^6 - 3*k^4 + 3*k^2 + 7)^2 + k*(3*k^4 - 10*k^2 - 25)/(k^6 - 3*k^4 + 3*k^2 + 7)"
+        " - (36*k^2 - 12*k + 5)*H(2*k,1)",
+    ],
+    ids=["one-fraction", "two-fractions-and-an-atom"],
+)
+def test_flat_sum_of_fractions_keeps_its_denominator(term):
+    # copies of a term over a cubic add over that one cubic, not over a product of as
+    # many cubics, and the terms of copies of a sum add over their own denominators:
+    # 3,000 copies parse at once, to the weight of 3000 times the term
+    assert parse_weight(" + ".join([term] * 3000)) == parse_weight(f"3000*({term})")
+
+
 def test_loaded_lists_give_the_weight_at_integer_points():
     harm = HarmonicCache()
     for rec in _shipped_series_records():

@@ -12,16 +12,18 @@ status 1 unless the catalog's 94 series and 5 certificates all PASS except
 certified), unless ``conj5.1-265`` also PASSes at 4,400 digits, past
 CPython's default limit of 4,300 digits on one int-to-str conversion, and
 unless both catalogs of this checkout parse to their pinned digests
-(``tests/parse_pin.py``), so the expression front end is checked on the
-Python that runs this, and unless every shipped series' ball at 30 and 300
-digits is the one ``tests/sum_pins.tsv`` pins (``tests/sum_pin.py``), so
-the summation is checked bit for bit there too.  It also exits with status
-1 if a class of a module the catalog check imports is a dataclass: each
-process would generate its methods with ``exec`` while it sets up; and
-unless a catalog record whose weight is nested in 1,000 parentheses, or whose
-rhs follows 1,000 minus signs, fails to load with a ``CatalogError`` naming
-the record: past the interpreter's recursion limit, on every Python version;
-and unless one whose weight sums 3,000 terms, which nests nothing, loads.
+(``tests/parse_pin.py``) and the seeded closed-form corpus of
+``tests/cf_corpus.py`` to its own, so the expression front end is checked
+on the Python that runs this, and unless every shipped series' ball at 30
+and 300 digits is the one ``tests/sum_pins.tsv`` pins
+(``tests/sum_pin.py``), so the summation is checked bit for bit there too.
+It also exits with status 1 if a class of a module the catalog check
+imports is a dataclass: each process would generate its methods with
+``exec`` while it sets up; and unless a catalog record whose weight is
+nested in 1,000 parentheses, or whose rhs follows 1,000 minus signs, fails
+to load with a ``CatalogError`` naming the record: past the interpreter's
+recursion limit, on every Python version; and unless one whose weight sums
+3,000 terms, which nests nothing, loads.
 """
 
 import dataclasses
@@ -50,6 +52,7 @@ def main(argv: list[str]) -> int:
     sys.modules["mpmath"] = None  # any import of mpmath raises ImportError
     # the modules the perfbench worker imports
     from bseries import catalog, closedform, constants, evaluator, telescope  # noqa: F401
+    import cf_corpus
     import sum_pin
     from parse_pin import PINS, digest
 
@@ -64,6 +67,8 @@ def main(argv: list[str]) -> int:
 
     root = Path(__file__).resolve().parents[1]
     moved = [rel for rel, pin in PINS.items() if digest(catalog.load_catalog(root / rel)) != pin]
+    if cf_corpus.digest() != cf_corpus.PIN:
+        moved.append("tests/cf_corpus.py")
     rows, pins = (set(map(tuple, x)) for x in (sum_pin.rows(), sum_pin.pinned()))
     sums = sorted(" ".join(row[:2]) for row in rows ^ pins)
 
@@ -98,7 +103,7 @@ def main(argv: list[str]) -> int:
         return 0
     print(f"{len(got)} records, not passing: {not_passing}", file=sys.stderr)
     print(f"{DEEP} at {DEEP_DIGITS} digits: {deep}", file=sys.stderr)
-    print(f"catalogs whose parse moved from the pin: {moved}", file=sys.stderr)
+    print(f"catalogs or corpora whose parse moved from the pin: {moved}", file=sys.stderr)
     print(f"sums whose ball moved from the pin: {sums}", file=sys.stderr)
     print(f"dataclasses: {generated}", file=sys.stderr)
     print(f"deep nesting not rejected, or a flat sum not loaded: {nesting}", file=sys.stderr)
