@@ -26,7 +26,7 @@ from itertools import count
 from typing import Optional
 
 from .envelope import _IntegerWeight
-from .exactnum import embed_dyadic, horner, poly_values, table_values
+from .exactnum import embed_dyadic, horner, poly_values, surd_pow, table_values
 from .seriesmodel import SeriesDef
 
 __all__ = ["block_values", "block_lists", "sum_blocks"]
@@ -35,13 +35,11 @@ __all__ = ["block_values", "block_lists", "sum_blocks"]
 def block_values(sdef: SeriesDef, weight: _IntegerWeight, m: int, j: int, number: int) -> list:
     """``(Sn', Sd', NA', NB')`` at blocks j, j + 1, ... (``number`` of them), as the module
     docstring has them, each from its m terms in exact integers."""
-    beta, d = sdef.base_value, weight.d
-    bc = math.lcm(beta.a.denominator, beta.b.denominator)
-    bx, by = int(beta.a * bc), int(beta.b * bc)
-    powers, px, py = [], 1, 0  # (bx + by*sqrt(d))^i * bc^(m - 1 - i)
+    (bx, by, bc), d = sdef.base_value.integers, weight.d
+    powers = []  # (bx + by*sqrt(d))^i * bc^(m - 1 - i)
     for i in range(m):
+        px, py = surd_pow(bx, by, d, i)
         powers.append((px * bc ** (m - 1 - i), py * bc ** (m - 1 - i)))
-        px, py = px * bx + d * py * by, px * by + py * bx
     ((a, b, _),) = weight.terms
     lists = zip(*(poly_values(x, sdef.k_start + m * j) for x in (*sdef.scale_ratio, a, b)))
     out = []
@@ -57,12 +55,11 @@ def block_values(sdef: SeriesDef, weight: _IntegerWeight, m: int, j: int, number
 def block_lists(sdef: SeriesDef, weight: _IntegerWeight, m: int) -> tuple[int, int, list]:
     """``(cc, g, table)``: ``table[j]`` is ``(Sn', Sd', NA'/g, NB'/g)`` at blocks j = 0, 1, ...,
     as many as fix the lists, and g > 0 divides ``cc`` and each NA' and NB' value."""
-    beta = sdef.base_value
     (sn, sd), (a, b, _) = sdef.scale_ratio, weight.terms[0]
     # each list's degree is below the table's length, m * max(deg Sn, deg Sd) + deg W + 1
     points = m * (max(len(sn), len(sd)) - 1) + max(1, len(a), len(b))
     table = block_values(sdef, weight, m, 0, points)
-    cc = math.lcm(beta.a.denominator, beta.b.denominator) ** (m - 1) * weight.c[0]
+    cc = sdef.base_value.integers[2] ** (m - 1) * weight.c[0]
     g = math.gcd(cc, *(x for *_, na, nb in table for x in (na, nb))) * (1 if cc > 0 else -1)
     return cc // g, g, [(rn, rd, na // g, nb // g) for rn, rd, na, nb in table]
 

@@ -5,8 +5,9 @@ A :class:`ClosedForm` is a sum of terms ``coeff * prod atom^exp`` with
 ``Fraction`` coefficients.  Atoms:
 
 * ``pi`` with any integer exponent (``1/pi`` and ``pi^-1`` both parse);
-* ``sqrt(m)`` for squarefree integer m >= 2 (even powers fold into the
-  coefficient, inverses use ``1/sqrt(m) = sqrt(m)/m``);
+* ``sqrt(m)`` for squarefree integer m >= 2, from a rational n/l in lowest
+  terms with n*l < 2^64 (even powers fold into the coefficient, two merge by
+  their gcd, inverses use ``1/sqrt(m) = sqrt(m)/m``);
 * ``sqrt(x)`` for a positive quadratic surd x (nested radical; inverses
   use ``1/sqrt(x) = sqrt(1/x)``, powers beyond +-1 are rejected);
 * ``L(d)`` for a discriminant d, with ``G`` = L(-4) and ``K`` = L(-3) as
@@ -34,10 +35,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import constants
-from .exactnum import Frozen, QuadElem, embed_dyadic, squarefree_split
+from .exactnum import Frozen, QuadElem, embed_dyadic, sqrt_split
 from .exprparse import ONE, ExprError, IntegerEval, ast_as_int, eval_quad, parse_expr
 from .precision import ApproxReal, digits_to_bits
-from .seriesmodel import render_quad
 
 __all__ = ["ClosedForm", "CFAtom", "parse_closed_form", "render_closed_form"]
 
@@ -61,10 +61,8 @@ class CFAtom(NamedTuple):
             return "pi"
         if self.kind == "zeta3":
             return "zeta(3)"
-        if self.kind == "sqrt":
+        if self.kind in ("sqrt", "sqrtq"):
             return f"sqrt({self.param})"
-        if self.kind == "sqrtq":
-            return f"sqrt({render_quad(self.param)})"
         if self.kind == "log":
             return f"log({self.param})"
         if self.kind == "lvalue":
@@ -290,7 +288,7 @@ class _CFEval(IntegerEval):
         """sqrt(n/d) for integers d > 0 and n, n*d = s^2 * m split once: (s/d) * sqrt(m)."""
         if n <= 0:
             raise ExprError("sqrt of a non-positive closed-form radicand")
-        s, m = squarefree_split(n * d)
+        s, m = sqrt_split(n, d)
         return (s, d) if m == 1 else self.mul(_atom("sqrt", m), (s, d))
 
     def reciprocal(self, x):
@@ -318,9 +316,9 @@ class _CFEval(IntegerEval):
                 raise ExprError("cannot take powers of nested radicals")
             elif exp:
                 out.append((atom, exp))
-        if len(roots) == 2:
-            f, m = squarefree_split(roots[0] * roots[1])
-            roots = [m] if m != 1 else []
+        if len(roots) == 2:  # distinct squarefree m, n: m*n = g^2 * (m/g)*(n/g), g = gcd(m, n)
+            f = math.gcd(*roots)
+            roots = [roots[0] * roots[1] // (f * f)]
         return tuple([(CFAtom("sqrt", m), 1) for m in roots] + out) or None, f
 
     @staticmethod

@@ -96,7 +96,7 @@ from typing import Optional
 
 from .exactnum import (
     Frozen, IntegerSurdPoly, coefficient_sign, embed_dyadic, embed_surd, horner, poly_add, poly_mul,
-    poly_shift, surd_mul, surd_sign,
+    poly_shift, surd_mul, surd_pow, surd_sign,
 )
 from .seriesmodel import SeriesDef
 
@@ -208,15 +208,11 @@ class Envelope(Frozen):
 def _majorant_term(
     sdef: SeriesDef, weight: _IntegerWeight, base: tuple, k: int
 ) -> tuple[int, int, int]:
-    """The majorant's term ``m_k = U(k) * S_k * base^k`` as integers ``(x, y, z)``,
-    ``m_k = (x + y*sqrt(d)) / z``; the base's power is taken on its integer
-    numerator by squaring.  ``base`` is ``(bx, by, bc)``, base = ``(bx + by*sqrt(d)) / bc``."""
+    """The majorant's term ``m_k = U(k) * S_k * base^k`` as integers ``(x, y, z)``, ``m_k =
+    (x + y*sqrt(d)) / z``, the base's power by :func:`~bseries.exactnum.surd_pow` on integers.
+    ``base`` is ``(bx, by, bc)``, base = ``(bx + by*sqrt(d)) / bc``."""
     (bx, by, bc), d = base, weight.d
-    px, py = 1, 0  # (bx + by*sqrt(d))^k
-    for bit in bin(k)[2:]:
-        px, py = px * px + d * py * py, 2 * px * py
-        if bit == "1":
-            px, py = px * bx + d * py * by, px * by + py * bx
+    px, py = surd_pow(bx, by, d, k)
     num, den = sdef.scale(k)
     ux, uy = horner(weight.ua, k), horner(weight.ub, k)
     x, y = (ux * px + d * uy * py) * num, (ux * py + uy * px) * num
@@ -292,9 +288,7 @@ def certify_envelope(sdef: SeriesDef) -> Envelope:
     """
     beta, g = sdef.base_value, sdef.scale_growth
     gn, gd = g.numerator, g.denominator
-    c = math.lcm(beta.a.denominator, beta.b.denominator)
-    x = beta.a.numerator * (c // beta.a.denominator)  # beta = (x + y*sqrt(d)) / c
-    y = beta.b.numerator * (c // beta.b.denominator)
+    x, y, c = beta.integers  # beta = (x + y*sqrt(d)) / c
     s = surd_sign(x, y, beta.d)
     if surd_sign(s * x * gn - c * gd, s * y * gn, beta.d) >= 0:  # |beta| * g >= 1
         raise NonConvergent(f"limiting term ratio |base|*growth = {abs(beta) * g} is >= 1")

@@ -4,7 +4,13 @@ The scalar tower is ``Fraction`` ⊂ ``QuadElem`` where a :class:`QuadElem`
 is ``a + b*sqrt(d)`` with rational ``a, b`` and squarefree integer
 ``d >= 1`` (``d == 1`` degenerates to a plain rational).  All predicates —
 sign, comparisons, equality — are decided exactly from the rational parts;
-no floating point is consulted anywhere in this module.
+no floating point is consulted anywhere in this module.  A scalar's integer
+form :attr:`QuadElem.integers`, ``(x + y*sqrt(d)) / c`` with the least c > 0,
+its power :func:`surd_pow` on those integers, and its canonical text
+``str(q)``, ``a + b*sqrt(d)`` with ``sqrt(d)`` alone for b = +-1, b's sign as
+the operator and no a at a = 0, are decided here alone.  A radicand n < 2^64
+is split as ``s^2 * m``, m squarefree (:func:`squarefree_split`; sqrt(n/m) in
+lowest terms by :func:`sqrt_split`).
 
 A polynomial is a coefficient list, constant first, over any ring whose
 elements mix with the integer 0: ints, Fractions or QuadElems.
@@ -47,6 +53,8 @@ __all__ = [
     "embed_dyadic",
     "embed_surd",
     "squarefree_split",
+    "sqrt_split",
+    "surd_pow",
     "IntegerSurdPoly",
     "coefficient_sign",
     "horner",
@@ -81,13 +89,19 @@ class Frozen:
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
-    """Write ``n = s*s*m`` with ``m`` squarefree; return ``(s, m)``.  n >= 1."""
+    """Write ``n = s*s*m`` with ``m`` squarefree; return ``(s, m)``.  1 <= n < 2^64.
+
+    Trial division stops at the cube root of what is left, which then has at
+    most two prime factors: it is a square exactly when ``isqrt`` says so."""
     if n < 1:
         raise ValueError("squarefree_split needs a positive integer")
+    if n >> 64:  # named by its size where str() would refuse its digits
+        shown = n if n.bit_length() < 14000 else f"of {n.bit_length()} bits"
+        raise ValueError(f"radicand {shown} is 2^64 or more")
     s = 1
     m = 1
     k = 2
-    while k * k <= n:
+    while k * k * k <= n:
         if n % k == 0:
             e = 0
             while n % k == 0:
@@ -97,7 +111,27 @@ def squarefree_split(n: int) -> tuple[int, int]:
             if e & 1:
                 m *= k
         k += 1 if k == 2 else 2
-    return s, m * n
+    r = math.isqrt(n)
+    return (s * r, m) if r * r == n else (s, m * n)
+
+
+def sqrt_split(n: int, m: int) -> tuple[int, int]:
+    """``(s, r)`` with ``n*m = s*s*r``, r squarefree, for n, m >= 1: sqrt(n/m) = s*sqrt(r)/m.
+    n/m is split in lowest terms, and s is multiplied back by g = gcd(n, m)."""
+    g = math.gcd(n, m)
+    s, r = squarefree_split((n // g) * (m // g))
+    return s * g, r
+
+
+def surd_pow(x: int, y: int, d: int, n: int) -> tuple[int, int]:
+    """``(X, Y)`` with ``X + Y*sqrt(d) = (x + y*sqrt(d))^n`` for integers and n >= 0, by
+    squaring from the top bit of n."""
+    px, py = 1, 0
+    for bit in bin(n)[2:]:
+        px, py = px * px + d * py * py, 2 * px * py
+        if bit == "1":
+            px, py = px * x + d * py * y, px * y + py * x
+    return px, py
 
 
 _ZERO = Fraction(0)
@@ -142,8 +176,15 @@ class QuadElem(Frozen):
 
     def as_fraction(self) -> Fraction:
         if self.b != 0:
-            raise ValueError(f"{self} is irrational")
+            raise ValueError(f"{self.a} + {self.b}*sqrt({self.d}) is irrational")
         return self.a
+
+    @property
+    def integers(self) -> tuple[int, int, int]:
+        """``(x, y, c)`` with the value ``(x + y*sqrt(d)) / c`` and c > 0 the least such."""
+        (x, xc), (y, yc) = self.a.as_integer_ratio(), self.b.as_integer_ratio()
+        c = xc * yc // math.gcd(xc, yc)
+        return x * (c // xc), y * (c // yc), c
 
     # -- ring/field structure ------------------------------------------
 
@@ -215,18 +256,9 @@ class QuadElem(Frozen):
             return self.inverse() ** (-n)
         if n == 1:
             return self
-        # (x + y*sqrt(d))^n / c^n by squaring on integers, c a common denominator
-        (p, q), (r, t) = self.a.as_integer_ratio(), self.b.as_integer_ratio()
-        c = q * t // math.gcd(q, t)
-        x, y, d, cn = p * (c // q), r * (c // t), self.d, c**n
-        big_x, big_y = 1, 0
-        while n:
-            if n & 1:
-                big_x, big_y = big_x * x + big_y * y * d, big_x * y + big_y * x
-            n >>= 1
-            if n:
-                x, y = x * x + y * y * d, 2 * x * y
-        return QuadElem(Fraction(big_x, cn), Fraction(big_y, cn), d)
+        x, y, c = self.integers
+        x, y = surd_pow(x, y, self.d, n)
+        return QuadElem(Fraction(x, c**n), Fraction(y, c**n), self.d)
 
     # -- Galois action and exact predicates -----------------------------
 
@@ -283,10 +315,14 @@ class QuadElem(Frozen):
             return f"QuadElem({self.a})"
         return f"QuadElem({self.a}, {self.b}, d={self.d})"
 
-    def __str__(self):
+    def __str__(self):  # the canonical text of the module docstring
         if self.b == 0:
             return str(self.a)
-        return f"{self.a} + {self.b}*sqrt({self.d})"
+        babs = abs(self.b)
+        root = f"sqrt({self.d})" if babs == 1 else f"{babs}*sqrt({self.d})"
+        if self.a == 0:
+            return root if self.b > 0 else f"-{root}"
+        return f"{self.a}{' + ' if self.b > 0 else ' - '}{root}"
 
 
 def embed_dyadic(beta: QuadElem, bits: int) -> tuple[int, int, int]:
@@ -302,8 +338,7 @@ def embed_dyadic(beta: QuadElem, bits: int) -> tuple[int, int, int]:
     """
     if beta.is_rational:
         return beta.a.numerator, beta.a.denominator, 0
-    c = math.lcm(beta.a.denominator, beta.b.denominator)
-    return embed_surd(int(beta.a * c), int(beta.b * c), c, beta.d, bits)
+    return embed_surd(*beta.integers, beta.d, bits)
 
 
 def embed_surd(x: int, y: int, c: int, d: int, bits: int) -> tuple[int, int, int]:

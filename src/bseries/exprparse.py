@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Optional
 
-from .exactnum import QuadElem, poly_add, squarefree_split, surd_mul
+from .exactnum import QuadElem, poly_add, sqrt_split, surd_mul
 
 __all__ = [
     "parse_expr",
@@ -487,7 +487,7 @@ class IntegerEval:
             n, m = p[0][0] if p[0] else 0, p[2]
             if n < 0:
                 raise ValueError("sqrt of a negative rational")
-            s, r = squarefree_split(n * m) if n else (0, 1)
+            s, r = sqrt_split(n, m) if n else (0, 1)
             if r == 1:
                 return (([s], [], m), ONE) if s else _NIL
             if self.d not in (1, r):

@@ -29,8 +29,9 @@ divided by their integer gcd, each on its own, and a surd in the
 denominator is rationalised, so a weight has one form per text.  Code that
 builds a polynomial weight from a coefficient list (duality, telescoping
 certificates) passes it through :meth:`Weight.from_coeffs`, the same
-clearing.  :func:`render_weight` renders the lists, and rendering is
-canonical: ``parse_weight(render_weight(w)) == w``.
+clearing.  :func:`render_weight` renders the lists, each scalar in the text
+``str`` gives it (:mod:`bseries.exactnum`), and rendering is canonical:
+``parse_weight(render_weight(w)) == w``.
 
 The scale ``S_k = kernel(k)^s / D(k)`` is built here once, in integers:
 :meth:`SeriesDef.scale` gives S_k as a fraction of two integers, and
@@ -66,7 +67,6 @@ __all__ = [
     "SeriesDef",
     "NotHypergeometric",
     "parse_quad",
-    "render_quad",
     "parse_base",
     "render_base",
     "parse_weight",
@@ -148,18 +148,6 @@ def parse_quad(s: str) -> QuadElem:
     return eval_quad(parse_expr(s))
 
 
-def render_quad(q: QuadElem) -> str:
-    """Canonical scalar rendering: 'a + b*sqrt(d)' with explicit rationals."""
-    if q.b == 0:
-        return str(q.a)
-    babs = abs(q.b)
-    root = f"sqrt({q.d})" if babs == 1 else f"{str(babs)}*sqrt({q.d})"
-    if q.a == 0:
-        return root if q.b > 0 else f"-{root}"
-    sign = " + " if q.b > 0 else " - "
-    return f"{str(q.a)}{sign}{root}"
-
-
 def parse_base(s: str) -> tuple[QuadElem, int]:
     """Base in structured form: returns (root, exponent)."""
     ast = parse_expr(s)
@@ -176,8 +164,8 @@ def parse_base(s: str) -> tuple[QuadElem, int]:
 
 def render_base(root: QuadElem, exp: int) -> str:
     if exp == 1:
-        return render_quad(root)
-    return f"({render_quad(root)})^{exp}"
+        return str(root)
+    return f"({root})^{exp}"
 
 
 # ----------------------------------------------------------------------
@@ -273,18 +261,6 @@ def parse_weight(s: str) -> Weight:
 # rendering of coefficient lists over the scalar field
 
 
-def _scalar_sign(c) -> int:
-    if isinstance(c, QuadElem):
-        return c.sign()
-    return (c > 0) - (c < 0)
-
-
-def _scalar_str(c) -> str:
-    if isinstance(c, QuadElem):
-        return render_quad(c)
-    return str(c)
-
-
 def _needs_parens(s: str) -> bool:
     return (" + " in s) or (" - " in s)
 
@@ -294,19 +270,18 @@ def _wrap(s: str) -> str:
 
 
 def render_poly(coeffs: Sequence, var: str) -> str:
-    """A coefficient list (constant first; ints, Fractions or QuadElems) as text in var."""
+    """A coefficient list (constant first) as text in var, each scalar by its sign, abs and str."""
     parts: list[tuple[int, str]] = []
     for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]
         if not c:
             continue
-        s = _scalar_sign(c)
-        ca = abs(c) if not isinstance(c, QuadElem) else (c if s >= 0 else -c)
+        s, ca = (c > 0) - (c < 0), abs(c)
         if i == 0:
-            body = _scalar_str(ca)
+            body = str(ca)
         else:
             v = var if i == 1 else f"{var}^{i}"
-            body = v if ca == 1 else f"{_wrap(_scalar_str(ca))}*{v}"
+            body = v if ca == 1 else f"{_wrap(str(ca))}*{v}"
         parts.append((s, body))
     if not parts:
         return "0"
@@ -329,7 +304,7 @@ def render_weight(weight: Weight) -> str:
             QuadElem(Fraction(x, scale), Fraction(y, scale), weight.d) if b else Fraction(x, scale)
             for x, y in zip_longest(a, b, fillvalue=0)
         ]
-        neg = atom is not None and _scalar_sign(next(c for c in reversed(num) if c)) < 0
+        neg = atom is not None and next(c for c in reversed(num) if c) < 0
         if neg:
             num = [-c for c in num]
         cs = render_poly(num, "k")

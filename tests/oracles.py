@@ -18,6 +18,9 @@ at a time, the reference for the one pass of
 :func:`bseries.catalog.loads_catalog`.  :func:`sum_terms_horner` is the
 summation loop evaluating every integer list by Horner's rule at each
 term, the reference for the evaluator's value streams.
+:func:`squarefree_split_trial` splits a radicand by trial division up to
+its square root, the reference for
+:func:`bseries.exactnum.squarefree_split`, which stops at the cube root.
 """
 
 from __future__ import annotations
@@ -114,6 +117,25 @@ def sqrt_surd(q) -> QuadElem:
         return QuadElem(0)
     s, m = squarefree_split(q.numerator * q.denominator)
     return QuadElem(0, Fraction(s, q.denominator), m) if m > 1 else QuadElem(Fraction(s, q.denominator))
+
+
+def squarefree_split_trial(n: int) -> tuple[int, int]:
+    """``(s, m)`` with ``n = s*s*m`` and m squarefree, for n >= 1, by trial division while the
+    square of the divisor is at most what is left."""
+    s = 1
+    m = 1
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            e = 0
+            while n % k == 0:
+                n //= k
+                e += 1
+            s *= k ** (e // 2)
+            if e & 1:
+                m *= k
+        k += 1 if k == 2 else 2
+    return s, m * n
 
 
 def log10_floor(x: Fraction) -> int:

@@ -5,7 +5,9 @@ root and exponent, kernel tag, position, ``Weight.parts`` and ``d``, the
 denominator triples, ``k_start``), its rhs and ``lhs_scale`` terms, and
 every field of its certificate -- as canonical JSON and hashes it.  Ints
 stay ints and a ``Fraction`` is written ``"n/d"``, so the dump tells
-``3`` from ``Fraction(3)`` and does not depend on the Python version.
+``3`` from ``Fraction(3)`` and does not depend on the Python version; an
+int of more than 14,000 bits, which would be written past ``str``'s
+4,300-digit limit, is written in hex, and so is a ``Fraction`` with one.
 :data:`PINS` holds the digests of the two catalogs the repository ships;
 a parser change that moves any parsed value moves a digest.
 """
@@ -30,9 +32,13 @@ PINS = {
 
 def canonical(x):
     """x as plain JSON values: records by their ``__slots__``, tuples and lists as lists."""
+    if isinstance(x, int) and x.bit_length() > 14000:  # past str()'s 4,300 digits; hex has no limit
+        return ["int", hex(x)]
     if x is None or isinstance(x, (int, str)):
         return x
     if isinstance(x, Fraction):
+        if max(x.numerator.bit_length(), x.denominator.bit_length()) > 14000:
+            return ["fraction", hex(x.numerator), hex(x.denominator)]
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, QuadElem):
         return ["quad", canonical(x.a), canonical(x.b), x.d]

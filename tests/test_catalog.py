@@ -386,6 +386,7 @@ def test_series_records_load_without_ratfun():
         "_x_exponent_offset", "_binom_pair", "_BaseEval",
         "_canonical", "_add_term", "_sum", "_product", "_inverse", "_power",  # closedform's ring
         "_fold", "_combine", "_terms", "_normalize_atoms_tuple", "_fold_even_sqrt", "_dict",
+        "render_quad", "_scalar_sign", "_scalar_str",  # QuadElem's str is the one scalar text
     }
     found = set()
     for path in sorted((REPO_ROOT / "src" / "bseries").glob("*.py")):
@@ -395,6 +396,38 @@ def test_series_records_load_without_ratfun():
                 found.add((path.name, name))
     assert not found
     assert "__init__" not in vars(IntegerSurdPoly)
+
+
+def test_quadratic_scalars_are_read_in_exactnum_alone():
+    # QuadElem.integers is the one integer form of a scalar: no other module reads b's parts,
+    # and closedform renders its nested radicals by str, not through seriesmodel
+    found = set()
+    for path in sorted((REPO_ROOT / "src" / "bseries").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (
+                path.name != "exactnum.py"
+                and isinstance(node, ast.Attribute)
+                and node.attr in ("numerator", "denominator")
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "b"
+            ):
+                found.add((path.name, f"b.{node.attr}"))
+            if path.name == "closedform.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+                names += [alias.name for alias in node.names]
+                if any(name.rsplit(".", 1)[-1] == "seriesmodel" for name in names):
+                    found.add((path.name, "seriesmodel"))
+    assert not found
+
+
+@pytest.mark.parametrize("key, text", [("base", "16*sqrt({})"), ("rhs", "sqrt({})/pi")])
+def test_radicand_of_2_to_the_64_or_more_is_refused_with_its_record(key, text):
+    radicand = 10**30 + 57
+    line = next(x for x in MINIMAL.splitlines() if x.startswith(key + ":"))
+    bad = MINIMAL.replace(line, f"{key}: {text.format(radicand)}")
+    with pytest.raises(CatalogError, match=rf"record 't1' \(line 1\): radicand {radicand} is 2\^64"):
+        loads_catalog(bad)
 
 
 def test_denominator_without_integer_root_loads():

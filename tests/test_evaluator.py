@@ -79,12 +79,6 @@ def u_value(form, k):
     return QuadElem(Fraction(horner(form.ua, k), c), Fraction(horner(form.ub, k), c), form.d)
 
 
-def quad_integers(x):
-    """A QuadElem as integers ``(a, b, c)`` in lowest terms with c > 0, x = (a + b*sqrt(d)) / c."""
-    c = math.lcm(x.a.denominator, x.b.denominator)
-    return int(x.a * c), int(x.b * c), c
-
-
 def majorant_term(sdef, form, k):
     """m_k = U(k) * S_k * base^k: U(k) times the term of the same series with weight 1."""
     return u_value(form, k) * term_exact(rebuilt(sdef, weight=parse_weight("1")), k)
@@ -352,7 +346,7 @@ def test_integer_ratio_matches_term_ratio():
     for rid, sdef in cases:
         form = _IntegerWeight(sdef)
         one = rebuilt(sdef, weight=parse_weight("1"))
-        (na, nb), (da, db) = envelope._majorant_ratio(sdef, form, quad_integers(sdef.base_value))
+        (na, nb), (da, db) = envelope._majorant_ratio(sdef, form, sdef.base_value.integers)
         for k in range(form.start, form.start + 20):
             num = QuadElem(horner(na, k), horner(nb, k), form.d)
             den = QuadElem(horner(da, k), horner(db, k), form.d)
@@ -370,7 +364,7 @@ def test_log2_term_is_the_exact_majorant_term():
         except NonConvergent:
             continue
         m = majorant_term(sdef, env.weight, env.k0)
-        assert env.log2_term == _log2_surd(*quad_integers(m), m.d), sdef
+        assert env.log2_term == _log2_surd(*m.integers, m.d), sdef
 
 
 def test_evaluator_works_on_integer_lists_only():
@@ -742,7 +736,7 @@ def reference_envelope(sdef):
     if not qs:
         raise NonConvergent("cannot select a geometric bound below 1")
     form = _IntegerWeight(sdef)
-    (na, nb), (da, db) = envelope._majorant_ratio(sdef, form, quad_integers(beta))
+    (na, nb), (da, db) = envelope._majorant_ratio(sdef, form, beta.integers)
     envelopes = []
     for q in qs:
         qn, qd = q.numerator, q.denominator
@@ -764,7 +758,7 @@ def reference_envelope(sdef):
         while k0 > form.start and sign_g(k0 - 1) >= 0:
             k0 -= 1
         mk0 = majorant_term(sdef, form, k0)
-        log2_term = _log2_surd(*quad_integers(mk0), mk0.d)
+        log2_term = _log2_surd(*mk0.integers, mk0.d)
         envelopes.append(envelope.Envelope(q=q, k0=k0, weight=form, log2_term=log2_term))
     return min(envelopes, key=lambda env: env.k0 + env.predicted_terms(envelope._RANK_BITS))
 

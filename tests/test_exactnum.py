@@ -1,6 +1,7 @@
 """Exact arithmetic: quadratic surds, coefficient lists, integer-point signs."""
 
 import math
+import random
 from fractions import Fraction
 from functools import reduce
 from itertools import islice
@@ -18,9 +19,12 @@ from bseries.exactnum import (
     poly_mul,
     poly_shift,
     poly_values,
+    sqrt_split,
     squarefree_split,
+    surd_pow,
 )
-from oracles import sqrt_surd
+from bseries.seriesmodel import parse_quad
+from oracles import sqrt_surd, squarefree_split_trial
 
 
 def test_squarefree_split():
@@ -29,6 +33,50 @@ def test_squarefree_split():
     assert squarefree_split(8) == (2, 2)
     assert squarefree_split(97) == (1, 97)
     assert squarefree_split(4 * 9 * 25) == (30, 1)
+
+
+def test_squarefree_split_agrees_with_trial_division():
+    # trial division stops at the cube root of the cofactor; the reference goes to its square root
+    rng = random.Random(20261022)
+    values = [rng.randrange(1, 10 ** rng.randint(1, 12)) for _ in range(2000)]
+    values += [k**3 * j for k in range(2, 60) for j in (1, 2, 7, 999983)]
+    for n in values:
+        assert squarefree_split(n) == squarefree_split_trial(n), n
+
+
+@pytest.mark.parametrize("p, q", [(999983, 1000003), (1073741789, 1073741827)])
+def test_squarefree_split_of_large_primes(p, q):
+    # the cofactor left past the cube root is p*q or p^2: isqrt tells them apart
+    assert squarefree_split(p * p) == (p, 1)
+    assert squarefree_split(p * q) == (1, p * q)
+    assert squarefree_split(12 * p * p) == (2 * p, 3)
+    assert squarefree_split(4 * p * q) == (2, p * q)
+
+
+def test_squarefree_split_refuses_two_to_the_64():
+    assert squarefree_split(2**64 - 1) == (1, 2**64 - 1)  # 3*5*17*257*641*65537*6700417
+    with pytest.raises(ValueError, match=f"radicand {2**64} "):
+        squarefree_split(2**64)
+    with pytest.raises(ValueError, match="radicand of 20001 bits "):
+        parse_quad("sqrt(2^20000)")
+
+
+def test_sqrt_split_reduces_before_splitting():
+    # n*m = g^2 * (n/g)*(m/g): the triple is that of n*m, and only n*m/g^2 is bounded
+    rng = random.Random(7)
+    for _ in range(500):
+        n, m = rng.randrange(1, 10**6), rng.randrange(1, 10**6)
+        assert sqrt_split(n, m) == squarefree_split(n * m)
+    x = 10**22 + 9  # a prime
+    assert sqrt_split(x, x) == (x, 1)
+    assert parse_quad(f"sqrt({x}/{x})") == 1
+    with pytest.raises(ValueError, match="radicand 9{31} "):
+        parse_quad("sqrt(" + "9" * 31 + ")")
+
+
+def test_sqrt_of_the_largest_prime_below_two_to_the_64():
+    p = 2**64 - 59
+    assert parse_quad(f"sqrt({p})*sqrt({p})") == p
 
 
 class TestQuadElem:
@@ -303,3 +351,32 @@ def test_rational_root_bound_is_the_smallest_dominating_k(a, start):
     k, low = f.root_bound(start), max(1, start)
     assert k >= low and dominates(k)
     assert k == low or not dominates(k - 1)
+
+
+def test_surd_pow_is_repeated_multiplication():
+    rng = random.Random(34)
+    for _ in range(300):
+        x, y = (rng.choice([0, rng.randrange(-50, 51), rng.randrange(-(10**9), 10**9)]) for _ in "xy")
+        d, n = rng.choice([2, 3, 5, 6, 7, 19]), rng.randrange(41)
+        px, py = 1, 0
+        for _ in range(n):
+            px, py = px * x + d * py * y, px * y + py * x
+        assert surd_pow(x, y, d, n) == (px, py)
+
+
+def test_integers_give_back_the_value_in_lowest_terms():
+    rng = random.Random(35)
+    for _ in range(500):
+        a, b = (Fraction(rng.randrange(-(10**6), 10**6), rng.randrange(1, 10**4)) for _ in "ab")
+        q = QuadElem(rng.choice([0, a]), rng.choice([0, b]), rng.choice([2, 3, 5, 6, 7, 19]))
+        x, y, c = q.integers
+        assert c > 0 and math.gcd(x, y, c) == 1
+        assert QuadElem(Fraction(x, c), Fraction(y, c), q.d) == q
+
+
+def test_canonical_text_parses_back():
+    rng = random.Random(36)
+    for _ in range(500):
+        a, b = (Fraction(rng.randrange(-(10**6), 10**6), rng.randrange(1, 10**4)) for _ in "ab")
+        q = QuadElem(rng.choice([0, a, 1, -1]), rng.choice([0, b, 1, -1]), rng.choice([2, 3, 5, 6, 7, 19]))
+        assert parse_quad(str(q)) == q
